@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! chaos explore [--scripts N] [--seed S] [--n NODES] [--group K] [--shards K] [--shared-plane] [--out FILE]
-//!               [--slo] [--slo-budget-s SECS] [--merge-into FILE]
+//!               [--slo] [--slo-budget-s SECS]
 //! chaos replay <token> [--shards K]
 //! chaos crosscheck [--scripts N] [--seed S] [--n NODES] [--group K] [--shards K] [--plane-diff]
 //! ```
@@ -41,12 +41,10 @@
 //!
 //! `--slo` folds every clean run's observation-plane aggregates (the
 //! [`fuse_obs`] recorder plane the stacks and the network emit into) into
-//! one document and checks the per-phase notification-latency reservoirs
-//! against the paper's 480 s detection budget (`--slo-budget-s`
-//! overrides, for injecting a violation). With `--merge-into FILE` the
-//! resulting `chaos_slo` section is spliced into that `BENCH_*.json`
-//! document (stamping `"pr": 10`) for the bench gate; otherwise it prints
-//! to stdout.
+//! one `chaos_slo` document printed to stdout, and checks the per-phase
+//! notification-latency reservoirs against the paper's 480 s detection
+//! budget (`--slo-budget-s` overrides, for injecting a violation). A kill
+//! notification past the budget exits 1, like an invariant violation.
 
 use std::process::ExitCode;
 
@@ -61,7 +59,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          chaos explore [--scripts N] [--seed S] [--n NODES] [--group K] [--shards K] \
-         [--shared-plane] [--out FILE] [--slo] [--slo-budget-s SECS] [--merge-into FILE]\n  \
+         [--shared-plane] [--out FILE] [--slo] [--slo-budget-s SECS]\n  \
          chaos replay <token> [--shards K]\n  \
          chaos crosscheck [--scripts N] [--seed S] [--n NODES] [--group K] [--shards K] \
          [--plane-diff]"
@@ -103,7 +101,6 @@ fn cmd_explore(args: &[String]) -> ExitCode {
     let mut out = String::from("CHAOS_REPRO.txt");
     let mut slo = false;
     let mut slo_budget_s = 480u64;
-    let mut merge_into: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = |name: &str| -> Option<String> {
@@ -142,10 +139,6 @@ fn cmd_explore(args: &[String]) -> ExitCode {
             "--slo" => slo = true,
             "--slo-budget-s" => match val("--slo-budget-s").and_then(|v| v.parse().ok()) {
                 Some(v) => slo_budget_s = v,
-                None => return usage(),
-            },
-            "--merge-into" => match val("--merge-into") {
-                Some(v) => merge_into = Some(v),
                 None => return usage(),
             },
             _ => return usage(),
@@ -188,14 +181,7 @@ fn cmd_explore(args: &[String]) -> ExitCode {
         Ok(count) => {
             println!("chaos explore: {count} scripts, all invariants held");
             if slo {
-                return emit_slo(
-                    &mut slo_agg,
-                    count,
-                    n,
-                    shards.unwrap_or(1),
-                    slo_budget_s,
-                    merge_into.as_deref(),
-                );
+                return emit_slo(&mut slo_agg, count, n, shards.unwrap_or(1), slo_budget_s);
             }
             ExitCode::SUCCESS
         }
@@ -312,56 +298,37 @@ fn slo_section(
     Value::Obj(fields)
 }
 
-/// Prints the `chaos_slo` verdict and either splices the section into a
-/// `BENCH_*.json` document (stamping `"pr": 10` for the gate's `since_pr`
-/// guard) or prints it to stdout. The exit code stays SUCCESS either way
-/// when the invariants held — the perf verdict belongs to `bench_check`,
-/// which holds `chaos_slo.within_budget` to a hard 1.0 floor.
+/// Prints the `chaos_slo` section and verdict. This tool measures
+/// `within_budget`, so it owns the verdict: an SLO miss exits 1.
 fn emit_slo(
     agg: &mut Aggregates,
     scripts: usize,
     n: usize,
     shards: usize,
     budget_s: u64,
-    merge_into: Option<&str>,
 ) -> ExitCode {
     let section = slo_section(agg, scripts, n, shards, budget_s);
     let kill_p99 = section
         .get("kill_p99_s")
         .and_then(Value::as_f64)
         .unwrap_or(0.0);
-    let within = section.get("within_budget").and_then(Value::as_f64) == Some(1.0);
+    let within = within_budget(&section);
     println!(
         "chaos slo: kill p99 {kill_p99:.1}s against a {budget_s}s budget — {}",
         if within { "within budget" } else { "SLO MISS" }
     );
-    match merge_into {
-        Some(path) => {
-            let doc = match std::fs::read_to_string(path) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("could not read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut v = match json::parse(&doc) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("could not parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            v.set("pr", Value::Num(10.0));
-            v.set("chaos_slo", section);
-            if let Err(e) = std::fs::write(path, json::render(&v)) {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("chaos_slo section merged into {path}");
-        }
-        None => println!("{}", json::render(&section)),
+    println!("{}", json::render(&section));
+    if within {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    ExitCode::SUCCESS
+}
+
+/// Whether a `chaos_slo` section reports every kill notification inside
+/// the budget.
+fn within_budget(section: &Value) -> bool {
+    section.get("within_budget").and_then(Value::as_f64) == Some(1.0)
 }
 
 fn cmd_replay(args: &[String]) -> ExitCode {
@@ -583,5 +550,24 @@ fn plane_check(
         println!("  -- shared:");
         print_report(&shared);
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The verdict `--slo` exits by, on the first pinned CI smoke scripts:
+    /// kills are detected in tens of seconds, so the paper's 480 s budget
+    /// holds and a 1 s budget cannot.
+    #[test]
+    fn slo_verdict_follows_the_budget() {
+        let params = ExploreParams::new(20260730, 4);
+        let mut agg = Aggregates::default();
+        let ran = explore(&params, |_, r| agg.merge_from(&r.obs)).expect("invariants hold");
+        let kills = agg.latency.get_mut("kill").map_or(0, |r| r.len());
+        assert!(kills > 0, "the scripts must provoke kill notifications");
+        assert!(within_budget(&slo_section(&mut agg, ran, params.n, 1, 480)));
+        assert!(!within_budget(&slo_section(&mut agg, ran, params.n, 1, 1)));
     }
 }

@@ -7,6 +7,7 @@ use fuse_core::Notification;
 use fuse_core::{CreateError, CreateTicket, FuseConfig, FuseId, GroupHandle};
 use fuse_net::{FaultPlane, NetConfig, Network, TopologyConfig};
 use fuse_obs::Aggregates;
+use fuse_overlay::oracle::OracleTables;
 use fuse_overlay::{build_oracle_tables, NodeInfo, NodeName, OverlayConfig};
 use fuse_sim::process::{Ctx, Process};
 use fuse_sim::{ProcId, ShardedSim, Sim, SimDuration, SimTime};
@@ -81,6 +82,63 @@ impl WorldParams {
     }
 }
 
+/// The one place a node's stack is built: a fresh [`RecorderApp`] over the
+/// world's overlay and FUSE parameters, either joining through `bootstrap`
+/// or starting from converged oracle `tables`.
+fn node_stack(
+    info: &NodeInfo,
+    p: &WorldParams,
+    bootstrap: Option<ProcId>,
+    tables: Option<OracleTables>,
+) -> NodeStack<RecorderApp> {
+    let mut stack = NodeStack::new(
+        info.clone(),
+        bootstrap,
+        p.ov.clone(),
+        p.fuse.clone(),
+        RecorderApp::new(),
+    );
+    if let Some((cw, ccw, rt)) = tables {
+        stack.overlay.preload_tables(cw, ccw, rt);
+    }
+    stack
+}
+
+/// The stacks of a fresh world in process-id order, each with the time the
+/// sim must run before it is added. Under [`Bootstrap::Live`] node 0 starts
+/// the ring and everyone else joins through it, staggered so the ring grows
+/// incrementally (a process boots when it is added, so the stagger is spent
+/// running the sim between adds).
+fn initial_stacks<'a>(
+    p: &'a WorldParams,
+    infos: &'a [NodeInfo],
+) -> impl Iterator<Item = (Option<SimDuration>, NodeStack<RecorderApp>)> + 'a {
+    let mut tables = match p.bootstrap {
+        Bootstrap::Oracle => build_oracle_tables(infos, &p.ov),
+        Bootstrap::Live { .. } => Vec::new(),
+    }
+    .into_iter();
+    infos
+        .iter()
+        .enumerate()
+        .map(move |(i, info)| match (p.bootstrap, i) {
+            (Bootstrap::Oracle, _) => (None, node_stack(info, p, None, tables.next())),
+            (Bootstrap::Live { .. }, 0) => (None, node_stack(info, p, None, None)),
+            (Bootstrap::Live { stagger }, _) => (Some(stagger), node_stack(info, p, Some(0), None)),
+        })
+}
+
+/// Rebooted node `i`'s stack, bootstrapped exactly like
+/// [`Bootstrap::Oracle`] built it: converged tables from global membership,
+/// no knowledge of any FUSE group.
+fn oracle_stack(infos: &[NodeInfo], i: usize, params: &WorldParams) -> NodeStack<RecorderApp> {
+    let tables = build_oracle_tables(infos, &params.ov)
+        .into_iter()
+        .nth(i)
+        .expect("node exists");
+    node_stack(&infos[i], params, None, Some(tables))
+}
+
 /// A built world: the simulation plus node directory.
 pub struct World {
     /// The simulation.
@@ -100,45 +158,11 @@ impl World {
             .map(|i| NodeInfo::new(i as ProcId, NodeName::numbered(i)))
             .collect();
         let mut sim = Sim::with_trace(p.seed, net, MsgTrace::new());
-        match p.bootstrap {
-            Bootstrap::Oracle => {
-                let tables = build_oracle_tables(&infos, &p.ov);
-                for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
-                    let mut stack = NodeStack::new(
-                        info.clone(),
-                        None,
-                        p.ov.clone(),
-                        p.fuse.clone(),
-                        RecorderApp::new(),
-                    );
-                    stack.overlay.preload_tables(cw, ccw, rt);
-                    sim.add_process(stack);
-                }
+        for (stagger, stack) in initial_stacks(p, &infos) {
+            if let Some(d) = stagger {
+                sim.run_for(d);
             }
-            Bootstrap::Live { stagger } => {
-                // Node 0 starts the ring; everyone else joins through it,
-                // staggered so the ring grows incrementally.
-                for (i, info) in infos.iter().enumerate() {
-                    let bootstrap = if i == 0 { None } else { Some(0) };
-                    let stack = NodeStack::new(
-                        info.clone(),
-                        bootstrap,
-                        p.ov.clone(),
-                        p.fuse.clone(),
-                        RecorderApp::new(),
-                    );
-                    if i == 0 {
-                        sim.add_process(stack);
-                    } else {
-                        // Delay each boot: add at a scheduled time by
-                        // pre-registering and booting later is not supported,
-                        // so we instead add immediately but the join message
-                        // flows at add time. Stagger by running the sim.
-                        sim.run_for(stagger);
-                        sim.add_process(stack);
-                    }
-                }
-            }
+            sim.add_process(stack);
         }
         World {
             sim,
@@ -294,17 +318,8 @@ impl World {
         if self.sim.is_up(p) {
             return;
         }
-        let tables = build_oracle_tables(&self.infos, &params.ov);
-        let (cw, ccw, rt) = tables.into_iter().nth(p as usize).expect("node exists");
-        let mut stack = NodeStack::new(
-            self.infos[p as usize].clone(),
-            None,
-            params.ov.clone(),
-            params.fuse.clone(),
-            RecorderApp::new(),
-        );
-        stack.overlay.preload_tables(cw, ccw, rt);
-        self.sim.restart(p, stack);
+        self.sim
+            .restart(p, oracle_stack(&self.infos, p as usize, params));
     }
 
     /// Picks `k` distinct random nodes (optionally excluding some).
@@ -341,37 +356,11 @@ impl ShardedWorld {
             .map(|i| NodeInfo::new(i as ProcId, NodeName::numbered(i)))
             .collect();
         let mut sim = ShardedSim::with_trace(p.seed, shards, net, |_| MsgTrace::new());
-        match p.bootstrap {
-            Bootstrap::Oracle => {
-                let tables = build_oracle_tables(&infos, &p.ov);
-                for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
-                    let mut stack = NodeStack::new(
-                        info.clone(),
-                        None,
-                        p.ov.clone(),
-                        p.fuse.clone(),
-                        RecorderApp::new(),
-                    );
-                    stack.overlay.preload_tables(cw, ccw, rt);
-                    sim.add_process(stack);
-                }
+        for (stagger, stack) in initial_stacks(p, &infos) {
+            if let Some(d) = stagger {
+                sim.run_for(d);
             }
-            Bootstrap::Live { stagger } => {
-                for (i, info) in infos.iter().enumerate() {
-                    let bootstrap = if i == 0 { None } else { Some(0) };
-                    let stack = NodeStack::new(
-                        info.clone(),
-                        bootstrap,
-                        p.ov.clone(),
-                        p.fuse.clone(),
-                        RecorderApp::new(),
-                    );
-                    if i > 0 {
-                        sim.run_for(stagger);
-                    }
-                    sim.add_process(stack);
-                }
-            }
+            sim.add_process(stack);
         }
         ShardedWorld { sim, infos }
     }
@@ -617,17 +606,8 @@ impl ChaosHost for ShardedWorld {
         if self.sim.is_up(p) {
             return;
         }
-        let tables = build_oracle_tables(&self.infos, &params.ov);
-        let (cw, ccw, rt) = tables.into_iter().nth(p as usize).expect("node exists");
-        let mut stack = NodeStack::new(
-            self.infos[p as usize].clone(),
-            None,
-            params.ov.clone(),
-            params.fuse.clone(),
-            RecorderApp::new(),
-        );
-        stack.overlay.preload_tables(cw, ccw, rt);
-        self.sim.restart(p, stack);
+        self.sim
+            .restart(p, oracle_stack(&self.infos, p as usize, params));
     }
 
     fn with_fault(&mut self, mut f: impl FnMut(&mut FaultPlane)) {

@@ -3,9 +3,8 @@
 //! Two modes:
 //!
 //! * **Load** (default): spawn an N-node `fuse-node` fleet behind the
-//!   fault-proxy mesh, run the scripted fault rounds, print the per-class
-//!   latency table, and optionally merge the `node_load` section into a
-//!   `BENCH_*.json` document.
+//!   fault-proxy mesh, run the scripted fault rounds and print the
+//!   per-class latency table.
 //! * **Replay** (`--replay <token>`): replay a `chaos-v1;…` repro token
 //!   against live processes and cross-check the simulated outcome.
 //!
@@ -17,7 +16,6 @@ use std::process::exit;
 use std::time::Duration;
 
 use fuse_load::cluster::fast_timing_args;
-use fuse_load::report::merge_into_doc;
 use fuse_load::scenario::{plan, FaultClass, ScenarioParams};
 use fuse_load::{live, replay, simref, Cluster, LoadReport};
 
@@ -39,7 +37,6 @@ OPTIONS:
     --delay-ms <MS>      ambient one-way delay on every link (default 0)
     --loss-pct <P>       ambient per-frame loss percent (default 0)
     --skip-sim           skip the simulator reference run
-    --merge-into <FILE>  splice the node_load section into this BENCH json
     --replay <TOKEN>     replay a chaos-v1 token instead of the load run
     --time-scale <F>     compress replay op offsets by this factor (default 1)
     --max-wait-secs <S>  cap the replay notification wait (default 120)
@@ -50,7 +47,7 @@ OPTIONS:
 
 OUTPUT:
     A per-class table (p50/p99/p999/max ms, sim p50, budget verdict) on
-    stdout; with --merge-into, the JSON document is rewritten in place.
+    stdout.
 ";
 
 struct Opts {
@@ -58,7 +55,6 @@ struct Opts {
     params: ScenarioParams,
     classes: Vec<FaultClass>,
     skip_sim: bool,
-    merge_into: Option<PathBuf>,
     replay: Option<String>,
     time_scale: f64,
     max_wait: Duration,
@@ -76,7 +72,6 @@ fn parse_opts() -> Opts {
         params: ScenarioParams::paper_scale(1),
         classes: FaultClass::all().to_vec(),
         skip_sim: false,
-        merge_into: None,
         replay: None,
         time_scale: 1.0,
         max_wait: Duration::from_secs(120),
@@ -119,9 +114,6 @@ fn parse_opts() -> Opts {
             }
             "--skip-sim" => opts.skip_sim = true,
             "--fast" => opts.fast = true,
-            "--merge-into" => {
-                opts.merge_into = Some(PathBuf::from(next("--merge-into", &mut args)))
-            }
             "--replay" => opts.replay = Some(next("--replay", &mut args)),
             "--time-scale" => {
                 let v = next("--time-scale", &mut args);
@@ -253,22 +245,6 @@ fn main() {
 
     let report = LoadReport::assemble(p.clone(), &live_samples, &sim_samples);
     print!("{}", report.render());
-
-    if let Some(path) = &opts.merge_into {
-        let doc = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| usage_err(&format!("--merge-into {}: {e}", path.display())));
-        match merge_into_doc(&doc, &report, 9.0) {
-            Ok(merged) => {
-                std::fs::write(path, merged)
-                    .unwrap_or_else(|e| usage_err(&format!("write {}: {e}", path.display())));
-                println!("merged node_load into {}", path.display());
-            }
-            Err(e) => {
-                eprintln!("fuse-load: merge failed: {e}");
-                exit(1);
-            }
-        }
-    }
 
     exit(if report.within_budget() { 0 } else { 1 });
 }

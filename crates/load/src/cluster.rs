@@ -13,6 +13,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -112,18 +113,30 @@ pub struct Cluster {
     nodes: Vec<Option<NodeHandle>>,
 }
 
-impl Cluster {
-    /// Reserves a distinct loopback port by binding to :0 and releasing
-    /// it (same trade-off as the loopback tests: racy in principle, fine
-    /// on the timescale of a spawn).
-    fn free_port() -> u16 {
-        TcpListener::bind("127.0.0.1:0")
-            .expect("bind :0")
-            .local_addr()
-            .unwrap()
-            .port()
+/// Picks a loopback port for a node to listen on. A node is told its
+/// port before it exists, so the port must stay free until the child binds
+/// it. A `:0` port does not: the kernel hands a released ephemeral port to
+/// the next `:0` listener or outbound connection, and a fleet's proxy mesh
+/// makes hundreds of both. Node ports therefore come from below the
+/// ephemeral range (32768 and up on Linux), walked by a process-wide
+/// counter — fleets launched from parallel threads never share one — that
+/// starts at a pid-dependent offset so two processes launching fleets at
+/// once begin apart; each candidate is probed by binding it.
+fn free_node_port() -> Result<u16, ClusterError> {
+    const BASE: u32 = 20_000;
+    const SPAN: u32 = 10_000;
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    for _ in 0..SPAN {
+        let k = NEXT.fetch_add(1, Ordering::Relaxed);
+        let port = (BASE + (std::process::id() % 100 * 100 + k) % SPAN) as u16;
+        if TcpListener::bind(("127.0.0.1", port)).is_ok() {
+            return Ok(port);
+        }
     }
+    Err(format!("no free node port in {BASE}..{}", BASE + SPAN))
+}
 
+impl Cluster {
     /// Boots `n` nodes and the N·(N−1) proxy mesh, waiting for every node
     /// to print `READY`.
     pub fn launch(
@@ -133,7 +146,7 @@ impl Cluster {
         extra_args: &[String],
     ) -> Result<Cluster, ClusterError> {
         assert!(n >= 2, "a cluster needs at least two nodes");
-        let node_ports: Vec<u16> = (0..n).map(|_| Self::free_port()).collect();
+        let node_ports: Vec<u16> = (0..n).map(|_| free_node_port()).collect::<Result<_, _>>()?;
         let mut proxies = HashMap::new();
         for i in 0..n {
             for j in 0..n {

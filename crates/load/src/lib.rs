@@ -16,9 +16,8 @@
 //! * [`live`] / [`simref`] — the two back-ends executing that plan.
 //! * [`replay`] — chaos repro tokens (`chaos-v1;…`) replayed against live
 //!   processes, cross-checked against the simulated outcome.
-//! * [`report`] — kill→last-member-notified p50/p99/p999 per fault class,
-//!   merged into `BENCH_*.json` as the `node_load` section the CI gate
-//!   reads.
+//! * [`report`] — kill→last-member-notified p50/p99/p999 per fault class
+//!   and the within-budget verdict `fuse-load` exits by.
 
 pub mod cluster;
 pub mod live;

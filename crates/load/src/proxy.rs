@@ -249,6 +249,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use fuse_wire::codec::twopass::to_bytes;
+    use fuse_wire::EncodeBuf;
     use std::time::Instant;
 
     /// A capture server: accepts one connection, records the hello and
@@ -280,12 +281,10 @@ mod tests {
         (addr, rx)
     }
 
+    /// Frames exactly as `fuse-node` does; the assertions below compare
+    /// what arrives against the `twopass` reference encoding.
     fn frame_for(msg: &StackMsg) -> Vec<u8> {
-        let payload = to_bytes(msg);
-        let mut f = Vec::with_capacity(4 + payload.len());
-        f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        f.extend_from_slice(&payload);
-        f
+        EncodeBuf::new().encode_frame(msg).to_vec()
     }
 
     fn app_msg(b: &[u8]) -> StackMsg {

@@ -1,10 +1,10 @@
 //! The `node_load` report: per-fault-class latency quantiles from the live
-//! run, sim reference numbers alongside, rendered/merged as a section of a
-//! `BENCH_*.json` document.
+//! run, sim reference numbers alongside, rendered as a table or a JSON
+//! object.
 
 use std::collections::HashMap;
 
-use fuse_bench::json::{self, Value};
+use fuse_obs::json::Value;
 use fuse_obs::Reservoir;
 
 use crate::scenario::{FaultClass, ScenarioParams};
@@ -174,18 +174,10 @@ impl LoadReport {
     }
 }
 
-/// Merges a `node_load` section into a `BENCH_*.json` document string:
-/// parses, replaces/appends `node_load`, stamps `"pr"` to `pr`, re-renders.
-pub fn merge_into_doc(doc: &str, report: &LoadReport, pr: f64) -> Result<String, String> {
-    let mut v = json::parse(doc)?;
-    v.set("pr", Value::Num(pr));
-    v.set("node_load", report.to_json());
-    Ok(json::render(&v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuse_obs::json;
     use std::time::Duration;
 
     fn sample_report() -> LoadReport {
@@ -252,15 +244,5 @@ mod tests {
                 .as_f64(),
             Some(0.0)
         );
-    }
-
-    #[test]
-    fn merge_preserves_other_sections() {
-        let doc = r#"{"pr": 7, "wire_hot_path": {"x": 1}}"#;
-        let merged = merge_into_doc(doc, &sample_report(), 9.0).unwrap();
-        let v = json::parse(&merged).unwrap();
-        assert_eq!(v.get("wire_hot_path.x").unwrap().as_f64(), Some(1.0));
-        assert_eq!(v.get("pr").unwrap().as_f64(), Some(9.0));
-        assert!(v.get("node_load.kill.p99_ms").is_some());
     }
 }

@@ -2,9 +2,9 @@
 //! fleet behind the proxy mesh, one kill round and one signal round, plus
 //! a chaos-token replay cross-checked against the simulator.
 //!
-//! The paper-scale N=10 run (and its BENCH merge) lives in CI / the staked
-//! `BENCH_PR9.json`; these tests keep the same machinery honest at a size
-//! that fits the tier-1 wall-clock budget.
+//! The paper-scale run is `fuse-load` with its defaults (N=10); these
+//! tests keep the same machinery honest at a size that fits the tier-1
+//! wall-clock budget.
 
 use std::path::PathBuf;
 use std::process::Command;

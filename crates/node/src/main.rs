@@ -56,8 +56,7 @@ use rand::SeedableRng;
 use fuse_core::{AppCall, FuseConfig, FuseEvent, FuseId, FuseStack, Input, Output, StackMsg};
 use fuse_overlay::{build_oracle_tables, NodeInfo, NodeName, OverlayConfig};
 use fuse_util::{Duration as ProtoDuration, PeerAddr, Time, TimerKey};
-use fuse_wire::codec::twopass::to_bytes;
-use fuse_wire::Decode;
+use fuse_wire::{Decode, EncodeBuf};
 
 const USAGE: &str = "\
 fuse-node: real-socket TCP deployment of the FUSE failure-notification stack
@@ -365,6 +364,9 @@ fn writer_loop(
 /// Outbound fan-out: one channel + writer thread per known peer.
 struct Transport {
     writers: HashMap<PeerAddr, mpsc::Sender<Vec<u8>>>,
+    /// Reused for every frame; only the copy handed to the writer thread
+    /// is allocated per send.
+    ebuf: EncodeBuf,
 }
 
 impl Transport {
@@ -376,21 +378,20 @@ impl Transport {
             thread::spawn(move || writer_loop(my_id, pid, addr, rx, ev));
             writers.insert(pid, tx);
         }
-        Transport { writers }
+        Transport {
+            writers,
+            ebuf: EncodeBuf::new(),
+        }
     }
 
-    fn send(&self, to: PeerAddr, msg: &StackMsg, events: &mpsc::Sender<Event>) {
+    fn send(&mut self, to: PeerAddr, msg: &StackMsg, events: &mpsc::Sender<Event>) {
         let Some(tx) = self.writers.get(&to) else {
             // Unknown peer: with static membership this is a config error;
             // surface it as an immediately-broken link.
             let _ = events.send(Event::Broken { peer: to });
             return;
         };
-        let payload = to_bytes(msg);
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let _ = tx.send(frame);
+        let _ = tx.send(self.ebuf.encode_frame(msg).to_vec());
     }
 }
 
@@ -501,7 +502,7 @@ fn main() {
         });
     }
 
-    let transport = Transport::new(opts.id, &opts.peers, &events_tx);
+    let mut transport = Transport::new(opts.id, &opts.peers, &events_tx);
 
     // The stack thread: monotonic clock, timer heap, event pump.
     let t0 = Instant::now();
@@ -528,10 +529,10 @@ fn main() {
 
     // Drains stack outputs, dispatching application calls inline (their own
     // outputs append behind and drain in the same loop).
-    let drain = |stack: &mut FuseStack,
-                 rng: &mut StdRng,
-                 timers: &mut BinaryHeap<Reverse<(u64, TimerKey)>>,
-                 cancelled: &mut HashSet<TimerKey>| {
+    let mut drain = |stack: &mut FuseStack,
+                     rng: &mut StdRng,
+                     timers: &mut BinaryHeap<Reverse<(u64, TimerKey)>>,
+                     cancelled: &mut HashSet<TimerKey>| {
         while let Some(out) = stack.poll_output() {
             match out {
                 Output::Send { to, msg } => transport.send(to, &msg, &events_tx),

@@ -1,14 +1,14 @@
-//! Minimal JSON reader/writer for the `BENCH_*.json` documents.
+//! Minimal JSON reader/writer for the documents this repository's own
+//! tools emit.
 //!
-//! The workspace has no serde; the bench gate only needs to pull numbers
-//! out of the documents the bench runner itself emits, so a ~100-line
-//! recursive-descent parser covers it: objects, arrays, strings (no escape
-//! exotica beyond `\"`, `\\`, `\/`, `\n`, `\t`, `\r`), numbers, booleans,
-//! null. [`render`] is the inverse — it exists so tools like `fuse-load`
-//! and `chaos explore --slo` can splice a section into an existing
-//! `BENCH_*.json` (parse, mutate, re-render) without a serializer
-//! dependency. It lives here rather than in `fuse_bench` so crates below
-//! the bench crate in the dependency graph can use it.
+//! The workspace has no serde; its tools only need to pull numbers out of
+//! documents they themselves wrote (`benchmark/` compares result files),
+//! so a ~100-line recursive-descent parser covers it: objects, arrays,
+//! strings (no escape exotica beyond `\"`, `\\`, `\/`, `\n`, `\t`, `\r`),
+//! numbers, booleans, null. [`render`] is the inverse — it is how
+//! `chaos explore --slo` and `benchmark/` print a [`Value`] they built
+//! without a serializer dependency. It lives in this dependency-free
+//! crate so every tool can reach it.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -22,10 +22,8 @@
 //! every event that needs a timestamp carries one, stamped by the caller
 //! from its driver's notion of `now`.
 //!
-//! [`json`] hosts the workspace's minimal JSON reader/writer (moved here
-//! from `fuse_bench` so tools below the bench crate in the dependency
-//! graph — e.g. the chaos binary's `--slo --merge-into` path — can splice
-//! sections into `BENCH_*.json` documents).
+//! [`json`] hosts the workspace's minimal JSON reader/writer (the chaos
+//! binary's `--slo` section, the load report and `benchmark/` use it).
 
 pub mod event;
 pub mod json;

@@ -5,16 +5,10 @@
 //! inline), timers, and boxed scripted calls — went through one
 //! `BinaryHeap`, paying an O(log n) sift per push/pop, moving whole
 //! `P::Msg` payloads during sifts, and allocating a box per scripted call.
-//! [`BaselineSim`] keeps that scheduler verbatim, for two purposes:
-//!
-//! * **Differential testing** — `tests/kernel_equivalence.rs` drives
-//!   identical scripts through [`BaselineSim`] and [`crate::Sim`] and
-//!   requires bit-identical traces; any divergence in the wheel's merge
-//!   logic fails loudly.
-//! * **Benchmarking** — `sim_event_throughput` in `fuse_bench` measures
-//!   both kernels on the paper's dominant workload (1k processes arming
-//!   periodic liveness pings) so the speedup is a number, not a claim; the
-//!   ratio lands in `BENCH_PR1.json`.
+//! [`BaselineSim`] keeps that scheduler verbatim for differential
+//! testing: `tests/kernel_equivalence.rs` drives identical scripts through
+//! [`BaselineSim`] and [`crate::Sim`] and requires bit-identical traces;
+//! any divergence in the wheel's merge logic fails loudly.
 //!
 //! The public API mirrors [`crate::Sim`]'s subset that scripts use. New
 //! experiments should always use [`crate::Sim`].

@@ -31,10 +31,12 @@ impl FuseApp for Recorder {
 /// Silently black-holes all traffic to and from one node once `after` is
 /// reached — a silent partition, unlike a crash, produces no sender-side
 /// connection-break notices, so only timeout-driven detection can see it.
+/// Also counts the shared plane's direct probes and acks it was offered.
 struct MuteMedium {
     inner: PerfectMedium,
     mute: ProcId,
     after: SimTime,
+    probes: u64,
 }
 
 impl Medium for MuteMedium {
@@ -47,6 +49,9 @@ impl Medium for MuteMedium {
         size: usize,
         class: &'static str,
     ) -> Verdict {
+        if class == "overlay.probe-direct" {
+            self.probes += 1;
+        }
         if now >= self.after && (from == self.mute || to == self.mute) {
             return Verdict::Drop;
         }
@@ -210,6 +215,7 @@ fn silently_partitioned_peer_burns_exactly_the_subscribed_groups() {
         inner: PerfectMedium::new(SimDuration::from_millis(25)),
         mute: 8,
         after: mute_at,
+        probes: 0,
     };
     let (mut sim, infos) = world_on(24, 42, deaf_overlay(), shared_cfg(), medium);
     sim.run_for(SimDuration::from_secs(5));
@@ -300,6 +306,48 @@ fn group_churn_registers_and_unregisters_peers() {
             "node {p} must have stopped probing everyone"
         );
     }
+}
+
+/// The plane's load-bearing claim: probe traffic tracks the set of
+/// monitored peers, not the number of groups monitoring them.
+#[test]
+fn probe_traffic_is_invariant_in_the_group_count() {
+    let run = |groups: usize| {
+        let medium = MuteMedium {
+            inner: PerfectMedium::new(SimDuration::from_millis(25)),
+            mute: ProcId::MAX,
+            after: SimTime::ZERO,
+            probes: 0,
+        };
+        let (mut sim, infos) = world_on(16, 45, OverlayConfig::default(), shared_cfg(), medium);
+        sim.run_for(SimDuration::from_secs(5));
+        for _ in 0..groups {
+            create_group(&mut sim, &infos, 0, &[3, 6, 9]);
+        }
+        assert_plane_consistent(&sim);
+        let tracked: Vec<Vec<ProcId>> = (0..16u32)
+            .map(|p| sim.proc(p).unwrap().fuse.detector().peers())
+            .collect();
+        // Twenty probe periods, counted from after the last creation so
+        // the longer setup of the ten-group world is not in the window.
+        let before = sim.medium().probes;
+        sim.run_for(SimDuration::from_secs(1200));
+        (tracked, sim.medium().probes - before)
+    };
+    let (tracked_1, probes_1) = run(1);
+    let (tracked_10, probes_10) = run(10);
+    assert_eq!(
+        tracked_1, tracked_10,
+        "ten groups over the same members must monitor the same peers"
+    );
+    let pairs: u64 = tracked_1.iter().map(|t| t.len() as u64).sum();
+    assert!(pairs > 0 && probes_1 >= 2 * 19 * pairs, "{probes_1}");
+    // A probe and its ack per monitored pair per period; the two windows
+    // start at different phases of the period, so allow one round of skew.
+    assert!(
+        probes_1.abs_diff(probes_10) <= 2 * pairs,
+        "probe traffic moved with the group count: {probes_1} vs {probes_10}"
+    );
 }
 
 /// Differential check in miniature: the same crash scenario produces the

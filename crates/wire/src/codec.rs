@@ -99,6 +99,19 @@ impl EncodeBuf {
         Bytes::copy_from_slice(self.encode(v))
     }
 
+    /// Encodes `v` as one stream frame, `u32-LE length ‖ payload`, in a
+    /// single pass (the framing `fuse-node` speaks over TCP). Same
+    /// allocation behaviour as [`encode`](EncodeBuf::encode).
+    pub fn encode_frame<'a, T: Encode + ?Sized>(&'a mut self, v: &T) -> &'a [u8] {
+        self.buf.clear();
+        self.buf.reserve(4 + v.size_hint());
+        self.buf.extend_from_slice(&[0; 4]);
+        v.encode(&mut self.buf);
+        let len = u32::try_from(self.buf.len() - 4).expect("frame payload exceeds u32::MAX bytes");
+        self.buf[..4].copy_from_slice(&len.to_le_bytes());
+        &self.buf
+    }
+
     /// Current capacity of the backing buffer.
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
@@ -655,6 +668,17 @@ mod tests {
         assert_eq!(buf.capacity(), cap, "warmed buffer must not reallocate");
         let owned = buf.encode_to_bytes(&msgs[0]);
         assert_eq!(&owned[..], &msgs[0].to_bytes()[..]);
+    }
+
+    #[test]
+    fn encode_frame_is_length_prefix_then_reference_bytes() {
+        let mut buf = EncodeBuf::new();
+        for m in [vec![], vec![1u64, 2, 3], vec![u64::MAX; 64], vec![7]] {
+            let payload = twopass::to_bytes(&m);
+            let frame = buf.encode_frame(&m);
+            assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+            assert_eq!(&frame[4..], &payload[..]);
+        }
     }
 
     #[test]
