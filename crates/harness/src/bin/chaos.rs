@@ -1,10 +1,10 @@
 //! Chaos explorer CLI.
 //!
 //! ```text
-//! chaos explore [--scripts N] [--seed S] [--n NODES] [--group K] [--shards K] [--shared-plane] [--out FILE]
+//! chaos explore [--scripts N] [--seed S] [--n NODES] [--group K] [--shared-plane] [--out FILE]
 //!               [--slo] [--slo-budget-s SECS]
-//! chaos replay <token> [--shards K]
-//! chaos crosscheck [--scripts N] [--seed S] [--n NODES] [--group K] [--shards K] [--plane-diff]
+//! chaos replay <token>
+//! chaos crosscheck [--scripts N] [--seed S] [--n NODES] [--group K]
 //! ```
 //!
 //! `explore` generates N scripts from the seed, runs each in a fresh
@@ -12,32 +12,27 @@
 //! violation it shrinks the script to a minimal repro, prints both replay
 //! tokens, writes the shrunk token to `--out` (default `CHAOS_REPRO.txt`,
 //! gitignored) and exits 1 — so a CI failure line carries everything
-//! needed to reproduce locally. `--shards K` runs (and shrinks) every
-//! script on the sharded kernel instead of the single kernel.
+//! needed to reproduce locally.
 //!
 //! `replay` parses a token and re-executes it bit-identically, printing
-//! the report and trace fingerprint (`--shards K` replays on the sharded
-//! kernel).
-//!
-//! `crosscheck` runs each generated script twice on the sharded kernel —
-//! once with 1 shard, once with `--shards` (default 4) — and asserts the
-//! two [`RunReport`]s, trace fingerprints included, are bit-identical.
-//! This is the CI guard for the sharded kernel's determinism-in-the-
-//! shard-count contract on full protocol stacks.
+//! the report and trace fingerprint. The token carries everything that
+//! shapes the run, so no flag is needed to reproduce what `explore` found.
 //!
 //! `--shared-plane` runs every explored script with the shared liveness
 //! plane (DESIGN.md §9) instead of per-(group, link) timers.
-//! `--plane-diff` adds a third run per crosscheck script — shared plane,
-//! 1 shard — and asserts the *burn outcome* (burned flag, per-participant
-//! notification counts and typed reasons) matches the per-group run, plus
-//! that the shared run holds every invariant. Fingerprints are
+//!
+//! `crosscheck` runs each generated script twice — per-group liveness
+//! timers, then the shared plane — and asserts the *burn outcome* (burned
+//! flag, per-participant notification counts and typed reason classes)
+//! matches, plus that the shared run holds every invariant (`explore`
+//! checks the per-group runs' invariants). Fingerprints are
 //! deliberately not compared across planes: the two modes exchange
 //! different wire traffic. Scripts whose adversary drops a
 //! liveness-carrying class (`overlay.ping`, `overlay.ack`, or a probe
 //! flavor) starve exactly one plane's transport, so the same failure can
-//! surface over different paths (different reason *kind*); those scripts
-//! are compared at reason-*class* granularity (signaled / create-failed /
-//! detected) instead of being skipped outright.
+//! surface over different paths (different reason *kind*); that is why
+//! outcomes are compared at reason-*class* granularity (signaled /
+//! create-failed / detected).
 //!
 //! `--slo` folds every clean run's observation-plane aggregates (the
 //! [`fuse_obs`] recorder plane the stacks and the network emit into) into
@@ -49,8 +44,8 @@
 use std::process::ExitCode;
 
 use fuse_harness::chaos::{
-    explore, parse_token, run_script, run_script_sharded, ChaosOp, ChaosScript, ExploreParams,
-    MsgClass, RunReport,
+    explore, parse_token, run_script, ChaosConfig, ChaosOp, ChaosScript, ExploreParams, MsgClass,
+    RunReport,
 };
 use fuse_obs::json::{self, Value};
 use fuse_obs::Aggregates;
@@ -58,11 +53,10 @@ use fuse_obs::Aggregates;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         chaos explore [--scripts N] [--seed S] [--n NODES] [--group K] [--shards K] \
+         chaos explore [--scripts N] [--seed S] [--n NODES] [--group K] \
          [--shared-plane] [--out FILE] [--slo] [--slo-budget-s SECS]\n  \
-         chaos replay <token> [--shards K]\n  \
-         chaos crosscheck [--scripts N] [--seed S] [--n NODES] [--group K] [--shards K] \
-         [--plane-diff]"
+         chaos replay <token>\n  \
+         chaos crosscheck [--scripts N] [--seed S] [--n NODES] [--group K]"
     );
     ExitCode::from(2)
 }
@@ -96,7 +90,6 @@ fn cmd_explore(args: &[String]) -> ExitCode {
     let mut seed = 1u64;
     let mut n = 24usize;
     let mut group: Option<usize> = None;
-    let mut shards: Option<usize> = None;
     let mut shared_plane = false;
     let mut out = String::from("CHAOS_REPRO.txt");
     let mut slo = false;
@@ -127,10 +120,6 @@ fn cmd_explore(args: &[String]) -> ExitCode {
                 Some(v) => group = Some(v),
                 None => return usage(),
             },
-            "--shards" => match val("--shards").and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => shards = Some(v),
-                _ => return usage(),
-            },
             "--shared-plane" => shared_plane = true,
             "--out" => match val("--out") {
                 Some(v) => out = v,
@@ -148,17 +137,12 @@ fn cmd_explore(args: &[String]) -> ExitCode {
     let mut params = ExploreParams::new(seed, scripts);
     params.n = n;
     params.group_size = group;
-    params.shards = shards;
     params.shared_plane = shared_plane;
     println!(
-        "chaos explore: {} scripts, base seed {}, {}-node worlds{}{}",
+        "chaos explore: {} scripts, base seed {}, {}-node worlds{}",
         scripts,
         seed,
         n,
-        match shards {
-            Some(k) => format!(", sharded kernel ({k} shards)"),
-            None => String::new(),
-        },
         if shared_plane { ", shared plane" } else { "" }
     );
     let mut ran = 0usize;
@@ -181,7 +165,7 @@ fn cmd_explore(args: &[String]) -> ExitCode {
         Ok(count) => {
             println!("chaos explore: {count} scripts, all invariants held");
             if slo {
-                return emit_slo(&mut slo_agg, count, n, shards.unwrap_or(1), slo_budget_s);
+                return emit_slo(&mut slo_agg, count, n, slo_budget_s);
             }
             ExitCode::SUCCESS
         }
@@ -216,17 +200,10 @@ fn cmd_explore(args: &[String]) -> ExitCode {
 /// notification (latency measured from the crash that provoked it, on
 /// never-crashed participants) landed within the budget. 1.0 when no
 /// kill phase produced samples — vacuously met, never silently failed.
-fn slo_section(
-    agg: &mut Aggregates,
-    scripts: usize,
-    n: usize,
-    shards: usize,
-    budget_s: u64,
-) -> Value {
+fn slo_section(agg: &mut Aggregates, scripts: usize, n: usize, budget_s: u64) -> Value {
     let mut fields: Vec<(String, Value)> = vec![
         ("scripts".into(), Value::Num(scripts as f64)),
         ("n".into(), Value::Num(n as f64)),
-        ("shards".into(), Value::Num(shards as f64)),
         ("budget_s".into(), Value::Num(budget_s as f64)),
         (
             "notifications".into(),
@@ -300,14 +277,8 @@ fn slo_section(
 
 /// Prints the `chaos_slo` section and verdict. This tool measures
 /// `within_budget`, so it owns the verdict: an SLO miss exits 1.
-fn emit_slo(
-    agg: &mut Aggregates,
-    scripts: usize,
-    n: usize,
-    shards: usize,
-    budget_s: u64,
-) -> ExitCode {
-    let section = slo_section(agg, scripts, n, shards, budget_s);
+fn emit_slo(agg: &mut Aggregates, scripts: usize, n: usize, budget_s: u64) -> ExitCode {
+    let section = slo_section(agg, scripts, n, budget_s);
     let kill_p99 = section
         .get("kill_p99_s")
         .and_then(Value::as_f64)
@@ -332,20 +303,9 @@ fn within_budget(section: &Value) -> bool {
 }
 
 fn cmd_replay(args: &[String]) -> ExitCode {
-    let Some(token) = args.first() else {
+    let [token] = args else {
         return usage();
     };
-    let mut shards: Option<usize> = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => shards = Some(v),
-                _ => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
     let (cfg, script) = match parse_token(token) {
         Ok(v) => v,
         Err(e) => {
@@ -354,20 +314,13 @@ fn cmd_replay(args: &[String]) -> ExitCode {
         }
     };
     println!(
-        "chaos replay: seed={} n={} gs={} phases={}{}",
+        "chaos replay: seed={} n={} gs={} phases={}",
         cfg.seed,
         cfg.n,
         cfg.group_size,
-        script.phases.len(),
-        match shards {
-            Some(k) => format!(" shards={k}"),
-            None => String::new(),
-        }
+        script.phases.len()
     );
-    let report = match shards {
-        Some(k) => run_script_sharded(&cfg, &script, k),
-        None => run_script(&cfg, &script),
-    };
+    let report = run_script(&cfg, &script);
     print_report(&report);
     if report.violations.is_empty() {
         println!("replay: all invariants held");
@@ -383,8 +336,6 @@ fn cmd_crosscheck(args: &[String]) -> ExitCode {
     let mut seed = 1u64;
     let mut n = 24usize;
     let mut group: Option<usize> = None;
-    let mut shards = 4usize;
-    let mut plane_diff = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = |name: &str| -> Option<String> {
@@ -411,11 +362,6 @@ fn cmd_crosscheck(args: &[String]) -> ExitCode {
                 Some(v) => group = Some(v),
                 None => return usage(),
             },
-            "--shards" => match val("--shards").and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 2 => shards = v,
-                _ => return usage(),
-            },
-            "--plane-diff" => plane_diff = true,
             _ => return usage(),
         }
     }
@@ -425,47 +371,19 @@ fn cmd_crosscheck(args: &[String]) -> ExitCode {
     params.group_size = group;
     println!(
         "chaos crosscheck: {scripts} scripts, base seed {seed}, {n}-node worlds, \
-         sharded kernel at 1 vs {shards} shards{}",
-        if plane_diff {
-            ", plus per-group vs shared plane"
-        } else {
-            ""
-        }
+         per-group vs shared plane"
     );
     let mut mismatches = 0usize;
     for i in 0..scripts {
         let cfg = params.config_for(i);
         let script = params.script_for(i);
-        let single = run_script_sharded(&cfg, &script, 1);
-        let multi = run_script_sharded(&cfg, &script, shards);
-        if single == multi {
-            println!(
-                "  [{}/{}] ok  fingerprint={:016x} events={} burned={}",
-                i + 1,
-                scripts,
-                single.fingerprint,
-                single.events_executed,
-                single.burned
-            );
-        } else {
-            mismatches += 1;
-            println!(
-                "  [{}/{}] MISMATCH (1 shard vs {} shards)",
-                i + 1,
-                scripts,
-                shards
-            );
-            println!("  -- 1 shard:");
-            print_report(&single);
-            println!("  -- {shards} shards:");
-            print_report(&multi);
-        }
-        if plane_diff && !plane_check(&cfg, &script, &single, i, scripts) {
+        let per_group = run_script(&cfg, &script);
+        if !plane_check(&cfg, &script, &per_group, i, scripts) {
             mismatches += 1;
         }
     }
     if mismatches == 0 {
-        println!("chaos crosscheck: {scripts} scripts bit-identical across shard counts");
+        println!("chaos crosscheck: {scripts} scripts agree across liveness planes");
         ExitCode::SUCCESS
     } else {
         println!("chaos crosscheck: {mismatches} mismatch(es)");
@@ -480,7 +398,7 @@ fn cmd_crosscheck(args: &[String]) -> ExitCode {
 /// absorbs the starved plane's false kills), but the divergent traffic
 /// shifts timing enough that a node restarting mid-burn can learn of
 /// the failure through a different path — same burn set, different
-/// reason label — so the plane-diff compares invariants only here.
+/// reason label — which `plane_check` notes on the script's line.
 fn drops_liveness_class(script: &ChaosScript) -> bool {
     script.phases.iter().any(|p| {
         matches!(
@@ -495,26 +413,26 @@ fn drops_liveness_class(script: &ChaosScript) -> bool {
     })
 }
 
-/// The plane-diff leg: re-runs `script` with the shared liveness plane
-/// (1 shard) and asserts the shared run holds every invariant and that
-/// its coarse burn outcome — burned flag, per-participant notification
-/// counts, and typed reason *classes* — matches the per-group run
-/// `single`. Classes, not exact reason kinds: the two planes detect the
-/// same failure over different paths (a per-group liveness timer expires
-/// on one, the shared detector's verdict or a broken repair connection
-/// fires on the other), so exact-kind equality legitimately diverges on
-/// roughly one script in ten while the application-visible outcome is
-/// identical. Returns whether the script passed.
+/// Re-runs `script` with the shared liveness plane and asserts the shared
+/// run holds every invariant and that its coarse burn outcome — burned
+/// flag, per-participant notification counts, and typed reason *classes*
+/// — matches the per-group run `per_group`. Classes, not exact reason
+/// kinds: the two planes detect the same failure over different paths (a
+/// per-group liveness timer expires on one, the shared detector's verdict
+/// or a broken repair connection fires on the other), so exact-kind
+/// equality legitimately diverges on roughly one script in ten while the
+/// application-visible outcome is identical. Returns whether the script
+/// passed.
 fn plane_check(
-    cfg: &fuse_harness::chaos::ChaosConfig,
+    cfg: &ChaosConfig,
     script: &ChaosScript,
-    single: &RunReport,
+    per_group: &RunReport,
     i: usize,
     scripts: usize,
 ) -> bool {
     let mut shared_cfg = cfg.clone();
     shared_cfg.shared_plane = true;
-    let shared = run_script_sharded(&shared_cfg, script, 1);
+    let shared = run_script(&shared_cfg, script);
     if !shared.violations.is_empty() {
         println!(
             "  [{}/{}] PLANE VIOLATION (shared-plane run breaks invariants)",
@@ -525,7 +443,7 @@ fn plane_check(
         return false;
     }
     let starved = drops_liveness_class(script);
-    if single.coarse_outcome() == shared.coarse_outcome() {
+    if per_group.coarse_outcome() == shared.coarse_outcome() {
         println!(
             "  [{}/{}] plane: burn outcome identical (burned={} notified={:?}{})",
             i + 1,
@@ -546,7 +464,7 @@ fn plane_check(
             scripts
         );
         println!("  -- per-group:");
-        print_report(single);
+        print_report(per_group);
         println!("  -- shared:");
         print_report(&shared);
         false
@@ -567,7 +485,7 @@ mod tests {
         let ran = explore(&params, |_, r| agg.merge_from(&r.obs)).expect("invariants hold");
         let kills = agg.latency.get_mut("kill").map_or(0, |r| r.len());
         assert!(kills > 0, "the scripts must provoke kill notifications");
-        assert!(within_budget(&slo_section(&mut agg, ran, params.n, 1, 480)));
-        assert!(!within_budget(&slo_section(&mut agg, ran, params.n, 1, 1)));
+        assert!(within_budget(&slo_section(&mut agg, ran, params.n, 480)));
+        assert!(!within_budget(&slo_section(&mut agg, ran, params.n, 1)));
     }
 }

@@ -3,9 +3,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::chaos::runner::{run_script, run_script_sharded, ChaosConfig, RunReport};
+use crate::chaos::runner::{run_script, ChaosConfig, RunReport};
 use crate::chaos::script::ChaosScript;
-use crate::chaos::shrink::shrink_with;
+use crate::chaos::shrink::shrink;
 use crate::chaos::token::format_token;
 
 /// Exploration parameters.
@@ -25,10 +25,6 @@ pub struct ExploreParams {
     /// per-(group, link) timers. Scripts are generated from the seed
     /// alone, so the same exploration replays in either mode.
     pub shared_plane: bool,
-    /// Run every script on the sharded kernel with this many shards
-    /// instead of the single kernel. Shrinking uses the same kernel, so a
-    /// sharded failure stays a sharded repro.
-    pub shards: Option<usize>,
 }
 
 impl ExploreParams {
@@ -41,7 +37,6 @@ impl ExploreParams {
             group_size: None,
             member_repair_timeout_s: None,
             shared_plane: false,
-            shards: None,
         }
     }
 
@@ -86,22 +81,16 @@ pub fn explore(
     p: &ExploreParams,
     mut progress: impl FnMut(usize, &RunReport),
 ) -> Result<usize, Box<FailureCase>> {
-    let runner = |cfg: &ChaosConfig, script: &ChaosScript| -> RunReport {
-        match p.shards {
-            Some(k) => run_script_sharded(cfg, script, k),
-            None => run_script(cfg, script),
-        }
-    };
     for i in 0..p.scripts {
         let cfg = p.config_for(i);
         let script = p.script_for(i);
-        let report = runner(&cfg, &script);
+        let report = run_script(&cfg, &script);
         if report.violations.is_empty() {
             progress(i, &report);
             continue;
         }
         let token = format_token(&cfg, &script);
-        let (shrunk, shrunk_report) = shrink_with(&cfg, &script, runner);
+        let (shrunk, shrunk_report) = shrink(&cfg, &script);
         let shrunk_token = format_token(&cfg, &shrunk);
         return Err(Box::new(FailureCase {
             index: i,

@@ -10,7 +10,7 @@
 use fuse_core::FuseId;
 use fuse_sim::{ProcId, SimTime};
 
-use crate::world::ChaosObservable;
+use crate::world::World;
 
 /// One invariant breach, with enough detail to read the failure without
 /// re-running.
@@ -71,7 +71,7 @@ pub trait Invariant {
     fn name(&self) -> &'static str;
 
     /// Returns every breach this invariant finds (empty = holds).
-    fn check(&self, world: &dyn ChaosObservable, ctx: &RunContext) -> Vec<Violation>;
+    fn check(&self, world: &World, ctx: &RunContext) -> Vec<Violation>;
 }
 
 /// §2/§3: distributed one-way agreement with exactly-once delivery. Once
@@ -84,9 +84,9 @@ impl Invariant for ExactlyOnceAgreement {
         "exactly-once-agreement"
     }
 
-    fn check(&self, world: &dyn ChaosObservable, ctx: &RunContext) -> Vec<Violation> {
+    fn check(&self, world: &World, ctx: &RunContext) -> Vec<Violation> {
         let mut out = Vec::new();
-        for p in 0..world.n_nodes() as ProcId {
+        for p in 0..world.infos.len() as ProcId {
             let hits = world.failures(p, ctx.id).len();
             if hits > 1 {
                 out.push(Violation {
@@ -123,7 +123,7 @@ impl Invariant for BoundedDetection {
         "bounded-detection"
     }
 
-    fn check(&self, world: &dyn ChaosObservable, ctx: &RunContext) -> Vec<Violation> {
+    fn check(&self, world: &World, ctx: &RunContext) -> Vec<Violation> {
         let mut out = Vec::new();
         if !ctx.burned {
             return out;
@@ -155,12 +155,12 @@ impl Invariant for NoOrphanState {
         "no-orphan-state"
     }
 
-    fn check(&self, world: &dyn ChaosObservable, ctx: &RunContext) -> Vec<Violation> {
+    fn check(&self, world: &World, ctx: &RunContext) -> Vec<Violation> {
         let mut out = Vec::new();
         if !ctx.burned {
             return out;
         }
-        for p in 0..world.n_nodes() as ProcId {
+        for p in 0..world.infos.len() as ProcId {
             if world.knows_group(p, ctx.id) {
                 out.push(Violation {
                     invariant: self.name(),
@@ -188,12 +188,12 @@ impl Invariant for FalseSuspicion {
         "false-suspicion"
     }
 
-    fn check(&self, world: &dyn ChaosObservable, ctx: &RunContext) -> Vec<Violation> {
+    fn check(&self, world: &World, ctx: &RunContext) -> Vec<Violation> {
         let mut out = Vec::new();
         if !ctx.benign {
             return out;
         }
-        for p in 0..world.n_nodes() as ProcId {
+        for p in 0..world.infos.len() as ProcId {
             for t in world.failures(p, ctx.id) {
                 out.push(Violation {
                     invariant: self.name(),

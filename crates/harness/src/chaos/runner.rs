@@ -14,9 +14,7 @@ use fuse_util::DetHashSet;
 
 use crate::chaos::invariant::{standard_invariants, RunContext, Violation};
 use crate::chaos::script::{ChaosOp, ChaosScript, MsgClass};
-use crate::world::{
-    create_group_blocking_on, ChaosHost, ChaosObservable, ShardedWorld, World, WorldParams,
-};
+use crate::world::{World, WorldParams};
 
 /// Parameters of one chaos run. Everything that shapes the trace lives
 /// here, so a replay token can carry it.
@@ -36,8 +34,8 @@ pub struct ChaosConfig {
     /// Run every node with the shared liveness plane (DESIGN.md §9): one
     /// SWIM-style detector per node and per-group verdict subscriptions
     /// instead of per-(group, link) timers. Both modes must satisfy the
-    /// same invariant set; the `chaos crosscheck --plane-diff` leg also
-    /// asserts burn-set equivalence script by script.
+    /// same invariant set; `chaos crosscheck` also asserts burn-set
+    /// equivalence script by script.
     pub shared_plane: bool,
     /// Budget for every obligated notification, counted from the last
     /// script phase.
@@ -95,8 +93,8 @@ impl ChaosConfig {
 ///
 /// `PartialEq` only (no `Eq`): [`Aggregates`] carries f64 latency
 /// reservoirs. Equality is still exact — reservoirs compare as multisets
-/// of the bit-identical samples the deterministic kernels produced — so
-/// the shard-count cross-check's `==` remains a meaningful assertion.
+/// of the bit-identical samples the deterministic kernel produced — so
+/// the replay tests' `==` remains a meaningful assertion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Every invariant breach (empty = the run passed).
@@ -119,11 +117,11 @@ pub struct RunReport {
     /// differ between the per-group and shared planes.
     pub reasons: Vec<(ProcId, Vec<ReasonKind>)>,
     /// Merged observation-plane aggregates: every live node's recorder
-    /// plus every network replica, in process-id order, with the script's
+    /// plus the network's, with the script's
     /// provoking phases marked and each notification's latency attributed
     /// to the phase that provoked it (class `"kill"`, `"signal"`,
     /// `"sever"`, `"partition"`, `"blackhole"`, `"loss"`, `"adversary"`
-    /// or `"spontaneous"`). Bit-identical across shard counts.
+    /// or `"spontaneous"`).
     pub obs: Aggregates,
 }
 
@@ -225,35 +223,16 @@ fn desugar(script: &ChaosScript) -> Vec<(SimDuration, RtOp)> {
     ops
 }
 
-/// Runs `script` against a fresh single-kernel world and checks the
-/// standard invariants.
+/// Runs `script` against a fresh world and checks the standard invariants.
 pub fn run_script(cfg: &ChaosConfig, script: &ChaosScript) -> RunReport {
-    let params = cfg.world_params();
-    let world = World::build(&params);
-    run_script_on(cfg, script, world, &params)
+    run_script_world(cfg, script).0
 }
 
-/// Runs `script` against a fresh world over the sharded kernel with
-/// `shards` shards. The sharded kernel is deterministic in the shard
-/// count, so this produces a [`RunReport`] bit-identical to
-/// `run_script_sharded(cfg, script, 1)` for any `shards` — the property
-/// the CI cross-check asserts. (It is *not* identical to [`run_script`]:
-/// the single kernel draws jitter from one global RNG, the sharded kernel
-/// from per-process RNGs.)
-pub fn run_script_sharded(cfg: &ChaosConfig, script: &ChaosScript, shards: usize) -> RunReport {
+/// [`run_script`], also handing back the world the script ran in, for
+/// callers that inspect its end state (per-node recorders, stacks).
+pub fn run_script_world(cfg: &ChaosConfig, script: &ChaosScript) -> (RunReport, World) {
     let params = cfg.world_params();
-    let world = ShardedWorld::build(&params, shards);
-    run_script_on(cfg, script, world, &params)
-}
-
-/// Runs `script` on any [`ChaosHost`] world and checks the standard
-/// invariants.
-fn run_script_on<W: ChaosHost>(
-    cfg: &ChaosConfig,
-    script: &ChaosScript,
-    mut world: W,
-    params: &WorldParams,
-) -> RunReport {
+    let mut world = World::build(&params);
     // Reject scripts naming slots outside the group up front: silently
     // folding them onto other victims (modulo) would run a different
     // scenario than the script says — the exact bias class the ported
@@ -261,7 +240,7 @@ fn run_script_on<W: ChaosHost>(
     for ph in &script.phases {
         if let Some(s) = ph.op.max_slot() {
             if usize::from(s) > cfg.group_size {
-                return RunReport {
+                let report = RunReport {
                     violations: vec![Violation {
                         invariant: "script-slots",
                         detail: format!(
@@ -278,12 +257,12 @@ fn run_script_on<W: ChaosHost>(
                     reasons: Vec::new(),
                     obs: Aggregates::default(),
                 };
+                return (report, world);
             }
         }
     }
 
-    let settle = world.now() + SimDuration::from_secs(2);
-    world.run_to(settle);
+    world.run(SimDuration::from_secs(2));
 
     let members = group_members(cfg.n, cfg.group_size);
     let root: ProcId = 0;
@@ -291,13 +270,13 @@ fn run_script_on<W: ChaosHost>(
     participants.extend(members.iter().copied());
     let slot_proc = |slot: u8| -> ProcId { participants[slot as usize] };
 
-    let (created, _latency) = create_group_blocking_on(&mut world, root, &members);
+    let (created, _latency) = world.create_group_blocking(root, &members);
     let id: FuseId = match created {
         Ok(h) => h.id,
         Err(e) => {
             // No faults are active yet; a failed creation is itself a
             // finding.
-            return RunReport {
+            let report = RunReport {
                 violations: vec![Violation {
                     invariant: "group-creation",
                     detail: format!("creation failed with {e:?} before any fault was injected"),
@@ -310,6 +289,7 @@ fn run_script_on<W: ChaosHost>(
                 reasons: Vec::new(),
                 obs: world.obs_aggregates(),
             };
+            return (report, world);
         }
     };
 
@@ -335,7 +315,7 @@ fn run_script_on<W: ChaosHost>(
     let mut provoking: Vec<(SimTime, &'static str)> = Vec::new();
     for &(at, op) in &ops {
         let when = t0 + at;
-        world.run_to(when);
+        world.sim.run_until(when);
         t_last = t_last.max(when);
         match op {
             RtOp::GlobalLoss(rate) => {
@@ -390,57 +370,53 @@ fn run_script_on<W: ChaosHost>(
                 }
                 ChaosOp::Restart { slot } => {
                     let p = slot_proc(slot);
-                    world.restart_node(p, params);
+                    world.restart_node(p, &params);
                 }
                 ChaosOp::Disconnect { slot } => {
                     let p = slot_proc(slot);
-                    world.with_fault(|f| f.disconnect(p));
+                    world.fault_mut().disconnect(p);
                 }
                 ChaosOp::Reconnect { slot } => {
                     let p = slot_proc(slot);
-                    world.with_fault(|f| f.reconnect(p));
+                    world.fault_mut().reconnect(p);
                 }
                 ChaosOp::Signal { slot } => {
                     let p = slot_proc(slot);
-                    let applied = world
-                        .with_stack(p, |stack, ctx| {
-                            stack.with_api(ctx, |api, _| api.signal_failure(id))
-                        })
-                        .is_some();
-                    signaled |= applied;
+                    signaled |= world.is_up(p);
+                    world.signal(p, id);
                 }
                 ChaosOp::PartitionOff { slot } => {
                     let p = slot_proc(slot);
-                    world.with_fault(|f| f.set_partition(p, 1));
+                    world.fault_mut().set_partition(p, 1);
                 }
                 ChaosOp::PartitionHalf { pct } => {
                     let pivot = cfg.n * usize::from(pct.min(100)) / 100;
-                    world.with_fault(|f| {
-                        for p in pivot..cfg.n {
-                            f.set_partition(p as ProcId, 1);
-                        }
-                    });
+                    for p in pivot..cfg.n {
+                        world.fault_mut().set_partition(p as ProcId, 1);
+                    }
                 }
                 ChaosOp::HealPartitions => {
-                    world.with_fault(|f| f.heal_partitions());
+                    world.fault_mut().heal_partitions();
                 }
                 ChaosOp::Blackhole { from, to } => {
                     let (a, b) = (slot_proc(from), slot_proc(to));
-                    world.with_fault(|f| f.add_blackhole(a, b));
+                    world.fault_mut().add_blackhole(a, b);
                 }
                 ChaosOp::ClearBlackhole { from, to } => {
                     let (a, b) = (slot_proc(from), slot_proc(to));
-                    world.with_fault(|f| f.clear_blackhole(a, b));
+                    world.fault_mut().clear_blackhole(a, b);
                 }
                 ChaosOp::LinkLoss { from, to, pct } => {
                     let (a, b) = (slot_proc(from), slot_proc(to));
-                    world.with_fault(|f| f.set_link_loss(a, b, f64::from(pct.min(99)) / 100.0));
+                    world
+                        .fault_mut()
+                        .set_link_loss(a, b, f64::from(pct.min(99)) / 100.0);
                 }
                 ChaosOp::AdversaryDrop { class } => {
-                    world.with_fault(|f| f.drop_class(class.label()));
+                    world.fault_mut().drop_class(class.label());
                 }
                 ChaosOp::AdversaryClear => {
-                    world.with_fault(|f| f.clear_class_drops());
+                    world.fault_mut().clear_class_drops();
                 }
                 ChaosOp::Churn { .. } | ChaosOp::LossRamp { .. } => {
                     unreachable!("desugared before execution")
@@ -471,19 +447,15 @@ fn run_script_on<W: ChaosHost>(
         .filter(|p| !ever_crashed.contains(p))
         .collect();
     let deadline = t_last + cfg.detection_budget;
-    world.run_until_pred(deadline, |w| {
-        required
-            .iter()
-            .all(|&p| !w.is_up(p) || !w.failures(p, id).is_empty())
-    });
+    world.wait_all_notified(&required, id, deadline.since(world.now()));
     let observed_burn = required.iter().any(|&p| !world.failures(p, id).is_empty());
     let burned = expect_burn || observed_burn;
 
     if burned {
         // Quiesce: burned-group state must drain from every live node.
         let grace_end = world.now() + cfg.orphan_grace;
-        world.run_until_pred(grace_end, |w| {
-            (0..w.n_nodes() as ProcId).all(|p| !w.knows_group(p, id))
+        world.run_until(grace_end, |sim| {
+            (0..cfg.n as ProcId).all(|p| !sim.proc(p).is_some_and(|s| s.fuse.knows_group(id)))
         });
     }
 
@@ -539,7 +511,7 @@ fn run_script_on<W: ChaosHost>(
         }
     }
 
-    RunReport {
+    let report = RunReport {
         violations,
         fingerprint,
         burned,
@@ -548,13 +520,14 @@ fn run_script_on<W: ChaosHost>(
         notified,
         reasons,
         obs,
-    }
+    };
+    (report, world)
 }
 
 /// FNV-1a fold over the run's observable trace: every node's notification
 /// sequence (instant, reason, role, seq), the kernel event count and the
 /// final clock. Two runs of the same token must produce the same value.
-fn fingerprint(world: &dyn ChaosObservable, id: FuseId, burned: bool) -> u64 {
+fn fingerprint(world: &World, id: FuseId, burned: bool) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x1_0000_0000_01b3;
     let mut h = OFFSET;
@@ -564,7 +537,7 @@ fn fingerprint(world: &dyn ChaosObservable, id: FuseId, burned: bool) -> u64 {
             h = h.wrapping_mul(PRIME);
         }
     };
-    for p in 0..world.n_nodes() as ProcId {
+    for p in 0..world.infos.len() as ProcId {
         for (t, n) in world.notifications(p, id) {
             fold(u64::from(p));
             fold(t.nanos());

@@ -39,19 +39,8 @@ fn narrowed(op: ChaosOp) -> Option<ChaosOp> {
 /// still fails, returning it with its report. If the input does not fail,
 /// it is returned unchanged with its (clean) report.
 pub fn shrink(cfg: &ChaosConfig, script: &ChaosScript) -> (ChaosScript, RunReport) {
-    shrink_with(cfg, script, run_script)
-}
-
-/// [`shrink`] parameterised over the runner, so a failure found on the
-/// sharded kernel shrinks on the *same* kernel (the single kernel draws
-/// different jitter and may not reproduce it).
-pub fn shrink_with(
-    cfg: &ChaosConfig,
-    script: &ChaosScript,
-    runner: impl Fn(&ChaosConfig, &ChaosScript) -> RunReport,
-) -> (ChaosScript, RunReport) {
     let mut best = script.clone();
-    let mut best_report = runner(cfg, &best);
+    let mut best_report = run_script(cfg, &best);
     if best_report.violations.is_empty() {
         return (best, best_report);
     }
@@ -61,7 +50,7 @@ pub fn shrink_with(
             return None;
         }
         *runs += 1;
-        let r = runner(cfg, cand);
+        let r = run_script(cfg, cand);
         if r.violations.is_empty() {
             None
         } else {

@@ -1,7 +1,7 @@
 //! World construction: n FUSE node stacks over the wide-area network model,
-//! driven by either the single-threaded kernel ([`World`]) or the sharded
-//! kernel ([`ShardedWorld`]), behind the kernel-agnostic [`ChaosHost`] /
-//! [`ChaosObservable`] traits the chaos runner and invariants use.
+//! driven by the one simulation kernel ([`Sim`]). Experiments, the chaos
+//! runner and its invariants, and `fuse_load`'s sim reference all drive
+//! this one [`World`].
 
 use fuse_core::Notification;
 use fuse_core::{CreateError, CreateTicket, FuseConfig, FuseId, GroupHandle};
@@ -9,8 +9,7 @@ use fuse_net::{FaultPlane, NetConfig, Network, TopologyConfig};
 use fuse_obs::Aggregates;
 use fuse_overlay::oracle::OracleTables;
 use fuse_overlay::{build_oracle_tables, NodeInfo, NodeName, OverlayConfig};
-use fuse_sim::process::{Ctx, Process};
-use fuse_sim::{ProcId, ShardedSim, Sim, SimDuration, SimTime};
+use fuse_sim::{ProcId, Sim, SimDuration, SimTime};
 use fuse_simdriver::NodeStack;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,14 +19,6 @@ use crate::metrics::MsgTrace;
 
 /// The concrete simulation type a [`World`] drives.
 pub type WorldSim = Sim<NodeStack<RecorderApp>, Network, MsgTrace>;
-
-/// The concrete sharded simulation type a [`ShardedWorld`] drives.
-pub type ShardedWorldSim = ShardedSim<NodeStack<RecorderApp>, Network, MsgTrace>;
-
-/// Message type of the node stacks both worlds drive.
-pub type StackMsg = <NodeStack<RecorderApp> as Process>::Msg;
-/// Timer type of the node stacks both worlds drive.
-pub type StackTimer = <NodeStack<RecorderApp> as Process>::Timer;
 
 /// How overlay tables come to exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,17 +117,6 @@ fn initial_stacks<'a>(
             (Bootstrap::Live { .. }, 0) => (None, node_stack(info, p, None, None)),
             (Bootstrap::Live { stagger }, _) => (Some(stagger), node_stack(info, p, Some(0), None)),
         })
-}
-
-/// Rebooted node `i`'s stack, bootstrapped exactly like
-/// [`Bootstrap::Oracle`] built it: converged tables from global membership,
-/// no knowledge of any FUSE group.
-fn oracle_stack(infos: &[NodeInfo], i: usize, params: &WorldParams) -> NodeStack<RecorderApp> {
-    let tables = build_oracle_tables(infos, &params.ov)
-        .into_iter()
-        .nth(i)
-        .expect("node exists");
-    node_stack(&infos[i], params, None, Some(tables))
 }
 
 /// A built world: the simulation plus node directory.
@@ -306,7 +286,7 @@ impl World {
     /// experiment disconnects one physical machine).
     pub fn disconnect_machine(&mut self, m: usize) {
         for p in self.machine_nodes(m) {
-            self.sim.medium_mut().fault_mut().disconnect(p);
+            self.fault_mut().disconnect(p);
         }
     }
 
@@ -318,8 +298,63 @@ impl World {
         if self.sim.is_up(p) {
             return;
         }
-        self.sim
-            .restart(p, oracle_stack(&self.infos, p as usize, params));
+        let tables = build_oracle_tables(&self.infos, &params.ov)
+            .into_iter()
+            .nth(p as usize)
+            .expect("node exists");
+        let stack = node_stack(&self.infos[p as usize], params, None, Some(tables));
+        self.sim.restart(p, stack);
+    }
+
+    /// Whether node `p` is currently up.
+    pub fn is_up(&self, p: ProcId) -> bool {
+        self.sim.is_up(p)
+    }
+
+    /// Crash-stops `p` (no-op if already down).
+    pub fn crash(&mut self, p: ProcId) {
+        self.sim.crash(p);
+    }
+
+    /// Whether live node `p` still holds state for group `id` (`false` for
+    /// crashed nodes — the state died with them).
+    pub fn knows_group(&self, p: ProcId, id: FuseId) -> bool {
+        self.sim.proc(p).is_some_and(|s| s.fuse.knows_group(id))
+    }
+
+    /// Kernel events executed so far.
+    pub fn events_executed(&self) -> u64 {
+        self.sim.events_executed()
+    }
+
+    /// The network's fault plane.
+    pub fn fault(&self) -> &FaultPlane {
+        self.sim.medium().fault()
+    }
+
+    /// Mutable access to the fault plane. Call only between run windows.
+    pub fn fault_mut(&mut self) -> &mut FaultPlane {
+        self.sim.medium_mut().fault_mut()
+    }
+
+    /// Sets the global per-link loss rate.
+    pub fn set_global_loss(&mut self, rate: f64) {
+        self.sim.medium_mut().set_per_link_loss(rate);
+    }
+
+    /// Folds the observation recorders of every live node stack and the
+    /// network into one [`Aggregates`]. Crashed nodes' recorders died with
+    /// their stacks. The fold is order-independent
+    /// ([`Aggregates::merge_from`] is commutative and associative).
+    pub fn obs_aggregates(&self) -> Aggregates {
+        let mut agg = Aggregates::default();
+        for p in 0..self.infos.len() as ProcId {
+            if let Some(s) = self.sim.proc(p) {
+                agg.merge_from(s.fuse.obs());
+            }
+        }
+        agg.merge_from(self.sim.medium().obs());
+        agg
     }
 
     /// Picks `k` distinct random nodes (optionally excluding some).
@@ -332,341 +367,6 @@ impl World {
         all.truncate(k);
         all
     }
-}
-
-/// A [`World`] over the sharded kernel: identical node stacks and network
-/// model, with processes partitioned round-robin over `k` shards and the
-/// [`Network`] replicated per shard (simulator profile only — the cluster
-/// profile's warm-connection cache is per-replica send history and would
-/// diverge). Built from the same [`WorldParams`], it produces runs whose
-/// observables are bit-identical for every shard count.
-pub struct ShardedWorld {
-    /// The sharded simulation.
-    pub sim: ShardedWorldSim,
-    /// Identity of every node (index = process id).
-    pub infos: Vec<NodeInfo>,
-}
-
-impl ShardedWorld {
-    /// Builds the world over `shards` shards.
-    pub fn build(p: &WorldParams, shards: usize) -> ShardedWorld {
-        let mut rng = StdRng::seed_from_u64(p.seed ^ 0x5eed_0000);
-        let net = Network::generate(&p.topo, p.n, p.net.clone(), &mut rng);
-        let infos: Vec<NodeInfo> = (0..p.n)
-            .map(|i| NodeInfo::new(i as ProcId, NodeName::numbered(i)))
-            .collect();
-        let mut sim = ShardedSim::with_trace(p.seed, shards, net, |_| MsgTrace::new());
-        for (stagger, stack) in initial_stacks(p, &infos) {
-            if let Some(d) = stagger {
-                sim.run_for(d);
-            }
-            sim.add_process(stack);
-        }
-        ShardedWorld { sim, infos }
-    }
-}
-
-/// Read-only observations made on a finished (or running) chaos world.
-/// Object-safe, so boxed [`Invariant`](crate::chaos::Invariant) checkers
-/// work over any kernel.
-pub trait ChaosObservable {
-    /// World size (nodes ever added).
-    fn n_nodes(&self) -> usize;
-    /// Whether node `p` is currently up.
-    fn is_up(&self, p: ProcId) -> bool;
-    /// Failure timestamps node `p` recorded for `id` (empty if crashed).
-    fn failures(&self, p: ProcId, id: FuseId) -> Vec<SimTime>;
-    /// Reason-carrying notifications `p` recorded for `id`.
-    fn notifications(&self, p: ProcId, id: FuseId) -> Vec<(SimTime, Notification)>;
-    /// Whether live node `p` still holds state for group `id` (`false` for
-    /// crashed nodes — the state died with them).
-    fn knows_group(&self, p: ProcId, id: FuseId) -> bool;
-    /// Kernel events executed so far.
-    fn events_executed(&self) -> u64;
-    /// Current simulated time.
-    fn now(&self) -> SimTime;
-    /// Folds the observation recorders of every live node stack (in
-    /// process-id order) and every network replica into one
-    /// [`Aggregates`]. Crashed nodes' recorders died with their stacks —
-    /// deterministically so, whatever the shard count.
-    fn obs_aggregates(&self) -> Aggregates;
-}
-
-/// The mutation surface one chaos run needs, implemented by both kernels'
-/// worlds. Methods that touch the medium broadcast on the sharded kernel,
-/// so every shard's replica sees the identical fault state.
-pub trait ChaosHost: ChaosObservable + Sized {
-    /// Immutable access to live node `p`'s stack.
-    fn node(&self, p: ProcId) -> Option<&NodeStack<RecorderApp>>;
-    /// Runs every event at or before `t` and advances the clock to `t`.
-    fn run_to(&mut self, t: SimTime);
-    /// Event-stepped wait: executes events one at a time, evaluating `pred`
-    /// after each, until it holds or the deadline passes (same contract as
-    /// [`World::run_until`]). Returns whether `pred` held.
-    fn run_until_pred(&mut self, deadline: SimTime, pred: impl FnMut(&Self) -> bool) -> bool;
-    /// Crash-stops `p` (no-op if already down).
-    fn crash(&mut self, p: ProcId);
-    /// Restarts crashed node `p` exactly like [`World::restart_node`]
-    /// (no-op if up).
-    fn restart_node(&mut self, p: ProcId, params: &WorldParams);
-    /// Mutates the fault plane. Call only between run windows; on the
-    /// sharded kernel the mutation is applied to every shard's replica.
-    fn with_fault(&mut self, f: impl FnMut(&mut FaultPlane));
-    /// Reads the fault plane (replica 0 on the sharded kernel — broadcasts
-    /// keep every replica identical).
-    fn fault(&self) -> &FaultPlane;
-    /// Sets the global per-link loss rate (broadcast on the sharded
-    /// kernel, where it also bumps every replica's loss epoch).
-    fn set_global_loss(&mut self, rate: f64);
-    /// Runs `f` against live node `p` in a full handler context.
-    fn with_stack<R>(
-        &mut self,
-        p: ProcId,
-        f: impl FnOnce(&mut NodeStack<RecorderApp>, &mut Ctx<'_, StackMsg, StackTimer>) -> R,
-    ) -> Option<R>;
-}
-
-impl ChaosObservable for World {
-    fn n_nodes(&self) -> usize {
-        self.infos.len()
-    }
-
-    fn is_up(&self, p: ProcId) -> bool {
-        self.sim.is_up(p)
-    }
-
-    fn failures(&self, p: ProcId, id: FuseId) -> Vec<SimTime> {
-        World::failures(self, p, id)
-    }
-
-    fn notifications(&self, p: ProcId, id: FuseId) -> Vec<(SimTime, Notification)> {
-        World::notifications(self, p, id)
-    }
-
-    fn knows_group(&self, p: ProcId, id: FuseId) -> bool {
-        self.sim
-            .proc(p)
-            .map(|s| s.fuse.knows_group(id))
-            .unwrap_or(false)
-    }
-
-    fn events_executed(&self) -> u64 {
-        self.sim.events_executed()
-    }
-
-    fn now(&self) -> SimTime {
-        World::now(self)
-    }
-
-    fn obs_aggregates(&self) -> Aggregates {
-        let mut agg = Aggregates::default();
-        for p in 0..self.infos.len() as ProcId {
-            if let Some(s) = self.sim.proc(p) {
-                agg.merge_from(s.fuse.obs());
-            }
-        }
-        agg.merge_from(self.sim.medium().obs());
-        agg
-    }
-}
-
-impl ChaosHost for World {
-    fn node(&self, p: ProcId) -> Option<&NodeStack<RecorderApp>> {
-        self.sim.proc(p)
-    }
-
-    fn run_to(&mut self, t: SimTime) {
-        self.sim.run_until(t);
-    }
-
-    fn run_until_pred(&mut self, deadline: SimTime, mut pred: impl FnMut(&Self) -> bool) -> bool {
-        loop {
-            if pred(self) {
-                return true;
-            }
-            if !self.sim.step_until(deadline) {
-                self.sim.run_until(deadline);
-                return false;
-            }
-        }
-    }
-
-    fn crash(&mut self, p: ProcId) {
-        self.sim.crash(p);
-    }
-
-    fn restart_node(&mut self, p: ProcId, params: &WorldParams) {
-        World::restart_node(self, p, params);
-    }
-
-    fn with_fault(&mut self, mut f: impl FnMut(&mut FaultPlane)) {
-        f(self.sim.medium_mut().fault_mut());
-    }
-
-    fn fault(&self) -> &FaultPlane {
-        self.sim.medium().fault()
-    }
-
-    fn set_global_loss(&mut self, rate: f64) {
-        self.sim.medium_mut().set_per_link_loss(rate);
-    }
-
-    fn with_stack<R>(
-        &mut self,
-        p: ProcId,
-        f: impl FnOnce(&mut NodeStack<RecorderApp>, &mut Ctx<'_, StackMsg, StackTimer>) -> R,
-    ) -> Option<R> {
-        self.sim.with_proc(p, f)
-    }
-}
-
-impl ChaosObservable for ShardedWorld {
-    fn n_nodes(&self) -> usize {
-        self.infos.len()
-    }
-
-    fn is_up(&self, p: ProcId) -> bool {
-        self.sim.is_up(p)
-    }
-
-    fn failures(&self, p: ProcId, id: FuseId) -> Vec<SimTime> {
-        self.sim
-            .proc(p)
-            .map(|s| s.app.failures(id))
-            .unwrap_or_default()
-    }
-
-    fn notifications(&self, p: ProcId, id: FuseId) -> Vec<(SimTime, Notification)> {
-        self.sim
-            .proc(p)
-            .map(|s| s.app.notifications(id))
-            .unwrap_or_default()
-    }
-
-    fn knows_group(&self, p: ProcId, id: FuseId) -> bool {
-        self.sim
-            .proc(p)
-            .map(|s| s.fuse.knows_group(id))
-            .unwrap_or(false)
-    }
-
-    fn events_executed(&self) -> u64 {
-        self.sim.events_executed()
-    }
-
-    fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    fn obs_aggregates(&self) -> Aggregates {
-        let mut agg = Aggregates::default();
-        for p in 0..self.infos.len() as ProcId {
-            if let Some(s) = self.sim.proc(p) {
-                agg.merge_from(s.fuse.obs());
-            }
-        }
-        // Each replica saw only the sends its shard arbitrated (replicas
-        // start with fresh recorders), so the per-shard sum equals the
-        // single-kernel totals for any shard count.
-        for s in 0..self.sim.shard_count() {
-            agg.merge_from(self.sim.medium(s).obs());
-        }
-        agg
-    }
-}
-
-impl ChaosHost for ShardedWorld {
-    fn node(&self, p: ProcId) -> Option<&NodeStack<RecorderApp>> {
-        self.sim.proc(p)
-    }
-
-    fn run_to(&mut self, t: SimTime) {
-        self.sim.run_until(t);
-    }
-
-    fn run_until_pred(&mut self, deadline: SimTime, mut pred: impl FnMut(&Self) -> bool) -> bool {
-        loop {
-            if pred(self) {
-                return true;
-            }
-            if !self.sim.step_until(deadline) {
-                self.sim.run_until(deadline);
-                return false;
-            }
-        }
-    }
-
-    fn crash(&mut self, p: ProcId) {
-        if self.sim.is_up(p) {
-            self.sim.crash(p);
-        }
-    }
-
-    fn restart_node(&mut self, p: ProcId, params: &WorldParams) {
-        if self.sim.is_up(p) {
-            return;
-        }
-        self.sim
-            .restart(p, oracle_stack(&self.infos, p as usize, params));
-    }
-
-    fn with_fault(&mut self, mut f: impl FnMut(&mut FaultPlane)) {
-        self.sim.with_mediums(|m| f(m.fault_mut()));
-    }
-
-    fn fault(&self) -> &FaultPlane {
-        self.sim.medium(0).fault()
-    }
-
-    fn set_global_loss(&mut self, rate: f64) {
-        self.sim.with_mediums(|m| m.set_per_link_loss(rate));
-    }
-
-    fn with_stack<R>(
-        &mut self,
-        p: ProcId,
-        f: impl FnOnce(&mut NodeStack<RecorderApp>, &mut Ctx<'_, StackMsg, StackTimer>) -> R,
-    ) -> Option<R> {
-        self.sim.with_proc(p, f)
-    }
-}
-
-/// Blocking group creation over any chaos host — [`World::create_group_blocking`],
-/// generalized. Returns the outcome and the creation latency.
-pub fn create_group_blocking_on<W: ChaosHost>(
-    world: &mut W,
-    root: ProcId,
-    members: &[ProcId],
-) -> (Result<GroupHandle, CreateError>, SimDuration) {
-    let t0 = ChaosObservable::now(world);
-    let others: Vec<NodeInfo> = members
-        .iter()
-        .map(|&m| NodeInfo::new(m, NodeName::numbered(m as usize)))
-        .collect();
-    let ticket: CreateTicket = world
-        .with_stack(root, |stack, ctx| {
-            stack.with_api(ctx, |api, _| api.create_group(others))
-        })
-        .expect("root alive");
-    let deadline = t0 + SimDuration::from_secs(60);
-    let done = world.run_until_pred(deadline, |w| {
-        w.node(root)
-            .map(|s| s.app.created_result(ticket).is_some())
-            .unwrap_or(false)
-    });
-    let now = ChaosObservable::now(world);
-    if !done {
-        return (Err(CreateError::MemberUnreachable), now.since(t0));
-    }
-    let res = world
-        .node(root)
-        .and_then(|s| s.app.created_result(ticket))
-        .expect("predicate held");
-    let at = world
-        .node(root)
-        .and_then(|s| s.app.created_at(ticket))
-        .expect("created_at");
-    (res, at.since(t0))
 }
 
 /// Picks `k` distinct nodes out of `n` from a caller-owned RNG.

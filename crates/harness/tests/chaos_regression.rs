@@ -271,18 +271,17 @@ fn blind_detector_churn_is_real_kills_absorbed_by_real_repairs() {
     // probes quietly surviving the drop rules. Drive a shared-plane
     // world with both probe flavors muted and watch the root's counters:
     // peers die, repairs start, repairs succeed, nobody gets notified.
-    use fuse_harness::world::{create_group_blocking_on, ChaosHost, World};
+    use fuse_harness::World;
     let mut p = fuse_harness::WorldParams::new(16, 23, fuse_net::NetConfig::simulator());
     p.topo.n_as = 24;
     p.fuse.shared_plane = true;
     let mut world = World::build(&p);
-    let settle = world.now() + SimDuration::from_secs(2);
-    world.run_to(settle);
-    let (created, _) = create_group_blocking_on(&mut world, 0, &[5, 10]);
+    world.run(SimDuration::from_secs(2));
+    let (created, _) = world.create_group_blocking(0, &[5, 10]);
     created.expect("group creation must succeed before faults");
     world.run(SimDuration::from_secs(5));
-    world.with_fault(|f| f.drop_class("overlay.probe-direct"));
-    world.with_fault(|f| f.drop_class("overlay.probe-indirect"));
+    world.fault_mut().drop_class("overlay.probe-direct");
+    world.fault_mut().drop_class("overlay.probe-indirect");
     world.run(SimDuration::from_secs(300));
     let stats = world.sim.proc(0).expect("root up").fuse.stats();
     assert!(
@@ -330,7 +329,7 @@ fn blind_shared_detector_still_detects_a_real_crash() {
 
 #[test]
 fn plane_burn_outcomes_match_on_a_crash_script() {
-    // The differential contract behind `chaos crosscheck --plane-diff`:
+    // The differential contract behind `chaos crosscheck`:
     // for a fault that genuinely kills a participant, both planes must
     // agree on the application-visible outcome — who burned, who heard
     // how many notifications, and for which reasons. (Fingerprints are

@@ -2,52 +2,75 @@
 //!
 //! Two properties the `fuse_obs` recorder plane stakes:
 //!
-//! 1. **Partition invariance**: the merged run aggregates — every counter
-//!    AND every per-class latency reservoir — are bit-identical whether
-//!    the world ran on 1 shard or 4. Folding per-node and per-replica
-//!    recorders must be a pure function of the executed trace, never of
-//!    how the kernel partitioned it.
+//! 1. **Fold-order invariance**: the merged run aggregates — every counter
+//!    AND every per-class latency reservoir — are bit-identical whatever
+//!    order the per-node and network recorders (and, one level up, the
+//!    per-run reports) are folded in. The fold must be a pure function of
+//!    the executed trace, never of how the recorders were walked.
+//!    (Recorder-level partition invariance is pinned next to the code, in
+//!    `fuse_obs::recorder::tests::merge_is_partition_invariant`.)
 //! 2. **Observation is free**: interrogating the recorder plane mid-run
 //!    (stats views, merged aggregates) never perturbs the simulation —
 //!    a probed world and an untouched one finish on the same event count,
 //!    clock, and aggregates.
 
-use fuse_harness::chaos::{run_script_sharded, ExploreParams};
-use fuse_harness::world::ChaosObservable;
+use fuse_harness::chaos::{run_script_world, ExploreParams};
 use fuse_harness::{World, WorldParams};
 use fuse_net::NetConfig;
-use fuse_sim::SimDuration;
+use fuse_obs::Aggregates;
+use fuse_sim::{ProcId, SimDuration};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
-/// Differential check over generator-drawn chaos scripts: one world per
-/// shard count, every script, full [`fuse_obs::Aggregates`] equality.
+/// Folds `parts` forward, reversed and in a seeded-shuffled order and
+/// requires the three results equal; returns the forward fold.
+fn fold_every_order(parts: &[&Aggregates], what: &str) -> Aggregates {
+    let fold = |order: &[&Aggregates]| {
+        let mut agg = Aggregates::default();
+        for part in order {
+            agg.merge_from(part);
+        }
+        agg
+    };
+    let forward = fold(parts);
+    let mut order = parts.to_vec();
+    order.reverse();
+    assert_eq!(forward, fold(&order), "{what}: reverse fold differs");
+    order.shuffle(&mut StdRng::seed_from_u64(20260807));
+    assert_eq!(forward, fold(&order), "{what}: shuffled fold differs");
+    forward
+}
+
+/// Full-stack fold-order check over generator-drawn chaos scripts: after
+/// each script, the live stacks' recorders and the network's fold to the
+/// same [`Aggregates`] in any order, and so do the four run reports (the
+/// fold `chaos explore --slo` performs, latency reservoirs included).
 /// The scripts come from the chaos generator at a pinned seed, so they
 /// mix crashes, partitions, adversaries and loss ramps — the same
 /// distribution `chaos explore` walks.
 #[test]
-fn aggregates_are_bit_identical_across_shard_counts() {
+fn aggregates_are_bit_identical_in_any_fold_order() {
     let p = ExploreParams::new(20260807, 4);
-    let mut latency_samples = 0usize;
+    let mut reports = Vec::new();
     for i in 0..4 {
-        let cfg = p.config_for(i);
-        let script = p.script_for(i);
-        let one = run_script_sharded(&cfg, &script, 1);
-        let four = run_script_sharded(&cfg, &script, 4);
-        assert_eq!(one.fingerprint, four.fingerprint, "script {i}: fingerprint");
-        assert_eq!(
-            one.obs, four.obs,
-            "script {i}: aggregates must not depend on the shard count"
-        );
-        latency_samples += one.obs.latency.values().map(|r| r.len()).sum::<usize>();
+        let (report, world) = run_script_world(&p.config_for(i), &p.script_for(i));
+        let mut parts: Vec<&Aggregates> = (0..world.infos.len() as ProcId)
+            .filter_map(|n| world.sim.proc(n))
+            .map(|s| s.fuse.obs())
+            .collect();
+        parts.push(world.sim.medium().obs());
+        let folded = fold_every_order(&parts, &format!("script {i}"));
+        assert_eq!(folded, world.obs_aggregates(), "script {i}: world fold");
         // Counter spot-checks so a trivially-empty Aggregates can't make
         // the equality vacuous: every run computes hashes and moves bytes.
-        assert!(one.obs.bytes_offered > 0, "script {i}: no bytes recorded");
-        assert!(
-            one.obs.hashes_computed > 0,
-            "script {i}: no hashes recorded"
-        );
+        assert!(folded.bytes_offered > 0, "script {i}: no bytes recorded");
+        assert!(folded.hashes_computed > 0, "script {i}: no hashes recorded");
+        reports.push(report.obs);
     }
+    let all = fold_every_order(&reports.iter().collect::<Vec<_>>(), "run reports");
     assert!(
-        latency_samples > 0,
+        all.latency.values().any(|r| !r.is_empty()),
         "no script produced latency samples; the reservoir leg is vacuous"
     );
 }

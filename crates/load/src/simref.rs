@@ -22,7 +22,6 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use fuse_harness::world::{ChaosHost, ChaosObservable};
 use fuse_harness::{World, WorldParams};
 use fuse_net::NetConfig;
 use fuse_sim::{ProcId, SimDuration};
@@ -67,12 +66,8 @@ pub fn run_reference(p: &ScenarioParams, rounds: &[RoundPlan]) -> Vec<SimGroupOu
         for g in round.groups.iter() {
             let v = g.victim as ProcId;
             match round.class {
-                FaultClass::Kill => {
-                    if world.is_up(v) {
-                        world.crash(v);
-                    }
-                }
-                FaultClass::Sever => world.with_fault(|f| f.disconnect(v)),
+                FaultClass::Kill => world.crash(v),
+                FaultClass::Sever => world.fault_mut().disconnect(v),
                 // Signals are per-group, not per-victim-process: applied in
                 // the handle-indexed pass below.
                 FaultClass::Signal => {}
@@ -152,12 +147,8 @@ pub fn run_reference(p: &ScenarioParams, rounds: &[RoundPlan]) -> Vec<SimGroupOu
         for g in &round.groups {
             let v = g.victim as ProcId;
             match round.class {
-                FaultClass::Kill => {
-                    if !world.is_up(v) {
-                        world.restart_node(v, &params);
-                    }
-                }
-                FaultClass::Sever => world.with_fault(|f| f.reconnect(v)),
+                FaultClass::Kill => world.restart_node(v, &params),
+                FaultClass::Sever => world.fault_mut().reconnect(v),
                 FaultClass::Signal => {}
             }
         }

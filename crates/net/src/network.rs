@@ -306,87 +306,6 @@ impl Network {
     }
 }
 
-impl fuse_sim::ShardMedium for Network {
-    fn replicate(&self, shards: usize) -> Vec<Self> {
-        // The Cluster profile's warm-connection cache changes delivery
-        // latency based on per-replica send history, which diverges across
-        // shard counts; only the Simulator profile's verdicts are a pure
-        // function of (fault state, sender RNG) and therefore replicable.
-        assert!(
-            matches!(self.cfg.profile, EmulationProfile::Simulator),
-            "sharded runs require the Simulator profile: Cluster \
-             connection-setup state is per-replica send history"
-        );
-        (0..shards)
-            .map(|_| Network {
-                topo: self.topo.clone(),
-                routes: RouteOracle::new(self.cfg.route_lru_rows),
-                attach: self.attach.clone(),
-                cfg: self.cfg.clone(),
-                tcp: TcpModel::new(self.cfg.tcp.clone()),
-                fault: self.fault.clone(),
-                down: self.down.clone(),
-                conns: self.conns.clone(),
-                // Replicas start with FRESH recorders: each shard observes
-                // only the sends it arbitrates, so summing per-shard
-                // aggregates reproduces the single-shard totals exactly.
-                // Copying the pre-split counts would double-count them.
-                obs: Recorder::new(),
-                route_cache: DetHashMap::default(),
-                loss_epoch: self.loss_epoch,
-            })
-            .collect()
-    }
-
-    fn shard_lookahead(&self, map: &fuse_sim::ShardMap) -> Vec<SimDuration> {
-        use crate::topology::SAME_ROUTER_LATENCY;
-        let min_link = self.topo.min_link_latency();
-        assert!(
-            min_link > SimDuration::ZERO,
-            "sharded runs need positive link latencies for lookahead"
-        );
-        let k = map.shards();
-        let mut sets: Vec<Vec<RouterId>> = vec![Vec::new(); k];
-        for (p, &r) in self.attach.iter().enumerate() {
-            sets[map.shard_of(p as ProcId)].push(r);
-        }
-        // Conservative floor for any pair that can share an attachment
-        // router: co-located nodes talk at SAME_ROUTER_LATENCY, and two
-        // distinct routers are at least one link apart.
-        let floor = SAME_ROUTER_LATENCY.min(min_link);
-        let mut in_src = vec![false; self.topo.n_routers()];
-        let mut out = vec![SimDuration(u64::MAX); k * k];
-        for i in 0..k {
-            if sets[i].is_empty() {
-                continue; // No senders: the u64::MAX bound saturates away.
-            }
-            let dist = self.topo.latency_distances_from(&sets[i]);
-            for &r in &sets[i] {
-                in_src[r as usize] = true;
-            }
-            for j in 0..k {
-                if i == j {
-                    continue;
-                }
-                let mut b = u64::MAX;
-                for &rb in &sets[j] {
-                    let d = if in_src[rb as usize] {
-                        floor.nanos()
-                    } else {
-                        dist[rb as usize]
-                    };
-                    b = b.min(d);
-                }
-                out[i * k + j] = SimDuration(b);
-            }
-            for &r in &sets[i] {
-                in_src[r as usize] = false;
-            }
-        }
-        out
-    }
-}
-
 fn normalize(a: ProcId, b: ProcId) -> (ProcId, ProcId) {
     if a <= b {
         (a, b)
@@ -878,69 +797,6 @@ mod tests {
             ));
         }
         assert_eq!(net.break_count(), breaks_before);
-    }
-
-    #[test]
-    fn shard_lookahead_bounds_actual_deliveries() {
-        use fuse_sim::{ShardMap, ShardMedium};
-        let (mut net, mut rng) = small_net(NetConfig::simulator());
-        let map = ShardMap::new(4);
-        let la = net.shard_lookahead(&map);
-        for i in 0..4 {
-            for j in 0..4 {
-                if i != j {
-                    assert!(la[i * 4 + j] > SimDuration::ZERO, "bound {i}->{j}");
-                }
-            }
-        }
-        for from in 0..20u32 {
-            for to in 0..20u32 {
-                let (si, sj) = (map.shard_of(from), map.shard_of(to));
-                if from == to || si == sj {
-                    continue;
-                }
-                if let Verdict::Deliver { at } =
-                    net.unicast(SimTime::ZERO, &mut rng, from, to, 64, "msg")
-                {
-                    assert!(
-                        at.nanos() >= la[si * 4 + sj].nanos(),
-                        "delivery {from}->{to} beat the conservative bound"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn replicas_agree_on_verdicts_given_equal_rng() {
-        use fuse_sim::ShardMedium;
-        let (net, _) = small_net(NetConfig::simulator());
-        let mut reps = net.replicate(3);
-        for m in &mut reps {
-            m.fault_mut().set_link_loss(2, 3, 0.4);
-            m.node_down(7);
-        }
-        for (a, b) in [(0u32, 1u32), (2, 3), (5, 9), (4, 7)] {
-            let verdicts: Vec<Verdict> = reps
-                .iter_mut()
-                .map(|m| {
-                    let mut rng = StdRng::seed_from_u64(42);
-                    m.unicast(SimTime::ZERO, &mut rng, a, b, 64, "msg")
-                })
-                .collect();
-            assert!(
-                verdicts.windows(2).all(|w| w[0] == w[1]),
-                "replica verdicts diverged for {a}->{b}: {verdicts:?}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "Simulator profile")]
-    fn cluster_profile_refuses_replication() {
-        use fuse_sim::ShardMedium;
-        let (net, _) = small_net(NetConfig::cluster());
-        let _ = net.replicate(2);
     }
 
     #[test]

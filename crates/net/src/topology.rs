@@ -149,7 +149,6 @@ impl TopologyConfig {
 }
 
 /// The generated router graph.
-#[derive(Clone)]
 pub struct Topology {
     /// All links.
     pub links: Vec<Link>,
@@ -163,9 +162,6 @@ pub struct Topology {
     /// computed once at the end of generation (see
     /// [`Topology::fingerprint`]).
     fingerprint: u64,
-    /// Smallest one-way link latency in the graph, precomputed at
-    /// generation (see [`Topology::min_link_latency`]).
-    min_link_latency: SimDuration,
 }
 
 impl Topology {
@@ -180,7 +176,6 @@ impl Topology {
             as_of: Vec::new(),
             attachable: Vec::new(),
             fingerprint: 0,
-            min_link_latency: SimDuration(u64::MAX),
         };
 
         // Per-AS core rings and access chains.
@@ -248,23 +243,12 @@ impl Topology {
             topo.links[li as usize].latency = SimDuration::from_millis(ms);
         }
 
-        // Derived minima and the fingerprint last, so both cover the T3
-        // latency reassignments. The fingerprint is an FNV-1a-style fold
-        // over every link's endpoints and latency, then over the derived
-        // minimum (the lookahead input of the sharded kernel), so any graph
-        // change that could alter a lookahead bound changes the checksum.
-        topo.min_link_latency = topo
-            .links
-            .iter()
-            .map(|l| l.latency)
-            .min()
-            .unwrap_or(SimDuration::ZERO);
-        let fold = |fp: u64, key: u64| (fp ^ key).wrapping_mul(0x1_0000_0000_01b3);
+        // Fingerprint last, so it covers the T3 latency reassignments: an
+        // FNV-1a-style fold over every link's endpoints and latency.
         topo.fingerprint = topo.links.iter().fold(0xcbf2_9ce4_8422_2325u64, |fp, l| {
             let key = (u64::from(l.a) << 40) ^ (u64::from(l.b) << 20) ^ l.latency.nanos();
-            fold(fp, key)
+            (fp ^ key).wrapping_mul(0x1_0000_0000_01b3)
         });
-        topo.fingerprint = fold(topo.fingerprint, topo.min_link_latency.nanos());
 
         topo
     }
@@ -325,46 +309,6 @@ impl Topology {
     /// cached rows for the wrong graph.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Smallest one-way link latency in the graph — a universal lower
-    /// bound on the latency of any route between *distinct* routers, and
-    /// therefore a valid (if loose) conservative-lookahead bound.
-    /// Precomputed at generation so shards never touch the route oracle's
-    /// `RefCell` to derive lookahead.
-    pub fn min_link_latency(&self) -> SimDuration {
-        self.min_link_latency
-    }
-
-    /// Latency-only multi-source shortest-path distances (in nanoseconds)
-    /// from the router set `sources` to every router; `u64::MAX` marks
-    /// unreachable. Unlike the hop-minimizing production routes, this is a
-    /// true metric, so the result lower-bounds every route latency — the
-    /// per-shard-pair lookahead input of the sharded kernel.
-    pub fn latency_distances_from(&self, sources: &[RouterId]) -> Vec<u64> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut dist = vec![u64::MAX; self.n_routers()];
-        let mut heap: BinaryHeap<(Reverse<u64>, RouterId)> = BinaryHeap::new();
-        for &s in sources {
-            if dist[s as usize] != 0 {
-                dist[s as usize] = 0;
-                heap.push((Reverse(0), s));
-            }
-        }
-        while let Some((Reverse(d), r)) = heap.pop() {
-            if d > dist[r as usize] {
-                continue;
-            }
-            for &(n, li) in &self.adj[r as usize] {
-                let nd = d + self.links[li as usize].latency.nanos();
-                if nd < dist[n as usize] {
-                    dist[n as usize] = nd;
-                    heap.push((Reverse(nd), n));
-                }
-            }
-        }
-        dist
     }
 
     /// Number of routers.
@@ -534,53 +478,6 @@ mod tests {
             b.fingerprint(),
             "different seed must change the fingerprint even if counts collide"
         );
-    }
-
-    #[test]
-    fn min_link_latency_matches_links_and_is_fingerprinted() {
-        let cfg = TopologyConfig::default();
-        let t = Topology::generate(&cfg, &mut StdRng::seed_from_u64(11));
-        let expect = t.links.iter().map(|l| l.latency).min().unwrap();
-        assert_eq!(t.min_link_latency(), expect);
-        assert!(t.min_link_latency() > SimDuration::ZERO);
-        // Generated LAN links bound it from both sides.
-        assert!(t.min_link_latency() >= SimDuration::from_micros(cfg.lan_latency_us.0));
-        assert!(t.min_link_latency() <= SimDuration::from_micros(cfg.lan_latency_us.1));
-        // Fingerprint coverage: the checksum folds the derived minimum, so
-        // equal fingerprints imply equal lookahead inputs.
-        let t2 = Topology::generate(&cfg, &mut StdRng::seed_from_u64(11));
-        assert_eq!(t.fingerprint(), t2.fingerprint());
-        assert_eq!(t.min_link_latency(), t2.min_link_latency());
-    }
-
-    #[test]
-    fn latency_distances_lower_bound_hop_routes() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let cfg = TopologyConfig {
-            n_as: 12,
-            ..TopologyConfig::default()
-        };
-        let topo = Topology::generate(&cfg, &mut rng);
-        let attach = topo.sample_attachments(24, &mut rng);
-        let table = RouteTable::build(&topo, &attach);
-        let (srcs, dsts) = attach.split_at(12);
-        let dist = topo.latency_distances_from(srcs);
-        for &d in dsts {
-            let best_route = srcs
-                .iter()
-                .filter(|&&s| s != d)
-                .map(|&s| table.route(s, d).latency.nanos())
-                .min()
-                .unwrap();
-            assert!(
-                dist[d as usize] <= best_route,
-                "latency metric must lower-bound hop-minimizing routes"
-            );
-            assert!(
-                dist[d as usize] >= topo.min_link_latency().nanos() || srcs.contains(&d),
-                "distinct-router distance below a single link"
-            );
-        }
     }
 
     #[test]

@@ -68,7 +68,8 @@ OPTIONS:
     --id <N>                This node's numeric id (unique across the deployment)
     --listen <ADDR>         TCP address to accept peer connections on
     --peer <N>=<ADDR>       A remote peer's id and address (repeatable)
-    --create <N,N,..>       After boot, create a FUSE group over these member ids
+    --create <N,N,..>       After boot, create a FUSE group over these peer ids (this
+                            node is the root; its own id is not a member)
     --seed <N>              RNG seed (default: the node id)
     --run-secs <N>          Exit cleanly after N seconds (default: run forever)
     --ping-secs <N>         Overlay liveness ping period (default: 60)
@@ -237,6 +238,9 @@ fn parse_opts() -> Result<Opts, String> {
     let listen = listen.ok_or("--listen is required")?;
     if peers.iter().any(|&(p, _)| p == id) {
         return Err("--peer must not list this node's own id".into());
+    }
+    if create.contains(&id) {
+        return Err("--create must not list this node's own id (the root is implicit)".into());
     }
     Ok(Opts {
         id,

@@ -235,6 +235,29 @@ fn sigterm_and_stdin_shutdown_exit_cleanly() {
 }
 
 #[test]
+fn create_flag_rejects_the_nodes_own_id() {
+    // The stdin `create` command refuses the node's own id; `--create`
+    // must too, or the root sends `GroupCreateRequest` to itself, finds no
+    // writer for its own id and reports its own link broken. Peer 2 is a
+    // known `--peer`, so only the own id (1) can be the reason. The
+    // `--run-secs` bound only matters if the check regresses: the node
+    // would boot, and the test fails on the exit status instead of hanging.
+    let out = Command::new(env!("CARGO_BIN_EXE_fuse-node"))
+        .args(["--id", "1", "--listen", "127.0.0.1:0"])
+        .args(["--peer", "2=127.0.0.1:9", "--create", "1,2"])
+        .args(["--run-secs", "2"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run fuse-node");
+    assert_eq!(out.status.code(), Some(2), "usage error, got {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--create must not list this node's own id"),
+        "stderr names the reason: {stderr}"
+    );
+}
+
+#[test]
 fn silent_peer_burns_via_liveness_timeout() {
     // A SIGSTOPped peer is the anti-EOF fault: its sockets stay open, sends
     // to it land in kernel buffers, and no reader ever reports LinkBroken.

@@ -11,7 +11,7 @@
 ///
 /// Mirrors `fuse_core`'s `NotifyReason` variant-for-variant (that crate
 /// owns the wire encoding; this one owns aggregation), so recorded events
-/// stay comparable across planes and shard counts without string labels.
+/// stay comparable across liveness planes without string labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReasonKind {
     /// A member deliberately signalled the group.

@@ -12,8 +12,8 @@
 //! * [`recorder`] — [`Recorder`], the standard sink: folds events into
 //!   [`Aggregates`] (named counters, per-class byte accounting, a
 //!   notification log, per-class latency reservoirs). Aggregates merge
-//!   commutatively and canonically, so summing per-shard (or per-node)
-//!   recorders yields bit-identical results for any shard count.
+//!   commutatively and canonically, so summing per-node recorders yields
+//!   bit-identical results for any partition of the recorders.
 //! * [`reservoir`] — [`Reservoir`], the one shared quantile
 //!   implementation (p50/p99/p999 by linear interpolation), plus [`Cdf`]
 //!   and [`ClassCounter`] for the experiment figures.

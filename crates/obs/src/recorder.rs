@@ -4,9 +4,8 @@
 //! monotone counters, per-class byte accounting, a canonical notification
 //! log, and per-class latency reservoirs. Aggregates merge by summing
 //! counters and concatenating logs into a canonical order, so folding one
-//! recorder per node (or per shard) produces bit-identical results
-//! regardless of how the work was partitioned — the property the sharded
-//! chaos cross-checks assert.
+//! recorder per node produces bit-identical results regardless of how the
+//! work was partitioned or in which order the recorders are folded.
 
 use std::collections::BTreeMap;
 

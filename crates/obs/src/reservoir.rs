@@ -40,8 +40,8 @@ impl Reservoir {
     }
 
     /// Absorbs every sample of `other`. Merging is commutative and
-    /// associative up to reservoir equality, which is what makes
-    /// per-shard aggregates shard-count-invariant.
+    /// associative up to reservoir equality, which is what makes folded
+    /// aggregates independent of how the recorders were partitioned.
     pub fn merge_from(&mut self, other: &Reservoir) {
         self.samples.extend_from_slice(&other.samples);
         self.sorted = false;

@@ -93,20 +93,20 @@ impl<P: Process, Md, S> Ord for HeapEntry<P, Md, S> {
 /// Generations catch (programming) errors where a stale index would
 /// resurrect a consumed slot. Used for in-flight message payloads and for
 /// parked restart states.
-pub(crate) struct Slab<T> {
+struct Slab<T> {
     slots: Vec<(u32, Option<T>)>,
     free: Vec<u32>,
 }
 
 impl<T> Slab<T> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Slab {
             slots: Vec::new(),
             free: Vec::new(),
         }
     }
 
-    pub(crate) fn insert(&mut self, value: T) -> (u32, u32) {
+    fn insert(&mut self, value: T) -> (u32, u32) {
         if let Some(idx) = self.free.pop() {
             let slot = &mut self.slots[idx as usize];
             slot.0 = slot.0.wrapping_add(1);
@@ -120,7 +120,7 @@ impl<T> Slab<T> {
         }
     }
 
-    pub(crate) fn take(&mut self, idx: u32, gen: u32) -> T {
+    fn take(&mut self, idx: u32, gen: u32) -> T {
         let slot = &mut self.slots[idx as usize];
         assert_eq!(slot.0, gen, "stale slab reference");
         let payload = slot.1.take().expect("slab slot consumed twice");

@@ -16,8 +16,6 @@ pub mod baseline;
 pub mod kernel;
 pub mod medium;
 pub mod process;
-pub mod shard;
-pub mod sync;
 pub mod time;
 pub mod timer;
 pub mod trace;
@@ -27,8 +25,6 @@ pub use baseline::BaselineSim;
 pub use kernel::Sim;
 pub use medium::{Medium, PerfectMedium, ProcBitSet, Verdict};
 pub use process::{Payload, ProcId, Process};
-pub use shard::{RunProfile, ShardedSim};
-pub use sync::{canon_key, Lookahead, ShardMap, ShardMedium, CTRL_ORIGIN};
 pub use time::{SimDuration, SimTime};
 pub use timer::{TimerHandle, TimerTable};
 pub use trace::{NullTrace, TraceSink};

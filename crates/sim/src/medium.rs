@@ -143,20 +143,6 @@ impl Medium for PerfectMedium {
     }
 }
 
-impl crate::sync::ShardMedium for PerfectMedium {
-    fn replicate(&self, shards: usize) -> Vec<Self> {
-        vec![self.clone(); shards]
-    }
-
-    fn shard_lookahead(&self, map: &crate::sync::ShardMap) -> Vec<SimDuration> {
-        assert!(
-            self.latency > SimDuration::ZERO,
-            "sharded runs need a positive medium latency for lookahead"
-        );
-        vec![self.latency; map.shards() * map.shards()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,12 +10,9 @@ use crate::time::SimTime;
 
 /// Observer of kernel-level message events.
 pub trait TraceSink<M> {
-    /// An event is about to execute, identified by its `(time, key)` pair.
-    ///
-    /// For [`Sim`](crate::Sim) the key is the kernel's global insertion
-    /// sequence; for [`ShardedSim`](crate::ShardedSim) it is the canonical
-    /// `(origin, counter)` key ([`crate::sync::canon_key`]), which is what
-    /// lets per-shard trace streams merge into one canonical order.
+    /// An event is about to execute, identified by its `(time, key)` pair;
+    /// the key is the kernel's global insertion sequence, so the pair is
+    /// the event's position in the run's total order.
     fn on_event(&mut self, at: SimTime, key: u64) {
         let _ = (at, key);
     }

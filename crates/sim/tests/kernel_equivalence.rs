@@ -1,6 +1,5 @@
 //! Differential tests: the timing-wheel kernel ([`Sim`]) against the
-//! preserved single-heap kernel ([`BaselineSim`]), and the sharded kernel
-//! ([`ShardedSim`]) against itself across shard counts.
+//! preserved single-heap kernel ([`BaselineSim`]).
 //!
 //! Random interleavings of sends, timer arms, cancels, crashes and restarts
 //! are driven through both kernels; every observable — the full send/
@@ -9,18 +8,12 @@
 //! property that lets the scheduler rewrite claim "same semantics, faster":
 //! earliest-first ordering and FIFO among equal timestamps survive the move
 //! of timers into the wheel.
-//!
-//! For the sharded kernel the claim is shard-count invariance: the
-//! per-shard traces, merged on `(time, canonical key)`, are bit-identical
-//! for any shard count, as are final states, clocks and event counts — the
-//! property that makes a parallel run a drop-in replacement for a serial
-//! one.
 
 use fuse_sim::baseline::BaselineSim;
 use fuse_sim::medium::Verdict;
 use fuse_sim::process::{Ctx, Payload, ProcId, Process};
 use fuse_sim::trace::TraceSink;
-use fuse_sim::{PerfectMedium, ShardedSim, Sim, SimDuration, SimTime, TimerHandle};
+use fuse_sim::{PerfectMedium, Sim, SimDuration, SimTime, TimerHandle};
 use proptest::prelude::*;
 
 /// Trace recorder: every kernel-visible event, exactly timestamped.
@@ -311,142 +304,6 @@ proptest! {
         }
         prop_assert_eq!(wheel.trace(), heap.trace(),
             "event traces diverged (ordering or timing)");
-    }
-}
-
-/// Trace recorder for the sharded kernel: every record is tagged with the
-/// canonical key of the event that produced it ([`TraceSink::on_event`]
-/// fires before the event's records), so per-shard traces can be merged
-/// into one total order on `(time, key)` — the same order the sequential
-/// `step_until` mode executes in.
-#[derive(Default, Clone, PartialEq, Eq, Debug)]
-struct KeyedRecorder {
-    current_key: u64,
-    events: Vec<(u64, u64, u8, u32, u32)>,
-}
-
-impl KeyedRecorder {
-    fn push(&mut self, at: SimTime, kind: u8, a: u32, b: u32) {
-        self.events.push((at.nanos(), self.current_key, kind, a, b));
-    }
-}
-
-impl<M> TraceSink<M> for KeyedRecorder {
-    fn on_event(&mut self, _at: SimTime, key: u64) {
-        self.current_key = key;
-    }
-
-    fn on_send(
-        &mut self,
-        now: SimTime,
-        from: ProcId,
-        to: ProcId,
-        _msg: &M,
-        _size: usize,
-        verdict: &Verdict,
-    ) {
-        let kind = match verdict {
-            Verdict::Deliver { .. } => 0,
-            Verdict::Break { .. } => 1,
-            Verdict::Drop => 2,
-        };
-        self.push(now, kind, from, to);
-    }
-
-    fn on_deliver(&mut self, now: SimTime, from: ProcId, to: ProcId, _msg: &M) {
-        self.push(now, 3, from, to);
-    }
-
-    fn on_lifecycle(&mut self, now: SimTime, id: ProcId, up: bool) {
-        self.push(now, 4, id, u32::from(up));
-    }
-}
-
-/// Concatenates every shard's records and sorts them on `(time, key)`.
-/// The sort is stable and records sharing a `(time, key)` all come from
-/// the one shard that executed that event, so their intra-event order
-/// (e.g. a handler's send sequence) survives the merge.
-fn merged_trace(
-    sim: &ShardedSim<TestProc, PerfectMedium, KeyedRecorder>,
-) -> Vec<(u64, u64, u8, u32, u32)> {
-    let mut all: Vec<_> = sim
-        .traces()
-        .flat_map(|t| t.events.iter().copied())
-        .collect();
-    all.sort_by_key(|&(at, key, ..)| (at, key));
-    all
-}
-
-/// Everything observable about a finished sharded run.
-type ShardedOutcome = (
-    SimTime,
-    u64,
-    Vec<(bool, Option<(u64, u64)>)>,
-    Vec<(u64, u64, u8, u32, u32)>,
-);
-
-/// Runs one op script on a `k`-shard kernel; `parallel_drain` executes the
-/// final drain through the threaded round loop instead of the serial one.
-fn run_sharded(seed: u64, n: u32, k: usize, ops: &[Op], parallel_drain: bool) -> ShardedOutcome {
-    let mut sim: ShardedSim<TestProc, PerfectMedium, KeyedRecorder> = ShardedSim::with_trace(
-        seed,
-        k,
-        PerfectMedium::new(SimDuration::from_millis(5)),
-        |_| KeyedRecorder::default(),
-    );
-    for _ in 0..n {
-        sim.add_process(TestProc::new(n));
-    }
-    for op in ops {
-        apply_op!(sim, n, op);
-    }
-    let deadline = sim.now() + SimDuration::from_secs(2);
-    if parallel_drain {
-        sim.run_until_parallel(deadline);
-    } else {
-        sim.run_until(deadline);
-    }
-    let states = (0..n)
-        .map(|id| (sim.is_up(id), sim.proc(id).map(TestProc::fingerprint)))
-        .collect();
-    (sim.now(), sim.events_executed(), states, merged_trace(&sim))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// Shard-count invariance: for arbitrary op scripts (including
-    /// scheduled crashes/restarts), partitioning the processes over 2, 3
-    /// or 8 shards leaves the merged `(time, key)` trace, the executed
-    /// event count, the clock and every process's final state bit-identical
-    /// to the single-shard run.
-    #[test]
-    fn sharded_kernel_is_shard_count_invariant(
-        seed in any::<u64>(),
-        n in 2u32..8,
-        ops in prop::collection::vec(op_strategy(), 1..40),
-    ) {
-        let reference = run_sharded(seed, n, 1, &ops, false);
-        for k in [2usize, 3, 8] {
-            let other = run_sharded(seed, n, k, &ops, false);
-            prop_assert_eq!(reference.0, other.0, "clock at {} shards", k);
-            prop_assert_eq!(reference.1, other.1, "event count at {} shards", k);
-            prop_assert_eq!(&reference.2, &other.2, "final states at {} shards", k);
-            prop_assert_eq!(&reference.3, &other.3, "merged trace at {} shards", k);
-        }
-    }
-
-    /// The threaded round loop is observationally identical to the serial
-    /// one — same merged trace, not merely the same final state.
-    #[test]
-    fn sharded_parallel_rounds_match_serial_rounds(
-        seed in any::<u64>(),
-        n in 2u32..8,
-        ops in prop::collection::vec(op_strategy(), 1..25),
-    ) {
-        let serial = run_sharded(seed, n, 4, &ops, false);
-        let parallel = run_sharded(seed, n, 4, &ops, true);
-        prop_assert_eq!(serial, parallel);
     }
 }
 
