@@ -65,57 +65,65 @@ fn median_ns(calls: usize, mut query: impl FnMut() -> u64) -> f64 {
     samples[REPS / 2]
 }
 
-/// Hit and miss latency on the default topology with the default 64-row
-/// LRU, the configuration every simulated world runs.
+/// Hit, reverse-row hit and miss latency for 400 endpoints on the default
+/// topology with every row allowed to stay resident — the configuration
+/// `Network::new` derives for the paper's 400-node worlds — plus the bytes
+/// resident with as many rows computed as queries can cause.
 fn route_table() {
-    const CAP: usize = 64;
     let mut rng = StdRng::seed_from_u64(0xF0D0);
     let topo = Topology::generate(&TopologyConfig::default(), &mut rng);
-    let attach = topo.sample_attachments(400, &mut rng);
-    let oracle = RouteOracle::new(CAP);
+    let mut endpoints = topo.sample_attachments(400, &mut rng);
+    endpoints.sort_unstable();
+    endpoints.dedup();
+    let n = endpoints.len();
+    let oracle = RouteOracle::new(&endpoints, n);
 
     // Hits: two resident rows queried alternately, so every query also
-    // pays the LRU splice.
-    let (s0, s1, dst) = (attach[0], attach[1], attach[2]);
-    oracle.route(&topo, s0, dst);
-    oracle.route(&topo, s1, dst);
+    // pays the LRU splice. Forward hits name the resident row's router as
+    // the source; reverse-row hits name it as the destination, from a
+    // source whose own row is not resident.
+    let (s0, s1, far) = (endpoints[0], endpoints[1], endpoints[2]);
+    oracle.route(&topo, s0, far);
+    oracle.route(&topo, s1, far);
     let mut i = 0usize;
     let hit_ns = median_ns(4096, || {
         i += 1;
         let src = if i & 1 == 0 { s0 } else { s1 };
-        oracle.route(&topo, src, dst).latency.nanos()
+        oracle.route(&topo, src, far).latency.nanos()
     });
+    let reverse_ns = median_ns(4096, || {
+        i += 1;
+        let dst = if i & 1 == 0 { s0 } else { s1 };
+        oracle.route(&topo, far, dst).latency.nanos()
+    });
+    assert_eq!(oracle.stats().misses, 2, "the hit loops ran a Dijkstra");
 
-    // Misses: round-robin over CAP + 1 sources, so the next source is
-    // always the one just evicted and every query runs a Dijkstra. The
-    // destination is kept out of the rotation (a same-router query
-    // bypasses the LRU and would let the rest fit).
-    let miss_dst = attach[3];
-    let mut rotation: Vec<_> = attach[4..].to_vec();
-    rotation.sort_unstable();
-    rotation.dedup();
-    rotation.retain(|&r| r != miss_dst);
-    rotation.truncate(CAP + 1);
-    assert_eq!(rotation.len(), CAP + 1, "too few distinct attachments");
-    let evictions_before = oracle.stats().evictions;
+    // Misses: a one-row oracle asked about disjoint pairs (the samples
+    // share the n / 2 there are), so neither end of a query is ever
+    // resident and each runs a Dijkstra.
+    let cold = RouteOracle::new(&endpoints, 1);
     let mut next = 0usize;
-    let miss_ns = median_ns(CAP + 1, || {
-        next += 1;
-        oracle
-            .route(&topo, rotation[next % rotation.len()], miss_dst)
+    let miss_ns = median_ns(n / (2 * REPS), || {
+        next += 2;
+        cold.route(&topo, endpoints[next - 2], endpoints[next - 1])
             .latency
             .nanos()
     });
-    let queries = (REPS * (CAP + 1)) as u64;
-    assert!(
-        oracle.stats().evictions - evictions_before >= queries - (CAP as u64 + 1),
-        "the miss rotation did not evict: {:?}",
-        oracle.stats()
-    );
+    assert_eq!(cold.stats().hits, 0, "a miss query was served from a row");
 
+    // Fill the oracle as far as it goes: a row is only computed when
+    // neither end has one, so every endpoint asks about the last one,
+    // whose own row is then never needed.
+    for &src in &endpoints[..n - 1] {
+        oracle.route(&topo, src, endpoints[n - 1]);
+    }
+    let stats = oracle.stats();
     println!(
-        "route oracle ({} routers, {CAP}-row LRU): hit {hit_ns:.1} ns   miss {miss_ns:.0} ns",
-        topo.n_routers()
+        "route oracle ({} routers, {n} endpoints): hit {hit_ns:.1} ns   reverse-row hit \
+         {reverse_ns:.1} ns   miss {miss_ns:.0} ns   resident {} rows / {} bytes",
+        topo.n_routers(),
+        stats.resident_rows,
+        stats.resident_bytes
     );
 }
 

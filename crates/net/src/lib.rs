@@ -15,8 +15,8 @@
 //!   including the [`TopologyConfig::mercator_scale`] preset that reaches
 //!   the paper's ~100k routers,
 //! * [`routes`] — lexicographic `(hops, latency)` shortest paths behind the
-//!   demand-driven [`RouteOracle`] (lazy per-source Dijkstra, bounded LRU
-//!   of bit-packed rows) plus the preserved eager [`RouteTable`],
+//!   demand-driven [`RouteOracle`] (lazy per-endpoint Dijkstra, bit-packed
+//!   endpoint-wide rows served from either end) plus the eager [`RouteTable`],
 //! * [`tcp`] — an analytic TCP model (connection cache, retransmission
 //!   backoff, connection breakage under loss),
 //! * [`fault`] — scriptable failures: crashes, disconnects, intransitive
@@ -34,21 +34,22 @@
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let topo = Topology::generate(&TopologyConfig::default(), &mut rng);
 //!
-//! // 8 resident rows bound route memory to 8 × n_routers × 8 bytes no
-//! // matter how many sources are queried; rows appear on first use.
-//! let oracle = RouteOracle::new(8);
-//! let (a, b) = (topo.attachable[0], topo.attachable[1]);
+//! // 8 resident rows bound route memory to 8 × endpoints × 8 bytes
+//! // whatever the router count; rows appear on first use.
+//! let endpoints = &topo.attachable[..32];
+//! let oracle = RouteOracle::new(endpoints, 8);
+//! let (a, b) = (endpoints[0], endpoints[1]);
 //! let route = oracle.route(&topo, a, b);
 //! assert!(route.hops >= 1);
 //! assert!(route.delivery_prob(0.0) == 1.0);
 //!
-//! // The same query again is an LRU hit with an identical answer.
-//! assert_eq!(route, oracle.route(&topo, a, b));
-//! assert_eq!(oracle.stats().hits, 1);
+//! // Links are undirected: the reverse query hits the same row.
+//! assert_eq!(route, oracle.route(&topo, b, a));
+//! assert_eq!((oracle.stats().hits, oracle.stats().misses), (1, 1));
 //! ```
 //!
 //! For full-stack use, [`Network::generate`] wires a topology, random
-//! attachment points and the oracle into a [`fuse_sim::Medium`]; the
+//! attachment points and an oracle over them into a [`fuse_sim::Medium`]; the
 //! harness crate's experiments run the paper's figures on top of it.
 
 #![deny(missing_docs)]

@@ -19,7 +19,7 @@ use rand::Rng;
 
 use fuse_obs::{Aggregates, Event, ObsSink, Recorder};
 use fuse_sim::{Medium, ProcBitSet, ProcId, SimDuration, SimTime, Verdict};
-use fuse_util::{DetHashMap, DetHashSet};
+use fuse_util::DetHashSet;
 
 use crate::fault::FaultPlane;
 use crate::routes::{OracleStats, RouteInfo, RouteOracle};
@@ -76,12 +76,6 @@ pub struct NetConfig {
     pub tcp: TcpConfig,
     /// Uniform jitter added to each delivery, for tie spreading.
     pub max_jitter: SimDuration,
-    /// Maximum source rows the demand-driven [`RouteOracle`] keeps
-    /// resident (each row is `n_routers × 8` bytes). 64 rows bound route
-    /// memory to ~51 MB even at the ~100k-router Mercator preset, while
-    /// the per-pair latency/loss cache above keeps steady-state traffic
-    /// off the oracle entirely.
-    pub route_lru_rows: usize,
 }
 
 impl Default for NetConfig {
@@ -91,7 +85,6 @@ impl Default for NetConfig {
             per_link_loss: 0.0,
             tcp: TcpConfig::default(),
             max_jitter: SimDuration::from_micros(500),
-            route_lru_rows: 64,
         }
     }
 }
@@ -111,19 +104,10 @@ impl NetConfig {
     }
 }
 
-/// Per-pair data [`Network::unicast`] needs on every send, cached so the
-/// steady-state hot path (the same group edges pinged every period) does not
-/// recompute route lookups and the `(1-p)^hops` power each time.
-#[derive(Debug, Clone, Copy)]
-struct CachedRoute {
-    latency: SimDuration,
-    rtt: SimDuration,
-    /// Round-trip delivery probability (data + ACK) at the loss rate of
-    /// `epoch`.
-    p_success: f64,
-    /// Loss-rate epoch this entry was computed under.
-    epoch: u32,
-}
+/// Bytes of route rows a [`Network`] keeps resident: every row (8 bytes per
+/// distinct attachment router, `A`) up to `A` = 1,024, and past that an LRU
+/// of `ROUTE_ROW_BUDGET_BYTES / (A × 8)` rows.
+pub const ROUTE_ROW_BUDGET_BYTES: usize = 8 << 20;
 
 /// The wide-area messaging layer (a [`Medium`] implementation).
 pub struct Network {
@@ -142,19 +126,35 @@ pub struct Network {
     /// accounting (offered and delivered, total and per message class) all
     /// live in its aggregates; the counter accessors below are views.
     obs: Recorder,
-    /// Lazy per-ordered-pair cache keyed `(from << 32) | to`; invalidated
-    /// wholesale by bumping `loss_epoch` (see [`Network::set_per_link_loss`]).
-    route_cache: DetHashMap<u64, CachedRoute>,
-    loss_epoch: u32,
+    /// Round-trip delivery probability (data + ACK) of a route by its hop
+    /// count at the current loss rate, extended on demand and emptied by
+    /// [`Network::set_per_link_loss`].
+    p_success_by_hops: Vec<f64>,
 }
 
 impl Network {
     /// Builds a network over `topo` with process `i` attached to
-    /// `attach[i]`. Construction is O(1) in topology size: routes are
-    /// computed on demand by the [`RouteOracle`], not precomputed per
-    /// source.
+    /// `attach[i]`. Construction runs no shortest-path computation: routes
+    /// are computed on demand by a [`RouteOracle`] over the distinct
+    /// attachment routers, sized to [`ROUTE_ROW_BUDGET_BYTES`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an attachment is not a router of `topo`.
     pub fn new(topo: Topology, attach: Vec<RouterId>, cfg: NetConfig) -> Self {
-        let routes = RouteOracle::new(cfg.route_lru_rows);
+        for (proc, &router) in attach.iter().enumerate() {
+            assert!(
+                (router as usize) < topo.n_routers(),
+                "process {proc} is attached to router {router}, but the topology has {} routers",
+                topo.n_routers()
+            );
+        }
+        let mut endpoints = attach.clone();
+        endpoints.sort_unstable();
+        endpoints.dedup();
+        let row_bytes = endpoints.len().max(1) * std::mem::size_of::<u64>();
+        let rows = endpoints.len().min(ROUTE_ROW_BUDGET_BYTES / row_bytes);
+        let routes = RouteOracle::new(&endpoints, rows);
         let tcp = TcpModel::new(cfg.tcp.clone());
         Network {
             topo,
@@ -166,8 +166,7 @@ impl Network {
             down: ProcBitSet::default(),
             conns: DetHashSet::default(),
             obs: Recorder::new(),
-            route_cache: DetHashMap::default(),
-            loss_epoch: 0,
+            p_success_by_hops: Vec::new(),
         }
     }
 
@@ -204,7 +203,7 @@ impl Network {
     }
 
     /// Route summary between two processes (computed on demand and cached
-    /// in the oracle's LRU).
+    /// in the oracle's rows).
     pub fn route_info(&self, a: ProcId, b: ProcId) -> RouteInfo {
         self.routes
             .route(&self.topo, self.attach[a as usize], self.attach[b as usize])
@@ -221,38 +220,22 @@ impl Network {
     }
 
     /// Changes the uniform per-link loss rate mid-run (Figure 12 enables
-    /// loss after group creation). Invalidates the per-pair cache by epoch
-    /// bump — O(1), entries refresh lazily on next use.
+    /// loss after group creation).
     pub fn set_per_link_loss(&mut self, p: f64) {
         assert!((0.0..1.0).contains(&p), "loss rate must be in [0,1)");
         self.cfg.per_link_loss = p;
-        self.loss_epoch = self.loss_epoch.wrapping_add(1);
+        self.p_success_by_hops.clear();
     }
 
-    /// Cached latency/RTT/success-probability for `from -> to`, refreshed
-    /// if the loss-rate epoch moved.
-    fn cached_route(&mut self, from: ProcId, to: ProcId) -> CachedRoute {
-        let key = (u64::from(from) << 32) | u64::from(to);
-        let epoch = self.loss_epoch;
-        if let Some(c) = self.route_cache.get(&key) {
-            if c.epoch == epoch {
-                return *c;
-            }
+    /// Per-attempt success of a send over `route`: data over the forward
+    /// route and the ACK over the reverse route (identical hop count).
+    fn p_success(&mut self, route: RouteInfo) -> f64 {
+        let table = &mut self.p_success_by_hops;
+        for hops in table.len() as u32..=route.hops {
+            let one_way = RouteInfo { hops, ..route }.delivery_prob(self.cfg.per_link_loss);
+            table.push(one_way * one_way);
         }
-        let info = self.routes.route(
-            &self.topo,
-            self.attach[from as usize],
-            self.attach[to as usize],
-        );
-        let p_one_way = info.delivery_prob(self.cfg.per_link_loss);
-        let c = CachedRoute {
-            latency: info.latency,
-            rtt: info.latency.saturating_mul(2),
-            p_success: p_one_way * p_one_way,
-            epoch,
-        };
-        self.route_cache.insert(key, c);
-        c
+        table[route.hops as usize]
     }
 
     /// Current per-link loss rate.
@@ -332,11 +315,8 @@ impl Medium for Network {
             class,
             bytes: size as u64,
         });
-        // Per-attempt success (cached per pair): data over the forward
-        // route and the ACK over the reverse route (symmetric latencies,
-        // identical hop count).
-        let route = self.cached_route(from, to);
-        let rtt = route.rtt;
+        let route = self.route_info(from, to);
+        let rtt = route.latency.saturating_mul(2);
 
         // Administrative blocks and dead peers: TCP retransmits into the
         // void, then the sender sees a broken connection.
@@ -363,7 +343,7 @@ impl Medium for Network {
         // Injected per-pair loss (chaos loss ramps) composes with the
         // route's own loss: data crosses `from -> to`, the ACK crosses
         // `to -> from`, each surviving its direction's injected rate.
-        let mut p_success = route.p_success;
+        let mut p_success = self.p_success(route);
         if self.fault.has_link_loss() {
             p_success *=
                 (1.0 - self.fault.link_loss(from, to)) * (1.0 - self.fault.link_loss(to, from));
@@ -373,13 +353,11 @@ impl Medium for Network {
             TcpOutcome::Delivered { extra_delay } => {
                 let mut latency = route.latency + extra_delay;
                 latency = latency + self.cfg.profile.per_message_overhead();
-                if self.cfg.profile.models_connection_setup()
-                    && !self.conns.contains(&normalize(from, to))
-                {
+                let first_contact = self.conns.insert(normalize(from, to));
+                if first_contact && self.cfg.profile.models_connection_setup() {
                     // SYN + SYN-ACK before the data segment.
                     latency = latency + rtt;
                 }
-                self.conns.insert(normalize(from, to));
                 if self.cfg.max_jitter > SimDuration::ZERO {
                     latency = latency + SimDuration(rng.gen_range(0..=self.cfg.max_jitter.nanos()));
                 }
@@ -560,8 +538,8 @@ mod tests {
     }
 
     #[test]
-    fn route_cache_tracks_loss_rate_changes() {
-        // The per-pair cache must be invalidated when the loss rate moves:
+    fn delivery_probability_tracks_loss_rate_changes() {
+        // The per-hop-count table must be emptied when the loss rate moves:
         // prime it at zero loss, crank loss to near-certain failure, then
         // drop back to zero — each regime must show its own behavior.
         let (mut net, mut rng) = small_net(NetConfig::simulator());
@@ -580,7 +558,7 @@ mod tests {
                 )
             })
             .count();
-        assert!(broken > 0, "stale cache: extreme loss produced no breaks");
+        assert!(broken > 0, "stale table: extreme loss produced no breaks");
         net.set_per_link_loss(0.0);
         for _ in 0..50 {
             assert!(matches!(
@@ -593,34 +571,31 @@ mod tests {
     #[test]
     fn routes_are_built_on_demand_not_up_front() {
         let (mut net, mut rng) = small_net(NetConfig::simulator());
+        let s = net.route_oracle_stats();
         assert_eq!(
-            net.route_oracle_stats().resident_rows,
-            0,
-            "construction must not precompute routes"
+            (s.misses, s.resident_rows),
+            (0, 0),
+            "construction must not run a Dijkstra"
         );
         let info = net.route_info(0, 1);
         let s = net.route_oracle_stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.resident_rows, 1);
-        // Sends reuse the oracle through the per-pair cache; the same pair
-        // again is a pair-cache hit, not even an oracle query.
-        assert!(matches!(
-            net.unicast(SimTime::ZERO, &mut rng, 0, 1, 64, "msg"),
-            Verdict::Deliver { .. }
-        ));
-        let after_first = net.route_oracle_stats();
-        assert!(matches!(
-            net.unicast(SimTime::ZERO, &mut rng, 0, 1, 64, "msg"),
-            Verdict::Deliver { .. }
-        ));
-        assert_eq!(net.route_oracle_stats(), after_first);
-        // And the oracle row, once resident, serves other destinations as
-        // hits with identical results on repeat.
-        assert_eq!(info, net.route_info(0, 1));
+        assert_eq!((s.misses, s.resident_rows), (1, 1));
+        // Repeat sends on the pair, and the first send the other way, are
+        // answered from that one row.
+        for (from, to) in [(0, 1), (0, 1), (1, 0)] {
+            assert!(matches!(
+                net.unicast(SimTime::ZERO, &mut rng, from, to, 64, "msg"),
+                Verdict::Deliver { .. }
+            ));
+            assert_eq!(net.route_oracle_stats().misses, 1, "{from} -> {to}");
+        }
+        assert_eq!(info, net.route_info(1, 0));
     }
 
     #[test]
     fn oracle_capacity_bounds_route_memory_under_many_sources() {
+        // The network's own endpoint set under an explicit small capacity
+        // (`Network::new` derives one that keeps all 40 rows resident).
         let mut rng = StdRng::seed_from_u64(7);
         let topo_cfg = TopologyConfig {
             n_as: 16,
@@ -629,17 +604,30 @@ mod tests {
             chain_len: (2, 4),
             ..TopologyConfig::default()
         };
-        let cfg = NetConfig {
-            route_lru_rows: 4,
-            ..NetConfig::simulator()
-        };
-        let net = Network::generate(&topo_cfg, 40, cfg, &mut rng);
-        for a in 0..net.n_procs() as ProcId {
-            net.route_info(a, (a + 1) % net.n_procs() as ProcId);
+        let net = Network::generate(&topo_cfg, 40, NetConfig::simulator(), &mut rng);
+        assert_eq!(net.routes.capacity(), 40);
+        let cap = 4;
+        let oracle = RouteOracle::new(&net.attach, cap);
+        // Disjoint pairs: neither end of the next one is resident.
+        for pair in net.attach.chunks(2) {
+            oracle.route(&net.topo, pair[0], pair[1]);
         }
-        let s = net.route_oracle_stats();
-        assert!(s.resident_rows <= 4, "LRU cap violated: {s:?}");
-        assert!(s.evictions > 0, "cap 4 over 40 sources must evict");
+        let s = oracle.stats();
+        assert!(s.resident_rows <= cap, "LRU cap violated: {s:?}");
+        assert!(s.evictions > 0, "cap 4 over 20 cold pairs must evict");
+        let a = net.attach.len();
+        let rows = cap * a * std::mem::size_of::<u64>();
+        assert!(
+            s.resident_bytes <= rows + 32 * (a + cap),
+            "rows are endpoint-wide and the index a few words per endpoint: {s:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "process 2 is attached to router 4000000")]
+    fn attachment_outside_the_topology_fails_at_construction() {
+        let (net, _) = small_net(NetConfig::simulator());
+        Network::new(net.topo, vec![0, 1, 4_000_000], NetConfig::simulator());
     }
 
     /// Heal-path regressions: every fault-plane *clear* operation must

@@ -6,8 +6,7 @@
 //! routers). The production path is the demand-driven
 //! [`RouteOracle`](crate::RouteOracle); this table survives as the
 //! reference the oracle is held bit-identical to (equivalence tests in
-//! `tests/route_oracle.rs`) and as the eager baseline in the
-//! `route_oracle` bench section.
+//! `tests/route_oracle.rs`).
 
 use fuse_util::DetHashMap;
 

@@ -3,11 +3,12 @@
 //! Routing in the emulated Internet is static (ModelNet precomputes routes
 //! the same way) and **demand-driven**: [`RouteOracle`] runs one
 //! lexicographic shortest-path computation per *attachment* router the
-//! first time a route out of it is asked for, and keeps the resulting row
-//! in a bounded LRU of bit-packed `(latency, hops)` words. The pre-PR-4
-//! eager all-destinations table survives as [`eager::RouteTable`] and is
-//! held bit-identical to the oracle by equivalence tests over random
-//! topologies (`tests/route_oracle.rs`).
+//! first time a route touching it cannot be answered from the other end,
+//! and keeps the result — one bit-packed `(latency, hops)` word per
+//! attachment router — as a row in a bounded LRU. The pre-PR-4 eager
+//! all-destinations table survives as [`eager::RouteTable`] and is held
+//! bit-identical to the oracle by equivalence tests over random topologies
+//! (`tests/route_oracle.rs`).
 //!
 //! Paths minimize **hop count** (ties broken by latency), like the policy
 //! routing of the real Internet — crucially, paths do *not* detour around
@@ -23,6 +24,7 @@ pub use eager::RouteTable;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem::size_of;
 
 use fuse_sim::SimDuration;
 use fuse_util::DetHashMap;
@@ -116,14 +118,14 @@ fn unpack(w: u64) -> (u64, u32) {
 // ---------------------------------------------------------------------------
 // The demand-driven oracle.
 
-/// Sentinel for "no slot" in the intrusive LRU list.
+/// Sentinel for "no slot": in the intrusive LRU list and in `slot_of`.
 const NIL: u32 = u32::MAX;
 
 /// One resident row of the oracle.
 struct Slot {
-    /// Source router this row belongs to.
-    src: RouterId,
-    /// Packed `(latency, hops)` word per destination router.
+    /// Endpoint (position in `Inner::endpoints`) this row was computed from.
+    ep: u32,
+    /// Packed `(latency, hops)` word per endpoint, in `endpoints` order.
     row: Vec<u64>,
     /// Intrusive LRU list: previous (more recently used) slot.
     prev: u32,
@@ -134,30 +136,32 @@ struct Slot {
 /// Counters and occupancy of a [`RouteOracle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OracleStats {
-    /// Queries served from a resident row.
+    /// Queries served from a resident row (either end's).
     pub hits: u64,
-    /// Queries that had to run Dijkstra (first touch or re-entry after
-    /// eviction).
+    /// Queries that had to run Dijkstra (neither end's row resident: first
+    /// touch or re-entry after eviction).
     pub misses: u64,
     /// Rows evicted to stay within the capacity.
     pub evictions: u64,
     /// Rows currently resident.
     pub resident_rows: usize,
-    /// Bytes held by the resident rows and their slot bookkeeping (the
-    /// dominant memory term; excludes the small source-index map).
+    /// Bytes held by the rows, their slots and the endpoint index.
     pub resident_bytes: usize,
 }
 
-/// Demand-driven route oracle: per-source shortest paths computed lazily on
-/// first use, held in a bounded LRU of bit-packed rows.
+/// Demand-driven route oracle over a fixed **endpoint set**: per-endpoint
+/// shortest paths computed lazily, kept as rows of one bit-packed word per
+/// *endpoint* (not per router) in a bounded LRU.
 ///
-/// This is what bounds route memory at Mercator scale (§7.1's ~100k
-/// routers): resident memory is `capacity × n_routers × 8` bytes no matter
-/// how many distinct sources are queried, where the eager
-/// [`eager::RouteTable`] stores `sources × n_routers × 16` bytes up front.
-/// A hit is a hash lookup plus an LRU splice — no allocation; a miss runs
-/// one Dijkstra over the router graph (~milliseconds at 100k routers,
-/// microseconds at the default topology).
+/// Resident memory is `capacity × A × 8` bytes for `A` distinct endpoints,
+/// whatever the router count, where the eager [`eager::RouteTable`] stores
+/// `sources × n_routers × 16` bytes up front. Links are undirected and a
+/// route's `(hops, latency)` are integer sums over a path that reads the
+/// same both ways, so `route(a, b) == route(b, a)` exactly: a query is
+/// served from whichever end's row is resident, and only a pair with
+/// *neither* runs a Dijkstra. A hit is two index lookups plus an LRU
+/// splice — no allocation; a miss is one Dijkstra over the router graph
+/// (~milliseconds at 100k routers, microseconds at the default topology).
 ///
 /// The oracle does not own the topology: callers pass `&Topology` to
 /// [`route`](RouteOracle::route), so one topology can back the network, the
@@ -166,9 +170,8 @@ pub struct OracleStats {
 /// records the first topology's [`Topology::fingerprint`] and panics if a
 /// later query passes a different graph (even one with coincidentally
 /// equal counts), rather than silently serving stale routes. Interior
-/// mutability (a `RefCell`) keeps
-/// the query API `&self`, matching the eager table it replaced; the
-/// simulation is single-threaded by design.
+/// mutability (a `RefCell`) keeps the query API `&self`, matching the eager
+/// table it replaced; the simulation is single-threaded by design.
 ///
 /// Eviction order depends only on the query order, so for a fixed topology
 /// and query sequence the oracle is fully deterministic — including its
@@ -179,8 +182,12 @@ pub struct RouteOracle {
 
 struct Inner {
     cap: usize,
-    /// Source router → slot index.
-    map: DetHashMap<RouterId, u32>,
+    /// The endpoint routers, sorted and distinct: a row's column order.
+    endpoints: Vec<RouterId>,
+    /// Router → its position in `endpoints`; never changed once built.
+    index: DetHashMap<RouterId, u32>,
+    /// Endpoint position → slot of its resident row, or `NIL`.
+    slot_of: Vec<u32>,
     slots: Vec<Slot>,
     /// Most recently used slot.
     head: u32,
@@ -196,14 +203,20 @@ struct Inner {
 }
 
 impl RouteOracle {
-    /// Creates an oracle holding at most `capacity` source rows (clamped to
-    /// at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
+    /// Creates an oracle for routes among `endpoints` (duplicates collapse)
+    /// holding at most `capacity` rows (clamped to at least 1). Every
+    /// router of a topology as an endpoint makes it any-to-any.
+    pub fn new(endpoints: &[RouterId], capacity: usize) -> Self {
+        let mut endpoints = endpoints.to_vec();
+        endpoints.sort_unstable();
+        endpoints.dedup();
+        let index = endpoints.iter().zip(0u32..).map(|(&r, i)| (r, i)).collect();
         RouteOracle {
             inner: RefCell::new(Inner {
-                cap,
-                map: DetHashMap::default(),
+                cap: capacity.max(1),
+                slot_of: vec![NIL; endpoints.len()],
+                endpoints,
+                index,
                 slots: Vec::new(),
                 head: NIL,
                 tail: NIL,
@@ -215,28 +228,27 @@ impl RouteOracle {
         }
     }
 
-    /// Maximum number of resident source rows.
+    /// Maximum number of resident rows.
     pub fn capacity(&self) -> usize {
         self.inner.borrow().cap
     }
 
-    /// Route summary from `src` to `dst`, computing and caching the
-    /// source's row on demand.
+    /// Route summary from `src` to `dst`, served from either end's resident
+    /// row; with neither resident the source's is computed and cached.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is unreachable from `src` (the topology generator
-    /// produces connected graphs), if either id is out of range for
-    /// `topo`, or if `topo` is not the topology this oracle's cached rows
-    /// were computed from (checked via [`Topology::fingerprint`], so even
-    /// a same-sized graph from a different seed is refused rather than
-    /// served stale rows). All three checks apply to same-router queries
-    /// too, even though those never touch the LRU. Unlike the eager table
-    /// there is no "unbuilt source" panic: a missing row — whether never
-    /// queried or evicted from the LRU — is recomputed transparently, at
-    /// the cost of one Dijkstra (whose scratch vectors allocate per miss;
-    /// the compute dominates them by orders of magnitude, and the LRU-hit
-    /// path stays allocation-free).
+    /// produces connected graphs), if either id is out of range for `topo`
+    /// or not one of this oracle's endpoints, or if `topo` is not the
+    /// topology this oracle's cached rows were computed from (checked via
+    /// [`Topology::fingerprint`], so even a same-sized graph from a
+    /// different seed is refused rather than served stale rows). The id
+    /// and topology checks apply to same-router queries too, even though
+    /// those never touch the LRU. Unlike the eager table there is no
+    /// "unbuilt source" panic: a missing row — never queried or evicted —
+    /// is recomputed transparently, at the cost of one Dijkstra (whose
+    /// scratch vectors allocate; the hit path stays allocation-free).
     pub fn route(&self, topo: &Topology, src: RouterId, dst: RouterId) -> RouteInfo {
         assert!(
             (src as usize) < topo.n_routers() && (dst as usize) < topo.n_routers(),
@@ -251,6 +263,7 @@ impl RouteOracle {
                 "RouteOracle queried with a different topology than its cached rows"
             ),
         }
+        let (s, d) = (inner.endpoint(src), inner.endpoint(dst));
         if src == dst {
             // Same attachment router: a LAN hop, not a wide-area route.
             return RouteInfo {
@@ -258,18 +271,27 @@ impl RouteOracle {
                 hops: 0,
             };
         }
-        let slot = match inner.map.get(&src).copied() {
-            Some(i) => {
+        // Routes are symmetric: the destination's row serves as well.
+        let (row_ep, col) = if inner.slot_of[s] == NIL && inner.slot_of[d] != NIL {
+            (d, s)
+        } else {
+            (s, d)
+        };
+        let slot = match inner.slot_of[row_ep] {
+            NIL => {
+                inner.misses += 1;
+                inner.admit(topo, row_ep)
+            }
+            i => {
                 inner.hits += 1;
-                inner.touch(i);
+                if inner.head != i {
+                    inner.unlink(i);
+                    inner.push_front(i);
+                }
                 i
             }
-            None => {
-                inner.misses += 1;
-                inner.admit(topo, src)
-            }
         };
-        let w = inner.slots[slot as usize].row[dst as usize];
+        let w = inner.slots[slot as usize].row[col];
         assert_ne!(w, UNREACHABLE, "destination unreachable");
         let (lat, hops) = unpack(w);
         RouteInfo {
@@ -278,32 +300,38 @@ impl RouteOracle {
         }
     }
 
-    /// Whether a row for `src` is currently resident (test hook; does not
-    /// count as a hit or disturb the LRU order).
-    pub fn row_resident(&self, src: RouterId) -> bool {
-        self.inner.borrow().map.contains_key(&src)
+    /// Whether the row computed from endpoint `router` is currently resident
+    /// (test hook; does not count as a hit or disturb the LRU order).
+    pub fn row_resident(&self, router: RouterId) -> bool {
+        let inner = self.inner.borrow();
+        inner.slot_of[inner.endpoint(router)] != NIL
     }
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> OracleStats {
         let inner = self.inner.borrow();
-        let resident_bytes = inner
-            .slots
-            .iter()
-            .map(|s| s.row.capacity() * std::mem::size_of::<u64>())
-            .sum::<usize>()
-            + inner.slots.capacity() * std::mem::size_of::<Slot>();
+        let rows: usize = inner.slots.iter().map(|s| s.row.capacity()).sum();
         OracleStats {
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
-            resident_rows: inner.map.len(),
-            resident_bytes,
+            resident_rows: inner.slots.len(),
+            resident_bytes: rows * size_of::<u64>()
+                + inner.slots.capacity() * size_of::<Slot>()
+                + inner.endpoints.capacity() * size_of::<RouterId>()
+                + inner.slot_of.capacity() * size_of::<u32>()
+                + inner.index.capacity() * size_of::<(RouterId, u32)>(),
         }
     }
 }
 
 impl Inner {
+    /// Position of `router` in the endpoint set.
+    fn endpoint(&self, router: RouterId) -> usize {
+        let ep = self.index.get(&router);
+        *ep.unwrap_or_else(|| panic!("router {router} is not an endpoint of this oracle")) as usize
+    }
+
     /// Unlinks slot `i` from the LRU list.
     fn unlink(&mut self, i: u32) {
         let (prev, next) = {
@@ -339,22 +367,13 @@ impl Inner {
         }
     }
 
-    /// Marks slot `i` most recently used.
-    fn touch(&mut self, i: u32) {
-        if self.head == i {
-            return;
-        }
-        self.unlink(i);
-        self.push_front(i);
-    }
-
-    /// Builds the row for `src` into a fresh or recycled slot and makes it
-    /// most recently used; returns the slot index.
-    fn admit(&mut self, topo: &Topology, src: RouterId) -> u32 {
+    /// Builds the row of endpoint `ep` into a fresh or recycled slot and
+    /// makes it most recently used; returns the slot index.
+    fn admit(&mut self, topo: &Topology, ep: usize) -> u32 {
         let i = if self.slots.len() < self.cap {
             let i = self.slots.len() as u32;
             self.slots.push(Slot {
-                src,
+                ep: ep as u32,
                 row: Vec::new(),
                 prev: NIL,
                 next: NIL,
@@ -364,16 +383,20 @@ impl Inner {
             // Evict the least recently used row, recycling its allocation.
             let victim = self.tail;
             self.unlink(victim);
-            let old_src = self.slots[victim as usize].src;
-            self.map.remove(&old_src);
+            let old_ep = std::mem::replace(&mut self.slots[victim as usize].ep, ep as u32);
+            self.slot_of[old_ep as usize] = NIL;
             self.evictions += 1;
-            self.slots[victim as usize].src = src;
             victim
         };
+        // One Dijkstra over the whole graph, kept only at the endpoints.
+        let dist = dijkstra(topo, self.endpoints[ep]);
         let row = &mut self.slots[i as usize].row;
         row.clear();
-        row.extend(dijkstra(topo, src).into_iter().map(|(l, h)| pack(l, h)));
-        self.map.insert(src, i);
+        row.extend(self.endpoints.iter().map(|&r| {
+            let (lat, hops) = dist[r as usize];
+            pack(lat, hops)
+        }));
+        self.slot_of[ep] = i;
         self.push_front(i);
         i
     }
@@ -397,6 +420,12 @@ mod tests {
         Topology::generate(&cfg, &mut StdRng::seed_from_u64(11))
     }
 
+    /// An oracle with every router of `topo` as an endpoint.
+    fn any_to_any(topo: &Topology, capacity: usize) -> RouteOracle {
+        let all: Vec<RouterId> = (0..topo.n_routers() as RouterId).collect();
+        RouteOracle::new(&all, capacity)
+    }
+
     #[test]
     fn pack_roundtrips_and_flags_unreachable() {
         for &(lat, hops) in &[(0u64, 0u32), (1, 1), (123_456_789_000, 43), (LAT_MASK, 60)] {
@@ -414,7 +443,7 @@ mod tests {
     #[test]
     fn same_router_is_lan_latency() {
         let topo = small_topo();
-        let oracle = RouteOracle::new(4);
+        let oracle = any_to_any(&topo, 4);
         let r = oracle.route(&topo, 7, 7);
         assert_eq!(r.hops, 0);
         assert_eq!(r.latency, SAME_ROUTER_LATENCY);
@@ -424,17 +453,14 @@ mod tests {
 
     #[test]
     fn routes_are_symmetric_in_latency() {
+        // What serving a query from the destination's row rests on: the
+        // two ends' Dijkstra rows agree on every pair, to the nanosecond.
         let topo = small_topo();
-        let oracle = RouteOracle::new(8);
-        for a in [0u32, 5, 13, 21] {
-            for b in [3u32, 9, 30] {
-                if a == b {
-                    continue;
-                }
-                let f = oracle.route(&topo, a, b);
-                let r = oracle.route(&topo, b, a);
-                assert_eq!(f.latency, r.latency);
-                assert_eq!(f.hops, r.hops);
+        let n = topo.n_routers() as RouterId;
+        let rows: Vec<_> = (0..n).map(|r| dijkstra(&topo, r)).collect();
+        for a in 0..n as usize {
+            for b in 0..n as usize {
+                assert_eq!(rows[a][b], rows[b][a], "{a} <-> {b}");
             }
         }
     }
@@ -442,36 +468,53 @@ mod tests {
     #[test]
     fn hits_and_misses_are_counted() {
         let topo = small_topo();
-        let oracle = RouteOracle::new(4);
+        let oracle = any_to_any(&topo, 4);
         oracle.route(&topo, 0, 1);
         oracle.route(&topo, 0, 2);
-        oracle.route(&topo, 1, 2);
+        oracle.route(&topo, 3, 2);
         let s = oracle.stats();
-        assert_eq!(s.misses, 2, "two distinct sources");
+        assert_eq!(s.misses, 2, "two pairs with neither end resident");
         assert_eq!(s.hits, 1, "second query from source 0");
         assert_eq!(s.resident_rows, 2);
         assert_eq!(s.evictions, 0);
     }
 
     #[test]
+    fn reverse_direction_is_served_from_the_destination_row() {
+        let topo = small_topo();
+        let oracle = any_to_any(&topo, 4);
+        let forward = oracle.route(&topo, 0, 9);
+        assert_eq!(oracle.route(&topo, 9, 0), forward);
+        assert_eq!(oracle.route(&topo, 5, 0), oracle.route(&topo, 0, 5));
+        let s = oracle.stats();
+        assert_eq!((s.misses, s.hits, s.resident_rows), (1, 3, 1));
+        assert!(oracle.row_resident(0) && !oracle.row_resident(9));
+    }
+
+    #[test]
     fn capacity_bounds_resident_rows() {
         let topo = small_topo();
-        let oracle = RouteOracle::new(2);
-        for src in 0..6u32 {
-            oracle.route(&topo, src, (src + 1) % topo.n_routers() as u32);
+        let endpoints: Vec<RouterId> = (0..12).collect();
+        let oracle = RouteOracle::new(&endpoints, 2);
+        // Disjoint pairs, so no query can be served from the other end.
+        for src in (0..12u32).step_by(2) {
+            oracle.route(&topo, src, src + 1);
         }
         let s = oracle.stats();
         assert_eq!(s.resident_rows, 2);
         assert_eq!(s.evictions, 4);
-        let row_bytes = topo.n_routers() * std::mem::size_of::<u64>();
+        let row_bytes = endpoints.len() * size_of::<u64>();
         assert!(
             s.resident_bytes >= 2 * row_bytes,
             "rows must be accounted: {} < {}",
             s.resident_bytes,
             2 * row_bytes
         );
+        // Rows are endpoint-wide, not router-wide; the rest is the slots
+        // and the index (a few words per endpoint).
+        assert!(topo.n_routers() > 3 * endpoints.len());
         assert!(
-            s.resident_bytes <= 2 * row_bytes + 4 * std::mem::size_of::<Slot>(),
+            s.resident_bytes <= 2 * row_bytes + 4 * size_of::<Slot>() + 32 * endpoints.len(),
             "resident bytes unbounded: {}",
             s.resident_bytes
         );
@@ -480,14 +523,22 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_source() {
         let topo = small_topo();
-        let oracle = RouteOracle::new(2);
+        let oracle = any_to_any(&topo, 2);
         oracle.route(&topo, 0, 5); // rows: [0]
-        oracle.route(&topo, 1, 5); // rows: [1, 0]
-        oracle.route(&topo, 0, 6); // touch 0 -> rows: [0, 1]
-        oracle.route(&topo, 2, 5); // evicts 1 -> rows: [2, 0]
+        oracle.route(&topo, 1, 6); // rows: [1, 0]
+        oracle.route(&topo, 7, 0); // reverse hit touches 0 -> rows: [0, 1]
+        oracle.route(&topo, 2, 8); // evicts 1 -> rows: [2, 0]
         assert!(oracle.row_resident(0));
         assert!(!oracle.row_resident(1));
         assert!(oracle.row_resident(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "not an endpoint")]
+    fn non_endpoint_router_is_refused() {
+        let topo = small_topo();
+        let oracle = RouteOracle::new(&[0, 3, 9], 4);
+        oracle.route(&topo, 0, 4);
     }
 
     #[test]
@@ -504,7 +555,7 @@ mod tests {
             },
             &mut StdRng::seed_from_u64(5),
         );
-        let oracle = RouteOracle::new(4);
+        let oracle = RouteOracle::new(&[0, 9], 4);
         oracle.route(&topo_a, 0, 9);
         oracle.route(&topo_b, 0, 9);
     }
@@ -524,7 +575,7 @@ mod tests {
         let topo_a = Topology::generate(&cfg, &mut StdRng::seed_from_u64(1));
         let topo_b = Topology::generate(&cfg, &mut StdRng::seed_from_u64(2));
         assert_eq!(topo_a.n_routers(), topo_b.n_routers());
-        let oracle = RouteOracle::new(4);
+        let oracle = RouteOracle::new(&[0, 9], 4);
         oracle.route(&topo_a, 0, 9);
         oracle.route(&topo_b, 0, 9);
     }
@@ -533,14 +584,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn same_router_query_still_checks_id_range() {
         let topo = small_topo();
-        let oracle = RouteOracle::new(4);
+        let oracle = RouteOracle::new(&[50_000], 4);
         oracle.route(&topo, 50_000, 50_000);
     }
 
     #[test]
     fn zero_capacity_is_clamped() {
         let topo = small_topo();
-        let oracle = RouteOracle::new(0);
+        let oracle = RouteOracle::new(&[0, 9], 0);
         assert_eq!(oracle.capacity(), 1);
         let r = oracle.route(&topo, 0, 9);
         assert!(r.hops >= 1);

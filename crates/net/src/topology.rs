@@ -129,8 +129,7 @@ impl TopologyConfig {
     /// Building the eager all-destinations table here costs ~1.6 MB *per
     /// source* (100k routers × 16 bytes); the demand-driven
     /// [`crate::RouteOracle`] is how this preset is meant to be routed —
-    /// see the `#[ignore]`d Mercator smoke test in `tests/route_oracle.rs`
-    /// and the `route_oracle.mercator` bench section.
+    /// see the `#[ignore]`d Mercator smoke test in `tests/route_oracle.rs`.
     pub fn mercator_scale() -> Self {
         TopologyConfig {
             n_as: 4800,

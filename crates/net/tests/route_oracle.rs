@@ -1,8 +1,9 @@
-//! The PR 4 routing contract: the demand-driven [`RouteOracle`] must be
+//! The routing contract: the demand-driven [`RouteOracle`] must be
 //! observationally identical to the preserved eager [`RouteTable`] — same
-//! `RouteInfo` for every query, in any query order, at any LRU capacity —
-//! and its memory must stay bounded by the capacity, not by the number of
-//! distinct sources.
+//! `RouteInfo` for every query between its endpoints, in any query order,
+//! at any LRU capacity, whichever end's row serves it — and its memory must
+//! stay bounded by capacity × endpoints, not by the number of routers or
+//! of distinct sources.
 //!
 //! The `#[ignore]`d Mercator smoke test builds the paper-scale ~100k-router
 //! preset; CI's test job runs it explicitly (`-- --ignored`) in release
@@ -24,10 +25,19 @@ fn small_cfg(n_as: usize, core: usize, chains: usize) -> TopologyConfig {
     }
 }
 
+/// Whether `oracle` will answer `src -> dst` from the destination's row.
+fn served_in_reverse(oracle: &RouteOracle, src: u32, dst: u32) -> bool {
+    src != dst && !oracle.row_resident(src) && oracle.row_resident(dst)
+}
+
 proptest! {
-    /// Eager-vs-lazy equivalence over random topologies, random query
-    /// orders, and deliberately tiny LRU capacities (so evictions and
-    /// recomputations happen constantly mid-sequence).
+    /// Eager-vs-lazy equivalence over random topologies, random endpoint
+    /// subsets, random query orders, and deliberately tiny LRU capacities
+    /// (so evictions and recomputations happen constantly mid-sequence and
+    /// which end's row answers a query keeps changing). The eager table is
+    /// always read from the query's own source, so every answer the oracle
+    /// takes from the destination's row is checked against the forward
+    /// Dijkstra bit for bit.
     #[test]
     fn oracle_matches_eager_table_for_any_query_order(
         n_as in 2usize..10,
@@ -35,16 +45,21 @@ proptest! {
         chains in 1usize..3,
         seed in any::<u64>(),
         cap in 1usize..5,
+        picks in prop::collection::vec(any::<u32>(), 2..40),
         queries in prop::collection::vec((any::<u32>(), any::<u32>()), 1..200),
     ) {
         let cfg = small_cfg(n_as, core, chains);
         let topo = Topology::generate(&cfg, &mut StdRng::seed_from_u64(seed));
         let n = topo.n_routers() as u32;
-        let all: Vec<u32> = (0..n).collect();
-        let eager = RouteTable::build(&topo, &all);
-        let oracle = RouteOracle::new(cap);
+        // A random subset of the routers, with repeats, in arbitrary order.
+        let endpoints: Vec<u32> = picks.iter().map(|p| p % n).collect();
+        let eager = RouteTable::build(&topo, &endpoints);
+        let oracle = RouteOracle::new(&endpoints, cap);
+        let pick = |i: u32| endpoints[i as usize % endpoints.len()];
+        let mut reverse_served = 0;
         for &(a, b) in &queries {
-            let (src, dst) = (a % n, b % n);
+            let (src, dst) = (pick(a), pick(b));
+            reverse_served += u64::from(served_in_reverse(&oracle, src, dst));
             prop_assert_eq!(
                 oracle.route(&topo, src, dst),
                 eager.route(src, dst),
@@ -54,8 +69,35 @@ proptest! {
         let s = oracle.stats();
         prop_assert!(s.resident_rows <= cap);
         prop_assert_eq!(s.hits + s.misses,
-            queries.iter().filter(|&&(a, b)| a % n != b % n).count() as u64);
+            queries.iter().filter(|&&(a, b)| pick(a) != pick(b)).count() as u64);
+        prop_assert!(s.hits >= reverse_served);
+        let distinct = endpoints.iter().collect::<std::collections::BTreeSet<_>>().len();
+        prop_assert!(
+            s.resident_bytes <= cap * distinct * 8 + 64 * (distinct + cap),
+            "rows must be endpoint-wide: {:?} over {} endpoints", s, distinct
+        );
     }
+}
+
+/// The proptest's tiny capacities do evict mid-sequence and do serve from
+/// the destination's row; pinned here on one fixed case so a change to
+/// either mechanism cannot leave the property vacuous.
+#[test]
+fn small_capacity_over_an_endpoint_subset_evicts_and_serves_in_reverse() {
+    let topo = Topology::generate(&small_cfg(8, 4, 2), &mut StdRng::seed_from_u64(3));
+    let endpoints: Vec<u32> = (0..topo.n_routers() as u32).step_by(5).collect();
+    let eager = RouteTable::build(&topo, &endpoints);
+    let oracle = RouteOracle::new(&endpoints, 2);
+    let mut reverse_served = 0;
+    for round in 0..3 {
+        for (i, &src) in endpoints.iter().enumerate() {
+            let dst = endpoints[(i * 7 + round + 1) % endpoints.len()];
+            reverse_served += u32::from(served_in_reverse(&oracle, src, dst));
+            assert_eq!(oracle.route(&topo, src, dst), eager.route(src, dst));
+        }
+    }
+    assert!(oracle.stats().evictions > 0, "capacity 2 must evict");
+    assert!(reverse_served > 0, "some query must meet only its far end");
 }
 
 /// Evicting a row and recomputing it must give bit-identical routes and
@@ -66,9 +108,10 @@ fn eviction_then_recompute_is_deterministic() {
     let cfg = small_cfg(8, 4, 2);
     let topo = Topology::generate(&cfg, &mut StdRng::seed_from_u64(3));
     let n = topo.n_routers() as u32;
+    let endpoints = [0, 1, 2, 5, n / 2, n - 1];
 
     let run = |topo: &Topology| {
-        let oracle = RouteOracle::new(2);
+        let oracle = RouteOracle::new(&endpoints, 2);
         let mut routes = Vec::new();
         // Sources 0, 1, 2 with cap 2: source 0 is evicted by 2's arrival,
         // then recomputed; interleave repeats so hits and misses mix.
@@ -87,7 +130,7 @@ fn eviction_then_recompute_is_deterministic() {
     assert!(stats_a.evictions > 0, "scenario must actually evict");
 
     // And the recomputed answers match a never-evicting oracle.
-    let big = RouteOracle::new(64);
+    let big = RouteOracle::new(&endpoints, 64);
     let (routes_c, _) = {
         let mut routes = Vec::new();
         for &src in &[0u32, 1, 0, 2, 1, 0, 2, 0] {
@@ -104,7 +147,7 @@ fn eviction_then_recompute_is_deterministic() {
 fn same_router_queries_bypass_the_lru() {
     let cfg = small_cfg(4, 2, 1);
     let topo = Topology::generate(&cfg, &mut StdRng::seed_from_u64(9));
-    let oracle = RouteOracle::new(1);
+    let oracle = RouteOracle::new(&[3], 1);
     let r = oracle.route(&topo, 3, 3);
     assert_eq!(r.hops, 0);
     assert_eq!(r.latency, SAME_ROUTER_LATENCY);
@@ -113,8 +156,9 @@ fn same_router_queries_bypass_the_lru() {
 }
 
 /// Paper-scale smoke test: the Mercator preset actually reaches ~100k
-/// routers, the oracle serves routes over it with memory bounded by the
-/// LRU capacity, and the route shape stays in the published bands.
+/// routers, the oracle serves routes among 500 attachment routers over it
+/// with memory bounded by rows × endpoints (not by the router count), and
+/// the route shape stays in the published bands.
 /// A few seconds in release but far slower in debug (each miss is a
 /// Dijkstra over ~178k links), so `#[ignore]`d here and run explicitly —
 /// in release — by CI's test job.
@@ -135,13 +179,14 @@ fn mercator_scale_smoke() {
     );
 
     let cap = 64usize;
-    let oracle = RouteOracle::new(cap);
     let attach = topo.sample_attachments(500, &mut rng);
+    let oracle = RouteOracle::new(&attach, cap);
     let mut hops = Reservoir::new();
     let mut rtt_ms = Reservoir::new();
     // 48 sources × a spread of destinations: enough distinct sources to
-    // keep memory honest (48 < cap, so also re-query 40 extra sources to
-    // force evictions) and enough samples for stable medians.
+    // keep memory honest (48 < cap, so also query 40 more pairs among the
+    // endpoints those rows never touched as a source, to force evictions)
+    // and enough samples for stable medians.
     for i in 0..48usize {
         for j in (0..attach.len()).step_by(7) {
             if attach[i] == attach[j] {
@@ -153,18 +198,20 @@ fn mercator_scale_smoke() {
         }
     }
     for i in 48..88usize {
-        let r = oracle.route(&topo, attach[i], attach[(i * 13) % attach.len()]);
+        // Both ends beyond the first 48, so neither row is resident.
+        let r = oracle.route(&topo, attach[i], attach[i + 400]);
         hops.add(r.hops as f64);
         rtt_ms.add(2.0 * r.latency.as_millis_f64());
     }
 
     let s = oracle.stats();
     assert!(s.resident_rows <= cap, "LRU cap violated: {s:?}");
-    assert!(s.evictions > 0, "88 sources over cap 64 must evict");
-    let bound = cap * n * std::mem::size_of::<u64>();
+    assert_eq!(s.misses, 88, "one Dijkstra per cold pair: {s:?}");
+    assert!(s.evictions > 0, "88 rows over cap 64 must evict");
+    let bound = cap * attach.len() * std::mem::size_of::<u64>();
     assert!(
         s.resident_bytes <= bound + bound / 4,
-        "resident {} exceeds cap × routers × 8 = {bound} (+25% slack)",
+        "resident {} exceeds rows × endpoints × 8 = {bound} (+25% slack)",
         s.resident_bytes
     );
 

@@ -1,6 +1,7 @@
 //! Steady-state allocation floors: once warm, the single-pass encode of
-//! the common messages, a route-oracle LRU hit and a detector probe round
-//! must not touch the allocator. This binary installs a counting global
+//! the common messages, a route-oracle hit, a network send between
+//! connected processes and a detector probe round must not touch the
+//! allocator. This binary installs a counting global
 //! allocator; counts are per thread, so the tests run in parallel without
 //! seeing each other (or the test harness).
 
@@ -12,8 +13,9 @@ use std::collections::{BinaryHeap, VecDeque};
 use bytes::Bytes;
 use fuse_core::{FuseId, FuseMsg};
 use fuse_liveness::{Detector, LivenessConfig, LivenessCx, LivenessEffect, LivenessTimer};
-use fuse_net::{RouteOracle, Topology, TopologyConfig};
+use fuse_net::{NetConfig, Network, RouteOracle, Topology, TopologyConfig};
 use fuse_overlay::{NodeInfo, NodeName, OverlayMsg};
+use fuse_sim::{Medium, ProcId, SimTime, Verdict};
 use fuse_util::{KeyedTimers, PeerAddr, Time, TimerKey};
 use fuse_wire::{sha1, EncodeBuf};
 use rand::rngs::StdRng;
@@ -100,34 +102,78 @@ fn warm_encode_buf_does_not_allocate() {
     assert_eq!(allocs, 0, "encoding into a warm EncodeBuf allocated");
 }
 
-#[test]
-fn route_oracle_hit_does_not_allocate() {
-    let mut rng = StdRng::seed_from_u64(0xF0D0);
-    let cfg = TopologyConfig {
+/// The small topology the route and network cases run over.
+fn small_topology() -> TopologyConfig {
+    TopologyConfig {
         n_as: 8,
         core_per_as: 2,
         chains_per_as: 1,
         chain_len: (2, 3),
         ..TopologyConfig::default()
-    };
-    let topo = Topology::generate(&cfg, &mut rng);
+    }
+}
+
+#[test]
+fn route_oracle_hit_does_not_allocate() {
+    let mut rng = StdRng::seed_from_u64(0xF0D0);
+    let topo = Topology::generate(&small_topology(), &mut rng);
     let mut routers = topo.sample_attachments(16, &mut rng);
     routers.sort_unstable();
     routers.dedup();
-    let (s0, s1, dst) = (routers[0], routers[1], routers[2]);
-    let oracle = RouteOracle::new(4);
-    oracle.route(&topo, s0, dst);
-    oracle.route(&topo, s1, dst);
+    let (s0, s1, far) = (routers[0], routers[1], routers[2]);
+    let oracle = RouteOracle::new(&routers, 4);
+    oracle.route(&topo, s0, far);
+    oracle.route(&topo, s1, far);
     let misses = oracle.stats().misses;
     let allocs = allocs_during(|| {
         for i in 0..1000 {
-            // Alternate sources so every hit also pays the LRU splice.
-            let src = if i & 1 == 0 { s0 } else { s1 };
+            // Alternate rows so every hit also pays the LRU splice, and
+            // directions so half are served from the destination's row.
+            let near = if i & 1 == 0 { s0 } else { s1 };
+            let (src, dst) = if i & 2 == 0 { (near, far) } else { (far, near) };
             std::hint::black_box(oracle.route(&topo, src, dst));
         }
     });
     assert_eq!(oracle.stats().misses, misses, "the loop must only hit");
-    assert_eq!(allocs, 0, "a route-oracle LRU hit allocated");
+    assert!(
+        !oracle.row_resident(far),
+        "reverse hits must not build a row"
+    );
+    assert_eq!(allocs, 0, "a route-oracle hit allocated");
+}
+
+#[test]
+fn warm_unicast_does_not_allocate() {
+    const PROCS: ProcId = 16;
+    let mut rng = StdRng::seed_from_u64(0xF0D1);
+    let mut net = Network::generate(
+        &small_topology(),
+        PROCS as usize,
+        NetConfig::cluster(),
+        &mut rng,
+    );
+    let mut send = |net: &mut Network, from, to| {
+        let verdict = net.unicast(SimTime::ZERO, &mut rng, from, to, 64, "overlay.ping");
+        assert!(matches!(verdict, Verdict::Deliver { .. }));
+    };
+    // First contact, one direction per pair: opens the connection and
+    // computes whichever route row the pair needs.
+    for a in 0..PROCS {
+        for b in a + 1..PROCS {
+            send(&mut net, a, b);
+        }
+    }
+    let misses = net.route_oracle_stats().misses;
+    let allocs = allocs_during(|| {
+        // 1,000 sends that walk every ordered pair, so both directions.
+        for i in 0..1000 {
+            let from = i % PROCS;
+            let to = (from + 1 + i / PROCS % (PROCS - 1)) % PROCS;
+            send(&mut net, from, to);
+        }
+    });
+    assert_eq!(net.route_oracle_stats().misses, misses);
+    assert_eq!(allocs, 0, "a send between connected processes allocated");
 }
 
 /// Manual-clock host for the sans-io detector: armed timers sit in a heap
