@@ -170,7 +170,7 @@ pub struct FuseStats {
     pub repairs_started: u64,
     /// Repair rounds that failed (group declared dead).
     pub repairs_failed: u64,
-    /// Per-(group, link) liveness timers that expired.
+    /// (group, link) liveness deadlines that expired.
     pub links_expired: u64,
     /// Reconciliations triggered by hash mismatches.
     pub reconciles: u64,
@@ -188,10 +188,21 @@ pub struct FuseStats {
 }
 
 struct Link {
-    /// Per-(group, link) expiry timer — `None` in shared-plane mode, where
-    /// the node-level detector owns liveness for the peer.
-    timer: Option<TimerKey>,
     installed_at: Time,
+    /// When this one link was last installed or agreed by a reconcile.
+    refreshed_at: Time,
+}
+
+/// Liveness expiry of one monitored peer (no record in shared-plane mode,
+/// where the detector owns the peer's liveness). A (group, link)'s deadline
+/// is `max(link.refreshed_at, agreed_at) + link_failure_timeout`.
+struct PeerExpiry {
+    /// When a piggybacked hash from the peer last agreed with ours — the
+    /// refresh of every link to the peer at once (§6.3).
+    agreed_at: Time,
+    /// The peer's one `LinkExpired` timer, armed at or before the earliest
+    /// deadline among its links.
+    timer: TimerKey,
 }
 
 struct RootState {
@@ -248,9 +259,11 @@ pub struct FuseLayer {
     subs: SubscriptionRegistry<FuseId>,
     /// Node-level SWIM-style failure detector. Constructed always, driven
     /// only when `cfg.shared_plane` is set: subscribe/unsubscribe edges add
-    /// and remove probed peers, and its `Dead` verdicts replace per-(group,
-    /// link) `LinkExpired` timers.
+    /// and remove probed peers, and its `Dead` verdicts replace the per-peer
+    /// `LinkExpired` timers.
     detector: Detector,
+    /// Per-peer liveness deadline, one record per subscribed peer.
+    expiry: DetHashMap<PeerAddr, PeerExpiry>,
     /// Cached per-peer piggyback digest: recomputed only when the peer's
     /// subscribed-group set changes, *not* on every `PingHash` arrival.
     hash_cache: DetHashMap<PeerAddr, Digest>,
@@ -284,6 +297,7 @@ impl FuseLayer {
             creating: DetHashMap::default(),
             subs: SubscriptionRegistry::default(),
             detector,
+            expiry: DetHashMap::default(),
             hash_cache: DetHashMap::default(),
             handlers: DetHashMap::default(),
             send_bound: DetHashMap::default(),
@@ -870,9 +884,7 @@ impl FuseLayer {
             OverlayUpcall::LinkDown { peer, .. } => {
                 // Dead or rerouted link: every group monitoring it soft-fails
                 // that branch and repairs.
-                for id in self.subs.subscribers(peer) {
-                    self.local_link_failed(cx, ov, id, peer);
-                }
+                self.peer_links_failed(cx, ov, peer);
             }
             OverlayUpcall::ProbeAcked { peer, nonce, .. } => {
                 if self.cfg.shared_plane {
@@ -1006,11 +1018,11 @@ impl FuseLayer {
     fn on_ping_hash(&mut self, cx: &mut CoreCx<'_>, peer: PeerAddr, hash: Digest) {
         let mine = self.hash_for(peer);
         if mine == hash {
-            // Agreement: refresh every (group, link) timer this hash covers.
-            // (In shared-plane mode links carry no timers and this loop
-            // no-ops; the detector's probe rounds are the refresh.)
-            for id in self.subs.subscribers(peer) {
-                self.reset_link_timer(cx, id, peer);
+            // Agreement: one store refreshes every (group, link) deadline
+            // this hash covers. (In shared-plane mode there is no record;
+            // the detector's probe rounds are the refresh.)
+            if let Some(rec) = self.expiry.get_mut(&peer) {
+                rec.agreed_at = cx.now();
             }
         } else {
             // Disagreement: exchange lists (§6.3).
@@ -1028,25 +1040,20 @@ impl FuseLayer {
         theirs: &[(FuseId, u64)],
     ) {
         let their_ids: DetHashSet<FuseId> = theirs.iter().map(|&(id, _)| id).collect();
-        let mine = self.subs.subscribers(peer);
         let now = cx.now();
-        for id in mine {
+        for id in self.subs.subscribers(peer).to_vec() {
+            let group = self.groups.get_mut(&id);
+            let Some(link) = group.and_then(|g| g.links.get_mut(&peer)) else {
+                continue;
+            };
             if their_ids.contains(&id) {
                 // Agreed link: treat like a refresh.
-                self.reset_link_timer(cx, id, peer);
-            } else {
+                link.refreshed_at = now;
+            } else if now.since(link.installed_at) >= self.cfg.reconcile_grace {
                 // They do not monitor this tree with us. Outside the grace
                 // period (creation race, §6.3) the disagreeing tree is torn
                 // down and repaired.
-                let fresh = self
-                    .groups
-                    .get(&id)
-                    .and_then(|g| g.links.get(&peer))
-                    .map(|l| now.since(l.installed_at) < self.cfg.reconcile_grace)
-                    .unwrap_or(true);
-                if !fresh {
-                    self.local_link_failed(cx, ov, id, peer);
-                }
+                self.local_link_failed(cx, ov, id, peer);
             }
         }
     }
@@ -1056,10 +1063,7 @@ impl FuseLayer {
     /// Handles a FUSE timer.
     pub(crate) fn on_timer(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, tag: FuseTimer) {
         match tag {
-            FuseTimer::LinkExpired { id, peer } => {
-                self.obs.record(Event::LinkExpired);
-                self.local_link_failed(cx, ov, id, peer);
-            }
+            FuseTimer::LinkExpired { peer } => self.on_peer_expiry(cx, ov, peer),
             FuseTimer::CreateTimeout { id } => {
                 self.create_failed(cx, id, CreateError::MemberUnreachable);
             }
@@ -1189,9 +1193,7 @@ impl FuseLayer {
             self.declare_failed(cx, ov, id, NotifyReason::ConnectionBroken);
         }
         // Liveness-tree links to this peer are gone.
-        for id in self.subs.subscribers(peer) {
-            self.local_link_failed(cx, ov, id, peer);
-        }
+        self.peer_links_failed(cx, ov, peer);
     }
 
     // ---- Shared liveness plane --------------------------------------------------
@@ -1255,10 +1257,10 @@ impl FuseLayer {
     }
 
     /// Applies one shared-plane verdict. `Dead` burns exactly the groups
-    /// subscribed to the peer, through the *identical* cascade a per-group
-    /// `LinkExpired` fires (soft-notify the rest of the tree, then member
-    /// repair give-up or root-driven repair) — that is what keeps the
-    /// per-group notification guarantees intact under amortization.
+    /// subscribed to the peer, through the *identical* cascade an expired
+    /// (group, link) deadline fires (soft-notify the rest of the tree, then
+    /// member repair give-up or root-driven repair) — that is what keeps
+    /// the per-group notification guarantees intact under amortization.
     /// `Suspected` burns nothing: refutation may still arrive.
     fn apply_verdict(
         &mut self,
@@ -1272,9 +1274,7 @@ impl FuseLayer {
             Verdict::Refuted => self.obs.record(Event::PeerRefuted),
             Verdict::Dead => {
                 self.obs.record(Event::PeerDead);
-                for id in self.subs.subscribers(peer) {
-                    self.local_link_failed(cx, ov, id, peer);
-                }
+                self.peer_links_failed(cx, ov, peer);
             }
         }
     }
@@ -1293,6 +1293,49 @@ impl FuseLayer {
 
     // ---- Failure machinery ------------------------------------------------------
 
+    /// The peer's `LinkExpired` timer fired. No deadline on the peer comes
+    /// before its last agreement's, so while agreements keep coming the
+    /// timer follows them and no link is looked at. Once the peer has been
+    /// silent for a whole timeout, the links whose deadline has come fail,
+    /// in `FuseId` order, and the timer follows the earliest one left (a
+    /// link installed or reconciled since).
+    fn on_peer_expiry(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, peer: PeerAddr) {
+        let Some(rec) = self.expiry.get_mut(&peer) else {
+            return;
+        };
+        let (now, timeout) = (cx.now(), self.cfg.link_failure_timeout);
+        let mut due = Vec::new();
+        let floor = rec.agreed_at + timeout;
+        let mut next = (floor > now).then_some(floor);
+        if next.is_none() {
+            for &id in self.subs.subscribers(peer) {
+                let link = &self.groups[&id].links[&peer];
+                let deadline = link.refreshed_at.max(rec.agreed_at) + timeout;
+                if deadline <= now {
+                    due.push(id);
+                } else {
+                    next = Some(next.map_or(deadline, |n| n.min(deadline)));
+                }
+            }
+        }
+        // With nothing ahead every link is due, and the last unsubscribe
+        // below drops the record.
+        if let Some(at) = next {
+            rec.timer = cx.set_fuse_timer(at.since(now), FuseTimer::LinkExpired { peer });
+        }
+        for id in due {
+            self.obs.record(Event::LinkExpired);
+            self.local_link_failed(cx, ov, id, peer);
+        }
+    }
+
+    /// Fails every (group, link) monitoring `peer`, in `FuseId` order.
+    fn peer_links_failed(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, peer: PeerAddr) {
+        for id in self.subs.subscribers(peer).to_vec() {
+            self.local_link_failed(cx, ov, id, peer);
+        }
+    }
+
     fn local_link_failed(
         &mut self,
         cx: &mut CoreCx<'_>,
@@ -1303,11 +1346,8 @@ impl FuseLayer {
         let Some(g) = self.groups.get_mut(&id) else {
             return;
         };
-        let Some(link) = g.links.remove(&peer) else {
+        if g.links.remove(&peer).is_none() {
             return;
-        };
-        if let Some(t) = link.timer {
-            cx.cancel_fuse_timer(t);
         }
         let seq = g.seq;
         let others: Vec<PeerAddr> = g.links.keys().copied().collect();
@@ -1508,49 +1548,32 @@ impl FuseLayer {
     fn add_link(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, id: FuseId, peer: PeerAddr) {
         debug_assert_ne!(peer, self.me.proc);
         let now = cx.now();
-        let timeout = self.cfg.link_failure_timeout;
-        let shared = self.cfg.shared_plane;
         let Some(g) = self.groups.get_mut(&id) else {
             return;
         };
         match g.links.get_mut(&peer) {
-            Some(link) => {
-                if let Some(t) = link.timer.take() {
-                    cx.cancel_fuse_timer(t);
-                }
-                link.timer = (!shared)
-                    .then(|| cx.set_fuse_timer(timeout, FuseTimer::LinkExpired { id, peer }));
-            }
+            Some(link) => link.refreshed_at = now,
             None => {
-                let timer = (!shared)
-                    .then(|| cx.set_fuse_timer(timeout, FuseTimer::LinkExpired { id, peer }));
                 g.links.insert(
                     peer,
                     Link {
-                        timer,
                         installed_at: now,
+                        refreshed_at: now,
                     },
                 );
-                let first = self.subs.subscribe(peer, id);
-                if first && shared {
-                    self.drive_detector(cx, ov, |det, lcx| det.add_peer(lcx, peer));
+                if self.subs.subscribe(peer, id) {
+                    // First subscription on the peer: start watching it. A
+                    // later link's deadline can only be later than this one.
+                    if self.cfg.shared_plane {
+                        self.drive_detector(cx, ov, |det, lcx| det.add_peer(lcx, peer));
+                    } else {
+                        let timeout = self.cfg.link_failure_timeout;
+                        let timer = cx.set_fuse_timer(timeout, FuseTimer::LinkExpired { peer });
+                        let agreed_at = now;
+                        self.expiry.insert(peer, PeerExpiry { agreed_at, timer });
+                    }
                 }
                 self.push_hash(ov, peer);
-            }
-        }
-    }
-
-    fn reset_link_timer(&mut self, cx: &mut CoreCx<'_>, id: FuseId, peer: PeerAddr) {
-        let timeout = self.cfg.link_failure_timeout;
-        if let Some(g) = self.groups.get_mut(&id) {
-            if let Some(link) = g.links.get_mut(&peer) {
-                // Shared-plane links carry no timer (`None`): nothing to
-                // refresh, the node-level detector owns the peer's liveness.
-                if let Some(t) = link.timer.take() {
-                    cx.cancel_fuse_timer(t);
-                    link.timer =
-                        Some(cx.set_fuse_timer(timeout, FuseTimer::LinkExpired { id, peer }));
-                }
             }
         }
     }
@@ -1562,27 +1585,23 @@ impl FuseLayer {
         id: FuseId,
         peer: PeerAddr,
     ) {
-        let last = self.subs.unsubscribe(peer, id);
-        if last && self.cfg.shared_plane {
-            self.drive_detector(cx, ov, |det, lcx| det.remove_peer(lcx, peer));
+        if self.subs.unsubscribe(peer, id) {
+            // Last subscription gone: stop watching the peer.
+            if self.cfg.shared_plane {
+                self.drive_detector(cx, ov, |det, lcx| det.remove_peer(lcx, peer));
+            } else if let Some(rec) = self.expiry.remove(&peer) {
+                cx.cancel_fuse_timer(rec.timer);
+            }
         }
         self.push_hash(ov, peer);
     }
 
     fn clear_links(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, id: FuseId) {
-        let peers: Vec<PeerAddr> = self
-            .groups
-            .get(&id)
-            .map(|g| g.links.keys().copied().collect())
-            .unwrap_or_default();
+        let Some(g) = self.groups.get_mut(&id) else {
+            return;
+        };
+        let peers: Vec<PeerAddr> = g.links.drain().map(|(peer, _)| peer).collect();
         for peer in peers {
-            if let Some(g) = self.groups.get_mut(&id) {
-                if let Some(link) = g.links.remove(&peer) {
-                    if let Some(t) = link.timer {
-                        cx.cancel_fuse_timer(t);
-                    }
-                }
-            }
             self.unindex_link(cx, ov, id, peer);
         }
     }
@@ -1642,8 +1661,8 @@ impl FuseLayer {
     fn links_with(&self, peer: PeerAddr) -> Vec<(FuseId, u64)> {
         self.subs
             .subscribers(peer)
-            .into_iter()
-            .filter_map(|id| self.groups.get(&id).map(|g| (id, g.seq)))
+            .iter()
+            .filter_map(|&id| self.groups.get(&id).map(|g| (id, g.seq)))
             .collect()
     }
 

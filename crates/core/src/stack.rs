@@ -233,6 +233,9 @@ pub struct FuseStack {
     ov_effects: VecDeque<OverlayEffect>,
     /// Overlay upcalls awaiting the FUSE layer.
     ov_upcalls: Vec<OverlayUpcall>,
+    /// The batch `drain_upcalls` is replaying; empty between entry points,
+    /// kept for its capacity.
+    ov_batch: Vec<OverlayUpcall>,
     out: VecDeque<Output>,
 }
 
@@ -254,6 +257,7 @@ impl FuseStack {
             app_timers: KeyedTimers::new(NS_APP),
             ov_effects: VecDeque::new(),
             ov_upcalls: Vec::new(),
+            ov_batch: Vec::new(),
             out: VecDeque::new(),
         }
     }
@@ -398,10 +402,12 @@ impl FuseStack {
     /// quiescent (processing one batch may produce another).
     fn drain_upcalls(&mut self, now: Time, rng: &mut StdRng) {
         while !self.ov_upcalls.is_empty() {
-            let batch: Vec<OverlayUpcall> = std::mem::take(&mut self.ov_upcalls);
-            for up in batch {
+            let spare = std::mem::take(&mut self.ov_batch);
+            let mut batch = std::mem::replace(&mut self.ov_upcalls, spare);
+            for up in batch.drain(..) {
                 self.with_core(now, rng, |fuse, ov, cx| fuse.on_overlay_upcall(cx, ov, up));
             }
+            self.ov_batch = batch;
         }
     }
 }

@@ -60,9 +60,10 @@ pub struct FuseConfig {
     /// Root-side wait for repair replies before declaring the group failed
     /// (paper §7.4: the root times out after two minutes).
     pub root_repair_timeout: Duration,
-    /// Per-(group, link) liveness timer: expires when no matching piggyback
-    /// hash refreshes the link. Set above ping period + ping timeout so the
-    /// pinging side's 20 s timeout normally detects failures first.
+    /// Per-(group, link) liveness deadline: the link expires when no
+    /// matching piggyback hash refreshes it for this long. Set above ping
+    /// period + ping timeout so the pinging side's 20 s timeout normally
+    /// detects failures first.
     pub link_failure_timeout: Duration,
     /// Grace period before hash-mismatch reconciliation may tear down a
     /// freshly installed liveness tree (paper §6.3: 5 seconds).
@@ -72,9 +73,9 @@ pub struct FuseConfig {
     /// Cap of the per-group repair backoff (paper §6.5: 40 seconds).
     pub repair_backoff_cap: Duration,
     /// Liveness mode switch: `false` (default) keeps the paper's
-    /// per-(group, link) expiry timers; `true` amortizes liveness into the
-    /// shared node-level failure-detector plane (`fuse_liveness`), where a
-    /// `Dead` verdict on a peer burns exactly the groups subscribed to it.
+    /// per-(group, link) expiry deadlines; `true` amortizes liveness into
+    /// the shared node-level failure-detector plane (`fuse_liveness`), where
+    /// a `Dead` verdict on a peer burns exactly the groups subscribed to it.
     pub shared_plane: bool,
     /// Tuning of the shared failure detector (only read when
     /// `shared_plane` is set).
@@ -492,10 +493,9 @@ impl FuseEvent {
 /// FUSE timer tags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FuseTimer {
-    /// Per-(group, link) liveness expiry.
+    /// Per-peer liveness expiry: the earliest deadline among the (group,
+    /// link)s monitoring `peer` may have come.
     LinkExpired {
-        /// The group.
-        id: FuseId,
         /// The liveness-tree neighbor.
         peer: PeerAddr,
     },

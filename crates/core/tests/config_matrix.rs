@@ -94,7 +94,7 @@ fn every_liveness_duration_rejects_zero_under_shared_plane() {
             "shared-plane mode must validate {name}"
         );
         // The same broken tuning is *accepted* without the shared plane:
-        // the per-group timer mode never reads it.
+        // the per-group deadline mode never reads it.
         let private = FuseConfig::builder().liveness(l).build();
         assert!(
             private.is_ok(),

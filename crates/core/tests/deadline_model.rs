@@ -1,0 +1,457 @@
+//! The per-peer liveness deadline against the per-(group, link) timers it
+//! replaced.
+//!
+//! One root [`FuseStack`] is driven by hand: links are installed by
+//! delivering `InstallChecking` envelopes, refreshed by agreeing pings and
+//! reconcile replies, removed by soft notifications, and time advances
+//! through the stack's own timer commands. Beside it runs a reference map
+//! of one deadline per (group, link), kept the old way — every install,
+//! agreement and reconcile agreement pushes that link's deadline to `now +
+//! link_failure_timeout`. Every expiry the stack reports must happen at
+//! exactly the reference instant: none early, none missing, in `FuseId`
+//! order within a peer.
+
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+
+use fuse_core::{
+    AppCall, FuseConfig, FuseEvent, FuseId, FuseMsg, FuseStack, Input, InstallChecking, Output,
+    StackMsg, NS_FUSE,
+};
+use fuse_overlay::{NodeInfo, NodeName, OverlayConfig, OverlayMsg};
+use fuse_util::{Duration, PeerAddr, Time, TimerKey};
+use fuse_wire::{Digest, Encode, Sha1};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const ME: PeerAddr = 1;
+const PEERS: [PeerAddr; 3] = [10, 11, 12];
+const GROUPS: usize = 5;
+
+fn info(p: PeerAddr) -> NodeInfo {
+    NodeInfo::new(p, NodeName::numbered(p as usize))
+}
+
+/// Repair rounds never time out inside a test, so a group only loses links
+/// the ways the test removes them.
+fn config(shared_plane: bool) -> FuseConfig {
+    FuseConfig::builder()
+        .root_repair_timeout(Duration::from_secs(10_000_000))
+        .shared_plane(shared_plane)
+        .build()
+        .expect("valid config")
+}
+
+/// What one fired timer did to the liveness trees.
+#[derive(Debug)]
+struct Fire {
+    at: Time,
+    /// (peer, group) links gone after the fire, sorted.
+    expired: Vec<(PeerAddr, FuseId)>,
+    /// Group of every `SoftNotification` sent, in emission order.
+    softs: Vec<FuseId>,
+}
+
+/// A root stack with `GROUPS` created groups and a manual clock.
+struct Rig {
+    stack: FuseStack,
+    rng: StdRng,
+    now: Time,
+    /// Armed timers by (deadline, arm order). Cancelled keys stay in the
+    /// heap and resolve to nothing when fed back.
+    timers: BinaryHeap<Reverse<(Time, u64, TimerKey)>>,
+    armed: u64,
+    ids: Vec<FuseId>,
+    timeout: Duration,
+    grace: Duration,
+}
+
+impl Rig {
+    fn new(shared_plane: bool) -> Rig {
+        let cfg = config(shared_plane);
+        let mut rig = Rig {
+            timeout: cfg.link_failure_timeout,
+            grace: cfg.reconcile_grace,
+            stack: FuseStack::new(info(ME), None, OverlayConfig::default(), cfg),
+            rng: StdRng::seed_from_u64(0xDEAD),
+            now: Time::ZERO,
+            timers: BinaryHeap::new(),
+            armed: 0,
+            ids: Vec::new(),
+        };
+        rig.feed(Input::Boot);
+        for _ in 0..GROUPS {
+            let ticket = rig
+                .stack
+                .api(rig.now, &mut rig.rng)
+                .create_group(PEERS.map(info).to_vec());
+            let id = ticket.id();
+            rig.drain();
+            let mut created = false;
+            for p in PEERS {
+                let outs = rig.feed_fuse(p, FuseMsg::GroupCreateReply { id, ok: true });
+                created |= outs.iter().any(|o| {
+                    matches!(
+                        o,
+                        Output::App(AppCall::Event(FuseEvent::Created { result: Ok(_), .. }))
+                    )
+                });
+            }
+            assert!(created, "group {id:?} was not created");
+            rig.ids.push(id);
+        }
+        rig.ids.sort_unstable();
+        rig
+    }
+
+    /// Collects the stack's queued outputs, scheduling its timer requests.
+    fn drain(&mut self) -> Vec<Output> {
+        let mut outs = Vec::new();
+        while let Some(o) = self.stack.poll_output() {
+            if let Output::SetTimer { key, after } = o {
+                self.armed += 1;
+                self.timers
+                    .push(Reverse((self.now + after, self.armed, key)));
+            }
+            outs.push(o);
+        }
+        outs
+    }
+
+    fn feed(&mut self, input: Input) -> Vec<Output> {
+        self.stack.handle(self.now, &mut self.rng, input);
+        self.drain()
+    }
+
+    fn feed_fuse(&mut self, from: PeerAddr, msg: FuseMsg) -> Vec<Output> {
+        let msg = StackMsg::Fuse(msg);
+        self.feed(Input::Message { from, msg })
+    }
+
+    /// Delivers `peer`'s `InstallChecking` branch for `id` at this root: the
+    /// root monitors the link to `peer` from here on.
+    fn install(&mut self, id: FuseId, peer: PeerAddr) -> Vec<Output> {
+        let ic = InstallChecking {
+            id,
+            seq: u64::MAX,
+            member: info(peer),
+            root: info(ME),
+        };
+        let msg = StackMsg::Overlay(OverlayMsg::Routed {
+            src: info(peer),
+            target: NodeName::numbered(ME as usize),
+            ttl: 8,
+            class: 0,
+            payload: ic.to_bytes(),
+            path: Vec::new(),
+        });
+        self.feed(Input::Message { from: peer, msg })
+    }
+
+    /// A ping from `peer` piggybacking `hash`; returns the digest the stack
+    /// answered with.
+    fn ping(&mut self, peer: PeerAddr, hash: Option<Digest>) -> Option<Digest> {
+        let msg = StackMsg::Overlay(OverlayMsg::Ping { nonce: 7, hash });
+        let outs = self.feed(Input::Message { from: peer, msg });
+        outs.iter()
+            .find_map(|o| match o {
+                Output::Send {
+                    msg: StackMsg::Overlay(OverlayMsg::PingAck { hash, .. }),
+                    ..
+                } => Some(*hash),
+                _ => None,
+            })
+            .expect("every ping is acked")
+    }
+
+    fn reconcile_reply(&mut self, peer: PeerAddr, theirs: &[FuseId]) {
+        let links = theirs.iter().map(|&id| (id, 0)).collect();
+        self.feed_fuse(peer, FuseMsg::ReconcileReply { links });
+    }
+
+    /// A soft notification for `id` from `peer`: the root drops the whole
+    /// damaged tree.
+    fn soft(&mut self, id: FuseId, peer: PeerAddr) -> Vec<Output> {
+        self.feed_fuse(peer, FuseMsg::SoftNotification { id, seq: u64::MAX })
+    }
+
+    /// Every (peer, group) link the stack monitors right now.
+    fn links(&self) -> BTreeSet<(PeerAddr, FuseId)> {
+        let fuse = &self.stack.fuse;
+        let of = |&id: &FuseId| fuse.tree_links(id).into_iter().map(move |p| (p, id));
+        self.ids.iter().flat_map(of).collect()
+    }
+
+    /// Fires every timer due by `until`, in deadline order, and reports the
+    /// fires that expired a link.
+    fn run_until(&mut self, until: Time) -> Vec<Fire> {
+        let mut fires = Vec::new();
+        while let Some(&Reverse((at, _, key))) = self.timers.peek() {
+            if at > until {
+                break;
+            }
+            self.timers.pop();
+            self.now = at;
+            let before = self.links();
+            let expired_before = self.stack.fuse.stats().links_expired;
+            let outs = self.feed(Input::Timer(key));
+            let after = self.links();
+            let expired: Vec<_> = before.difference(&after).copied().collect();
+            assert_eq!(
+                self.stack.fuse.stats().links_expired - expired_before,
+                expired.len() as u64,
+                "a timer removes links only by expiring them"
+            );
+            assert!(after.is_subset(&before), "a timer installs no link");
+            if expired.is_empty() {
+                continue;
+            }
+            let softs = outs.iter().filter_map(|o| match o {
+                Output::Send {
+                    msg: StackMsg::Fuse(FuseMsg::SoftNotification { id, .. }),
+                    ..
+                } => Some(*id),
+                _ => None,
+            });
+            fires.push(Fire {
+                at,
+                expired,
+                softs: softs.collect(),
+            });
+        }
+        self.now = until;
+        fires
+    }
+
+    /// The expiries by `until` as (instant, peer, group), in fire order.
+    fn expiries_until(&mut self, until: Time) -> Vec<(Time, PeerAddr, FuseId)> {
+        expiries(self.run_until(until))
+    }
+}
+
+/// What `fires` expired as (instant, peer, group), in fire order.
+fn expiries(fires: Vec<Fire>) -> Vec<(Time, PeerAddr, FuseId)> {
+    let flat = |f: Fire| f.expired.into_iter().map(move |(p, id)| (f.at, p, id));
+    fires.into_iter().flat_map(flat).collect()
+}
+
+fn secs(s: u64) -> Time {
+    Time::ZERO + Duration::from_secs(s)
+}
+
+fn fuse_timer_sets(outs: &[Output]) -> usize {
+    let is_set = |o: &&Output| matches!(o, Output::SetTimer { key, .. } if key.ns == NS_FUSE);
+    outs.iter().filter(is_set).count()
+}
+
+/// The §6.1 piggyback digest over the groups monitored on one link.
+fn digest_of(ids: impl IntoIterator<Item = FuseId>) -> Option<Digest> {
+    let mut h = Sha1::new();
+    let mut any = false;
+    for id in ids {
+        h.update(&id.0.to_be_bytes());
+        any = true;
+    }
+    any.then(|| h.finalize())
+}
+
+#[test]
+fn a_link_installed_after_the_peer_timer_was_armed_has_its_own_deadline() {
+    let mut rig = Rig::new(false);
+    let (g1, g2, a) = (rig.ids[0], rig.ids[1], PEERS[0]);
+    let t = rig.timeout;
+    assert_eq!(fuse_timer_sets(&rig.install(g1, a)), 1, "first link arms");
+    rig.run_until(secs(5));
+    assert_eq!(fuse_timer_sets(&rig.install(g2, a)), 0, "one timer a peer");
+    assert_eq!(
+        rig.expiries_until(secs(1_000)),
+        [(Time::ZERO + t, a, g1), (secs(5) + t, a, g2)]
+    );
+}
+
+#[test]
+fn last_unsubscribe_cancels_the_peer_timer_and_a_resubscribe_starts_clean() {
+    let mut rig = Rig::new(false);
+    let (g, a) = (rig.ids[0], PEERS[0]);
+    let t = rig.timeout;
+    rig.install(g, a);
+    rig.run_until(secs(10));
+    assert_eq!(rig.ping(a, digest_of([g])), digest_of([g]));
+    rig.run_until(secs(12));
+    let outs = rig.soft(g, a);
+    let cancelled = |o: &Output| matches!(o, Output::CancelTimer { key } if key.ns == NS_FUSE);
+    assert!(outs.iter().any(cancelled), "peer timer must be cancelled");
+    assert!(rig.links().is_empty());
+    // No group monitors the link: the empty hashes agree, and nothing may
+    // remember that.
+    rig.run_until(secs(15));
+    assert_eq!(rig.ping(a, None), None);
+    assert_eq!(rig.run_until(secs(20)).len(), 0);
+    assert_eq!(fuse_timer_sets(&rig.install(g, a)), 1, "armed afresh");
+    assert_eq!(rig.expiries_until(secs(1_000)), [(secs(20) + t, a, g)]);
+}
+
+#[test]
+fn shared_plane_arms_no_fuse_liveness_timer() {
+    let mut rig = Rig::new(true);
+    let a = PEERS[0];
+    for id in rig.ids.clone() {
+        assert_eq!(fuse_timer_sets(&rig.install(id, a)), 0);
+    }
+    assert_eq!(rig.links().len(), GROUPS);
+    rig.ping(a, digest_of(rig.ids.clone()));
+    // Nobody answers the detector's probes: it is the detector's verdict,
+    // not a FUSE timer, that takes the links down.
+    while let Some(Reverse((at, _, key))) = rig.timers.pop() {
+        if at > secs(1_000) {
+            break;
+        }
+        rig.now = at;
+        rig.feed(Input::Timer(key));
+    }
+    let stats = rig.stack.fuse.stats();
+    assert_eq!((stats.links_expired, stats.peer_deaths), (0, 1));
+    assert!(rig.links().is_empty());
+}
+
+#[test]
+fn links_due_at_one_instant_expire_in_fuse_id_order() {
+    let mut rig = Rig::new(false);
+    let (a, b) = (PEERS[0], PEERS[1]);
+    // Installed in scrambled order at different times; one agreement at
+    // 20 s puts every link to `a` on the same deadline. The links to `b`
+    // are younger and carry the soft notifications that show the order.
+    for (k, i) in [3, 0, 4, 1, 2].into_iter().enumerate() {
+        rig.run_until(secs(k as u64));
+        rig.install(rig.ids[i], a);
+    }
+    rig.run_until(secs(20));
+    assert_eq!(
+        rig.ping(a, digest_of(rig.ids.clone())),
+        digest_of(rig.ids.clone())
+    );
+    for i in [2, 4, 0, 3, 1] {
+        rig.install(rig.ids[i], b);
+    }
+    let fires = rig.run_until(secs(20) + rig.timeout);
+    assert_eq!(fires.len(), 2, "{fires:?}");
+    assert_eq!(fires[0].at, secs(20) + rig.timeout);
+    assert_eq!(fires[0].softs, rig.ids, "expiry order is FuseId order");
+    assert_eq!(fires[1].expired.len(), GROUPS, "b's links, same instant");
+}
+
+/// One deadline per (peer, group), kept the way the per-link timers kept it.
+#[derive(Default)]
+struct Model {
+    links: BTreeMap<(PeerAddr, FuseId), RefLink>,
+}
+
+struct RefLink {
+    installed_at: Time,
+    deadline: Time,
+}
+
+impl Model {
+    fn on(&self, peer: PeerAddr) -> Vec<FuseId> {
+        let ids = self.links.keys().filter(|k| k.0 == peer).map(|k| k.1);
+        ids.collect()
+    }
+
+    /// Removes and returns what expires by `until`, as (instant, peer, id).
+    fn expire_until(&mut self, until: Time) -> Vec<(Time, PeerAddr, FuseId)> {
+        let due = |(&(p, id), l): (&(PeerAddr, FuseId), &RefLink)| {
+            (l.deadline <= until).then_some((l.deadline, p, id))
+        };
+        let mut out: Vec<_> = self.links.iter().filter_map(due).collect();
+        for &(_, p, id) in &out {
+            self.links.remove(&(p, id));
+        }
+        out.sort_unstable();
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn every_link_expires_at_exactly_its_reference_deadline(
+        ops in prop::collection::vec((0u8..9, any::<u8>(), any::<u8>(), any::<u16>()), 1..80),
+    ) {
+        let mut rig = Rig::new(false);
+        let mut model = Model::default();
+        let t = rig.timeout;
+        for (kind, x, y, z) in ops {
+            let id = rig.ids[x as usize % GROUPS];
+            let peer = PEERS[y as usize % PEERS.len()];
+            let now = rig.now;
+            match kind {
+                0..=2 => {
+                    rig.install(id, peer);
+                    let fresh = RefLink { installed_at: now, deadline: now + t };
+                    model.links.entry((peer, id)).or_insert(fresh).deadline = now + t;
+                }
+                3 => {
+                    let hash = digest_of(model.on(peer));
+                    prop_assert_eq!(rig.ping(peer, hash), hash, "digests must agree");
+                    for (_, l) in model.links.iter_mut().filter(|(k, _)| k.0 == peer) {
+                        l.deadline = now + t;
+                    }
+                }
+                4 => {
+                    // A stale digest: lists are exchanged, nothing refreshes.
+                    rig.ping(peer, digest_of([FuseId(u64::from(z))]));
+                }
+                5 => {
+                    // The peer agrees on the subset `x` picks (and names a
+                    // group it alone knows); the rest is torn down once out
+                    // of its grace period.
+                    let mine = model.on(peer);
+                    let agreed = |&(i, _): &(usize, &FuseId)| x >> i & 1 == 1;
+                    let mut theirs: Vec<FuseId> =
+                        mine.iter().enumerate().filter(agreed).map(|(_, &id)| id).collect();
+                    theirs.push(FuseId(u64::from(z)));
+                    rig.reconcile_reply(peer, &theirs);
+                    for id in mine {
+                        let l = model.links.get_mut(&(peer, id)).expect("listed");
+                        if theirs.contains(&id) {
+                            l.deadline = now + t;
+                        } else if now.since(l.installed_at) >= rig.grace {
+                            model.links.remove(&(peer, id));
+                        }
+                    }
+                }
+                6 => {
+                    rig.soft(id, peer);
+                    model.links.retain(|k, _| k.1 != id);
+                }
+                _ => {
+                    // Short steps land inside `reconcile_grace`, long ones
+                    // let deadlines come.
+                    let ms = if x & 1 == 0 { u64::from(z) % 6_000 } else { u64::from(z) * 2 };
+                    let until = now + Duration::from_millis(ms);
+                    let fires = rig.run_until(until);
+                    for f in &fires {
+                        prop_assert!(
+                            f.softs.windows(2).all(|w| w[0] <= w[1]),
+                            "expiry out of FuseId order: {:?}", f
+                        );
+                    }
+                    let mut seen = expiries(fires);
+                    seen.sort_unstable();
+                    prop_assert_eq!(seen, model.expire_until(until));
+                }
+            }
+            let expect: BTreeSet<_> = model.links.keys().copied().collect();
+            prop_assert_eq!(rig.links(), expect, "link sets diverged after op {}", kind);
+            prop_assert!(rig.stack.fuse.hash_cache_consistent());
+        }
+        // Nothing left refreshes: every remaining link expires on time.
+        let end = rig.now + t;
+        let mut seen = rig.expiries_until(end);
+        seen.sort_unstable();
+        prop_assert_eq!(seen, model.expire_until(end));
+        prop_assert!(rig.links().is_empty());
+    }
+}

@@ -19,7 +19,7 @@
 //! shapes the run, so no flag is needed to reproduce what `explore` found.
 //!
 //! `--shared-plane` runs every explored script with the shared liveness
-//! plane (DESIGN.md §9) instead of per-(group, link) timers.
+//! plane (DESIGN.md §9) instead of per-(group, link) deadlines.
 //!
 //! `crosscheck` runs each generated script twice — per-group liveness
 //! timers, then the shared plane — and asserts the *burn outcome* (burned
@@ -393,7 +393,7 @@ fn cmd_crosscheck(args: &[String]) -> ExitCode {
 
 /// Whether the script's adversary ever drops a class that carries one
 /// plane's liveness traffic. Dropping `overlay.ping`/`overlay.ack`
-/// starves only the per-group timers; dropping a probe flavor starves
+/// starves only the per-group deadlines; dropping a probe flavor starves
 /// only the shared detector. The planes usually still agree (repair
 /// absorbs the starved plane's false kills), but the divergent traffic
 /// shifts timing enough that a node restarting mid-burn can learn of

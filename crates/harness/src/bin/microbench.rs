@@ -1,7 +1,10 @@
-//! Wall-clock microbenchmarks for the two hot paths no `BENCHMARK.json`
-//! per-layer metric covers: SHA-1 throughput of the three implementations
-//! and the route oracle's hit/miss latency. Prints a table and nothing
-//! else; regressions are judged against `benchmark/`, not here.
+//! Wall-clock microbenchmarks for the hot paths no `BENCHMARK.json`
+//! per-layer metric isolates: SHA-1 throughput of the three
+//! implementations, the route oracle's hit/miss latency and one agreeing
+//! ping through a node stack by the number of groups on the link. Prints a
+//! table and asserts what it measures (hits hit, misses miss, a ping's cost
+//! does not grow with the groups); regressions are judged against
+//! `benchmark/`, not here.
 //!
 //! ```text
 //! cargo run --release -p fuse_harness --bin microbench
@@ -10,8 +13,13 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use fuse_core::{
+    FuseConfig, FuseMsg, FuseStack, Input, InstallChecking, Output, StackMsg, NS_FUSE,
+};
 use fuse_net::{RouteOracle, Topology, TopologyConfig};
-use fuse_wire::{sha1, Digest};
+use fuse_overlay::{NodeInfo, NodeName, OverlayConfig, OverlayMsg};
+use fuse_util::{PeerAddr, Time};
+use fuse_wire::{sha1, Digest, Encode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -127,8 +135,96 @@ fn route_table() {
     );
 }
 
+/// The one neighbour of the stack the ping table times.
+const PEER: PeerAddr = 2;
+
+/// Feeds `msg` from [`PEER`] and hands what the stack queued to `each`.
+fn deliver(stack: &mut FuseStack, rng: &mut StdRng, msg: StackMsg, mut each: impl FnMut(Output)) {
+    stack.handle(Time::ZERO, rng, Input::Message { from: PEER, msg });
+    while let Some(out) = stack.poll_output() {
+        each(out);
+    }
+}
+
+/// Median ns for a root stack to take one agreeing ping (and queue its
+/// ack) with `groups` groups monitored on the pinging link.
+fn agreeing_ping_ns(groups: usize) -> f64 {
+    let info = |p: PeerAddr| NodeInfo::new(p, NodeName::numbered(p as usize));
+    let (ov_cfg, cfg) = (OverlayConfig::default(), FuseConfig::default());
+    let mut stack = FuseStack::new(info(1), None, ov_cfg, cfg);
+    let mut rng = StdRng::seed_from_u64(0xF0D1);
+    stack.handle(Time::ZERO, &mut rng, Input::Boot);
+    for _ in 0..groups {
+        let mut api = stack.api(Time::ZERO, &mut rng);
+        let id = api.create_group(vec![info(PEER)]).id();
+        let reply = StackMsg::Fuse(FuseMsg::GroupCreateReply { id, ok: true });
+        deliver(&mut stack, &mut rng, reply, |_| {});
+        // The member's liveness-tree branch arrives: the root monitors the
+        // link from here on.
+        let (seq, member, root) = (0, info(PEER), info(1));
+        let branch = InstallChecking {
+            id,
+            seq,
+            member,
+            root,
+        };
+        let routed = OverlayMsg::Routed {
+            src: info(PEER),
+            target: NodeName::numbered(1),
+            ttl: 8,
+            class: 0,
+            payload: branch.to_bytes(),
+            path: Vec::new(),
+        };
+        deliver(&mut stack, &mut rng, StackMsg::Overlay(routed), |_| {});
+    }
+    assert_eq!(stack.fuse.subscriptions().subscribers(PEER).len(), groups);
+    // The stack's own digest for the link, read off its first ack.
+    let ping = |hash| StackMsg::Overlay(OverlayMsg::Ping { nonce: 1, hash });
+    let mut hash = None;
+    deliver(&mut stack, &mut rng, ping(None), |out| {
+        if let Output::Send {
+            msg: StackMsg::Overlay(OverlayMsg::PingAck { hash: mine, .. }),
+            ..
+        } = out
+        {
+            hash = mine;
+        }
+    });
+    let reconciles = stack.fuse.stats().reconciles;
+    let mut fuse_timer_cmds = 0u64;
+    let ns = median_ns(1 << 16, || {
+        deliver(&mut stack, &mut rng, ping(hash), |out| {
+            fuse_timer_cmds += u64::from(matches!(
+                out,
+                Output::SetTimer { key, .. } | Output::CancelTimer { key } if key.ns == NS_FUSE
+            ));
+        });
+        fuse_timer_cmds
+    });
+    let disagreed = stack.fuse.stats().reconciles - reconciles;
+    assert_eq!(disagreed, 0, "a timed ping did not agree");
+    assert_eq!(fuse_timer_cmds, 0, "an agreeing ping touched a FUSE timer");
+    ns
+}
+
+/// An agreeing ping is one store whatever the link carries (DESIGN.md §9).
+fn ping_table() {
+    let [bare, few, many] = [0, 8, 64].map(agreeing_ping_ns);
+    println!(
+        "agreeing ping input: {bare:.0} ns with 0 groups on the link   {few:.0} ns with 8   \
+         {many:.0} ns with 64"
+    );
+    assert!(
+        many <= bare * 1.5,
+        "an agreeing ping costs {many:.0} ns under 64 groups, {bare:.0} ns under none"
+    );
+}
+
 fn main() {
     sha1_table();
     println!();
     route_table();
+    println!();
+    ping_table();
 }

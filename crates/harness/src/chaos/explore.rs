@@ -22,7 +22,7 @@ pub struct ExploreParams {
     /// Injected-regression knob forwarded into every run's config.
     pub member_repair_timeout_s: Option<u64>,
     /// Run every script with the shared liveness plane instead of
-    /// per-(group, link) timers. Scripts are generated from the seed
+    /// per-(group, link) deadlines. Scripts are generated from the seed
     /// alone, so the same exploration replays in either mode.
     pub shared_plane: bool,
 }

@@ -33,7 +33,7 @@ pub struct ChaosConfig {
     pub member_repair_timeout_s: Option<u64>,
     /// Run every node with the shared liveness plane (DESIGN.md §9): one
     /// SWIM-style detector per node and per-group verdict subscriptions
-    /// instead of per-(group, link) timers. Both modes must satisfy the
+    /// instead of per-(group, link) deadlines. Both modes must satisfy the
     /// same invariant set; `chaos crosscheck` also asserts burn-set
     /// equivalence script by script.
     pub shared_plane: bool,

@@ -1,0 +1,73 @@
+//! Standing groups are free in the quiet state — in work, not only in
+//! messages (paper §7.5: 337 vs 338 msg/s with and without groups). One
+//! piggybacked hash refreshes every group on a link, and an agreeing hash
+//! is one store: the kernel executes about as many events for a world with
+//! 200 standing groups as for the same world with none, and holds one more
+//! timer per monitored peer — not per group — than it.
+//!
+//! Event counts repeat exactly under the seed, so they are asserted as
+//! counts, not as timings.
+
+use fuse_harness::world::pick_nodes;
+use fuse_harness::{World, WorldParams};
+use fuse_net::NetConfig;
+use fuse_sim::{ProcId, SimDuration};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const NODES: usize = 64;
+
+/// Kernel events executed during, and still pending after, 300 quiet
+/// simulated seconds with `groups` five-member groups standing, and the
+/// number of (node, peer) links some group monitors.
+fn quiet_window(groups: usize) -> (u64, usize, usize) {
+    let mut world = World::build(&WorldParams::new(NODES, 3, NetConfig::cluster()));
+    world.run(SimDuration::from_secs(90));
+    let mut rng = StdRng::seed_from_u64(0x9E7);
+    let tickets: Vec<_> = (0..groups)
+        .map(|_| {
+            let picked = pick_nodes(&mut rng, NODES, 5, &[]);
+            (picked[0], world.start_create(picked[0], &picked[1..]))
+        })
+        .collect();
+    // Creation, tree installation and the hash exchange that follows settle.
+    world.run(SimDuration::from_secs(120));
+    for (root, ticket) in tickets {
+        let app = &world.sim.proc(root).expect("root is up").app;
+        let created = app.created_result(ticket).expect("120 s is enough");
+        created.expect("nothing failed");
+    }
+    let before = world.events_executed();
+    world.run(SimDuration::from_secs(300));
+    let obs = world.obs_aggregates();
+    assert_eq!(obs.notifications, 0, "a quiet group burned");
+    assert_eq!(obs.links_expired, 0);
+    let monitored = (0..NODES as ProcId)
+        .map(|p| world.sim.proc(p).expect("up").fuse.subscriptions())
+        .map(|subs| subs.peer_count());
+    (
+        world.events_executed() - before,
+        world.sim.pending_events(),
+        monitored.sum(),
+    )
+}
+
+#[test]
+fn standing_groups_add_no_kernel_work_to_the_quiet_state() {
+    let (events_bare, pending_bare, monitored_bare) = quiet_window(0);
+    let (events_groups, pending_groups, monitored) = quiet_window(200);
+    assert!(events_bare > 0 && pending_bare > 0);
+    assert_eq!(monitored_bare, 0);
+    assert!(
+        events_groups as f64 <= events_bare as f64 * 1.3,
+        "200 standing groups: {events_groups} events against {events_bare} with none"
+    );
+    // 200 groups over 64 nodes put a group on most overlay links, so the
+    // one timer a monitored peer costs is a visible share of this small
+    // world's queue; what must not appear is a term in the groups.
+    assert!(
+        pending_groups <= pending_bare + monitored,
+        "200 standing groups on {monitored} links: {pending_groups} pending \
+         against {pending_bare} with none"
+    );
+}

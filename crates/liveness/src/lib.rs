@@ -24,7 +24,7 @@
 //! timers and verdict delivery all leave as plain [`LivenessEffect`] data,
 //! so it runs identically under the deterministic simulation kernel and
 //! the `fuse-node` socket driver. `fuse_core` embeds it behind the `shared_plane` config
-//! switch; the original per-group timer path remains the default and the
+//! switch; the original per-group deadline path remains the default and the
 //! two are held equivalent by the chaos explorer's differential checks.
 
 pub mod config;

@@ -8,16 +8,18 @@
 //! exactly the signal the embedding layer needs to start and stop the
 //! detector's probing of that peer.
 
-use std::hash::Hash;
-
-use fuse_util::det::{DetHashMap, DetHashSet};
+use fuse_util::det::DetHashMap;
 use fuse_util::PeerAddr as ProcId;
 
 /// Per-peer subscription table, generic over the consumer key (FUSE
 /// instantiates `K = FuseId`).
 #[derive(Debug, Clone)]
 pub struct SubscriptionRegistry<K> {
-    by_peer: DetHashMap<ProcId, DetHashSet<K>>,
+    /// Each peer's keys, kept sorted: [`subscribers`] hands the slice out
+    /// as is.
+    ///
+    /// [`subscribers`]: SubscriptionRegistry::subscribers
+    by_peer: DetHashMap<ProcId, Vec<K>>,
     subs: usize,
 }
 
@@ -30,7 +32,7 @@ impl<K> Default for SubscriptionRegistry<K> {
     }
 }
 
-impl<K: Copy + Ord + Hash + Eq> SubscriptionRegistry<K> {
+impl<K: Copy + Ord> SubscriptionRegistry<K> {
     /// Creates an empty registry.
     pub fn new() -> Self {
         SubscriptionRegistry::default()
@@ -40,9 +42,10 @@ impl<K: Copy + Ord + Hash + Eq> SubscriptionRegistry<K> {
     /// the peer's *first* subscription (the caller should start probing
     /// it). Re-subscribing is a no-op returning `false`.
     pub fn subscribe(&mut self, peer: ProcId, key: K) -> bool {
-        let set = self.by_peer.entry(peer).or_default();
-        let first = set.is_empty();
-        if set.insert(key) {
+        let keys = self.by_peer.entry(peer).or_default();
+        let first = keys.is_empty();
+        if let Err(at) = keys.binary_search(&key) {
+            keys.insert(at, key);
             self.subs += 1;
         }
         first
@@ -51,13 +54,14 @@ impl<K: Copy + Ord + Hash + Eq> SubscriptionRegistry<K> {
     /// Drops `key`'s subscription on `peer`. Returns `true` when this was
     /// the peer's *last* subscription (the caller should stop probing it).
     pub fn unsubscribe(&mut self, peer: ProcId, key: K) -> bool {
-        let Some(set) = self.by_peer.get_mut(&peer) else {
+        let Some(keys) = self.by_peer.get_mut(&peer) else {
             return false;
         };
-        if set.remove(&key) {
+        if let Ok(at) = keys.binary_search(&key) {
+            keys.remove(at);
             self.subs -= 1;
         }
-        if set.is_empty() {
+        if keys.is_empty() {
             self.by_peer.remove(&peer);
             true
         } else {
@@ -67,19 +71,13 @@ impl<K: Copy + Ord + Hash + Eq> SubscriptionRegistry<K> {
 
     /// The consumers subscribed to `peer`, sorted (callers iterate this to
     /// apply verdicts, and iteration order must be deterministic).
-    pub fn subscribers(&self, peer: ProcId) -> Vec<K> {
-        let mut v: Vec<K> = self
-            .by_peer
-            .get(&peer)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
+    pub fn subscribers(&self, peer: ProcId) -> &[K] {
+        self.by_peer.get(&peer).map_or(&[], Vec::as_slice)
     }
 
     /// Whether `key` is subscribed to `peer`.
     pub fn is_subscribed(&self, peer: ProcId, key: K) -> bool {
-        self.by_peer.get(&peer).is_some_and(|s| s.contains(&key))
+        self.subscribers(peer).binary_search(&key).is_ok()
     }
 
     /// Whether `peer` has at least one subscription.
@@ -135,9 +133,9 @@ mod tests {
             r.subscribe(7, k);
         }
         r.subscribe(8, 400);
-        assert_eq!(r.subscribers(7), vec![100, 200, 300]);
-        assert_eq!(r.subscribers(8), vec![400]);
-        assert_eq!(r.subscribers(9), Vec::<u64>::new());
+        assert_eq!(r.subscribers(7), [100, 200, 300]);
+        assert_eq!(r.subscribers(8), [400]);
+        assert_eq!(r.subscribers(9), [0u64; 0]);
         assert_eq!(r.peers(), vec![7, 8]);
         assert!(r.is_subscribed(7, 200));
         assert!(!r.is_subscribed(8, 200));

@@ -1,5 +1,5 @@
 //! Shared liveness plane integration tests: the node-level SWIM-style
-//! detector (`fuse_liveness`) replacing per-(group, link) expiry timers.
+//! detector (`fuse_liveness`) replacing per-(group, link) expiry deadlines.
 //!
 //! These tests pin the subscription semantics end to end: a dead peer burns
 //! exactly the groups subscribed to it (no over- or under-burn), group

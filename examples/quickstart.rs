@@ -65,7 +65,7 @@ fn main() {
     let mut sim = Sim::new(42, net);
     for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
         // `FuseConfig { shared_plane: true, ..Default::default() }` swaps
-        // the per-(group, link) liveness timers for the node-level SWIM
+        // the per-(group, link) liveness deadlines for the node-level SWIM
         // detector plane (DESIGN.md §9); everything below is unchanged.
         let mut stack = NodeStack::new(
             info.clone(),

@@ -1,6 +1,7 @@
 //! Steady-state allocation floors: once warm, the single-pass encode of
 //! the common messages, a route-oracle hit, a network send between
-//! connected processes and a detector probe round must not touch the
+//! connected processes, a detector probe round and the overlay ping
+//! exchange that refreshes standing FUSE groups must not touch the
 //! allocator. This binary installs a counting global
 //! allocator; counts are per thread, so the tests run in parallel without
 //! seeing each other (or the test harness).
@@ -11,12 +12,12 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use bytes::Bytes;
-use fuse_core::{FuseId, FuseMsg};
+use fuse_core::{FuseConfig, FuseId, FuseMsg, FuseStack, Input, Output, NS_FUSE};
 use fuse_liveness::{Detector, LivenessConfig, LivenessCx, LivenessEffect, LivenessTimer};
 use fuse_net::{NetConfig, Network, RouteOracle, Topology, TopologyConfig};
-use fuse_overlay::{NodeInfo, NodeName, OverlayMsg};
+use fuse_overlay::{NodeInfo, NodeName, OverlayConfig, OverlayMsg};
 use fuse_sim::{Medium, ProcId, SimTime, Verdict};
-use fuse_util::{KeyedTimers, PeerAddr, Time, TimerKey};
+use fuse_util::{Duration, KeyedTimers, PeerAddr, Time, TimerKey};
 use fuse_wire::{sha1, EncodeBuf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -261,4 +262,139 @@ fn steady_state_probe_rounds_do_not_allocate() {
     let rounds = host.probes - warm;
     assert!(rounds >= 49 * PEERS, "only {rounds} probe rounds ran");
     assert_eq!(allocs, 0, "{rounds} steady-state probe rounds allocated");
+}
+
+/// Two node stacks wired back to back on a manual clock: messages arrive
+/// at once, timers sit in a heap by deadline (cancelled keys stay and
+/// resolve to nothing when fed back).
+struct Pair {
+    stacks: [FuseStack; 2],
+    rngs: [StdRng; 2],
+    now: Time,
+    timers: BinaryHeap<Reverse<(Time, u64, usize, TimerKey)>>,
+    armed: u64,
+    inbox: VecDeque<(usize, Input)>,
+    /// Timer inputs fed to the FUSE layer.
+    fuse_timer_inputs: u64,
+    /// `NS_FUSE` timer commands any other input produced.
+    fuse_timer_cmds: u64,
+}
+
+impl Pair {
+    /// Stack `i` has overlay address `i + 1`.
+    fn addr(i: usize) -> PeerAddr {
+        i as PeerAddr + 1
+    }
+
+    fn drain(&mut self, i: usize, fuse_timer_input: bool) {
+        while let Some(out) = self.stacks[i].poll_output() {
+            match out {
+                Output::Send { to, msg } => {
+                    let from = Pair::addr(i);
+                    self.inbox
+                        .push_back((to as usize - 1, Input::Message { from, msg }));
+                }
+                Output::SetTimer { key, after } => {
+                    self.armed += 1;
+                    self.timers
+                        .push(Reverse((self.now + after, self.armed, i, key)));
+                    self.fuse_timer_cmds += u64::from(key.ns == NS_FUSE && !fuse_timer_input);
+                }
+                Output::CancelTimer { key } => {
+                    self.fuse_timer_cmds += u64::from(key.ns == NS_FUSE && !fuse_timer_input);
+                }
+                Output::App(_) => {}
+            }
+        }
+    }
+
+    fn feed(&mut self, i: usize, input: Input) {
+        let fuse_timer = matches!(input, Input::Timer(key) if key.ns == NS_FUSE);
+        self.fuse_timer_inputs += u64::from(fuse_timer);
+        self.stacks[i].handle(self.now, &mut self.rngs[i], input);
+        self.drain(i, fuse_timer);
+        self.deliver();
+    }
+
+    /// Delivers queued messages until none is in flight.
+    fn deliver(&mut self) {
+        while let Some((to, input)) = self.inbox.pop_front() {
+            self.stacks[to].handle(self.now, &mut self.rngs[to], input);
+            self.drain(to, false);
+        }
+    }
+
+    fn run_until(&mut self, until: Time) {
+        while let Some(&Reverse((at, _, i, key))) = self.timers.peek() {
+            if at > until {
+                break;
+            }
+            self.timers.pop();
+            self.now = at;
+            self.feed(i, Input::Timer(key));
+        }
+        self.now = until;
+    }
+}
+
+#[test]
+fn agreeing_ping_exchange_does_not_allocate_or_touch_fuse_timers() {
+    const GROUPS: usize = 8;
+    // Maintenance probes build a path per hop; they are not the ping path.
+    let ov_cfg = OverlayConfig {
+        maintenance_period: Duration::from_secs(10_000_000),
+        ..OverlayConfig::default()
+    };
+    let period = ov_cfg.ping_period;
+    let info = |i: usize| NodeInfo::new(Pair::addr(i), NodeName::numbered(i + 1));
+    let stack = |i: usize, bootstrap| {
+        FuseStack::new(info(i), bootstrap, ov_cfg.clone(), FuseConfig::default())
+    };
+    let mut pair = Pair {
+        stacks: [stack(0, None), stack(1, Some(Pair::addr(0)))],
+        rngs: [StdRng::seed_from_u64(0xF05F), StdRng::seed_from_u64(0xF060)],
+        now: Time::ZERO,
+        timers: BinaryHeap::with_capacity(256),
+        armed: 0,
+        inbox: VecDeque::with_capacity(64),
+        fuse_timer_inputs: 0,
+        fuse_timer_cmds: 0,
+    };
+    pair.feed(0, Input::Boot);
+    pair.feed(1, Input::Boot);
+    pair.run_until(Time::ZERO + Duration::from_secs(5));
+    for _ in 0..GROUPS {
+        let now = pair.now;
+        pair.stacks[0]
+            .api(now, &mut pair.rngs[0])
+            .create_group(vec![info(1)]);
+        pair.drain(0, false);
+        pair.deliver();
+    }
+    for (i, other) in [(0, 1), (1, 0)] {
+        let subs = pair.stacks[i].fuse.subscriptions();
+        assert_eq!(subs.subscribers(Pair::addr(other)).len(), GROUPS);
+    }
+    // Warm-up: queues, timer tables and the heap reach their working size.
+    pair.run_until(Time::ZERO + period.saturating_mul(10));
+    let acks = |p: &Pair| {
+        p.stacks
+            .iter()
+            .map(|s| s.overlay.stats.acks_received)
+            .sum::<u64>()
+    };
+    let acks_before = acks(&pair);
+    pair.fuse_timer_inputs = 0;
+    pair.fuse_timer_cmds = 0;
+    let allocs = allocs_during(|| pair.run_until(Time::ZERO + period.saturating_mul(60)));
+    let exchanges = acks(&pair) - acks_before;
+    assert!(exchanges >= 2 * 49, "only {exchanges} pings were acked");
+    assert!(pair.fuse_timer_inputs > 0, "the peer timers never came due");
+    assert_eq!(pair.stacks[0].fuse.stats().links_expired, 0);
+    assert_eq!(pair.stacks[0].fuse.group_count(), GROUPS);
+    assert_eq!(
+        pair.fuse_timer_cmds, 0,
+        "a ping, an ack or an overlay timer armed or cancelled a FUSE timer"
+    );
+    assert_eq!(allocs, 0, "{exchanges} agreeing ping exchanges allocated");
 }
