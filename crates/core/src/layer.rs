@@ -21,20 +21,14 @@
 //! The layer is sans-io: every entry point takes a `CoreCx` — a borrowed
 //! bundle of `now`, the driver RNG, the stack's timer tables and the
 //! [`Output`] queue — and all side effects leave as queued outputs. The
-//! embedded overlay and shared-plane failure detector are driven through
-//! scratch contexts whose effects are translated into the same queue, in
-//! emission order.
+//! embedded overlay is driven through a scratch context whose effects are
+//! translated into the same queue, in emission order.
 
 use std::collections::VecDeque;
 
-use fuse_liveness::{
-    Detector, LivenessCx, LivenessEffect, LivenessTimer, SubscriptionRegistry, Verdict,
-};
 use fuse_obs::{Aggregates, Event, ObsSink, Recorder};
 use fuse_overlay::node::RouteStart;
-use fuse_overlay::{
-    NodeInfo, OverlayCx, OverlayEffect, OverlayMsg, OverlayNode, OverlayTimer, OverlayUpcall,
-};
+use fuse_overlay::{NodeInfo, OverlayCx, OverlayEffect, OverlayNode, OverlayTimer, OverlayUpcall};
 use fuse_util::backoff::Backoff;
 use fuse_util::idgen::IdGen;
 use fuse_util::{DetHashMap, DetHashSet, Duration, KeyedTimers, PeerAddr, Time, TimerKey};
@@ -42,6 +36,7 @@ use fuse_wire::{Decode, Digest, EncodeBuf, Sha1};
 use rand::rngs::StdRng;
 
 use crate::messages::{FuseMsg, InstallChecking};
+use crate::registry::SubscriptionRegistry;
 use crate::stack::{AppCall, Output, StackMsg};
 use crate::types::{
     CreateError, CreateTicket, FuseConfig, FuseEvent, FuseId, FuseTimer, GroupHandle, Notification,
@@ -59,7 +54,6 @@ pub(crate) struct CoreCx<'a> {
     pub(crate) now: Time,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) fuse_timers: &'a mut KeyedTimers<FuseTimer>,
-    pub(crate) liv_timers: &'a mut KeyedTimers<LivenessTimer>,
     pub(crate) ov_timers: &'a mut KeyedTimers<OverlayTimer>,
     /// Scratch buffer for overlay effects; always drained empty before an
     /// [`ov`](CoreCx::ov) call returns.
@@ -82,14 +76,6 @@ impl CoreCx<'_> {
         self.out.push_back(Output::Send {
             to,
             msg: StackMsg::Fuse(msg),
-        });
-    }
-
-    /// Queues an overlay-plane message to a peer (shared-plane probes).
-    pub(crate) fn send_overlay(&mut self, to: PeerAddr, msg: OverlayMsg) {
-        self.out.push_back(Output::Send {
-            to,
-            msg: StackMsg::Overlay(msg),
         });
     }
 
@@ -177,14 +163,6 @@ pub struct FuseStats {
     /// Piggyback digests recomputed (cache misses: the link's monitored
     /// set changed).
     pub hashes_computed: u64,
-    /// Shared-plane `Suspected` verdicts observed (burn nothing by
-    /// themselves).
-    pub suspects: u64,
-    /// Shared-plane refutations: a suspected peer proved alive in time.
-    pub refutations: u64,
-    /// Shared-plane `Dead` verdicts (each burns exactly the subscribed
-    /// groups).
-    pub peer_deaths: u64,
 }
 
 struct Link {
@@ -193,9 +171,8 @@ struct Link {
     refreshed_at: Time,
 }
 
-/// Liveness expiry of one monitored peer (no record in shared-plane mode,
-/// where the detector owns the peer's liveness). A (group, link)'s deadline
-/// is `max(link.refreshed_at, agreed_at) + link_failure_timeout`.
+/// Liveness expiry of one monitored peer. A (group, link)'s deadline is
+/// `max(link.refreshed_at, agreed_at) + link_failure_timeout`.
 struct PeerExpiry {
     /// When a piggybacked hash from the peer last agreed with ours — the
     /// refresh of every link to the peer at once (§6.3).
@@ -254,14 +231,9 @@ pub struct FuseLayer {
     idgen: IdGen,
     groups: DetHashMap<FuseId, Group>,
     creating: DetHashMap<FuseId, CreateAttempt>,
-    /// Index: which groups monitor each link (drives the piggyback hash and,
-    /// in shared-plane mode, which groups a peer verdict burns).
+    /// Index: which groups monitor each link (drives the piggyback hash and
+    /// the per-peer liveness deadline).
     subs: SubscriptionRegistry<FuseId>,
-    /// Node-level SWIM-style failure detector. Constructed always, driven
-    /// only when `cfg.shared_plane` is set: subscribe/unsubscribe edges add
-    /// and remove probed peers, and its `Dead` verdicts replace the per-peer
-    /// `LinkExpired` timers.
-    detector: Detector,
     /// Per-peer liveness deadline, one record per subscribed peer.
     expiry: DetHashMap<PeerAddr, PeerExpiry>,
     /// Cached per-peer piggyback digest: recomputed only when the peer's
@@ -287,7 +259,6 @@ impl FuseLayer {
     /// Creates the layer for node `me`.
     pub fn new(me: NodeInfo, cfg: FuseConfig) -> Self {
         let tag = u64::from(me.proc);
-        let detector = Detector::new(cfg.liveness.clone());
         let obs = Recorder::with_origin(me.proc);
         FuseLayer {
             cfg,
@@ -296,7 +267,6 @@ impl FuseLayer {
             groups: DetHashMap::default(),
             creating: DetHashMap::default(),
             subs: SubscriptionRegistry::default(),
-            detector,
             expiry: DetHashMap::default(),
             hash_cache: DetHashMap::default(),
             handlers: DetHashMap::default(),
@@ -320,9 +290,6 @@ impl FuseLayer {
             links_expired: a.links_expired,
             reconciles: a.reconciles,
             hashes_computed: a.hashes_computed,
-            suspects: a.suspects,
-            refutations: a.refutations,
-            peer_deaths: a.peer_deaths,
         }
     }
 
@@ -362,6 +329,12 @@ impl FuseLayer {
             role,
             created_at: g.created_at,
         })
+    }
+
+    /// Which groups monitor the link to each peer (visibility for tests and
+    /// the microbench).
+    pub fn subscriptions(&self) -> &SubscriptionRegistry<FuseId> {
+        &self.subs
     }
 
     /// Liveness-tree neighbors currently monitored for `id` (visibility for
@@ -886,11 +859,6 @@ impl FuseLayer {
                 // that branch and repairs.
                 self.peer_links_failed(cx, ov, peer);
             }
-            OverlayUpcall::ProbeAcked { peer, nonce, .. } => {
-                if self.cfg.shared_plane {
-                    self.drive_detector(cx, ov, |det, lcx| det.on_ack(lcx, peer, nonce));
-                }
-            }
             OverlayUpcall::Delivered { src, prev, payload } => {
                 if let Ok(ic) = InstallChecking::from_bytes(&payload) {
                     self.install_delivered(cx, ov, ic, src.proc, prev);
@@ -1019,8 +987,7 @@ impl FuseLayer {
         let mine = self.hash_for(peer);
         if mine == hash {
             // Agreement: one store refreshes every (group, link) deadline
-            // this hash covers. (In shared-plane mode there is no record;
-            // the detector's probe rounds are the refresh.)
+            // this hash covers.
             if let Some(rec) = self.expiry.get_mut(&peer) {
                 rec.agreed_at = cx.now();
             }
@@ -1135,19 +1102,6 @@ impl FuseLayer {
         }
     }
 
-    /// Handles a shared-plane detector timer (a `NS_LIVENESS` key resolved
-    /// by the stack). Ignored when the shared plane is off.
-    pub(crate) fn on_liveness_timer(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        t: LivenessTimer,
-    ) {
-        if self.cfg.shared_plane {
-            self.drive_detector(cx, ov, |det, lcx| det.on_timer(lcx, t));
-        }
-    }
-
     /// Handles a transport-level broken connection (direct messages).
     pub(crate) fn on_link_broken(
         &mut self,
@@ -1194,101 +1148,6 @@ impl FuseLayer {
         }
         // Liveness-tree links to this peer are gone.
         self.peer_links_failed(cx, ov, peer);
-    }
-
-    // ---- Shared liveness plane --------------------------------------------------
-
-    /// Runs one detector entry point through a scratch [`LivenessCx`], then
-    /// translates its effects: probes become overlay messages carrying the
-    /// link's piggyback digest, timer commands pass through, and verdicts
-    /// are applied *after* the drain (the cascade a `Dead` verdict starts
-    /// emits behind the detector's own sends, exactly as before).
-    ///
-    /// The relay pool is the overlay neighbor set (minus this node) — wider
-    /// than the subscribed-peer set on purpose: a node whose groups all
-    /// ride one link still gets relays, so a lossy (or adversarially
-    /// dropped) direct path cannot manufacture a false kill on its own.
-    fn drive_detector(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        f: impl FnOnce(&mut Detector, &mut LivenessCx<'_>),
-    ) {
-        let me = self.me.proc;
-        let neighbors: Vec<PeerAddr> = ov.neighbors().into_iter().filter(|&p| p != me).collect();
-        let mut effects: VecDeque<LivenessEffect> = VecDeque::new();
-        {
-            let mut lcx = LivenessCx::new(cx.now, cx.rng, cx.liv_timers, &neighbors, &mut effects);
-            f(&mut self.detector, &mut lcx);
-        }
-        let mut verdicts = Vec::new();
-        while let Some(eff) = effects.pop_front() {
-            match eff {
-                LivenessEffect::Probe { to, nonce } => {
-                    let hash = self.hash_cache.get(&to).copied();
-                    cx.send_overlay(to, OverlayMsg::Probe { nonce, hash });
-                }
-                LivenessEffect::Indirect {
-                    relay,
-                    target,
-                    nonce,
-                } => {
-                    cx.send_overlay(
-                        relay,
-                        OverlayMsg::IndirectProbe {
-                            origin: me,
-                            target,
-                            nonce,
-                        },
-                    );
-                }
-                LivenessEffect::SetTimer { key, after } => {
-                    cx.out.push_back(Output::SetTimer { key, after });
-                }
-                LivenessEffect::CancelTimer { key } => {
-                    cx.out.push_back(Output::CancelTimer { key });
-                }
-                LivenessEffect::Verdict { peer, verdict } => verdicts.push((peer, verdict)),
-            }
-        }
-        for (peer, v) in verdicts {
-            self.apply_verdict(cx, ov, peer, v);
-        }
-    }
-
-    /// Applies one shared-plane verdict. `Dead` burns exactly the groups
-    /// subscribed to the peer, through the *identical* cascade an expired
-    /// (group, link) deadline fires (soft-notify the rest of the tree, then
-    /// member repair give-up or root-driven repair) — that is what keeps
-    /// the per-group notification guarantees intact under amortization.
-    /// `Suspected` burns nothing: refutation may still arrive.
-    fn apply_verdict(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        peer: PeerAddr,
-        v: Verdict,
-    ) {
-        match v {
-            Verdict::Suspected => self.obs.record(Event::PeerSuspected),
-            Verdict::Refuted => self.obs.record(Event::PeerRefuted),
-            Verdict::Dead => {
-                self.obs.record(Event::PeerDead);
-                self.peer_links_failed(cx, ov, peer);
-            }
-        }
-    }
-
-    /// The embedded shared-plane detector (visibility for tests and the
-    /// liveness bench).
-    pub fn detector(&self) -> &Detector {
-        &self.detector
-    }
-
-    /// The verdict-subscription registry (visibility for tests and the
-    /// liveness bench).
-    pub fn subscriptions(&self) -> &SubscriptionRegistry<FuseId> {
-        &self.subs
     }
 
     // ---- Failure machinery ------------------------------------------------------
@@ -1564,14 +1423,10 @@ impl FuseLayer {
                 if self.subs.subscribe(peer, id) {
                     // First subscription on the peer: start watching it. A
                     // later link's deadline can only be later than this one.
-                    if self.cfg.shared_plane {
-                        self.drive_detector(cx, ov, |det, lcx| det.add_peer(lcx, peer));
-                    } else {
-                        let timeout = self.cfg.link_failure_timeout;
-                        let timer = cx.set_fuse_timer(timeout, FuseTimer::LinkExpired { peer });
-                        let agreed_at = now;
-                        self.expiry.insert(peer, PeerExpiry { agreed_at, timer });
-                    }
+                    let timeout = self.cfg.link_failure_timeout;
+                    let timer = cx.set_fuse_timer(timeout, FuseTimer::LinkExpired { peer });
+                    let agreed_at = now;
+                    self.expiry.insert(peer, PeerExpiry { agreed_at, timer });
                 }
                 self.push_hash(ov, peer);
             }
@@ -1587,11 +1442,11 @@ impl FuseLayer {
     ) {
         if self.subs.unsubscribe(peer, id) {
             // Last subscription gone: stop watching the peer.
-            if self.cfg.shared_plane {
-                self.drive_detector(cx, ov, |det, lcx| det.remove_peer(lcx, peer));
-            } else if let Some(rec) = self.expiry.remove(&peer) {
-                cx.cancel_fuse_timer(rec.timer);
-            }
+            let rec = self
+                .expiry
+                .remove(&peer)
+                .expect("a watched peer has a record");
+            cx.cancel_fuse_timer(rec.timer);
         }
         self.push_hash(ov, peer);
     }
@@ -1636,13 +1491,16 @@ impl FuseLayer {
 
     /// Whether every cached digest equals a fresh recomputation and no
     /// stale entries linger — the invariant behind taking SHA-1 off the
-    /// per-ping path (test hook).
+    /// per-ping path — and every subscribed peer, and only those, has its
+    /// expiry record (test hook).
     pub fn hash_cache_consistent(&self) -> bool {
-        self.subs
-            .peers()
+        let peers = self.subs.peers();
+        peers
             .iter()
             .all(|&p| self.hash_cache.get(&p) == Some(&self.recompute_hash(p)))
             && self.hash_cache.keys().all(|&p| self.subs.has_peer(p))
+            && self.expiry.len() == peers.len()
+            && self.expiry.keys().all(|&p| self.subs.has_peer(p))
     }
 
     fn push_hash(&mut self, ov: &mut OverlayNode, peer: PeerAddr) {

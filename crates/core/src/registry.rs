@@ -1,17 +1,16 @@
-//! Verdict subscriptions: which consumers care about which peer.
+//! Link subscriptions: which groups monitor which peer.
 //!
-//! The registry is the fan-out half of the amortization: the detector
-//! tracks each peer once, and every consumer (a FUSE group, in
-//! `fuse_core`'s instantiation) registered on that peer subscribes to the
-//! single verdict stream. Subscribe/unsubscribe report edge transitions —
-//! first subscription for a peer, last subscription gone — which is
-//! exactly the signal the embedding layer needs to start and stop the
-//! detector's probing of that peer.
+//! Every (group, link) the layer monitors is one subscription of the
+//! group to the peer at the link's far end. The per-peer liveness deadline
+//! and the piggyback digest are both kept per peer, so
+//! subscribe/unsubscribe report edge transitions — first subscription for
+//! a peer, last subscription gone — which is exactly when the layer starts
+//! and stops watching that peer.
 
 use fuse_util::det::DetHashMap;
 use fuse_util::PeerAddr as ProcId;
 
-/// Per-peer subscription table, generic over the consumer key (FUSE
+/// Per-peer subscription table, generic over the consumer key (the layer
 /// instantiates `K = FuseId`).
 #[derive(Debug, Clone)]
 pub struct SubscriptionRegistry<K> {
@@ -38,9 +37,9 @@ impl<K: Copy + Ord> SubscriptionRegistry<K> {
         SubscriptionRegistry::default()
     }
 
-    /// Subscribes `key` to `peer`'s verdicts. Returns `true` when this is
-    /// the peer's *first* subscription (the caller should start probing
-    /// it). Re-subscribing is a no-op returning `false`.
+    /// Subscribes `key` to `peer`. Returns `true` when this is the peer's
+    /// *first* subscription (the caller should start watching it).
+    /// Re-subscribing is a no-op returning `false`.
     pub fn subscribe(&mut self, peer: ProcId, key: K) -> bool {
         let keys = self.by_peer.entry(peer).or_default();
         let first = keys.is_empty();
@@ -52,7 +51,7 @@ impl<K: Copy + Ord> SubscriptionRegistry<K> {
     }
 
     /// Drops `key`'s subscription on `peer`. Returns `true` when this was
-    /// the peer's *last* subscription (the caller should stop probing it).
+    /// the peer's *last* subscription (the caller should stop watching it).
     pub fn unsubscribe(&mut self, peer: ProcId, key: K) -> bool {
         let Some(keys) = self.by_peer.get_mut(&peer) else {
             return false;
@@ -69,8 +68,8 @@ impl<K: Copy + Ord> SubscriptionRegistry<K> {
         }
     }
 
-    /// The consumers subscribed to `peer`, sorted (callers iterate this to
-    /// apply verdicts, and iteration order must be deterministic).
+    /// The consumers subscribed to `peer`, sorted (callers fail links in
+    /// this order, and iteration order must be deterministic).
     pub fn subscribers(&self, peer: ProcId) -> &[K] {
         self.by_peer.get(&peer).map_or(&[], Vec::as_slice)
     }

@@ -50,7 +50,6 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 
-use fuse_liveness::LivenessTimer;
 use fuse_overlay::{
     NodeInfo, OverlayConfig, OverlayCx, OverlayEffect, OverlayMsg, OverlayNode, OverlayTimer,
     OverlayUpcall,
@@ -67,7 +66,8 @@ use crate::types::{CreateTicket, FuseConfig, FuseEvent, FuseId, FuseTimer};
 pub const NS_OVERLAY: u8 = 0;
 /// Timer-key namespace of the FUSE layer's table.
 pub const NS_FUSE: u8 = 1;
-/// Timer-key namespace of the shared-plane failure detector's table.
+/// Reserved timer-key namespace: no table arms keys in it, so a key
+/// carrying it resolves to nothing.
 pub const NS_LIVENESS: u8 = 2;
 /// Timer-key namespace of application timers.
 pub const NS_APP: u8 = 3;
@@ -226,7 +226,6 @@ pub struct FuseStack {
     pub fuse: FuseLayer,
     ov_timers: KeyedTimers<OverlayTimer>,
     fuse_timers: KeyedTimers<FuseTimer>,
-    liv_timers: KeyedTimers<LivenessTimer>,
     app_timers: KeyedTimers<u64>,
     /// Scratch buffer for overlay effects; drained empty inside every
     /// entry point.
@@ -253,7 +252,6 @@ impl FuseStack {
             fuse: FuseLayer::new(me, fuse_cfg),
             ov_timers: KeyedTimers::new(NS_OVERLAY),
             fuse_timers: KeyedTimers::new(NS_FUSE),
-            liv_timers: KeyedTimers::new(NS_LIVENESS),
             app_timers: KeyedTimers::new(NS_APP),
             ov_effects: VecDeque::new(),
             ov_upcalls: Vec::new(),
@@ -300,12 +298,6 @@ impl FuseStack {
                 NS_FUSE => {
                     if let Some(t) = self.fuse_timers.fire(key) {
                         self.with_core(now, rng, |fuse, ov, cx| fuse.on_timer(cx, ov, t));
-                        self.drain_upcalls(now, rng);
-                    }
-                }
-                NS_LIVENESS => {
-                    if let Some(t) = self.liv_timers.fire(key) {
-                        self.with_core(now, rng, |fuse, ov, cx| fuse.on_liveness_timer(cx, ov, t));
                         self.drain_upcalls(now, rng);
                     }
                 }
@@ -389,7 +381,6 @@ impl FuseStack {
             now,
             rng,
             fuse_timers: &mut self.fuse_timers,
-            liv_timers: &mut self.liv_timers,
             ov_timers: &mut self.ov_timers,
             ov_effects: &mut self.ov_effects,
             ov_upcalls: &mut self.ov_upcalls,
@@ -503,7 +494,6 @@ impl FuseApi<'_> {
         let live = match key.ns {
             NS_OVERLAY => self.stack.ov_timers.cancel(key),
             NS_FUSE => self.stack.fuse_timers.cancel(key),
-            NS_LIVENESS => self.stack.liv_timers.cancel(key),
             NS_APP => self.stack.app_timers.cancel(key),
             _ => false,
         };

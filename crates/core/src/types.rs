@@ -2,7 +2,6 @@
 //! client-facing event model (`CreateTicket` / `GroupHandle` /
 //! [`FuseEvent`]).
 
-use fuse_liveness::LivenessConfig;
 use fuse_util::{Duration, PeerAddr, Time};
 use fuse_wire::{Decode, DecodeError, Encode, Reader, Writer};
 
@@ -42,8 +41,7 @@ impl std::fmt::Display for FuseId {
 /// Construct via [`FuseConfig::default`] or, for anything non-default,
 /// through [`FuseConfig::builder`] — the builder is the only supported way
 /// to assemble a custom configuration, and [`FuseConfigBuilder::build`]
-/// validates the timer-period relationships and the shared-plane relay
-/// fan-out before handing the config out. The struct is `#[non_exhaustive]`
+/// validates the timer-period relationships before handing the config out. The struct is `#[non_exhaustive]`
 /// precisely so downstream code cannot bypass that validation with a
 /// struct literal. Field *reads* are unrestricted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,14 +70,6 @@ pub struct FuseConfig {
     pub repair_backoff_base: Duration,
     /// Cap of the per-group repair backoff (paper §6.5: 40 seconds).
     pub repair_backoff_cap: Duration,
-    /// Liveness mode switch: `false` (default) keeps the paper's
-    /// per-(group, link) expiry deadlines; `true` amortizes liveness into
-    /// the shared node-level failure-detector plane (`fuse_liveness`), where
-    /// a `Dead` verdict on a peer burns exactly the groups subscribed to it.
-    pub shared_plane: bool,
-    /// Tuning of the shared failure detector (only read when
-    /// `shared_plane` is set).
-    pub liveness: LivenessConfig,
 }
 
 impl Default for FuseConfig {
@@ -93,8 +83,6 @@ impl Default for FuseConfig {
             reconcile_grace: Duration::from_secs(5),
             repair_backoff_base: Duration::from_secs(1),
             repair_backoff_cap: Duration::from_secs(40),
-            shared_plane: false,
-            liveness: LivenessConfig::default(),
         }
     }
 }
@@ -125,14 +113,6 @@ pub enum ConfigError {
     /// freshly installed tree would stay immune to reconciliation for
     /// longer than the liveness timer that protects it.
     GraceExceedsLinkTimeout,
-    /// Shared-plane mode with `k_indirect == 0`: no indirect relays means
-    /// one lossy direct path can manufacture a false kill on its own.
-    NoIndirectRelays,
-    /// Shared-plane mode with `probe_timeout >= probe_period`: the suspect
-    /// re-probe cadence (one per `probe_timeout`) would be no faster than
-    /// the ordinary round cadence, leaving a recovered peer no extra
-    /// refutation opportunities inside the suspicion window.
-    ProbeTimeoutExceedsPeriod,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -147,12 +127,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::GraceExceedsLinkTimeout => {
                 f.write_str("reconcile_grace must be shorter than link_failure_timeout")
-            }
-            ConfigError::NoIndirectRelays => {
-                f.write_str("shared_plane requires liveness.k_indirect >= 1")
-            }
-            ConfigError::ProbeTimeoutExceedsPeriod => {
-                f.write_str("shared_plane requires liveness.probe_timeout < probe_period")
             }
         }
     }
@@ -217,18 +191,6 @@ impl FuseConfigBuilder {
         self
     }
 
-    /// Switches liveness to the shared node-level detector plane.
-    pub fn shared_plane(mut self, on: bool) -> Self {
-        self.cfg.shared_plane = on;
-        self
-    }
-
-    /// Tuning of the shared failure detector.
-    pub fn liveness(mut self, l: LivenessConfig) -> Self {
-        self.cfg.liveness = l;
-        self
-    }
-
     /// Validates the assembled configuration and returns it.
     pub fn build(self) -> Result<FuseConfig, ConfigError> {
         let c = &self.cfg;
@@ -253,24 +215,6 @@ impl FuseConfigBuilder {
         }
         if c.reconcile_grace >= c.link_failure_timeout {
             return Err(ConfigError::GraceExceedsLinkTimeout);
-        }
-        if c.shared_plane {
-            if c.liveness.k_indirect == 0 {
-                return Err(ConfigError::NoIndirectRelays);
-            }
-            for (d, name) in [
-                (c.liveness.probe_period, "liveness.probe_period"),
-                (c.liveness.probe_timeout, "liveness.probe_timeout"),
-                (c.liveness.indirect_timeout, "liveness.indirect_timeout"),
-                (c.liveness.suspect_timeout, "liveness.suspect_timeout"),
-            ] {
-                if d == Duration::ZERO {
-                    return Err(ConfigError::ZeroDuration(name));
-                }
-            }
-            if c.liveness.probe_timeout >= c.liveness.probe_period {
-                return Err(ConfigError::ProbeTimeoutExceedsPeriod);
-            }
         }
         Ok(self.cfg)
     }
@@ -568,10 +512,6 @@ mod tests {
             c.link_failure_timeout > Duration::from_secs(80),
             "link expiry must exceed ping period + ping timeout"
         );
-        assert!(
-            !c.shared_plane,
-            "the paper's per-group liveness path must stay the default"
-        );
     }
 
     #[test]
@@ -618,41 +558,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_checks_liveness_only_under_shared_plane() {
-        let lax = LivenessConfig {
-            k_indirect: 0,
-            ..LivenessConfig::default()
-        };
-        // Without the shared plane, the detector config is dormant.
-        assert!(FuseConfig::builder().liveness(lax.clone()).build().is_ok());
-        let err = FuseConfig::builder()
-            .shared_plane(true)
-            .liveness(lax)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::NoIndirectRelays);
-
-        let slow_probe = LivenessConfig {
-            probe_timeout: Duration::from_secs(60),
-            ..LivenessConfig::default()
-        };
-        let err = FuseConfig::builder()
-            .shared_plane(true)
-            .liveness(slow_probe)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ProbeTimeoutExceedsPeriod);
-    }
-
-    #[test]
     fn config_errors_display_distinctly() {
-        let errs: [ConfigError; 6] = [
+        let errs: [ConfigError; 4] = [
             ConfigError::ZeroDuration("install_wait"),
             ConfigError::BackoffInverted,
             ConfigError::RepairWindowInverted,
             ConfigError::GraceExceedsLinkTimeout,
-            ConfigError::NoIndirectRelays,
-            ConfigError::ProbeTimeoutExceedsPeriod,
         ];
         let mut msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
         msgs.sort_unstable();

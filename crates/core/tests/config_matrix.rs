@@ -5,7 +5,6 @@
 //! through the builder (validation is a fixpoint, not a one-shot filter).
 
 use fuse_core::{ConfigError, FuseConfig};
-use fuse_liveness::LivenessConfig;
 use fuse_util::Duration;
 use proptest::prelude::*;
 
@@ -13,11 +12,6 @@ const Z: Duration = Duration::ZERO;
 
 fn secs(s: u64) -> Duration {
     Duration::from_secs(s)
-}
-
-/// A valid shared-plane liveness tuning to perturb from.
-fn live_ok() -> LivenessConfig {
-    LivenessConfig::default()
 }
 
 #[test]
@@ -69,36 +63,6 @@ fn every_base_duration_field_rejects_zero() {
             build(),
             Err(ConfigError::ZeroDuration(field)),
             "zeroing {field} must name that field"
-        );
-    }
-}
-
-#[test]
-fn every_liveness_duration_rejects_zero_under_shared_plane() {
-    let fields: [(&dyn Fn(&mut LivenessConfig), &str); 4] = [
-        (&|l| l.probe_period = Z, "liveness.probe_period"),
-        (&|l| l.probe_timeout = Z, "liveness.probe_timeout"),
-        (&|l| l.indirect_timeout = Z, "liveness.indirect_timeout"),
-        (&|l| l.suspect_timeout = Z, "liveness.suspect_timeout"),
-    ];
-    for (zero, name) in fields {
-        let mut l = live_ok();
-        zero(&mut l);
-        let shared = FuseConfig::builder()
-            .shared_plane(true)
-            .liveness(l.clone())
-            .build();
-        assert_eq!(
-            shared,
-            Err(ConfigError::ZeroDuration(name)),
-            "shared-plane mode must validate {name}"
-        );
-        // The same broken tuning is *accepted* without the shared plane:
-        // the per-group deadline mode never reads it.
-        let private = FuseConfig::builder().liveness(l).build();
-        assert!(
-            private.is_ok(),
-            "{name} is dead config off the shared plane"
         );
     }
 }
@@ -157,34 +121,6 @@ fn grace_must_stay_strictly_below_link_timeout() {
 }
 
 #[test]
-fn shared_plane_requires_indirect_relays() {
-    let mut l = live_ok();
-    l.k_indirect = 0;
-    let err = FuseConfig::builder()
-        .shared_plane(true)
-        .liveness(l.clone())
-        .build();
-    assert_eq!(err, Err(ConfigError::NoIndirectRelays));
-    assert!(
-        FuseConfig::builder().liveness(l).build().is_ok(),
-        "k_indirect is unread without the shared plane"
-    );
-}
-
-#[test]
-fn shared_plane_probe_timeout_must_beat_probe_period() {
-    let mut l = live_ok();
-    l.probe_timeout = l.probe_period;
-    let err = FuseConfig::builder().shared_plane(true).liveness(l).build();
-    assert_eq!(err, Err(ConfigError::ProbeTimeoutExceedsPeriod));
-    let mut l = live_ok();
-    l.probe_timeout = secs(61);
-    l.probe_period = secs(60);
-    let err = FuseConfig::builder().shared_plane(true).liveness(l).build();
-    assert_eq!(err, Err(ConfigError::ProbeTimeoutExceedsPeriod));
-}
-
-#[test]
 fn zero_durations_are_reported_before_inversions() {
     // A config that is simultaneously zero-duration AND backoff-inverted
     // AND window-inverted: the zero must win, in field-declaration order.
@@ -211,49 +147,21 @@ fn arb_secs() -> impl Strategy<Value = Duration> {
     (0u64..=200).prop_map(Duration::from_secs)
 }
 
-type BaseDurations = (
-    Duration,
-    Duration,
-    Duration,
-    Duration,
-    Duration,
-    Duration,
-    Duration,
-    Duration,
-);
-
-/// The eight builder durations as one strategy (the vendored proptest
-/// macro caps parameter tuples at arity 10).
-fn arb_base() -> impl Strategy<Value = BaseDurations> {
-    (
-        arb_secs(),
-        arb_secs(),
-        arb_secs(),
-        arb_secs(),
-        arb_secs(),
-        arb_secs(),
-        arb_secs(),
-        arb_secs(),
-    )
-}
-
 proptest! {
     /// Round-trip fixpoint: whenever a random assembly builds, feeding
     /// every field of the result back through the builder builds again
     /// and reproduces the identical config.
     #[test]
     fn accepted_configs_revalidate_identically(
-        base8 in arb_base(),
-        shared in any::<bool>(),
-        probe_period in arb_secs(),
-        probe_timeout in arb_secs(),
-        k_indirect in 0usize..4,
+        create in arb_secs(),
+        install in arb_secs(),
+        member in arb_secs(),
+        root in arb_secs(),
+        link in arb_secs(),
+        grace in arb_secs(),
+        base in arb_secs(),
+        cap in arb_secs(),
     ) {
-        let (create, install, member, root, link, grace, base, cap) = base8;
-        let mut l = live_ok();
-        l.probe_period = probe_period;
-        l.probe_timeout = probe_timeout;
-        l.k_indirect = k_indirect;
         let attempt = FuseConfig::builder()
             .create_timeout(create)
             .install_wait(install)
@@ -263,18 +171,12 @@ proptest! {
             .reconcile_grace(grace)
             .repair_backoff_base(base)
             .repair_backoff_cap(cap)
-            .shared_plane(shared)
-            .liveness(l)
             .build();
         if let Ok(cfg) = attempt {
             // Spot-check the invariants the builder claims to enforce.
             prop_assert!(cfg.repair_backoff_base <= cfg.repair_backoff_cap);
             prop_assert!(cfg.member_repair_timeout <= cfg.root_repair_timeout);
             prop_assert!(cfg.reconcile_grace < cfg.link_failure_timeout);
-            if cfg.shared_plane {
-                prop_assert!(cfg.liveness.k_indirect > 0);
-                prop_assert!(cfg.liveness.probe_timeout < cfg.liveness.probe_period);
-            }
             // Fixpoint: the accepted config re-validates byte-for-byte.
             let again = FuseConfig::builder()
                 .create_timeout(cfg.create_timeout)
@@ -285,8 +187,6 @@ proptest! {
                 .reconcile_grace(cfg.reconcile_grace)
                 .repair_backoff_base(cfg.repair_backoff_base)
                 .repair_backoff_cap(cfg.repair_backoff_cap)
-                .shared_plane(cfg.shared_plane)
-                .liveness(cfg.liveness.clone())
                 .build();
             prop_assert_eq!(again, Ok(cfg));
         }

@@ -35,10 +35,9 @@ fn info(p: PeerAddr) -> NodeInfo {
 
 /// Repair rounds never time out inside a test, so a group only loses links
 /// the ways the test removes them.
-fn config(shared_plane: bool) -> FuseConfig {
+fn config() -> FuseConfig {
     FuseConfig::builder()
         .root_repair_timeout(Duration::from_secs(10_000_000))
-        .shared_plane(shared_plane)
         .build()
         .expect("valid config")
 }
@@ -68,8 +67,8 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(shared_plane: bool) -> Rig {
-        let cfg = config(shared_plane);
+    fn new() -> Rig {
+        let cfg = config();
         let mut rig = Rig {
             timeout: cfg.link_failure_timeout,
             grace: cfg.reconcile_grace,
@@ -258,7 +257,7 @@ fn digest_of(ids: impl IntoIterator<Item = FuseId>) -> Option<Digest> {
 
 #[test]
 fn a_link_installed_after_the_peer_timer_was_armed_has_its_own_deadline() {
-    let mut rig = Rig::new(false);
+    let mut rig = Rig::new();
     let (g1, g2, a) = (rig.ids[0], rig.ids[1], PEERS[0]);
     let t = rig.timeout;
     assert_eq!(fuse_timer_sets(&rig.install(g1, a)), 1, "first link arms");
@@ -272,7 +271,7 @@ fn a_link_installed_after_the_peer_timer_was_armed_has_its_own_deadline() {
 
 #[test]
 fn last_unsubscribe_cancels_the_peer_timer_and_a_resubscribe_starts_clean() {
-    let mut rig = Rig::new(false);
+    let mut rig = Rig::new();
     let (g, a) = (rig.ids[0], PEERS[0]);
     let t = rig.timeout;
     rig.install(g, a);
@@ -293,31 +292,8 @@ fn last_unsubscribe_cancels_the_peer_timer_and_a_resubscribe_starts_clean() {
 }
 
 #[test]
-fn shared_plane_arms_no_fuse_liveness_timer() {
-    let mut rig = Rig::new(true);
-    let a = PEERS[0];
-    for id in rig.ids.clone() {
-        assert_eq!(fuse_timer_sets(&rig.install(id, a)), 0);
-    }
-    assert_eq!(rig.links().len(), GROUPS);
-    rig.ping(a, digest_of(rig.ids.clone()));
-    // Nobody answers the detector's probes: it is the detector's verdict,
-    // not a FUSE timer, that takes the links down.
-    while let Some(Reverse((at, _, key))) = rig.timers.pop() {
-        if at > secs(1_000) {
-            break;
-        }
-        rig.now = at;
-        rig.feed(Input::Timer(key));
-    }
-    let stats = rig.stack.fuse.stats();
-    assert_eq!((stats.links_expired, stats.peer_deaths), (0, 1));
-    assert!(rig.links().is_empty());
-}
-
-#[test]
 fn links_due_at_one_instant_expire_in_fuse_id_order() {
-    let mut rig = Rig::new(false);
+    let mut rig = Rig::new();
     let (a, b) = (PEERS[0], PEERS[1]);
     // Installed in scrambled order at different times; one agreement at
     // 20 s puts every link to `a` on the same deadline. The links to `b`
@@ -379,7 +355,7 @@ proptest! {
     fn every_link_expires_at_exactly_its_reference_deadline(
         ops in prop::collection::vec((0u8..9, any::<u8>(), any::<u8>(), any::<u16>()), 1..80),
     ) {
-        let mut rig = Rig::new(false);
+        let mut rig = Rig::new();
         let mut model = Model::default();
         let t = rig.timeout;
         for (kind, x, y, z) in ops {

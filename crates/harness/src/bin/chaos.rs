@@ -1,10 +1,9 @@
 //! Chaos explorer CLI.
 //!
 //! ```text
-//! chaos explore [--scripts N] [--seed S] [--n NODES] [--group K] [--shared-plane] [--out FILE]
+//! chaos explore [--scripts N] [--seed S] [--n NODES] [--group K] [--out FILE]
 //!               [--slo] [--slo-budget-s SECS]
 //! chaos replay <token>
-//! chaos crosscheck [--scripts N] [--seed S] [--n NODES] [--group K]
 //! ```
 //!
 //! `explore` generates N scripts from the seed, runs each in a fresh
@@ -18,22 +17,6 @@
 //! the report and trace fingerprint. The token carries everything that
 //! shapes the run, so no flag is needed to reproduce what `explore` found.
 //!
-//! `--shared-plane` runs every explored script with the shared liveness
-//! plane (DESIGN.md §9) instead of per-(group, link) deadlines.
-//!
-//! `crosscheck` runs each generated script twice — per-group liveness
-//! timers, then the shared plane — and asserts the *burn outcome* (burned
-//! flag, per-participant notification counts and typed reason classes)
-//! matches, plus that the shared run holds every invariant (`explore`
-//! checks the per-group runs' invariants). Fingerprints are
-//! deliberately not compared across planes: the two modes exchange
-//! different wire traffic. Scripts whose adversary drops a
-//! liveness-carrying class (`overlay.ping`, `overlay.ack`, or a probe
-//! flavor) starve exactly one plane's transport, so the same failure can
-//! surface over different paths (different reason *kind*); that is why
-//! outcomes are compared at reason-*class* granularity (signaled /
-//! create-failed / detected).
-//!
 //! `--slo` folds every clean run's observation-plane aggregates (the
 //! [`fuse_obs`] recorder plane the stacks and the network emit into) into
 //! one `chaos_slo` document printed to stdout, and checks the per-phase
@@ -43,10 +26,7 @@
 
 use std::process::ExitCode;
 
-use fuse_harness::chaos::{
-    explore, parse_token, run_script, ChaosConfig, ChaosOp, ChaosScript, ExploreParams, MsgClass,
-    RunReport,
-};
+use fuse_harness::chaos::{explore, parse_token, run_script, ExploreParams, RunReport};
 use fuse_obs::json::{self, Value};
 use fuse_obs::Aggregates;
 
@@ -54,9 +34,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          chaos explore [--scripts N] [--seed S] [--n NODES] [--group K] \
-         [--shared-plane] [--out FILE] [--slo] [--slo-budget-s SECS]\n  \
-         chaos replay <token>\n  \
-         chaos crosscheck [--scripts N] [--seed S] [--n NODES] [--group K]"
+         [--out FILE] [--slo] [--slo-budget-s SECS]\n  \
+         chaos replay <token>"
     );
     ExitCode::from(2)
 }
@@ -66,7 +45,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("explore") => cmd_explore(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
-        Some("crosscheck") => cmd_crosscheck(&args[1..]),
         _ => usage(),
     }
 }
@@ -90,7 +68,6 @@ fn cmd_explore(args: &[String]) -> ExitCode {
     let mut seed = 1u64;
     let mut n = 24usize;
     let mut group: Option<usize> = None;
-    let mut shared_plane = false;
     let mut out = String::from("CHAOS_REPRO.txt");
     let mut slo = false;
     let mut slo_budget_s = 480u64;
@@ -120,7 +97,6 @@ fn cmd_explore(args: &[String]) -> ExitCode {
                 Some(v) => group = Some(v),
                 None => return usage(),
             },
-            "--shared-plane" => shared_plane = true,
             "--out" => match val("--out") {
                 Some(v) => out = v,
                 None => return usage(),
@@ -137,14 +113,7 @@ fn cmd_explore(args: &[String]) -> ExitCode {
     let mut params = ExploreParams::new(seed, scripts);
     params.n = n;
     params.group_size = group;
-    params.shared_plane = shared_plane;
-    println!(
-        "chaos explore: {} scripts, base seed {}, {}-node worlds{}",
-        scripts,
-        seed,
-        n,
-        if shared_plane { ", shared plane" } else { "" }
-    );
+    println!("chaos explore: {scripts} scripts, base seed {seed}, {n}-node worlds");
     let mut ran = 0usize;
     let mut slo_agg = Aggregates::default();
     match explore(&params, |i, r| {
@@ -193,8 +162,8 @@ fn cmd_explore(args: &[String]) -> ExitCode {
 }
 
 /// Renders the folded aggregates as the `chaos_slo` document section:
-/// per-provoking-phase notification-latency percentiles (seconds), the
-/// transport's byte accounting, and the detector's false-positive rate.
+/// per-provoking-phase notification-latency percentiles (seconds) and the
+/// transport's byte accounting.
 ///
 /// `within_budget` is the headline detection claim: every kill-provoked
 /// notification (latency measured from the crash that provoked it, on
@@ -208,12 +177,6 @@ fn slo_section(agg: &mut Aggregates, scripts: usize, n: usize, budget_s: u64) ->
         (
             "notifications".into(),
             Value::Num(agg.notify_log.len() as f64),
-        ),
-        ("suspects".into(), Value::Num(agg.suspects as f64)),
-        ("refutations".into(), Value::Num(agg.refutations as f64)),
-        (
-            "false_positive_rate".into(),
-            Value::Num(agg.false_positive_rate()),
         ),
         ("bytes_offered".into(), Value::Num(agg.bytes_offered as f64)),
         (
@@ -328,146 +291,6 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     } else {
         println!("replay: {} violation(s)", report.violations.len());
         ExitCode::FAILURE
-    }
-}
-
-fn cmd_crosscheck(args: &[String]) -> ExitCode {
-    let mut scripts = 12usize;
-    let mut seed = 1u64;
-    let mut n = 24usize;
-    let mut group: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| -> Option<String> {
-            let v = it.next().cloned();
-            if v.is_none() {
-                eprintln!("{name} needs a value");
-            }
-            v
-        };
-        match a.as_str() {
-            "--scripts" => match val("--scripts").and_then(|v| v.parse().ok()) {
-                Some(v) => scripts = v,
-                None => return usage(),
-            },
-            "--seed" => match val("--seed").and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return usage(),
-            },
-            "--n" => match val("--n").and_then(|v| v.parse().ok()) {
-                Some(v) => n = v,
-                None => return usage(),
-            },
-            "--group" => match val("--group").and_then(|v| v.parse().ok()) {
-                Some(v) => group = Some(v),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    let mut params = ExploreParams::new(seed, scripts);
-    params.n = n;
-    params.group_size = group;
-    println!(
-        "chaos crosscheck: {scripts} scripts, base seed {seed}, {n}-node worlds, \
-         per-group vs shared plane"
-    );
-    let mut mismatches = 0usize;
-    for i in 0..scripts {
-        let cfg = params.config_for(i);
-        let script = params.script_for(i);
-        let per_group = run_script(&cfg, &script);
-        if !plane_check(&cfg, &script, &per_group, i, scripts) {
-            mismatches += 1;
-        }
-    }
-    if mismatches == 0 {
-        println!("chaos crosscheck: {scripts} scripts agree across liveness planes");
-        ExitCode::SUCCESS
-    } else {
-        println!("chaos crosscheck: {mismatches} mismatch(es)");
-        ExitCode::FAILURE
-    }
-}
-
-/// Whether the script's adversary ever drops a class that carries one
-/// plane's liveness traffic. Dropping `overlay.ping`/`overlay.ack`
-/// starves only the per-group deadlines; dropping a probe flavor starves
-/// only the shared detector. The planes usually still agree (repair
-/// absorbs the starved plane's false kills), but the divergent traffic
-/// shifts timing enough that a node restarting mid-burn can learn of
-/// the failure through a different path — same burn set, different
-/// reason label — which `plane_check` notes on the script's line.
-fn drops_liveness_class(script: &ChaosScript) -> bool {
-    script.phases.iter().any(|p| {
-        matches!(
-            p.op,
-            ChaosOp::AdversaryDrop {
-                class: MsgClass::Ping
-                    | MsgClass::Ack
-                    | MsgClass::ProbeDirect
-                    | MsgClass::ProbeIndirect,
-            }
-        )
-    })
-}
-
-/// Re-runs `script` with the shared liveness plane and asserts the shared
-/// run holds every invariant and that its coarse burn outcome — burned
-/// flag, per-participant notification counts, and typed reason *classes*
-/// — matches the per-group run `per_group`. Classes, not exact reason
-/// kinds: the two planes detect the same failure over different paths (a
-/// per-group liveness timer expires on one, the shared detector's verdict
-/// or a broken repair connection fires on the other), so exact-kind
-/// equality legitimately diverges on roughly one script in ten while the
-/// application-visible outcome is identical. Returns whether the script
-/// passed.
-fn plane_check(
-    cfg: &ChaosConfig,
-    script: &ChaosScript,
-    per_group: &RunReport,
-    i: usize,
-    scripts: usize,
-) -> bool {
-    let mut shared_cfg = cfg.clone();
-    shared_cfg.shared_plane = true;
-    let shared = run_script(&shared_cfg, script);
-    if !shared.violations.is_empty() {
-        println!(
-            "  [{}/{}] PLANE VIOLATION (shared-plane run breaks invariants)",
-            i + 1,
-            scripts
-        );
-        print_report(&shared);
-        return false;
-    }
-    let starved = drops_liveness_class(script);
-    if per_group.coarse_outcome() == shared.coarse_outcome() {
-        println!(
-            "  [{}/{}] plane: burn outcome identical (burned={} notified={:?}{})",
-            i + 1,
-            scripts,
-            shared.burned,
-            shared.notified,
-            if starved {
-                ", liveness-class adversary"
-            } else {
-                ""
-            }
-        );
-        true
-    } else {
-        println!(
-            "  [{}/{}] PLANE MISMATCH (per-group vs shared coarse burn outcome)",
-            i + 1,
-            scripts
-        );
-        println!("  -- per-group:");
-        print_report(per_group);
-        println!("  -- shared:");
-        print_report(&shared);
-        false
     }
 }
 

@@ -21,10 +21,6 @@ pub struct ExploreParams {
     pub group_size: Option<usize>,
     /// Injected-regression knob forwarded into every run's config.
     pub member_repair_timeout_s: Option<u64>,
-    /// Run every script with the shared liveness plane instead of
-    /// per-(group, link) deadlines. Scripts are generated from the seed
-    /// alone, so the same exploration replays in either mode.
-    pub shared_plane: bool,
 }
 
 impl ExploreParams {
@@ -36,7 +32,6 @@ impl ExploreParams {
             n: 24,
             group_size: None,
             member_repair_timeout_s: None,
-            shared_plane: false,
         }
     }
 
@@ -45,7 +40,6 @@ impl ExploreParams {
         let gs = self.group_size.unwrap_or(2 + i % 4);
         let mut cfg = ChaosConfig::new(self.base_seed + i as u64, self.n, gs);
         cfg.member_repair_timeout_s = self.member_repair_timeout_s;
-        cfg.shared_plane = self.shared_plane;
         cfg
     }
 

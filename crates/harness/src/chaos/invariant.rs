@@ -45,10 +45,9 @@ pub struct RunContext {
     /// explicit signal) or observed as a notification during the run.
     pub burned: bool,
     /// Whether every scripted op was provably harmless to participant
-    /// connectivity — at most one probe flavor dropped by the adversary,
-    /// adversary clears, and trivial heals; no crash, loss, partition,
-    /// disconnect or signal ever applied. On a benign run any
-    /// notification at all is a false suspicion.
+    /// connectivity — adversary clears and trivial heals only; no crash,
+    /// loss, partition, content drop, disconnect or signal ever applied. On
+    /// a benign run any notification at all is a false suspicion.
     pub benign: bool,
     /// Latest instant a notification may legally arrive (last script phase
     /// plus the detection budget).
@@ -175,12 +174,9 @@ impl Invariant for NoOrphanState {
 /// No false suspicion: while both endpoints of every monitored pair are
 /// alive and mutually connected, no group may burn. The runner marks a
 /// run *benign* only when the script provably never disturbed
-/// connectivity — the interesting case being the §3.5 adversary dropping
-/// exactly one probe flavor (`overlay.probe-direct` or
-/// `overlay.probe-indirect`, never both): the shared plane's other path
-/// must keep confirming liveness, and the per-group plane never used the
-/// probes at all. Any notification on a benign run is a detector (or
-/// liveness-timer) false positive.
+/// connectivity (it only cleared the adversary or healed partitions that
+/// were never installed). Any notification on a benign run is a
+/// liveness-deadline false positive.
 pub struct FalseSuspicion;
 
 impl Invariant for FalseSuspicion {

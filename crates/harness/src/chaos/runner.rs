@@ -6,14 +6,14 @@
 //! two runs of the same pair produce bit-identical reports — the property
 //! replay tokens rely on.
 
-use fuse_core::{FuseConfig, FuseId};
+use fuse_core::FuseId;
 use fuse_net::NetConfig;
-use fuse_obs::{Aggregates, PhaseMark, ReasonClass, ReasonKind};
+use fuse_obs::{Aggregates, PhaseMark, ReasonKind};
 use fuse_sim::{ProcId, SimDuration, SimTime};
 use fuse_util::DetHashSet;
 
 use crate::chaos::invariant::{standard_invariants, RunContext, Violation};
-use crate::chaos::script::{ChaosOp, ChaosScript, MsgClass};
+use crate::chaos::script::{ChaosOp, ChaosScript};
 use crate::world::{World, WorldParams};
 
 /// Parameters of one chaos run. Everything that shapes the trace lives
@@ -31,12 +31,6 @@ pub struct ChaosConfig {
     /// assumes the repair answer will arrive" bug class the acceptance
     /// criteria name; `None` runs the honest protocol.
     pub member_repair_timeout_s: Option<u64>,
-    /// Run every node with the shared liveness plane (DESIGN.md §9): one
-    /// SWIM-style detector per node and per-group verdict subscriptions
-    /// instead of per-(group, link) deadlines. Both modes must satisfy the
-    /// same invariant set; `chaos crosscheck` also asserts burn-set
-    /// equivalence script by script.
-    pub shared_plane: bool,
     /// Budget for every obligated notification, counted from the last
     /// script phase.
     pub detection_budget: SimDuration,
@@ -61,7 +55,6 @@ impl ChaosConfig {
             n,
             group_size,
             member_repair_timeout_s: None,
-            shared_plane: false,
             detection_budget: SimDuration::from_secs(480),
             orphan_grace: SimDuration::from_secs(240),
         }
@@ -72,18 +65,13 @@ impl ChaosConfig {
         // Small test topology (same structure as the wide-area default);
         // matches the integration tests' world.
         p.topo.n_as = 24;
-        let mut fuse = FuseConfig::builder()
-            .shared_plane(self.shared_plane)
-            .build()
-            .expect("chaos FUSE base config is valid");
         // The injected-regression knob is a *deliberately* broken value
         // (members that never give up on repair), which the builder's
-        // validation would rightly refuse — set it after `build()` so
+        // validation would rightly refuse — set it on the built config so
         // fault injection can still manufacture invalid configurations.
         if let Some(s) = self.member_repair_timeout_s {
-            fuse.member_repair_timeout = SimDuration::from_secs(s);
+            p.fuse.member_repair_timeout = SimDuration::from_secs(s);
         }
-        p.fuse = fuse;
         p
     }
 }
@@ -111,10 +99,7 @@ pub struct RunReport {
     /// Per-participant notification counts, in slot order.
     pub notified: Vec<(ProcId, usize)>,
     /// Per-participant notification reasons, typed, in slot and arrival
-    /// order. The plane cross-check compares these (plus [`Self::burned`]
-    /// and [`Self::notified`]) across liveness modes — never the
-    /// fingerprint, which folds timing and event counts that legitimately
-    /// differ between the per-group and shared planes.
+    /// order.
     pub reasons: Vec<(ProcId, Vec<ReasonKind>)>,
     /// Merged observation-plane aggregates: every live node's recorder
     /// plus the network's, with the script's
@@ -123,34 +108,6 @@ pub struct RunReport {
     /// `"sever"`, `"partition"`, `"blackhole"`, `"loss"`, `"adversary"`
     /// or `"spontaneous"`).
     pub obs: Aggregates,
-}
-
-impl RunReport {
-    /// The mode-independent outcome of the run: who burned, who heard how
-    /// many notifications, and for which reasons. Two liveness modes that
-    /// agree on this value produced the same application-visible behavior
-    /// even though their wire traffic (and hence fingerprints) differ.
-    pub fn burn_outcome(&self) -> (bool, &[(ProcId, usize)], &[(ProcId, Vec<ReasonKind>)]) {
-        (self.burned, &self.notified, &self.reasons)
-    }
-
-    /// The burn outcome coarsened to reason *classes* (signaled /
-    /// create-failed / detected). When a script starves one liveness
-    /// plane's transport the two planes can detect the same failure over
-    /// different paths — `LivenessExpired` on one, `ConnectionBroken` on
-    /// the other — so exact reason equality legitimately fails while the
-    /// application-visible outcome (who burned, what *kind* of event they
-    /// heard) is still required to match.
-    pub fn coarse_outcome(&self) -> (bool, Vec<(ProcId, usize)>, Vec<(ProcId, Vec<ReasonClass>)>) {
-        (
-            self.burned,
-            self.notified.clone(),
-            self.reasons
-                .iter()
-                .map(|(p, ks)| (*p, ks.iter().map(|k| k.class()).collect()))
-                .collect(),
-        )
-    }
 }
 
 /// Runtime op: the script desugared onto an absolute-offset timeline
@@ -300,14 +257,10 @@ pub fn run_script_world(cfg: &ChaosConfig, script: &ChaosScript) -> (RunReport, 
     let mut t_last = t0;
     // Benign tracking for the false-suspicion invariant: the run stays
     // benign while every applied op is provably harmless to participant
-    // connectivity — an adversary dropping only ONE probe flavor (the
-    // other path still confirms liveness), clearing the adversary, or
-    // healing partitions that were never installed. Anything else (a
-    // crash, loss, a partition, a non-probe content drop, or both probe
-    // flavors dropped at once) forfeits the benign claim for the whole
-    // run.
+    // connectivity — clearing the adversary, or healing partitions that
+    // were never installed. Anything else (a crash, loss, a partition, a
+    // content drop) forfeits the benign claim for the whole run.
     let mut benign = true;
-    let mut active_drops: DetHashSet<&'static str> = DetHashSet::default();
     // Provoking-phase timeline for latency attribution: every applied
     // fault that can plausibly burn the group is marked with a class
     // label, and a notification's latency is measured from the latest
@@ -317,30 +270,10 @@ pub fn run_script_world(cfg: &ChaosConfig, script: &ChaosScript) -> (RunReport, 
         let when = t0 + at;
         world.sim.run_until(when);
         t_last = t_last.max(when);
-        match op {
-            RtOp::GlobalLoss(rate) => {
-                if rate > 0.0 {
-                    benign = false;
-                }
-            }
-            RtOp::Op(op) => match op {
-                ChaosOp::AdversaryDrop {
-                    class: class @ (MsgClass::ProbeDirect | MsgClass::ProbeIndirect),
-                } => {
-                    active_drops.insert(class.label());
-                    if active_drops.len() == 2 {
-                        // Both probe flavors muted: the shared detector is
-                        // blind and its false kills churn through repair.
-                        // Repair normally absorbs them all, but the claim
-                        // is timing-dependent, not provable — forfeit.
-                        benign = false;
-                    }
-                }
-                ChaosOp::AdversaryClear => active_drops.clear(),
-                ChaosOp::HealPartitions => {}
-                _ => benign = false,
-            },
-        }
+        benign &= match op {
+            RtOp::GlobalLoss(rate) => rate <= 0.0,
+            RtOp::Op(op) => matches!(op, ChaosOp::AdversaryClear | ChaosOp::HealPartitions),
+        };
         let slo_class = match op {
             RtOp::GlobalLoss(rate) if rate > 0.0 => Some("loss"),
             RtOp::GlobalLoss(_) => None,

@@ -38,20 +38,11 @@ pub enum MsgClass {
     Reconcile,
     /// Opaque application payloads (`app`).
     App,
-    /// Shared-plane direct probes and their acks
-    /// (`overlay.probe-direct`). Dropping only this class leaves the
-    /// indirect relay path intact, so the detector must not declare
-    /// anyone dead.
-    ProbeDirect,
-    /// Shared-plane indirect probe relays and relayed acks
-    /// (`overlay.probe-indirect`). Dropping only this class leaves the
-    /// direct path intact.
-    ProbeIndirect,
 }
 
 impl MsgClass {
     /// Every class, in a fixed order (generation samples from this).
-    pub const ALL: [MsgClass; 11] = [
+    pub const ALL: [MsgClass; 9] = [
         MsgClass::Ping,
         MsgClass::Ack,
         MsgClass::InstallChecking,
@@ -61,8 +52,6 @@ impl MsgClass {
         MsgClass::Repair,
         MsgClass::Reconcile,
         MsgClass::App,
-        MsgClass::ProbeDirect,
-        MsgClass::ProbeIndirect,
     ];
 
     /// The `Payload::class` label this variant drops.
@@ -77,8 +66,6 @@ impl MsgClass {
             MsgClass::Repair => "fuse.repair",
             MsgClass::Reconcile => "fuse.reconcile",
             MsgClass::App => "app",
-            MsgClass::ProbeDirect => "overlay.probe-direct",
-            MsgClass::ProbeIndirect => "overlay.probe-indirect",
         }
     }
 
@@ -470,12 +457,6 @@ mod tests {
             },
             ChaosOp::AdversaryDrop {
                 class: MsgClass::InstallChecking,
-            },
-            ChaosOp::AdversaryDrop {
-                class: MsgClass::ProbeDirect,
-            },
-            ChaosOp::AdversaryDrop {
-                class: MsgClass::ProbeIndirect,
             },
             ChaosOp::AdversaryClear,
             ChaosOp::Churn {

@@ -26,9 +26,6 @@ pub fn format_token(cfg: &ChaosConfig, script: &ChaosScript) -> String {
     if let Some(mrt) = cfg.member_repair_timeout_s {
         s.push_str(&format!(";mrt={mrt}"));
     }
-    if cfg.shared_plane {
-        s.push_str(";plane=shared");
-    }
     if cfg.detection_budget != ChaosConfig::new(cfg.seed, cfg.n, cfg.group_size).detection_budget {
         s.push_str(&format!(";budget={}", cfg.detection_budget.nanos()));
     }
@@ -47,7 +44,6 @@ pub fn parse_token(token: &str) -> Result<(ChaosConfig, ChaosScript), String> {
     let mut n = None;
     let mut gs = None;
     let mut mrt = None;
-    let mut plane = false;
     let mut budget = None;
     let mut script = None;
     for part in parts {
@@ -59,10 +55,6 @@ pub fn parse_token(token: &str) -> Result<(ChaosConfig, ChaosScript), String> {
             "n" => n = Some(v.parse::<usize>().map_err(|_| "bad n".to_string())?),
             "gs" => gs = Some(v.parse::<usize>().map_err(|_| "bad gs".to_string())?),
             "mrt" => mrt = Some(v.parse::<u64>().map_err(|_| "bad mrt".to_string())?),
-            "plane" => match v {
-                "shared" => plane = true,
-                other => return Err(format!("unknown plane `{other}` (only `shared`)")),
-            },
             "budget" => {
                 budget = Some(SimDuration(
                     v.parse::<u64>().map_err(|_| "bad budget".to_string())?,
@@ -86,7 +78,6 @@ pub fn parse_token(token: &str) -> Result<(ChaosConfig, ChaosScript), String> {
     }
     let mut cfg = ChaosConfig::new(seed, n, gs);
     cfg.member_repair_timeout_s = mrt;
-    cfg.shared_plane = plane;
     if let Some(b) = budget {
         cfg.detection_budget = b;
     }
@@ -142,26 +133,24 @@ mod tests {
     }
 
     #[test]
-    fn token_carries_the_plane_switch() {
-        let mut cfg = ChaosConfig::new(9, 24, 2);
-        cfg.shared_plane = true;
-        let token = format_token(&cfg, &sample_script());
-        assert!(token.contains(";plane=shared;"));
-        let (cfg2, script2) = parse_token(&token).unwrap();
-        assert!(cfg2.shared_plane);
-        // Exact round-trip, and the default mode stays token-invisible.
-        assert_eq!(format_token(&cfg2, &script2), token);
-        cfg.shared_plane = false;
-        assert!(!format_token(&cfg, &sample_script()).contains("plane"));
-    }
-
-    #[test]
     fn bad_tokens_are_rejected() {
         assert!(parse_token("chaos-v2;seed=1").is_err());
         assert!(parse_token("chaos-v1;seed=1;n=24").is_err(), "missing gs");
         assert!(parse_token("chaos-v1;seed=x;n=24;gs=2;script=").is_err());
         assert!(parse_token("chaos-v1;seed=1;n=24;gs=2;wat=1;script=").is_err());
         assert!(parse_token("chaos-v1;seed=1;n=24;gs=2;script=warp(1)@5s").is_err());
-        assert!(parse_token("chaos-v1;seed=1;n=24;gs=2;plane=solo;script=").is_err());
+    }
+
+    #[test]
+    fn retired_plane_and_probe_vocabulary_is_rejected() {
+        // The shared liveness plane and its probe classes are gone: a token
+        // naming them is an error that says which field or label it was.
+        let err = parse_token("chaos-v1;seed=1;n=24;gs=2;plane=shared;script=").unwrap_err();
+        assert!(err.contains("`plane`"), "{err}");
+        for label in ["overlay.probe-direct", "overlay.probe-indirect"] {
+            let token = format!("chaos-v1;seed=1;n=24;gs=2;script=adv({label})@5s");
+            let err = parse_token(&token).unwrap_err();
+            assert!(err.contains(&format!("`{label}`")), "{err}");
+        }
     }
 }

@@ -11,14 +11,14 @@
 ///
 /// Mirrors `fuse_core`'s `NotifyReason` variant-for-variant (that crate
 /// owns the wire encoding; this one owns aggregation), so recorded events
-/// stay comparable across liveness planes without string labels.
+/// carry no wire enums or string labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReasonKind {
     /// A member deliberately signalled the group.
     ExplicitSignal,
     /// Group creation did not complete.
     CreateFailed,
-    /// A liveness link expired without refutation.
+    /// Liveness checking expired and no repair arrived in time.
     LivenessExpired,
     /// A repair round exhausted its budget.
     RepairFailed,
@@ -40,41 +40,12 @@ impl ReasonKind {
             ReasonKind::UnknownGroup => "unknown-group",
         }
     }
-
-    /// The coarse outcome class — the plane-agnostic projection.
-    ///
-    /// The per-group and shared liveness planes can legitimately detect
-    /// the same failure through different paths (a liveness expiry on one,
-    /// a broken connection or failed repair on the other), so cross-plane
-    /// comparisons hold outcomes equal at this granularity, not per
-    /// detection path.
-    pub fn class(self) -> ReasonClass {
-        match self {
-            ReasonKind::ExplicitSignal => ReasonClass::Signaled,
-            ReasonKind::CreateFailed => ReasonClass::CreateFailed,
-            ReasonKind::LivenessExpired
-            | ReasonKind::RepairFailed
-            | ReasonKind::ConnectionBroken
-            | ReasonKind::UnknownGroup => ReasonClass::Detected,
-        }
-    }
 }
 
 impl std::fmt::Display for ReasonKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// The coarse burn-outcome class a [`ReasonKind`] projects onto.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ReasonClass {
-    /// Application-initiated (explicit signal).
-    Signaled,
-    /// The group never finished forming.
-    CreateFailed,
-    /// The failure detector fired (any detection path).
-    Detected,
 }
 
 /// One typed observation.
@@ -111,13 +82,6 @@ pub enum Event {
     Reconciled,
     /// A group-state hash was computed.
     HashComputed,
-    /// The liveness plane suspected a peer.
-    PeerSuspected,
-    /// A suspicion was refuted (the peer proved alive) — a would-be
-    /// false positive.
-    PeerRefuted,
-    /// A peer was declared dead.
-    PeerDead,
     /// `bytes` were offered to the transport for a message of `class`.
     BytesOffered {
         /// Message class label.
@@ -169,7 +133,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reason_labels_and_classes_are_stable() {
+    fn reason_labels_are_stable() {
         let all = [
             ReasonKind::ExplicitSignal,
             ReasonKind::CreateFailed,
@@ -190,10 +154,5 @@ mod tests {
                 "unknown-group"
             ]
         );
-        assert_eq!(ReasonKind::ExplicitSignal.class(), ReasonClass::Signaled);
-        assert_eq!(ReasonKind::CreateFailed.class(), ReasonClass::CreateFailed);
-        for r in &all[2..] {
-            assert_eq!(r.class(), ReasonClass::Detected, "{r}");
-        }
     }
 }

@@ -50,19 +50,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// On an object: replaces the value under `key`, or appends the pair if
-    /// the key is absent. Panics on non-objects (a usage bug — the bench
-    /// documents are always rooted in an object).
-    pub fn set(&mut self, key: &str, value: Value) {
-        let Value::Obj(fields) = self else {
-            panic!("Value::set on a non-object");
-        };
-        match fields.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v = value,
-            None => fields.push((key.to_string(), value)),
-        }
-    }
 }
 
 /// Renders a value back to JSON text (2-space indent, document field
@@ -331,19 +318,6 @@ mod tests {
         let text = render(&v);
         let back = parse(&text).expect("rendered text parses");
         assert_eq!(back, v, "parse(render(v)) == v");
-    }
-
-    #[test]
-    fn set_replaces_and_appends() {
-        let mut v = parse(r#"{"pr": 7, "x": 1}"#).unwrap();
-        v.set("pr", Value::Num(9.0));
-        v.set(
-            "node_load",
-            Value::Obj(vec![("nodes".into(), Value::Num(10.0))]),
-        );
-        assert_eq!(v.get("pr").unwrap().as_f64(), Some(9.0));
-        assert_eq!(v.get("node_load.nodes").unwrap().as_f64(), Some(10.0));
-        assert_eq!(v.get("x").unwrap().as_f64(), Some(1.0));
     }
 
     #[test]

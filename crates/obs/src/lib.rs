@@ -23,13 +23,13 @@
 //! from its driver's notion of `now`.
 //!
 //! [`json`] hosts the workspace's minimal JSON reader/writer (the chaos
-//! binary's `--slo` section, the load report and `benchmark/` use it).
+//! binary's `--slo` section and `benchmark/` use it).
 
 pub mod event;
 pub mod json;
 pub mod recorder;
 pub mod reservoir;
 
-pub use event::{Event, ObsSink, ReasonClass, ReasonKind};
+pub use event::{Event, ObsSink, ReasonKind};
 pub use recorder::{Aggregates, NotifyRecord, PhaseMark, Recorder};
 pub use reservoir::{Cdf, ClassCounter, Reservoir};

@@ -65,12 +65,6 @@ pub struct Aggregates {
     pub reconciles: u64,
     /// Group-state hashes computed.
     pub hashes_computed: u64,
-    /// Peers suspected by the liveness plane.
-    pub suspects: u64,
-    /// Suspicions refuted (would-be false positives).
-    pub refutations: u64,
-    /// Peers declared dead.
-    pub peer_deaths: u64,
     // --- transport counters (the Network accessors read these) ---
     /// Connections broken.
     pub breaks: u64,
@@ -112,12 +106,6 @@ impl Aggregates {
         self.latency_reservoir(class).add(seconds);
     }
 
-    /// The refuted fraction of suspicions — the detector's false-positive
-    /// rate in the QoS sense (suspicions that a live peer later refuted).
-    pub fn false_positive_rate(&self) -> f64 {
-        self.refutations as f64 / (self.suspects.max(1)) as f64
-    }
-
     /// Absorbs `other`, restoring the canonical log order.
     ///
     /// Merging is commutative and associative up to equality: counters
@@ -134,9 +122,6 @@ impl Aggregates {
         self.links_expired += other.links_expired;
         self.reconciles += other.reconciles;
         self.hashes_computed += other.hashes_computed;
-        self.suspects += other.suspects;
-        self.refutations += other.refutations;
-        self.peer_deaths += other.peer_deaths;
         self.breaks += other.breaks;
         self.content_drops += other.content_drops;
         self.bytes_offered += other.bytes_offered;
@@ -222,9 +207,6 @@ impl ObsSink for Recorder {
             Event::LinkExpired => a.links_expired += 1,
             Event::Reconciled => a.reconciles += 1,
             Event::HashComputed => a.hashes_computed += 1,
-            Event::PeerSuspected => a.suspects += 1,
-            Event::PeerRefuted => a.refutations += 1,
-            Event::PeerDead => a.peer_deaths += 1,
             Event::BytesOffered { class, bytes } => {
                 a.bytes_offered += bytes;
                 a.offered_by_class.bump_by(class, bytes);
@@ -271,9 +253,6 @@ mod tests {
         r.record(Event::LinkExpired);
         r.record(Event::Reconciled);
         r.record(Event::HashComputed);
-        r.record(Event::PeerSuspected);
-        r.record(Event::PeerRefuted);
-        r.record(Event::PeerDead);
         r.record(Event::BytesOffered {
             class: "ping",
             bytes: 40,
@@ -303,9 +282,6 @@ mod tests {
         assert_eq!(a.links_expired, 1);
         assert_eq!(a.reconciles, 1);
         assert_eq!(a.hashes_computed, 1);
-        assert_eq!(a.suspects, 1);
-        assert_eq!(a.refutations, 1);
-        assert_eq!(a.peer_deaths, 1);
         assert_eq!(a.breaks, 1);
         assert_eq!(a.content_drops, 1);
         assert_eq!(a.bytes_offered, 40);
@@ -323,7 +299,6 @@ mod tests {
         );
         assert_eq!(a.phases.len(), 1);
         assert_eq!(a.latency["kill"].len(), 1);
-        assert_eq!(a.false_positive_rate(), 1.0);
     }
 
     #[test]
@@ -344,7 +319,6 @@ mod tests {
                 at_nanos: 3,
                 seq: 1,
             },
-            Event::PeerSuspected,
             Event::Notified {
                 reason: ReasonKind::LivenessExpired,
                 at_nanos: 9,
@@ -382,11 +356,5 @@ mod tests {
         assert_eq!(ab, whole_agg, "partitioning must not matter");
         assert_eq!(ab.notify_log.len(), 2);
         assert_eq!(ab.notify_log[0].seq, 1, "canonical order by (at, ...)");
-    }
-
-    #[test]
-    fn false_positive_rate_handles_zero_suspicions() {
-        let a = Aggregates::new();
-        assert_eq!(a.false_positive_rate(), 0.0);
     }
 }

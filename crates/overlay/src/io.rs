@@ -123,17 +123,6 @@ pub enum OverlayUpcall {
         /// Opaque client payload.
         payload: Bytes,
     },
-    /// An acknowledgment for a shared-plane probe round arrived — directly
-    /// (`ProbeAck`, digest attached) or through a relay (`IndirectAck`,
-    /// no digest). The client routes it into its failure detector.
-    ProbeAcked {
-        /// The peer that proved alive.
-        peer: PeerAddr,
-        /// Round correlator echoed by the peer.
-        nonce: u64,
-        /// Responder's piggyback digest (direct acks only).
-        hash: Option<Digest>,
-    },
 }
 
 /// Borrowed per-call context for one overlay entry point.

@@ -7,7 +7,6 @@
 
 use bytes::Bytes;
 
-use fuse_util::PeerAddr as ProcId;
 use fuse_wire::{Decode, DecodeError, Digest, Encode, Reader, Writer};
 
 use crate::id::{NodeInfo, NodeName};
@@ -79,43 +78,6 @@ pub enum OverlayMsg {
         /// Original payload.
         payload: Bytes,
     },
-    /// Direct probe from the shared failure-detector plane. Carries the
-    /// same piggyback digest as a `Ping`, so digest reconciliation keeps
-    /// working when the shared plane replaces per-neighbor pings.
-    Probe {
-        /// Matches the ack to the prober's outstanding round.
-        nonce: u64,
-        /// Prober's piggyback digest for the link (absent when no groups
-        /// monitor it).
-        hash: Option<Digest>,
-    },
-    /// Acknowledgment of a direct `Probe`, with the responder's digest.
-    ProbeAck {
-        /// Echoed nonce.
-        nonce: u64,
-        /// Responder's piggyback digest.
-        hash: Option<Digest>,
-    },
-    /// Relay request: probe `target` on behalf of `origin` (SWIM's
-    /// indirect ping, sent when the direct probe goes unanswered).
-    IndirectProbe {
-        /// The prober the eventual ack must travel back to.
-        origin: ProcId,
-        /// The silent peer being probed.
-        target: ProcId,
-        /// Round correlator.
-        nonce: u64,
-    },
-    /// Relayed acknowledgment travelling from `target` back to `origin`
-    /// through the relay.
-    IndirectAck {
-        /// The prober to deliver the ack to.
-        origin: ProcId,
-        /// The peer that answered.
-        target: ProcId,
-        /// Echoed round correlator.
-        nonce: u64,
-    },
 }
 
 /// Classes of routed envelopes.
@@ -149,10 +111,6 @@ const TAG_ANNOUNCE: u8 = 5;
 const TAG_ANNOUNCE_ACK: u8 = 6;
 const TAG_PROBE_REPLY: u8 = 7;
 const TAG_ROUTED_ERROR: u8 = 8;
-const TAG_PROBE: u8 = 9;
-const TAG_PROBE_ACK: u8 = 10;
-const TAG_INDIRECT_PROBE: u8 = 11;
-const TAG_INDIRECT_ACK: u8 = 12;
 
 impl Encode for OverlayMsg {
     fn encode(&self, w: &mut dyn Writer) {
@@ -212,45 +170,14 @@ impl Encode for OverlayMsg {
                 class.encode(w);
                 payload.encode(w);
             }
-            OverlayMsg::Probe { nonce, hash } => {
-                TAG_PROBE.encode(w);
-                nonce.encode(w);
-                hash.encode(w);
-            }
-            OverlayMsg::ProbeAck { nonce, hash } => {
-                TAG_PROBE_ACK.encode(w);
-                nonce.encode(w);
-                hash.encode(w);
-            }
-            OverlayMsg::IndirectProbe {
-                origin,
-                target,
-                nonce,
-            } => {
-                TAG_INDIRECT_PROBE.encode(w);
-                origin.encode(w);
-                target.encode(w);
-                nonce.encode(w);
-            }
-            OverlayMsg::IndirectAck {
-                origin,
-                target,
-                nonce,
-            } => {
-                TAG_INDIRECT_ACK.encode(w);
-                origin.encode(w);
-                target.encode(w);
-                nonce.encode(w);
-            }
         }
     }
 
     fn size_hint(&self) -> usize {
         1 + match self {
-            OverlayMsg::Ping { nonce, hash }
-            | OverlayMsg::PingAck { nonce, hash }
-            | OverlayMsg::Probe { nonce, hash }
-            | OverlayMsg::ProbeAck { nonce, hash } => nonce.size_hint() + hash.size_hint(),
+            OverlayMsg::Ping { nonce, hash } | OverlayMsg::PingAck { nonce, hash } => {
+                nonce.size_hint() + hash.size_hint()
+            }
             OverlayMsg::Routed {
                 src,
                 target,
@@ -277,16 +204,6 @@ impl Encode for OverlayMsg {
                 class,
                 payload,
             } => target.size_hint() + at.size_hint() + class.size_hint() + payload.size_hint(),
-            OverlayMsg::IndirectProbe {
-                origin,
-                target,
-                nonce,
-            }
-            | OverlayMsg::IndirectAck {
-                origin,
-                target,
-                nonce,
-            } => origin.size_hint() + target.size_hint() + nonce.size_hint(),
         }
     }
 }
@@ -329,24 +246,6 @@ impl Decode for OverlayMsg {
                 class: u8::decode(r)?,
                 payload: Bytes::decode(r)?,
             }),
-            TAG_PROBE => Ok(OverlayMsg::Probe {
-                nonce: u64::decode(r)?,
-                hash: Option::decode(r)?,
-            }),
-            TAG_PROBE_ACK => Ok(OverlayMsg::ProbeAck {
-                nonce: u64::decode(r)?,
-                hash: Option::decode(r)?,
-            }),
-            TAG_INDIRECT_PROBE => Ok(OverlayMsg::IndirectProbe {
-                origin: ProcId::decode(r)?,
-                target: ProcId::decode(r)?,
-                nonce: u64::decode(r)?,
-            }),
-            TAG_INDIRECT_ACK => Ok(OverlayMsg::IndirectAck {
-                origin: ProcId::decode(r)?,
-                target: ProcId::decode(r)?,
-                nonce: u64::decode(r)?,
-            }),
             _ => Err(DecodeError::Invalid("overlay message tag")),
         }
     }
@@ -368,10 +267,6 @@ impl OverlayMsg {
             OverlayMsg::Announce { .. } | OverlayMsg::AnnounceAck { .. } => "overlay.maint",
             OverlayMsg::ProbeReply { .. } => "overlay.probe",
             OverlayMsg::RoutedError { .. } => "overlay.routed",
-            OverlayMsg::Probe { .. } | OverlayMsg::ProbeAck { .. } => "overlay.probe-direct",
-            OverlayMsg::IndirectProbe { .. } | OverlayMsg::IndirectAck { .. } => {
-                "overlay.probe-indirect"
-            }
         }
     }
 }
@@ -424,70 +319,6 @@ mod tests {
             class: 0,
             payload: Bytes::new(),
         });
-        roundtrip(OverlayMsg::Probe {
-            nonce: 9001,
-            hash: Some(sha1(b"links")),
-        });
-        roundtrip(OverlayMsg::ProbeAck {
-            nonce: 9001,
-            hash: None,
-        });
-        roundtrip(OverlayMsg::IndirectProbe {
-            origin: 2,
-            target: 5,
-            nonce: 9002,
-        });
-        roundtrip(OverlayMsg::IndirectAck {
-            origin: 2,
-            target: 5,
-            nonce: 9002,
-        });
-    }
-
-    #[test]
-    fn probe_costs_match_ping_costs() {
-        // The shared plane must not make liveness traffic heavier than the
-        // per-neighbor pings it replaces: a `Probe` prices out exactly like
-        // a `Ping`, digest piggyback included (§7.5's 20-byte rule).
-        let idle = OverlayMsg::Probe {
-            nonce: 1,
-            hash: None,
-        };
-        let busy = OverlayMsg::Probe {
-            nonce: 1,
-            hash: Some(sha1(b"")),
-        };
-        assert_eq!(idle.wire_size(), 3);
-        assert_eq!(busy.wire_size() - idle.wire_size(), 20);
-    }
-
-    #[test]
-    fn probe_labels_split_direct_from_indirect() {
-        // The chaos adversary drops by class label; direct and indirect
-        // probes must be separable so one can be dropped without the other.
-        let direct = OverlayMsg::Probe {
-            nonce: 1,
-            hash: None,
-        };
-        let direct_ack = OverlayMsg::ProbeAck {
-            nonce: 1,
-            hash: None,
-        };
-        let ind = OverlayMsg::IndirectProbe {
-            origin: 1,
-            target: 2,
-            nonce: 3,
-        };
-        let ind_ack = OverlayMsg::IndirectAck {
-            origin: 1,
-            target: 2,
-            nonce: 3,
-        };
-        assert_eq!(direct.class_label(), "overlay.probe-direct");
-        assert_eq!(direct_ack.class_label(), "overlay.probe-direct");
-        assert_eq!(ind.class_label(), "overlay.probe-indirect");
-        assert_eq!(ind_ack.class_label(), "overlay.probe-indirect");
-        assert_ne!(direct.class_label(), ind.class_label());
     }
 
     #[test]
@@ -510,5 +341,18 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         assert!(OverlayMsg::from_bytes(&[99]).is_err());
+        // Tags 9–12 carried the retired node-level liveness probes, direct
+        // and relayed, with their acks: a frame in their old shape — bare,
+        // `nonce ‖ no digest`, `origin ‖ target ‖ nonce` — is an unknown
+        // tag now.
+        for tag in 9..=12u8 {
+            for frame in [vec![tag], vec![tag, 1, 0], vec![tag, 2, 5, 7]] {
+                assert_eq!(
+                    OverlayMsg::from_bytes(&frame),
+                    Err(DecodeError::Invalid("overlay message tag")),
+                    "{frame:?}"
+                );
+            }
+        }
     }
 }

@@ -726,81 +726,6 @@ impl OverlayNode {
                     });
                 }
             }
-            OverlayMsg::Probe { nonce, hash } => {
-                // Shared-plane direct probe: answer with our digest for the
-                // link, and surface the prober's digest exactly like a ping
-                // so reconciliation works in shared-plane mode too.
-                io.upcall(OverlayUpcall::PingHash {
-                    peer: from,
-                    hash: hash.unwrap_or_else(Digest::of_empty),
-                });
-                let mine = self.hash_for(from);
-                io.send(from, OverlayMsg::ProbeAck { nonce, hash: mine });
-            }
-            OverlayMsg::ProbeAck { nonce, hash } => {
-                // Round bookkeeping (nonce matching, timeout cancellation)
-                // lives in the client's failure detector, not here.
-                io.upcall(OverlayUpcall::PingHash {
-                    peer: from,
-                    hash: hash.unwrap_or_else(Digest::of_empty),
-                });
-                io.upcall(OverlayUpcall::ProbeAcked {
-                    peer: from,
-                    nonce,
-                    hash,
-                });
-            }
-            OverlayMsg::IndirectProbe {
-                origin,
-                target,
-                nonce,
-            } => {
-                if target == self.me.proc {
-                    // We are the silent peer being checked: answer back
-                    // through the relay that asked.
-                    io.send(
-                        from,
-                        OverlayMsg::IndirectAck {
-                            origin,
-                            target,
-                            nonce,
-                        },
-                    );
-                } else {
-                    // We are the relay: pass the probe on to the target.
-                    io.send(
-                        target,
-                        OverlayMsg::IndirectProbe {
-                            origin,
-                            target,
-                            nonce,
-                        },
-                    );
-                }
-            }
-            OverlayMsg::IndirectAck {
-                origin,
-                target,
-                nonce,
-            } => {
-                if origin == self.me.proc {
-                    io.upcall(OverlayUpcall::ProbeAcked {
-                        peer: target,
-                        nonce,
-                        hash: None,
-                    });
-                } else {
-                    // We are the relay on the return leg.
-                    io.send(
-                        origin,
-                        OverlayMsg::IndirectAck {
-                            origin,
-                            target,
-                            nonce,
-                        },
-                    );
-                }
-            }
         }
     }
 
@@ -1034,96 +959,6 @@ mod tests {
             })
             .expect("ping sent");
         assert_eq!(ping, Some(h));
-    }
-
-    #[test]
-    fn probe_is_acked_with_responder_digest() {
-        let (mut n, mut io) = node_with(10, &[20]);
-        let h = fuse_wire::sha1(b"my-links");
-        n.set_link_hash(20, Some(h));
-        io.on_message(
-            &mut n,
-            20,
-            OverlayMsg::Probe {
-                nonce: 9,
-                hash: None,
-            },
-        );
-        assert!(matches!(
-            io.sent.last(),
-            Some((20, OverlayMsg::ProbeAck { nonce: 9, hash: Some(got) })) if *got == h
-        ));
-        // The prober's digest surfaces exactly like a ping's, so digest
-        // reconciliation keeps working in shared-plane mode.
-        assert!(io
-            .upcalls
-            .iter()
-            .any(|u| matches!(u, OverlayUpcall::PingHash { peer: 20, .. })));
-    }
-
-    #[test]
-    fn probe_ack_upcalls_probe_acked_and_hash() {
-        let (mut n, mut io) = node_with(10, &[20]);
-        let h = fuse_wire::sha1(b"their-links");
-        io.on_message(
-            &mut n,
-            20,
-            OverlayMsg::ProbeAck {
-                nonce: 4,
-                hash: Some(h),
-            },
-        );
-        assert!(io.upcalls.iter().any(|u| matches!(
-            u,
-            OverlayUpcall::ProbeAcked {
-                peer: 20,
-                nonce: 4,
-                hash: Some(got)
-            } if *got == h
-        )));
-        assert!(io
-            .upcalls
-            .iter()
-            .any(|u| matches!(u, OverlayUpcall::PingHash { peer: 20, hash: got } if *got == h)));
-    }
-
-    #[test]
-    fn indirect_probe_travels_relay_target_relay_origin() {
-        // Origin 10 asked relay 15 to check target 20. Walk the message
-        // through each role's handler.
-        let probe = OverlayMsg::IndirectProbe {
-            origin: 10,
-            target: 20,
-            nonce: 6,
-        };
-        // Relay forwards the probe to the target.
-        let (mut relay, mut io_r) = node_with(15, &[10, 20]);
-        io_r.on_message(&mut relay, 10, probe.clone());
-        assert_eq!(io_r.sent.last(), Some(&(20, probe.clone())));
-        // Target answers back through the relay.
-        let (mut target, mut io_t) = node_with(20, &[15]);
-        io_t.on_message(&mut target, 15, probe);
-        let ack = OverlayMsg::IndirectAck {
-            origin: 10,
-            target: 20,
-            nonce: 6,
-        };
-        assert_eq!(io_t.sent.last(), Some(&(15, ack.clone())));
-        // Relay forwards the ack to the origin.
-        io_r.sent.clear();
-        io_r.on_message(&mut relay, 20, ack.clone());
-        assert_eq!(io_r.sent.last(), Some(&(10, ack.clone())));
-        // Origin surfaces the ack to its detector, with no digest.
-        let (mut origin, mut io_o) = node_with(10, &[15, 20]);
-        io_o.on_message(&mut origin, 15, ack);
-        assert!(io_o.upcalls.iter().any(|u| matches!(
-            u,
-            OverlayUpcall::ProbeAcked {
-                peer: 20,
-                nonce: 6,
-                hash: None
-            }
-        )));
     }
 
     #[test]

@@ -368,20 +368,20 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
         self.push(at, EventRef::Restart { id, idx, gen });
     }
 
-    /// `(time, seq)` of the next event across both queues, and whether it
-    /// comes from the timer wheel.
-    fn next_front(&mut self) -> Option<(SimTime, u64, bool)> {
+    /// Time of the next event across both queues (ordered by `(time,
+    /// seq)`), and whether it comes from the timer wheel.
+    fn next_front(&mut self) -> Option<(SimTime, bool)> {
         let heap_front = self.heap.peek().map(|e| (e.at, e.seq));
         let wheel_front = self.wheel.peek();
         match (heap_front, wheel_front) {
             (None, None) => None,
-            (Some((at, seq)), None) => Some((at, seq, false)),
-            (None, Some((at, seq))) => Some((at, seq, true)),
+            (Some((at, _)), None) => Some((at, false)),
+            (None, Some((at, _))) => Some((at, true)),
             (Some((ha, hs)), Some((wa, ws))) => {
                 if (ha, hs) < (wa, ws) {
-                    Some((ha, hs, false))
+                    Some((ha, false))
                 } else {
-                    Some((wa, ws, true))
+                    Some((wa, true))
                 }
             }
         }
@@ -407,7 +407,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
     ///
     /// [`step`]: Sim::step
     fn step_through(&mut self, t: SimTime) -> bool {
-        let Some((at, seq, from_wheel)) = self.next_front() else {
+        let Some((at, from_wheel)) = self.next_front() else {
             return false;
         };
         if at > t {
@@ -416,7 +416,6 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
         debug_assert!(at >= self.clock, "time went backwards");
         self.clock = at;
         self.events_executed += 1;
-        self.trace.on_event(at, seq);
         if from_wheel {
             let WheelEntry { token, .. } = self.wheel.pop().expect("peeked wheel entry exists");
             match token {

@@ -10,13 +10,6 @@ use crate::time::SimTime;
 
 /// Observer of kernel-level message events.
 pub trait TraceSink<M> {
-    /// An event is about to execute, identified by its `(time, key)` pair;
-    /// the key is the kernel's global insertion sequence, so the pair is
-    /// the event's position in the run's total order.
-    fn on_event(&mut self, at: SimTime, key: u64) {
-        let _ = (at, key);
-    }
-
     /// A message was submitted to the medium with the given verdict.
     fn on_send(
         &mut self,

@@ -6,10 +6,11 @@
 //! exactly-once notification, and the no-orphaned-state guarantee.
 
 use bytes::Bytes;
+use rand::rngs::StdRng;
 
 use fuse_core::{CreateError, FuseApi, FuseApp, FuseConfig, FuseEvent, FuseId, NotifyReason, Role};
 use fuse_overlay::{build_oracle_tables, NodeInfo, NodeName, OverlayConfig};
-use fuse_sim::{PerfectMedium, ProcId, Sim, SimDuration, SimTime};
+use fuse_sim::{Medium, PerfectMedium, ProcId, Sim, SimDuration, SimTime, Verdict};
 use fuse_simdriver::NodeStack;
 
 /// Records every FUSE event with its arrival time.
@@ -30,16 +31,54 @@ impl FuseApp for Recorder {
     }
 }
 
-type World = Sim<NodeStack<Recorder>, PerfectMedium>;
+type World<M = PerfectMedium> = Sim<NodeStack<Recorder>, M>;
+
+/// Silently black-holes all traffic to and from one node once `after` is
+/// reached — a silent partition, unlike a crash, produces no sender-side
+/// connection-break notices, so only timeout-driven detection can see it.
+struct MuteMedium {
+    inner: PerfectMedium,
+    mute: ProcId,
+    after: SimTime,
+}
+
+impl Medium for MuteMedium {
+    fn unicast(
+        &mut self,
+        now: SimTime,
+        rng: &mut StdRng,
+        from: ProcId,
+        to: ProcId,
+        size: usize,
+        class: &'static str,
+    ) -> Verdict {
+        if now >= self.after && (from == self.mute || to == self.mute) {
+            return Verdict::Drop;
+        }
+        self.inner.unicast(now, rng, from, to, size, class)
+    }
+
+    fn node_up(&mut self, id: ProcId) {
+        self.inner.node_up(id);
+    }
+
+    fn node_down(&mut self, id: ProcId) {
+        self.inner.node_down(id);
+    }
+}
 
 /// Builds an `n`-node world with converged (oracle) overlay tables.
 fn world(n: usize, seed: u64) -> (World, Vec<NodeInfo>) {
+    world_on(n, seed, PerfectMedium::new(SimDuration::from_millis(25)))
+}
+
+/// [`world`] over a caller-supplied medium.
+fn world_on<M: Medium>(n: usize, seed: u64, medium: M) -> (World<M>, Vec<NodeInfo>) {
     let infos: Vec<NodeInfo> = (0..n)
         .map(|i| NodeInfo::new(i as ProcId, NodeName::numbered(i)))
         .collect();
     let ov_cfg = OverlayConfig::default();
     let tables = build_oracle_tables(&infos, &ov_cfg);
-    let medium = PerfectMedium::new(SimDuration::from_millis(25));
     let mut sim = Sim::new(seed, medium);
     for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
         let mut stack = NodeStack::new(
@@ -55,7 +94,12 @@ fn world(n: usize, seed: u64) -> (World, Vec<NodeInfo>) {
     (sim, infos)
 }
 
-fn create_group(sim: &mut World, infos: &[NodeInfo], root: ProcId, members: &[ProcId]) -> FuseId {
+fn create_group<M: Medium>(
+    sim: &mut World<M>,
+    infos: &[NodeInfo],
+    root: ProcId,
+    members: &[ProcId],
+) -> FuseId {
     let others: Vec<NodeInfo> = members.iter().map(|&m| infos[m as usize].clone()).collect();
     let ticket = sim
         .with_proc(root, |stack, ctx| {
@@ -72,7 +116,7 @@ fn create_group(sim: &mut World, infos: &[NodeInfo], root: ProcId, members: &[Pr
     ticket.id()
 }
 
-fn failures_of(sim: &World, node: ProcId, id: FuseId) -> Vec<SimTime> {
+fn failures_of<M: Medium>(sim: &World<M>, node: ProcId, id: FuseId) -> Vec<SimTime> {
     sim.proc(node)
         .map(|s| {
             s.app
@@ -86,7 +130,7 @@ fn failures_of(sim: &World, node: ProcId, id: FuseId) -> Vec<SimTime> {
 }
 
 /// No node in the world retains any state for `id`.
-fn assert_no_orphans(sim: &World, id: FuseId) {
+fn assert_no_orphans<M: Medium>(sim: &World<M>, id: FuseId) {
     for p in 0..sim.process_count() as ProcId {
         if let Some(s) = sim.proc(p) {
             assert!(
@@ -189,6 +233,92 @@ fn no_false_positives_in_quiet_network() {
             );
         }
     }
+}
+
+#[test]
+fn silently_partitioned_peer_burns_exactly_the_subscribed_groups() {
+    // The partition is silent (no connection-break notices): the ping
+    // timeout and the per-peer liveness deadline are the only ways to see
+    // it.
+    let medium = MuteMedium {
+        inner: PerfectMedium::new(SimDuration::from_millis(25)),
+        mute: 8,
+        after: SimTime::ZERO + SimDuration::from_secs(20),
+    };
+    let (mut sim, infos) = world_on(24, 42, medium);
+    sim.run_for(SimDuration::from_secs(5));
+    // Group A monitors node 8; group B lives on disjoint nodes.
+    let id_a = create_group(&mut sim, &infos, 0, &[4, 8]);
+    let id_b = create_group(&mut sim, &infos, 1, &[5, 9]);
+    // Past the mute point, detection, the failed repair round and the
+    // partitioned member's own give-up.
+    sim.run_for(SimDuration::from_secs(500));
+    for node in [0u32, 4, 8] {
+        assert_eq!(
+            failures_of(&sim, node, id_a).len(),
+            1,
+            "participant {node} of group A must be notified exactly once"
+        );
+    }
+    for node in 0..24u32 {
+        assert!(
+            failures_of(&sim, node, id_b).is_empty(),
+            "group B does not monitor node 8 and must not burn (node {node})"
+        );
+    }
+    assert_no_orphans(&sim, id_a);
+}
+
+#[test]
+fn group_churn_registers_and_unregisters_peers() {
+    let (mut sim, infos) = world(16, 43);
+    sim.run_for(SimDuration::from_secs(5));
+    let id_a = create_group(&mut sim, &infos, 0, &[3, 6]);
+    let id_b = create_group(&mut sim, &infos, 0, &[3, 9]);
+    // Every subscribed peer, and only those, has an expiry record.
+    let assert_consistent = |sim: &World| {
+        for p in 0..16u32 {
+            let s = sim.proc(p).unwrap();
+            assert!(s.fuse.hash_cache_consistent(), "node {p}");
+        }
+    };
+    assert_consistent(&sim);
+    let total_subs: usize = (0..16u32)
+        .map(|p| sim.proc(p).unwrap().fuse.subscriptions().len())
+        .sum();
+    assert!(total_subs > 0, "live groups must hold subscriptions");
+
+    // Burn A explicitly: its subscriptions must unwind, B's must survive.
+    sim.with_proc(3, |stack, ctx| {
+        stack.with_api(ctx, |api, _| api.signal_failure(id_a))
+    });
+    sim.run_for(SimDuration::from_secs(60));
+    for p in 0..16u32 {
+        let subs = sim.proc(p).unwrap().fuse.subscriptions();
+        for peer in subs.peers() {
+            assert!(
+                !subs.is_subscribed(peer, id_a),
+                "node {p} still subscribed for burned group A"
+            );
+        }
+    }
+    assert!(
+        (0..16u32).any(|p| !sim.proc(p).unwrap().fuse.subscriptions().is_empty()),
+        "group B must still hold subscriptions"
+    );
+    assert_consistent(&sim);
+
+    // Burn B too: every registry, and with it every expiry record, must
+    // drain to empty.
+    sim.with_proc(9, |stack, ctx| {
+        stack.with_api(ctx, |api, _| api.signal_failure(id_b))
+    });
+    sim.run_for(SimDuration::from_secs(60));
+    for p in 0..16u32 {
+        let subs = sim.proc(p).unwrap().fuse.subscriptions();
+        assert_eq!(subs.peer_count(), 0, "node {p} still watches a peer");
+    }
+    assert_consistent(&sim);
 }
 
 #[test]

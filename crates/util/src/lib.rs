@@ -15,10 +15,9 @@
 //!
 //! The [`time`], [`timer`] and [`payload`] modules plus [`PeerAddr`] form
 //! the *transport-neutral vocabulary* of the sans-io protocol stack: the
-//! protocol crates (`fuse_overlay`, `fuse_liveness`, `fuse_core`) speak
-//! only these types, and each driver (the deterministic sim kernel, the
-//! `fuse-node` TCP runtime) maps them onto its own clock, sockets and
-//! scheduler.
+//! protocol crates (`fuse_overlay`, `fuse_core`) speak only these types,
+//! and each driver (the deterministic sim kernel, the `fuse-node` TCP
+//! runtime) maps them onto its own clock, sockets and scheduler.
 
 pub mod backoff;
 pub mod det;

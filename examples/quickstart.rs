@@ -64,9 +64,9 @@ fn main() {
 
     let mut sim = Sim::new(42, net);
     for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
-        // `FuseConfig { shared_plane: true, ..Default::default() }` swaps
-        // the per-(group, link) liveness deadlines for the node-level SWIM
-        // detector plane (DESIGN.md §9); everything below is unchanged.
+        // `FuseConfig::default()` is the paper's constants: liveness rides
+        // the overlay's pings, one deadline per monitored peer (DESIGN.md
+        // §9); `FuseConfig::builder()` overrides any of them.
         let mut stack = NodeStack::new(
             info.clone(),
             None,

@@ -1,10 +1,9 @@
 //! Steady-state allocation floors: once warm, the single-pass encode of
 //! the common messages, a route-oracle hit, a network send between
-//! connected processes, a detector probe round and the overlay ping
-//! exchange that refreshes standing FUSE groups must not touch the
-//! allocator. This binary installs a counting global
-//! allocator; counts are per thread, so the tests run in parallel without
-//! seeing each other (or the test harness).
+//! connected processes and the overlay ping exchange that refreshes
+//! standing FUSE groups must not touch the allocator. This binary installs
+//! a counting global allocator; counts are per thread, so the tests run in
+//! parallel without seeing each other (or the test harness).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,11 +12,10 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 use fuse_core::{FuseConfig, FuseId, FuseMsg, FuseStack, Input, Output, NS_FUSE};
-use fuse_liveness::{Detector, LivenessConfig, LivenessCx, LivenessEffect, LivenessTimer};
 use fuse_net::{NetConfig, Network, RouteOracle, Topology, TopologyConfig};
 use fuse_overlay::{NodeInfo, NodeName, OverlayConfig, OverlayMsg};
 use fuse_sim::{Medium, ProcId, SimTime, Verdict};
-use fuse_util::{Duration, KeyedTimers, PeerAddr, Time, TimerKey};
+use fuse_util::{Duration, PeerAddr, Time, TimerKey};
 use fuse_wire::{sha1, EncodeBuf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -175,93 +173,6 @@ fn warm_unicast_does_not_allocate() {
     });
     assert_eq!(net.route_oracle_stats().misses, misses);
     assert_eq!(allocs, 0, "a send between connected processes allocated");
-}
-
-/// Manual-clock host for the sans-io detector: armed timers sit in a heap
-/// by deadline (stale keys resolve to nothing when popped) and every direct
-/// probe is acked at once, so tracked peers cycle idle → awaiting → idle.
-struct InstantAckHost {
-    now: Time,
-    rng: StdRng,
-    timers: KeyedTimers<LivenessTimer>,
-    heap: BinaryHeap<Reverse<(Time, TimerKey)>>,
-    effects: VecDeque<LivenessEffect>,
-    acks: Vec<(PeerAddr, u64)>,
-    probes: u64,
-}
-
-impl InstantAckHost {
-    fn drive(&mut self, det: &mut Detector, f: impl FnOnce(&mut Detector, &mut LivenessCx<'_>)) {
-        let mut cx = LivenessCx::new(
-            self.now,
-            &mut self.rng,
-            &mut self.timers,
-            &[],
-            &mut self.effects,
-        );
-        f(det, &mut cx);
-        while let Some(effect) = self.effects.pop_front() {
-            match effect {
-                LivenessEffect::Probe { to, nonce } => {
-                    self.probes += 1;
-                    self.acks.push((to, nonce));
-                }
-                LivenessEffect::SetTimer { key, after } => {
-                    self.heap.push(Reverse((self.now + after, key)));
-                }
-                LivenessEffect::CancelTimer { .. } => {}
-                other => panic!("healthy instant-ack peers produced {other:?}"),
-            }
-        }
-    }
-
-    /// Runs every timer due by `until`, acking each probe it provokes.
-    fn run_until(&mut self, det: &mut Detector, until: Time) {
-        while let Some(&Reverse((at, key))) = self.heap.peek() {
-            if at > until {
-                return;
-            }
-            self.heap.pop();
-            let Some(tag) = self.timers.fire(key) else {
-                continue;
-            };
-            self.now = at;
-            self.drive(det, |det, cx| det.on_timer(cx, tag));
-            while let Some((peer, nonce)) = self.acks.pop() {
-                self.drive(det, |det, cx| det.on_ack(cx, peer, nonce));
-            }
-        }
-    }
-}
-
-#[test]
-fn steady_state_probe_rounds_do_not_allocate() {
-    const PEERS: u64 = 32;
-    let cfg = LivenessConfig::default();
-    let period = cfg.probe_period;
-    let mut det = Detector::new(cfg);
-    let mut host = InstantAckHost {
-        now: Time::ZERO,
-        rng: StdRng::seed_from_u64(0xF05E),
-        timers: KeyedTimers::new(0),
-        heap: BinaryHeap::new(),
-        effects: VecDeque::new(),
-        acks: Vec::new(),
-        probes: 0,
-    };
-    for peer in 1..=PEERS as PeerAddr {
-        host.drive(&mut det, |det, cx| det.add_peer(cx, peer));
-    }
-    // Warm-up: the host's queues and the timer table reach their working
-    // size within the first few periods.
-    host.run_until(&mut det, Time::ZERO + period.saturating_mul(10));
-    let warm = host.probes;
-    let allocs = allocs_during(|| {
-        host.run_until(&mut det, Time::ZERO + period.saturating_mul(60));
-    });
-    let rounds = host.probes - warm;
-    assert!(rounds >= 49 * PEERS, "only {rounds} probe rounds ran");
-    assert_eq!(allocs, 0, "{rounds} steady-state probe rounds allocated");
 }
 
 /// Two node stacks wired back to back on a manual clock: messages arrive
