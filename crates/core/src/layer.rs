@@ -160,8 +160,9 @@ pub struct FuseStats {
     pub links_expired: u64,
     /// Reconciliations triggered by hash mismatches.
     pub reconciles: u64,
-    /// Piggyback digests recomputed (cache misses: the link's monitored
-    /// set changed).
+    /// Piggyback digests computed on read: a ping or ack about to carry, or
+    /// compare against, the digest of a link whose monitored set changed
+    /// since it was last computed.
     pub hashes_computed: u64,
 }
 
@@ -171,8 +172,9 @@ struct Link {
     refreshed_at: Time,
 }
 
-/// Liveness expiry of one monitored peer. A (group, link)'s deadline is
-/// `max(link.refreshed_at, agreed_at) + link_failure_timeout`.
+/// Liveness expiry and digest staleness of one monitored peer. A
+/// (group, link)'s deadline is `max(link.refreshed_at, agreed_at) +
+/// link_failure_timeout`.
 struct PeerExpiry {
     /// When a piggybacked hash from the peer last agreed with ours — the
     /// refresh of every link to the peer at once (§6.3).
@@ -180,6 +182,9 @@ struct PeerExpiry {
     /// The peer's one `LinkExpired` timer, armed at or before the earliest
     /// deadline among its links.
     timer: TimerKey,
+    /// The peer's set of monitored groups changed since the overlay's
+    /// piggyback digest for it was last computed.
+    hash_dirty: bool,
 }
 
 struct RootState {
@@ -234,11 +239,9 @@ pub struct FuseLayer {
     /// Index: which groups monitor each link (drives the piggyback hash and
     /// the per-peer liveness deadline).
     subs: SubscriptionRegistry<FuseId>,
-    /// Per-peer liveness deadline, one record per subscribed peer.
+    /// Per-peer liveness deadline and digest staleness, one record per
+    /// subscribed peer.
     expiry: DetHashMap<PeerAddr, PeerExpiry>,
-    /// Cached per-peer piggyback digest: recomputed only when the peer's
-    /// subscribed-group set changes, *not* on every `PingHash` arrival.
-    hash_cache: DetHashMap<PeerAddr, Digest>,
     /// Application context registered per group via `register_handler`;
     /// returned inside the failure [`Notification`].
     handlers: DetHashMap<FuseId, u64>,
@@ -268,7 +271,6 @@ impl FuseLayer {
             creating: DetHashMap::default(),
             subs: SubscriptionRegistry::default(),
             expiry: DetHashMap::default(),
-            hash_cache: DetHashMap::default(),
             handlers: DetHashMap::default(),
             send_bound: DetHashMap::default(),
             ebuf: EncodeBuf::new(),
@@ -372,7 +374,7 @@ impl FuseLayer {
                 id,
                 Group {
                     seq: 0,
-                    root: self.me.clone(),
+                    root: self.me,
                     role: RoleState::Root(RootState {
                         members: Vec::new(),
                         install_missing: DetHashSet::default(),
@@ -403,7 +405,7 @@ impl FuseLayer {
                 m.proc,
                 FuseMsg::GroupCreateRequest {
                     id,
-                    root: self.me.clone(),
+                    root: self.me,
                     members: others.clone(),
                 },
             );
@@ -563,7 +565,7 @@ impl FuseLayer {
                 // own create request arrived; upgrade to member.
                 if matches!(g.role, RoleState::Delegate) {
                     g.role = RoleState::Member(MemberState { repair_wait: None });
-                    g.root = root.clone();
+                    g.root = root;
                     g.created_at = now;
                 }
             }
@@ -572,7 +574,7 @@ impl FuseLayer {
                     id,
                     Group {
                         seq: 0,
-                        root: root.clone(),
+                        root,
                         role: RoleState::Member(MemberState { repair_wait: None }),
                         created_at: now,
                         links: DetHashMap::default(),
@@ -598,8 +600,8 @@ impl FuseLayer {
         let ic = InstallChecking {
             id,
             seq,
-            member: self.me.clone(),
-            root: root.clone(),
+            member: self.me,
+            root,
         };
         let payload = self.ebuf.encode_to_bytes(&ic);
         let start = cx.ov(ov, |ov, ocx| ov.route_client(ocx, &root.name, payload));
@@ -646,7 +648,7 @@ impl FuseLayer {
             id,
             Group {
                 seq: 0,
-                root: self.me.clone(),
+                root: self.me,
                 role: RoleState::Root(RootState {
                     members: attempt.members,
                     install_missing,
@@ -852,7 +854,7 @@ impl FuseLayer {
         up: OverlayUpcall,
     ) {
         match up {
-            OverlayUpcall::PingHash { peer, hash } => self.on_ping_hash(cx, peer, hash),
+            OverlayUpcall::PingHash { peer, hash } => self.on_ping_hash(cx, ov, peer, hash),
             OverlayUpcall::LinkUp { .. } => {}
             OverlayUpcall::LinkDown { peer, .. } => {
                 // Dead or rerouted link: every group monitoring it soft-fails
@@ -967,7 +969,7 @@ impl FuseLayer {
                     ic.id,
                     Group {
                         seq: ic.seq,
-                        root: ic.root.clone(),
+                        root: ic.root,
                         role: RoleState::Delegate,
                         created_at: now,
                         links: DetHashMap::default(),
@@ -983,8 +985,15 @@ impl FuseLayer {
         }
     }
 
-    fn on_ping_hash(&mut self, cx: &mut CoreCx<'_>, peer: PeerAddr, hash: Digest) {
-        let mine = self.hash_for(peer);
+    fn on_ping_hash(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        peer: PeerAddr,
+        hash: Digest,
+    ) {
+        self.refresh_link_hash(ov, peer);
+        let mine = ov.link_hash(peer).unwrap_or_else(Digest::of_empty);
         if mine == hash {
             // Agreement: one store refreshes every (group, link) deadline
             // this hash covers.
@@ -1282,13 +1291,13 @@ impl FuseLayer {
             return;
         }
         self.obs.record(Event::RepairStarted);
-        for m in rs.members.clone() {
+        for m in &rs.members {
             cx.send_fuse(
                 m.proc,
                 FuseMsg::GroupRepairRequest {
                     id,
                     seq,
-                    root: self.me.clone(),
+                    root: self.me,
                 },
             );
         }
@@ -1296,12 +1305,6 @@ impl FuseLayer {
             self.cfg.root_repair_timeout,
             FuseTimer::RepairRound { id, seq },
         );
-        let Some(g) = self.groups.get_mut(&id) else {
-            return;
-        };
-        let RoleState::Root(rs) = &mut g.role else {
-            return;
-        };
         rs.repair = Some(RepairRound {
             seq,
             awaiting,
@@ -1425,10 +1428,14 @@ impl FuseLayer {
                     // later link's deadline can only be later than this one.
                     let timeout = self.cfg.link_failure_timeout;
                     let timer = cx.set_fuse_timer(timeout, FuseTimer::LinkExpired { peer });
-                    let agreed_at = now;
-                    self.expiry.insert(peer, PeerExpiry { agreed_at, timer });
+                    let rec = PeerExpiry {
+                        agreed_at: now,
+                        timer,
+                        hash_dirty: true,
+                    };
+                    self.expiry.insert(peer, rec);
                 }
-                self.push_hash(ov, peer);
+                self.link_set_changed(ov, peer);
             }
         }
     }
@@ -1448,7 +1455,7 @@ impl FuseLayer {
                 .expect("a watched peer has a record");
             cx.cancel_fuse_timer(rec.timer);
         }
-        self.push_hash(ov, peer);
+        self.link_set_changed(ov, peer);
     }
 
     fn clear_links(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, id: FuseId) {
@@ -1461,22 +1468,39 @@ impl FuseLayer {
         }
     }
 
-    /// The piggyback digest for one link, from the cache. The digest covers
-    /// the sorted FUSE IDs jointly monitored on the link (paper §6.1: a
-    /// 20-byte hash encoding "all the FUSE groups that use this overlay
-    /// link"); [`push_hash`] refreshes the cache whenever the monitored set
-    /// changes, so every `PingHash` arrival is a pure lookup.
+    /// The monitored set on the link to `peer` changed. A peer still
+    /// watched has its digest recomputed when a ping or ack next reads it
+    /// ([`refresh_link_hash`]); a peer no longer watched piggybacks none.
     ///
-    /// [`push_hash`]: FuseLayer::push_hash
-    fn hash_for(&self, peer: PeerAddr) -> Digest {
-        self.hash_cache
-            .get(&peer)
-            .copied()
-            .unwrap_or_else(Digest::of_empty)
+    /// [`refresh_link_hash`]: FuseLayer::refresh_link_hash
+    fn link_set_changed(&mut self, ov: &mut OverlayNode, peer: PeerAddr) {
+        match self.expiry.get_mut(&peer) {
+            Some(rec) => rec.hash_dirty = true,
+            None => ov.set_link_hash(peer, None),
+        }
     }
 
-    /// Recomputes the digest from scratch (cache fill and the consistency
-    /// check in tests).
+    /// Brings the overlay's piggyback digest for `peer` up to date. The
+    /// digest covers the sorted FUSE IDs jointly monitored on the link
+    /// (paper §6.1: a 20-byte hash encoding "all the FUSE groups that use
+    /// this overlay link"). SHA-1 runs only when the set changed since the
+    /// last read, so an install or teardown costs no hash and an agreeing
+    /// ping costs a lookup and a flag test. Called before the overlay
+    /// sends a ping to, or answers a ping from, `peer`, and before a
+    /// received digest is compared.
+    pub(crate) fn refresh_link_hash(&mut self, ov: &mut OverlayNode, peer: PeerAddr) {
+        let dirty = self
+            .expiry
+            .get_mut(&peer)
+            .is_some_and(|rec| std::mem::take(&mut rec.hash_dirty));
+        if dirty {
+            self.obs.record(Event::HashComputed);
+            ov.set_link_hash(peer, Some(self.recompute_hash(peer)));
+        }
+    }
+
+    /// The digest of the groups monitoring the link to `peer`, computed
+    /// from scratch.
     fn recompute_hash(&self, peer: PeerAddr) -> Digest {
         let ids = self.subs.subscribers(peer);
         if ids.is_empty() {
@@ -1489,31 +1513,19 @@ impl FuseLayer {
         h.finalize()
     }
 
-    /// Whether every cached digest equals a fresh recomputation and no
-    /// stale entries linger — the invariant behind taking SHA-1 off the
-    /// per-ping path — and every subscribed peer, and only those, has its
-    /// expiry record (test hook).
-    pub fn hash_cache_consistent(&self) -> bool {
+    /// Whether the overlay's piggyback digests agree with the links (test
+    /// hook): every subscribed peer has its expiry record and, unless its
+    /// digest is marked stale, a digest equal to a fresh recomputation;
+    /// no other peer has a record or a digest.
+    pub fn hash_cache_consistent(&self, ov: &OverlayNode) -> bool {
         let peers = self.subs.peers();
-        peers
-            .iter()
-            .all(|&p| self.hash_cache.get(&p) == Some(&self.recompute_hash(p)))
-            && self.hash_cache.keys().all(|&p| self.subs.has_peer(p))
-            && self.expiry.len() == peers.len()
-            && self.expiry.keys().all(|&p| self.subs.has_peer(p))
-    }
-
-    fn push_hash(&mut self, ov: &mut OverlayNode, peer: PeerAddr) {
-        let hash = if self.subs.has_peer(peer) {
-            self.obs.record(Event::HashComputed);
-            let d = self.recompute_hash(peer);
-            self.hash_cache.insert(peer, d);
-            Some(d)
-        } else {
-            self.hash_cache.remove(&peer);
-            None
-        };
-        ov.set_link_hash(peer, hash);
+        let hashed = peers.iter().filter(|&&p| ov.link_hash(p).is_some());
+        peers.iter().all(|&p| {
+            self.expiry.get(&p).is_some_and(|rec| {
+                rec.hash_dirty || ov.link_hash(p) == Some(self.recompute_hash(p))
+            })
+        }) && self.expiry.len() == peers.len()
+            && ov.link_hash_count() == hashed.count()
     }
 
     fn links_with(&self, peer: PeerAddr) -> Vec<(FuseId, u64)> {

@@ -248,7 +248,7 @@ impl FuseStack {
         fuse_cfg: FuseConfig,
     ) -> Self {
         FuseStack {
-            overlay: OverlayNode::new(me.clone(), bootstrap, ov_cfg),
+            overlay: OverlayNode::new(me, bootstrap, ov_cfg),
             fuse: FuseLayer::new(me, fuse_cfg),
             ov_timers: KeyedTimers::new(NS_OVERLAY),
             fuse_timers: KeyedTimers::new(NS_FUSE),
@@ -276,6 +276,10 @@ impl FuseStack {
             }
             Input::Message { from, msg } => match msg {
                 StackMsg::Overlay(m) => {
+                    if let OverlayMsg::Ping { .. } = m {
+                        // The overlay answers with our digest for the link.
+                        self.fuse.refresh_link_hash(&mut self.overlay, from);
+                    }
                     self.with_overlay(now, rng, |ov, ocx| ov.on_message(ocx, from, m));
                     self.drain_upcalls(now, rng);
                 }
@@ -291,6 +295,10 @@ impl FuseStack {
             Input::Timer(key) => match key.ns {
                 NS_OVERLAY => {
                     if let Some(t) = self.ov_timers.fire(key) {
+                        if let OverlayTimer::PingDue(peer) = t {
+                            // The ping carries our digest for the link.
+                            self.fuse.refresh_link_hash(&mut self.overlay, peer);
+                        }
                         self.with_overlay(now, rng, |ov, ocx| ov.on_timer(ocx, t));
                         self.drain_upcalls(now, rng);
                     }
@@ -421,7 +429,7 @@ impl FuseApi<'_> {
 
     /// This node's overlay identity.
     pub fn me(&self) -> NodeInfo {
-        self.stack.overlay.info().clone()
+        *self.stack.overlay.info()
     }
 
     /// `CreateGroup` (Figure 1): asynchronous-blocking creation. The

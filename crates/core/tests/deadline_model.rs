@@ -10,6 +10,11 @@
 //! link_failure_timeout`. Every expiry the stack reports must happen at
 //! exactly the reference instant: none early, none missing, in `FuseId`
 //! order within a peer.
+//!
+//! The peers are also the root's overlay neighbours, so it pings them on
+//! its own schedule. Every `Ping` and `PingAck` that leaves the stack must
+//! carry the digest of the groups monitoring that link at that moment,
+//! although the stack only recomputes a digest when a ping reads it.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -64,20 +69,35 @@ struct Rig {
     ids: Vec<FuseId>,
     timeout: Duration,
     grace: Duration,
+    /// Outgoing pings and acks whose digest was checked.
+    digests_checked: u64,
+    /// Nonce of the root's unanswered ping to each peer.
+    pings: BTreeMap<PeerAddr, u64>,
 }
 
 impl Rig {
     fn new() -> Rig {
         let cfg = config();
+        // Unanswered pings never time out, so no neighbour dies of them.
+        let ov_cfg = OverlayConfig {
+            ping_timeout: Duration::from_secs(10_000_000),
+            ..OverlayConfig::default()
+        };
+        let mut stack = FuseStack::new(info(ME), None, ov_cfg, cfg.clone());
+        stack
+            .overlay
+            .preload_tables(PEERS.map(info).to_vec(), Vec::new(), Vec::new());
         let mut rig = Rig {
             timeout: cfg.link_failure_timeout,
             grace: cfg.reconcile_grace,
-            stack: FuseStack::new(info(ME), None, OverlayConfig::default(), cfg),
+            stack,
             rng: StdRng::seed_from_u64(0xDEAD),
             now: Time::ZERO,
             timers: BinaryHeap::new(),
             armed: 0,
             ids: Vec::new(),
+            digests_checked: 0,
+            pings: BTreeMap::new(),
         };
         rig.feed(Input::Boot);
         for _ in 0..GROUPS {
@@ -104,14 +124,36 @@ impl Rig {
         rig
     }
 
-    /// Collects the stack's queued outputs, scheduling its timer requests.
+    /// Collects the stack's queued outputs, scheduling its timer requests
+    /// and checking the digest on every ping and ack.
     fn drain(&mut self) -> Vec<Output> {
         let mut outs = Vec::new();
         while let Some(o) = self.stack.poll_output() {
-            if let Output::SetTimer { key, after } = o {
-                self.armed += 1;
-                self.timers
-                    .push(Reverse((self.now + after, self.armed, key)));
+            match &o {
+                Output::SetTimer { key, after } => {
+                    self.armed += 1;
+                    self.timers
+                        .push(Reverse((self.now + *after, self.armed, *key)));
+                }
+                Output::Send {
+                    to,
+                    msg: StackMsg::Overlay(m),
+                } => {
+                    let hash = match m {
+                        OverlayMsg::Ping { nonce, hash } => {
+                            self.pings.insert(*to, *nonce);
+                            Some(hash)
+                        }
+                        OverlayMsg::PingAck { hash, .. } => Some(hash),
+                        _ => None,
+                    };
+                    if let Some(&hash) = hash {
+                        let subs = self.stack.fuse.subscriptions().subscribers(*to);
+                        assert_eq!(hash, digest_of(subs.iter().copied()), "digest to {to}");
+                        self.digests_checked += 1;
+                    }
+                }
+                _ => {}
             }
             outs.push(o);
         }
@@ -162,6 +204,17 @@ impl Rig {
                 _ => None,
             })
             .expect("every ping is acked")
+    }
+
+    /// `peer` acks the root's unanswered ping, piggybacking `hash`; returns
+    /// whether a ping was unanswered.
+    fn ack(&mut self, peer: PeerAddr, hash: Option<Digest>) -> bool {
+        let Some(nonce) = self.pings.remove(&peer) else {
+            return false;
+        };
+        let msg = StackMsg::Overlay(OverlayMsg::PingAck { nonce, hash });
+        self.feed(Input::Message { from: peer, msg });
+        true
     }
 
     fn reconcile_reply(&mut self, peer: PeerAddr, theirs: &[FuseId]) {
@@ -317,6 +370,34 @@ fn links_due_at_one_instant_expire_in_fuse_id_order() {
     assert_eq!(fires[1].expired.len(), GROUPS, "b's links, same instant");
 }
 
+#[test]
+fn a_digest_is_computed_when_a_ping_reads_a_changed_set_and_only_then() {
+    let mut rig = Rig::new();
+    let (g1, g2, a) = (rig.ids[0], rig.ids[1], PEERS[0]);
+    let computed = |rig: &Rig| rig.stack.fuse.stats().hashes_computed;
+    let before = computed(&rig);
+    rig.install(g1, a);
+    rig.install(g2, a);
+    rig.soft(g2, a);
+    assert_eq!(computed(&rig), before, "a link change computes no digest");
+    assert_eq!(rig.ping(a, digest_of([g1])), digest_of([g1]));
+    assert_eq!(computed(&rig), before + 1, "the ack reads the changed set");
+    assert_eq!(rig.ping(a, digest_of([g1])), digest_of([g1]));
+    assert_eq!(
+        computed(&rig),
+        before + 1,
+        "an unchanged set is not rehashed"
+    );
+    // The root's own pings read it too; every peer comes due within one
+    // period, and only `a`'s set changed.
+    rig.install(g2, a);
+    let checked = rig.digests_checked;
+    rig.run_until(rig.now + Duration::from_secs(60));
+    assert_eq!(rig.digests_checked - checked, PEERS.len() as u64);
+    assert_eq!(computed(&rig), before + 2);
+    assert!(rig.stack.fuse.hash_cache_consistent(&rig.stack.overlay));
+}
+
 /// One deadline per (peer, group), kept the way the per-link timers kept it.
 #[derive(Default)]
 struct Model {
@@ -353,7 +434,7 @@ proptest! {
 
     #[test]
     fn every_link_expires_at_exactly_its_reference_deadline(
-        ops in prop::collection::vec((0u8..9, any::<u8>(), any::<u8>(), any::<u16>()), 1..80),
+        ops in prop::collection::vec((0u8..10, any::<u8>(), any::<u8>(), any::<u16>()), 1..80),
     ) {
         let mut rig = Rig::new();
         let mut model = Model::default();
@@ -402,6 +483,16 @@ proptest! {
                     rig.soft(id, peer);
                     model.links.retain(|k, _| k.1 != id);
                 }
+                7 => {
+                    // An agreeing ack of the root's own ping, which may
+                    // come before anything reread a digest the ops above
+                    // left stale.
+                    if rig.ack(peer, digest_of(model.on(peer))) {
+                        for (_, l) in model.links.iter_mut().filter(|(k, _)| k.0 == peer) {
+                            l.deadline = now + t;
+                        }
+                    }
+                }
                 _ => {
                     // Short steps land inside `reconcile_grace`, long ones
                     // let deadlines come.
@@ -421,7 +512,7 @@ proptest! {
             }
             let expect: BTreeSet<_> = model.links.keys().copied().collect();
             prop_assert_eq!(rig.links(), expect, "link sets diverged after op {}", kind);
-            prop_assert!(rig.stack.fuse.hash_cache_consistent());
+            prop_assert!(rig.stack.fuse.hash_cache_consistent(&rig.stack.overlay));
         }
         // Nothing left refreshes: every remaining link expires on time.
         let end = rig.now + t;

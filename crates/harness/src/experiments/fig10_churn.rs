@@ -132,7 +132,7 @@ fn schedule_churn(
             sim.schedule_crash(at, proc);
         } else {
             let stack = NodeStack::new(
-                infos[proc as usize].clone(),
+                infos[proc as usize],
                 Some(0),
                 cfg.ov.clone(),
                 cfg.fuse.clone(),

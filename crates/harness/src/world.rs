@@ -83,7 +83,7 @@ fn node_stack(
     tables: Option<OracleTables>,
 ) -> NodeStack<RecorderApp> {
     let mut stack = NodeStack::new(
-        info.clone(),
+        *info,
         bootstrap,
         p.ov.clone(),
         p.fuse.clone(),
@@ -185,10 +185,7 @@ impl World {
     /// Starts a group creation without waiting; the ticket correlates the
     /// eventual `Created` event.
     pub fn start_create(&mut self, root: ProcId, members: &[ProcId]) -> CreateTicket {
-        let others: Vec<NodeInfo> = members
-            .iter()
-            .map(|&m| self.infos[m as usize].clone())
-            .collect();
+        let others: Vec<NodeInfo> = members.iter().map(|&m| self.infos[m as usize]).collect();
         self.sim
             .with_proc(root, |stack, ctx| {
                 stack.with_api(ctx, |api, _| api.create_group(others))

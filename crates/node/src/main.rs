@@ -418,7 +418,7 @@ fn main() {
         .collect();
     infos.push(NodeInfo::new(opts.id, NodeName::numbered(opts.id as usize)));
     infos.sort_by_key(|i| i.proc);
-    let me = infos.iter().find(|i| i.proc == opts.id).unwrap().clone();
+    let me = *infos.iter().find(|i| i.proc == opts.id).unwrap();
     let mut ov_cfg = OverlayConfig::default();
     if let Some(s) = opts.ping_secs {
         ov_cfg.ping_period = ProtoDuration::from_secs(s);
@@ -519,14 +519,10 @@ fn main() {
         .create
         .iter()
         .map(|&m| {
-            infos
-                .iter()
-                .find(|i| i.proc == m)
-                .unwrap_or_else(|| {
-                    eprintln!("fuse-node: --create member {m} is not a known --peer");
-                    exit(2);
-                })
-                .clone()
+            *infos.iter().find(|i| i.proc == m).unwrap_or_else(|| {
+                eprintln!("fuse-node: --create member {m} is not a known --peer");
+                exit(2);
+            })
         })
         .collect();
     let wants_group = !opts.create.is_empty();
@@ -617,7 +613,7 @@ fn main() {
                 let mut ok = true;
                 for m in &members {
                     match infos.iter().find(|i| i.proc == *m) {
-                        Some(i) if *m != opts.id => resolved.push(i.clone()),
+                        Some(i) if *m != opts.id => resolved.push(*i),
                         _ => {
                             eprintln!("fuse-node: control: create member {m} unknown");
                             ok = false;

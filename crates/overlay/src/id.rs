@@ -6,6 +6,15 @@
 //! configuration). The routing table at level `h` points to the nearest ring
 //! neighbors sharing the first `h` numeric digits, which is what yields
 //! O(log n) routing.
+//!
+//! A name is stored inline: up to [`NAME_CAP`] bytes of UTF-8, zero-padded,
+//! plus a length. That makes [`NodeName`] and [`NodeInfo`] `Copy`, so
+//! routing, table updates and message decoding never allocate for an
+//! identity. Every name in use fits: `node-NNNNNN` is 11 bytes and a
+//! maintenance probe's `probe-<16 hex digits>` is 22.
+
+use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use fuse_util::PeerAddr as ProcId;
 use fuse_wire::{sha1, Decode, DecodeError, Encode, Reader, Writer};
@@ -14,15 +23,80 @@ use fuse_wire::{sha1, Decode, DecodeError, Encode, Reader, Writer};
 /// experiment's scale).
 pub const NUMERIC_DIGITS: usize = 16;
 
+/// Longest ring name, in bytes.
+pub const NAME_CAP: usize = 23;
+
 /// A node's name ID: ring position in lexicographic order.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeName(pub String);
+///
+/// The derived order compares the zero-padded bytes first and the length
+/// last, which is exactly byte-string order: where one name is a prefix of
+/// the other, the padding byte 0 sorts at or below whatever the longer name
+/// holds there, and a tie falls to the length. `Hash`, `Debug` and
+/// `Display` match those of the name as a `String`, and so does the wire
+/// encoding, `varint len ‖ bytes`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct NodeName {
+    /// `bytes[..len]` is UTF-8; the rest is zero.
+    bytes: [u8; NAME_CAP],
+    len: u8,
+}
 
 impl NodeName {
+    const EMPTY: NodeName = NodeName {
+        bytes: [0; NAME_CAP],
+        len: 0,
+    };
+
+    /// `name` as a ring name, or `None` when it is longer than
+    /// [`NAME_CAP`] bytes.
+    pub fn new(name: &str) -> Option<Self> {
+        let mut n = NodeName::EMPTY;
+        n.push(name).then_some(n)
+    }
+
+    /// Formats a name in place, with no heap allocation; `None` when the
+    /// text is longer than [`NAME_CAP`] bytes.
+    pub(crate) fn format(args: fmt::Arguments<'_>) -> Option<Self> {
+        struct Fill(NodeName);
+        impl fmt::Write for Fill {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.push(s).then_some(()).ok_or(fmt::Error)
+            }
+        }
+        let mut fill = Fill(NodeName::EMPTY);
+        fmt::write(&mut fill, args).ok()?;
+        Some(fill.0)
+    }
+
+    /// Appends `s` if it fits, leaving the name unchanged otherwise.
+    fn push(&mut self, s: &str) -> bool {
+        let at = usize::from(self.len);
+        let Some(end) = at.checked_add(s.len()).filter(|&end| end <= NAME_CAP) else {
+            return false;
+        };
+        self.bytes[at..end].copy_from_slice(s.as_bytes());
+        self.len = end as u8;
+        true
+    }
+
     /// Builds a deterministic padded name; zero-padding makes lexicographic
     /// order match numeric order, handy in tests.
+    ///
+    /// # Panics
+    ///
+    /// When `i` has more than 18 digits, since the name would not fit.
     pub fn numbered(i: usize) -> Self {
-        NodeName(format!("node-{i:06}"))
+        NodeName::format(format_args!("node-{i:06}")).expect("node numbers have at most 18 digits")
+    }
+
+    /// The name's bytes, without the padding.
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+
+    /// The name as text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("a NodeName holds UTF-8")
     }
 
     /// Cyclic "is `x` strictly inside the arc (self → to], walking
@@ -40,25 +114,45 @@ impl NodeName {
     }
 }
 
-impl std::fmt::Display for NodeName {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
+impl Hash for NodeName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for NodeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("NodeName").field(&self.as_str()).finish()
+    }
+}
+
+impl fmt::Display for NodeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
 impl Encode for NodeName {
     fn encode(&self, w: &mut dyn Writer) {
-        self.0.encode(w);
+        usize::from(self.len).encode(w);
+        w.put(self.as_bytes());
     }
 
     fn size_hint(&self) -> usize {
-        self.0.size_hint()
+        let len = usize::from(self.len);
+        len.size_hint() + len
     }
 }
 
 impl Decode for NodeName {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(NodeName(String::decode(r)?))
+        let len = u64::decode(r)?;
+        if len > NAME_CAP as u64 {
+            return Err(DecodeError::Invalid("name longer than NAME_CAP"));
+        }
+        let text = std::str::from_utf8(r.take(len as usize)?)
+            .map_err(|_| DecodeError::Invalid("utf-8"))?;
+        Ok(NodeName::new(text).expect("length checked against NAME_CAP"))
     }
 }
 
@@ -72,7 +166,7 @@ pub struct NumericId {
 impl NumericId {
     /// Derives the numeric ID for `name` (SHA-1 bits, 3 bits per digit).
     pub fn for_name(name: &NodeName) -> Self {
-        let d = sha1(name.0.as_bytes());
+        let d = sha1(name.as_bytes());
         let mut digits = [0u8; NUMERIC_DIGITS];
         for (i, digit) in digits.iter_mut().enumerate() {
             // 3 bits per digit out of the 160-bit digest.
@@ -101,7 +195,7 @@ impl NumericId {
 }
 
 /// Identity and address of an overlay node, as carried in messages.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeInfo {
     /// Simulation process id (the "network address").
     pub proc: ProcId,
@@ -168,7 +262,7 @@ mod tests {
     use fuse_wire::Encode;
 
     fn n(s: &str) -> NodeName {
-        NodeName(s.to_string())
+        NodeName::new(s).unwrap()
     }
 
     #[test]

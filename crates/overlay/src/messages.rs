@@ -295,24 +295,22 @@ mod tests {
             hash: None,
         });
         roundtrip(OverlayMsg::Routed {
-            src: info.clone(),
+            src: info,
             target: NodeName::numbered(9),
             ttl: 40,
             class: 0,
             payload: Bytes::from_static(b"hello"),
-            path: vec![info.clone()],
+            path: vec![info],
         });
         roundtrip(OverlayMsg::JoinReply {
-            candidates: vec![info.clone(), NodeInfo::new(4, NodeName::numbered(4))],
+            candidates: vec![info, NodeInfo::new(4, NodeName::numbered(4))],
         });
         roundtrip(OverlayMsg::Announce {
-            info: info.clone(),
+            info,
             want_reply: true,
         });
         roundtrip(OverlayMsg::AnnounceAck { candidates: vec![] });
-        roundtrip(OverlayMsg::ProbeReply {
-            path: vec![info.clone()],
-        });
+        roundtrip(OverlayMsg::ProbeReply { path: vec![info] });
         roundtrip(OverlayMsg::RoutedError {
             target: NodeName::numbered(1),
             at: info,

@@ -161,8 +161,8 @@ impl OverlayNode {
         io.send(
             bs,
             OverlayMsg::Routed {
-                src: self.me.clone(),
-                target: self.me.name.clone(),
+                src: self.me,
+                target: self.me.name,
                 ttl: self.cfg.route_ttl,
                 class: RoutedClass::Join as u8,
                 payload,
@@ -183,7 +183,10 @@ impl OverlayNode {
     }
 
     fn neighbor_set(&self) -> DetHashSet<PeerAddr> {
-        let mut s = DetHashSet::default();
+        // Sized for every entry up front: one allocation, not one per
+        // doubling, on each probe reply and announce.
+        let entries = self.leaves_cw.len() + self.leaves_ccw.len() + 2 * self.rtable.len();
+        let mut s = DetHashSet::with_capacity_and_hasher(entries, Default::default());
         for l in self.leaves_cw.iter().chain(self.leaves_ccw.iter()) {
             s.insert(l.proc);
         }
@@ -240,7 +243,7 @@ impl OverlayNode {
             return false;
         }
         if self.known.len() < self.cfg.candidate_cache {
-            self.known.insert(cand.proc, cand.clone());
+            self.known.insert(cand.proc, *cand);
         }
         let mut changed = self.leaf_insert(cand);
         let shared = self.numeric.common_prefix(&cand.numeric());
@@ -261,11 +264,11 @@ impl OverlayNode {
                 .position(|l| closer_clockwise(&self.me.name, &cand.name, &l.name));
             match pos {
                 Some(i) => {
-                    self.leaves_cw.insert(i, cand.clone());
+                    self.leaves_cw.insert(i, *cand);
                     changed = true;
                 }
                 None if self.leaves_cw.len() < self.cfg.leaf_side => {
-                    self.leaves_cw.push(cand.clone());
+                    self.leaves_cw.push(*cand);
                     changed = true;
                 }
                 None => {}
@@ -282,11 +285,11 @@ impl OverlayNode {
                 .position(|l| closer_counterclockwise(&self.me.name, &cand.name, &l.name));
             match pos {
                 Some(i) => {
-                    self.leaves_ccw.insert(i, cand.clone());
+                    self.leaves_ccw.insert(i, *cand);
                     changed = true;
                 }
                 None if self.leaves_ccw.len() < self.cfg.leaf_side => {
-                    self.leaves_ccw.push(cand.clone());
+                    self.leaves_ccw.push(*cand);
                     changed = true;
                 }
                 None => {}
@@ -310,7 +313,7 @@ impl OverlayNode {
             }
         };
         if better_ccw {
-            slots[0] = Some(cand.clone());
+            slots[0] = Some(*cand);
             changed = true;
         }
         let better_cw = match &slots[1] {
@@ -320,7 +323,7 @@ impl OverlayNode {
             }
         };
         if better_cw {
-            slots[1] = Some(cand.clone());
+            slots[1] = Some(*cand);
             changed = true;
         }
         changed
@@ -387,7 +390,7 @@ impl OverlayNode {
 
     /// The digest the client asked us to piggyback for `peer` (absent when
     /// no groups monitor the link).
-    fn hash_for(&self, peer: PeerAddr) -> Option<Digest> {
+    pub fn link_hash(&self, peer: PeerAddr) -> Option<Digest> {
         self.link_hashes.get(&peer).copied()
     }
 
@@ -402,6 +405,11 @@ impl OverlayNode {
                 self.link_hashes.remove(&peer);
             }
         }
+    }
+
+    /// Number of links with a piggyback digest set.
+    pub fn link_hash_count(&self) -> usize {
+        self.link_hashes.len()
     }
 
     /// Whether `peer` is currently a monitored neighbor.
@@ -443,12 +451,12 @@ impl OverlayNode {
             io.send(
                 p,
                 OverlayMsg::Announce {
-                    info: self.me.clone(),
+                    info: self.me,
                     want_reply: true,
                 },
             );
         }
-        let cached: Vec<NodeInfo> = self.known.values().cloned().collect();
+        let cached: Vec<NodeInfo> = self.known.values().copied().collect();
         self.integrate_all(io, &cached);
     }
 
@@ -465,20 +473,20 @@ impl OverlayNode {
         if *target == self.me.name {
             return RouteStart::SelfIsTarget;
         }
-        match self.best_next_hop(target).cloned() {
+        match self.next_hop(target) {
             Some(next) => {
                 io.send(
-                    next.proc,
+                    next,
                     OverlayMsg::Routed {
-                        src: self.me.clone(),
-                        target: target.clone(),
+                        src: self.me,
+                        target: *target,
                         ttl: self.cfg.route_ttl,
                         class: RoutedClass::Client as u8,
                         payload,
                         path: Vec::new(),
                     },
                 );
-                RouteStart::Sent { next: next.proc }
+                RouteStart::Sent { next }
             }
             None => RouteStart::NoRoute,
         }
@@ -505,23 +513,23 @@ impl OverlayNode {
             self.routed_failed(io, &src, &target, class, payload);
             return;
         }
-        match self.best_next_hop(&target).cloned() {
+        match self.next_hop(&target) {
             Some(next) => {
                 self.stats.forwarded += 1;
                 if rclass == Some(RoutedClass::Probe) {
-                    path.push(self.me.clone());
+                    path.push(self.me);
                 }
                 if rclass == Some(RoutedClass::Client) && src.proc != self.me.proc {
                     io.upcall(OverlayUpcall::Forwarded {
-                        src: src.clone(),
-                        target: target.clone(),
+                        src,
+                        target,
                         prev: from,
-                        next: next.proc,
+                        next,
                         payload: payload.clone(),
                     });
                 }
                 io.send(
-                    next.proc,
+                    next,
                     OverlayMsg::Routed {
                         src,
                         target,
@@ -560,7 +568,7 @@ impl OverlayNode {
             Some(RoutedClass::Join) => self.handle_join_request(io, payload),
             Some(RoutedClass::Probe) => {
                 let mut path = path;
-                path.push(self.me.clone());
+                path.push(self.me);
                 io.send(src.proc, OverlayMsg::ProbeReply { path });
             }
             None => {}
@@ -580,7 +588,7 @@ impl OverlayNode {
             Some(RoutedClass::Join) => self.handle_join_request(io, payload),
             Some(RoutedClass::Probe) => {
                 let mut path = path;
-                path.push(self.me.clone());
+                path.push(self.me);
                 io.send(src.proc, OverlayMsg::ProbeReply { path });
             }
             Some(RoutedClass::Client) | None => {
@@ -602,16 +610,16 @@ impl OverlayNode {
         self.stats.route_stalls += 1;
         if src.proc == self.me.proc {
             io.upcall(OverlayUpcall::RouteStuck {
-                src: src.clone(),
-                target: target.clone(),
+                src: *src,
+                target: *target,
                 payload,
             });
         } else {
             io.send(
                 src.proc,
                 OverlayMsg::RoutedError {
-                    target: target.clone(),
-                    at: self.me.clone(),
+                    target: *target,
+                    at: self.me,
                     class,
                     payload,
                 },
@@ -623,12 +631,12 @@ impl OverlayNode {
         let Ok(joiner) = NodeInfo::from_bytes(&payload) else {
             return;
         };
-        let mut candidates: Vec<NodeInfo> = vec![self.me.clone()];
-        candidates.extend(self.leaves_cw.iter().cloned());
-        candidates.extend(self.leaves_ccw.iter().cloned());
+        let mut candidates: Vec<NodeInfo> = vec![self.me];
+        candidates.extend_from_slice(&self.leaves_cw);
+        candidates.extend_from_slice(&self.leaves_ccw);
         for lvl in &self.rtable {
             for e in lvl.iter().flatten() {
-                candidates.push(e.clone());
+                candidates.push(*e);
             }
         }
         candidates.dedup_by_key(|c| c.proc);
@@ -647,7 +655,7 @@ impl OverlayNode {
                     peer: from,
                     hash: hash.unwrap_or_else(Digest::of_empty),
                 });
-                let mine = self.hash_for(from);
+                let mine = self.link_hash(from);
                 io.send(from, OverlayMsg::PingAck { nonce, hash: mine });
             }
             OverlayMsg::PingAck { nonce, hash } => {
@@ -689,7 +697,7 @@ impl OverlayNode {
                         io.send(
                             p,
                             OverlayMsg::Announce {
-                                info: self.me.clone(),
+                                info: self.me,
                                 want_reply: true,
                             },
                         );
@@ -698,9 +706,9 @@ impl OverlayNode {
             }
             OverlayMsg::Announce { info, want_reply } => {
                 if want_reply {
-                    let mut candidates: Vec<NodeInfo> = vec![self.me.clone()];
-                    candidates.extend(self.leaves_cw.iter().cloned());
-                    candidates.extend(self.leaves_ccw.iter().cloned());
+                    let mut candidates: Vec<NodeInfo> = vec![self.me];
+                    candidates.extend_from_slice(&self.leaves_cw);
+                    candidates.extend_from_slice(&self.leaves_ccw);
                     candidates.dedup_by_key(|c| c.proc);
                     io.send(info.proc, OverlayMsg::AnnounceAck { candidates });
                 }
@@ -738,7 +746,7 @@ impl OverlayNode {
                 }
                 self.next_nonce += 1;
                 let nonce = self.next_nonce;
-                let hash = self.hash_for(peer);
+                let hash = self.link_hash(peer);
                 io.send(peer, OverlayMsg::Ping { nonce, hash });
                 self.stats.pings_sent += 1;
                 // One outstanding ack wait per peer; re-arm replaces.
@@ -783,21 +791,25 @@ impl OverlayNode {
     }
 
     fn send_probe(&mut self, io: &mut OverlayCx<'_>) {
-        // Probe toward a uniformly random ring position; hop path infos
+        // Probe toward a random point named `probe-<hex>`; hop path infos
         // opportunistically refresh tables along the way and at the source.
+        // Every such name sorts after every `node-…` name, so in a world
+        // of numbered nodes each probe ends at the highest-named node, not
+        // at a uniformly random ring position (pinned by a test below).
         let point: u64 = io.rng().gen();
-        let target = NodeName(format!("probe-{point:016x}"));
-        if let Some(next) = self.best_next_hop(&target).cloned() {
+        let target = NodeName::format(format_args!("probe-{point:016x}"))
+            .expect("a probe target is 22 bytes");
+        if let Some(next) = self.next_hop(&target) {
             self.stats.probes_sent += 1;
             io.send(
-                next.proc,
+                next,
                 OverlayMsg::Routed {
-                    src: self.me.clone(),
+                    src: self.me,
                     target,
                     ttl: self.cfg.route_ttl,
                     class: RoutedClass::Probe as u8,
                     payload: Bytes::new(),
-                    path: vec![self.me.clone()],
+                    path: vec![self.me],
                 },
             );
         }
@@ -934,7 +946,7 @@ mod tests {
         // Route to 25: furthest ≤ 25 is 20.
         assert_eq!(n.next_hop(&NodeName::numbered(25)).unwrap(), 20);
         // Route to own name: we are the target.
-        let me_name = n.name().clone();
+        let me_name = *n.name();
         assert_eq!(n.next_hop(&me_name), None);
     }
 
@@ -1047,7 +1059,7 @@ mod tests {
             &mut n,
             10,
             OverlayMsg::Routed {
-                src: src.clone(),
+                src,
                 target: NodeName::numbered(40),
                 ttl: 8,
                 class: RoutedClass::Client as u8,
@@ -1167,6 +1179,45 @@ mod tests {
             assert!(n.known.contains_key(&p));
             assert!(!n.neighbors().contains(&p));
         }
+    }
+
+    /// Pins a known defect without fixing it: every `probe-…` target sorts
+    /// after every `node-…` name, so in a world of numbered nodes each
+    /// maintenance probe, from any node toward any random point, ends at
+    /// the highest-named node. Probes do not sample the ring uniformly.
+    #[test]
+    fn every_maintenance_probe_ends_at_the_highest_named_node() {
+        let n = 400;
+        let infos: Vec<NodeInfo> = (0..n).map(info).collect();
+        let cfg = OverlayConfig::default();
+        let tables = crate::oracle::build_oracle_tables(&infos, &cfg);
+        let mut nodes: Vec<OverlayNode> = infos
+            .iter()
+            .zip(tables)
+            .map(|(me, (cw, ccw, rt))| {
+                let mut node = OverlayNode::new(*me, None, cfg.clone());
+                node.preload_tables(cw, ccw, rt);
+                node
+            })
+            .collect();
+        let mut io = TestIo::new();
+        let mut owners = Vec::new();
+        for start in (0..n).step_by(n / 20) {
+            io.sent.clear();
+            io.on_timer(&mut nodes[start], OverlayTimer::Maintenance);
+            let mut at = start as PeerAddr;
+            while let Some((to, msg)) = io.sent.pop() {
+                match msg {
+                    OverlayMsg::Routed { .. } => {
+                        io.on_message(&mut nodes[to as usize], at, msg);
+                        at = to;
+                    }
+                    OverlayMsg::ProbeReply { path } => owners.push(path.last().map(|i| i.proc)),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        assert_eq!(owners, vec![Some(n as PeerAddr - 1); 20]);
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub fn build_oracle_tables(members: &[NodeInfo], cfg: &OverlayConfig) -> Vec<Ora
         let mut cw = Vec::with_capacity(cfg.leaf_side);
         let mut ccw = Vec::with_capacity(cfg.leaf_side);
         for k in 1..=cfg.leaf_side.min(n.saturating_sub(1)) {
-            cw.push(members[ring[(p + k) % n]].clone());
-            ccw.push(members[ring[(p + n - k) % n]].clone());
+            cw.push(members[ring[(p + k) % n]]);
+            ccw.push(members[ring[(p + n - k) % n]]);
         }
         // Routing table: nearest same-prefix node per side per level.
         let mut rtable: Vec<[Option<NodeInfo>; 2]> = vec![[None, None]; cfg.max_levels];
@@ -76,8 +76,8 @@ pub fn build_oracle_tables(members: &[NodeInfo], cfg: &OverlayConfig) -> Vec<Ora
             let i = bucket.binary_search(&p).expect("self in own bucket");
             let cw_pos = bucket[(i + 1) % bucket.len()];
             let ccw_pos = bucket[(i + bucket.len() - 1) % bucket.len()];
-            rtable[level][1] = Some(members[ring[cw_pos]].clone());
-            rtable[level][0] = Some(members[ring[ccw_pos]].clone());
+            rtable[level][1] = Some(members[ring[cw_pos]]);
+            rtable[level][0] = Some(members[ring[ccw_pos]]);
         }
         out.push((cw, ccw, rtable));
     }
@@ -158,7 +158,7 @@ mod tests {
             .iter()
             .zip(tables)
             .map(|(info, (cw, ccw, rt))| {
-                let mut n = OverlayNode::new(info.clone(), None, cfg.clone());
+                let mut n = OverlayNode::new(*info, None, cfg.clone());
                 n.preload_tables(cw, ccw, rt);
                 n
             })
@@ -171,7 +171,7 @@ mod tests {
                 if s == t {
                     continue;
                 }
-                let target = m[t].name.clone();
+                let target = m[t].name;
                 let mut cur = s;
                 let mut hops = 0;
                 while cur != t {
@@ -199,7 +199,7 @@ mod tests {
     #[should_panic(expected = "duplicate overlay names")]
     fn duplicate_names_rejected() {
         let mut m = members(4);
-        m[3].name = m[0].name.clone();
+        m[3].name = m[0].name;
         build_oracle_tables(&m, &OverlayConfig::default());
     }
 }

@@ -6,7 +6,7 @@ use fuse_overlay::{build_oracle_tables, NodeInfo, OverlayConfig, OverlayNode};
 use proptest::prelude::*;
 
 fn name_strategy() -> impl Strategy<Value = NodeName> {
-    "[a-z]{1,6}".prop_map(NodeName)
+    "[a-z]{1,6}".prop_map(|s| NodeName::new(&s).unwrap())
 }
 
 proptest! {
@@ -53,7 +53,7 @@ proptest! {
             .iter()
             .zip(tables)
             .map(|(info, (cw, ccw, rt))| {
-                let mut node = OverlayNode::new(info.clone(), None, cfg.clone());
+                let mut node = OverlayNode::new(*info, None, cfg.clone());
                 node.preload_tables(cw, ccw, rt);
                 node
             })
@@ -61,7 +61,7 @@ proptest! {
         let s = src.index(n);
         let t = dst.index(n);
         prop_assume!(s != t);
-        let target = infos[t].name.clone();
+        let target = infos[t].name;
         let mut cur = s;
         let mut hops = 0;
         while cur != t {

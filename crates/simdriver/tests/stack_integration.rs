@@ -82,7 +82,7 @@ fn world_on<M: Medium>(n: usize, seed: u64, medium: M) -> (World<M>, Vec<NodeInf
     let mut sim = Sim::new(seed, medium);
     for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
         let mut stack = NodeStack::new(
-            info.clone(),
+            *info,
             None,
             ov_cfg.clone(),
             FuseConfig::default(),
@@ -100,7 +100,7 @@ fn create_group<M: Medium>(
     root: ProcId,
     members: &[ProcId],
 ) -> FuseId {
-    let others: Vec<NodeInfo> = members.iter().map(|&m| infos[m as usize].clone()).collect();
+    let others: Vec<NodeInfo> = members.iter().map(|&m| infos[m as usize]).collect();
     let ticket = sim
         .with_proc(root, |stack, ctx| {
             stack.with_api(ctx, |api, _app| api.create_group(others))
@@ -279,7 +279,7 @@ fn group_churn_registers_and_unregisters_peers() {
     let assert_consistent = |sim: &World| {
         for p in 0..16u32 {
             let s = sim.proc(p).unwrap();
-            assert!(s.fuse.hash_cache_consistent(), "node {p}");
+            assert!(s.fuse.hash_cache_consistent(&s.overlay), "node {p}");
         }
     };
     assert_consistent(&sim);
@@ -345,10 +345,7 @@ fn create_with_dead_member_fails() {
     let (mut sim, infos) = world(16, 13);
     sim.run_for(SimDuration::from_secs(2));
     sim.crash(7);
-    let others: Vec<NodeInfo> = [3u32, 7]
-        .iter()
-        .map(|&m| infos[m as usize].clone())
-        .collect();
+    let others: Vec<NodeInfo> = [3u32, 7].iter().map(|&m| infos[m as usize]).collect();
     let ticket = sim
         .with_proc(0, |stack, ctx| {
             stack.with_api(ctx, |api, _| api.create_group(others))
@@ -394,7 +391,7 @@ fn crashed_and_restarted_member_groups_fail_via_reconciliation() {
     let all: Vec<NodeInfo> = infos.clone();
     let tables = build_oracle_tables(&all, &ov_cfg);
     let mut stack = NodeStack::new(
-        infos[4].clone(),
+        infos[4],
         None,
         ov_cfg.clone(),
         FuseConfig::default(),
@@ -466,7 +463,7 @@ fn piggyback_digest_cache_matches_recomputation() {
         for p in 0..sim.process_count() as ProcId {
             if let Some(s) = sim.proc(p) {
                 assert!(
-                    s.fuse.hash_cache_consistent(),
+                    s.fuse.hash_cache_consistent(&s.overlay),
                     "node {p} digest cache diverged {when}"
                 );
             }

@@ -53,7 +53,7 @@ pub fn run_census(p: &CensusParams) -> CensusResult {
         .collect();
     let ov_cfg = OverlayConfig::default();
     let tables = build_oracle_tables(&infos, &ov_cfg);
-    let topic = NodeName(String::from("svtree-topic-1"));
+    let topic = NodeName::new("svtree-topic-1").expect("the topic fits a ring name");
 
     let mut ids: Vec<usize> = (0..n).collect();
     ids.shuffle(&mut rng);
@@ -65,12 +65,12 @@ pub fn run_census(p: &CensusParams) -> CensusResult {
     for (i, (info, (cw, ccw, rt))) in infos.iter().zip(tables).enumerate() {
         // Everyone boots as a bystander; subscriptions are staggered below
         // so the tree grows incrementally, as real trees do.
-        let mut cfg = SvConfig::bystander(topic.clone());
+        let mut cfg = SvConfig::bystander(topic);
         if !sub_set.contains(&i) {
             cfg.volunteer = rand::Rng::gen_bool(&mut rng, p.volunteer_fraction);
         }
         let mut stack = NodeStack::new(
-            info.clone(),
+            *info,
             None,
             ov_cfg.clone(),
             FuseConfig::default(),

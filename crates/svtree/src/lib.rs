@@ -426,7 +426,7 @@ impl SvApp {
         }
         // The link's fate-sharing set: parent + bypassed RPF nodes, with the
         // subscriber as creator.
-        let mut others: Vec<NodeInfo> = vec![parent.clone()];
+        let mut others: Vec<NodeInfo> = vec![parent];
         others.extend(path.into_iter().filter(|p| p.proc != parent.proc));
         self.link_group_sizes.push(others.len() + 1);
         let ticket = api.create_group(others);
@@ -564,17 +564,17 @@ mod tests {
         let info = NodeInfo::new(7, NodeName::numbered(7));
         for m in [
             SvMsg::Subscribe {
-                subscriber: info.clone(),
+                subscriber: info,
                 version: 3,
-                path: vec![info.clone()],
+                path: vec![info],
             },
             SvMsg::LinkAccept {
-                parent: info.clone(),
+                parent: info,
                 version: 3,
                 path: vec![],
             },
             SvMsg::LinkConfirm {
-                subscriber: info.clone(),
+                subscriber: info,
                 version: 3,
                 id: FuseId(9),
             },

@@ -149,7 +149,7 @@ fn main() {
     let mut sim = Sim::new(9, net);
     for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
         let mut stack = NodeStack::new(
-            info.clone(),
+            *info,
             None,
             ov_cfg.clone(),
             FuseConfig::default(),
@@ -161,8 +161,8 @@ fn main() {
     sim.run_for(SimDuration::from_secs(2));
 
     // Publish two documents to distinct replica sets.
-    let set_a: Vec<NodeInfo> = [5usize, 9, 14].iter().map(|&i| infos[i].clone()).collect();
-    let set_b: Vec<NodeInfo> = [6usize, 11, 17].iter().map(|&i| infos[i].clone()).collect();
+    let set_a: Vec<NodeInfo> = [5usize, 9, 14].iter().map(|&i| infos[i]).collect();
+    let set_b: Vec<NodeInfo> = [6usize, 11, 17].iter().map(|&i| infos[i]).collect();
     sim.with_proc(ORIGIN, |stack, ctx| {
         stack.with_api(ctx, |api, app| {
             app.publish(api, 1001, 1, set_a);

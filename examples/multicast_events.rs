@@ -19,7 +19,7 @@ use rand::SeedableRng;
 
 fn main() {
     let n = 64;
-    let topic = NodeName(String::from("scores/football/final"));
+    let topic = NodeName::new("scores/football/final").expect("the topic fits a ring name");
     let mut rng = StdRng::seed_from_u64(5);
     let net = Network::generate(
         &TopologyConfig::default(),
@@ -36,10 +36,10 @@ fn main() {
     let mut sim = Sim::new(11, net);
     for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
         // Everyone is a potential volunteer; subscribers opt in below.
-        let mut cfg = SvConfig::bystander(topic.clone());
+        let mut cfg = SvConfig::bystander(topic);
         cfg.volunteer = true;
         let mut stack = NodeStack::new(
-            info.clone(),
+            *info,
             None,
             ov_cfg.clone(),
             FuseConfig::default(),

@@ -67,13 +67,8 @@ fn main() {
         // `FuseConfig::default()` is the paper's constants: liveness rides
         // the overlay's pings, one deadline per monitored peer (DESIGN.md
         // §9); `FuseConfig::builder()` overrides any of them.
-        let mut stack = NodeStack::new(
-            info.clone(),
-            None,
-            ov_cfg.clone(),
-            FuseConfig::default(),
-            PrintApp,
-        );
+        let mut stack =
+            NodeStack::new(*info, None, ov_cfg.clone(), FuseConfig::default(), PrintApp);
         stack.overlay.preload_tables(cw, ccw, rt);
         sim.add_process(stack);
     }
@@ -82,7 +77,7 @@ fn main() {
     // Node 0 creates a group over nodes 7, 13 and 21 (the paper's
     // CreateGroup). The call returns a typed ticket immediately; the
     // Created event echoing it arrives once every member answered.
-    let others: Vec<NodeInfo> = [7usize, 13, 21].iter().map(|&i| infos[i].clone()).collect();
+    let others: Vec<NodeInfo> = [7usize, 13, 21].iter().map(|&i| infos[i]).collect();
     let ticket = sim
         .with_proc(0, |stack, ctx| {
             stack.with_api(ctx, |api, _| api.create_group(others))

@@ -44,9 +44,9 @@ impl QueueApp {
                 self.backlog.push(item);
                 return;
             }
-            let w = self.workers[self.rr % self.workers.len()].clone();
+            let w = self.workers[self.rr % self.workers.len()];
             self.rr += 1;
-            let ticket = api.create_group(vec![w.clone()]);
+            let ticket = api.create_group(vec![w]);
             self.pending.insert(ticket, (item, w.proc));
             println!(
                 "[{}] coordinator: leasing item {item} to worker {} under {}",
@@ -180,7 +180,7 @@ fn main() {
     let mut sim = Sim::new(21, net);
     for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
         let mut stack = NodeStack::new(
-            info.clone(),
+            *info,
             None,
             ov_cfg.clone(),
             FuseConfig::default(),
@@ -192,7 +192,7 @@ fn main() {
     sim.run_for(SimDuration::from_secs(1));
 
     // Seed the coordinator with work and three workers.
-    let workers: Vec<NodeInfo> = [3usize, 7, 12].iter().map(|&i| infos[i].clone()).collect();
+    let workers: Vec<NodeInfo> = [3usize, 7, 12].iter().map(|&i| infos[i]).collect();
     sim.with_proc(COORDINATOR, |stack, ctx| {
         stack.with_api(ctx, |api, app| {
             app.workers = workers;

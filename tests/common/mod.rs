@@ -40,7 +40,7 @@ pub fn world(n: usize, seed: u64) -> (World, Vec<NodeInfo>) {
     let mut sim = Sim::new(seed, net);
     for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
         let mut stack = NodeStack::new(
-            info.clone(),
+            *info,
             None,
             ov.clone(),
             FuseConfig::default(),
@@ -55,7 +55,7 @@ pub fn world(n: usize, seed: u64) -> (World, Vec<NodeInfo>) {
 
 /// Creates a group and runs until the `Created` event lands.
 pub fn create(sim: &mut World, infos: &[NodeInfo], root: ProcId, members: &[ProcId]) -> FuseId {
-    let others: Vec<NodeInfo> = members.iter().map(|&m| infos[m as usize].clone()).collect();
+    let others: Vec<NodeInfo> = members.iter().map(|&m| infos[m as usize]).collect();
     let ticket = sim
         .with_proc(root, |stack, ctx| {
             stack.with_api(ctx, |api, _| api.create_group(others))

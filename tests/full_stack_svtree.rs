@@ -25,10 +25,10 @@ fn sv_world(n: usize, seed: u64, topic: &NodeName, volunteer: bool) -> World {
     let tables = build_oracle_tables(&infos, &ov);
     let mut sim = Sim::new(seed, net);
     for (info, (cw, ccw, rt)) in infos.iter().zip(tables) {
-        let mut cfg = SvConfig::bystander(topic.clone());
+        let mut cfg = SvConfig::bystander(*topic);
         cfg.volunteer = volunteer;
         let mut stack = NodeStack::new(
-            info.clone(),
+            *info,
             None,
             ov.clone(),
             FuseConfig::default(),
@@ -59,7 +59,7 @@ fn publish_from_root(sim: &mut World, n: usize, event: u64) -> ProcId {
 
 #[test]
 fn events_reach_all_subscribers_over_the_wide_area_model() {
-    let topic = NodeName(String::from("updates/weather"));
+    let topic = NodeName::new("updates/weather").unwrap();
     let n = 48;
     let mut sim = sv_world(n, 31, &topic, true);
     let subs: Vec<ProcId> = (1..n as ProcId).step_by(5).collect();
@@ -84,7 +84,7 @@ fn events_reach_all_subscribers_over_the_wide_area_model() {
 
 #[test]
 fn forwarder_crash_heals_and_delivery_resumes() {
-    let topic = NodeName(String::from("updates/scores"));
+    let topic = NodeName::new("updates/scores").unwrap();
     let n = 48;
     let mut sim = sv_world(n, 32, &topic, true);
     let subs: Vec<ProcId> = (1..n as ProcId).step_by(4).collect();
@@ -130,7 +130,7 @@ fn forwarder_crash_heals_and_delivery_resumes() {
 
 #[test]
 fn voluntary_leave_triggers_clean_repair() {
-    let topic = NodeName(String::from("updates/traffic"));
+    let topic = NodeName::new("updates/traffic").unwrap();
     let n = 32;
     let mut sim = sv_world(n, 33, &topic, true);
     let subs: Vec<ProcId> = vec![2, 7, 12, 17, 22];

@@ -52,10 +52,7 @@ fn explicit_signal_observed_at_root_and_members() {
 fn failed_creation_burns_installed_members_with_create_failed() {
     let (mut sim, infos) = world(16, 42);
     sim.crash(7);
-    let others: Vec<NodeInfo> = [3u32, 7]
-        .iter()
-        .map(|&m| infos[m as usize].clone())
-        .collect();
+    let others: Vec<NodeInfo> = [3u32, 7].iter().map(|&m| infos[m as usize]).collect();
     let ticket = sim
         .with_proc(0, |stack, ctx| {
             stack.with_api(ctx, |api, _| api.create_group(others))
@@ -122,7 +119,7 @@ fn member_that_lost_state_fails_repair_with_repair_failed() {
     let ov_cfg = OverlayConfig::default();
     let tables = build_oracle_tables(&infos, &ov_cfg);
     let mut stack = fuse_simdriver::NodeStack::new(
-        infos[4].clone(),
+        infos[4],
         None,
         ov_cfg,
         fuse_core::FuseConfig::default(),
@@ -199,7 +196,10 @@ fn digest_cache_consistent_across_group_lifecycle() {
         sim.run_for(SimDuration::from_secs(45));
         for p in 0..sim.process_count() as ProcId {
             if let Some(s) = sim.proc(p) {
-                assert!(s.fuse.hash_cache_consistent(), "node {p} cache diverged");
+                assert!(
+                    s.fuse.hash_cache_consistent(&s.overlay),
+                    "node {p} cache diverged"
+                );
             }
         }
     }
@@ -209,7 +209,10 @@ fn digest_cache_consistent_across_group_lifecycle() {
     sim.run_for(SimDuration::from_secs(60));
     for p in 0..sim.process_count() as ProcId {
         if let Some(s) = sim.proc(p) {
-            assert!(s.fuse.hash_cache_consistent(), "node {p} after failure");
+            assert!(
+                s.fuse.hash_cache_consistent(&s.overlay),
+                "node {p} after failure"
+            );
         }
     }
 }

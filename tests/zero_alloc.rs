@@ -1,9 +1,11 @@
 //! Steady-state allocation floors: once warm, the single-pass encode of
 //! the common messages, a route-oracle hit, a network send between
-//! connected processes and the overlay ping exchange that refreshes
-//! standing FUSE groups must not touch the allocator. This binary installs
-//! a counting global allocator; counts are per thread, so the tests run in
-//! parallel without seeing each other (or the test harness).
+//! connected processes, decoding a hostile ring name, a forwarded
+//! `InstallChecking` hop and the overlay ping exchange that refreshes
+//! standing FUSE groups must not touch the allocator, and a maintenance
+//! probe allocates only its hop path. This binary installs a counting
+//! global allocator; counts are per thread, so the tests run in parallel
+//! without seeing each other (or the test harness).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,12 +13,18 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use bytes::Bytes;
-use fuse_core::{FuseConfig, FuseId, FuseMsg, FuseStack, Input, Output, NS_FUSE};
+use fuse_core::{
+    FuseConfig, FuseId, FuseMsg, FuseStack, Input, InstallChecking, Output, StackMsg, NS_FUSE,
+};
 use fuse_net::{NetConfig, Network, RouteOracle, Topology, TopologyConfig};
-use fuse_overlay::{NodeInfo, NodeName, OverlayConfig, OverlayMsg};
+use fuse_overlay::oracle::OracleTables;
+use fuse_overlay::{
+    build_oracle_tables, NodeInfo, NodeName, OverlayConfig, OverlayCx, OverlayEffect, OverlayMsg,
+    OverlayNode, OverlayTimer,
+};
 use fuse_sim::{Medium, ProcId, SimTime, Verdict};
-use fuse_util::{Duration, PeerAddr, Time, TimerKey};
-use fuse_wire::{sha1, EncodeBuf};
+use fuse_util::{Duration, KeyedTimers, PeerAddr, Time, TimerKey};
+use fuse_wire::{sha1, Decode, Encode, EncodeBuf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -99,6 +107,165 @@ fn warm_encode_buf_does_not_allocate() {
         }
     });
     assert_eq!(allocs, 0, "encoding into a warm EncodeBuf allocated");
+}
+
+#[test]
+fn hostile_name_decodes_do_not_allocate() {
+    let mut frames: Vec<Vec<u8>> = vec![
+        vec![24; 25],
+        u64::MAX.to_bytes().to_vec(),
+        vec![5, b'a', b'b'],
+        vec![2, 0xff, 0xfe],
+    ];
+    // An oversize length, two varint bytes long, inside a node identity.
+    let mut info = NodeInfo::new(3, NodeName::numbered(3)).to_bytes().to_vec();
+    info[1] = 200;
+    frames.push(info);
+    let allocs = allocs_during(|| {
+        for f in &frames {
+            assert!(std::hint::black_box(NodeName::from_bytes(f)).is_err());
+            assert!(std::hint::black_box(NodeInfo::from_bytes(f)).is_err());
+        }
+    });
+    assert_eq!(allocs, 0, "a hostile name decode allocated");
+}
+
+/// Nodes `0..16` of a numbered ring, and node `at`'s oracle tables.
+fn ring_tables(at: usize) -> (Vec<NodeInfo>, OracleTables) {
+    let infos: Vec<NodeInfo> = (0..16)
+        .map(|i| NodeInfo::new(i as PeerAddr, NodeName::numbered(i)))
+        .collect();
+    let tables = build_oracle_tables(&infos, &OverlayConfig::default()).swap_remove(at);
+    (infos, tables)
+}
+
+#[test]
+fn warm_maintenance_probe_allocates_only_its_path_and_reply_sets() {
+    const PROBES: u64 = 200;
+    let (infos, (cw, ccw, rt)) = ring_tables(3);
+    let mut node = OverlayNode::new(infos[3], None, OverlayConfig::default());
+    node.preload_tables(cw, ccw, rt);
+    let mut rng = StdRng::seed_from_u64(0xF0D2);
+    let mut timers = KeyedTimers::new(0);
+    let mut effects = VecDeque::new();
+    let mut upcalls = Vec::new();
+    let mut run = |node: &mut OverlayNode, f: &mut dyn FnMut(&mut OverlayNode, &mut OverlayCx)| {
+        let mut cx = OverlayCx::new(
+            Time::ZERO,
+            &mut rng,
+            &mut timers,
+            &mut effects,
+            &mut upcalls,
+        );
+        f(node, &mut cx);
+        while let Some(e) = effects.pop_front() {
+            if let OverlayEffect::SetTimer { key, .. } = e {
+                // The re-armed maintenance timer fires, freeing its slot.
+                timers.fire(key);
+            }
+        }
+    };
+    let mut probe = |n: &mut OverlayNode, cx: &mut OverlayCx| {
+        n.on_timer(cx, OverlayTimer::Maintenance);
+    };
+    for _ in 0..8 {
+        run(&mut node, &mut probe);
+    }
+    let sent = node.stats.probes_sent;
+    let allocs = allocs_during(|| {
+        for _ in 0..PROBES {
+            run(&mut node, &mut probe);
+        }
+    });
+    assert_eq!(node.stats.probes_sent - sent, PROBES);
+    // The one allocation per probe is its hop path (`vec![me]`); the
+    // target name and every identity in the message are inline.
+    assert_eq!(allocs, PROBES, "a warm maintenance probe allocated a name");
+    // A reply naming nodes already in the tables changes nothing; what it
+    // costs is the neighbour set before and after integrating it.
+    let reply = || OverlayMsg::ProbeReply {
+        path: infos[4..8].to_vec(),
+    };
+    let mut replies: Vec<Option<OverlayMsg>> = (0..PROBES + 8).map(|_| Some(reply())).collect();
+    let mut integrate = |node: &mut OverlayNode, msg: &mut Option<OverlayMsg>| {
+        run(node, &mut |n, cx| {
+            n.on_message(cx, 4, msg.take().expect("fed once"))
+        });
+    };
+    for msg in &mut replies[..8] {
+        integrate(&mut node, msg);
+    }
+    let allocs = allocs_during(|| {
+        for msg in &mut replies[8..] {
+            integrate(&mut node, msg);
+        }
+    });
+    assert!(upcalls.is_empty(), "a known path changed the neighbour set");
+    assert_eq!(
+        allocs,
+        2 * PROBES,
+        "a probe reply allocated past its two sets"
+    );
+}
+
+#[test]
+fn warm_forwarded_install_checking_hop_does_not_allocate() {
+    let (infos, (cw, ccw, rt)) = ring_tables(5);
+    let (member, hop, root) = (infos[2], infos[5], infos[11]);
+    let mut stack = FuseStack::new(hop, None, OverlayConfig::default(), FuseConfig::default());
+    stack.overlay.preload_tables(cw, ccw, rt);
+    let mut rng = StdRng::seed_from_u64(0xF0D3);
+    let mut feed = |stack: &mut FuseStack, input| {
+        stack.handle(Time::ZERO, &mut rng, input);
+        let mut forwarded = 0;
+        while let Some(out) = stack.poll_output() {
+            forwarded += u64::from(matches!(
+                out,
+                Output::Send {
+                    msg: StackMsg::Overlay(OverlayMsg::Routed { .. }),
+                    ..
+                }
+            ));
+        }
+        forwarded
+    };
+    feed(&mut stack, Input::Boot);
+    let ic = InstallChecking {
+        id: FuseId(77),
+        seq: 0,
+        member,
+        root,
+    };
+    let routed = Input::Message {
+        from: member.proc,
+        msg: StackMsg::Overlay(OverlayMsg::Routed {
+            src: member,
+            target: root.name,
+            ttl: 64,
+            class: 0,
+            payload: ic.to_bytes(),
+            path: Vec::new(),
+        }),
+    };
+    // The first hop installs the delegate branch and the second fills the
+    // stack's second upcall buffer; the rest refresh the branch.
+    for _ in 0..2 {
+        assert_eq!(feed(&mut stack, routed.clone()), 1);
+    }
+    assert_eq!(stack.fuse.tree_links(ic.id).len(), 2);
+    const HOPS: u64 = 100;
+    let inputs: Vec<Input> = (0..HOPS).map(|_| routed.clone()).collect();
+    let mut forwarded = 0;
+    let allocs = allocs_during(|| {
+        for input in inputs {
+            forwarded += feed(&mut stack, input);
+        }
+    });
+    assert_eq!(forwarded, HOPS);
+    assert_eq!(
+        allocs, 0,
+        "{HOPS} warm forwarded InstallChecking hops allocated"
+    );
 }
 
 /// The small topology the route and network cases run over.
@@ -248,6 +415,8 @@ impl Pair {
     }
 }
 
+/// Every ping and ack on this path first checks whether the link's digest
+/// is stale; with the groups standing it never is, and the check is free.
 #[test]
 fn agreeing_ping_exchange_does_not_allocate_or_touch_fuse_timers() {
     const GROUPS: usize = 8;
