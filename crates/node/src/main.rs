@@ -2,61 +2,49 @@
 //!
 //! One OS process per FUSE node, `std::net` TCP for transport, and the
 //! exact same [`fuse_core::FuseStack`] state machine the simulator drives —
-//! no `#[cfg]`, no trait indirection, the identical compiled code. The
-//! driver's whole job is the translation at the edges:
+//! the identical compiled code. The process is one thread: a `poll(2)`
+//! readiness loop over the listener, stdin, every accepted stream and every
+//! outbound stream the kernel has not drained, asleep until the next timer,
+//! reconnect attempt or 100 ms housekeeping tick. Inbound frames are parsed
+//! as bytes arrive (`frame.rs`); outbound ones queue per peer, capped, and
+//! are written at once (`transport.rs`); a cancelled timer leaves its store
+//! (`timers.rs`). A closed, failed or corrupt stream, a failed write,
+//! exhausted reconnects and a send past the cap all reach the stack as
+//! [`fuse_core::Input::LinkBroken`]: a crashed peer's closed sockets are
+//! what makes crash detection fast over TCP (the paper's fail-on-send).
 //!
-//! * **Inbound**: a listener thread accepts connections; per-connection
-//!   reader threads parse length-prefixed frames into
-//!   [`fuse_core::StackMsg`]s and forward them to the single stack thread
-//!   as [`fuse_core::Input::Message`]. A reader hitting EOF or an error
-//!   reports [`fuse_core::Input::LinkBroken`] — a crashed peer's closed
-//!   sockets are what makes crash detection fast over TCP.
-//! * **Outbound**: per-peer writer threads own one lazily-(re)connected
-//!   `TcpStream` each. A send that cannot be delivered after a bounded
-//!   reconnect loop also surfaces as `LinkBroken` (the paper's fail-on-send
-//!   TCP semantics).
-//! * **Time**: a monotonic [`Instant`] anchor converts to the stack's
-//!   nanosecond [`Time`]; `SetTimer` outputs land in a local binary heap
-//!   and fire as [`fuse_core::Input::Timer`]. Cancelled or superseded keys
-//!   are inert by construction — the stack ignores stale generations.
-//! * **Control**: stdin accepts one command per line (`create`, `signal`,
-//!   `shutdown`) so an orchestrator like `fuse-load` can drive group
-//!   lifecycle without restarting processes. SIGTERM and the `--run-secs`
-//!   deadline exit through the same clean path: print `BYE`, flush stdout,
-//!   exit 0 (closing the listener and every peer socket with the process).
-//!
-//! The wire format is minimal: every frame is `u32-LE length ‖ encoded
-//! StackMsg`; each fresh connection first sends a `u32-LE` hello carrying
-//! the sender's node id so the receiver can attribute the link.
-//!
-//! Membership is static (this binary demonstrates deployment, not
-//! discovery): every process is told the full `--peer id=addr` set and
-//! preloads converged overlay routing tables, exactly like the simulator's
-//! oracle bootstrap. Group lifecycle events print machine-parseable lines
-//! (`READY`, `CREATED …`, `NOTIFIED …`) consumed by the loopback smoke
-//! test and the `fuse-load` orchestrator. `CREATED` and `NOTIFIED` carry a
-//! wall-clock timestamp `t_ns=<nanoseconds since the UNIX epoch>`, made
-//! strictly monotonic within the process, so a same-host orchestrator can
-//! compute cross-process fault→notification latencies.
+//! Every frame is `u32-LE length ‖ encoded StackMsg`, behind a `u32-LE`
+//! hello naming the sender. Membership is static: every process is told the
+//! full `--peer id=addr` set and preloads converged overlay routing tables,
+//! like the simulator's oracle bootstrap. Stdin takes one control command
+//! per line; `shutdown`, SIGTERM and `--run-secs` exit alike through `BYE`.
+//! `CREATED`/`NOTIFIED` lines carry `t_ns` (UNIX-epoch nanoseconds, strictly
+//! monotonic per process) for cross-process latencies.
 
-use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::io::{BufRead, ErrorKind, Read, Write};
+mod frame;
+mod timers;
+mod transport;
+
+use std::ffi::{c_int, c_ulong};
+use std::fs::File;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsFd, AsRawFd};
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::thread;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fuse_core::{AppCall, FuseConfig, FuseEvent, FuseId, FuseStack, Input, Output, StackMsg};
+use fuse_core::{AppCall, FuseConfig, FuseConfigBuilder, FuseEvent, FuseId, FuseStack};
+use fuse_core::{Input, Output};
 use fuse_overlay::{build_oracle_tables, NodeInfo, NodeName, OverlayConfig};
-use fuse_util::{Duration as ProtoDuration, PeerAddr, Time, TimerKey};
-use fuse_wire::{Decode, EncodeBuf};
+use fuse_util::{Duration as ProtoDuration, PeerAddr, Time};
+
+use frame::FrameReader;
+use timers::Timers;
+use transport::Transport;
 
 const USAGE: &str = "\
 fuse-node: real-socket TCP deployment of the FUSE failure-notification stack
@@ -94,71 +82,32 @@ OUTPUT (one line each, stdout):
     BYE                                           clean shutdown (stdout flushed)
 ";
 
-/// Maximum accepted frame payload; anything larger is a protocol error.
-const MAX_FRAME: u32 = 16 * 1024 * 1024;
-/// Outbound reconnect policy: attempts × delay ≈ 5 s before declaring the
-/// connection broken.
-const CONNECT_ATTEMPTS: u32 = 25;
-const CONNECT_DELAY: std::time::Duration = std::time::Duration::from_millis(200);
+/// The longest the loop sleeps, and so the latency of SIGTERM and
+/// `--run-secs`.
+const TICK: Duration = Duration::from_millis(100);
 
-/// Set by the SIGTERM handler; the stack loop polls it (≤100 ms latency)
-/// and exits through the clean `BYE` path.
+/// Set by the SIGTERM handler, which also interrupts `poll`; the loop checks
+/// it every turn and exits through the clean `BYE` path.
 static TERM: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_sigterm(_sig: i32) {
     TERM.store(true, Ordering::Relaxed);
 }
 
-extern "C" {
-    // `signal(2)` from the C runtime std already links; registering a flag
-    // store is the one async-signal-safe thing worth doing without libc.
-    fn signal(signum: i32, handler: usize) -> usize;
-}
+/// `struct pollfd`: descriptor, requested events, returned events.
+#[repr(C)]
+struct PollFd(c_int, i16, i16);
 
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
 const SIGTERM: i32 = 15;
 
-/// What the socket and stdin threads report to the single stack thread.
-enum Event {
-    /// A decoded frame from `from`.
-    Frame { from: PeerAddr, msg: StackMsg },
-    /// An inbound or outbound connection to `peer` died.
-    Broken { peer: PeerAddr },
-    /// A control command read from stdin.
-    Control(Control),
-}
-
-/// Stdin control commands (one per line).
-enum Control {
-    /// `create <id,id,..>` — create a group over these member ids.
-    Create(Vec<PeerAddr>),
-    /// `signal <gid>` — signal failure of a group by id.
-    Signal(u64),
-    /// `shutdown` — clean exit.
-    Shutdown,
-}
-
-fn parse_control(line: &str) -> Result<Control, String> {
-    let line = line.trim();
-    let (cmd, rest) = match line.split_once(char::is_whitespace) {
-        Some((c, r)) => (c, r.trim()),
-        None => (line, ""),
-    };
-    match cmd {
-        "create" => {
-            let mut members = Vec::new();
-            for part in rest.split(',') {
-                members.push(parse_u32(part)?);
-            }
-            Ok(Control::Create(members))
-        }
-        "signal" => {
-            let hex = rest.strip_prefix("fuse:").unwrap_or(rest);
-            let raw = u64::from_str_radix(hex, 16).map_err(|_| format!("bad group id {rest:?}"))?;
-            Ok(Control::Signal(raw))
-        }
-        "shutdown" => Ok(Control::Shutdown),
-        other => Err(format!("unknown control command {other:?}")),
-    }
+extern "C" {
+    // `signal(2)` and `poll(2)` from the C runtime std already links;
+    // registering a flag store is the one async-signal-safe thing worth
+    // doing without libc.
+    fn signal(signum: i32, handler: usize) -> usize;
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
 }
 
 struct Opts {
@@ -168,28 +117,15 @@ struct Opts {
     create: Vec<PeerAddr>,
     seed: u64,
     run_secs: Option<u64>,
-    ping_secs: Option<u64>,
-    ping_timeout_secs: Option<u64>,
-    link_timeout_secs: Option<u64>,
-    member_repair_secs: Option<u64>,
-    root_repair_secs: Option<u64>,
-    grace_secs: Option<u64>,
+    overlay: OverlayConfig,
+    fuse: FuseConfigBuilder,
 }
 
 fn parse_opts() -> Result<Opts, String> {
     let mut args = std::env::args().skip(1);
-    let mut id = None;
-    let mut listen = None;
-    let mut peers = Vec::new();
-    let mut create = Vec::new();
-    let mut seed = None;
-    let mut run_secs = None;
-    let mut ping_secs = None;
-    let mut ping_timeout_secs = None;
-    let mut link_timeout_secs = None;
-    let mut member_repair_secs = None;
-    let mut root_repair_secs = None;
-    let mut grace_secs = None;
+    let (mut id, mut listen, mut seed, mut run_secs) = (None, None, None, None);
+    let (mut peers, mut create) = (Vec::new(), Vec::new());
+    let (mut overlay, mut fuse) = (OverlayConfig::default(), FuseConfig::builder());
     while let Some(a) = args.next() {
         let mut val = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match a.as_str() {
@@ -201,82 +137,81 @@ fn parse_opts() -> Result<Opts, String> {
                 println!("fuse-node {}", env!("CARGO_PKG_VERSION"));
                 exit(0);
             }
-            "--id" => id = Some(parse_u32(&val("--id")?)?),
+            "--id" => id = Some(parse(&val("--id")?)?),
             "--listen" => listen = Some(val("--listen")?),
             "--peer" => {
                 let v = val("--peer")?;
                 let (pid, addr) = v
                     .split_once('=')
                     .ok_or(format!("--peer wants id=addr, got {v:?}"))?;
-                peers.push((parse_u32(pid)?, addr.to_string()));
+                peers.push((parse(pid)?, addr.to_string()));
             }
             "--create" => {
                 for part in val("--create")?.split(',') {
-                    create.push(parse_u32(part)?);
+                    create.push(parse(part)?);
                 }
             }
-            "--seed" => seed = Some(parse_u64(&val("--seed")?)?),
-            "--run-secs" => run_secs = Some(parse_u64(&val("--run-secs")?)?),
-            "--ping-secs" => ping_secs = Some(parse_u64(&val("--ping-secs")?)?),
-            "--ping-timeout-secs" => {
-                ping_timeout_secs = Some(parse_u64(&val("--ping-timeout-secs")?)?)
+            "--seed" => seed = Some(parse(&val("--seed")?)?),
+            "--run-secs" => run_secs = Some(parse(&val("--run-secs")?)?),
+            flag if flag.ends_with("-secs") => {
+                let mut secs = || {
+                    val(flag)
+                        .and_then(|v| parse(&v))
+                        .map(ProtoDuration::from_secs)
+                };
+                match flag {
+                    "--ping-secs" => overlay.ping_period = secs()?,
+                    "--ping-timeout-secs" => overlay.ping_timeout = secs()?,
+                    "--link-timeout-secs" => fuse = fuse.link_failure_timeout(secs()?),
+                    "--member-repair-secs" => fuse = fuse.member_repair_timeout(secs()?),
+                    "--root-repair-secs" => fuse = fuse.root_repair_timeout(secs()?),
+                    "--grace-secs" => fuse = fuse.reconcile_grace(secs()?),
+                    _ => return Err(format!("unknown argument {flag:?} (try --help)")),
+                }
             }
-            "--link-timeout-secs" => {
-                link_timeout_secs = Some(parse_u64(&val("--link-timeout-secs")?)?)
-            }
-            "--member-repair-secs" => {
-                member_repair_secs = Some(parse_u64(&val("--member-repair-secs")?)?)
-            }
-            "--root-repair-secs" => {
-                root_repair_secs = Some(parse_u64(&val("--root-repair-secs")?)?)
-            }
-            "--grace-secs" => grace_secs = Some(parse_u64(&val("--grace-secs")?)?),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
     let id = id.ok_or("--id is required")?;
     let listen = listen.ok_or("--listen is required")?;
-    if peers.iter().any(|&(p, _)| p == id) {
-        return Err("--peer must not list this node's own id".into());
+    for (i, &(p, _)) in peers.iter().enumerate() {
+        if p == id {
+            return Err("--peer must not list this node's own id".into());
+        }
+        if peers[..i].iter().any(|&(q, _)| q == p) {
+            return Err(format!("--peer lists id {p} twice"));
+        }
     }
     if create.contains(&id) {
         return Err("--create must not list this node's own id (the root is implicit)".into());
     }
+    let seed = seed.unwrap_or(u64::from(id));
     Ok(Opts {
         id,
         listen,
         peers,
         create,
-        seed: seed.unwrap_or(u64::from(id)),
+        seed,
         run_secs,
-        ping_secs,
-        ping_timeout_secs,
-        link_timeout_secs,
-        member_repair_secs,
-        root_repair_secs,
-        grace_secs,
+        overlay,
+        fuse,
     })
 }
 
-fn parse_u32(s: &str) -> Result<u32, String> {
-    s.trim().parse().map_err(|_| format!("bad number {s:?}"))
-}
-
-fn parse_u64(s: &str) -> Result<u64, String> {
+fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.trim().parse().map_err(|_| format!("bad number {s:?}"))
 }
 
 /// Wall-clock nanoseconds since the UNIX epoch, made strictly monotonic
 /// within this process (SystemTime may step; notification latency math
 /// across processes must not see time run backwards).
-fn wall_ns(last: &Cell<u64>) -> u64 {
+fn wall_ns(last: &mut u64) -> u64 {
     let raw = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0);
-    let t = raw.max(last.get() + 1);
-    last.set(t);
-    t
+    *last = raw.max(*last + 1);
+    *last
 }
 
 /// Clean shutdown: flush every buffered stdout line behind a final `BYE`
@@ -287,370 +222,288 @@ fn graceful_exit() -> ! {
     exit(0);
 }
 
-/// Reads frames off one accepted connection until it dies.
-fn reader_loop(mut conn: TcpStream, events: mpsc::Sender<Event>) {
-    // Hello: the sender's node id.
-    let mut idbuf = [0u8; 4];
-    if conn.read_exact(&mut idbuf).is_err() {
-        return; // died before identifying itself: nothing to attribute
-    }
-    let from = u32::from_le_bytes(idbuf);
-    loop {
-        let mut lenbuf = [0u8; 4];
-        if conn.read_exact(&mut lenbuf).is_err() {
-            let _ = events.send(Event::Broken { peer: from });
-            return;
-        }
-        let len = u32::from_le_bytes(lenbuf);
-        if len > MAX_FRAME {
-            let _ = events.send(Event::Broken { peer: from });
-            return;
-        }
-        let mut payload = vec![0u8; len as usize];
-        if conn.read_exact(&mut payload).is_err() {
-            let _ = events.send(Event::Broken { peer: from });
-            return;
-        }
-        match StackMsg::from_bytes(&payload) {
-            Ok(msg) => {
-                if events.send(Event::Frame { from, msg }).is_err() {
-                    return; // main loop gone: shutting down
-                }
-            }
-            Err(_) => {
-                let _ = events.send(Event::Broken { peer: from });
-                return;
-            }
-        }
-    }
+/// The stack and everything its outputs act on.
+struct Node {
+    stack: FuseStack,
+    rng: StdRng,
+    t0: Instant,
+    timers: Timers,
+    transport: Transport,
+    peers: Vec<NodeInfo>,
+    /// `--create`'s members, created when the stack boots.
+    boot_group: Vec<NodeInfo>,
+    /// The last `t_ns` taken.
+    wall: u64,
 }
 
-/// Owns the outbound connection to one peer: connects lazily with bounded
-/// retries, sends the hello, then writes frames. Any failure tears the
-/// stream down, reports `Broken`, and the next frame starts over.
-fn writer_loop(
-    my_id: PeerAddr,
-    peer: PeerAddr,
-    addr: String,
-    frames: mpsc::Receiver<Vec<u8>>,
-    events: mpsc::Sender<Event>,
-) {
-    let mut stream: Option<TcpStream> = None;
-    while let Ok(frame) = frames.recv() {
-        if stream.is_none() {
-            for attempt in 0..CONNECT_ATTEMPTS {
-                match TcpStream::connect(&addr) {
-                    Ok(mut s) => {
-                        if s.set_nodelay(true).is_ok() && s.write_all(&my_id.to_le_bytes()).is_ok()
-                        {
-                            stream = Some(s);
-                        }
-                        break;
+impl Node {
+    fn now(&self) -> Time {
+        Time(self.t0.elapsed().as_nanos() as u64)
+    }
+
+    fn handle(&mut self, input: Input) {
+        self.stack.handle(self.now(), &mut self.rng, input);
+        self.drain();
+    }
+
+    /// Carries out the stack's outputs, dispatching application calls
+    /// inline (their own outputs append behind and drain in the same loop),
+    /// then feeds back every link the transport found broken.
+    fn drain(&mut self) {
+        loop {
+            while let Some(out) = self.stack.poll_output() {
+                match out {
+                    Output::Send { to, msg } => self.transport.send(to, &msg),
+                    Output::SetTimer { key, after } => {
+                        self.timers.arm(key, self.now().nanos() + after.nanos());
                     }
-                    Err(_) if attempt + 1 < CONNECT_ATTEMPTS => thread::sleep(CONNECT_DELAY),
-                    Err(_) => {}
+                    Output::CancelTimer { key } => self.timers.cancel(key),
+                    Output::App(call) => self.app(call),
+                }
+            }
+            let Some(peer) = self.transport.broken.pop_front() else {
+                return;
+            };
+            let input = Input::LinkBroken { peer };
+            self.stack.handle(self.now(), &mut self.rng, input);
+        }
+    }
+
+    fn app(&mut self, call: AppCall) {
+        let t_ns = wall_ns(&mut self.wall);
+        match call {
+            AppCall::Boot if !self.boot_group.is_empty() => {
+                let t = self.now();
+                let members = std::mem::take(&mut self.boot_group);
+                self.stack.api(t, &mut self.rng).create_group(members);
+            }
+            AppCall::Event(FuseEvent::Created { ticket, result }) => match result {
+                Ok(h) => println!("CREATED id={} result=ok t_ns={t_ns}", h.id),
+                Err(e) => println!("CREATED id={} result={e:?} t_ns={t_ns}", ticket.id()),
+            },
+            AppCall::Event(FuseEvent::Notified(n)) => {
+                println!("NOTIFIED id={} reason={} t_ns={t_ns}", n.id, n.reason);
+            }
+            _ => {}
+        }
+    }
+
+    /// Runs one stdin command: `create <id,id,..>`, `signal <gid>` or
+    /// `shutdown`.
+    fn control(&mut self, line: &str) -> Result<(), String> {
+        let (cmd, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+        let (rest, t) = (rest.trim(), self.now());
+        match cmd {
+            "create" => {
+                let ids = rest.split(',').map(parse::<u32>);
+                let ids = ids.collect::<Result<Vec<_>, _>>()?;
+                let mut members = Vec::with_capacity(ids.len());
+                for m in ids.iter().copied() {
+                    match self.peers.iter().find(|i| i.proc == m) {
+                        Some(i) => members.push(*i),
+                        None => eprintln!("fuse-node: control: create member {m} unknown"),
+                    }
+                }
+                if members.len() < ids.len() {
+                    let t_ns = wall_ns(&mut self.wall);
+                    println!("CREATED id=? result=unknown-member t_ns={t_ns}");
+                    return Ok(());
+                }
+                self.stack.api(t, &mut self.rng).create_group(members);
+            }
+            "signal" => {
+                let hex = rest.strip_prefix("fuse:").unwrap_or(rest);
+                let raw =
+                    u64::from_str_radix(hex, 16).map_err(|_| format!("bad group id {rest:?}"))?;
+                self.stack.api(t, &mut self.rng).signal_failure(FuseId(raw));
+            }
+            "shutdown" => graceful_exit(),
+            other => return Err(format!("unknown control command {other:?}")),
+        }
+        self.drain();
+        Ok(())
+    }
+
+    /// Reads once from a readable stream and feeds every complete frame;
+    /// `poll` is level-triggered, so bytes left unread report again. False
+    /// once the stream is closed, which is reported as `LinkBroken` if its
+    /// hello named a peer.
+    fn receive(&mut self, (stream, frames): &mut (TcpStream, FrameReader), buf: &mut [u8]) -> bool {
+        let open = match stream.read(buf) {
+            Ok(0) => false,
+            Ok(n) => {
+                frames.push(&buf[..n]);
+                loop {
+                    match frames.next_frame() {
+                        Ok(Some((from, msg))) => self.handle(Input::Message { from, msg }),
+                        Ok(None) => break true,
+                        Err(_) => break false,
+                    }
+                }
+            }
+            Err(e) => matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+        };
+        if let (false, Some(peer)) = (open, frames.from) {
+            self.handle(Input::LinkBroken { peer });
+        }
+        open
+    }
+}
+
+/// The readiness loop; it ends only by exiting the process.
+fn run(mut node: Node, listener: TcpListener, deadline: Option<Instant>) -> ! {
+    // A descriptor of its own for fd 0: std's buffered `Stdin` could hold a
+    // second command line that `poll` would never report.
+    let stdin = std::io::stdin().as_fd().try_clone_to_owned();
+    let mut stdin = stdin.ok().map(File::from);
+    let (mut line, mut buf) = (Vec::new(), vec![0; 64 << 10]);
+    let mut conns: Vec<(TcpStream, FrameReader)> = Vec::new();
+    let (mut fds, mut writers) = (Vec::new(), Vec::new());
+    loop {
+        if TERM.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d) {
+            graceful_exit();
+        }
+        let mut wait = TICK;
+        if let Some(at) = node.timers.next_deadline() {
+            wait = wait.min(Duration::from_nanos(at.saturating_sub(node.now().nanos())));
+        }
+        if let Some(at) = node.transport.next_retry() {
+            wait = wait.min(at.saturating_duration_since(Instant::now()));
+        }
+        fds.clear();
+        writers.clear();
+        // After EOF stdin's slot holds -1, which `poll` skips.
+        let stdin_fd = stdin.as_ref().map_or(-1, |f| f.as_raw_fd());
+        fds.push(PollFd(listener.as_raw_fd(), POLLIN, 0));
+        fds.push(PollFd(stdin_fd, POLLIN, 0));
+        fds.extend(conns.iter().map(|c| PollFd(c.0.as_raw_fd(), POLLIN, 0)));
+        for (peer, fd) in node.transport.blocked() {
+            writers.push(peer);
+            fds.push(PollFd(fd, POLLOUT, 0));
+        }
+        // Round up, so a sub-millisecond remainder does not spin.
+        let ms = wait.as_nanos().div_ceil(1_000_000) as c_int;
+        // SAFETY: `fds` is a live, exclusively borrowed array of `fds.len()`
+        // initialised `pollfd` structures (`repr(C)`, the layout POSIX
+        // specifies); every descriptor in it stays open during the call.
+        if unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) } < 0 {
+            let e = std::io::Error::last_os_error();
+            if e.kind() != ErrorKind::Interrupted {
+                eprintln!("fuse-node: poll failed: {e}");
+                exit(1);
+            }
+            continue;
+        }
+        let ready = |i: usize| fds[i].2 != 0;
+        let first_writer = 2 + conns.len();
+        for (k, &peer) in writers.iter().enumerate() {
+            if ready(first_writer + k) {
+                node.transport.writable(peer, Instant::now());
+            }
+        }
+        // Backwards, so `swap_remove` moves only streams already served.
+        for i in (0..conns.len()).rev() {
+            if ready(2 + i) && !node.receive(&mut conns[i], &mut buf) {
+                conns.swap_remove(i);
+            }
+        }
+        if ready(1) {
+            match stdin.as_mut().map_or(Ok(0), |f| f.read(&mut buf)) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Ok(n) if n > 0 => line.extend_from_slice(&buf[..n]),
+                // EOF ends control, not the node: one run non-interactively
+                // serves until --run-secs or a signal. The last command may
+                // lack its newline.
+                _ => {
+                    stdin = None;
+                    line.push(b'\n');
+                }
+            }
+            while let Some(nl) = line.iter().position(|&b| b == b'\n') {
+                let cmd = String::from_utf8_lossy(&line[..nl]);
+                let cmd = cmd.trim();
+                if !cmd.is_empty() {
+                    if let Err(e) = node.control(cmd) {
+                        eprintln!("fuse-node: control: {e}");
+                    }
+                }
+                line.drain(..=nl);
+            }
+        }
+        if ready(0) {
+            if let Ok((stream, _)) = listener.accept() {
+                if stream.set_nonblocking(true).is_ok() {
+                    conns.push((stream, FrameReader::default()));
                 }
             }
         }
-        let ok = match stream.as_mut() {
-            Some(s) => s.write_all(&frame).is_ok(),
-            None => false,
-        };
-        if !ok {
-            stream = None;
-            if events.send(Event::Broken { peer }).is_err() {
-                return;
-            }
+        node.transport.retry_due(Instant::now());
+        node.drain();
+        let tick = node.now().nanos();
+        while let Some(key) = node.timers.pop_due(tick) {
+            node.handle(Input::Timer(key));
         }
-    }
-}
-
-/// Outbound fan-out: one channel + writer thread per known peer.
-struct Transport {
-    writers: HashMap<PeerAddr, mpsc::Sender<Vec<u8>>>,
-    /// Reused for every frame; only the copy handed to the writer thread
-    /// is allocated per send.
-    ebuf: EncodeBuf,
-}
-
-impl Transport {
-    fn new(my_id: PeerAddr, peers: &[(PeerAddr, String)], events: &mpsc::Sender<Event>) -> Self {
-        let mut writers = HashMap::new();
-        for &(pid, ref addr) in peers {
-            let (tx, rx) = mpsc::channel::<Vec<u8>>();
-            let (addr, ev) = (addr.clone(), events.clone());
-            thread::spawn(move || writer_loop(my_id, pid, addr, rx, ev));
-            writers.insert(pid, tx);
-        }
-        Transport {
-            writers,
-            ebuf: EncodeBuf::new(),
-        }
-    }
-
-    fn send(&mut self, to: PeerAddr, msg: &StackMsg, events: &mpsc::Sender<Event>) {
-        let Some(tx) = self.writers.get(&to) else {
-            // Unknown peer: with static membership this is a config error;
-            // surface it as an immediately-broken link.
-            let _ = events.send(Event::Broken { peer: to });
-            return;
-        };
-        let _ = tx.send(self.ebuf.encode_frame(msg).to_vec());
     }
 }
 
 fn main() {
-    let opts = match parse_opts() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("fuse-node: {e}");
-            eprint!("{USAGE}");
-            exit(2);
-        }
-    };
+    let opts = parse_opts().unwrap_or_else(|e| {
+        eprintln!("fuse-node: {e}");
+        eprint!("{USAGE}");
+        exit(2);
+    });
+    let fuse_cfg = opts.fuse.build().unwrap_or_else(|e| {
+        eprintln!("fuse-node: invalid configuration: {e}");
+        exit(2);
+    });
 
     // Static membership: self + peers, ring-ordered by the overlay oracle,
     // identical tables on every process (the sim's converged bootstrap).
-    let mut infos: Vec<NodeInfo> = opts
-        .peers
-        .iter()
-        .map(|&(pid, _)| NodeInfo::new(pid, NodeName::numbered(pid as usize)))
-        .collect();
-    infos.push(NodeInfo::new(opts.id, NodeName::numbered(opts.id as usize)));
+    let info = |id: PeerAddr| NodeInfo::new(id, NodeName::numbered(id as usize));
+    let mut infos: Vec<NodeInfo> = opts.peers.iter().map(|&(p, _)| info(p)).collect();
+    infos.push(info(opts.id));
     infos.sort_by_key(|i| i.proc);
-    let me = *infos.iter().find(|i| i.proc == opts.id).unwrap();
-    let mut ov_cfg = OverlayConfig::default();
-    if let Some(s) = opts.ping_secs {
-        ov_cfg.ping_period = ProtoDuration::from_secs(s);
-    }
-    if let Some(s) = opts.ping_timeout_secs {
-        ov_cfg.ping_timeout = ProtoDuration::from_secs(s);
-    }
-    let mut fuse_b = FuseConfig::builder();
-    if let Some(s) = opts.link_timeout_secs {
-        fuse_b = fuse_b.link_failure_timeout(ProtoDuration::from_secs(s));
-    }
-    if let Some(s) = opts.member_repair_secs {
-        fuse_b = fuse_b.member_repair_timeout(ProtoDuration::from_secs(s));
-    }
-    if let Some(s) = opts.root_repair_secs {
-        fuse_b = fuse_b.root_repair_timeout(ProtoDuration::from_secs(s));
-    }
-    if let Some(s) = opts.grace_secs {
-        fuse_b = fuse_b.reconcile_grace(ProtoDuration::from_secs(s));
-    }
-    let fuse_cfg = match fuse_b.build() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("fuse-node: invalid configuration: {e}");
-            exit(2);
-        }
+    let tables = build_oracle_tables(&infos, &opts.overlay);
+    let Some((_, (cw, ccw, rt))) = infos.iter().zip(tables).find(|(i, _)| i.proc == opts.id) else {
+        eprintln!("fuse-node: the overlay oracle built no tables for this node");
+        exit(1);
     };
-    let tables = build_oracle_tables(&infos, &ov_cfg);
-    let my_index = infos.iter().position(|i| i.proc == opts.id).unwrap();
-    let (cw, ccw, rt) = tables.into_iter().nth(my_index).unwrap();
-
-    let mut stack = FuseStack::new(me, None, ov_cfg, fuse_cfg);
+    let mut stack = FuseStack::new(info(opts.id), None, opts.overlay, fuse_cfg);
     stack.overlay.preload_tables(cw, ccw, rt);
+    infos.retain(|i| i.proc != opts.id);
+    let boot_group = opts.create.iter().map(|&m| {
+        *infos.iter().find(|i| i.proc == m).unwrap_or_else(|| {
+            eprintln!("fuse-node: --create member {m} is not a known --peer");
+            exit(2);
+        })
+    });
+    let boot_group = boot_group.collect();
 
-    let (events_tx, events_rx) = mpsc::channel::<Event>();
-
-    // Clean-exit signal: the handler only flips a flag the loop polls.
+    // SAFETY: the handler only stores to an atomic, which is
+    // async-signal-safe; `signal` has no other precondition.
     unsafe {
         signal(SIGTERM, on_sigterm as extern "C" fn(i32) as usize);
     }
+    let listener =
+        TcpListener::bind(&opts.listen).and_then(|l| l.set_nonblocking(true).map(|()| l));
+    let listener = listener.unwrap_or_else(|e| {
+        eprintln!("fuse-node: cannot listen on {}: {e}", opts.listen);
+        exit(1);
+    });
 
-    // Inbound: listener → reader threads.
-    let listener = match TcpListener::bind(&opts.listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("fuse-node: cannot listen on {}: {e}", opts.listen);
-            exit(1);
-        }
-    };
-    {
-        let tx = events_tx.clone();
-        thread::spawn(move || {
-            for conn in listener.incoming() {
-                match conn {
-                    Ok(c) => {
-                        let tx = tx.clone();
-                        thread::spawn(move || reader_loop(c, tx));
-                    }
-                    Err(ref e) if e.kind() == ErrorKind::ConnectionAborted => continue,
-                    Err(_) => return,
-                }
-            }
-        });
-    }
-
-    // Control: stdin lines become events; EOF just ends the thread (a node
-    // run non-interactively keeps serving until --run-secs or a signal).
-    {
-        let tx = events_tx.clone();
-        thread::spawn(move || {
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines().map_while(Result::ok) {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse_control(&line) {
-                    Ok(c) => {
-                        if tx.send(Event::Control(c)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(e) => eprintln!("fuse-node: control: {e}"),
-                }
-            }
-        });
-    }
-
-    let mut transport = Transport::new(opts.id, &opts.peers, &events_tx);
-
-    // The stack thread: monotonic clock, timer heap, event pump.
     let t0 = Instant::now();
-    let now = |t0: Instant| Time(t0.elapsed().as_nanos() as u64);
-    let wall = Cell::new(0u64);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut timers: BinaryHeap<Reverse<(u64, TimerKey)>> = BinaryHeap::new();
-    let mut cancelled: HashSet<TimerKey> = HashSet::new();
-    let member_infos: Vec<NodeInfo> = opts
-        .create
-        .iter()
-        .map(|&m| {
-            *infos.iter().find(|i| i.proc == m).unwrap_or_else(|| {
-                eprintln!("fuse-node: --create member {m} is not a known --peer");
-                exit(2);
-            })
-        })
-        .collect();
-    let wants_group = !opts.create.is_empty();
-
-    // Drains stack outputs, dispatching application calls inline (their own
-    // outputs append behind and drain in the same loop).
-    let mut drain = |stack: &mut FuseStack,
-                     rng: &mut StdRng,
-                     timers: &mut BinaryHeap<Reverse<(u64, TimerKey)>>,
-                     cancelled: &mut HashSet<TimerKey>| {
-        while let Some(out) = stack.poll_output() {
-            match out {
-                Output::Send { to, msg } => transport.send(to, &msg, &events_tx),
-                Output::SetTimer { key, after } => {
-                    timers.push(Reverse((now(t0).nanos() + after.nanos(), key)));
-                }
-                Output::CancelTimer { key } => {
-                    cancelled.insert(key);
-                }
-                Output::App(call) => match call {
-                    AppCall::Boot => {
-                        if wants_group {
-                            let t = now(t0);
-                            let mut api = stack.api(t, rng);
-                            api.create_group(member_infos.clone());
-                        }
-                    }
-                    AppCall::Event(FuseEvent::Created { ticket, result }) => match result {
-                        Ok(h) => {
-                            println!("CREATED id={} result=ok t_ns={}", h.id, wall_ns(&wall));
-                        }
-                        Err(e) => println!(
-                            "CREATED id={} result={e:?} t_ns={}",
-                            ticket.id(),
-                            wall_ns(&wall)
-                        ),
-                    },
-                    AppCall::Event(FuseEvent::Notified(n)) => {
-                        println!(
-                            "NOTIFIED id={} reason={} t_ns={}",
-                            n.id,
-                            n.reason,
-                            wall_ns(&wall)
-                        );
-                    }
-                    AppCall::Message { .. } | AppCall::Timer(_) => {}
-                },
-            }
-        }
+    let mut node = Node {
+        stack,
+        rng: StdRng::seed_from_u64(opts.seed),
+        t0,
+        timers: Timers::default(),
+        transport: Transport::new(opts.id, &opts.peers),
+        peers: infos,
+        boot_group,
+        wall: 0,
     };
-
-    stack.handle(now(t0), &mut rng, Input::Boot);
-    drain(&mut stack, &mut rng, &mut timers, &mut cancelled);
+    node.handle(Input::Boot);
     println!("READY");
-
-    let deadline = opts
-        .run_secs
-        .map(std::time::Duration::from_secs)
-        .map(|d| t0 + d);
-    loop {
-        if TERM.load(Ordering::Relaxed) {
-            graceful_exit();
-        }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                graceful_exit();
-            }
-        }
-        // Sleep until the next timer, the next socket event, or a 100 ms
-        // housekeeping tick, whichever is first.
-        let mut wait = std::time::Duration::from_millis(100);
-        if let Some(&Reverse((at, _))) = timers.peek() {
-            let due = std::time::Duration::from_nanos(at.saturating_sub(now(t0).nanos()));
-            wait = wait.min(due);
-        }
-        match events_rx.recv_timeout(wait) {
-            Ok(Event::Frame { from, msg }) => {
-                stack.handle(now(t0), &mut rng, Input::Message { from, msg });
-                drain(&mut stack, &mut rng, &mut timers, &mut cancelled);
-            }
-            Ok(Event::Broken { peer }) => {
-                stack.handle(now(t0), &mut rng, Input::LinkBroken { peer });
-                drain(&mut stack, &mut rng, &mut timers, &mut cancelled);
-            }
-            Ok(Event::Control(Control::Shutdown)) => graceful_exit(),
-            Ok(Event::Control(Control::Create(members))) => {
-                let mut resolved = Vec::with_capacity(members.len());
-                let mut ok = true;
-                for m in &members {
-                    match infos.iter().find(|i| i.proc == *m) {
-                        Some(i) if *m != opts.id => resolved.push(*i),
-                        _ => {
-                            eprintln!("fuse-node: control: create member {m} unknown");
-                            ok = false;
-                        }
-                    }
-                }
-                if ok {
-                    let t = now(t0);
-                    let mut api = stack.api(t, &mut rng);
-                    api.create_group(resolved);
-                    drain(&mut stack, &mut rng, &mut timers, &mut cancelled);
-                } else {
-                    println!("CREATED id=? result=unknown-member t_ns={}", wall_ns(&wall));
-                }
-            }
-            Ok(Event::Control(Control::Signal(raw))) => {
-                let t = now(t0);
-                let mut api = stack.api(t, &mut rng);
-                api.signal_failure(FuseId(raw));
-                drain(&mut stack, &mut rng, &mut timers, &mut cancelled);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => exit(1),
-        }
-        // Fire everything due; stale keys (cancelled or re-armed) are inert
-        // in the stack, the `cancelled` set just avoids pointless wakeups.
-        let tick = now(t0);
-        while let Some(&Reverse((at, key))) = timers.peek() {
-            if at > tick.nanos() {
-                break;
-            }
-            timers.pop();
-            if cancelled.remove(&key) {
-                continue;
-            }
-            stack.handle(now(t0), &mut rng, Input::Timer(key));
-            drain(&mut stack, &mut rng, &mut timers, &mut cancelled);
-        }
-    }
+    let deadline = opts.run_secs.map(|s| t0 + Duration::from_secs(s));
+    run(node, listener, deadline)
 }

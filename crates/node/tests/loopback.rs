@@ -20,7 +20,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 struct NodeProc {
     child: Child,
     stdin: Option<ChildStdin>,
-    lines: Arc<Mutex<Vec<String>>>,
+    /// Every stdout line so far; the condvar wakes waiters on each new one.
+    lines: Arc<(Mutex<Vec<String>>, Condvar)>,
 }
 
 impl Drop for NodeProc {
@@ -53,11 +54,12 @@ impl NodeProc {
             .expect("spawn fuse-node");
         let stdout = child.stdout.take().expect("piped stdout");
         let stdin = child.stdin.take();
-        let lines = Arc::new(Mutex::new(Vec::new()));
+        let lines = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
         let sink = Arc::clone(&lines);
         thread::spawn(move || {
             for line in BufReader::new(stdout).lines().map_while(Result::ok) {
-                sink.lock().unwrap().push(line);
+                sink.0.lock().unwrap().push(line);
+                sink.1.notify_all();
             }
         });
         NodeProc {
@@ -96,21 +98,49 @@ impl NodeProc {
         }
     }
 
-    /// Polls until some stdout line satisfies `pred`, failing after
+    /// Waits until some stdout line satisfies `pred`, failing after
     /// `timeout`.
     fn wait_for(&self, what: &str, timeout: Duration, pred: impl Fn(&str) -> bool) -> String {
+        self.next_line(&mut 0, what, timeout, pred)
+    }
+
+    /// Waits until a stdout line at or after `*cursor` satisfies `pred` and
+    /// moves `*cursor` past it, failing after `timeout`.
+    fn next_line(
+        &self,
+        cursor: &mut usize,
+        what: &str,
+        timeout: Duration,
+        pred: impl Fn(&str) -> bool,
+    ) -> String {
         let deadline = Instant::now() + timeout;
+        let (lock, cv) = &*self.lines;
+        let mut lines = lock.lock().unwrap();
         loop {
-            if let Some(l) = self.lines.lock().unwrap().iter().find(|l| pred(l)) {
-                return l.clone();
+            if let Some(k) = lines[*cursor..].iter().position(|l| pred(l)) {
+                *cursor += k + 1;
+                return lines[*cursor - 1].clone();
             }
-            assert!(
-                Instant::now() < deadline,
-                "timed out waiting for {what}; output so far: {:?}",
-                self.lines.lock().unwrap()
-            );
-            thread::sleep(Duration::from_millis(50));
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                let so_far = lines.clone();
+                drop(lines);
+                panic!("timed out waiting for {what}; output so far: {so_far:?}");
+            }
+            lines = cv.wait_timeout(lines, left).unwrap().0;
         }
+    }
+
+    /// A numeric field of the child's `/proc/<pid>/status` (`Threads`,
+    /// `VmRSS` in kB).
+    fn status(&self, field: &str) -> u64 {
+        let path = format!("/proc/{}/status", self.child.id());
+        let status = std::fs::read_to_string(&path).expect("read /proc status");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
+            .and_then(|v| v.split_whitespace().next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no {field} in {path}"))
     }
 }
 
@@ -254,6 +284,73 @@ fn create_flag_rejects_the_nodes_own_id() {
     assert!(
         stderr.contains("--create must not list this node's own id"),
         "stderr names the reason: {stderr}"
+    );
+}
+
+#[test]
+fn peer_flag_rejects_a_repeated_id() {
+    // A second `--peer 2=…` would silently replace the first address while
+    // both entries stayed in the ring the routing tables are built from.
+    let out = Command::new(env!("CARGO_BIN_EXE_fuse-node"))
+        .args(["--id", "1", "--listen", "127.0.0.1:0"])
+        .args(["--peer", "2=127.0.0.1:9", "--peer", "2=127.0.0.1:10"])
+        .args(["--run-secs", "2"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run fuse-node");
+    assert_eq!(out.status.code(), Some(2), "usage error, got {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--peer lists id 2 twice"),
+        "stderr names the reason: {stderr}"
+    );
+}
+
+#[test]
+fn one_thread_and_bounded_memory_under_cycles() {
+    // Each node is one readiness loop, and cancelled timers leave its store
+    // at once: thousands of create → signal cycles neither add threads nor
+    // leave the root holding per-cycle memory.
+    const CYCLES: usize = 2_000;
+    let ports = [free_port(), free_port(), free_port(), free_port()];
+    let mut nodes: Vec<NodeProc> = (0..4)
+        .map(|id| NodeProc::spawn(&node_args(id, &ports, None, &[])))
+        .collect();
+    for n in &nodes {
+        n.wait_for("READY", Duration::from_secs(10), |l| l == "READY");
+    }
+    let mut cursors = [0; 4];
+    let mut rss_after_warm_up = 0;
+    for cycle in 0..CYCLES {
+        if cycle == 200 {
+            rss_after_warm_up = nodes[0].status("VmRSS");
+        }
+        nodes[0].control("create 1,2,3");
+        let created =
+            nodes[0].next_line(&mut cursors[0], "CREATED", Duration::from_secs(20), |l| {
+                l.starts_with("CREATED ")
+            });
+        assert!(created.contains("result=ok"), "cycle {cycle}: {created}");
+        let gid = created_gid(&created);
+        nodes[cycle % 4].control(&format!("signal {gid}"));
+        for (i, (n, cursor)) in nodes.iter().zip(&mut cursors).enumerate() {
+            let line = n.next_line(cursor, "NOTIFIED", Duration::from_secs(20), |l| {
+                l.starts_with("NOTIFIED ")
+            });
+            assert!(
+                line.contains(&format!("id={gid} ")),
+                "node {i}, cycle {cycle}: {line}"
+            );
+        }
+    }
+    for (i, n) in nodes.iter().enumerate() {
+        assert_eq!(n.status("Threads"), 1, "node {i} runs one thread");
+    }
+    let grown = nodes[0].status("VmRSS").saturating_sub(rss_after_warm_up);
+    assert!(
+        grown < 300,
+        "the root's VmRSS grew {grown} kB over {} cycles",
+        CYCLES - 200
     );
 }
 
