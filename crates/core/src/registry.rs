@@ -79,11 +79,6 @@ impl<K: Copy + Ord> SubscriptionRegistry<K> {
         self.subscribers(peer).binary_search(&key).is_ok()
     }
 
-    /// Whether `peer` has at least one subscription.
-    pub fn has_peer(&self, peer: ProcId) -> bool {
-        self.by_peer.contains_key(&peer)
-    }
-
     /// Peers with at least one subscription, sorted.
     pub fn peers(&self) -> Vec<ProcId> {
         let mut v: Vec<ProcId> = self.by_peer.keys().copied().collect();

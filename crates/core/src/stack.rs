@@ -553,7 +553,7 @@ pub trait FuseApp: Sized {
 mod tests {
     use super::*;
     use fuse_overlay::NodeName;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn stack(i: usize) -> FuseStack {
         FuseStack::new(
@@ -579,20 +579,112 @@ mod tests {
         );
     }
 
+    fn drain(s: &mut FuseStack) -> Vec<Output> {
+        std::iter::from_fn(|| s.poll_output()).collect()
+    }
+
+    /// Feeds `key` and checks it did nothing: no output, no RNG draw.
+    fn assert_inert(s: &mut FuseStack, rng: &mut StdRng, now: Time, key: TimerKey) {
+        let mut untouched = rng.clone();
+        s.handle(now, rng, Input::Timer(key));
+        assert!(s.poll_output().is_none(), "stale {key:?} produced output");
+        assert_eq!(
+            rng.gen::<u64>(),
+            untouched.gen::<u64>(),
+            "stale {key:?} drew from the RNG"
+        );
+    }
+
+    /// Drivers may deliver cancelled and already-fired keys (the simulation
+    /// kernel delivers every key it was given): each namespace must
+    /// discard them.
     #[test]
     fn stale_timer_keys_are_inert() {
+        let peer = NodeInfo::new(2, NodeName::numbered(2));
         let mut s = stack(1);
+        s.overlay.preload_tables(vec![peer], Vec::new(), Vec::new());
         let mut rng = StdRng::seed_from_u64(1);
         s.handle(Time::ZERO, &mut rng, Input::Boot);
-        while s.poll_output().is_some() {}
+        let boot = drain(&mut s);
+
         // A key that was never armed (wrong generation) does nothing.
         let bogus = TimerKey {
             ns: NS_FUSE,
             slot: 0,
             gen: 99,
         };
-        s.handle(Time(1), &mut rng, Input::Timer(bogus));
-        assert!(s.poll_output().is_none());
+        assert_inert(&mut s, &mut rng, Time(1), bogus);
+
+        // Overlay: an ack timeout after its ack arrived. Boot arms the
+        // peer's ping first; firing it sends the ping and arms the wait.
+        let ping_due = boot
+            .iter()
+            .find_map(|o| match o {
+                Output::SetTimer { key, .. } => Some(*key),
+                _ => None,
+            })
+            .expect("boot arms the peer's ping");
+        s.handle(Time(2), &mut rng, Input::Timer(ping_due));
+        let fired = drain(&mut s);
+        let nonce = fired
+            .iter()
+            .find_map(|o| match o {
+                Output::Send {
+                    msg: StackMsg::Overlay(OverlayMsg::Ping { nonce, .. }),
+                    ..
+                } => Some(*nonce),
+                _ => None,
+            })
+            .expect("the ping is sent");
+        let ack_wait = fired
+            .iter()
+            .find_map(|o| match o {
+                Output::SetTimer { key, after }
+                    if *after == OverlayConfig::default().ping_timeout =>
+                {
+                    Some(*key)
+                }
+                _ => None,
+            })
+            .expect("the ack wait is armed");
+        let msg = StackMsg::Overlay(OverlayMsg::PingAck { nonce, hash: None });
+        s.handle(Time(3), &mut rng, Input::Message { from: 2, msg });
+        assert!(
+            drain(&mut s)
+                .iter()
+                .any(|o| matches!(o, Output::CancelTimer { key } if *key == ack_wait)),
+            "the ack cancels its wait"
+        );
+        assert_inert(&mut s, &mut rng, Time(4), ack_wait);
+
+        // FUSE: a creation timeout fed a second time after it fired.
+        s.api(Time(5), &mut rng).create_group(vec![peer]);
+        let create_timeout = drain(&mut s)
+            .iter()
+            .find_map(|o| match o {
+                Output::SetTimer { key, .. }
+                    if matches!(
+                        s.fuse_timers.get(*key),
+                        Some(FuseTimer::CreateTimeout { .. })
+                    ) =>
+                {
+                    Some(*key)
+                }
+                _ => None,
+            })
+            .expect("creation arms its timeout");
+        s.handle(Time(6), &mut rng, Input::Timer(create_timeout));
+        assert!(
+            !drain(&mut s).is_empty(),
+            "the first firing fails the creation"
+        );
+        assert_inert(&mut s, &mut rng, Time(7), create_timeout);
+
+        // Application: a timer after `cancel_timer`.
+        let app = s.api(Time(8), &mut rng).set_app_timer(Duration(5), 42);
+        s.api(Time(8), &mut rng).cancel_timer(app);
+        drain(&mut s);
+        assert_inert(&mut s, &mut rng, Time(13), app);
     }
 
     #[test]

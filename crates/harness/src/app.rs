@@ -6,8 +6,9 @@
 
 use bytes::Bytes;
 
-use fuse_core::{CreateError, CreateTicket, FuseApi, FuseApp, FuseEvent, FuseId, GroupHandle};
-use fuse_core::{Notification, NotifyReason};
+use fuse_core::{
+    CreateError, CreateTicket, FuseApi, FuseApp, FuseEvent, FuseId, GroupHandle, Notification,
+};
 use fuse_sim::{ProcId, SimDuration, SimTime};
 use fuse_util::DetHashMap;
 use fuse_wire::{Decode, Encode};
@@ -50,21 +51,6 @@ impl RecorderApp {
             .filter_map(|&(t, ev)| match ev {
                 FuseEvent::Notified(n) if n.id == id => Some((t, n)),
                 _ => None,
-            })
-            .collect()
-    }
-
-    /// Tally of every notification this node observed, by reason.
-    pub fn reason_counts(&self) -> Vec<(NotifyReason, usize)> {
-        NotifyReason::ALL
-            .iter()
-            .map(|&r| {
-                let n = self
-                    .events
-                    .iter()
-                    .filter(|(_, ev)| matches!(ev.notification(), Some(n) if n.reason == r))
-                    .count();
-                (r, n)
             })
             .collect()
     }

@@ -29,7 +29,9 @@ pub mod token;
 
 pub use explore::{explore, ExploreParams, FailureCase};
 pub use invariant::{standard_invariants, Invariant, RunContext, Violation};
-pub use runner::{group_members, run_script, run_script_world, ChaosConfig, RunReport};
+pub use runner::{
+    desugar, group_members, run_script, run_script_world, ChaosConfig, RtOp, RunReport,
+};
 pub use script::{ChaosOp, ChaosScript, MsgClass, Phase};
 pub use shrink::shrink;
 pub use token::{format_token, parse_token};

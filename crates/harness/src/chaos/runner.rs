@@ -110,11 +110,12 @@ pub struct RunReport {
     pub obs: Aggregates,
 }
 
-/// Runtime op: the script desugared onto an absolute-offset timeline
-/// (churn splits into crash + restart, loss ramps into steps).
+/// Runtime op: one entry of a script desugared by [`desugar`].
 #[derive(Debug, Clone, Copy)]
-enum RtOp {
+pub enum RtOp {
+    /// A script op other than `Churn` and `LossRamp`.
     Op(ChaosOp),
+    /// Set the global per-link loss rate (one step of a loss ramp).
     GlobalLoss(f64),
 }
 
@@ -147,7 +148,11 @@ pub fn group_members(n: usize, group_size: usize) -> Vec<ProcId> {
     members
 }
 
-fn desugar(script: &ChaosScript) -> Vec<(SimDuration, RtOp)> {
+/// The script on an absolute-offset timeline, in time order (equal offsets
+/// keep script order): churn splits into crash + restart, loss ramps into
+/// steps. The sim runner and the live replayer both execute this one
+/// expansion.
+pub fn desugar(script: &ChaosScript) -> Vec<(SimDuration, RtOp)> {
     let mut ops: Vec<(SimDuration, RtOp)> = Vec::new();
     for ph in &script.phases {
         match ph.op {
@@ -343,7 +348,7 @@ pub fn run_script_world(cfg: &ChaosConfig, script: &ChaosScript) -> (RunReport, 
                     let (a, b) = (slot_proc(from), slot_proc(to));
                     world
                         .fault_mut()
-                        .set_link_loss(a, b, f64::from(pct.min(99)) / 100.0);
+                        .set_link_loss(a, b, f64::from(pct) / 100.0);
                 }
                 ChaosOp::AdversaryDrop { class } => {
                     world.fault_mut().drop_class(class.label());
@@ -524,6 +529,20 @@ mod tests {
         let report = run_script(&cfg, &script);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].invariant, "script-slots");
+    }
+
+    #[test]
+    fn desugar_expands_churn_and_lossramp_in_time_order() {
+        let script = ChaosScript::parse("lossramp(10,2,10)@5s+churn(1,3)@2s").unwrap();
+        let ops = desugar(&script);
+        let ats: Vec<u64> = ops.iter().map(|(d, _)| d.as_secs_f64() as u64).collect();
+        assert_eq!(
+            ats,
+            vec![2, 5, 5, 10],
+            "crash@2, step1@5, restart@5, step2@10"
+        );
+        assert!(matches!(ops[0].1, RtOp::Op(ChaosOp::Crash { slot: 1 })));
+        assert!(matches!(ops[3].1, RtOp::GlobalLoss(r) if (r - 0.10).abs() < 1e-9));
     }
 
     #[test]

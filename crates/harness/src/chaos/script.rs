@@ -237,6 +237,14 @@ impl ChaosOp {
             let v = num(k)?;
             u8::try_from(v).map_err(|_| format!("op `{s}`: slot out of range"))
         };
+        // A loss rate of 1 is a blackhole, which has an op of its own; the
+        // network model refuses it.
+        let loss_pct = |k: usize| -> Result<u8, String> {
+            match num(k)? {
+                v @ 0..=99 => Ok(v as u8),
+                v => Err(format!("op `{s}`: loss percentage {v} out of range 0..=99")),
+            }
+        };
         match name {
             "crash" => Ok(ChaosOp::Crash { slot: slot(0)? }),
             "restart" => Ok(ChaosOp::Restart { slot: slot(0)? }),
@@ -257,10 +265,10 @@ impl ChaosOp {
             "linkloss" => Ok(ChaosOp::LinkLoss {
                 from: slot(0)?,
                 to: slot(1)?,
-                pct: slot(2)?,
+                pct: loss_pct(2)?,
             }),
             "lossramp" => Ok(ChaosOp::LossRamp {
-                pct: slot(0)?,
+                pct: loss_pct(0)?,
                 steps: slot(1)?.max(1),
                 over_s: num(2)? as u32,
             }),

@@ -142,6 +142,23 @@ mod tests {
     }
 
     #[test]
+    fn loss_percentages_of_100_or_more_are_rejected_by_name() {
+        for op in ["linkloss(0,1,{})", "lossramp({},1,0)"] {
+            let token = |pct: u32| {
+                let op = op.replace("{}", &pct.to_string());
+                format!("chaos-v1;seed=1;n=12;gs=2;script={op}@1s")
+            };
+            assert!(parse_token(&token(99)).is_ok(), "{op} at 99");
+            for pct in [100, 255] {
+                let err = parse_token(&token(pct)).unwrap_err();
+                let name = &op[..op.find('(').unwrap()];
+                assert!(err.contains(&format!("`{name}(")), "{err}");
+                assert!(err.contains("loss percentage"), "{err}");
+            }
+        }
+    }
+
+    #[test]
     fn retired_plane_and_probe_vocabulary_is_rejected() {
         // The shared liveness plane and its probe classes are gone: a token
         // naming them is an error that says which field or label it was.

@@ -12,9 +12,9 @@
 use fuse_net::NetConfig;
 use fuse_obs::Reservoir;
 use fuse_sim::{PerfectMedium, ProcId, Sim, SimDuration};
-use fuse_simdriver::topologies::alltoall::{AllToAllConfig, AllToAllNode};
-use fuse_simdriver::topologies::central::{CentralConfig, CentralNode};
-use fuse_simdriver::topologies::direct::{DirectConfig, DirectNode};
+use fuse_simdriver::topologies::alltoall::AllToAllNode;
+use fuse_simdriver::topologies::central::CentralNode;
+use fuse_simdriver::topologies::direct::DirectNode;
 
 use crate::metrics::MsgTrace;
 use crate::world::{pick_nodes, World, WorldParams};
@@ -87,7 +87,7 @@ fn direct_rate(p: &Params, groups: usize) -> f64 {
     let mut sim: Sim<DirectNode, PerfectMedium, MsgTrace> =
         Sim::with_trace(p.seed, medium, MsgTrace::new());
     for i in 0..p.n {
-        sim.add_process(DirectNode::new(i as ProcId, DirectConfig::default()));
+        sim.add_process(DirectNode::new(i as ProcId));
     }
     for g in 0..groups {
         let root = (g % p.n) as ProcId;
@@ -118,7 +118,7 @@ fn alltoall_rate(p: &Params, groups: usize) -> f64 {
     let mut sim: Sim<AllToAllNode, PerfectMedium, MsgTrace> =
         Sim::with_trace(p.seed, medium, MsgTrace::new());
     for i in 0..p.n {
-        sim.add_process(AllToAllNode::new(i as ProcId, AllToAllConfig::default()));
+        sim.add_process(AllToAllNode::new(i as ProcId));
     }
     for g in 0..groups {
         let root = (g % p.n) as ProcId;
@@ -145,7 +145,7 @@ fn central_rate(p: &Params, groups: usize) -> f64 {
     let mut sim: Sim<CentralNode, PerfectMedium, MsgTrace> =
         Sim::with_trace(p.seed, medium, MsgTrace::new());
     for i in 0..p.n {
-        sim.add_process(CentralNode::new(i as ProcId, 0, CentralConfig::default()));
+        sim.add_process(CentralNode::new(i as ProcId, 0));
     }
     for g in 0..groups {
         let root = (1 + g % (p.n - 1)) as ProcId;
@@ -205,7 +205,7 @@ pub fn detection_bound(seeds: u32, group_size: usize) -> Reservoir {
         let medium = PerfectMedium::new(SimDuration::from_millis(30));
         let mut sim: Sim<AllToAllNode, PerfectMedium> = Sim::new(u64::from(seed) + 500, medium);
         for i in 0..(group_size + 2) {
-            sim.add_process(AllToAllNode::new(i as ProcId, AllToAllConfig::default()));
+            sim.add_process(AllToAllNode::new(i as ProcId));
         }
         let members: Vec<ProcId> = (1..group_size as ProcId).collect();
         let id = sim

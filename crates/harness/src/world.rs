@@ -353,17 +353,6 @@ impl World {
         agg.merge_from(self.sim.medium().obs());
         agg
     }
-
-    /// Picks `k` distinct random nodes (optionally excluding some).
-    pub fn sample_nodes(&mut self, k: usize, exclude: &[ProcId]) -> Vec<ProcId> {
-        use rand::seq::SliceRandom;
-        let mut all: Vec<ProcId> = (0..self.infos.len() as ProcId)
-            .filter(|p| !exclude.contains(p) && self.sim.is_up(*p))
-            .collect();
-        all.shuffle(self.sim.rng_mut());
-        all.truncate(k);
-        all
-    }
 }
 
 /// Picks `k` distinct nodes out of `n` from a caller-owned RNG.

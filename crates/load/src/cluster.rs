@@ -359,16 +359,6 @@ impl Cluster {
         }
     }
 
-    /// Recomputes blackhole flags from a partition cell assignment: frames
-    /// between different cells vanish silently (the sim fault plane's
-    /// partition semantics, live edition).
-    pub fn apply_partitions(&self, cell_of: &[u32]) {
-        for (&(i, j), p) in &self.proxies {
-            let split = cell_of[i] != cell_of[j];
-            p.update(|pol| pol.blackhole = split);
-        }
-    }
-
     /// Graceful teardown: `shutdown` to every live node, bounded wait,
     /// SIGKILL stragglers.
     pub fn shutdown(&mut self) {

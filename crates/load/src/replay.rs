@@ -5,8 +5,9 @@
 //! schedule against a real [`Cluster`]: the same slot→node mapping the sim
 //! runner uses (`root = 0`, members from [`group_members`]), each chaos op
 //! translated to its live equivalent (SIGKILL, proxy sever, proxy
-//! blackhole/loss, stdin `signal`), applied at the script's offsets on the
-//! wall clock (optionally time-scaled).
+//! blackhole/loss, stdin `signal`), applied at the offsets of the sim
+//! runner's own expansion ([`desugar`]) on the wall clock (optionally
+//! time-scaled).
 //!
 //! The cross-check is one-directional by design: **if the sim run burns
 //! the group, every surviving live participant must report `NOTIFIED`
@@ -21,7 +22,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use fuse_harness::chaos::{
-    group_members, parse_token, run_script, ChaosConfig, ChaosOp, ChaosScript,
+    desugar, group_members, parse_token, run_script, ChaosConfig, ChaosOp, RtOp,
 };
 
 use crate::cluster::{Cluster, ClusterError};
@@ -69,42 +70,6 @@ impl LiveFaults {
             }
         }
     }
-}
-
-/// Desugared wall-clock schedule entry.
-enum LiveOp {
-    Op(ChaosOp),
-    GlobalLoss(f64),
-}
-
-/// Expands `Churn`/`LossRamp` exactly like the sim runner's (private)
-/// desugar, into wall-clock offsets.
-fn desugar(script: &ChaosScript) -> Vec<(Duration, LiveOp)> {
-    let mut ops: Vec<(Duration, LiveOp)> = Vec::new();
-    for ph in &script.phases {
-        let at = Duration::from_nanos(ph.at.nanos());
-        match ph.op {
-            ChaosOp::Churn { slot, down_s } => {
-                ops.push((at, LiveOp::Op(ChaosOp::Crash { slot })));
-                ops.push((
-                    at + Duration::from_secs(u64::from(down_s)),
-                    LiveOp::Op(ChaosOp::Restart { slot }),
-                ));
-            }
-            ChaosOp::LossRamp { pct, steps, over_s } => {
-                let steps = steps.max(1);
-                for i in 1..=u64::from(steps) {
-                    let frac =
-                        Duration::from_secs(u64::from(over_s)) * (i as u32 - 1) / u32::from(steps);
-                    let rate = f64::from(pct) / 100.0 * i as f64 / f64::from(steps);
-                    ops.push((at + frac, LiveOp::GlobalLoss(rate)));
-                }
-            }
-            op => ops.push((at, LiveOp::Op(op))),
-        }
-    }
-    ops.sort_by_key(|&(at, _)| at);
-    ops
 }
 
 /// Replays `token` against a fresh live cluster, running the sim reference
@@ -155,6 +120,7 @@ pub fn replay_token(
     let mut crashed: HashSet<usize> = HashSet::new();
     let t0 = Instant::now();
     for (at, op) in desugar(&script) {
+        let at = Duration::from_nanos(at.nanos());
         let due = t0 + at.mul_f64(time_scale.max(0.001));
         let now = Instant::now();
         if due > now {
@@ -168,7 +134,7 @@ pub fn replay_token(
             &mut faults,
             &mut crashed,
         )?;
-        if let LiveOp::Op(op) = &op {
+        if let RtOp::Op(op) = &op {
             progress(&format!("live: applied {}", op.to_text()));
         }
     }
@@ -212,17 +178,17 @@ fn apply_live_op(
     cluster: &mut Cluster,
     participants: &[usize],
     gid: &str,
-    op: &LiveOp,
+    op: &RtOp,
     faults: &mut LiveFaults,
     crashed: &mut HashSet<usize>,
 ) -> Result<(), ClusterError> {
     let node = |slot: u8| participants[slot as usize];
     match op {
-        LiveOp::GlobalLoss(rate) => {
+        RtOp::GlobalLoss(rate) => {
             let rate = *rate;
             cluster.set_all_links(move |pol| pol.drop_pct = rate);
         }
-        LiveOp::Op(op) => match *op {
+        RtOp::Op(op) => match *op {
             ChaosOp::Crash { slot } => {
                 let p = node(slot);
                 if cluster.is_up(p) {
@@ -299,23 +265,8 @@ fn apply_live_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuse_harness::chaos::format_token;
-    use fuse_harness::chaos::Phase;
+    use fuse_harness::chaos::{format_token, ChaosScript, Phase};
     use fuse_sim::SimDuration;
-
-    #[test]
-    fn desugar_expands_churn_and_lossramp_in_time_order() {
-        let script = ChaosScript::parse("lossramp(10,2,10)@5s+churn(1,3)@2s").unwrap();
-        let ops = desugar(&script);
-        let ats: Vec<u64> = ops.iter().map(|(d, _)| d.as_secs()).collect();
-        assert_eq!(
-            ats,
-            vec![2, 5, 5, 10],
-            "crash@2, step1@5, restart@5, step2@10"
-        );
-        assert!(matches!(ops[0].1, LiveOp::Op(ChaosOp::Crash { slot: 1 })));
-        assert!(matches!(ops[3].1, LiveOp::GlobalLoss(r) if (r - 0.10).abs() < 1e-9));
-    }
 
     #[test]
     fn live_faults_compose_partitions_and_holes() {

@@ -84,12 +84,6 @@ impl FaultPlane {
         self.blackholes.insert((a, b));
     }
 
-    /// Makes `a`↔`b` unreachable in both directions.
-    pub fn add_bidirectional_blackhole(&mut self, a: ProcId, b: ProcId) {
-        self.blackholes.insert((a, b));
-        self.blackholes.insert((b, a));
-    }
-
     /// Removes a directed blackhole.
     pub fn clear_blackhole(&mut self, a: ProcId, b: ProcId) {
         self.blackholes.remove(&(a, b));

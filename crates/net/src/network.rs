@@ -197,11 +197,6 @@ impl Network {
         &self.topo
     }
 
-    /// Number of attached processes.
-    pub fn n_procs(&self) -> usize {
-        self.attach.len()
-    }
-
     /// Route summary between two processes (computed on demand and cached
     /// in the oracle's rows).
     pub fn route_info(&self, a: ProcId, b: ProcId) -> RouteInfo {
@@ -212,11 +207,6 @@ impl Network {
     /// Hit/miss/eviction counters and occupancy of the route oracle.
     pub fn route_oracle_stats(&self) -> OracleStats {
         self.routes.stats()
-    }
-
-    /// Round-trip time between two processes (propagation only).
-    pub fn rtt(&self, a: ProcId, b: ProcId) -> SimDuration {
-        self.route_info(a, b).latency.saturating_mul(2)
     }
 
     /// Changes the uniform per-link loss rate mid-run (Figure 12 enables

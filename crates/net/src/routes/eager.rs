@@ -54,11 +54,6 @@ impl RouteTable {
             hops,
         }
     }
-
-    /// Whether a table was built for `src`.
-    pub fn has_source(&self, src: RouterId) -> bool {
-        self.tables.contains_key(&src)
-    }
 }
 
 #[cfg(test)]

@@ -112,14 +112,6 @@ impl Reservoir {
         self.ensure_sorted();
         self.samples.first().copied()
     }
-
-    /// Consumes the reservoir, producing a full CDF.
-    pub fn into_cdf(mut self) -> Cdf {
-        self.ensure_sorted();
-        Cdf {
-            sorted: self.samples,
-        }
-    }
 }
 
 impl PartialEq for Reservoir {

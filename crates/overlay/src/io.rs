@@ -188,12 +188,6 @@ impl<'a> OverlayCx<'a> {
         }
     }
 
-    /// Resolves a driver-delivered timer key to its tag; stale keys
-    /// (cancelled or superseded) resolve to `None`.
-    pub fn fire_timer(&mut self, key: TimerKey) -> Option<OverlayTimer> {
-        self.timers.fire(key)
-    }
-
     /// Delivers an upcall to the client layer (buffered by the stack).
     pub fn upcall(&mut self, ev: OverlayUpcall) {
         self.upcalls.push(ev);

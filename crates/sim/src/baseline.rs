@@ -2,16 +2,17 @@
 //! implementation.
 //!
 //! Before the timing-wheel rewrite, every event — deliveries (payload
-//! inline), timers, and boxed scripted calls — went through one
-//! `BinaryHeap`, paying an O(log n) sift per push/pop, moving whole
-//! `P::Msg` payloads during sifts, and allocating a box per scripted call.
-//! [`BaselineSim`] keeps that scheduler verbatim for differential
-//! testing: `tests/kernel_equivalence.rs` drives identical scripts through
+//! inline), timers, link-break notices, scheduled crashes and restarts —
+//! went through one `BinaryHeap`, paying an O(log n) sift per push/pop and
+//! moving whole `P::Msg` payloads during sifts. [`BaselineSim`] keeps that
+//! scheduler for differential testing, with the same timer semantics as
+//! [`crate::Sim`] (a timer fires only into the incarnation that armed it):
+//! `tests/kernel_equivalence.rs` drives identical scripts through
 //! [`BaselineSim`] and [`crate::Sim`] and requires bit-identical traces;
-//! any divergence in the wheel's merge logic fails loudly.
+//! any ordering divergence in the wheel fails loudly.
 //!
-//! The public API mirrors [`crate::Sim`]'s subset that scripts use. New
-//! experiments should always use [`crate::Sim`].
+//! Its public API is the part of [`crate::Sim`]'s that the differential
+//! tests drive. New experiments should always use [`crate::Sim`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -20,48 +21,50 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::medium::{Medium, Verdict};
-use crate::process::{Action, Ctx, Payload, ProcId, Process};
+use crate::process::{Ctx, Payload, ProcId, Process};
 use crate::time::{SimDuration, SimTime};
-use crate::timer::{TimerHandle, TimerTable};
-use crate::trace::{NullTrace, TraceSink};
+use crate::trace::TraceSink;
 
-enum Event<P: Process, Md, S> {
+enum Event<P: Process> {
     Deliver {
         from: ProcId,
         to: ProcId,
         msg: P::Msg,
     },
-    Timer(TimerHandle),
+    Timer {
+        proc: ProcId,
+        incarnation: u32,
+        tag: P::Timer,
+    },
     LinkBroken {
         proc: ProcId,
         peer: ProcId,
     },
     Crash(ProcId),
     Restart(ProcId, Box<P>),
-    Call(Box<dyn FnOnce(&mut BaselineSim<P, Md, S>)>),
 }
 
-struct HeapEntry<P: Process, Md, S> {
+struct HeapEntry<P: Process> {
     at: SimTime,
     seq: u64,
-    ev: Event<P, Md, S>,
+    ev: Event<P>,
 }
 
-impl<P: Process, Md, S> PartialEq for HeapEntry<P, Md, S> {
+impl<P: Process> PartialEq for HeapEntry<P> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
 
-impl<P: Process, Md, S> Eq for HeapEntry<P, Md, S> {}
+impl<P: Process> Eq for HeapEntry<P> {}
 
-impl<P: Process, Md, S> PartialOrd for HeapEntry<P, Md, S> {
+impl<P: Process> PartialOrd for HeapEntry<P> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<P: Process, Md, S> Ord for HeapEntry<P, Md, S> {
+impl<P: Process> Ord for HeapEntry<P> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first, and
         // FIFO (smallest sequence number) among equal timestamps.
@@ -69,30 +72,23 @@ impl<P: Process, Md, S> Ord for HeapEntry<P, Md, S> {
     }
 }
 
-struct ProcSlot<P: Process> {
+struct ProcSlot<P> {
     proc: Option<P>,
-    timers: TimerTable<P::Timer>,
+    incarnation: u32,
 }
 
 /// Pre-rewrite simulation kernel; see the module docs.
-pub struct BaselineSim<P: Process, Md, S = NullTrace> {
+pub struct BaselineSim<P: Process, Md, S> {
     clock: SimTime,
     seq: u64,
-    heap: BinaryHeap<HeapEntry<P, Md, S>>,
+    heap: BinaryHeap<HeapEntry<P>>,
     procs: Vec<ProcSlot<P>>,
     rng: StdRng,
     medium: Md,
     trace: S,
-    scratch_actions: Vec<Action<P::Msg>>,
-    scratch_timers: Vec<(TimerHandle, SimTime)>,
+    scratch_sends: Vec<(ProcId, P::Msg)>,
+    scratch_timers: Vec<(SimTime, P::Timer)>,
     events_executed: u64,
-}
-
-impl<P: Process, Md: Medium> BaselineSim<P, Md, NullTrace> {
-    /// Creates a baseline simulation with the default (no-op) trace sink.
-    pub fn new(seed: u64, medium: Md) -> Self {
-        BaselineSim::with_trace(seed, medium, NullTrace)
-    }
 }
 
 impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
@@ -106,7 +102,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
             rng: StdRng::seed_from_u64(seed),
             medium,
             trace,
-            scratch_actions: Vec::new(),
+            scratch_sends: Vec::new(),
             scratch_timers: Vec::new(),
             events_executed: 0,
         }
@@ -122,17 +118,9 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
         self.events_executed
     }
 
-    /// Events still queued.
-    pub fn pending_events(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Whether process `id` is currently alive.
     pub fn is_up(&self, id: ProcId) -> bool {
-        self.procs
-            .get(id as usize)
-            .map(|s| s.proc.is_some())
-            .unwrap_or(false)
+        self.proc(id).is_some()
     }
 
     /// Immutable view of a live process's state.
@@ -140,17 +128,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
         self.procs.get(id as usize).and_then(|s| s.proc.as_ref())
     }
 
-    /// The medium, for fault injection.
-    pub fn medium_mut(&mut self) -> &mut Md {
-        &mut self.medium
-    }
-
-    /// The trace sink, for metrics extraction.
-    pub fn trace_mut(&mut self) -> &mut S {
-        &mut self.trace
-    }
-
-    /// Immutable trace access.
+    /// The trace sink.
     pub fn trace(&self) -> &S {
         &self.trace
     }
@@ -159,22 +137,20 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
     pub fn add_process(&mut self, p: P) -> ProcId {
         let id = self.procs.len() as ProcId;
         self.procs.push(ProcSlot {
-            proc: Some(p),
-            timers: TimerTable::new(),
+            proc: None,
+            incarnation: 0,
         });
-        self.medium.node_up(id);
-        self.trace.on_lifecycle(self.clock, id, true);
-        self.dispatch(id, |p, ctx| p.on_boot(ctx));
+        self.restart(id, p);
         id
     }
 
-    /// Crashes process `id`: state dropped, timers cleared, medium informed.
+    /// Crashes process `id`: state dropped, timers voided, medium informed.
     pub fn crash(&mut self, id: ProcId) {
         let slot = &mut self.procs[id as usize];
         if slot.proc.take().is_none() {
             return;
         }
-        slot.timers.clear();
+        slot.incarnation = slot.incarnation.wrapping_add(1);
         self.medium.node_down(id);
         self.trace.on_lifecycle(self.clock, id, false);
     }
@@ -196,24 +172,12 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
         f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Timer>) -> R,
     ) -> Option<R> {
         let mut out = None;
-        let ran = self.dispatch_inner(id, |p, ctx| {
-            out = Some(f(p, ctx));
-        });
-        if ran {
-            out
-        } else {
-            None
-        }
-    }
-
-    /// Schedules `f(&mut BaselineSim)` to run at absolute time `at`.
-    pub fn schedule_call(&mut self, at: SimTime, f: impl FnOnce(&mut Self) + 'static) {
-        assert!(at >= self.clock, "cannot schedule in the past");
-        self.push(at, Event::Call(Box::new(f)));
+        self.dispatch(id, |p, ctx| out = Some(f(p, ctx)));
+        out
     }
 
     /// Schedules a crash of `id` at `at` (mirrors [`crate::Sim::schedule_crash`]
-    /// for the differential tests; this kernel still boxes per restart).
+    /// for the differential tests; this kernel boxes per restart).
     pub fn schedule_crash(&mut self, at: SimTime, id: ProcId) {
         assert!(at >= self.clock, "cannot schedule in the past");
         self.push(at, Event::Crash(id));
@@ -227,11 +191,9 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
         self.push(at, Event::Restart(id, Box::new(state)));
     }
 
-    /// Executes a single event; returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some(entry) = self.heap.pop() else {
-            return false;
-        };
+    /// Executes the earliest event; the queue must not be empty.
+    fn step(&mut self) {
+        let entry = self.heap.pop().expect("step on an empty queue");
         debug_assert!(entry.at >= self.clock, "time went backwards");
         self.clock = entry.at;
         self.events_executed += 1;
@@ -242,13 +204,13 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
                     self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
                 }
             }
-            Event::Timer(h) => {
-                let slot = &mut self.procs[h.proc as usize];
-                if slot.proc.is_none() {
-                    return true;
-                }
-                if let Some(tag) = slot.timers.fire(h) {
-                    self.dispatch(h.proc, |p, ctx| p.on_timer(ctx, tag));
+            Event::Timer {
+                proc,
+                incarnation,
+                tag,
+            } => {
+                if self.procs[proc as usize].incarnation == incarnation {
+                    self.dispatch(proc, |p, ctx| p.on_timer(ctx, tag));
                 }
             }
             Event::LinkBroken { proc, peer } => {
@@ -260,32 +222,20 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
                     self.restart(id, *state);
                 }
             }
-            Event::Call(f) => f(self),
-        }
-        true
-    }
-
-    /// Runs all events up to and including time `t`, then sets the clock to
-    /// `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        while let Some(entry) = self.heap.peek() {
-            if entry.at > t {
-                break;
-            }
-            self.step();
-        }
-        if t > self.clock {
-            self.clock = t;
         }
     }
 
-    /// Runs for a span of simulated time.
+    /// Runs all events due within `d` from now, then advances the clock by
+    /// `d`.
     pub fn run_for(&mut self, d: SimDuration) {
         let t = self.clock + d;
-        self.run_until(t);
+        while self.heap.peek().is_some_and(|e| e.at <= t) {
+            self.step();
+        }
+        self.clock = t;
     }
 
-    fn push(&mut self, at: SimTime, ev: Event<P, Md, S>) {
+    fn push(&mut self, at: SimTime, ev: Event<P>) {
         self.seq += 1;
         self.heap.push(HeapEntry {
             at,
@@ -295,49 +245,41 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
     }
 
     fn dispatch(&mut self, id: ProcId, f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Timer>)) {
-        self.dispatch_inner(id, f);
-    }
-
-    fn dispatch_inner(
-        &mut self,
-        id: ProcId,
-        f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Timer>),
-    ) -> bool {
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        let mut new_timers = std::mem::take(&mut self.scratch_timers);
-        let ran = {
-            let slot = match self.procs.get_mut(id as usize) {
-                Some(s) => s,
-                None => return false,
-            };
-            let ProcSlot { proc, timers } = slot;
-            match proc.as_mut() {
-                Some(p) => {
-                    let mut ctx = Ctx {
-                        now: self.clock,
-                        self_id: id,
-                        rng: &mut self.rng,
-                        timers,
-                        actions: &mut actions,
-                        new_timers: &mut new_timers,
-                    };
-                    f(p, &mut ctx);
-                    true
-                }
-                None => false,
-            }
+        let Some(ProcSlot {
+            proc: Some(p),
+            incarnation,
+        }) = self.procs.get_mut(id as usize)
+        else {
+            return;
         };
-        for (handle, at) in new_timers.drain(..) {
-            self.push(at, Event::Timer(handle));
+        let incarnation = *incarnation;
+        let mut sends = std::mem::take(&mut self.scratch_sends);
+        let mut new_timers = std::mem::take(&mut self.scratch_timers);
+        f(
+            p,
+            &mut Ctx {
+                now: self.clock,
+                self_id: id,
+                rng: &mut self.rng,
+                sends: &mut sends,
+                new_timers: &mut new_timers,
+            },
+        );
+        for (at, tag) in new_timers.drain(..) {
+            self.push(
+                at,
+                Event::Timer {
+                    proc: id,
+                    incarnation,
+                    tag,
+                },
+            );
         }
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg } => self.perform_send(id, to, msg),
-            }
+        for (to, msg) in sends.drain(..) {
+            self.perform_send(id, to, msg);
         }
-        self.scratch_actions = actions;
+        self.scratch_sends = sends;
         self.scratch_timers = new_timers;
-        ran
     }
 
     fn perform_send(&mut self, from: ProcId, to: ProcId, msg: P::Msg) {

@@ -1,90 +1,61 @@
-//! The event loop: deliveries, timers and scripted calls, executed
-//! deterministically in `(time, sequence)` order.
+//! The event loop: deliveries, timers, link-break notices and scheduled
+//! crashes and restarts, executed deterministically in `(time, sequence)`
+//! order.
 //!
 //! # Scheduler structure (the hot path)
 //!
-//! Events are split by class, each in the structure that is cheapest for it:
+//! Every event is a compact token in one hierarchical [`TimingWheel`]:
+//! amortized O(1) insert and expiry, no allocation in steady state. The
+//! wheel orders by the global `(time, seq)` pair — earliest first, FIFO
+//! among equal timestamps, bit-for-bit deterministic for a fixed seed.
 //!
-//! * **Timers and deliveries** — the two dominant classes (every node
-//!   re-arms periodic liveness pings; every ping is a delivery) — live in a
-//!   hierarchical [`TimingWheel`]: amortized O(1) arm and expiry, O(1) lazy
-//!   cancel, no allocation in steady state. A delivery carries only a
-//!   compact `(time, seq, slab index)` token; the potentially large
-//!   `P::Msg` payload is parked in a generation-checked slab, so the
-//!   scheduler moves a fixed 40-byte entry regardless of message size and
-//!   payloads are neither cloned nor reallocated between send and delivery.
-//! * **Scripted operations and link-break notices** are rare; they keep a
-//!   residual binary heap. Scheduled crashes and restarts — the bulk of
-//!   what churn experiments script — are unboxed enum variants (restart
-//!   state parked in a recycling slab); only the catch-all
-//!   [`Sim::schedule_call`] closure boxes.
+//! * A **delivery** token is a slab index: the potentially large `P::Msg`
+//!   payload is parked in a generation-checked slab, so payloads are
+//!   neither cloned nor reallocated between send and delivery.
+//! * A **timer** token carries its tag and the incarnation of the process
+//!   that armed it, and fires only into that process while it is up with
+//!   the same incarnation: a restarted process never sees its
+//!   predecessor's timers. The kernel keeps no timer table and offers no
+//!   cancel; cancelling is the process's job (`FuseStack` discards the
+//!   stale keys it is fed).
+//! * **Link-break notices** and scheduled **crashes** and **restarts** are
+//!   tokens too (restart state parked in a second slab), so scripting them
+//!   allocates nothing per call.
 //!
-//! Both structures order by the global `(time, seq)` pair and the kernel
-//! merges their fronts, so the observable semantics are identical to a
-//! single queue: earliest first, FIFO among equal timestamps, bit-for-bit
-//! deterministic for a fixed seed. `baseline::BaselineSim` preserves the
-//! original single-heap scheduler; differential tests in
-//! `tests/kernel_equivalence.rs` hold the two to identical traces.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! `baseline::BaselineSim` preserves the original single-heap scheduler;
+//! differential tests in `tests/kernel_equivalence.rs` hold the two to
+//! identical traces.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::medium::{Medium, Verdict};
-use crate::process::{Action, Ctx, Payload, ProcId, Process};
+use crate::process::{Ctx, Payload, ProcId, Process};
 use crate::time::{SimDuration, SimTime};
-use crate::timer::{TimerHandle, TimerTable};
 use crate::trace::{NullTrace, TraceSink};
 use crate::wheel::{TimingWheel, WheelEntry};
 
-/// Time-keyed work carried by the wheel: timer expiries and message
-/// deliveries (the deliver payload itself lives in [`MsgSlab`]; the wheel
-/// entry stays a fixed 40 bytes regardless of message size).
-enum Pending {
-    Timer(TimerHandle),
-    Deliver { idx: u32, gen: u32 },
-}
-
-/// Rare events kept in the residual heap: link-break notices and scripted
-/// operations. Crash/restart — the operations churn experiments schedule by
-/// the thousands — are plain enum variants (restart state parked in a slab),
-/// so scripting them allocates nothing per call; only the catch-all
-/// [`Sim::schedule_call`] closure still boxes.
-enum EventRef<P: Process, Md, S> {
-    LinkBroken { proc: ProcId, peer: ProcId },
+/// What a wheel entry means when it surfaces.
+enum Pending<T> {
+    Timer {
+        proc: ProcId,
+        incarnation: u32,
+        tag: T,
+    },
+    Deliver {
+        idx: u32,
+        gen: u32,
+    },
+    LinkBroken {
+        proc: ProcId,
+        peer: ProcId,
+    },
     Crash(ProcId),
-    Restart { id: ProcId, idx: u32, gen: u32 },
-    Call(Box<dyn FnOnce(&mut Sim<P, Md, S>)>),
-}
-
-struct HeapEntry<P: Process, Md, S> {
-    at: SimTime,
-    seq: u64,
-    ev: EventRef<P, Md, S>,
-}
-
-impl<P: Process, Md, S> PartialEq for HeapEntry<P, Md, S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<P: Process, Md, S> Eq for HeapEntry<P, Md, S> {}
-
-impl<P: Process, Md, S> PartialOrd for HeapEntry<P, Md, S> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<P: Process, Md, S> Ord for HeapEntry<P, Md, S> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first, and
-        // FIFO (smallest sequence number) among equal timestamps.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+    Restart {
+        id: ProcId,
+        idx: u32,
+        gen: u32,
+    },
 }
 
 /// Generation-checked slab: values stay put between schedule and
@@ -129,9 +100,10 @@ impl<T> Slab<T> {
     }
 }
 
-struct ProcSlot<P: Process> {
+struct ProcSlot<P> {
     proc: Option<P>,
-    timers: TimerTable<P::Timer>,
+    /// Bumped by every crash; timers armed under an older value are dead.
+    incarnation: u32,
 }
 
 /// The simulation world: processes, medium, clock and event queue.
@@ -170,8 +142,7 @@ struct ProcSlot<P: Process> {
 pub struct Sim<P: Process, Md, S = NullTrace> {
     clock: SimTime,
     seq: u64,
-    heap: BinaryHeap<HeapEntry<P, Md, S>>,
-    wheel: TimingWheel<Pending>,
+    wheel: TimingWheel<Pending<P::Timer>>,
     msgs: Slab<(ProcId, ProcId, P::Msg)>,
     /// Parked states of scheduled restarts (consumed when the event fires).
     restarts: Slab<P>,
@@ -179,8 +150,8 @@ pub struct Sim<P: Process, Md, S = NullTrace> {
     rng: StdRng,
     medium: Md,
     trace: S,
-    scratch_actions: Vec<Action<P::Msg>>,
-    scratch_timers: Vec<(TimerHandle, SimTime)>,
+    scratch_sends: Vec<(ProcId, P::Msg)>,
+    scratch_timers: Vec<(SimTime, P::Timer)>,
     events_executed: u64,
 }
 
@@ -197,7 +168,6 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
         Sim {
             clock: SimTime::ZERO,
             seq: 0,
-            heap: BinaryHeap::new(),
             wheel: TimingWheel::new(),
             msgs: Slab::new(),
             restarts: Slab::new(),
@@ -205,7 +175,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
             rng: StdRng::seed_from_u64(seed),
             medium,
             trace,
-            scratch_actions: Vec::new(),
+            scratch_sends: Vec::new(),
             scratch_timers: Vec::new(),
             events_executed: 0,
         }
@@ -226,18 +196,15 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
         self.events_executed
     }
 
-    /// Events still queued (including lazily-cancelled timers, which are
-    /// discarded when they surface).
+    /// Events still queued (including timers whose process has since
+    /// crashed or no longer wants them; they surface and are discarded).
     pub fn pending_events(&self) -> usize {
-        self.heap.len() + self.wheel.len()
+        self.wheel.len()
     }
 
     /// Whether process `id` is currently alive.
     pub fn is_up(&self, id: ProcId) -> bool {
-        self.procs
-            .get(id as usize)
-            .map(|s| s.proc.is_some())
-            .unwrap_or(false)
+        self.proc(id).is_some()
     }
 
     /// Immutable view of a live process's state.
@@ -256,11 +223,6 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
     }
 
     /// The trace sink, for metrics extraction.
-    pub fn trace_mut(&mut self) -> &mut S {
-        &mut self.trace
-    }
-
-    /// Immutable trace access.
     pub fn trace(&self) -> &S {
         &self.trace
     }
@@ -274,16 +236,14 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
     pub fn add_process(&mut self, p: P) -> ProcId {
         let id = self.procs.len() as ProcId;
         self.procs.push(ProcSlot {
-            proc: Some(p),
-            timers: TimerTable::new(),
+            proc: None,
+            incarnation: 0,
         });
-        self.medium.node_up(id);
-        self.trace.on_lifecycle(self.clock, id, true);
-        self.dispatch(id, |p, ctx| p.on_boot(ctx));
+        self.restart(id, p);
         id
     }
 
-    /// Crashes process `id`: state dropped, timers cleared, medium informed.
+    /// Crashes process `id`: state dropped, timers voided, medium informed.
     ///
     /// In-flight messages *to* the process are discarded on arrival; messages
     /// it already sent still propagate (packets in flight survive a sender
@@ -293,7 +253,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
         if slot.proc.take().is_none() {
             return;
         }
-        slot.timers.clear();
+        slot.incarnation = slot.incarnation.wrapping_add(1);
         self.medium.node_down(id);
         self.trace.on_lifecycle(self.clock, id, false);
     }
@@ -318,43 +278,18 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
         f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Timer>) -> R,
     ) -> Option<R> {
         let mut out = None;
-        let ran = self.dispatch_inner(id, |p, ctx| {
-            out = Some(f(p, ctx));
-        });
-        if ran {
-            out
-        } else {
-            None
-        }
-    }
-
-    /// Schedules `f(&mut Sim)` to run at absolute time `at`.
-    ///
-    /// The catch-all scripting hook — it boxes the closure. The two
-    /// operations churn scripts issue by the thousands have unboxed
-    /// first-class forms: [`schedule_crash`] and [`schedule_restart`].
-    ///
-    /// [`schedule_crash`]: Sim::schedule_crash
-    /// [`schedule_restart`]: Sim::schedule_restart
-    pub fn schedule_call(&mut self, at: SimTime, f: impl FnOnce(&mut Self) + 'static) {
-        assert!(at >= self.clock, "cannot schedule in the past");
-        self.push(at, EventRef::Call(Box::new(f)));
-    }
-
-    /// Schedules `f(&mut Sim)` to run `after` from now.
-    pub fn schedule_in(&mut self, after: SimDuration, f: impl FnOnce(&mut Self) + 'static) {
-        self.push(self.clock + after, EventRef::Call(Box::new(f)));
+        self.dispatch(id, |p, ctx| out = Some(f(p, ctx)));
+        out
     }
 
     /// Schedules a crash of process `id` at absolute time `at` without
-    /// allocating: the operation is a plain enum variant in the event
-    /// queue. Idempotent at fire time (crashing a dead process is a no-op),
-    /// exactly like calling [`crash`] then.
+    /// allocating. Idempotent at fire time (crashing a dead process is a
+    /// no-op), exactly like calling [`crash`] then.
     ///
     /// [`crash`]: Sim::crash
     pub fn schedule_crash(&mut self, at: SimTime, id: ProcId) {
         assert!(at >= self.clock, "cannot schedule in the past");
-        self.push(at, EventRef::Crash(id));
+        self.push(at, Pending::Crash(id));
     }
 
     /// Schedules a restart of process `id` with `state` at absolute time
@@ -365,31 +300,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
     pub fn schedule_restart(&mut self, at: SimTime, id: ProcId, state: P) {
         assert!(at >= self.clock, "cannot schedule in the past");
         let (idx, gen) = self.restarts.insert(state);
-        self.push(at, EventRef::Restart { id, idx, gen });
-    }
-
-    /// Time of the next event across both queues (ordered by `(time,
-    /// seq)`), and whether it comes from the timer wheel.
-    fn next_front(&mut self) -> Option<(SimTime, bool)> {
-        let heap_front = self.heap.peek().map(|e| (e.at, e.seq));
-        let wheel_front = self.wheel.peek();
-        match (heap_front, wheel_front) {
-            (None, None) => None,
-            (Some((at, _)), None) => Some((at, false)),
-            (None, Some((at, _))) => Some((at, true)),
-            (Some((ha, hs)), Some((wa, ws))) => {
-                if (ha, hs) < (wa, ws) {
-                    Some((ha, false))
-                } else {
-                    Some((wa, true))
-                }
-            }
-        }
-    }
-
-    /// Executes a single event; returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        self.step_through(SimTime(u64::MAX))
+        self.push(at, Pending::Restart { id, idx, gen });
     }
 
     /// Executes the next event if it is due at or before `t`; returns
@@ -398,77 +309,49 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
     /// (evaluate a predicate after every event instead of polling on a
     /// fixed interval).
     pub fn step_until(&mut self, t: SimTime) -> bool {
-        self.step_through(t)
-    }
-
-    /// Executes the next event if it is due at or before `t`; the single
-    /// front decision shared by [`step`] and the run loops (peeking and
-    /// popping in one pass keeps the per-event cost down).
-    ///
-    /// [`step`]: Sim::step
-    fn step_through(&mut self, t: SimTime) -> bool {
-        let Some((at, from_wheel)) = self.next_front() else {
-            return false;
-        };
-        if at > t {
-            return false;
+        match self.wheel.peek() {
+            Some((at, _)) if at <= t => {}
+            _ => return false,
         }
+        let WheelEntry { at, token, .. } = self.wheel.pop().expect("peeked wheel entry exists");
         debug_assert!(at >= self.clock, "time went backwards");
         self.clock = at;
         self.events_executed += 1;
-        if from_wheel {
-            let WheelEntry { token, .. } = self.wheel.pop().expect("peeked wheel entry exists");
-            match token {
-                Pending::Timer(h) => {
-                    let slot = &mut self.procs[h.proc as usize];
-                    if slot.proc.is_none() {
-                        return true;
-                    }
-                    if let Some(tag) = slot.timers.fire(h) {
-                        self.dispatch(h.proc, |p, ctx| p.on_timer(ctx, tag));
-                    }
-                }
-                Pending::Deliver { idx, gen } => {
-                    let (from, to, msg) = self.msgs.take(idx, gen);
-                    if self.is_up(to) {
-                        self.trace.on_deliver(self.clock, from, to, &msg);
-                        self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
-                    }
+        match token {
+            Pending::Timer {
+                proc,
+                incarnation,
+                tag,
+            } => {
+                if self.procs[proc as usize].incarnation == incarnation {
+                    self.dispatch(proc, |p, ctx| p.on_timer(ctx, tag));
                 }
             }
-            return true;
-        }
-        let entry = self.heap.pop().expect("peeked heap entry exists");
-        match entry.ev {
-            EventRef::LinkBroken { proc, peer } => {
+            Pending::Deliver { idx, gen } => {
+                let (from, to, msg) = self.msgs.take(idx, gen);
+                if self.is_up(to) {
+                    self.trace.on_deliver(self.clock, from, to, &msg);
+                    self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
+                }
+            }
+            Pending::LinkBroken { proc, peer } => {
                 self.dispatch(proc, |p, ctx| p.on_link_broken(ctx, peer));
             }
-            EventRef::Crash(id) => self.crash(id),
-            EventRef::Restart { id, idx, gen } => {
+            Pending::Crash(id) => self.crash(id),
+            Pending::Restart { id, idx, gen } => {
                 let state = self.restarts.take(idx, gen);
                 if !self.is_up(id) {
                     self.restart(id, state);
                 }
             }
-            EventRef::Call(f) => f(self),
         }
         true
-    }
-
-    /// Executes events through time `t` (inclusive) without touching the
-    /// clock afterwards; shared drain loop of [`run_until`] and
-    /// [`run_until_idle`].
-    ///
-    /// [`run_until`]: Sim::run_until
-    /// [`run_until_idle`]: Sim::run_until_idle
-    fn run_events_through(&mut self, t: SimTime) {
-        while self.step_through(t) {}
     }
 
     /// Runs all events up to and including time `t`, then sets the clock to
     /// `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        self.run_events_through(t);
+        while self.step_until(t) {}
         if t > self.clock {
             self.clock = t;
         }
@@ -480,93 +363,56 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
         self.run_until(t);
     }
 
-    /// Drains the event queue, with `limit` as a safety bound, and reports
-    /// whether the simulation went idle.
-    ///
-    /// * Queue drained at some `t <= limit`: returns `true`, clock left at
-    ///   the last executed event (*not* advanced to `limit` — the caller
-    ///   learns when the system quiesced).
-    /// * Events remain beyond `limit`: returns `false`, clock set to
-    ///   `limit` exactly like [`run_until`].
-    ///
-    /// Lazily-cancelled timers still count as queued events (they surface
-    /// and are discarded), so an "idle" verdict may require sweeping past
-    /// their deadlines.
-    ///
-    /// [`run_until`]: Sim::run_until
-    pub fn run_until_idle(&mut self, limit: SimTime) -> bool {
-        self.run_events_through(limit);
-        let idle = self.pending_events() == 0;
-        if !idle && limit > self.clock {
-            self.clock = limit;
-        }
-        idle
-    }
-
-    fn push(&mut self, at: SimTime, ev: EventRef<P, Md, S>) {
+    fn push(&mut self, at: SimTime, token: Pending<P::Timer>) {
         self.seq += 1;
-        self.heap.push(HeapEntry {
+        self.wheel.insert(WheelEntry {
             at,
             seq: self.seq,
-            ev,
+            token,
         });
     }
 
+    /// Runs a handler against live process `id` and flushes its effects;
+    /// does nothing if the process is down.
     fn dispatch(&mut self, id: ProcId, f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Timer>)) {
-        self.dispatch_inner(id, f);
-    }
-
-    /// Runs a handler and flushes its effects. Returns whether it ran.
-    fn dispatch_inner(
-        &mut self,
-        id: ProcId,
-        f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Timer>),
-    ) -> bool {
-        // Scratch buffers are taken to tolerate (rare) nested dispatches
-        // from scripted calls.
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        let mut new_timers = std::mem::take(&mut self.scratch_timers);
-        let ran = {
-            let slot = match self.procs.get_mut(id as usize) {
-                Some(s) => s,
-                None => return false,
-            };
-            let ProcSlot { proc, timers } = slot;
-            match proc.as_mut() {
-                Some(p) => {
-                    let mut ctx = Ctx {
-                        now: self.clock,
-                        self_id: id,
-                        rng: &mut self.rng,
-                        timers,
-                        actions: &mut actions,
-                        new_timers: &mut new_timers,
-                    };
-                    f(p, &mut ctx);
-                    true
-                }
-                None => false,
-            }
+        let Some(ProcSlot {
+            proc: Some(p),
+            incarnation,
+        }) = self.procs.get_mut(id as usize)
+        else {
+            return;
         };
+        let incarnation = *incarnation;
+        let mut sends = std::mem::take(&mut self.scratch_sends);
+        let mut new_timers = std::mem::take(&mut self.scratch_timers);
+        f(
+            p,
+            &mut Ctx {
+                now: self.clock,
+                self_id: id,
+                rng: &mut self.rng,
+                sends: &mut sends,
+                new_timers: &mut new_timers,
+            },
+        );
         // Timers before sends: sequence numbers must be allocated in the
         // same order as the single-heap kernel, or same-instant tie-breaks
         // would diverge from the baseline.
-        for (handle, at) in new_timers.drain(..) {
-            self.seq += 1;
-            self.wheel.insert(WheelEntry {
+        for (at, tag) in new_timers.drain(..) {
+            self.push(
                 at,
-                seq: self.seq,
-                token: Pending::Timer(handle),
-            });
+                Pending::Timer {
+                    proc: id,
+                    incarnation,
+                    tag,
+                },
+            );
         }
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg } => self.perform_send(id, to, msg),
-            }
+        for (to, msg) in sends.drain(..) {
+            self.perform_send(id, to, msg);
         }
-        self.scratch_actions = actions;
+        self.scratch_sends = sends;
         self.scratch_timers = new_timers;
-        ran
     }
 
     fn perform_send(&mut self, from: ProcId, to: ProcId, msg: P::Msg) {
@@ -581,17 +427,12 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
             Verdict::Deliver { at } => {
                 debug_assert!(at >= self.clock);
                 let (idx, gen) = self.msgs.insert((from, to, msg));
-                self.seq += 1;
-                self.wheel.insert(WheelEntry {
-                    at,
-                    seq: self.seq,
-                    token: Pending::Deliver { idx, gen },
-                });
+                self.push(at, Pending::Deliver { idx, gen });
             }
             Verdict::Break { sender_notice } => {
                 self.push(
                     sender_notice,
-                    EventRef::LinkBroken {
+                    Pending::LinkBroken {
                         proc: from,
                         peer: to,
                     },
@@ -640,7 +481,6 @@ mod tests {
         pongs_seen: u64,
         ticks: u64,
         broken_links: Vec<ProcId>,
-        cancel_me: Option<TimerHandle>,
     }
 
     impl Node {
@@ -652,7 +492,6 @@ mod tests {
                 pongs_seen: 0,
                 ticks: 0,
                 broken_links: Vec::new(),
-                cancel_me: None,
             }
         }
     }
@@ -686,7 +525,7 @@ mod tests {
                         ctx.set_timer(SimDuration::from_secs(1), Tag::Tick);
                     }
                 }
-                Tag::Once => panic!("cancelled timer fired"),
+                Tag::Once => panic!("a predecessor's timer fired"),
             }
         }
 
@@ -744,28 +583,14 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_timer_never_fires() {
-        let mut sim = two_nodes(4);
-        sim.with_proc(0, |n, ctx| {
-            let h = ctx.set_timer(SimDuration::from_secs(2), Tag::Once);
-            n.cancel_me = Some(h);
-        });
-        sim.with_proc(0, |n, ctx| {
-            let h = n.cancel_me.take().unwrap();
-            ctx.cancel_timer(h);
-        });
-        // Would panic in on_timer if the cancel failed.
-        sim.run_for(SimDuration::from_secs(10));
-    }
-
-    #[test]
     fn crash_clears_timers() {
         let mut sim = two_nodes(5);
         sim.with_proc(1, |_n, ctx| {
             ctx.set_timer(SimDuration::from_secs(1), Tag::Once);
         });
         sim.crash(1);
-        // Timer cleared by crash; a restarted node must not receive it.
+        // The timer died with its incarnation; a restarted node must not
+        // receive it.
         sim.restart(1, Node::new(0, false));
         sim.run_for(SimDuration::from_secs(10));
     }
@@ -810,8 +635,7 @@ mod tests {
     #[test]
     fn timer_and_message_at_same_instant_interleave_by_seq() {
         // A timer armed before a send, both landing at the same instant,
-        // must fire before the delivery (smaller sequence number), even
-        // though they now live in different scheduler structures.
+        // must fire before the delivery (smaller sequence number).
         struct Race {
             order: Vec<&'static str>,
         }
@@ -847,18 +671,6 @@ mod tests {
         sim.add_process(Race { order: vec![] });
         sim.run_for(SimDuration::from_secs(1));
         assert_eq!(sim.proc(1).unwrap().order, vec!["timer", "msg"]);
-    }
-
-    #[test]
-    fn scheduled_calls_run_at_their_time() {
-        let mut sim = two_nodes(6);
-        sim.schedule_call(SimTime::ZERO + SimDuration::from_secs(2), |s| {
-            s.with_proc(0, |_n, ctx| ctx.send(1, Msg::Ping(99)));
-        });
-        sim.run_for(SimDuration::from_secs(1));
-        assert_eq!(sim.proc(1).unwrap().pings_seen, 1);
-        sim.run_for(SimDuration::from_secs(2));
-        assert_eq!(sim.proc(1).unwrap().pings_seen, 2);
     }
 
     #[test]
@@ -913,45 +725,5 @@ mod tests {
         sim.crash(1);
         assert!(sim.with_proc(1, |_n, _c| 42).is_none());
         assert_eq!(sim.with_proc(0, |_n, _c| 42), Some(42));
-    }
-
-    #[test]
-    fn run_until_idle_drains_and_reports() {
-        // The ping-pong plus three ticks quiesces after ~3 s; the drain
-        // must stop there, leave the clock at the last event, and report
-        // idle.
-        let mut sim = two_nodes(9);
-        let limit = SimTime::ZERO + SimDuration::from_secs(60);
-        assert!(sim.run_until_idle(limit));
-        assert_eq!(sim.pending_events(), 0);
-        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_secs(3));
-        let ticks = sim.proc(0).unwrap().ticks;
-        assert_eq!(ticks, 3, "all periodic work must have run");
-
-        // With a limit before quiescence, events remain and the clock
-        // advances exactly to the limit.
-        let mut sim2 = two_nodes(9);
-        let early = SimTime::ZERO + SimDuration::from_millis(1500);
-        assert!(!sim2.run_until_idle(early));
-        assert!(sim2.pending_events() > 0);
-        assert_eq!(sim2.now(), early);
-    }
-
-    #[test]
-    fn run_until_idle_counts_cancelled_timers_as_pending() {
-        let mut sim = two_nodes(10);
-        sim.run_until_idle(SimTime::ZERO + SimDuration::from_secs(60));
-        sim.with_proc(0, |n, ctx| {
-            let h = ctx.set_timer(SimDuration::from_secs(5), Tag::Once);
-            n.cancel_me = Some(h);
-        });
-        sim.with_proc(0, |n, ctx| {
-            let h = n.cancel_me.take().unwrap();
-            ctx.cancel_timer(h);
-        });
-        // The cancelled timer still occupies a queue slot until swept.
-        assert_eq!(sim.pending_events(), 1);
-        assert!(sim.run_until_idle(SimTime::ZERO + SimDuration::from_secs(60)));
-        assert_eq!(sim.pending_events(), 0);
     }
 }

@@ -17,7 +17,6 @@ pub mod kernel;
 pub mod medium;
 pub mod process;
 pub mod time;
-pub mod timer;
 pub mod trace;
 pub mod wheel;
 
@@ -26,5 +25,4 @@ pub use kernel::Sim;
 pub use medium::{Medium, PerfectMedium, ProcBitSet, Verdict};
 pub use process::{Payload, ProcId, Process};
 pub use time::{SimDuration, SimTime};
-pub use timer::{TimerHandle, TimerTable};
 pub use trace::{NullTrace, TraceSink};

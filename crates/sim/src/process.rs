@@ -3,7 +3,6 @@
 use rand::rngs::StdRng;
 
 use crate::time::{SimDuration, SimTime};
-use crate::timer::{TimerHandle, TimerTable};
 
 /// Index of a simulated process (a "virtual node" in the paper's terms).
 /// This is the transport-neutral [`fuse_util::PeerAddr`]: sans-io protocol
@@ -34,7 +33,7 @@ pub trait Process: Sized {
         msg: Self::Msg,
     );
 
-    /// Called when a live timer fires.
+    /// Called when a timer this incarnation armed fires.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Timer>, tag: Self::Timer);
 
     /// Called when the transport discovers a broken connection to `peer`
@@ -44,43 +43,31 @@ pub trait Process: Sized {
     }
 }
 
-/// Deferred effects produced by a handler, applied by the kernel afterwards.
-pub(crate) enum Action<M> {
-    Send { to: ProcId, msg: M },
-}
-
 /// Handler-side view of the world.
 ///
-/// Sends are queued and performed by the kernel when the handler returns (in
-/// order); timers are armed immediately so the returned [`TimerHandle`] is
-/// usable right away.
+/// Sends and timers are queued and handed to the kernel when the handler
+/// returns, timers first, each kind in order.
 pub struct Ctx<'a, M, T> {
     /// Current simulated time.
     pub now: SimTime,
     /// The process this handler runs on.
     pub self_id: ProcId,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) timers: &'a mut TimerTable<T>,
-    pub(crate) actions: &'a mut Vec<Action<M>>,
-    pub(crate) new_timers: &'a mut Vec<(TimerHandle, SimTime)>,
+    pub(crate) sends: &'a mut Vec<(ProcId, M)>,
+    pub(crate) new_timers: &'a mut Vec<(SimTime, T)>,
 }
 
 impl<'a, M, T> Ctx<'a, M, T> {
     /// Queues a message to `to`.
     pub fn send(&mut self, to: ProcId, msg: M) {
-        self.actions.push(Action::Send { to, msg });
+        self.sends.push((to, msg));
     }
 
-    /// Arms a timer firing `after` from now, carrying `tag`.
-    pub fn set_timer(&mut self, after: SimDuration, tag: T) -> TimerHandle {
-        let h = self.timers.arm(self.self_id, tag);
-        self.new_timers.push((h, self.now + after));
-        h
-    }
-
-    /// Cancels a previously armed timer; harmless if already fired.
-    pub fn cancel_timer(&mut self, h: TimerHandle) {
-        self.timers.cancel(h);
+    /// Arms a timer firing `after` from now, carrying `tag`. There is no
+    /// cancel: a process that no longer wants a timer ignores its tag when
+    /// it fires. A crash voids every timer the process armed.
+    pub fn set_timer(&mut self, after: SimDuration, tag: T) {
+        self.new_timers.push((self.now + after, tag));
     }
 
     /// Deterministic randomness for jitter and sampling.

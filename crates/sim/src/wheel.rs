@@ -1,11 +1,11 @@
-//! Hierarchical timing wheel for kernel timers.
+//! Hierarchical timing wheel: the kernel's one event queue.
 //!
-//! The dominant event class in every FUSE experiment is the periodic
-//! liveness-ping timer: thousands of nodes re-arm one timer per ping period.
-//! A binary heap charges O(log n) sift per arm and per expiry; this wheel
-//! makes both amortized O(1) (cancellation is already O(1) via the
-//! generation check in [`crate::timer::TimerTable`], so cancelled entries
-//! are simply ignored when they surface).
+//! The dominant event classes in every FUSE experiment are the periodic
+//! liveness-ping timer (thousands of nodes re-arm one timer per ping
+//! period) and the ping deliveries it causes. A binary heap charges
+//! O(log n) sift per insert and per expiry; this wheel makes both
+//! amortized O(1). There is no removal: an entry nobody wants any more is
+//! discarded by the kernel or the process when it surfaces.
 //!
 //! # Structure
 //!
@@ -21,12 +21,11 @@
 //!
 //! Slots are coarser than timestamps, so expiring a slot *cascades* its
 //! entries down to finer levels; entries whose tick has been reached move
-//! into a small `due` heap ordered by the exact `(time, seq)` pair. The
-//! kernel merges that heap with its message queue, which preserves the
-//! kernel's determinism contract: earliest first, FIFO among equal
-//! timestamps, regardless of which structure an event came from. `prepare`
-//! maintains the invariant that makes the merge sound: whenever [`peek`]
-//! returns an entry, no entry anywhere in the wheel precedes it.
+//! into a small `due` heap ordered by the exact `(time, seq)` pair, which
+//! is the kernel's determinism contract: earliest first, FIFO among equal
+//! timestamps. `prepare` maintains the invariant that makes this sound:
+//! whenever [`peek`] returns an entry, no entry anywhere in the wheel
+//! precedes it.
 //!
 //! [`peek`]: TimingWheel::peek
 
@@ -48,16 +47,15 @@ fn tick_of(at: SimTime) -> u64 {
     at.nanos() >> TICK_SHIFT
 }
 
-/// One timer-wheel entry: an exact deadline, the global kernel sequence
-/// number (FIFO tie-break), and an opaque token the kernel resolves on
-/// expiry.
+/// One wheel entry: an exact deadline, the global kernel sequence number
+/// (FIFO tie-break), and an opaque token the kernel resolves on expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WheelEntry<T> {
     /// Exact deadline.
     pub at: SimTime,
     /// Global kernel sequence number.
     pub seq: u64,
-    /// Kernel token (a timer handle).
+    /// Kernel token (what the event means).
     pub token: T,
 }
 
@@ -166,7 +164,7 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Number of entries (armed, including lazily-cancelled ones).
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.len
     }

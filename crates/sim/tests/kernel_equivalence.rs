@@ -7,14 +7,16 @@
 //! clock, and final per-process state — must be bit-identical. This is the
 //! property that lets the scheduler rewrite claim "same semantics, faster":
 //! earliest-first ordering and FIFO among equal timestamps survive the move
-//! of timers into the wheel.
+//! of every event into the wheel. Neither kernel can cancel a timer, so
+//! cancelling is [`TestProc`]'s job, exactly as it is `FuseStack`'s.
 
 use fuse_sim::baseline::BaselineSim;
 use fuse_sim::medium::Verdict;
 use fuse_sim::process::{Ctx, Payload, ProcId, Process};
 use fuse_sim::trace::TraceSink;
-use fuse_sim::{PerfectMedium, Sim, SimDuration, SimTime, TimerHandle};
+use fuse_sim::{PerfectMedium, Sim, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Trace recorder: every kernel-visible event, exactly timestamped.
 #[derive(Default, Clone, PartialEq, Eq, Debug)]
@@ -64,8 +66,10 @@ impl Payload for Packet {
 }
 
 /// Timer tag: re-arms `remaining` more times, pinging a neighbor each fire.
+/// `id` names the timer to its process, which may cancel it.
 #[derive(Clone, Debug)]
 struct Tick {
+    id: u64,
     remaining: u8,
     period_ms: u16,
 }
@@ -74,7 +78,10 @@ struct TestProc {
     n: u32,
     received: u64,
     fired: u64,
-    last_timer: Option<TimerHandle>,
+    next_timer: u64,
+    last_timer: Option<u64>,
+    /// Timers cancelled before they fired: they return without effect.
+    cancelled: BTreeSet<u64>,
 }
 
 impl TestProc {
@@ -83,8 +90,28 @@ impl TestProc {
             n,
             received: 0,
             fired: 0,
+            next_timer: 0,
             last_timer: None,
+            cancelled: BTreeSet::new(),
         }
+    }
+
+    /// Arms a timer and returns its id. Ids restart at 0 in a restarted
+    /// process, so a predecessor's timer reaching it would be mistaken for
+    /// its own: the kernels' incarnation check is what prevents that.
+    fn arm(&mut self, ctx: &mut Ctx<'_, Packet, Tick>, period_ms: u16, remaining: u8) -> u64 {
+        let id = self.next_timer;
+        self.next_timer += 1;
+        ctx.set_timer(
+            SimDuration::from_millis(u64::from(period_ms)),
+            Tick {
+                id,
+                remaining,
+                period_ms,
+            },
+        );
+        self.last_timer = Some(id);
+        id
     }
 
     fn fingerprint(&self) -> (u64, u64) {
@@ -113,6 +140,9 @@ impl Process for TestProc {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet, Tick>, tag: Tick) {
+        if self.cancelled.remove(&tag.id) {
+            return;
+        }
         self.fired += 1;
         let to = (ctx.self_id + 1) % self.n;
         ctx.send(
@@ -123,14 +153,7 @@ impl Process for TestProc {
             },
         );
         if tag.remaining > 0 {
-            let h = ctx.set_timer(
-                SimDuration::from_millis(u64::from(tag.period_ms)),
-                Tick {
-                    remaining: tag.remaining - 1,
-                    period_ms: tag.period_ms,
-                },
-            );
-            self.last_timer = Some(h);
+            self.arm(ctx, tag.period_ms, tag.remaining - 1);
         }
     }
 }
@@ -146,16 +169,16 @@ enum Op {
         period_ms: u16,
         repeats: u8,
     },
-    /// Arm then immediately cancel — must never fire, must still cost one
-    /// queue slot sweep in both kernels.
+    /// Arm then immediately cancel — must fire without effect, and still
+    /// cost one executed event in both kernels.
     ArmCancel { proc: u8, period_ms: u16 },
-    /// Cancel whatever timer the process armed last (may be stale).
+    /// Cancel whatever timer the process armed last (may have fired).
     CancelLast { proc: u8 },
     /// Crash a process (idempotent).
     Crash { proc: u8 },
     /// Restart a process if it is down.
     Restart { proc: u8 },
-    /// Schedule a crash through the unboxed script queue.
+    /// Schedule a crash (an event in the queue).
     ScheduleCrash { proc: u8, delay_ms: u16 },
     /// Schedule a restart (state parked until the event fires).
     ScheduleRestart { proc: u8, delay_ms: u16 },
@@ -208,35 +231,20 @@ macro_rules! apply_op {
                 repeats,
             } => {
                 let proc = u32::from(proc) % n;
-                $sim.with_proc(proc, |p, ctx| {
-                    let h = ctx.set_timer(
-                        SimDuration::from_millis(u64::from(period_ms)),
-                        Tick {
-                            remaining: repeats,
-                            period_ms,
-                        },
-                    );
-                    p.last_timer = Some(h);
-                });
+                $sim.with_proc(proc, |p, ctx| p.arm(ctx, period_ms, repeats));
             }
             Op::ArmCancel { proc, period_ms } => {
                 let proc = u32::from(proc) % n;
-                $sim.with_proc(proc, |_p, ctx| {
-                    let h = ctx.set_timer(
-                        SimDuration::from_millis(u64::from(period_ms)),
-                        Tick {
-                            remaining: 3,
-                            period_ms,
-                        },
-                    );
-                    ctx.cancel_timer(h);
+                $sim.with_proc(proc, |p, ctx| {
+                    let id = p.arm(ctx, period_ms, 3);
+                    p.cancelled.insert(id);
                 });
             }
             Op::CancelLast { proc } => {
                 let proc = u32::from(proc) % n;
-                $sim.with_proc(proc, |p, ctx| {
-                    if let Some(h) = p.last_timer.take() {
-                        ctx.cancel_timer(h);
+                $sim.with_proc(proc, |p, _ctx| {
+                    if let Some(id) = p.last_timer.take() {
+                        p.cancelled.insert(id);
                     }
                 });
             }
@@ -307,7 +315,7 @@ proptest! {
     }
 }
 
-/// Same-instant FIFO across scheduler structures, deterministically:
+/// Same-instant FIFO across event kinds, deterministically:
 /// messages and timers strictly interleave by arm/send order when all land
 /// on one instant.
 #[test]
@@ -329,14 +337,8 @@ fn same_instant_fifo_across_structures() {
     // Alternate arms and sends that all mature at t = 10 ms.
     for k in 0..10u32 {
         let target = k % 4;
-        sim.with_proc(0, |_p, ctx| {
-            ctx.set_timer(
-                SimDuration::from_millis(10),
-                Tick {
-                    remaining: 0,
-                    period_ms: 1,
-                },
-            );
+        sim.with_proc(0, |p, ctx| {
+            p.arm(ctx, 10, 0);
             ctx.send(
                 target,
                 Packet {
@@ -345,14 +347,8 @@ fn same_instant_fifo_across_structures() {
                 },
             );
         });
-        base.with_proc(0, |_p, ctx| {
-            ctx.set_timer(
-                SimDuration::from_millis(10),
-                Tick {
-                    remaining: 0,
-                    period_ms: 1,
-                },
-            );
+        base.with_proc(0, |p, ctx| {
+            p.arm(ctx, 10, 0);
             ctx.send(
                 target,
                 Packet {

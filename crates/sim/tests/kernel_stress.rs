@@ -3,7 +3,7 @@
 //! for sane behavior at scale.
 
 use fuse_sim::process::{Ctx, Payload, ProcId, Process};
-use fuse_sim::{PerfectMedium, Sim, SimDuration, TimerHandle};
+use fuse_sim::{PerfectMedium, Sim, SimDuration};
 use rand::Rng;
 
 #[derive(Clone)]
@@ -27,7 +27,6 @@ struct Pinger {
     period: SimDuration,
     sent: u64,
     got: u64,
-    timer: Option<TimerHandle>,
 }
 
 impl Pinger {
@@ -37,7 +36,6 @@ impl Pinger {
             period,
             sent: 0,
             got: 0,
-            timer: None,
         }
     }
 }
@@ -48,7 +46,7 @@ impl Process for Pinger {
 
     fn on_boot(&mut self, ctx: &mut Ctx<'_, Ping, ()>) {
         let jitter = SimDuration(ctx.rng().gen_range(0..=self.period.nanos()));
-        self.timer = Some(ctx.set_timer(jitter, ()));
+        ctx.set_timer(jitter, ());
     }
 
     fn on_message(&mut self, _ctx: &mut Ctx<'_, Ping, ()>, _from: ProcId, _m: Ping) {
@@ -59,7 +57,7 @@ impl Process for Pinger {
         let to = (ctx.self_id + 1) % self.n;
         ctx.send(to, Ping);
         self.sent += 1;
-        self.timer = Some(ctx.set_timer(self.period, ()));
+        ctx.set_timer(self.period, ());
     }
 }
 

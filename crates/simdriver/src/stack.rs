@@ -6,22 +6,21 @@ use std::ops::{Deref, DerefMut};
 use fuse_core::{AppCall, FuseApi, FuseApp, FuseConfig, FuseStack, Input, Output, StackMsg};
 use fuse_overlay::{NodeInfo, OverlayConfig};
 use fuse_sim::process::Ctx;
-use fuse_sim::{ProcId, Process, TimerHandle};
-use fuse_util::{DetHashMap, TimerKey};
+use fuse_sim::{ProcId, Process};
+use fuse_util::TimerKey;
 
 /// The composed per-process protocol stack under the simulation kernel.
 ///
-/// Owns the sans-io [`FuseStack`] and the application, plus the map from
-/// stack [`TimerKey`]s to kernel [`TimerHandle`]s that lets the driver
-/// honor `CancelTimer` eagerly (the kernel's timer wheel stays small).
-/// Dereferences to the inner [`FuseStack`] for state introspection
-/// (`stack.fuse`, `stack.overlay`).
+/// Owns the sans-io [`FuseStack`] and the application, and nothing else:
+/// every `SetTimer` becomes a kernel timer tagged with its [`TimerKey`],
+/// and `CancelTimer` is ignored — a cancelled key still fires, and the
+/// stack discards it as stale. Dereferences to the inner [`FuseStack`]
+/// for state introspection (`stack.fuse`, `stack.overlay`).
 pub struct NodeStack<A> {
     /// The sans-io protocol stack (overlay + FUSE).
     pub stack: FuseStack,
     /// The application layer.
     pub app: A,
-    pending: DetHashMap<TimerKey, TimerHandle>,
 }
 
 impl<A> Deref for NodeStack<A> {
@@ -51,7 +50,6 @@ impl<A: FuseApp> NodeStack<A> {
         NodeStack {
             stack: FuseStack::new(me, bootstrap, ov_cfg, fuse_cfg),
             app,
-            pending: DetHashMap::default(),
         }
     }
 
@@ -72,22 +70,15 @@ impl<A: FuseApp> NodeStack<A> {
     }
 
     /// Drains the stack's output queue onto the kernel: sends and timer
-    /// commands become kernel actions, application calls dispatch to the
+    /// arms become kernel actions, application calls dispatch to the
     /// embedded [`FuseApp`] (whose own outputs append behind and drain in
     /// the same loop).
     fn drain(&mut self, ctx: &mut Ctx<'_, StackMsg, TimerKey>) {
         while let Some(out) = self.stack.poll_output() {
             match out {
                 Output::Send { to, msg } => ctx.send(to, msg),
-                Output::SetTimer { key, after } => {
-                    let h = ctx.set_timer(after, key);
-                    self.pending.insert(key, h);
-                }
-                Output::CancelTimer { key } => {
-                    if let Some(h) = self.pending.remove(&key) {
-                        ctx.cancel_timer(h);
-                    }
-                }
+                Output::SetTimer { key, after } => ctx.set_timer(after, key),
+                Output::CancelTimer { .. } => {}
                 Output::App(call) => {
                     let now = ctx.now;
                     let mut api = self.stack.api(now, ctx.rng());
@@ -121,7 +112,6 @@ impl<A: FuseApp> Process for NodeStack<A> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, StackMsg, TimerKey>, key: TimerKey) {
-        self.pending.remove(&key);
         self.stack.handle(ctx.now, ctx.rng(), Input::Timer(key));
         self.drain(ctx);
     }

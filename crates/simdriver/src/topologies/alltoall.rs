@@ -16,23 +16,10 @@ use fuse_util::DetHashMap;
 
 use fuse_core::FuseId;
 
-/// Configuration: the paper's 60 s period and 20 s timeout by default.
-#[derive(Debug, Clone)]
-pub struct AllToAllConfig {
-    /// Ping period per (group, peer).
-    pub ping_period: SimDuration,
-    /// Ack timeout.
-    pub ping_timeout: SimDuration,
-}
-
-impl Default for AllToAllConfig {
-    fn default() -> Self {
-        AllToAllConfig {
-            ping_period: SimDuration::from_secs(60),
-            ping_timeout: SimDuration::from_secs(20),
-        }
-    }
-}
+/// Ping period per (group, peer): the paper's 60 s.
+const PING_PERIOD: SimDuration = SimDuration::from_secs(60);
+/// Ack timeout: the paper's 20 s.
+const PING_TIMEOUT: SimDuration = SimDuration::from_secs(20);
 
 /// Messages of the all-to-all notifier.
 #[derive(Debug, Clone)]
@@ -108,7 +95,6 @@ struct Group {
 
 /// A node of the all-to-all FUSE variant.
 pub struct AllToAllNode {
-    cfg: AllToAllConfig,
     me: ProcId,
     idgen: IdGen,
     groups: DetHashMap<FuseId, Group>,
@@ -121,9 +107,8 @@ pub struct AllToAllNode {
 
 impl AllToAllNode {
     /// Creates a node with id `me` (must equal its kernel process id).
-    pub fn new(me: ProcId, cfg: AllToAllConfig) -> Self {
+    pub fn new(me: ProcId) -> Self {
         AllToAllNode {
-            cfg,
             me,
             idgen: IdGen::new(u64::from(me) | (1 << 40)),
             groups: DetHashMap::default(),
@@ -185,10 +170,7 @@ impl AllToAllNode {
         );
         for peer in peers {
             // Phase jitter spreads the n² ping load across the period.
-            let jitter = SimDuration(rand::Rng::gen_range(
-                ctx.rng(),
-                0..=self.cfg.ping_period.nanos(),
-            ));
+            let jitter = SimDuration(rand::Rng::gen_range(ctx.rng(), 0..=PING_PERIOD.nanos()));
             ctx.set_timer(jitter, A2aTimer::PingDue { id, peer });
         }
     }
@@ -245,11 +227,8 @@ impl Process for AllToAllNode {
                 let nonce = self.next_nonce;
                 g.waiting.insert(peer, nonce);
                 ctx.send(peer, A2aMsg::Ping { id, nonce });
-                ctx.set_timer(
-                    self.cfg.ping_timeout,
-                    A2aTimer::AckTimeout { id, peer, nonce },
-                );
-                ctx.set_timer(self.cfg.ping_period, A2aTimer::PingDue { id, peer });
+                ctx.set_timer(PING_TIMEOUT, A2aTimer::AckTimeout { id, peer, nonce });
+                ctx.set_timer(PING_PERIOD, A2aTimer::PingDue { id, peer });
             }
             A2aTimer::AckTimeout { id, peer, nonce } => {
                 let missed = self
@@ -291,7 +270,7 @@ mod tests {
     fn world(n: usize, seed: u64) -> Sim<AllToAllNode, PerfectMedium> {
         let mut sim = Sim::new(seed, PerfectMedium::new(SimDuration::from_millis(30)));
         for i in 0..n {
-            sim.add_process(AllToAllNode::new(i as ProcId, AllToAllConfig::default()));
+            sim.add_process(AllToAllNode::new(i as ProcId));
         }
         sim
     }

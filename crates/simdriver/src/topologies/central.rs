@@ -14,26 +14,12 @@ use fuse_util::{DetHashMap, DetHashSet};
 
 use fuse_core::FuseId;
 
-/// Configuration.
-#[derive(Debug, Clone)]
-pub struct CentralConfig {
-    /// Client ping period.
-    pub ping_period: SimDuration,
-    /// Server-side allowance before a quiet client is declared dead.
-    pub client_timeout: SimDuration,
-    /// Server sweep granularity.
-    pub sweep_period: SimDuration,
-}
-
-impl Default for CentralConfig {
-    fn default() -> Self {
-        CentralConfig {
-            ping_period: SimDuration::from_secs(60),
-            client_timeout: SimDuration::from_secs(80),
-            sweep_period: SimDuration::from_secs(5),
-        }
-    }
-}
+/// Client heartbeat period: the paper's 60 s ping period.
+const PING_PERIOD: SimDuration = SimDuration::from_secs(60);
+/// Server-side allowance before a quiet client is declared dead.
+const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(80);
+/// Server sweep granularity.
+const SWEEP_PERIOD: SimDuration = SimDuration::from_secs(5);
 
 /// Messages of the central-server notifier.
 #[derive(Debug, Clone)]
@@ -94,7 +80,6 @@ pub enum CentralTimer {
 /// A node of the central-server variant: process 0 conventionally acts as
 /// the server, everyone else as clients.
 pub struct CentralNode {
-    cfg: CentralConfig,
     me: ProcId,
     server: ProcId,
     idgen: IdGen,
@@ -109,9 +94,8 @@ pub struct CentralNode {
 
 impl CentralNode {
     /// Creates a node; `server` names the hub process.
-    pub fn new(me: ProcId, server: ProcId, cfg: CentralConfig) -> Self {
+    pub fn new(me: ProcId, server: ProcId) -> Self {
         CentralNode {
-            cfg,
             me,
             server,
             idgen: IdGen::new(u64::from(me) | (1 << 42)),
@@ -173,12 +157,9 @@ impl Process for CentralNode {
 
     fn on_boot(&mut self, ctx: &mut Ctx<'_, CentralMsg, CentralTimer>) {
         if self.is_server() {
-            ctx.set_timer(self.cfg.sweep_period, CentralTimer::Sweep);
+            ctx.set_timer(SWEEP_PERIOD, CentralTimer::Sweep);
         } else {
-            let jitter = SimDuration(rand::Rng::gen_range(
-                ctx.rng(),
-                0..=self.cfg.ping_period.nanos(),
-            ));
+            let jitter = SimDuration(rand::Rng::gen_range(ctx.rng(), 0..=PING_PERIOD.nanos()));
             ctx.set_timer(jitter, CentralTimer::HeartbeatDue);
         }
     }
@@ -228,7 +209,7 @@ impl Process for CentralNode {
         match tag {
             CentralTimer::HeartbeatDue => {
                 ctx.send(self.server, CentralMsg::Heartbeat);
-                ctx.set_timer(self.cfg.ping_period, CentralTimer::HeartbeatDue);
+                ctx.set_timer(PING_PERIOD, CentralTimer::HeartbeatDue);
             }
             CentralTimer::Sweep => {
                 debug_assert!(self.is_server());
@@ -236,7 +217,7 @@ impl Process for CentralNode {
                 let dead: Vec<ProcId> = self
                     .last_heard
                     .iter()
-                    .filter(|(_, &t)| now.since(t) > self.cfg.client_timeout)
+                    .filter(|(_, &t)| now.since(t) > CLIENT_TIMEOUT)
                     .map(|(&p, _)| p)
                     .collect();
                 for d in dead {
@@ -252,7 +233,7 @@ impl Process for CentralNode {
                         self.server_fail_group(ctx, id);
                     }
                 }
-                ctx.set_timer(self.cfg.sweep_period, CentralTimer::Sweep);
+                ctx.set_timer(SWEEP_PERIOD, CentralTimer::Sweep);
             }
         }
     }
@@ -283,7 +264,7 @@ mod tests {
     fn world(n: usize, seed: u64) -> Sim<CentralNode, PerfectMedium> {
         let mut sim = Sim::new(seed, PerfectMedium::new(SimDuration::from_millis(5)));
         for i in 0..n {
-            sim.add_process(CentralNode::new(i as ProcId, 0, CentralConfig::default()));
+            sim.add_process(CentralNode::new(i as ProcId, 0));
         }
         sim
     }

@@ -14,23 +14,10 @@ use fuse_util::{DetHashMap, DetHashSet};
 
 use fuse_core::FuseId;
 
-/// Configuration: the paper's 60 s period and 20 s timeout by default.
-#[derive(Debug, Clone)]
-pub struct DirectConfig {
-    /// Ping period per monitored node pair.
-    pub ping_period: SimDuration,
-    /// Ack timeout.
-    pub ping_timeout: SimDuration,
-}
-
-impl Default for DirectConfig {
-    fn default() -> Self {
-        DirectConfig {
-            ping_period: SimDuration::from_secs(60),
-            ping_timeout: SimDuration::from_secs(20),
-        }
-    }
-}
+/// Ping period per monitored node pair: the paper's 60 s.
+const PING_PERIOD: SimDuration = SimDuration::from_secs(60);
+/// Ack timeout: the paper's 20 s.
+const PING_TIMEOUT: SimDuration = SimDuration::from_secs(20);
 
 /// Messages of the direct-tree notifier.
 #[derive(Debug, Clone)]
@@ -105,7 +92,6 @@ struct Group {
 
 /// A node of the direct-spanning-tree FUSE variant.
 pub struct DirectNode {
-    cfg: DirectConfig,
     me: ProcId,
     idgen: IdGen,
     groups: DetHashMap<FuseId, Group>,
@@ -122,9 +108,8 @@ pub struct DirectNode {
 
 impl DirectNode {
     /// Creates a node with id `me` (must equal its kernel process id).
-    pub fn new(me: ProcId, cfg: DirectConfig) -> Self {
+    pub fn new(me: ProcId) -> Self {
         DirectNode {
-            cfg,
             me,
             idgen: IdGen::new(u64::from(me) | (1 << 41)),
             groups: DetHashMap::default(),
@@ -180,10 +165,7 @@ impl DirectNode {
     fn watch_edge(&mut self, ctx: &mut Ctx<'_, DirectMsg, DirectTimer>, id: FuseId, peer: ProcId) {
         self.edges.entry(peer).or_default().insert(id);
         if self.ping_armed.insert(peer) {
-            let jitter = SimDuration(rand::Rng::gen_range(
-                ctx.rng(),
-                0..=self.cfg.ping_period.nanos(),
-            ));
+            let jitter = SimDuration(rand::Rng::gen_range(ctx.rng(), 0..=PING_PERIOD.nanos()));
             ctx.set_timer(jitter, DirectTimer::PingDue { peer });
         }
     }
@@ -315,11 +297,8 @@ impl Process for DirectNode {
                 self.waiting.insert(peer, nonce);
                 self.pings_sent += 1;
                 ctx.send(peer, DirectMsg::Ping { nonce });
-                ctx.set_timer(
-                    self.cfg.ping_timeout,
-                    DirectTimer::AckTimeout { peer, nonce },
-                );
-                ctx.set_timer(self.cfg.ping_period, DirectTimer::PingDue { peer });
+                ctx.set_timer(PING_TIMEOUT, DirectTimer::AckTimeout { peer, nonce });
+                ctx.set_timer(PING_PERIOD, DirectTimer::PingDue { peer });
             }
             DirectTimer::AckTimeout { peer, nonce } => {
                 if self.waiting.get(&peer) == Some(&nonce) {
@@ -342,7 +321,7 @@ mod tests {
     fn world(n: usize, seed: u64) -> Sim<DirectNode, PerfectMedium> {
         let mut sim = Sim::new(seed, PerfectMedium::new(SimDuration::from_millis(30)));
         for i in 0..n {
-            sim.add_process(DirectNode::new(i as ProcId, DirectConfig::default()));
+            sim.add_process(DirectNode::new(i as ProcId));
         }
         sim
     }

@@ -11,8 +11,9 @@
 //! * [`direct`] — per-group spanning trees *without* an overlay (a star
 //!   rooted at the creator): no delegates to attack, liveness cost additive
 //!   in the number of groups modulo member-pair sharing.
-//! * [`central`] — a central server pings all nodes: one point of trust,
-//!   minimal per-member load, limited scalability.
+//! * [`central`] — every client heartbeats one central server, which
+//!   sweeps for clients gone quiet: one point of trust, minimal per-member
+//!   load, limited scalability.
 
 pub mod alltoall;
 pub mod central;

@@ -176,17 +176,6 @@ pub struct SvConfig {
 }
 
 impl SvConfig {
-    /// A plain subscriber of `topic`.
-    pub fn subscriber(topic: NodeName) -> Self {
-        SvConfig {
-            topic,
-            subscribe: true,
-            volunteer: false,
-            rejoin_delay: SimDuration::from_secs(1),
-            join_retry: SimDuration::from_secs(10),
-        }
-    }
-
     /// A non-subscribing node (potential bypass or volunteer).
     pub fn bystander(topic: NodeName) -> Self {
         SvConfig {

@@ -26,11 +26,6 @@ impl IdGen {
         self.counter += 1;
         mix64(self.node_tag.rotate_left(32) ^ self.counter)
     }
-
-    /// Number of IDs handed out so far.
-    pub fn issued(&self) -> u64 {
-        self.counter
-    }
 }
 
 /// SplitMix64 finalizer: a bijection on `u64`, so distinct inputs can never

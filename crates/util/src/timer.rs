@@ -56,11 +56,6 @@ impl<T> KeyedTimers<T> {
         }
     }
 
-    /// The table's namespace.
-    pub fn ns(&self) -> u8 {
-        self.ns
-    }
-
     /// Number of currently armed timers.
     pub fn live(&self) -> usize {
         self.live
