@@ -86,10 +86,11 @@ fn route_table() {
     let n = endpoints.len();
     let oracle = RouteOracle::new(&endpoints, n);
 
-    // Hits: two resident rows queried alternately, so every query also
-    // pays the LRU splice. Forward hits name the resident row's router as
-    // the source; reverse-row hits name it as the destination, from a
-    // source whose own row is not resident.
+    // Hits: two resident rows queried alternately. With a slot for every
+    // endpoint nothing can be evicted, so a hit skips the LRU splice, as
+    // in every simulated world. Forward hits name the resident row's
+    // router as the source; reverse-row hits name it as the destination,
+    // from a source whose own row is not resident.
     let (s0, s1, far) = (endpoints[0], endpoints[1], endpoints[2]);
     oracle.route(&topo, s0, far);
     oracle.route(&topo, s1, far);
@@ -104,11 +105,11 @@ fn route_table() {
         let dst = if i & 1 == 0 { s0 } else { s1 };
         oracle.route(&topo, far, dst).latency.nanos()
     });
-    assert_eq!(oracle.stats().misses, 2, "the hit loops ran a Dijkstra");
+    assert_eq!(oracle.stats().misses, 2, "the hit loops computed a row");
 
     // Misses: a one-row oracle asked about disjoint pairs (the samples
     // share the n / 2 there are), so neither end of a query is ever
-    // resident and each runs a Dijkstra.
+    // resident and each computes a row.
     let cold = RouteOracle::new(&endpoints, 1);
     let mut next = 0usize;
     let miss_ns = median_ns(n / (2 * REPS), || {

@@ -88,8 +88,9 @@ impl<M: Payload> TraceSink<M> for MsgTrace {
         size: usize,
         _verdict: &Verdict,
     ) {
-        self.counts.bump(msg.class());
-        self.bytes.bump_by(msg.class(), size as u64);
+        let class = msg.class();
+        self.counts.bump(class);
+        self.bytes.bump_by(class, size as u64);
         self.total_msgs += 1;
         self.total_bytes += size as u64;
     }

@@ -58,7 +58,7 @@ fn a_world_computes_each_route_row_at_most_once() {
 
     // 100 concurrent creates of 2..32 members between uniformly drawn
     // nodes, most of which never exchanged a message before. Only a pair
-    // with no row at either end costs a Dijkstra, and there is at most one
+    // with no row at either end costs a row sweep, and there is at most one
     // row left to compute per node that has none yet.
     let mut rng = StdRng::seed_from_u64(0x0063_6875_726e);
     let groups: Vec<_> = (0..100)

@@ -15,8 +15,9 @@
 //!   including the [`TopologyConfig::mercator_scale`] preset that reaches
 //!   the paper's ~100k routers,
 //! * [`routes`] — lexicographic `(hops, latency)` shortest paths behind the
-//!   demand-driven [`RouteOracle`] (lazy per-endpoint Dijkstra, bit-packed
-//!   endpoint-wide rows served from either end) plus the eager [`RouteTable`],
+//!   demand-driven [`RouteOracle`] (a lazy breadth-first sweep per endpoint
+//!   over the topology's flat adjacency, bit-packed endpoint-wide rows
+//!   served from either end),
 //! * [`tcp`] — an analytic TCP model (connection cache, retransmission
 //!   backoff, connection breakage under loss),
 //! * [`fault`] — scriptable failures: crashes, disconnects, intransitive
@@ -62,5 +63,5 @@ pub mod topology;
 
 pub use fault::FaultPlane;
 pub use network::{EmulationProfile, NetConfig, Network};
-pub use routes::{OracleStats, RouteInfo, RouteOracle, RouteTable};
+pub use routes::{OracleStats, RouteInfo, RouteOracle};
 pub use topology::{LinkClass, RouterId, Topology, TopologyConfig, SAME_ROUTER_LATENCY};

@@ -565,7 +565,7 @@ mod tests {
         assert_eq!(
             (s.misses, s.resident_rows),
             (0, 0),
-            "construction must not run a Dijkstra"
+            "construction must not compute a row"
         );
         let info = net.route_info(0, 1);
         let s = net.route_oracle_stats();

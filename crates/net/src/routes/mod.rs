@@ -2,13 +2,12 @@
 //!
 //! Routing in the emulated Internet is static (ModelNet precomputes routes
 //! the same way) and **demand-driven**: [`RouteOracle`] runs one
-//! lexicographic shortest-path computation per *attachment* router the
-//! first time a route touching it cannot be answered from the other end,
-//! and keeps the result — one bit-packed `(latency, hops)` word per
-//! attachment router — as a row in a bounded LRU. The pre-PR-4 eager
-//! all-destinations table survives as [`eager::RouteTable`] and is held
-//! bit-identical to the oracle by equivalence tests over random topologies
-//! (`tests/route_oracle.rs`).
+//! lexicographic shortest-path sweep per *attachment* router the first
+//! time a route touching it cannot be answered from the other end, and
+//! keeps the result — one bit-packed `(latency, hops)` word per attachment
+//! router — as a row in a bounded LRU. `tests/route_oracle.rs` holds every
+//! answer bit-identical to a test-local heap Dijkstra over random
+//! topologies.
 //!
 //! Paths minimize **hop count** (ties broken by latency), like the policy
 //! routing of the real Internet — crucially, paths do *not* detour around
@@ -17,13 +16,7 @@
 //! under a uniform per-link loss rate `p` is `1 − (1−p)^hops`, exactly the
 //! composition behind Figure 11's per-route loss CDFs.
 
-pub mod eager;
-
-pub use eager::RouteTable;
-
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::mem::size_of;
 
 use fuse_sim::SimDuration;
@@ -57,30 +50,41 @@ impl RouteInfo {
 /// Shortest-path row from `src`: `(latency_ns, hops)` for every destination
 /// router, `(u64::MAX, u32::MAX)` when unreachable.
 ///
-/// Lexicographic Dijkstra on `(hops, latency)`: minimum hop count, ties
-/// broken by total latency. Deterministic for a fixed topology — both the
-/// eager table and the oracle call this one function, which is what makes
-/// their equivalence structural rather than coincidental.
-pub(crate) fn dijkstra(topo: &Topology, src: RouterId) -> Vec<(u64, u32)> {
-    let n = topo.n_routers();
-    let mut best: Vec<(u32, u64)> = vec![(u32::MAX, u64::MAX); n];
-    let mut heap = BinaryHeap::new();
+/// Lexicographic on `(hops, latency)`: minimum hop count, ties broken by
+/// total latency. Minimising hops first makes this a breadth-first
+/// layering, so no priority queue is needed:
+///
+/// * a router first reached from layer `d − 1` is in layer `d`, and its
+///   hop count is `d`;
+/// * its latency is the minimum, over its neighbours in layer `d − 1`, of
+///   their latency plus the link's. Every layer `d − 1` router is dequeued
+///   before any layer `d` one, and its latency was settled while layer
+///   `d − 2` was scanned — a prefix of a minimum-hop path is itself a
+///   minimum-hop path.
+///
+/// One FIFO pass over the compressed adjacency, O(routers + links), gives
+/// exactly the `(hops, latency)` a lexicographic Dijkstra would.
+pub(crate) fn rows_from(topo: &Topology, src: RouterId) -> Vec<(u64, u32)> {
+    let mut best = vec![(u64::MAX, u32::MAX); topo.n_routers()];
     best[src as usize] = (0, 0);
-    heap.push(Reverse((0u32, 0u64, src)));
-    while let Some(Reverse((hops, lat, r))) = heap.pop() {
-        if (hops, lat) > best[r as usize] {
-            continue;
-        }
-        for &(next, link) in &topo.adj[r as usize] {
-            let w = topo.links[link as usize].latency.nanos();
-            let cand = (hops + 1, lat + w);
-            if cand < best[next as usize] {
-                best[next as usize] = cand;
-                heap.push(Reverse((cand.0, cand.1, next)));
+    let mut queue = Vec::with_capacity(topo.n_routers());
+    queue.push(src);
+    let mut head = 0;
+    while let Some(&r) = queue.get(head) {
+        head += 1;
+        let (lat, hops) = best[r as usize];
+        for (next, w) in topo.neighbors(r) {
+            let cand = (lat + w.nanos(), hops + 1);
+            let e = &mut best[next as usize];
+            if e.1 == u32::MAX {
+                *e = cand;
+                queue.push(next);
+            } else if e.1 == cand.1 && cand.0 < e.0 {
+                e.0 = cand.0;
             }
         }
     }
-    best.into_iter().map(|(h, l)| (l, h)).collect()
+    best
 }
 
 // ---------------------------------------------------------------------------
@@ -96,9 +100,9 @@ const LAT_MASK: u64 = (1 << HOP_SHIFT) - 1;
 /// Sentinel for an unreachable destination.
 const UNREACHABLE: u64 = u64::MAX;
 
-/// Packs one Dijkstra entry into a single word: hops in the top 10 bits,
-/// latency nanoseconds in the low 54. Halves a resident row relative to the
-/// eager table's `(u64, u32)` (16 bytes with padding).
+/// Packs one row entry into a single word: hops in the top 10 bits,
+/// latency nanoseconds in the low 54. Halves a resident entry relative to
+/// an unpacked `(u64, u32)` (16 bytes with padding).
 fn pack(lat: u64, hops: u32) -> u64 {
     if lat == u64::MAX {
         return UNREACHABLE;
@@ -138,7 +142,7 @@ struct Slot {
 pub struct OracleStats {
     /// Queries served from a resident row (either end's).
     pub hits: u64,
-    /// Queries that had to run Dijkstra (neither end's row resident: first
+    /// Queries that had to compute a row (neither end's row resident: first
     /// touch or re-entry after eviction).
     pub misses: u64,
     /// Rows evicted to stay within the capacity.
@@ -154,14 +158,15 @@ pub struct OracleStats {
 /// *endpoint* (not per router) in a bounded LRU.
 ///
 /// Resident memory is `capacity × A × 8` bytes for `A` distinct endpoints,
-/// whatever the router count, where the eager [`eager::RouteTable`] stores
-/// `sources × n_routers × 16` bytes up front. Links are undirected and a
-/// route's `(hops, latency)` are integer sums over a path that reads the
-/// same both ways, so `route(a, b) == route(b, a)` exactly: a query is
-/// served from whichever end's row is resident, and only a pair with
-/// *neither* runs a Dijkstra. A hit is two index lookups plus an LRU
-/// splice — no allocation; a miss is one Dijkstra over the router graph
-/// (~milliseconds at 100k routers, microseconds at the default topology).
+/// whatever the router count, where all-destinations rows would take
+/// `sources × n_routers × 16` bytes. Links are undirected and a route's
+/// `(hops, latency)` are integer sums over a path that reads the same both
+/// ways, so `route(a, b) == route(b, a)` exactly: a query is served from
+/// whichever end's row is resident, and only a pair with *neither*
+/// computes a row. A hit is two index lookups, plus an LRU splice when the
+/// capacity is below the endpoint count — no allocation; a miss is one
+/// breadth-first sweep over the router graph (a few milliseconds at 100k
+/// routers, under 0.1 ms at the default topology).
 ///
 /// The oracle does not own the topology: callers pass `&Topology` to
 /// [`route`](RouteOracle::route), so one topology can back the network, the
@@ -170,8 +175,8 @@ pub struct OracleStats {
 /// records the first topology's [`Topology::fingerprint`] and panics if a
 /// later query passes a different graph (even one with coincidentally
 /// equal counts), rather than silently serving stale routes. Interior
-/// mutability (a `RefCell`) keeps the query API `&self`, matching the eager
-/// table it replaced; the simulation is single-threaded by design.
+/// mutability (a `RefCell`) keeps the query API `&self`; the simulation is
+/// single-threaded by design.
 ///
 /// Eviction order depends only on the query order, so for a fixed topology
 /// and query sequence the oracle is fully deterministic — including its
@@ -211,13 +216,15 @@ impl RouteOracle {
         endpoints.sort_unstable();
         endpoints.dedup();
         let index = endpoints.iter().zip(0u32..).map(|(&r, i)| (r, i)).collect();
+        let cap = capacity.max(1);
         RouteOracle {
             inner: RefCell::new(Inner {
-                cap: capacity.max(1),
+                cap,
                 slot_of: vec![NIL; endpoints.len()],
+                // Never more slots than rows that can exist.
+                slots: Vec::with_capacity(cap.min(endpoints.len())),
                 endpoints,
                 index,
-                slots: Vec::new(),
                 head: NIL,
                 tail: NIL,
                 hits: 0,
@@ -245,10 +252,10 @@ impl RouteOracle {
     /// [`Topology::fingerprint`], so even a same-sized graph from a
     /// different seed is refused rather than served stale rows). The id
     /// and topology checks apply to same-router queries too, even though
-    /// those never touch the LRU. Unlike the eager table there is no
-    /// "unbuilt source" panic: a missing row — never queried or evicted —
-    /// is recomputed transparently, at the cost of one Dijkstra (whose
-    /// scratch vectors allocate; the hit path stays allocation-free).
+    /// those never touch the LRU. A missing row — never queried or
+    /// evicted — is recomputed transparently, at the cost of one sweep
+    /// (whose working vectors allocate; the hit path stays
+    /// allocation-free).
     pub fn route(&self, topo: &Topology, src: RouterId, dst: RouterId) -> RouteInfo {
         assert!(
             (src as usize) < topo.n_routers() && (dst as usize) < topo.n_routers(),
@@ -284,7 +291,9 @@ impl RouteOracle {
             }
             i => {
                 inner.hits += 1;
-                if inner.head != i {
+                // With a slot for every endpoint nothing is ever evicted,
+                // so the recency order is never read.
+                if inner.cap < inner.endpoints.len() && inner.head != i {
                     inner.unlink(i);
                     inner.push_front(i);
                 }
@@ -388,8 +397,8 @@ impl Inner {
             self.evictions += 1;
             victim
         };
-        // One Dijkstra over the whole graph, kept only at the endpoints.
-        let dist = dijkstra(topo, self.endpoints[ep]);
+        // One sweep over the whole graph, kept only at the endpoints.
+        let dist = rows_from(topo, self.endpoints[ep]);
         let row = &mut self.slots[i as usize].row;
         row.clear();
         row.extend(self.endpoints.iter().map(|&r| {
@@ -452,17 +461,102 @@ mod tests {
     }
 
     #[test]
+    fn every_same_router_query_is_lan_latency() {
+        let topo = small_topo();
+        let oracle = any_to_any(&topo, 4);
+        for r in 0..topo.n_routers() as RouterId {
+            let info = oracle.route(&topo, r, r);
+            assert_eq!(info.hops, 0, "router {r}");
+            assert_eq!(info.latency, SAME_ROUTER_LATENCY, "router {r}");
+            assert!(info.latency < SimDuration::from_millis(1));
+        }
+        assert_eq!(oracle.stats().resident_rows, 0);
+    }
+
+    #[test]
+    fn answers_from_either_end_row_agree() {
+        // Each direction asked of its own oracle, so `a → b` is served from
+        // a's row and `b → a` from b's: the answers must still match.
+        let topo = small_topo();
+        for a in [0u32, 5, 13, 21] {
+            for b in [3u32, 9, 30] {
+                let (from_a, from_b) = (any_to_any(&topo, 1), any_to_any(&topo, 1));
+                let f = from_a.route(&topo, a, b);
+                let r = from_b.route(&topo, b, a);
+                assert!(from_a.row_resident(a) && from_b.row_resident(b));
+                assert_eq!(f.latency, r.latency, "{a} <-> {b}");
+                assert_eq!(f.hops, r.hops, "{a} <-> {b}");
+            }
+        }
+    }
+
+    #[test]
     fn routes_are_symmetric_in_latency() {
         // What serving a query from the destination's row rests on: the
-        // two ends' Dijkstra rows agree on every pair, to the nanosecond.
+        // two ends' rows agree on every pair, to the nanosecond.
         let topo = small_topo();
         let n = topo.n_routers() as RouterId;
-        let rows: Vec<_> = (0..n).map(|r| dijkstra(&topo, r)).collect();
+        let rows: Vec<_> = (0..n).map(|r| rows_from(&topo, r)).collect();
         for a in 0..n as usize {
             for b in 0..n as usize {
                 assert_eq!(rows[a][b], rows[b][a], "{a} <-> {b}");
             }
         }
+    }
+
+    #[test]
+    fn hops_decide_before_latency_and_latency_breaks_ties() {
+        // 0 → 3 three ways: 2 hops via 1 (20 ms, found first), 2 hops via
+        // 2 (10 ms) and 3 hops via 4 and 5 (3 ms). Router 6 has no link.
+        let ms = |n: u64| SimDuration::from_millis(n).nanos();
+        let topo = Topology::from_links(
+            7,
+            &[
+                (0, 1, ms(10)),
+                (1, 3, ms(10)),
+                (0, 2, ms(5)),
+                (2, 3, ms(5)),
+                (0, 4, ms(1)),
+                (4, 5, ms(1)),
+                (5, 3, ms(1)),
+            ],
+        );
+        let row = rows_from(&topo, 0);
+        assert_eq!(row[3], (ms(10), 2), "fewest hops, then lowest latency");
+        assert_eq!(row[5], (ms(2), 2));
+        assert_eq!(row[0], (0, 0));
+        assert_eq!(row[6], (u64::MAX, u32::MAX), "unreachable");
+        assert_eq!(pack(row[6].0, row[6].1), UNREACHABLE);
+    }
+
+    #[test]
+    fn triangle_inequality_holds() {
+        let topo = small_topo();
+        let oracle = any_to_any(&topo, 4);
+        let lat = |a, b| oracle.route(&topo, a, b).latency.nanos();
+        assert!(lat(0, 20) <= lat(0, 10) + lat(10, 20));
+    }
+
+    #[test]
+    fn loss_composition_matches_formula() {
+        let info = RouteInfo {
+            latency: SimDuration::from_millis(100),
+            hops: 15,
+        };
+        // Paper Figure 11: 0.4% per-link loss over median-15-hop routes
+        // yields ~5.8% route loss; 0.8% -> ~11.4%; 1.6% -> ~21.5%.
+        assert!((info.loss_rate(0.004) - 0.058).abs() < 0.004);
+        assert!((info.loss_rate(0.008) - 0.114).abs() < 0.006);
+        assert!((info.loss_rate(0.016) - 0.215).abs() < 0.008);
+    }
+
+    #[test]
+    fn zero_loss_delivers_always() {
+        let info = RouteInfo {
+            latency: SimDuration::from_millis(10),
+            hops: 40,
+        };
+        assert_eq!(info.delivery_prob(0.0), 1.0);
     }
 
     #[test]

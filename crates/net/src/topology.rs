@@ -38,8 +38,7 @@ use fuse_sim::SimDuration;
 /// — below the per-hop latency of every generated LAN link
 /// ([`TopologyConfig::lan_latency_us`] defaults to 300–1000 µs) but not
 /// zero, so events between co-located nodes still order realistically.
-/// Both the demand-driven [`crate::RouteOracle`] and the preserved eager
-/// [`crate::RouteTable`] return it for same-router queries.
+/// [`crate::RouteOracle`] returns it for same-router queries.
 pub const SAME_ROUTER_LATENCY: SimDuration = SimDuration::from_micros(100);
 
 /// Index of a router in the topology.
@@ -126,9 +125,9 @@ impl TopologyConfig {
     /// near the published ~130 ms instead of growing with the AS-graph
     /// diameter.
     ///
-    /// Building the eager all-destinations table here costs ~1.6 MB *per
-    /// source* (100k routers × 16 bytes); the demand-driven
-    /// [`crate::RouteOracle`] is how this preset is meant to be routed —
+    /// An all-destinations row here is ~1.6 MB *per source* (100k routers
+    /// × 16 bytes); the demand-driven [`crate::RouteOracle`], which keeps
+    /// only endpoint columns, is how this preset is meant to be routed —
     /// see the `#[ignore]`d Mercator smoke test in `tests/route_oracle.rs`.
     pub fn mercator_scale() -> Self {
         TopologyConfig {
@@ -148,19 +147,36 @@ impl TopologyConfig {
 }
 
 /// The generated router graph.
+///
+/// The adjacency is frozen into compressed sparse rows when generation
+/// ends: router `r`'s edges are `edges[offsets[r]..offsets[r + 1]]`, each
+/// a `(neighbor, one-way latency)` pair, so a route row walks two flat
+/// arrays instead of one `Vec` per router.
 pub struct Topology {
     /// All links.
     pub links: Vec<Link>,
-    /// Adjacency: for each router, `(neighbor, link)` pairs.
-    pub adj: Vec<Vec<(RouterId, LinkId)>>,
     /// AS id of each router.
     pub as_of: Vec<u32>,
     /// Access routers — valid attachment points for overlay nodes.
     pub attachable: Vec<RouterId>,
+    /// Start of each router's edges in `edges`, plus one final end offset.
+    offsets: Vec<u32>,
+    /// Every link once from each end, grouped by router in link order.
+    edges: Vec<(RouterId, SimDuration)>,
     /// Structural checksum over every link's endpoints and latency,
     /// computed once at the end of generation (see
     /// [`Topology::fingerprint`]).
     fingerprint: u64,
+}
+
+/// The graph while it is being generated: links plus the per-router
+/// `(neighbor, link)` lists that duplicate-link checks read.
+#[derive(Default)]
+struct Draft {
+    links: Vec<Link>,
+    adj: Vec<Vec<(RouterId, LinkId)>>,
+    as_of: Vec<u32>,
+    attachable: Vec<RouterId>,
 }
 
 impl Topology {
@@ -169,13 +185,7 @@ impl Topology {
         assert!(cfg.n_as >= 2, "need at least two ASes");
         assert!(cfg.core_per_as >= 1);
         assert!(cfg.chain_len.0 >= 1 && cfg.chain_len.0 <= cfg.chain_len.1);
-        let mut topo = Topology {
-            links: Vec::new(),
-            adj: Vec::new(),
-            as_of: Vec::new(),
-            attachable: Vec::new(),
-            fingerprint: 0,
-        };
+        let mut topo = Draft::default();
 
         // Per-AS core rings and access chains.
         let mut core_routers: Vec<Vec<RouterId>> = Vec::with_capacity(cfg.n_as);
@@ -242,61 +252,13 @@ impl Topology {
             topo.links[li as usize].latency = SimDuration::from_millis(ms);
         }
 
-        // Fingerprint last, so it covers the T3 latency reassignments: an
-        // FNV-1a-style fold over every link's endpoints and latency.
-        topo.fingerprint = topo.links.iter().fold(0xcbf2_9ce4_8422_2325u64, |fp, l| {
-            let key = (u64::from(l.a) << 40) ^ (u64::from(l.b) << 20) ^ l.latency.nanos();
-            (fp ^ key).wrapping_mul(0x1_0000_0000_01b3)
-        });
-
-        topo
+        topo.freeze()
     }
 
-    fn new_router(&mut self, asn: u32) -> RouterId {
-        let id = self.adj.len() as RouterId;
-        self.adj.push(Vec::new());
-        self.as_of.push(asn);
-        id
-    }
-
-    fn add_lan(&mut self, a: RouterId, b: RouterId, rng: &mut StdRng, cfg: &TopologyConfig) {
-        let us = rng.gen_range(cfg.lan_latency_us.0..=cfg.lan_latency_us.1);
-        self.push_link(a, b, LinkClass::Lan, SimDuration::from_micros(us));
-    }
-
-    fn add_oc3(
-        &mut self,
-        a: RouterId,
-        b: RouterId,
-        rng: &mut StdRng,
-        cfg: &TopologyConfig,
-    ) -> LinkId {
-        let ms = rng.gen_range(cfg.oc3_latency_ms.0..=cfg.oc3_latency_ms.1);
-        self.push_link(a, b, LinkClass::Oc3, SimDuration::from_millis(ms))
-    }
-
-    fn push_link(
-        &mut self,
-        a: RouterId,
-        b: RouterId,
-        class: LinkClass,
-        latency: SimDuration,
-    ) -> LinkId {
-        debug_assert_ne!(a, b);
-        let id = self.links.len() as LinkId;
-        self.links.push(Link {
-            a,
-            b,
-            class,
-            latency,
-        });
-        self.adj[a as usize].push((b, id));
-        self.adj[b as usize].push((a, id));
-        id
-    }
-
-    fn has_link(&self, a: RouterId, b: RouterId) -> bool {
-        self.adj[a as usize].iter().any(|&(n, _)| n == b)
+    /// `(neighbor, one-way latency)` of every link at router `r`.
+    pub fn neighbors(&self, r: RouterId) -> impl Iterator<Item = (RouterId, SimDuration)> + '_ {
+        let (lo, hi) = (self.offsets[r as usize], self.offsets[r as usize + 1]);
+        self.edges[lo as usize..hi as usize].iter().copied()
     }
 
     /// Structural checksum of the generated graph (endpoints and latency
@@ -312,7 +274,7 @@ impl Topology {
 
     /// Number of routers.
     pub fn n_routers(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Number of links.
@@ -362,9 +324,102 @@ impl Topology {
 }
 
 #[cfg(test)]
+impl Topology {
+    /// A hand-built graph: routers `0..n`, one LAN link per
+    /// `(a, b, latency_ns)`.
+    pub(crate) fn from_links(n: usize, links: &[(RouterId, RouterId, u64)]) -> Topology {
+        let mut b = Draft::default();
+        for _ in 0..n {
+            b.new_router(0);
+        }
+        for &(x, y, ns) in links {
+            b.push_link(x, y, LinkClass::Lan, SimDuration(ns));
+        }
+        b.freeze()
+    }
+}
+
+impl Draft {
+    fn new_router(&mut self, asn: u32) -> RouterId {
+        let id = self.adj.len() as RouterId;
+        self.adj.push(Vec::new());
+        self.as_of.push(asn);
+        id
+    }
+
+    fn add_lan(&mut self, a: RouterId, b: RouterId, rng: &mut StdRng, cfg: &TopologyConfig) {
+        let us = rng.gen_range(cfg.lan_latency_us.0..=cfg.lan_latency_us.1);
+        self.push_link(a, b, LinkClass::Lan, SimDuration::from_micros(us));
+    }
+
+    fn add_oc3(
+        &mut self,
+        a: RouterId,
+        b: RouterId,
+        rng: &mut StdRng,
+        cfg: &TopologyConfig,
+    ) -> LinkId {
+        let ms = rng.gen_range(cfg.oc3_latency_ms.0..=cfg.oc3_latency_ms.1);
+        self.push_link(a, b, LinkClass::Oc3, SimDuration::from_millis(ms))
+    }
+
+    fn push_link(
+        &mut self,
+        a: RouterId,
+        b: RouterId,
+        class: LinkClass,
+        latency: SimDuration,
+    ) -> LinkId {
+        debug_assert_ne!(a, b);
+        let id = self.links.len() as LinkId;
+        self.links.push(Link {
+            a,
+            b,
+            class,
+            latency,
+        });
+        self.adj[a as usize].push((b, id));
+        self.adj[b as usize].push((a, id));
+        id
+    }
+
+    fn has_link(&self, a: RouterId, b: RouterId) -> bool {
+        self.adj[a as usize].iter().any(|&(n, _)| n == b)
+    }
+
+    /// Freezes the final link latencies (after the T3 reassignment) into
+    /// the compressed adjacency and the fingerprint.
+    fn freeze(self) -> Topology {
+        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
+        let mut edges = Vec::with_capacity(2 * self.links.len());
+        offsets.push(0);
+        for nbrs in &self.adj {
+            edges.extend(
+                nbrs.iter()
+                    .map(|&(n, l)| (n, self.links[l as usize].latency)),
+            );
+            offsets.push(edges.len() as u32);
+        }
+        // An FNV-1a-style fold over every link's endpoints and latency.
+        let fingerprint = self.links.iter().fold(0xcbf2_9ce4_8422_2325u64, |fp, l| {
+            let key = (u64::from(l.a) << 40) ^ (u64::from(l.b) << 20) ^ l.latency.nanos();
+            (fp ^ key).wrapping_mul(0x1_0000_0000_01b3)
+        });
+        Topology {
+            links: self.links,
+            as_of: self.as_of,
+            attachable: self.attachable,
+            offsets,
+            edges,
+            fingerprint,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routes::RouteTable;
+    use crate::routes::RouteOracle;
     use fuse_obs::Reservoir;
     use rand::SeedableRng;
 
@@ -379,7 +434,7 @@ mod tests {
         let mut q = vec![0u32];
         seen[0] = true;
         while let Some(r) = q.pop() {
-            for &(n, _) in &t1.adj[r as usize] {
+            for (n, _) in t1.neighbors(r) {
                 if !seen[n as usize] {
                     seen[n as usize] = true;
                     q.push(n);
@@ -405,7 +460,7 @@ mod tests {
         let cfg = TopologyConfig::default();
         let topo = Topology::generate(&cfg, &mut rng);
         let attach = topo.sample_attachments(200, &mut rng);
-        let table = RouteTable::build(&topo, &attach);
+        let oracle = RouteOracle::new(&attach, attach.len());
         let mut hops = Reservoir::new();
         let mut rtt_ms = Reservoir::new();
         for i in 0..50usize {
@@ -413,7 +468,7 @@ mod tests {
                 if attach[i] == attach[j] {
                     continue;
                 }
-                let r = table.route(attach[i], attach[j]);
+                let r = oracle.route(&topo, attach[i], attach[j]);
                 hops.add(r.hops as f64);
                 rtt_ms.add(2.0 * r.latency.as_millis_f64());
             }

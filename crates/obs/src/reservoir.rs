@@ -195,10 +195,15 @@ impl Cdf {
 /// Counts events per named class; renders rates over a time window.
 ///
 /// Used for the Figure 10 "messages per second" accounting and the
-/// per-class byte accounting in [`crate::Aggregates`].
+/// per-class byte accounting in [`crate::Aggregates`]. Classes are a
+/// handful of `&'static str` labels bumped on every simulated send, so an
+/// entry is found by pointer identity first — a scan of a few words, no
+/// string compare — and only a name reached through another pointer falls
+/// back to a search by content. Equal names always share one entry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassCounter {
-    counts: std::collections::BTreeMap<&'static str, u64>,
+    /// `(class, count)`, sorted and distinct by name.
+    counts: Vec<(&'static str, u64)>,
 }
 
 impl ClassCounter {
@@ -209,12 +214,22 @@ impl ClassCounter {
 
     /// Adds one event of class `name`.
     pub fn bump(&mut self, name: &'static str) {
-        *self.counts.entry(name).or_insert(0) += 1;
+        self.bump_by(name, 1);
     }
 
     /// Adds `n` events of class `name`.
     pub fn bump_by(&mut self, name: &'static str, n: u64) {
-        *self.counts.entry(name).or_insert(0) += n;
+        let i = match self.counts.iter().position(|&(k, _)| std::ptr::eq(k, name)) {
+            Some(i) => i,
+            None => match self.counts.binary_search_by(|&(k, _)| k.cmp(name)) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.counts.insert(i, (name, 0));
+                    i
+                }
+            },
+        };
+        self.counts[i].1 += n;
     }
 
     /// Adds every count of `other` into this counter.
@@ -226,23 +241,26 @@ impl ClassCounter {
 
     /// Total events across all classes.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().map(|&(_, n)| n).sum()
     }
 
     /// Count for one class.
     pub fn get(&self, name: &str) -> u64 {
-        self.counts.get(name).copied().unwrap_or(0)
+        match self.counts.binary_search_by(|&(k, _)| k.cmp(name)) {
+            Ok(i) => self.counts[i].1,
+            Err(_) => 0,
+        }
     }
 
     /// Iterates `(class, count)` in deterministic (sorted) order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
+        self.counts.iter().copied()
     }
 
     /// Resets all counts to zero, keeping the class keys.
     pub fn clear(&mut self) {
-        for v in self.counts.values_mut() {
-            *v = 0;
+        for (_, n) in &mut self.counts {
+            *n = 0;
         }
     }
 }
@@ -337,5 +355,39 @@ mod tests {
         assert_eq!(d.get("ping"), 3);
         c.clear();
         assert_eq!(c.total(), 0);
+    }
+
+    #[test]
+    fn class_counter_keys_by_content_not_pointer() {
+        // The same name through a second pointer lands in the first's entry.
+        let copy: &'static str = Box::leak(String::from("ping").into_boxed_str());
+        assert!(!std::ptr::eq(copy, "ping"));
+        let mut c = ClassCounter::new();
+        c.bump("zeta");
+        c.bump("ping");
+        c.bump_by(copy, 2);
+        c.bump("alpha");
+        assert_eq!(c.get("ping"), 3);
+        let names: Vec<&str> = c.iter().map(|(k, _)| k).collect();
+        assert_eq!(names, ["alpha", "ping", "zeta"], "iteration is sorted");
+
+        // Merging is partition-invariant: any split, folded in any order,
+        // equals the whole.
+        let events: [(&'static str, u64); 5] =
+            [("ping", 1), ("ack", 4), (copy, 2), ("zeta", 1), ("ack", 1)];
+        let mut whole = ClassCounter::new();
+        let (mut a, mut b) = (ClassCounter::new(), ClassCounter::new());
+        for (i, &(name, n)) in events.iter().enumerate() {
+            whole.bump_by(name, n);
+            if i % 2 == 0 { &mut a } else { &mut b }.bump_by(name, n);
+        }
+        let (mut ab, mut ba) = (ClassCounter::new(), ClassCounter::new());
+        ab.merge_from(&a);
+        ab.merge_from(&b);
+        ba.merge_from(&b);
+        ba.merge_from(&a);
+        assert_eq!(ab, ba);
+        assert_eq!(ab, whole);
+        assert_eq!(whole.get("ping"), 3);
     }
 }

@@ -2,8 +2,9 @@
 //! the common messages, a route-oracle hit, a network send between
 //! connected processes, decoding a hostile ring name, a forwarded
 //! `InstallChecking` hop and the overlay ping exchange that refreshes
-//! standing FUSE groups must not touch the allocator, and a maintenance
-//! probe allocates only its hop path. This binary installs a counting
+//! standing FUSE groups must not touch the allocator, a maintenance probe
+//! allocates only its hop path and integrating its reply allocates
+//! nothing. This binary installs a counting
 //! global allocator; counts are per thread, so the tests run in parallel
 //! without seeing each other (or the test harness).
 
@@ -178,11 +179,12 @@ fn warm_maintenance_probe_allocates_only_its_path_and_reply_sets() {
         }
     });
     assert_eq!(node.stats.probes_sent - sent, PROBES);
-    // The one allocation per probe is its hop path (`vec![me]`); the
+    // The one allocation per probe is its hop path, reserved once; the
     // target name and every identity in the message are inline.
     assert_eq!(allocs, PROBES, "a warm maintenance probe allocated a name");
-    // A reply naming nodes already in the tables changes nothing; what it
-    // costs is the neighbour set before and after integrating it.
+    // A reply naming nodes already in the tables changes nothing, and the
+    // neighbour sets before and after integrating it live in reused
+    // buffers.
     let reply = || OverlayMsg::ProbeReply {
         path: infos[4..8].to_vec(),
     };
@@ -201,11 +203,7 @@ fn warm_maintenance_probe_allocates_only_its_path_and_reply_sets() {
         }
     });
     assert!(upcalls.is_empty(), "a known path changed the neighbour set");
-    assert_eq!(
-        allocs,
-        2 * PROBES,
-        "a probe reply allocated past its two sets"
-    );
+    assert_eq!(allocs, 0, "integrating a known probe reply allocated");
 }
 
 #[test]
