@@ -7,7 +7,8 @@
 //! outbound stream the kernel has not drained, asleep until the next timer,
 //! reconnect attempt or 100 ms housekeeping tick. Inbound frames are parsed
 //! as bytes arrive (`frame.rs`); outbound ones queue per peer, capped, and
-//! are written at once (`transport.rs`); a cancelled timer leaves its store
+//! each peer's share of a turn goes out in one write before the loop polls
+//! again or exits (`transport.rs`); a cancelled timer leaves its store
 //! (`timers.rs`). A closed, failed or corrupt stream, a failed write,
 //! exhausted reconnects and a send past the cap all reach the stack as
 //! [`fuse_core::Input::LinkBroken`]: a crashed peer's closed sockets are
@@ -214,14 +215,6 @@ fn wall_ns(last: &mut u64) -> u64 {
     *last
 }
 
-/// Clean shutdown: flush every buffered stdout line behind a final `BYE`
-/// marker and exit 0. Process exit closes the listener and all sockets.
-fn graceful_exit() -> ! {
-    println!("BYE");
-    let _ = std::io::stdout().flush();
-    exit(0);
-}
-
 /// The stack and everything its outputs act on.
 struct Node {
     stack: FuseStack,
@@ -267,6 +260,28 @@ impl Node {
             let input = Input::LinkBroken { peer };
             self.stack.handle(self.now(), &mut self.rng, input);
         }
+    }
+
+    /// Writes what the turn queued, one write per peer. A link the writes
+    /// break is fed back, and whatever that queues is written too.
+    fn flush(&mut self) {
+        loop {
+            self.transport.flush(Instant::now());
+            if self.transport.broken.is_empty() {
+                return;
+            }
+            self.drain();
+        }
+    }
+
+    /// Clean shutdown: write out the queued frames, flush every buffered
+    /// stdout line behind a final `BYE` marker and exit 0. Process exit
+    /// closes the listener and all sockets.
+    fn graceful_exit(&mut self) -> ! {
+        self.flush();
+        println!("BYE");
+        let _ = std::io::stdout().flush();
+        exit(0);
     }
 
     fn app(&mut self, call: AppCall) {
@@ -317,7 +332,7 @@ impl Node {
                     u64::from_str_radix(hex, 16).map_err(|_| format!("bad group id {rest:?}"))?;
                 self.stack.api(t, &mut self.rng).signal_failure(FuseId(raw));
             }
-            "shutdown" => graceful_exit(),
+            "shutdown" => self.graceful_exit(),
             other => return Err(format!("unknown control command {other:?}")),
         }
         self.drain();
@@ -361,8 +376,11 @@ fn run(mut node: Node, listener: TcpListener, deadline: Option<Instant>) -> ! {
     let (mut fds, mut writers) = (Vec::new(), Vec::new());
     loop {
         if TERM.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d) {
-            graceful_exit();
+            node.graceful_exit();
         }
+        // Before every poll: the last turn's sends (the boot's, on the
+        // first) go out here.
+        node.flush();
         let mut wait = TICK;
         if let Some(at) = node.timers.next_deadline() {
             wait = wait.min(Duration::from_nanos(at.saturating_sub(node.now().nanos())));

@@ -1,5 +1,8 @@
 //! The outbound half: one lazily connected, nonblocking stream per peer,
-//! fed from a bounded byte queue.
+//! fed from a bounded byte queue. A send only queues; the event loop's
+//! [`Transport::flush`] then gives each peer one write for everything its
+//! turn queued, so a turn's frames to one peer share a syscall and a
+//! segment.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Write};
@@ -94,6 +97,10 @@ pub struct Transport {
     peers: HashMap<PeerAddr, Peer>,
     /// Frames every message once, reused.
     ebuf: EncodeBuf,
+    /// Peers whose queue went from empty to holding frames since the last
+    /// flush. A queue that already held bytes is owed by this list, by
+    /// `POLLOUT` or by a pending reconnect, so it needs no second note.
+    noted: Vec<PeerAddr>,
     /// Peers whose link broke, oldest first, owed an `Input::LinkBroken`.
     pub broken: VecDeque<PeerAddr>,
 }
@@ -108,25 +115,41 @@ impl Transport {
             me,
             peers: peers.iter().map(|(id, addr)| (*id, peer(addr))).collect(),
             ebuf: EncodeBuf::new(),
+            noted: Vec::new(),
             broken: VecDeque::new(),
         }
     }
 
-    /// Queues `msg` for `to` and moves its queue along at once. An unknown
-    /// peer (a configuration error under static membership) is a broken
-    /// link.
+    /// Queues `msg` for `to`; the next [`flush`](Self::flush) writes it. An
+    /// unknown peer (a configuration error under static membership) and a
+    /// send past the cap are broken links.
     pub fn send(&mut self, to: PeerAddr, msg: &StackMsg) {
         let frame = self.ebuf.encode_frame(msg);
-        let ok = self.peers.get_mut(&to).is_some_and(|p| {
-            if p.queue.len() + frame.len() > MAX_QUEUE {
-                p.reset();
-                return false;
-            }
-            p.queue.extend_from_slice(frame);
-            p.pump(self.me, Instant::now())
-        });
-        if !ok {
+        let Some(p) = self.peers.get_mut(&to) else {
             self.broken.push_back(to);
+            return;
+        };
+        if p.queue.len() + frame.len() > MAX_QUEUE {
+            p.reset();
+            self.broken.push_back(to);
+            return;
+        }
+        if p.queue.is_empty() {
+            self.noted.push(to);
+        }
+        p.queue.extend_from_slice(frame);
+    }
+
+    /// Moves along every queue noted since the last flush, once: connects
+    /// if needed and writes until the socket would block; the rest waits
+    /// for `POLLOUT`.
+    pub fn flush(&mut self, now: Instant) {
+        for to in self.noted.drain(..) {
+            let p = self.peers.get_mut(&to).expect("only known peers are noted");
+            // Emptied since it was noted: the cap tripped.
+            if !p.queue.is_empty() && !p.pump(self.me, now) {
+                self.broken.push_back(to);
+            }
         }
     }
 
@@ -165,8 +188,46 @@ impl Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameReader;
     use bytes::Bytes;
+    use std::io::Read;
     use std::net::TcpListener;
+
+    #[test]
+    fn sends_wait_for_the_flush_and_leave_in_one_write() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut t = Transport::new(7, &[(1, addr)]);
+        let payloads = [&b"a"[..], b"bb", b"ccc"];
+        for p in payloads {
+            t.send(1, &StackMsg::App(Bytes::from_static(p)));
+        }
+        let e = listener
+            .accept()
+            .expect_err("no connection before the flush");
+        assert_eq!(e.kind(), ErrorKind::WouldBlock);
+        t.flush(Instant::now());
+        let p = &t.peers[&1];
+        assert!(t.broken.is_empty() && p.queue.is_empty());
+        let nodelay = p.stream.as_ref().and_then(|s| s.nodelay().ok());
+        assert_eq!(nodelay, Some(true), "a frame is not held for Nagle");
+        listener.set_nonblocking(false).unwrap();
+        let (mut s, _) = listener.accept().unwrap();
+        s.set_nonblocking(true).unwrap();
+        let mut buf = [0; 4096];
+        let n = s.read(&mut buf).expect("the flush's bytes are in");
+        let mut frames = FrameReader::default();
+        frames.push(&buf[..n]);
+        for want in payloads {
+            let (from, msg) = frames.next_frame().unwrap().expect("a whole frame");
+            assert!(from == 7 && matches!(msg, StackMsg::App(b) if &b[..] == want));
+        }
+        assert!(
+            frames.next_frame().unwrap().is_none(),
+            "nothing else was sent"
+        );
+    }
 
     #[test]
     fn a_peer_that_never_reads_trips_the_cap_once_and_frees_the_queue() {
@@ -175,11 +236,13 @@ mod tests {
         let mut t = Transport::new(0, &[(1, addr)]);
         let msg = StackMsg::App(Bytes::from(vec![7u8; 64 << 10]));
         t.send(1, &msg);
+        t.flush(Instant::now()); // dials
         let _held = listener.accept().unwrap(); // accepted, never read
         let mut sends = 1;
         while t.broken.is_empty() {
             assert!(t.peers[&1].queue.len() <= MAX_QUEUE);
             t.send(1, &msg);
+            t.flush(Instant::now());
             sends += 1;
             assert!(sends < 8192, "the cap never tripped");
         }
@@ -200,6 +263,8 @@ mod tests {
         let start = Instant::now();
         t.send(1, &StackMsg::App(Bytes::from_static(b"x")));
         t.send(1, &StackMsg::App(Bytes::from_static(b"y")));
+        assert_eq!(t.next_retry(), None, "a send does not dial");
+        t.flush(Instant::now());
         for n in 1..CONNECT_ATTEMPTS {
             assert!(t.broken.is_empty());
             let at = t.next_retry().expect("a retry is pending");

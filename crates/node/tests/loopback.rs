@@ -13,7 +13,8 @@
 //!   never answers, so detection must ride the ping-timeout/liveness path
 //!   instead;
 //! * graceful shutdown — SIGTERM, stdin `shutdown`, and `--run-secs` all
-//!   exit 0 through the flushed `BYE` path;
+//!   exit 0 through the flushed `BYE` path, which first writes out the
+//!   frames the last turn queued;
 //! * restart — a SIGKILLed member restarted on the same port joins a brand
 //!   new group (stale timer generations on the survivors stay inert).
 
@@ -265,6 +266,44 @@ fn sigterm_and_stdin_shutdown_exit_cleanly() {
 }
 
 #[test]
+fn signal_then_shutdown_in_one_read_still_reaches_the_group() {
+    // Output is written once per loop turn, so a `signal` and a `shutdown`
+    // read together leave the signal's frames queued when `shutdown` runs:
+    // the exit must write them first. Without them the survivors would
+    // still burn the group, on the member's EOF, but as connection-broken.
+    let ports = [free_port(), free_port(), free_port()];
+    let mut n1 = NodeProc::spawn(&node_args(1, &ports, None, &[]));
+    let n2 = NodeProc::spawn(&node_args(2, &ports, None, &[]));
+    n1.wait_for("node 1 READY", Duration::from_secs(10), |l| l == "READY");
+    n2.wait_for("node 2 READY", Duration::from_secs(10), |l| l == "READY");
+    let n0 = NodeProc::spawn(&node_args(0, &ports, Some("1,2"), &[]));
+    let created = n0.wait_for("group creation", Duration::from_secs(20), |l| {
+        l.starts_with("CREATED ") && l.contains("result=ok")
+    });
+    let gid = created_gid(&created);
+
+    // One write, so one read: both commands run in the same turn.
+    let stdin = n1.stdin.as_mut().expect("stdin piped");
+    let both = format!("signal {gid}\nshutdown\n");
+    stdin
+        .write_all(both.as_bytes())
+        .expect("write control lines");
+    let st = n1.wait_exit(Duration::from_secs(10));
+    assert!(st.success(), "shutdown exit should be clean, got {st:?}");
+    n1.wait_for("BYE after signal", Duration::from_secs(5), |l| l == "BYE");
+
+    for (name, node) in [("node 0", &n0), ("node 2", &n2)] {
+        let line = node.wait_for(&format!("{name} NOTIFIED"), Duration::from_secs(30), |l| {
+            l.starts_with("NOTIFIED ") && l.contains(&format!("id={gid}"))
+        });
+        assert!(
+            line.contains("reason=explicit-signal"),
+            "{name} should hear the signal, not just the exit: {line}"
+        );
+    }
+}
+
+#[test]
 fn create_flag_rejects_the_nodes_own_id() {
     // The stdin `create` command refuses the node's own id; `--create`
     // must too, or the root sends `GroupCreateRequest` to itself, finds no
@@ -321,10 +360,12 @@ fn one_thread_and_bounded_memory_under_cycles() {
     }
     let mut cursors = [0; 4];
     let mut rss_after_warm_up = 0;
+    let mut cycle_times = Vec::with_capacity(CYCLES);
     for cycle in 0..CYCLES {
         if cycle == 200 {
             rss_after_warm_up = nodes[0].status("VmRSS");
         }
+        let start = Instant::now();
         nodes[0].control("create 1,2,3");
         let created =
             nodes[0].next_line(&mut cursors[0], "CREATED", Duration::from_secs(20), |l| {
@@ -342,7 +383,16 @@ fn one_thread_and_bounded_memory_under_cycles() {
                 "node {i}, cycle {cycle}: {line}"
             );
         }
+        cycle_times.push(start.elapsed());
     }
+    // A write left to the loop's 100 ms tick, or Nagle's delay on a stream
+    // without TCP_NODELAY, passes every check above but not this one.
+    cycle_times.sort();
+    let median = cycle_times[CYCLES / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median create→all-notified cycle {median:?}"
+    );
     for (i, n) in nodes.iter().enumerate() {
         assert_eq!(n.status("Threads"), 1, "node {i} runs one thread");
     }
