@@ -40,7 +40,7 @@ use crate::registry::SubscriptionRegistry;
 use crate::stack::{AppCall, Output, StackMsg};
 use crate::types::{
     CreateError, CreateTicket, FuseConfig, FuseEvent, FuseId, FuseTimer, GroupHandle, Notification,
-    NotifyReason, Role,
+    NotifyReason, Role, CREATE_TIMEOUT, INSTALL_WAIT, REPAIR_BACKOFF_BASE, REPAIR_BACKOFF_CAP,
 };
 
 /// Borrowed per-call context for one FUSE-layer entry point.
@@ -382,7 +382,7 @@ impl FuseLayer {
                         repair: None,
                         kick: None,
                         dirty: false,
-                        backoff: self.new_backoff(),
+                        backoff: new_backoff(),
                     }),
                     created_at: now,
                     links: DetHashMap::default(),
@@ -410,7 +410,7 @@ impl FuseLayer {
                 },
             );
         }
-        let timer = cx.set_fuse_timer(self.cfg.create_timeout, FuseTimer::CreateTimeout { id });
+        let timer = cx.set_fuse_timer(CREATE_TIMEOUT, FuseTimer::CreateTimeout { id });
         self.creating.insert(
             id,
             CreateAttempt {
@@ -641,8 +641,7 @@ impl FuseLayer {
         cx.cancel_fuse_timer(attempt.timer);
         let install_missing: DetHashSet<PeerAddr> =
             attempt.members.iter().map(|m| m.proc).collect();
-        let install_timer =
-            Some(cx.set_fuse_timer(self.cfg.install_wait, FuseTimer::InstallWait { id }));
+        let install_timer = Some(cx.set_fuse_timer(INSTALL_WAIT, FuseTimer::InstallWait { id }));
         let now = cx.now();
         self.groups.insert(
             id,
@@ -656,7 +655,7 @@ impl FuseLayer {
                     repair: None,
                     kick: None,
                     dirty: false,
-                    backoff: self.new_backoff(),
+                    backoff: new_backoff(),
                 }),
                 created_at: now,
                 links: DetHashMap::default(),
@@ -834,8 +833,7 @@ impl FuseLayer {
         if let Some(h) = rs.install_timer.take() {
             cx.cancel_fuse_timer(h);
         }
-        rs.install_timer =
-            Some(cx.set_fuse_timer(self.cfg.install_wait, FuseTimer::InstallWait { id }));
+        rs.install_timer = Some(cx.set_fuse_timer(INSTALL_WAIT, FuseTimer::InstallWait { id }));
         if rs.dirty {
             rs.dirty = false;
             self.request_repair(cx, id);
@@ -1535,11 +1533,8 @@ impl FuseLayer {
             .filter_map(|&id| self.groups.get(&id).map(|g| (id, g.seq)))
             .collect()
     }
+}
 
-    fn new_backoff(&self) -> Backoff {
-        Backoff::new(
-            self.cfg.repair_backoff_base.nanos(),
-            self.cfg.repair_backoff_cap.nanos(),
-        )
-    }
+fn new_backoff() -> Backoff {
+    Backoff::new(REPAIR_BACKOFF_BASE.nanos(), REPAIR_BACKOFF_CAP.nanos())
 }

@@ -36,7 +36,23 @@ impl std::fmt::Display for FuseId {
     }
 }
 
-/// FUSE protocol configuration, defaulting to the paper's constants.
+/// Root-side timeout for the blocking group creation attempt.
+pub(crate) const CREATE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Root-side wait for `InstallChecking` arrivals after create/repair.
+pub(crate) const INSTALL_WAIT: Duration = Duration::from_secs(30);
+
+/// First-retry delay of the per-group repair backoff.
+pub(crate) const REPAIR_BACKOFF_BASE: Duration = Duration::from_secs(1);
+
+/// Cap of the per-group repair backoff (paper §6.5: 40 seconds).
+pub(crate) const REPAIR_BACKOFF_CAP: Duration = Duration::from_secs(40);
+
+// A capped exponential backoff must be able to emit its base delay.
+const _: () = assert!(REPAIR_BACKOFF_BASE.0 <= REPAIR_BACKOFF_CAP.0);
+
+/// FUSE's failure-detector timings, defaulting to the paper's constants;
+/// the protocol's other periods are constants in this module.
 ///
 /// Construct via [`FuseConfig::default`] or, for anything non-default,
 /// through [`FuseConfig::builder`] — the builder is the only supported way
@@ -47,10 +63,6 @@ impl std::fmt::Display for FuseId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct FuseConfig {
-    /// Root-side timeout for the blocking group creation attempt.
-    pub create_timeout: Duration,
-    /// Root-side wait for `InstallChecking` arrivals after create/repair.
-    pub install_wait: Duration,
     /// Member-side wait for the root to react to `NeedRepair` before
     /// declaring the group failed (paper §7.4: members time out after one
     /// minute with no repair response).
@@ -66,23 +78,15 @@ pub struct FuseConfig {
     /// Grace period before hash-mismatch reconciliation may tear down a
     /// freshly installed liveness tree (paper §6.3: 5 seconds).
     pub reconcile_grace: Duration,
-    /// First-retry delay of the per-group repair backoff.
-    pub repair_backoff_base: Duration,
-    /// Cap of the per-group repair backoff (paper §6.5: 40 seconds).
-    pub repair_backoff_cap: Duration,
 }
 
 impl Default for FuseConfig {
     fn default() -> Self {
         FuseConfig {
-            create_timeout: Duration::from_secs(10),
-            install_wait: Duration::from_secs(30),
             member_repair_timeout: Duration::from_secs(60),
             root_repair_timeout: Duration::from_secs(120),
             link_failure_timeout: Duration::from_secs(90),
             reconcile_grace: Duration::from_secs(5),
-            repair_backoff_base: Duration::from_secs(1),
-            repair_backoff_cap: Duration::from_secs(40),
         }
     }
 }
@@ -102,9 +106,6 @@ impl FuseConfig {
 pub enum ConfigError {
     /// A duration that the protocol divides by or waits on was zero.
     ZeroDuration(&'static str),
-    /// `repair_backoff_base` exceeds `repair_backoff_cap`, so the capped
-    /// exponential backoff could never emit its base delay.
-    BackoffInverted,
     /// `member_repair_timeout` exceeds `root_repair_timeout`: members would
     /// give up on groups *after* the root has already declared them dead,
     /// making the member wait pure latency with no repair opportunity.
@@ -119,9 +120,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroDuration(field) => write!(f, "{field} must be non-zero"),
-            ConfigError::BackoffInverted => {
-                f.write_str("repair_backoff_base must not exceed repair_backoff_cap")
-            }
             ConfigError::RepairWindowInverted => {
                 f.write_str("member_repair_timeout must not exceed root_repair_timeout")
             }
@@ -143,18 +141,6 @@ pub struct FuseConfigBuilder {
 }
 
 impl FuseConfigBuilder {
-    /// Root-side timeout for the blocking group creation attempt.
-    pub fn create_timeout(mut self, d: Duration) -> Self {
-        self.cfg.create_timeout = d;
-        self
-    }
-
-    /// Root-side wait for `InstallChecking` arrivals after create/repair.
-    pub fn install_wait(mut self, d: Duration) -> Self {
-        self.cfg.install_wait = d;
-        self
-    }
-
     /// Member-side wait for the root to react to `NeedRepair`.
     pub fn member_repair_timeout(mut self, d: Duration) -> Self {
         self.cfg.member_repair_timeout = d;
@@ -179,36 +165,17 @@ impl FuseConfigBuilder {
         self
     }
 
-    /// First-retry delay of the per-group repair backoff.
-    pub fn repair_backoff_base(mut self, d: Duration) -> Self {
-        self.cfg.repair_backoff_base = d;
-        self
-    }
-
-    /// Cap of the per-group repair backoff.
-    pub fn repair_backoff_cap(mut self, d: Duration) -> Self {
-        self.cfg.repair_backoff_cap = d;
-        self
-    }
-
     /// Validates the assembled configuration and returns it.
     pub fn build(self) -> Result<FuseConfig, ConfigError> {
         let c = &self.cfg;
         for (d, name) in [
-            (c.create_timeout, "create_timeout"),
-            (c.install_wait, "install_wait"),
             (c.member_repair_timeout, "member_repair_timeout"),
             (c.root_repair_timeout, "root_repair_timeout"),
             (c.link_failure_timeout, "link_failure_timeout"),
-            (c.repair_backoff_base, "repair_backoff_base"),
-            (c.repair_backoff_cap, "repair_backoff_cap"),
         ] {
             if d == Duration::ZERO {
                 return Err(ConfigError::ZeroDuration(name));
             }
-        }
-        if c.repair_backoff_base > c.repair_backoff_cap {
-            return Err(ConfigError::BackoffInverted);
         }
         if c.member_repair_timeout > c.root_repair_timeout {
             return Err(ConfigError::RepairWindowInverted);
@@ -507,7 +474,10 @@ mod tests {
         assert_eq!(c.member_repair_timeout, Duration::from_secs(60));
         assert_eq!(c.root_repair_timeout, Duration::from_secs(120));
         assert_eq!(c.reconcile_grace, Duration::from_secs(5));
-        assert_eq!(c.repair_backoff_cap, Duration::from_secs(40));
+        assert_eq!(REPAIR_BACKOFF_CAP, Duration::from_secs(40), "§6.5");
+        assert_eq!(REPAIR_BACKOFF_BASE, Duration::from_secs(1));
+        assert_eq!(CREATE_TIMEOUT, Duration::from_secs(10));
+        assert_eq!(INSTALL_WAIT, Duration::from_secs(30));
         assert!(
             c.link_failure_timeout > Duration::from_secs(80),
             "link expiry must exceed ping period + ping timeout"
@@ -523,20 +493,10 @@ mod tests {
     #[test]
     fn builder_rejects_zero_durations() {
         let err = FuseConfig::builder()
-            .create_timeout(Duration::ZERO)
+            .link_failure_timeout(Duration::ZERO)
             .build()
             .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroDuration("create_timeout"));
-    }
-
-    #[test]
-    fn builder_rejects_inverted_backoff() {
-        let err = FuseConfig::builder()
-            .repair_backoff_base(Duration::from_secs(50))
-            .repair_backoff_cap(Duration::from_secs(40))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::BackoffInverted);
+        assert_eq!(err, ConfigError::ZeroDuration("link_failure_timeout"));
     }
 
     #[test]
@@ -559,9 +519,8 @@ mod tests {
 
     #[test]
     fn config_errors_display_distinctly() {
-        let errs: [ConfigError; 4] = [
-            ConfigError::ZeroDuration("install_wait"),
-            ConfigError::BackoffInverted,
+        let errs: [ConfigError; 3] = [
+            ConfigError::ZeroDuration("link_failure_timeout"),
             ConfigError::RepairWindowInverted,
             ConfigError::GraceExceedsLinkTimeout,
         ];

@@ -28,15 +28,7 @@ fn default_and_empty_builder_validate() {
 fn every_base_duration_field_rejects_zero() {
     // (setter, reported field name) — one row per duration the base
     // validation loop walks, in its declared order.
-    let cases: [(&dyn Fn() -> Result<FuseConfig, ConfigError>, &str); 7] = [
-        (
-            &|| FuseConfig::builder().create_timeout(Z).build(),
-            "create_timeout",
-        ),
-        (
-            &|| FuseConfig::builder().install_wait(Z).build(),
-            "install_wait",
-        ),
+    let cases: [(&dyn Fn() -> Result<FuseConfig, ConfigError>, &str); 3] = [
         (
             &|| FuseConfig::builder().member_repair_timeout(Z).build(),
             "member_repair_timeout",
@@ -49,14 +41,6 @@ fn every_base_duration_field_rejects_zero() {
             &|| FuseConfig::builder().link_failure_timeout(Z).build(),
             "link_failure_timeout",
         ),
-        (
-            &|| FuseConfig::builder().repair_backoff_base(Z).build(),
-            "repair_backoff_base",
-        ),
-        (
-            &|| FuseConfig::builder().repair_backoff_cap(Z).build(),
-            "repair_backoff_cap",
-        ),
     ];
     for (build, field) in cases {
         assert_eq!(
@@ -65,23 +49,6 @@ fn every_base_duration_field_rejects_zero() {
             "zeroing {field} must name that field"
         );
     }
-}
-
-#[test]
-fn backoff_inversion_is_rejected_and_equality_allowed() {
-    let err = FuseConfig::builder()
-        .repair_backoff_base(secs(41))
-        .repair_backoff_cap(secs(40))
-        .build();
-    assert_eq!(err, Err(ConfigError::BackoffInverted));
-    let eq = FuseConfig::builder()
-        .repair_backoff_base(secs(40))
-        .repair_backoff_cap(secs(40))
-        .build();
-    assert!(
-        eq.is_ok(),
-        "base == cap degenerates to constant backoff, legal"
-    );
 }
 
 #[test]
@@ -100,7 +67,7 @@ fn repair_window_inversion_is_rejected_and_equality_allowed() {
 
 #[test]
 fn grace_must_stay_strictly_below_link_timeout() {
-    // `>=` (unlike the two inversions above): equality is already broken,
+    // `>=` (unlike the inversion above): equality is already broken,
     // because a fresh tree would be reconcile-immune for its whole
     // liveness window.
     let eq = FuseConfig::builder()
@@ -122,23 +89,22 @@ fn grace_must_stay_strictly_below_link_timeout() {
 
 #[test]
 fn zero_durations_are_reported_before_inversions() {
-    // A config that is simultaneously zero-duration AND backoff-inverted
-    // AND window-inverted: the zero must win, in field-declaration order.
+    // A config that is simultaneously zero-duration AND window-inverted
+    // AND grace-inverted: the zero must win, in field-declaration order.
     let err = FuseConfig::builder()
-        .create_timeout(Z)
-        .repair_backoff_base(secs(100))
-        .repair_backoff_cap(secs(1))
+        .root_repair_timeout(Z)
+        .link_failure_timeout(Z)
         .member_repair_timeout(secs(500))
+        .reconcile_grace(secs(100))
         .build();
-    assert_eq!(err, Err(ConfigError::ZeroDuration("create_timeout")));
-    // With the zero fixed, the first inversion in validation order
-    // (backoff) surfaces next.
+    assert_eq!(err, Err(ConfigError::ZeroDuration("root_repair_timeout")));
+    // With the zeros fixed, the first inversion in validation order
+    // (repair window) surfaces next.
     let err = FuseConfig::builder()
-        .repair_backoff_base(secs(100))
-        .repair_backoff_cap(secs(1))
         .member_repair_timeout(secs(500))
+        .reconcile_grace(secs(100))
         .build();
-    assert_eq!(err, Err(ConfigError::BackoffInverted));
+    assert_eq!(err, Err(ConfigError::RepairWindowInverted));
 }
 
 /// Any duration in [0, 200] seconds — zero included, so the strategy
@@ -153,40 +119,27 @@ proptest! {
     /// and reproduces the identical config.
     #[test]
     fn accepted_configs_revalidate_identically(
-        create in arb_secs(),
-        install in arb_secs(),
         member in arb_secs(),
         root in arb_secs(),
         link in arb_secs(),
         grace in arb_secs(),
-        base in arb_secs(),
-        cap in arb_secs(),
     ) {
         let attempt = FuseConfig::builder()
-            .create_timeout(create)
-            .install_wait(install)
             .member_repair_timeout(member)
             .root_repair_timeout(root)
             .link_failure_timeout(link)
             .reconcile_grace(grace)
-            .repair_backoff_base(base)
-            .repair_backoff_cap(cap)
             .build();
         if let Ok(cfg) = attempt {
             // Spot-check the invariants the builder claims to enforce.
-            prop_assert!(cfg.repair_backoff_base <= cfg.repair_backoff_cap);
             prop_assert!(cfg.member_repair_timeout <= cfg.root_repair_timeout);
             prop_assert!(cfg.reconcile_grace < cfg.link_failure_timeout);
             // Fixpoint: the accepted config re-validates byte-for-byte.
             let again = FuseConfig::builder()
-                .create_timeout(cfg.create_timeout)
-                .install_wait(cfg.install_wait)
                 .member_repair_timeout(cfg.member_repair_timeout)
                 .root_repair_timeout(cfg.root_repair_timeout)
                 .link_failure_timeout(cfg.link_failure_timeout)
                 .reconcile_grace(cfg.reconcile_grace)
-                .repair_backoff_base(cfg.repair_backoff_base)
-                .repair_backoff_cap(cfg.repair_backoff_cap)
                 .build();
             prop_assert_eq!(again, Ok(cfg));
         }

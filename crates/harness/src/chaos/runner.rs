@@ -34,10 +34,12 @@ pub struct ChaosConfig {
     /// Budget for every obligated notification, counted from the last
     /// script phase.
     pub detection_budget: SimDuration,
-    /// Extra settle time after the detection window in which burned-group
-    /// state must drain everywhere.
-    pub orphan_grace: SimDuration,
 }
+
+/// Extra settle time after the detection window in which burned-group
+/// state must drain everywhere: one more link-failure timeout plus a
+/// reconcile cycle.
+pub(crate) const ORPHAN_GRACE: SimDuration = SimDuration::from_secs(240);
 
 impl ChaosConfig {
     /// Defaults: the detection budget covers the worst honest chain the
@@ -45,8 +47,7 @@ impl ChaosConfig {
     /// notice a dead link, TCP give-up (~63 s) on a send into the void,
     /// the link-failure timeout (90 s), a member repair wait (60 s) or a
     /// root repair round (120 s) with backoff (≤40 s), plus propagation
-    /// margin — rounded up to 480 s. The orphan grace covers one more
-    /// link-failure timeout plus a reconcile cycle.
+    /// margin — rounded up to 480 s.
     pub fn new(seed: u64, n: usize, group_size: usize) -> Self {
         assert!((1..=5).contains(&group_size), "group_size must be 1..=5");
         assert!(n >= 12, "world too small for a spread group");
@@ -56,7 +57,6 @@ impl ChaosConfig {
             group_size,
             member_repair_timeout_s: None,
             detection_budget: SimDuration::from_secs(480),
-            orphan_grace: SimDuration::from_secs(240),
         }
     }
 
@@ -391,7 +391,7 @@ pub fn run_script_world(cfg: &ChaosConfig, script: &ChaosScript) -> (RunReport, 
 
     if burned {
         // Quiesce: burned-group state must drain from every live node.
-        let grace_end = world.now() + cfg.orphan_grace;
+        let grace_end = world.now() + ORPHAN_GRACE;
         world.run_until(grace_end, |sim| {
             (0..cfg.n as ProcId).all(|p| !sim.proc(p).is_some_and(|s| s.fuse.knows_group(id)))
         });

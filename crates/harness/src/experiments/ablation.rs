@@ -11,7 +11,8 @@
 
 use fuse_net::NetConfig;
 use fuse_obs::Reservoir;
-use fuse_sim::{PerfectMedium, ProcId, Sim, SimDuration};
+use fuse_sim::process::Ctx;
+use fuse_sim::{PerfectMedium, ProcId, Process, Sim, SimDuration};
 use fuse_simdriver::topologies::alltoall::AllToAllNode;
 use fuse_simdriver::topologies::central::CentralNode;
 use fuse_simdriver::topologies::direct::DirectNode;
@@ -82,83 +83,36 @@ fn overlay_rate(p: &Params, groups: usize) -> f64 {
     MsgTrace::rates(&s0, &s1).msgs_per_sec
 }
 
-fn direct_rate(p: &Params, groups: usize) -> f64 {
+/// Steady-state msg/s of one §5.1 alternative: `p.n` nodes built by
+/// `node`, then `groups` groups created by `create`. Roots and members are
+/// drawn from processes `first..p.n` (the central server, process 0, hosts
+/// none), member `k` of group `g` at offset `g * stride.0 + k * stride.1`.
+fn topology_rate<P: Process>(
+    p: &Params,
+    groups: usize,
+    node: impl Fn(ProcId) -> P,
+    first: usize,
+    stride: (usize, usize),
+    create: impl Fn(&mut P, &mut Ctx<'_, P::Msg, P::Timer>, Vec<ProcId>),
+) -> f64 {
     let medium = PerfectMedium::new(SimDuration::from_millis(30));
-    let mut sim: Sim<DirectNode, PerfectMedium, MsgTrace> =
-        Sim::with_trace(p.seed, medium, MsgTrace::new());
+    let mut sim: Sim<P, PerfectMedium, MsgTrace> = Sim::with_trace(p.seed, medium, MsgTrace::new());
     for i in 0..p.n {
-        sim.add_process(DirectNode::new(i as ProcId));
+        sim.add_process(node(i as ProcId));
     }
+    let span = p.n - first;
     for g in 0..groups {
-        let root = (g % p.n) as ProcId;
-        let members = {
-            let mut rng_members = Vec::new();
-            let mut k = 1usize;
-            while rng_members.len() < p.group_size - 1 {
-                let m = ((g * 31 + k * 17) % p.n) as ProcId;
-                k += 1;
-                if m != root && !rng_members.contains(&m) {
-                    rng_members.push(m);
-                }
-            }
-            rng_members
-        };
-        sim.with_proc(root, |n, ctx| n.create_group(ctx, members));
-    }
-    sim.run_for(SimDuration::from_secs(90));
-    let s0 = sim.trace().snapshot(sim.now());
-    let w = p.window;
-    sim.run_for(w);
-    let s1 = sim.trace().snapshot(sim.now());
-    MsgTrace::rates(&s0, &s1).msgs_per_sec
-}
-
-fn alltoall_rate(p: &Params, groups: usize) -> f64 {
-    let medium = PerfectMedium::new(SimDuration::from_millis(30));
-    let mut sim: Sim<AllToAllNode, PerfectMedium, MsgTrace> =
-        Sim::with_trace(p.seed, medium, MsgTrace::new());
-    for i in 0..p.n {
-        sim.add_process(AllToAllNode::new(i as ProcId));
-    }
-    for g in 0..groups {
-        let root = (g % p.n) as ProcId;
+        let root = (first + g % span) as ProcId;
         let mut members = Vec::new();
         let mut k = 1usize;
         while members.len() < p.group_size - 1 {
-            let m = ((g * 37 + k * 13) % p.n) as ProcId;
+            let m = (first + (g * stride.0 + k * stride.1) % span) as ProcId;
             k += 1;
             if m != root && !members.contains(&m) {
                 members.push(m);
             }
         }
-        sim.with_proc(root, |n, ctx| n.create_group(ctx, members));
-    }
-    sim.run_for(SimDuration::from_secs(90));
-    let s0 = sim.trace().snapshot(sim.now());
-    sim.run_for(p.window);
-    let s1 = sim.trace().snapshot(sim.now());
-    MsgTrace::rates(&s0, &s1).msgs_per_sec
-}
-
-fn central_rate(p: &Params, groups: usize) -> f64 {
-    let medium = PerfectMedium::new(SimDuration::from_millis(30));
-    let mut sim: Sim<CentralNode, PerfectMedium, MsgTrace> =
-        Sim::with_trace(p.seed, medium, MsgTrace::new());
-    for i in 0..p.n {
-        sim.add_process(CentralNode::new(i as ProcId, 0));
-    }
-    for g in 0..groups {
-        let root = (1 + g % (p.n - 1)) as ProcId;
-        let mut members = Vec::new();
-        let mut k = 1usize;
-        while members.len() < p.group_size - 1 {
-            let m = (1 + ((g * 41 + k * 19) % (p.n - 1))) as ProcId;
-            k += 1;
-            if m != root && !members.contains(&m) {
-                members.push(m);
-            }
-        }
-        sim.with_proc(root, |n, ctx| n.create_group(ctx, members));
+        sim.with_proc(root, |n, ctx| create(n, ctx, members));
     }
     sim.run_for(SimDuration::from_secs(90));
     let s0 = sim.trace().snapshot(sim.now());
@@ -176,9 +130,22 @@ pub fn run(p: &Params) -> AblationResult {
             (
                 g,
                 overlay_rate(p, g),
-                direct_rate(p, g),
-                alltoall_rate(p, g),
-                central_rate(p, g),
+                topology_rate(p, g, DirectNode::new, 0, (31, 17), |n, ctx, m| {
+                    n.create_group(ctx, m);
+                }),
+                topology_rate(p, g, AllToAllNode::new, 0, (37, 13), |n, ctx, m| {
+                    n.create_group(ctx, m);
+                }),
+                topology_rate(
+                    p,
+                    g,
+                    |i| CentralNode::new(i, 0),
+                    1,
+                    (41, 19),
+                    |n, ctx, m| {
+                        n.create_group(ctx, m);
+                    },
+                ),
             )
         })
         .collect();

@@ -17,6 +17,9 @@ use rand::SeedableRng;
 use crate::app::RecorderApp;
 use crate::metrics::MsgTrace;
 
+/// Virtual nodes per emulated physical machine (paper §7.1: 10).
+pub(crate) const NODES_PER_MACHINE: usize = 10;
+
 /// The concrete simulation type a [`World`] drives.
 pub type WorldSim = Sim<NodeStack<RecorderApp>, Network, MsgTrace>;
 
@@ -53,8 +56,6 @@ pub struct WorldParams {
     pub fuse: FuseConfig,
     /// Table bootstrap mode.
     pub bootstrap: Bootstrap,
-    /// Virtual nodes per emulated physical machine (paper: 10).
-    pub nodes_per_machine: usize,
 }
 
 impl WorldParams {
@@ -68,7 +69,6 @@ impl WorldParams {
             ov: OverlayConfig::default(),
             fuse: FuseConfig::default(),
             bootstrap: Bootstrap::Oracle,
-            nodes_per_machine: 10,
         }
     }
 }
@@ -125,8 +125,6 @@ pub struct World {
     pub sim: WorldSim,
     /// Identity of every node (index = process id).
     pub infos: Vec<NodeInfo>,
-    /// Nodes per emulated machine.
-    pub nodes_per_machine: usize,
 }
 
 impl World {
@@ -144,11 +142,7 @@ impl World {
             }
             sim.add_process(stack);
         }
-        World {
-            sim,
-            infos,
-            nodes_per_machine: p.nodes_per_machine,
-        }
+        World { sim, infos }
     }
 
     /// Runs for a span of simulated time.
@@ -271,11 +265,11 @@ impl World {
             .unwrap_or_default()
     }
 
-    /// The virtual nodes hosted on emulated machine `m` (paper: 10 per
-    /// machine).
+    /// The virtual nodes hosted on emulated machine `m`
+    /// (`NODES_PER_MACHINE` per machine).
     pub fn machine_nodes(&self, m: usize) -> Vec<ProcId> {
-        let lo = m * self.nodes_per_machine;
-        let hi = ((m + 1) * self.nodes_per_machine).min(self.infos.len());
+        let lo = m * NODES_PER_MACHINE;
+        let hi = ((m + 1) * NODES_PER_MACHINE).min(self.infos.len());
         (lo..hi).map(|i| i as ProcId).collect()
     }
 

@@ -65,3 +65,32 @@ pub use fault::FaultPlane;
 pub use network::{EmulationProfile, NetConfig, Network};
 pub use routes::{OracleStats, RouteInfo, RouteOracle};
 pub use topology::{LinkClass, RouterId, Topology, TopologyConfig, SAME_ROUTER_LATENCY};
+
+#[cfg(test)]
+mod tests {
+    use fuse_sim::SimDuration;
+
+    /// The paper's fixed network parameters (§7.1–7.2), pinned in one place.
+    #[test]
+    fn defaults_match_paper_constants() {
+        assert_eq!(crate::topology::OC3_LATENCY_MS, (10, 40));
+        assert_eq!(crate::topology::T3_LATENCY_MS, (300, 500));
+        assert_eq!(crate::topology::LAN_LATENCY_US, (300, 1000));
+        let (serialization, virtualization) = (2.8, 1.1);
+        assert_eq!(
+            crate::network::CLUSTER_OVERHEAD,
+            SimDuration::from_millis_f64(serialization)
+                + SimDuration::from_millis_f64(virtualization)
+        );
+        assert_eq!(
+            crate::network::CLUSTER_OVERHEAD,
+            SimDuration::from_millis(3) + SimDuration::from_micros(900)
+        );
+        assert_eq!(crate::network::MAX_JITTER, SimDuration::from_micros(500));
+        assert_eq!(
+            crate::tcp::give_up_after(SimDuration::from_millis(100)),
+            SimDuration::from_secs(63),
+            "TCP gives up after 1+2+4+8+16+32 s"
+        );
+    }
+}

@@ -8,11 +8,11 @@
 //!   event simulator "used the same latency values, but did not model
 //!   bandwidth constraints".
 //! * [`EmulationProfile::Cluster`] — adds the measured ModelNet-cluster
-//!   costs the paper reports: 2.8 ms per message send (XML serialization)
-//!   plus 1.1 ms virtual-node multiplexing overhead, and a TCP
-//!   connection-establishment round trip on first contact (connections are
-//!   cached thereafter, which is why the paper's "2nd Cluster RPC" tracks
-//!   the simulator curve in Figure 6).
+//!   costs the paper reports (`CLUSTER_OVERHEAD`): 2.8 ms per message send
+//!   (XML serialization) plus 1.1 ms virtual-node multiplexing overhead,
+//!   and a TCP connection-establishment round trip on first contact
+//!   (connections are cached thereafter, which is why the paper's "2nd
+//!   Cluster RPC" tracks the simulator curve in Figure 6).
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -23,83 +23,59 @@ use fuse_util::DetHashSet;
 
 use crate::fault::FaultPlane;
 use crate::routes::{OracleStats, RouteInfo, RouteOracle};
-use crate::tcp::{TcpConfig, TcpModel, TcpOutcome};
+use crate::tcp::{self, TcpOutcome};
 use crate::topology::{RouterId, Topology};
 
+/// Per-message cost on the paper's ModelNet cluster (§7.2's
+/// micro-benchmark): 2.8 ms of XML serialization plus 1.1 ms of
+/// virtual-node multiplexing.
+pub(crate) const CLUSTER_OVERHEAD: SimDuration = SimDuration::from_micros(3_900);
+
+/// Most uniform jitter added to each delivery, for tie spreading.
+pub(crate) const MAX_JITTER: SimDuration = SimDuration::from_micros(500);
+
 /// Which evaluation vehicle to emulate.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EmulationProfile {
     /// The paper's discrete-event simulator: latency only.
+    #[default]
     Simulator,
     /// The paper's 40-machine ModelNet cluster with 10 virtual nodes per
-    /// machine.
-    Cluster {
-        /// Per-message serialization cost (paper micro-benchmark: 2.8 ms).
-        serialization: SimDuration,
-        /// Per-message virtual-node multiplexing cost (paper: 1.1 ms).
-        virtualization: SimDuration,
-    },
+    /// machine: `CLUSTER_OVERHEAD` per message and a connection set-up
+    /// round trip on first contact.
+    Cluster,
 }
 
 impl EmulationProfile {
-    /// Cluster profile with the paper's measured constants.
-    pub fn cluster_default() -> Self {
-        EmulationProfile::Cluster {
-            serialization: SimDuration::from_millis_f64(2.8),
-            virtualization: SimDuration::from_millis_f64(1.1),
-        }
-    }
-
     fn per_message_overhead(&self) -> SimDuration {
         match *self {
             EmulationProfile::Simulator => SimDuration::ZERO,
-            EmulationProfile::Cluster {
-                serialization,
-                virtualization,
-            } => serialization + virtualization,
+            EmulationProfile::Cluster => CLUSTER_OVERHEAD,
         }
     }
 
     fn models_connection_setup(&self) -> bool {
-        matches!(self, EmulationProfile::Cluster { .. })
+        *self == EmulationProfile::Cluster
     }
 }
 
 /// Network configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetConfig {
     /// Emulation profile (simulator vs cluster).
     pub profile: EmulationProfile,
-    /// Uniform per-link Bernoulli loss rate (Figures 11–12); 0 disables.
-    pub per_link_loss: f64,
-    /// TCP policy.
-    pub tcp: TcpConfig,
-    /// Uniform jitter added to each delivery, for tie spreading.
-    pub max_jitter: SimDuration,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            profile: EmulationProfile::Simulator,
-            per_link_loss: 0.0,
-            tcp: TcpConfig::default(),
-            max_jitter: SimDuration::from_micros(500),
-        }
-    }
 }
 
 impl NetConfig {
-    /// Simulator profile, no loss.
+    /// Simulator profile.
     pub fn simulator() -> Self {
         NetConfig::default()
     }
 
-    /// Cluster profile with the paper's constants, no loss.
+    /// Cluster profile.
     pub fn cluster() -> Self {
         NetConfig {
-            profile: EmulationProfile::cluster_default(),
-            ..NetConfig::default()
+            profile: EmulationProfile::Cluster,
         }
     }
 }
@@ -114,8 +90,10 @@ pub struct Network {
     topo: Topology,
     routes: RouteOracle,
     attach: Vec<RouterId>,
-    cfg: NetConfig,
-    tcp: TcpModel,
+    profile: EmulationProfile,
+    /// Uniform per-link Bernoulli loss rate (Figures 11–12); 0 until
+    /// [`Network::set_per_link_loss`] changes it.
+    per_link_loss: f64,
     fault: FaultPlane,
     /// Process liveness as told by the kernel (checked on every send:
     /// a dense bitset keeps the lookup branchless and cache-resident).
@@ -155,13 +133,12 @@ impl Network {
         let row_bytes = endpoints.len().max(1) * std::mem::size_of::<u64>();
         let rows = endpoints.len().min(ROUTE_ROW_BUDGET_BYTES / row_bytes);
         let routes = RouteOracle::new(&endpoints, rows);
-        let tcp = TcpModel::new(cfg.tcp.clone());
         Network {
             topo,
             routes,
             attach,
-            cfg,
-            tcp,
+            profile: cfg.profile,
+            per_link_loss: 0.0,
             fault: FaultPlane::new(),
             down: ProcBitSet::default(),
             conns: DetHashSet::default(),
@@ -213,7 +190,7 @@ impl Network {
     /// loss after group creation).
     pub fn set_per_link_loss(&mut self, p: f64) {
         assert!((0.0..1.0).contains(&p), "loss rate must be in [0,1)");
-        self.cfg.per_link_loss = p;
+        self.per_link_loss = p;
         self.p_success_by_hops.clear();
     }
 
@@ -222,7 +199,7 @@ impl Network {
     fn p_success(&mut self, route: RouteInfo) -> f64 {
         let table = &mut self.p_success_by_hops;
         for hops in table.len() as u32..=route.hops {
-            let one_way = RouteInfo { hops, ..route }.delivery_prob(self.cfg.per_link_loss);
+            let one_way = RouteInfo { hops, ..route }.delivery_prob(self.per_link_loss);
             table.push(one_way * one_way);
         }
         table[route.hops as usize]
@@ -230,7 +207,7 @@ impl Network {
 
     /// Current per-link loss rate.
     pub fn per_link_loss(&self) -> f64 {
-        self.cfg.per_link_loss
+        self.per_link_loss
     }
 
     /// Count of connection-break events so far.
@@ -314,7 +291,7 @@ impl Medium for Network {
             self.obs.record(Event::ConnectionBroken);
             self.drop_conn(from, to);
             return Verdict::Break {
-                sender_notice: now + self.tcp.give_up_after(rtt),
+                sender_notice: now + tcp::give_up_after(rtt),
             };
         }
 
@@ -339,18 +316,16 @@ impl Medium for Network {
                 (1.0 - self.fault.link_loss(from, to)) * (1.0 - self.fault.link_loss(to, from));
         }
 
-        match self.tcp.attempt(rng, rtt, p_success) {
+        match tcp::attempt(rng, rtt, p_success) {
             TcpOutcome::Delivered { extra_delay } => {
                 let mut latency = route.latency + extra_delay;
-                latency = latency + self.cfg.profile.per_message_overhead();
+                latency = latency + self.profile.per_message_overhead();
                 let first_contact = self.conns.insert(normalize(from, to));
-                if first_contact && self.cfg.profile.models_connection_setup() {
+                if first_contact && self.profile.models_connection_setup() {
                     // SYN + SYN-ACK before the data segment.
                     latency = latency + rtt;
                 }
-                if self.cfg.max_jitter > SimDuration::ZERO {
-                    latency = latency + SimDuration(rng.gen_range(0..=self.cfg.max_jitter.nanos()));
-                }
+                latency = latency + SimDuration(rng.gen_range(0..=MAX_JITTER.nanos()));
                 self.obs.record(Event::BytesDelivered {
                     class,
                     bytes: size as u64,
@@ -414,7 +389,7 @@ mod tests {
         let (mut net, mut rng) = small_net(NetConfig::cluster());
         let info = net.route_info(0, 1);
         let rtt = info.latency.saturating_mul(2);
-        let overhead = SimDuration::from_millis_f64(3.9);
+        let overhead = CLUSTER_OVERHEAD;
         let first = match net.unicast(SimTime::ZERO, &mut rng, 0, 1, 100, "msg") {
             Verdict::Deliver { at } => at,
             other => panic!("{other:?}"),

@@ -24,30 +24,18 @@ use rand::Rng;
 
 use fuse_sim::SimDuration;
 
-/// Retransmission policy.
-#[derive(Debug, Clone)]
-pub struct TcpConfig {
-    /// Minimum retransmission timeout (initial RTO floor).
-    pub min_rto: SimDuration,
-    /// RTO as a multiple of measured RTT (classic conservative 2×).
-    pub rtt_multiplier: f64,
-    /// Retransmissions after the first attempt before the connection breaks.
-    pub max_retries: u32,
-}
+/// Minimum retransmission timeout (initial RTO floor).
+pub(crate) const MIN_RTO: SimDuration = SimDuration::from_secs(1);
 
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            // 1 s floor, 5 retries: gives up after 1+2+4+8+16+32 = 63 s for
-            // an unreachable peer — slower than the overlay's 20 s ping
-            // timeout, so (as in the paper) the liveness timeout, not TCP,
-            // usually detects failures first.
-            min_rto: SimDuration::from_secs(1),
-            rtt_multiplier: 2.0,
-            max_retries: 5,
-        }
-    }
-}
+/// RTO as a multiple of the path's RTT (the classic conservative 2×).
+pub(crate) const RTT_MULTIPLIER: u64 = 2;
+
+/// Retransmissions after the first attempt before the connection breaks.
+/// With the 1 s floor an unreachable peer is given up on after
+/// 1+2+4+8+16+32 = 63 s — slower than the overlay's 20 s ping timeout, so
+/// (as in the paper) the liveness timeout, not TCP, usually detects
+/// failures first.
+pub(crate) const MAX_RETRIES: u32 = 5;
 
 /// Outcome of pushing one message through a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,64 +52,48 @@ pub enum TcpOutcome {
     },
 }
 
-/// The model itself (stateless; connection caching lives in `Network`).
-#[derive(Debug, Clone, Default)]
-pub struct TcpModel {
-    /// Policy knobs.
-    pub cfg: TcpConfig,
+/// Initial RTO for a path with round-trip time `rtt`.
+pub fn initial_rto(rtt: SimDuration) -> SimDuration {
+    rtt.saturating_mul(RTT_MULTIPLIER).max(MIN_RTO)
 }
 
-impl TcpModel {
-    /// Creates a model with the given policy.
-    pub fn new(cfg: TcpConfig) -> Self {
-        TcpModel { cfg }
+/// Total time before the sender gives up on an unresponsive peer.
+pub fn give_up_after(rtt: SimDuration) -> SimDuration {
+    let mut total = SimDuration::ZERO;
+    let mut rto = initial_rto(rtt);
+    for _ in 0..=MAX_RETRIES {
+        total = total + rto;
+        rto = rto.saturating_mul(2);
     }
+    total
+}
 
-    /// Initial RTO for a path with round-trip time `rtt`.
-    pub fn initial_rto(&self, rtt: SimDuration) -> SimDuration {
-        let scaled = rtt.mul_f64(self.cfg.rtt_multiplier);
-        scaled.max(self.cfg.min_rto)
+/// Samples the fate of one message whose single-attempt success
+/// probability (data out and ACK back) is `success_prob`.
+pub fn attempt(rng: &mut StdRng, rtt: SimDuration, success_prob: f64) -> TcpOutcome {
+    debug_assert!((0.0..=1.0).contains(&success_prob));
+    if success_prob <= 0.0 {
+        return TcpOutcome::Broken {
+            give_up_after: give_up_after(rtt),
+        };
     }
+    let mut extra = SimDuration::ZERO;
+    let mut rto = initial_rto(rtt);
+    for _ in 0..=MAX_RETRIES {
+        if rng.gen_bool(success_prob) {
+            return TcpOutcome::Delivered { extra_delay: extra };
+        }
+        extra = extra + rto;
+        rto = rto.saturating_mul(2);
+    }
+    TcpOutcome::Broken {
+        give_up_after: extra,
+    }
+}
 
-    /// Total time before the sender gives up on an unresponsive peer.
-    pub fn give_up_after(&self, rtt: SimDuration) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let mut rto = self.initial_rto(rtt);
-        for _ in 0..=self.cfg.max_retries {
-            total = total + rto;
-            rto = rto.saturating_mul(2);
-        }
-        total
-    }
-
-    /// Samples the fate of one message whose single-attempt success
-    /// probability (data out and ACK back) is `success_prob`.
-    pub fn attempt(&self, rng: &mut StdRng, rtt: SimDuration, success_prob: f64) -> TcpOutcome {
-        debug_assert!((0.0..=1.0).contains(&success_prob));
-        if success_prob <= 0.0 {
-            return TcpOutcome::Broken {
-                give_up_after: self.give_up_after(rtt),
-            };
-        }
-        let mut extra = SimDuration::ZERO;
-        let mut rto = self.initial_rto(rtt);
-        for attempt in 0..=self.cfg.max_retries {
-            if rng.gen_bool(success_prob) {
-                return TcpOutcome::Delivered { extra_delay: extra };
-            }
-            extra = extra + rto;
-            rto = rto.saturating_mul(2);
-            let _ = attempt;
-        }
-        TcpOutcome::Broken {
-            give_up_after: extra,
-        }
-    }
-
-    /// Probability that a message breaks the connection (all attempts fail).
-    pub fn break_probability(&self, success_prob: f64) -> f64 {
-        (1.0 - success_prob).powi(self.cfg.max_retries as i32 + 1)
-    }
+/// Probability that a message breaks the connection (all attempts fail).
+pub fn break_probability(success_prob: f64) -> f64 {
+    (1.0 - success_prob).powi(MAX_RETRIES as i32 + 1)
 }
 
 #[cfg(test)]
@@ -135,10 +107,9 @@ mod tests {
 
     #[test]
     fn lossless_path_never_delays() {
-        let m = TcpModel::default();
         let mut r = rng();
         for _ in 0..100 {
-            match m.attempt(&mut r, SimDuration::from_millis(130), 1.0) {
+            match attempt(&mut r, SimDuration::from_millis(130), 1.0) {
                 TcpOutcome::Delivered { extra_delay } => {
                     assert_eq!(extra_delay, SimDuration::ZERO)
                 }
@@ -149,10 +120,9 @@ mod tests {
 
     #[test]
     fn dead_path_always_breaks_after_full_backoff() {
-        let m = TcpModel::default();
         let mut r = rng();
-        let out = m.attempt(&mut r, SimDuration::from_millis(100), 0.0);
-        // 1+2+4+8+16+32 s with the default 1 s floor.
+        let out = attempt(&mut r, SimDuration::from_millis(100), 0.0);
+        // 1+2+4+8+16+32 s with the 1 s floor.
         assert_eq!(
             out,
             TcpOutcome::Broken {
@@ -160,21 +130,20 @@ mod tests {
             }
         );
         assert_eq!(
-            m.give_up_after(SimDuration::from_millis(100)),
+            give_up_after(SimDuration::from_millis(100)),
             SimDuration::from_secs(63)
         );
     }
 
     #[test]
     fn rto_floor_and_rtt_scaling() {
-        let m = TcpModel::default();
         assert_eq!(
-            m.initial_rto(SimDuration::from_millis(100)),
+            initial_rto(SimDuration::from_millis(100)),
             SimDuration::from_secs(1),
             "floor applies to short RTTs"
         );
         assert_eq!(
-            m.initial_rto(SimDuration::from_millis(900)),
+            initial_rto(SimDuration::from_millis(900)),
             SimDuration::from_millis(1800),
             "2x RTT beyond the floor"
         );
@@ -182,20 +151,19 @@ mod tests {
 
     #[test]
     fn empirical_break_rate_matches_formula() {
-        let m = TcpModel::default();
         let mut r = rng();
         let p_success = 0.6;
         let trials = 200_000;
         let mut breaks = 0;
         for _ in 0..trials {
             if matches!(
-                m.attempt(&mut r, SimDuration::from_millis(100), p_success),
+                attempt(&mut r, SimDuration::from_millis(100), p_success),
                 TcpOutcome::Broken { .. }
             ) {
                 breaks += 1;
             }
         }
-        let expect = m.break_probability(p_success);
+        let expect = break_probability(p_success);
         let got = breaks as f64 / trials as f64;
         assert!(
             (got - expect).abs() < 0.0015,
@@ -206,18 +174,13 @@ mod tests {
     #[test]
     fn extra_delay_is_a_backoff_prefix_sum() {
         // With success only on the third attempt the delay must be RTO0+RTO1.
-        let m = TcpModel::new(TcpConfig {
-            min_rto: SimDuration::from_secs(1),
-            rtt_multiplier: 2.0,
-            max_retries: 5,
-        });
         // Drive the RNG until we observe a two-failure sample, then check
         // its delay is exactly 3 s.
         let mut r = rng();
         let mut seen = false;
         for _ in 0..10_000 {
             if let TcpOutcome::Delivered { extra_delay } =
-                m.attempt(&mut r, SimDuration::from_millis(50), 0.5)
+                attempt(&mut r, SimDuration::from_millis(50), 0.5)
             {
                 if extra_delay == SimDuration::from_secs(3) {
                     seen = true;

@@ -36,10 +36,21 @@ use fuse_sim::SimDuration;
 /// rather than a ModelNet-emulated wide-area route. 100 µs is a
 /// conservative one-way delay for the switched 100 Mb Ethernet of that era
 /// — below the per-hop latency of every generated LAN link
-/// ([`TopologyConfig::lan_latency_us`] defaults to 300–1000 µs) but not
-/// zero, so events between co-located nodes still order realistically.
-/// [`crate::RouteOracle`] returns it for same-router queries.
+/// (`LAN_LATENCY_US`) but not zero, so events between co-located nodes
+/// still order realistically. [`crate::RouteOracle`] returns it for
+/// same-router queries.
 pub const SAME_ROUTER_LATENCY: SimDuration = SimDuration::from_micros(100);
+
+/// LAN (intra-AS) one-way latency range in microseconds.
+pub(crate) const LAN_LATENCY_US: (u64, u64) = (300, 1000);
+
+/// OC3 one-way latency range in milliseconds (paper §7.1: 10–40).
+pub(crate) const OC3_LATENCY_MS: (u64, u64) = (10, 40);
+
+/// T3 one-way latency range in milliseconds (paper §7.1: 300–500).
+pub(crate) const T3_LATENCY_MS: (u64, u64) = (300, 500);
+
+const _: () = assert!(SAME_ROUTER_LATENCY.0 < LAN_LATENCY_US.0 * 1_000);
 
 /// Index of a router in the topology.
 pub type RouterId = u32;
@@ -88,12 +99,6 @@ pub struct TopologyConfig {
     pub inter_as_extra_factor: f64,
     /// Fraction of inter-AS links assigned the T3 class (paper: 0.03).
     pub t3_fraction: f64,
-    /// LAN (intra-AS) one-way latency range in microseconds.
-    pub lan_latency_us: (u64, u64),
-    /// OC3 one-way latency range in milliseconds (paper: 10–40).
-    pub oc3_latency_ms: (u64, u64),
-    /// T3 one-way latency range in milliseconds (paper: 300–500).
-    pub t3_latency_ms: (u64, u64),
 }
 
 impl Default for TopologyConfig {
@@ -108,9 +113,6 @@ impl Default for TopologyConfig {
             chain_len: (4, 11),
             inter_as_extra_factor: 10.0,
             t3_fraction: 0.03,
-            lan_latency_us: (300, 1000),
-            oc3_latency_ms: (10, 40),
-            t3_latency_ms: (300, 500),
         }
     }
 }
@@ -198,7 +200,7 @@ impl Topology {
                     let a = core[i];
                     let b = core[(i + 1) % core.len()];
                     if !topo.has_link(a, b) {
-                        topo.add_lan(a, b, rng, cfg);
+                        topo.add_lan(a, b, rng);
                     }
                 }
             }
@@ -207,7 +209,7 @@ impl Topology {
                 let mut prev = core[rng.gen_range(0..core.len())];
                 for _ in 0..len {
                     let r = topo.new_router(asn as u32);
-                    topo.add_lan(prev, r, rng, cfg);
+                    topo.add_lan(prev, r, rng);
                     topo.attachable.push(r);
                     prev = r;
                 }
@@ -228,7 +230,7 @@ impl Topology {
             let y = order[(w + 1) % cfg.n_as];
             let rx = pick(rng, &core_routers[x]);
             let ry = pick(rng, &core_routers[y]);
-            inter_links.push(topo.add_oc3(rx, ry, rng, cfg));
+            inter_links.push(topo.add_oc3(rx, ry, rng));
         }
         let extra = (cfg.n_as as f64 * cfg.inter_as_extra_factor) as usize;
         for _ in 0..extra {
@@ -238,7 +240,7 @@ impl Topology {
                 let rx = pick(rng, &core_routers[x]);
                 let ry = pick(rng, &core_routers[y]);
                 if rx != ry && !topo.has_link(rx, ry) {
-                    inter_links.push(topo.add_oc3(rx, ry, rng, cfg));
+                    inter_links.push(topo.add_oc3(rx, ry, rng));
                 }
             }
         }
@@ -247,7 +249,7 @@ impl Topology {
         let n_t3 = ((inter_links.len() as f64) * cfg.t3_fraction).round() as usize;
         inter_links.shuffle(rng);
         for &li in inter_links.iter().take(n_t3) {
-            let ms = rng.gen_range(cfg.t3_latency_ms.0..=cfg.t3_latency_ms.1);
+            let ms = rng.gen_range(T3_LATENCY_MS.0..=T3_LATENCY_MS.1);
             topo.links[li as usize].class = LinkClass::T3;
             topo.links[li as usize].latency = SimDuration::from_millis(ms);
         }
@@ -347,19 +349,13 @@ impl Draft {
         id
     }
 
-    fn add_lan(&mut self, a: RouterId, b: RouterId, rng: &mut StdRng, cfg: &TopologyConfig) {
-        let us = rng.gen_range(cfg.lan_latency_us.0..=cfg.lan_latency_us.1);
+    fn add_lan(&mut self, a: RouterId, b: RouterId, rng: &mut StdRng) {
+        let us = rng.gen_range(LAN_LATENCY_US.0..=LAN_LATENCY_US.1);
         self.push_link(a, b, LinkClass::Lan, SimDuration::from_micros(us));
     }
 
-    fn add_oc3(
-        &mut self,
-        a: RouterId,
-        b: RouterId,
-        rng: &mut StdRng,
-        cfg: &TopologyConfig,
-    ) -> LinkId {
-        let ms = rng.gen_range(cfg.oc3_latency_ms.0..=cfg.oc3_latency_ms.1);
+    fn add_oc3(&mut self, a: RouterId, b: RouterId, rng: &mut StdRng) -> LinkId {
+        let ms = rng.gen_range(OC3_LATENCY_MS.0..=OC3_LATENCY_MS.1);
         self.push_link(a, b, LinkClass::Oc3, SimDuration::from_millis(ms))
     }
 
@@ -532,12 +528,6 @@ mod tests {
             b.fingerprint(),
             "different seed must change the fingerprint even if counts collide"
         );
-    }
-
-    #[test]
-    fn same_router_latency_is_below_generated_lan_links() {
-        let cfg = TopologyConfig::default();
-        assert!(SAME_ROUTER_LATENCY.nanos() < cfg.lan_latency_us.0 * 1_000);
     }
 
     #[test]

@@ -161,7 +161,11 @@ fn parse_opts() -> Result<Opts, String> {
                         .map(ProtoDuration::from_secs)
                 };
                 match flag {
-                    "--ping-secs" => overlay.ping_period = secs()?,
+                    // A zero period re-arms the ping timer at +0 forever.
+                    "--ping-secs" => match secs()? {
+                        ProtoDuration::ZERO => return Err("--ping-secs must be non-zero".into()),
+                        period => overlay.ping_period = period,
+                    },
                     "--ping-timeout-secs" => overlay.ping_timeout = secs()?,
                     "--link-timeout-secs" => fuse = fuse.link_failure_timeout(secs()?),
                     "--member-repair-secs" => fuse = fuse.member_repair_timeout(secs()?),

@@ -1,9 +1,29 @@
-//! Overlay configuration.
+//! Overlay configuration and the paper's fixed overlay parameters.
 
 use fuse_util::Duration as SimDuration;
 
-/// Tunables for the overlay, defaulting to the paper's configuration (§7.1):
-/// 60 s ping period, 20 s ping timeout, base 8, leaf set of size 16.
+/// Leaf-set entries per side (paper §7.1: a leaf set of 16, 8 per side).
+pub(crate) const LEAF_SIDE: usize = 8;
+
+/// Maximum numeric-ID levels of the routing table (base 8, so 8 digits
+/// address 16.7 M nodes).
+pub(crate) const MAX_LEVELS: usize = 8;
+
+/// Period of background table-maintenance probes to random names.
+pub(crate) const MAINTENANCE_PERIOD: SimDuration = SimDuration::from_secs(120);
+
+/// TTL of routed messages (loop guard).
+pub(crate) const ROUTE_TTL: u8 = 64;
+
+/// Join retry timeout.
+pub(crate) const JOIN_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// Capacity of the passive candidate cache.
+pub(crate) const CANDIDATE_CACHE: usize = 256;
+
+/// The overlay's failure-detector timings, defaulting to the paper's
+/// configuration (§7.1): 60 s ping period, 20 s ping timeout. Everything
+/// else about the overlay is a constant in this module.
 #[derive(Debug, Clone)]
 pub struct OverlayConfig {
     /// Liveness ping period per neighbor.
@@ -11,18 +31,6 @@ pub struct OverlayConfig {
     /// Time to wait for a ping acknowledgment before declaring the neighbor
     /// dead.
     pub ping_timeout: SimDuration,
-    /// Leaf-set entries per side (paper: 8 per side, 16 total).
-    pub leaf_side: usize,
-    /// Period of background table-maintenance probes to random names.
-    pub maintenance_period: SimDuration,
-    /// TTL for routed messages (loop guard).
-    pub route_ttl: u8,
-    /// Join retry timeout.
-    pub join_timeout: SimDuration,
-    /// Maximum numeric-ID levels used for routing-table construction.
-    pub max_levels: usize,
-    /// Capacity of the passive candidate cache.
-    pub candidate_cache: usize,
 }
 
 impl Default for OverlayConfig {
@@ -30,12 +38,6 @@ impl Default for OverlayConfig {
         OverlayConfig {
             ping_period: SimDuration::from_secs(60),
             ping_timeout: SimDuration::from_secs(20),
-            leaf_side: 8,
-            maintenance_period: SimDuration::from_secs(120),
-            route_ttl: 64,
-            join_timeout: SimDuration::from_secs(10),
-            max_levels: 8,
-            candidate_cache: 256,
         }
     }
 }
@@ -49,6 +51,11 @@ mod tests {
         let c = OverlayConfig::default();
         assert_eq!(c.ping_period, SimDuration::from_secs(60));
         assert_eq!(c.ping_timeout, SimDuration::from_secs(20));
-        assert_eq!(c.leaf_side * 2, 16);
+        assert_eq!(LEAF_SIDE * 2, 16, "§7.1: a leaf set of 16");
+        assert_eq!(MAX_LEVELS, 8);
+        assert_eq!(MAINTENANCE_PERIOD, SimDuration::from_secs(120));
+        assert_eq!(ROUTE_TTL, 64);
+        assert_eq!(JOIN_TIMEOUT, SimDuration::from_secs(10));
+        assert_eq!(CANDIDATE_CACHE, 256);
     }
 }

@@ -7,7 +7,10 @@ use fuse_util::DetHashMap;
 use fuse_util::{Duration, PeerAddr, TimerKey};
 use fuse_wire::{Decode, Digest, Encode};
 
-use crate::config::OverlayConfig;
+use crate::config::{
+    OverlayConfig, CANDIDATE_CACHE, JOIN_TIMEOUT, LEAF_SIDE, MAINTENANCE_PERIOD, MAX_LEVELS,
+    ROUTE_TTL,
+};
 use crate::id::{
     closer_clockwise, closer_counterclockwise, further_clockwise, NodeInfo, NodeName, NumericId,
 };
@@ -88,7 +91,6 @@ impl OverlayNode {
     /// a new ring when `None`).
     pub fn new(me: NodeInfo, bootstrap: Option<PeerAddr>, cfg: OverlayConfig) -> Self {
         let numeric = me.numeric();
-        let levels = cfg.max_levels;
         OverlayNode {
             cfg,
             me,
@@ -97,7 +99,7 @@ impl OverlayNode {
             ready: false,
             leaves_cw: Vec::new(),
             leaves_ccw: Vec::new(),
-            rtable: vec![[None, None]; levels],
+            rtable: vec![[None, None]; MAX_LEVELS],
             known: DetHashMap::default(),
             ping_timers: DetHashMap::default(),
             ack_waits: DetHashMap::default(),
@@ -153,11 +155,8 @@ impl OverlayNode {
         } else {
             self.send_join(io);
         }
-        let jitter = Duration(io.rng().gen_range(0..=self.cfg.maintenance_period.nanos()));
-        io.set_timer(
-            self.cfg.maintenance_period + jitter,
-            OverlayTimer::Maintenance,
-        );
+        let jitter = Duration(io.rng().gen_range(0..=MAINTENANCE_PERIOD.nanos()));
+        io.set_timer(MAINTENANCE_PERIOD + jitter, OverlayTimer::Maintenance);
     }
 
     fn send_join(&mut self, io: &mut OverlayCx<'_>) {
@@ -169,13 +168,13 @@ impl OverlayNode {
             OverlayMsg::Routed {
                 src: self.me,
                 target: self.me.name,
-                ttl: self.cfg.route_ttl,
+                ttl: ROUTE_TTL,
                 class: RoutedClass::Join as u8,
                 payload,
                 path: Vec::new(),
             },
         );
-        let h = io.set_timer(self.cfg.join_timeout, OverlayTimer::JoinRetry);
+        let h = io.set_timer(JOIN_TIMEOUT, OverlayTimer::JoinRetry);
         self.join_timer = Some(h);
     }
 
@@ -241,7 +240,7 @@ impl OverlayNode {
         if cand.proc == self.me.proc || cand.name == self.me.name {
             return false;
         }
-        if self.known.len() < self.cfg.candidate_cache {
+        if self.known.len() < CANDIDATE_CACHE {
             self.known.insert(cand.proc, *cand);
         }
         let mut changed = self.leaf_insert(cand);
@@ -266,14 +265,14 @@ impl OverlayNode {
                     self.leaves_cw.insert(i, *cand);
                     changed = true;
                 }
-                None if self.leaves_cw.len() < self.cfg.leaf_side => {
+                None if self.leaves_cw.len() < LEAF_SIDE => {
                     self.leaves_cw.push(*cand);
                     changed = true;
                 }
                 None => {}
             }
-            if self.leaves_cw.len() > self.cfg.leaf_side {
-                self.leaves_cw.truncate(self.cfg.leaf_side);
+            if self.leaves_cw.len() > LEAF_SIDE {
+                self.leaves_cw.truncate(LEAF_SIDE);
             }
         }
         // Counterclockwise side.
@@ -287,14 +286,14 @@ impl OverlayNode {
                     self.leaves_ccw.insert(i, *cand);
                     changed = true;
                 }
-                None if self.leaves_ccw.len() < self.cfg.leaf_side => {
+                None if self.leaves_ccw.len() < LEAF_SIDE => {
                     self.leaves_ccw.push(*cand);
                     changed = true;
                 }
                 None => {}
             }
-            if self.leaves_ccw.len() > self.cfg.leaf_side {
-                self.leaves_ccw.truncate(self.cfg.leaf_side);
+            if self.leaves_ccw.len() > LEAF_SIDE {
+                self.leaves_ccw.truncate(LEAF_SIDE);
             }
         }
         changed
@@ -479,7 +478,7 @@ impl OverlayNode {
                     OverlayMsg::Routed {
                         src: self.me,
                         target: *target,
-                        ttl: self.cfg.route_ttl,
+                        ttl: ROUTE_TTL,
                         class: RoutedClass::Client as u8,
                         payload,
                         path: Vec::new(),
@@ -775,7 +774,7 @@ impl OverlayNode {
                 if self.ready {
                     self.send_probe(io);
                 }
-                io.set_timer(self.cfg.maintenance_period, OverlayTimer::Maintenance);
+                io.set_timer(MAINTENANCE_PERIOD, OverlayTimer::Maintenance);
             }
         }
     }
@@ -808,7 +807,7 @@ impl OverlayNode {
                 OverlayMsg::Routed {
                     src: self.me,
                     target,
-                    ttl: self.cfg.route_ttl,
+                    ttl: ROUTE_TTL,
                     class: RoutedClass::Probe as u8,
                     payload: Bytes::new(),
                     path,

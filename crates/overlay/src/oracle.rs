@@ -13,7 +13,7 @@
 
 use fuse_util::DetHashMap;
 
-use crate::config::OverlayConfig;
+use crate::config::{OverlayConfig, LEAF_SIDE, MAX_LEVELS};
 use crate::id::{NodeInfo, NumericId};
 
 /// Per-node tables: `(leaves_cw, leaves_ccw, rtable)`.
@@ -21,8 +21,10 @@ pub type OracleTables = (Vec<NodeInfo>, Vec<NodeInfo>, Vec<[Option<NodeInfo>; 2]
 
 /// Builds converged tables for every node in `members`.
 ///
-/// Names must be unique. Complexity O(levels · n log n).
-pub fn build_oracle_tables(members: &[NodeInfo], cfg: &OverlayConfig) -> Vec<OracleTables> {
+/// Names must be unique. Complexity O(levels · n log n). The table shape
+/// is fixed (`LEAF_SIDE`, `MAX_LEVELS`), so `_cfg` is no longer read;
+/// the parameter stays for the callers that pass it.
+pub fn build_oracle_tables(members: &[NodeInfo], _cfg: &OverlayConfig) -> Vec<OracleTables> {
     let n = members.len();
     assert!(n >= 1);
     // Global ring order.
@@ -44,9 +46,8 @@ pub fn build_oracle_tables(members: &[NodeInfo], cfg: &OverlayConfig) -> Vec<Ora
     // Prefix buckets per level: ring positions of members sharing the first
     // `level` digits, in ring order.
     let mut out: Vec<OracleTables> = Vec::with_capacity(n);
-    let mut level_buckets: Vec<DetHashMap<Vec<u8>, Vec<usize>>> =
-        Vec::with_capacity(cfg.max_levels);
-    for level in 0..cfg.max_levels {
+    let mut level_buckets: Vec<DetHashMap<Vec<u8>, Vec<usize>>> = Vec::with_capacity(MAX_LEVELS);
+    for level in 0..MAX_LEVELS {
         let mut buckets: DetHashMap<Vec<u8>, Vec<usize>> = DetHashMap::default();
         for &m in &ring {
             let key: Vec<u8> = (0..level).map(|d| numerics[m].digit(d)).collect();
@@ -58,14 +59,14 @@ pub fn build_oracle_tables(members: &[NodeInfo], cfg: &OverlayConfig) -> Vec<Ora
     for m in 0..n {
         let p = pos[m];
         // Leaf sets: nearest ring neighbors each side.
-        let mut cw = Vec::with_capacity(cfg.leaf_side);
-        let mut ccw = Vec::with_capacity(cfg.leaf_side);
-        for k in 1..=cfg.leaf_side.min(n.saturating_sub(1)) {
+        let mut cw = Vec::with_capacity(LEAF_SIDE);
+        let mut ccw = Vec::with_capacity(LEAF_SIDE);
+        for k in 1..=LEAF_SIDE.min(n.saturating_sub(1)) {
             cw.push(members[ring[(p + k) % n]]);
             ccw.push(members[ring[(p + n - k) % n]]);
         }
         // Routing table: nearest same-prefix node per side per level.
-        let mut rtable: Vec<[Option<NodeInfo>; 2]> = vec![[None, None]; cfg.max_levels];
+        let mut rtable: Vec<[Option<NodeInfo>; 2]> = vec![[None, None]; MAX_LEVELS];
         for (level, buckets) in level_buckets.iter().enumerate() {
             let key: Vec<u8> = (0..level).map(|d| numerics[m].digit(d)).collect();
             let bucket = &buckets[&key];

@@ -168,12 +168,14 @@ pub struct SvConfig {
     /// (the "V" of SV trees): a volunteer hit by a join request grafts
     /// itself onto the tree instead of being bypassed.
     pub volunteer: bool,
-    /// Delay before a failed or invalidated join is retried.
-    pub rejoin_delay: SimDuration,
-    /// Watchdog: if a join request goes unanswered this long (lost to a
-    /// stale route or a dying hop), it is retried with a fresh version.
-    pub join_retry: SimDuration,
 }
+
+/// Delay before a failed or invalidated join is retried.
+pub(crate) const REJOIN_DELAY: SimDuration = SimDuration::from_secs(1);
+
+/// Watchdog: if a join request goes unanswered this long (lost to a stale
+/// route or a dying hop), it is retried with a fresh version.
+pub(crate) const JOIN_RETRY: SimDuration = SimDuration::from_secs(10);
 
 impl SvConfig {
     /// A non-subscribing node (potential bypass or volunteer).
@@ -182,8 +184,6 @@ impl SvConfig {
             topic,
             subscribe: false,
             volunteer: false,
-            rejoin_delay: SimDuration::from_secs(1),
-            join_retry: SimDuration::from_secs(10),
         }
     }
 }
@@ -320,14 +320,14 @@ impl SvApp {
                 api.send_app(next, msg.to_bytes());
                 // Watchdog: joins can vanish into stale routes while the
                 // overlay is still repairing; retry until linked.
-                api.set_app_timer(self.cfg.join_retry, TIMER_REJOIN);
+                api.set_app_timer(JOIN_RETRY, TIMER_REJOIN);
             }
         }
     }
 
     fn schedule_rejoin(&mut self, api: &mut FuseApi<'_>) {
         if self.wants_tree() && !self.on_tree && self.pending.is_none() {
-            api.set_app_timer(self.cfg.rejoin_delay, TIMER_REJOIN);
+            api.set_app_timer(REJOIN_DELAY, TIMER_REJOIN);
         }
     }
 
