@@ -1,10 +1,9 @@
 //! Wall-clock microbenchmarks for the hot paths no `BENCHMARK.json`
-//! per-layer metric isolates: SHA-1 throughput of the three
-//! implementations, the route oracle's hit/miss latency and one agreeing
-//! ping through a node stack by the number of groups on the link. Prints a
-//! table and asserts what it measures (hits hit, misses miss, a ping's cost
-//! does not grow with the groups); regressions are judged against
-//! `benchmark/`, not here.
+//! per-layer metric isolates: the route oracle's hit/miss latency and one
+//! agreeing ping through a node stack by the number of groups on the link.
+//! Prints a table and asserts what it measures (hits hit, misses miss, a
+//! ping's cost does not grow with the groups); regressions are judged
+//! against `benchmark/`, not here.
 //!
 //! ```text
 //! cargo run --release -p fuse_harness --bin microbench
@@ -19,42 +18,12 @@ use fuse_core::{
 use fuse_net::{RouteOracle, Topology, TopologyConfig};
 use fuse_overlay::{NodeInfo, NodeName, OverlayConfig, OverlayMsg};
 use fuse_util::{PeerAddr, Time};
-use fuse_wire::{sha1, Digest, Encode};
+use fuse_wire::Encode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Timed passes per figure; the best (SHA-1) or median (routes) is shown.
+/// Timed passes per figure; the median is shown.
 const REPS: usize = 5;
-
-/// Best GiB/s of `f` hashing `data` over `REPS` passes of `iters` calls.
-fn gib_per_s(data: &[u8], iters: u64, f: impl Fn(&[u8]) -> Digest) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let mut acc = 0u8;
-        for _ in 0..iters {
-            acc ^= f(black_box(data)).0[0];
-        }
-        black_box(acc);
-        let gib = (iters * data.len() as u64) as f64 / f64::from(1u32 << 30);
-        best = best.max(gib / t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn sha1_table() {
-    println!("sha1        auto GiB/s   portable GiB/s   reference GiB/s");
-    for size in [64usize, 1024, 16 * 1024] {
-        let data = vec![0xabu8; size];
-        let iters = (16 << 20) / size as u64;
-        println!(
-            "{size:>6} B   {:>10.3}   {:>14.3}   {:>15.3}",
-            gib_per_s(&data, iters, sha1),
-            gib_per_s(&data, iters, fuse_wire::sha1::sha1_portable),
-            gib_per_s(&data, iters, fuse_wire::sha1::reference::sha1),
-        );
-    }
-}
 
 /// Median ns per call of `query` over `REPS` samples of `calls` calls.
 fn median_ns(calls: usize, mut query: impl FnMut() -> u64) -> f64 {
@@ -223,8 +192,6 @@ fn ping_table() {
 }
 
 fn main() {
-    sha1_table();
-    println!();
     route_table();
     println!();
     ping_table();

@@ -28,14 +28,14 @@ USAGE:
 OPTIONS:
     --node-bin <PATH>    fuse-node binary (default: FUSE_NODE_BIN env, else
                          target-dir sibling of this binary)
-    --nodes <N>          fleet size (default 10; paper scale)
+    --nodes <N>          fleet size (default 10; paper scale; >= 4)
     --groups <G>         concurrent groups per round (default 5; <= N)
     --rounds <R>         rounds per fault class (default 4)
     --classes <LIST>     comma list of kill,sever,signal (default all)
     --seed <U64>         plan + proxy seed (default 1)
     --budget-secs <S>    fault->last-notified SLO (default 480)
     --delay-ms <MS>      ambient one-way delay on every link (default 0)
-    --loss-pct <P>       ambient per-frame loss percent (default 0)
+    --loss-pct <P>       ambient per-frame loss percent (default 0; < 100)
     --skip-sim           skip the simulator reference run
     --replay <TOKEN>     replay a chaos-v1 token instead of the load run
     --time-scale <F>     compress replay op offsets by this factor (default 1)
@@ -129,6 +129,9 @@ fn parse_opts() -> Opts {
             }
             other => usage_err(&format!("unknown argument `{other}`")),
         }
+    }
+    if let Err(e) = opts.params.check() {
+        usage_err(&e);
     }
     opts
 }

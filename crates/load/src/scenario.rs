@@ -93,6 +93,32 @@ impl ScenarioParams {
             loss_pct: 0,
         }
     }
+
+    /// Refuses a shape that [`plan`] or the simulator reference run cannot
+    /// serve: fewer than 4 nodes (a group has 3–5 participants), more
+    /// groups than nodes (victims are sampled without replacement) or a
+    /// loss of 100 % or more (the simulator's loss rate is below 1).
+    pub fn check(&self) -> Result<(), String> {
+        if self.nodes < 4 {
+            return Err(format!(
+                "need at least 4 nodes for 3-participant groups, got {}",
+                self.nodes
+            ));
+        }
+        if self.groups > self.nodes {
+            return Err(format!(
+                "victims are sampled without replacement: groups ({}) must be <= nodes ({})",
+                self.groups, self.nodes
+            ));
+        }
+        if self.loss_pct >= 100 {
+            return Err(format!(
+                "loss percent must be below 100, got {}",
+                self.loss_pct
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// One group in a round: a root, its member list, and which participant
@@ -159,15 +185,13 @@ fn sample_distinct(rng: &mut StdRng, n: usize, k: usize, exclude: &[usize]) -> V
 
 /// Builds the full deterministic schedule: `rounds` rounds per class in
 /// `classes`, each with `groups` groups of 3–5 participants.
+///
+/// # Panics
+/// If `p` fails [`ScenarioParams::check`].
 pub fn plan(p: &ScenarioParams, classes: &[FaultClass]) -> Vec<RoundPlan> {
-    assert!(
-        p.nodes >= 4,
-        "need at least 4 nodes for 3-participant groups"
-    );
-    assert!(
-        p.groups <= p.nodes,
-        "victims are sampled without replacement: groups must be <= nodes"
-    );
+    if let Err(e) = p.check() {
+        panic!("{e}");
+    }
     let mut rng = StdRng::seed_from_u64(p.seed);
     let mut rounds = Vec::new();
     for &class in classes {

@@ -159,3 +159,30 @@ fn chaos_token_replays_against_live_processes() {
     // 1 root + 3 members, minus the crashed slot-1 member = 3 survivors.
     assert_eq!(out.live_notified.len(), 3, "{:?}", out.live_notified);
 }
+
+#[test]
+fn plans_the_fleet_cannot_serve_are_usage_errors() {
+    // Past parsing, each would trip an assert (the plan's, or the
+    // simulator's loss-rate range) and exit 101 with a panic.
+    let cases: [(&[&str], &str); 3] = [
+        (&["--nodes", "3"], "need at least 4 nodes"),
+        (
+            &["--nodes", "10", "--groups", "11"],
+            "groups (11) must be <= nodes (10)",
+        ),
+        (&["--loss-pct", "100"], "loss percent must be below 100"),
+    ];
+    for (args, why) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_fuse-load"))
+            .args(args)
+            .output()
+            .expect("run fuse-load");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}: usage error, got {out:?}"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why), "{args:?}: stderr says why: {stderr}");
+    }
+}

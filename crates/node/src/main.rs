@@ -160,13 +160,16 @@ fn parse_opts() -> Result<Opts, String> {
                         .and_then(|v| parse(&v))
                         .map(ProtoDuration::from_secs)
                 };
+                // A zero period re-arms the ping timer at +0 forever; a zero
+                // timeout fires before any ack can arrive, so every ping
+                // would declare its neighbour dead.
+                let mut nonzero = || match secs()? {
+                    ProtoDuration::ZERO => Err(format!("{flag} must be non-zero")),
+                    d => Ok(d),
+                };
                 match flag {
-                    // A zero period re-arms the ping timer at +0 forever.
-                    "--ping-secs" => match secs()? {
-                        ProtoDuration::ZERO => return Err("--ping-secs must be non-zero".into()),
-                        period => overlay.ping_period = period,
-                    },
-                    "--ping-timeout-secs" => overlay.ping_timeout = secs()?,
+                    "--ping-secs" => overlay.ping_period = nonzero()?,
+                    "--ping-timeout-secs" => overlay.ping_timeout = nonzero()?,
                     "--link-timeout-secs" => fuse = fuse.link_failure_timeout(secs()?),
                     "--member-repair-secs" => fuse = fuse.member_repair_timeout(secs()?),
                     "--root-repair-secs" => fuse = fuse.root_repair_timeout(secs()?),

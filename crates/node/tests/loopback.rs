@@ -348,19 +348,27 @@ fn peer_flag_rejects_a_repeated_id() {
 #[test]
 fn ping_flag_rejects_zero() {
     // A zero ping period re-arms the ping timer at +0 on every loop turn:
-    // the node would spin at full CPU and flood its peers.
-    let out = Command::new(env!("CARGO_BIN_EXE_fuse-node"))
-        .args(["--id", "0", "--listen", "127.0.0.1:0", "--ping-secs", "0"])
-        .args(["--run-secs", "2"])
-        .stdin(Stdio::null())
-        .output()
-        .expect("run fuse-node");
-    assert_eq!(out.status.code(), Some(2), "usage error, got {out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--ping-secs must be non-zero"),
-        "stderr names the flag: {stderr}"
-    );
+    // the node would spin at full CPU and flood its peers. A zero ping
+    // timeout fires before any ack can arrive: every ping would declare its
+    // neighbour dead and burn every group on the link.
+    for flag in ["--ping-secs", "--ping-timeout-secs"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fuse-node"))
+            .args(["--id", "0", "--listen", "127.0.0.1:0", flag, "0"])
+            .args(["--run-secs", "2"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run fuse-node");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flag} 0: usage error, got {out:?}"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} must be non-zero")),
+            "stderr names the flag: {stderr}"
+        );
+    }
 }
 
 #[test]

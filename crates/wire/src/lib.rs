@@ -11,9 +11,9 @@
 //!   hash of paper §7.5) remains exact — the hints are property-tested
 //!   against real encodings, and [`codec::twopass`] preserves the original
 //!   two-pass path as the differential reference.
-//! * [`sha1`](mod@sha1) — SHA-1, implemented from scratch (80-round unrolled
-//!   compression; [`sha1::reference`] keeps the rolled loop for differential
-//!   tests) and validated against the FIPS 180-1 test vectors. The paper
+//! * [`sha1`](mod@sha1) — SHA-1, implemented from scratch as one portable
+//!   rolled-loop block function and validated against the FIPS 180-1 test
+//!   vectors and known answers from an independent implementation. The paper
 //!   piggybacks "a SHA1 hash (20 bytes)" of the jointly-monitored FUSE ID
 //!   list on overlay ping requests (§6.1).
 
