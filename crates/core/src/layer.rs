@@ -208,7 +208,10 @@ struct MemberState {
 }
 
 enum RoleState {
-    Root(RootState),
+    /// Boxed: a node keeps a record for every group it roots, joins or
+    /// relays, and few of them are roots; the rest should not carry the
+    /// root's state inline.
+    Root(Box<RootState>),
     Member(MemberState),
     Delegate,
 }
@@ -375,7 +378,7 @@ impl FuseLayer {
                 Group {
                     seq: 0,
                     root: self.me,
-                    role: RoleState::Root(RootState {
+                    role: RoleState::Root(Box::new(RootState {
                         members: Vec::new(),
                         install_missing: DetHashSet::default(),
                         install_timer: None,
@@ -383,7 +386,7 @@ impl FuseLayer {
                         kick: None,
                         dirty: false,
                         backoff: new_backoff(),
-                    }),
+                    })),
                     created_at: now,
                     links: DetHashMap::default(),
                 },
@@ -648,7 +651,7 @@ impl FuseLayer {
             Group {
                 seq: 0,
                 root: self.me,
-                role: RoleState::Root(RootState {
+                role: RoleState::Root(Box::new(RootState {
                     members: attempt.members,
                     install_missing,
                     install_timer,
@@ -656,7 +659,7 @@ impl FuseLayer {
                     kick: None,
                     dirty: false,
                     backoff: new_backoff(),
-                }),
+                })),
                 created_at: now,
                 links: DetHashMap::default(),
             },
@@ -1092,12 +1095,9 @@ impl FuseLayer {
                 let failed = matches!(
                     self.groups.get(&id),
                     Some(Group {
-                        role: RoleState::Root(RootState {
-                            repair: Some(r),
-                            ..
-                        }),
+                        role: RoleState::Root(rs),
                         ..
-                    }) if r.seq == seq && !r.awaiting.is_empty()
+                    }) if rs.repair.as_ref().is_some_and(|r| r.seq == seq && !r.awaiting.is_empty())
                 );
                 if failed {
                     self.group_failed_at_root(cx, ov, id, None, NotifyReason::RepairFailed);
@@ -1131,9 +1131,10 @@ impl FuseLayer {
             .groups
             .iter()
             .filter(|(_, g)| match &g.role {
-                RoleState::Root(RootState {
-                    repair: Some(r), ..
-                }) => r.awaiting.contains(&peer),
+                RoleState::Root(rs) => rs
+                    .repair
+                    .as_ref()
+                    .is_some_and(|r| r.awaiting.contains(&peer)),
                 _ => false,
             })
             .map(|(&id, _)| id)
@@ -1537,4 +1538,20 @@ impl FuseLayer {
 
 fn new_backoff() -> Backoff {
     Backoff::new(REPAIR_BACKOFF_BASE.nanos(), REPAIR_BACKOFF_CAP.nanos())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn group_record_keeps_root_state_out_of_line() {
+        // One record per (group, node), and few of them are roots: the
+        // root's state must not widen the member and delegate records.
+        assert!(
+            std::mem::size_of::<Group>() <= 112,
+            "Group is {} bytes",
+            std::mem::size_of::<Group>()
+        );
+    }
 }

@@ -1,7 +1,8 @@
 //! Wall-clock microbenchmarks for the hot paths no `BENCHMARK.json`
-//! per-layer metric isolates: the route oracle's hit/miss latency and one
-//! agreeing ping through a node stack by the number of groups on the link.
-//! Prints a table and asserts what it measures (hits hit, misses miss, a
+//! per-layer metric isolates: the sim kernel's event queue under the ping
+//! shape, the route oracle's hit/miss latency and one agreeing ping through
+//! a node stack by the number of groups on the link. Prints a table and
+//! asserts what it measures (the event count, hits hit, misses miss, a
 //! ping's cost does not grow with the groups); regressions are judged
 //! against `benchmark/`, not here.
 //!
@@ -17,6 +18,8 @@ use fuse_core::{
 };
 use fuse_net::{RouteOracle, Topology, TopologyConfig};
 use fuse_overlay::{NodeInfo, NodeName, OverlayConfig, OverlayMsg};
+use fuse_sim::process::Ctx;
+use fuse_sim::{Payload, PerfectMedium, ProcId, Process, Sim, SimDuration};
 use fuse_util::{PeerAddr, Time};
 use fuse_wire::Encode;
 use rand::rngs::StdRng;
@@ -40,6 +43,101 @@ fn median_ns(calls: usize, mut query: impl FnMut() -> u64) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[REPS / 2]
+}
+
+/// Processes in the kernel-queue row.
+const PINGERS: u32 = 1_000;
+/// Their ping period.
+const PERIOD: SimDuration = SimDuration::from_secs(60);
+/// Ping periods per timed sample of the kernel-queue row.
+const PERIODS_PER_SAMPLE: u64 = 20;
+
+/// A process with only the timers of an overlay node's ping: a periodic
+/// timer and, each period, a one-shot timeout that fires unwanted.
+struct Pinger {
+    /// Boot offset of the first period, so arms spread over the period.
+    offset: SimDuration,
+}
+
+#[derive(Clone)]
+enum PingTimer {
+    Period,
+    Timeout,
+}
+
+#[derive(Clone)]
+struct NoMsg;
+
+impl Payload for NoMsg {
+    fn size_bytes(&self) -> usize {
+        0
+    }
+}
+
+impl Process for Pinger {
+    type Msg = NoMsg;
+    type Timer = PingTimer;
+
+    fn on_boot(&mut self, ctx: &mut Ctx<'_, NoMsg, PingTimer>) {
+        ctx.set_timer(self.offset, PingTimer::Period);
+    }
+
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, NoMsg, PingTimer>, _from: ProcId, _m: NoMsg) {}
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, NoMsg, PingTimer>, tag: PingTimer) {
+        if let PingTimer::Period = tag {
+            ctx.set_timer(PERIOD, PingTimer::Period);
+            ctx.set_timer(SimDuration::from_secs(20), PingTimer::Timeout);
+        }
+    }
+}
+
+/// This process's resident set in kB, from `/proc/self/status` (0 where
+/// there is none).
+fn vm_rss_kb() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("VmRSS:"))
+                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        })
+        .unwrap_or(0)
+}
+
+/// ns per event of the kernel's queue under [`PINGERS`] processes with the
+/// ping's two timers, through `Sim`'s public API, and how far the resident
+/// set grows once the first period has armed everything.
+fn kernel_queue() {
+    let mut sim = Sim::new(0xF0D2, PerfectMedium::new(SimDuration::from_millis(1)));
+    for i in 0..u64::from(PINGERS) {
+        let offset = SimDuration(PERIOD.nanos() * i / u64::from(PINGERS));
+        sim.add_process(Pinger { offset });
+    }
+    sim.run_for(PERIOD);
+    // Over [0 s, 60 s]: every first period, process 0's second (its offset
+    // is 0), and the timeouts of the 667 processes whose offset is at most
+    // 40 s.
+    assert_eq!(sim.events_executed(), 1_668, "first-period event count");
+    let rss_after_first = vm_rss_kb();
+    // Each later period fires both timers of every process once.
+    let per_sample = 2 * u64::from(PINGERS) * PERIODS_PER_SAMPLE;
+    let ns = median_ns(1, || {
+        let before = sim.events_executed();
+        sim.run_for(SimDuration(PERIOD.nanos() * PERIODS_PER_SAMPLE));
+        let events = sim.events_executed() - before;
+        assert_eq!(
+            events, per_sample,
+            "events per {PERIODS_PER_SAMPLE} periods"
+        );
+        events
+    }) / per_sample as f64;
+    let grown = vm_rss_kb().saturating_sub(rss_after_first);
+    println!(
+        "kernel queue ({PINGERS} processes, 60 s period + 20 s timeout): {ns:.0} ns per event   \
+         VmRSS +{grown} kB over {} periods after the first",
+        REPS as u64 * PERIODS_PER_SAMPLE
+    );
 }
 
 /// Hit, reverse-row hit and miss latency for 400 endpoints on the default
@@ -192,6 +290,8 @@ fn ping_table() {
 }
 
 fn main() {
+    kernel_queue();
+    println!();
     route_table();
     println!();
     ping_table();

@@ -5,8 +5,9 @@
 //! inline), timers, link-break notices, scheduled crashes and restarts —
 //! went through one `BinaryHeap`, paying an O(log n) sift per push/pop and
 //! moving whole `P::Msg` payloads during sifts. [`BaselineSim`] keeps that
-//! scheduler for differential testing, with the same timer semantics as
-//! [`crate::Sim`] (a timer fires only into the incarnation that armed it):
+//! scheduler for differential testing, with the same incarnation rule as
+//! [`crate::Sim`] (a timer fires, and a link-break notice arrives, only in
+//! the incarnation that armed the timer or made the send):
 //! `tests/kernel_equivalence.rs` drives identical scripts through
 //! [`BaselineSim`] and [`crate::Sim`] and requires bit-identical traces;
 //! any ordering divergence in the wheel fails loudly.
@@ -38,6 +39,7 @@ enum Event<P: Process> {
     },
     LinkBroken {
         proc: ProcId,
+        incarnation: u32,
         peer: ProcId,
     },
     Crash(ProcId),
@@ -213,8 +215,14 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
                     self.dispatch(proc, |p, ctx| p.on_timer(ctx, tag));
                 }
             }
-            Event::LinkBroken { proc, peer } => {
-                self.dispatch(proc, |p, ctx| p.on_link_broken(ctx, peer));
+            Event::LinkBroken {
+                proc,
+                incarnation,
+                peer,
+            } => {
+                if self.procs[proc as usize].incarnation == incarnation {
+                    self.dispatch(proc, |p, ctx| p.on_link_broken(ctx, peer));
+                }
             }
             Event::Crash(id) => self.crash(id),
             Event::Restart(id, state) => {
@@ -276,13 +284,13 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
             );
         }
         for (to, msg) in sends.drain(..) {
-            self.perform_send(id, to, msg);
+            self.perform_send(id, incarnation, to, msg);
         }
         self.scratch_sends = sends;
         self.scratch_timers = new_timers;
     }
 
-    fn perform_send(&mut self, from: ProcId, to: ProcId, msg: P::Msg) {
+    fn perform_send(&mut self, from: ProcId, incarnation: u32, to: ProcId, msg: P::Msg) {
         let size = msg.size_bytes();
         let class = msg.class();
         let verdict = self
@@ -300,6 +308,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
                     sender_notice,
                     Event::LinkBroken {
                         proc: from,
+                        incarnation,
                         peer: to,
                     },
                 );

@@ -5,9 +5,11 @@
 //! # Scheduler structure (the hot path)
 //!
 //! Every event is a compact token in one hierarchical [`TimingWheel`]:
-//! amortized O(1) insert and expiry, no allocation in steady state. The
-//! wheel orders by the global `(time, seq)` pair — earliest first, FIFO
-//! among equal timestamps, bit-for-bit deterministic for a fixed seed.
+//! amortized O(1) insert and expiry, no allocation in steady state, and
+//! storage bounded by the peak number of events pending at once (one arena
+//! of entries, each slot a list through it). The wheel orders by the
+//! global `(time, seq)` pair — earliest first, FIFO among equal
+//! timestamps, bit-for-bit deterministic for a fixed seed.
 //!
 //! * A **delivery** token is a slab index: the potentially large `P::Msg`
 //!   payload is parked in a generation-checked slab, so payloads are
@@ -18,9 +20,12 @@
 //!   predecessor's timers. The kernel keeps no timer table and offers no
 //!   cancel; cancelling is the process's job (`FuseStack` discards the
 //!   stale keys it is fed).
-//! * **Link-break notices** and scheduled **crashes** and **restarts** are
-//!   tokens too (restart state parked in a second slab), so scripting them
-//!   allocates nothing per call.
+//! * A **link-break notice** carries the incarnation of the process whose
+//!   send broke, under the timer rule: a process restarted before the
+//!   notice fires never hears of its predecessor's broken sends.
+//! * Scheduled **crashes** and **restarts** are tokens too (restart state
+//!   parked in a second slab), so scripting them allocates nothing per
+//!   call.
 //!
 //! `baseline::BaselineSim` preserves the original single-heap scheduler;
 //! differential tests in `tests/kernel_equivalence.rs` hold the two to
@@ -48,6 +53,7 @@ enum Pending<T> {
     },
     LinkBroken {
         proc: ProcId,
+        incarnation: u32,
         peer: ProcId,
     },
     Crash(ProcId),
@@ -102,7 +108,8 @@ impl<T> Slab<T> {
 
 struct ProcSlot<P> {
     proc: Option<P>,
-    /// Bumped by every crash; timers armed under an older value are dead.
+    /// Bumped by every crash; timers armed and link-break notices earned
+    /// under an older value are dead.
     incarnation: u32,
 }
 
@@ -334,8 +341,14 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
                     self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
                 }
             }
-            Pending::LinkBroken { proc, peer } => {
-                self.dispatch(proc, |p, ctx| p.on_link_broken(ctx, peer));
+            Pending::LinkBroken {
+                proc,
+                incarnation,
+                peer,
+            } => {
+                if self.procs[proc as usize].incarnation == incarnation {
+                    self.dispatch(proc, |p, ctx| p.on_link_broken(ctx, peer));
+                }
             }
             Pending::Crash(id) => self.crash(id),
             Pending::Restart { id, idx, gen } => {
@@ -409,13 +422,13 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
             );
         }
         for (to, msg) in sends.drain(..) {
-            self.perform_send(id, to, msg);
+            self.perform_send(id, incarnation, to, msg);
         }
         self.scratch_sends = sends;
         self.scratch_timers = new_timers;
     }
 
-    fn perform_send(&mut self, from: ProcId, to: ProcId, msg: P::Msg) {
+    fn perform_send(&mut self, from: ProcId, incarnation: u32, to: ProcId, msg: P::Msg) {
         let size = msg.size_bytes();
         let class = msg.class();
         let verdict = self
@@ -434,6 +447,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
                     sender_notice,
                     Pending::LinkBroken {
                         proc: from,
+                        incarnation,
                         peer: to,
                     },
                 );
@@ -567,6 +581,23 @@ mod tests {
         assert!(!sim.is_up(1));
         // Sending again to the dead node breaks the link.
         sim.with_proc(0, |_n, ctx| ctx.send(1, Msg::Ping(9)));
+        sim.run_for(SimDuration::from_secs(60));
+        assert_eq!(sim.proc(0).unwrap().broken_links, vec![1]);
+    }
+
+    #[test]
+    fn restarted_process_does_not_hear_predecessors_link_breaks() {
+        let mut sim = two_nodes(4);
+        sim.crash(1);
+        // The notice for this send is due 20 s later, after 0 has restarted.
+        sim.with_proc(0, |_n, ctx| ctx.send(1, Msg::Ping(9)));
+        sim.run_for(SimDuration::from_secs(5));
+        sim.crash(0);
+        sim.restart(0, Node::new(1, false));
+        sim.run_for(SimDuration::from_secs(60));
+        assert_eq!(sim.proc(0).unwrap().broken_links, Vec::<ProcId>::new());
+        // The new incarnation still hears the breaks of its own sends.
+        sim.with_proc(0, |_n, ctx| ctx.send(1, Msg::Ping(10)));
         sim.run_for(SimDuration::from_secs(60));
         assert_eq!(sim.proc(0).unwrap().broken_links, vec![1]);
     }

@@ -17,15 +17,25 @@
 //! keeps a 64-bit occupancy bitmap, so finding the next non-empty slot is a
 //! shift plus `trailing_zeros` rather than a scan.
 //!
+//! # Storage
+//!
+//! Every slotted entry lives in one arena `Vec`; a slot is only the `u32`
+//! head of an intrusive singly linked list through that arena, and freed
+//! nodes recycle through a free list threaded the same way. Cascading a
+//! slot relinks node indices into finer slots and copies no entry. So the
+//! wheel's storage is bounded by the peak number of entries pending at
+//! once, not by the sum of every slot's own peak, and steady-state
+//! operation allocates nothing.
+//!
 //! # Exactness
 //!
 //! Slots are coarser than timestamps, so expiring a slot *cascades* its
 //! entries down to finer levels; entries whose tick has been reached move
 //! into a small `due` heap ordered by the exact `(time, seq)` pair, which
 //! is the kernel's determinism contract: earliest first, FIFO among equal
-//! timestamps. `prepare` maintains the invariant that makes this sound:
-//! whenever [`peek`] returns an entry, no entry anywhere in the wheel
-//! precedes it.
+//! timestamps. The order of a slot's list is therefore irrelevant.
+//! `prepare` maintains the invariant that makes this sound: whenever
+//! [`peek`] returns an entry, no entry anywhere in the wheel precedes it.
 //!
 //! [`peek`]: TimingWheel::peek
 
@@ -42,6 +52,8 @@ const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels; 11 × 6 bits ≥ 64, so every u64 tick distance has a level.
 const LEVELS: usize = 11;
+/// End of an arena list (an empty slot, or an exhausted free list).
+const NIL: u32 = u32::MAX;
 
 fn tick_of(at: SimTime) -> u64 {
     at.nanos() >> TICK_SHIFT
@@ -83,16 +95,25 @@ impl<T> Ord for DueEntry<T> {
     }
 }
 
-struct Level<T> {
-    occupied: u64,
-    slots: [Vec<WheelEntry<T>>; SLOTS],
+/// One arena node: a slotted entry, or (when `entry` is `None`) a member
+/// of the free list.
+struct Node<T> {
+    entry: Option<WheelEntry<T>>,
+    /// Next node in the same slot's list, or in the free list.
+    next: u32,
 }
 
-impl<T> Level<T> {
+struct Level {
+    occupied: u64,
+    /// Arena index of each slot's first node, or `NIL`.
+    heads: [u32; SLOTS],
+}
+
+impl Level {
     fn new() -> Self {
         Level {
             occupied: 0,
-            slots: std::array::from_fn(|_| Vec::new()),
+            heads: [NIL; SLOTS],
         }
     }
 
@@ -131,7 +152,11 @@ impl<T> Level<T> {
 
 /// Hierarchical timing wheel; see the module docs.
 pub struct TimingWheel<T> {
-    levels: Vec<Level<T>>,
+    levels: [Level; LEVELS],
+    /// Every slotted entry; slots and the free list are lists through it.
+    arena: Vec<Node<T>>,
+    /// First free arena node, or `NIL`.
+    free: u32,
     /// Current position in ticks. Invariant: every entry stored in a level
     /// slot has `tick > cursor`; entries at or before the cursor live in
     /// `due`.
@@ -155,7 +180,9 @@ impl<T> TimingWheel<T> {
     /// Empty wheel positioned at time zero.
     pub fn new() -> Self {
         TimingWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            levels: std::array::from_fn(|_| Level::new()),
+            arena: Vec::new(),
+            free: NIL,
             cursor: 0,
             due: BinaryHeap::new(),
             len: 0,
@@ -183,17 +210,36 @@ impl<T> TimingWheel<T> {
             // zero-delay timer armed from a handler): goes straight to the
             // exact-order heap.
             self.due.push(DueEntry(entry));
-        } else {
-            self.insert_into_slot(entry, tick);
+            return;
         }
+        let node = if self.free == NIL {
+            assert!(self.arena.len() < NIL as usize, "wheel arena full");
+            let node = self.arena.len() as u32;
+            self.arena.push(Node {
+                entry: Some(entry),
+                next: NIL,
+            });
+            node
+        } else {
+            let node = self.free;
+            let n = &mut self.arena[node as usize];
+            self.free = n.next;
+            n.entry = Some(entry);
+            node
+        };
+        self.link(node, tick);
     }
 
-    fn insert_into_slot(&mut self, entry: WheelEntry<T>, tick: u64) {
+    /// Pushes arena node `node`, due at `tick > cursor`, onto the head of
+    /// its slot's list.
+    fn link(&mut self, node: u32, tick: u64) {
         let level = level_for(self.cursor, tick);
         let shift = LEVEL_BITS * level as u32;
         let idx = ((tick >> shift) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level].slots[idx].push(entry);
-        self.levels[level].occupied |= 1 << idx;
+        let l = &mut self.levels[level];
+        self.arena[node as usize].next = l.heads[idx];
+        l.heads[idx] = node;
+        l.occupied |= 1 << idx;
         if !self.scan_needed {
             // A freshly placed slot is never behind the cursor's index at
             // its level, so its deadline is simply the slot-start tick;
@@ -246,8 +292,8 @@ impl<T> TimingWheel<T> {
             }
             self.cursor = self.cursor.max(deadline);
             // Invalidate before cascading: the emptied slot may have been
-            // the cached minimum, and re-inserts during the cascade must
-            // not fold into a stale cache.
+            // the cached minimum, and re-links during the cascade must not
+            // fold into a stale cache.
             self.scan_needed = true;
             self.cascade(level, idx);
         }
@@ -266,27 +312,31 @@ impl<T> TimingWheel<T> {
         best
     }
 
-    /// Empties one slot, re-inserting its entries relative to the (already
-    /// advanced) cursor: reached ticks go to `due`, the rest drop to finer
-    /// levels.
+    /// Empties one slot relative to the (already advanced) cursor: entries
+    /// at reached ticks leave the arena for `due`, freeing their nodes; the
+    /// rest are relinked into finer levels.
     fn cascade(&mut self, level: usize, idx: usize) {
-        self.levels[level].occupied &= !(1 << idx);
-        let mut entries = std::mem::take(&mut self.levels[level].slots[idx]);
-        for entry in entries.drain(..) {
-            let tick = tick_of(entry.at);
+        let l = &mut self.levels[level];
+        l.occupied &= !(1 << idx);
+        let mut node = std::mem::replace(&mut l.heads[idx], NIL);
+        while node != NIL {
+            let n = &mut self.arena[node as usize];
+            let next = n.next;
+            let tick = tick_of(n.entry.as_ref().expect("slotted node holds an entry").at);
             if tick <= self.cursor {
+                let entry = n.entry.take().expect("slotted node holds an entry");
+                n.next = self.free;
+                self.free = node;
                 self.due.push(DueEntry(entry));
             } else {
                 debug_assert!(
                     level_for(self.cursor, tick) < level,
                     "cascade must strictly lower an entry's level"
                 );
-                self.insert_into_slot(entry, tick);
+                self.link(node, tick);
             }
+            node = next;
         }
-        // Hand the emptied Vec back to its slot so its capacity is reused:
-        // steady-state operation allocates nothing.
-        self.levels[level].slots[idx] = entries;
     }
 }
 
@@ -463,5 +513,32 @@ mod tests {
         popped.extend(drain(&mut w));
         reference.sort_unstable();
         assert_eq!(popped, reference);
+    }
+
+    #[test]
+    fn storage_follows_peak_pending_not_slot_history() {
+        // Bursts of distinct ticks spread over many slots, each drained
+        // before the next and each landing a quarter rotation of level 1
+        // further on. Storage kept per slot would end up holding room for
+        // every burst at once; the arena holds room for one.
+        let mut w = TimingWheel::new();
+        let tick = 1u64 << TICK_SHIFT;
+        let (mut seq, mut now, mut peak) = (0u64, 0u64, 0usize);
+        for _ in 0..16 {
+            for i in 1..=1_000u64 {
+                w.insert(entry(now + i * tick + i % 7, seq));
+                seq += 1;
+            }
+            peak = peak.max(w.len());
+            while let Some(e) = w.pop() {
+                assert!(e.at.nanos() >= now, "popped out of order");
+                now = e.at.nanos();
+            }
+        }
+        let stored = w.arena.capacity() + w.due.capacity();
+        assert!(
+            stored <= 2 * peak,
+            "wheel stores room for {stored} entries after a peak of {peak} pending"
+        );
     }
 }

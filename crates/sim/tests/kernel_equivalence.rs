@@ -9,6 +9,11 @@
 //! earliest-first ordering and FIFO among equal timestamps survive the move
 //! of every event into the wheel. Neither kernel can cancel a timer, so
 //! cancelling is [`TestProc`]'s job, exactly as it is `FuseStack`'s.
+//!
+//! Delays reach the horizons FUSE uses (up to 300 s, wheel levels 1–3), and
+//! the run drains long enough for `PerfectMedium`'s 20 s dead-peer notice to
+//! fire. A process answers each link-break notice with a send, so every
+//! notice is in the trace, including the ones a restart must swallow.
 
 use fuse_sim::baseline::BaselineSim;
 use fuse_sim::medium::Verdict;
@@ -71,13 +76,14 @@ impl Payload for Packet {
 struct Tick {
     id: u64,
     remaining: u8,
-    period_ms: u16,
+    period_ms: u32,
 }
 
 struct TestProc {
     n: u32,
     received: u64,
     fired: u64,
+    broken: u64,
     next_timer: u64,
     last_timer: Option<u64>,
     /// Timers cancelled before they fired: they return without effect.
@@ -90,6 +96,7 @@ impl TestProc {
             n,
             received: 0,
             fired: 0,
+            broken: 0,
             next_timer: 0,
             last_timer: None,
             cancelled: BTreeSet::new(),
@@ -99,7 +106,7 @@ impl TestProc {
     /// Arms a timer and returns its id. Ids restart at 0 in a restarted
     /// process, so a predecessor's timer reaching it would be mistaken for
     /// its own: the kernels' incarnation check is what prevents that.
-    fn arm(&mut self, ctx: &mut Ctx<'_, Packet, Tick>, period_ms: u16, remaining: u8) -> u64 {
+    fn arm(&mut self, ctx: &mut Ctx<'_, Packet, Tick>, period_ms: u32, remaining: u8) -> u64 {
         let id = self.next_timer;
         self.next_timer += 1;
         ctx.set_timer(
@@ -114,8 +121,8 @@ impl TestProc {
         id
     }
 
-    fn fingerprint(&self) -> (u64, u64) {
-        (self.received, self.fired)
+    fn fingerprint(&self) -> (u64, u64, u64) {
+        (self.received, self.fired, self.broken)
     }
 }
 
@@ -156,6 +163,20 @@ impl Process for TestProc {
             self.arm(ctx, tag.period_ms, tag.remaining - 1);
         }
     }
+
+    fn on_link_broken(&mut self, ctx: &mut Ctx<'_, Packet, Tick>, peer: ProcId) {
+        let _ = peer;
+        self.broken += 1;
+        // A note to self puts the notice in the trace (as a send and a
+        // delivery) without starting a chain of further breaks.
+        ctx.send(
+            ctx.self_id,
+            Packet {
+                hops_left: 0,
+                stride: 1,
+            },
+        );
+    }
 }
 
 /// One scripted action against the pair of kernels.
@@ -166,12 +187,12 @@ enum Op {
     /// Arm a (possibly periodic) timer.
     Arm {
         proc: u8,
-        period_ms: u16,
+        period_ms: u32,
         repeats: u8,
     },
     /// Arm then immediately cancel — must fire without effect, and still
     /// cost one executed event in both kernels.
-    ArmCancel { proc: u8, period_ms: u16 },
+    ArmCancel { proc: u8, period_ms: u32 },
     /// Cancel whatever timer the process armed last (may have fired).
     CancelLast { proc: u8 },
     /// Crash a process (idempotent).
@@ -179,29 +200,44 @@ enum Op {
     /// Restart a process if it is down.
     Restart { proc: u8 },
     /// Schedule a crash (an event in the queue).
-    ScheduleCrash { proc: u8, delay_ms: u16 },
+    ScheduleCrash { proc: u8, delay_ms: u32 },
     /// Schedule a restart (state parked until the event fires).
-    ScheduleRestart { proc: u8, delay_ms: u16 },
+    ScheduleRestart { proc: u8, delay_ms: u32 },
+    /// Crash `to`, send to it from `from`, and after `after_ms` (less than
+    /// the dead-peer notice) crash and restart `from`: the notice must not
+    /// reach the new incarnation.
+    SendToDownThenRestart { from: u8, to: u8, after_ms: u32 },
     /// Let simulated time pass.
-    Run { millis: u16 },
+    Run { millis: u32 },
+}
+
+/// A delay in milliseconds: sub-second (wheel levels 0–1) or 1–300 s, the
+/// span of FUSE's ping, link-expiry and repair timers (levels 1–3).
+fn delay_ms() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..500, 1_000u32..300_000]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (any::<u8>(), any::<u8>(), 0u8..4).prop_map(|(from, to, hops)| Op::Send { from, to, hops }),
-        (any::<u8>(), 1u16..200, 0u8..5).prop_map(|(proc, period_ms, repeats)| Op::Arm {
+        (any::<u8>(), delay_ms(), 0u8..5).prop_map(|(proc, period_ms, repeats)| Op::Arm {
             proc,
-            period_ms,
+            period_ms: period_ms.max(1),
             repeats
         }),
-        (any::<u8>(), 1u16..200).prop_map(|(proc, period_ms)| Op::ArmCancel { proc, period_ms }),
+        (any::<u8>(), delay_ms()).prop_map(|(proc, period_ms)| Op::ArmCancel {
+            proc,
+            period_ms: period_ms.max(1)
+        }),
         any::<u8>().prop_map(|proc| Op::CancelLast { proc }),
         any::<u8>().prop_map(|proc| Op::Crash { proc }),
         any::<u8>().prop_map(|proc| Op::Restart { proc }),
-        (any::<u8>(), 0u16..400).prop_map(|(proc, delay_ms)| Op::ScheduleCrash { proc, delay_ms }),
-        (any::<u8>(), 0u16..400)
+        (any::<u8>(), delay_ms()).prop_map(|(proc, delay_ms)| Op::ScheduleCrash { proc, delay_ms }),
+        (any::<u8>(), delay_ms())
             .prop_map(|(proc, delay_ms)| Op::ScheduleRestart { proc, delay_ms }),
-        (0u16..500).prop_map(|millis| Op::Run { millis }),
+        (any::<u8>(), any::<u8>(), 0u32..20_000)
+            .prop_map(|(from, to, after_ms)| { Op::SendToDownThenRestart { from, to, after_ms } }),
+        delay_ms().prop_map(|millis| Op::Run { millis }),
     ]
 }
 
@@ -265,6 +301,24 @@ macro_rules! apply_op {
                 let at = $sim.now() + SimDuration::from_millis(u64::from(delay_ms));
                 $sim.schedule_restart(at, u32::from(proc) % n, TestProc::new(n));
             }
+            Op::SendToDownThenRestart { from, to, after_ms } => {
+                let from = u32::from(from) % n;
+                // Any process but `from`.
+                let to = (from + 1 + u32::from(to) % (n - 1)) % n;
+                $sim.crash(to);
+                $sim.with_proc(from, |_p, ctx| {
+                    ctx.send(
+                        to,
+                        Packet {
+                            hops_left: 0,
+                            stride: 1,
+                        },
+                    )
+                });
+                $sim.run_for(SimDuration::from_millis(u64::from(after_ms)));
+                $sim.crash(from);
+                $sim.restart(from, TestProc::new(n));
+            }
             Op::Run { millis } => {
                 $sim.run_for(SimDuration::from_millis(u64::from(millis)));
             }
@@ -297,9 +351,11 @@ proptest! {
             apply_op!(wheel, n, op);
             apply_op!(heap, n, op);
         }
-        // Drain the aftermath so late timers/deliveries are compared too.
-        wheel.run_for(SimDuration::from_secs(2));
-        heap.run_for(SimDuration::from_secs(2));
+        // Drain the aftermath so late timers, deliveries and link-break
+        // notices are compared too: the longest chain is five re-arms of a
+        // 300 s timer, plus a 20 s notice.
+        wheel.run_for(SimDuration::from_secs(2_000));
+        heap.run_for(SimDuration::from_secs(2_000));
 
         prop_assert_eq!(wheel.now(), heap.now());
         prop_assert_eq!(wheel.events_executed(), heap.events_executed(),
