@@ -1,6 +1,7 @@
 //! Wall-clock microbenchmarks for the hot paths no `BENCHMARK.json`
 //! per-layer metric isolates: the sim kernel's event queue under the ping
-//! shape, the route oracle's hit/miss latency and one agreeing ping through
+//! shape, the route oracle's hit/miss latency (its miss at Mercator scale
+//! too) and one agreeing ping through
 //! a node stack by the number of groups on the link. Prints a table and
 //! asserts what it measures (the event count, hits hit, misses miss, a
 //! ping's cost does not grow with the groups); regressions are judged
@@ -140,16 +141,40 @@ fn kernel_queue() {
     );
 }
 
+/// Median ns per miss of a one-row oracle over `endpoints` asked about
+/// disjoint pairs (the samples share the `n / 2` there are), so neither end
+/// of a query is ever resident and each computes a row.
+fn cold_miss_ns(topo: &Topology, endpoints: &[u32]) -> f64 {
+    let cold = RouteOracle::new(endpoints, 1);
+    let mut next = 0usize;
+    let ns = median_ns(endpoints.len() / (2 * REPS), || {
+        next += 2;
+        cold.route(topo, endpoints[next - 2], endpoints[next - 1])
+            .latency
+            .nanos()
+    });
+    assert_eq!(cold.stats().hits, 0, "a miss query was served from a row");
+    ns
+}
+
+/// Distinct attachment routers of `topo`, `n` drawn, sorted.
+fn endpoints_of(topo: &Topology, n: usize, rng: &mut StdRng) -> Vec<u32> {
+    let mut endpoints = topo.sample_attachments(n, rng);
+    endpoints.sort_unstable();
+    endpoints.dedup();
+    endpoints
+}
+
 /// Hit, reverse-row hit and miss latency for 400 endpoints on the default
 /// topology with every row allowed to stay resident — the configuration
 /// `Network::new` derives for the paper's 400-node worlds — plus the bytes
-/// resident with as many rows computed as queries can cause.
+/// resident with as many rows computed as queries can cause; then the miss
+/// latency for 500 endpoints at Mercator scale. Each names the size of the
+/// core a miss sweeps.
 fn route_table() {
     let mut rng = StdRng::seed_from_u64(0xF0D0);
     let topo = Topology::generate(&TopologyConfig::default(), &mut rng);
-    let mut endpoints = topo.sample_attachments(400, &mut rng);
-    endpoints.sort_unstable();
-    endpoints.dedup();
+    let endpoints = endpoints_of(&topo, 400, &mut rng);
     let n = endpoints.len();
     let oracle = RouteOracle::new(&endpoints, n);
 
@@ -157,35 +182,25 @@ fn route_table() {
     // endpoint nothing can be evicted, so a hit skips the LRU splice, as
     // in every simulated world. Forward hits name the resident row's
     // router as the source; reverse-row hits name it as the destination,
-    // from a source whose own row is not resident.
-    let (s0, s1, far) = (endpoints[0], endpoints[1], endpoints[2]);
-    oracle.route(&topo, s0, far);
-    oracle.route(&topo, s1, far);
+    // from a source whose own row is not resident. Both take endpoint
+    // positions, as a `Network` send does.
+    let (s0, s1, far) = (0, 1, 2);
+    oracle.route_by_index(&topo, s0, far);
+    oracle.route_by_index(&topo, s1, far);
     let mut i = 0usize;
     let hit_ns = median_ns(4096, || {
         i += 1;
         let src = if i & 1 == 0 { s0 } else { s1 };
-        oracle.route(&topo, src, far).latency.nanos()
+        oracle.route_by_index(&topo, src, far).latency.nanos()
     });
     let reverse_ns = median_ns(4096, || {
         i += 1;
         let dst = if i & 1 == 0 { s0 } else { s1 };
-        oracle.route(&topo, far, dst).latency.nanos()
+        oracle.route_by_index(&topo, far, dst).latency.nanos()
     });
     assert_eq!(oracle.stats().misses, 2, "the hit loops computed a row");
 
-    // Misses: a one-row oracle asked about disjoint pairs (the samples
-    // share the n / 2 there are), so neither end of a query is ever
-    // resident and each computes a row.
-    let cold = RouteOracle::new(&endpoints, 1);
-    let mut next = 0usize;
-    let miss_ns = median_ns(n / (2 * REPS), || {
-        next += 2;
-        cold.route(&topo, endpoints[next - 2], endpoints[next - 1])
-            .latency
-            .nanos()
-    });
-    assert_eq!(cold.stats().hits, 0, "a miss query was served from a row");
+    let miss_ns = cold_miss_ns(&topo, &endpoints);
 
     // Fill the oracle as far as it goes: a row is only computed when
     // neither end has one, so every endpoint asks about the last one,
@@ -195,11 +210,22 @@ fn route_table() {
     }
     let stats = oracle.stats();
     println!(
-        "route oracle ({} routers, {n} endpoints): hit {hit_ns:.1} ns   reverse-row hit \
-         {reverse_ns:.1} ns   miss {miss_ns:.0} ns   resident {} rows / {} bytes",
+        "route oracle ({} routers, core {}, {n} endpoints): hit {hit_ns:.1} ns   reverse-row \
+         hit {reverse_ns:.1} ns   miss {miss_ns:.0} ns   resident {} rows / {} bytes",
         topo.n_routers(),
+        topo.core_len(),
         stats.resident_rows,
         stats.resident_bytes
+    );
+
+    let topo = Topology::generate(&TopologyConfig::mercator_scale(), &mut rng);
+    let endpoints = endpoints_of(&topo, 500, &mut rng);
+    println!(
+        "route oracle, Mercator scale ({} routers, core {}, {} endpoints): miss {:.0} ns",
+        topo.n_routers(),
+        topo.core_len(),
+        endpoints.len(),
+        cold_miss_ns(&topo, &endpoints)
     );
 }
 

@@ -16,8 +16,8 @@
 //!   the paper's ~100k routers,
 //! * [`routes`] — lexicographic `(hops, latency)` shortest paths behind the
 //!   demand-driven [`RouteOracle`] (a lazy breadth-first sweep per endpoint
-//!   over the topology's flat adjacency, bit-packed endpoint-wide rows
-//!   served from either end),
+//!   over the topology's 2-core, with the trees hanging from it added as
+//!   fixed offsets; bit-packed endpoint-wide rows served from either end),
 //! * [`tcp`] — an analytic TCP model (connection cache, retransmission
 //!   backoff, connection breakage under loss),
 //! * [`fault`] — scriptable failures: crashes, disconnects, intransitive

@@ -19,7 +19,6 @@ use rand::Rng;
 
 use fuse_obs::{Aggregates, Event, ObsSink, Recorder};
 use fuse_sim::{Medium, ProcBitSet, ProcId, SimDuration, SimTime, Verdict};
-use fuse_util::DetHashSet;
 
 use crate::fault::FaultPlane;
 use crate::routes::{OracleStats, RouteInfo, RouteOracle};
@@ -89,7 +88,9 @@ pub const ROUTE_ROW_BUDGET_BYTES: usize = 8 << 20;
 pub struct Network {
     topo: Topology,
     routes: RouteOracle,
-    attach: Vec<RouterId>,
+    /// Each process's attachment router as its position in the oracle's
+    /// endpoint set, resolved once so a send looks nothing up.
+    endpoint: Vec<u32>,
     profile: EmulationProfile,
     /// Uniform per-link Bernoulli loss rate (Figures 11–12); 0 until
     /// [`Network::set_per_link_loss`] changes it.
@@ -98,8 +99,9 @@ pub struct Network {
     /// Process liveness as told by the kernel (checked on every send:
     /// a dense bitset keeps the lookup branchless and cache-resident).
     down: ProcBitSet,
-    /// Warm TCP connections, normalized `(low, high)` pairs.
-    conns: DetHashSet<(ProcId, ProcId)>,
+    /// Warm TCP connections: bit `a × n + b` of an `n × n` matrix over
+    /// the `n` processes, set for both orders of a pair (20 KB at 400).
+    conns: Vec<u64>,
     /// The observation recorder: break counts, content drops and byte
     /// accounting (offered and delivered, total and per message class) all
     /// live in its aggregates; the counter accessors below are views.
@@ -133,15 +135,24 @@ impl Network {
         let row_bytes = endpoints.len().max(1) * std::mem::size_of::<u64>();
         let rows = endpoints.len().min(ROUTE_ROW_BUDGET_BYTES / row_bytes);
         let routes = RouteOracle::new(&endpoints, rows);
+        let endpoint = attach
+            .iter()
+            .map(|&r| {
+                routes
+                    .endpoint_index(r)
+                    .expect("every attachment is an endpoint")
+            })
+            .collect();
+        let n = attach.len();
         Network {
             topo,
             routes,
-            attach,
+            endpoint,
             profile: cfg.profile,
             per_link_loss: 0.0,
             fault: FaultPlane::new(),
             down: ProcBitSet::default(),
-            conns: DetHashSet::default(),
+            conns: vec![0; (n * n).div_ceil(64)],
             obs: Recorder::new(),
             p_success_by_hops: Vec::new(),
         }
@@ -177,8 +188,8 @@ impl Network {
     /// Route summary between two processes (computed on demand and cached
     /// in the oracle's rows).
     pub fn route_info(&self, a: ProcId, b: ProcId) -> RouteInfo {
-        self.routes
-            .route(&self.topo, self.attach[a as usize], self.attach[b as usize])
+        let (a, b) = (self.endpoint[a as usize], self.endpoint[b as usize]);
+        self.routes.route_by_index(&self.topo, a, b)
     }
 
     /// Hit/miss/eviction counters and occupancy of the route oracle.
@@ -243,24 +254,47 @@ impl Network {
     }
 
     /// Whether a warm TCP connection exists between `a` and `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either process is not attached to the network.
     pub fn connection_warm(&self, a: ProcId, b: ProcId) -> bool {
-        self.conns.contains(&normalize(a, b))
+        let n = self.endpoint.len();
+        assert!(
+            (a as usize) < n && (b as usize) < n,
+            "process not attached to the network"
+        );
+        let (w, bit) = self.conn_bit(a, b);
+        self.conns[w] & bit != 0
+    }
+
+    /// Word and mask of the `(a, b)` bit of the connection matrix.
+    fn conn_bit(&self, a: ProcId, b: ProcId) -> (usize, u64) {
+        let i = a as usize * self.endpoint.len() + b as usize;
+        (i / 64, 1 << (i % 64))
+    }
+
+    /// Marks the pair connected both ways; whether it was not before.
+    fn open_conn(&mut self, a: ProcId, b: ProcId) -> bool {
+        let (w, bit) = self.conn_bit(a, b);
+        let first_contact = self.conns[w] & bit == 0;
+        self.conns[w] |= bit;
+        let (w, bit) = self.conn_bit(b, a);
+        self.conns[w] |= bit;
+        first_contact
     }
 
     fn drop_conn(&mut self, a: ProcId, b: ProcId) {
-        self.conns.remove(&normalize(a, b));
+        for (x, y) in [(a, b), (b, a)] {
+            let (w, bit) = self.conn_bit(x, y);
+            self.conns[w] &= !bit;
+        }
     }
 
     fn drop_all_conns_of(&mut self, n: ProcId) {
-        self.conns.retain(|&(a, b)| a != n && b != n);
-    }
-}
-
-fn normalize(a: ProcId, b: ProcId) -> (ProcId, ProcId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
+        for peer in 0..self.endpoint.len() as ProcId {
+            self.drop_conn(n, peer);
+        }
     }
 }
 
@@ -275,7 +309,7 @@ impl Medium for Network {
         class: &'static str,
     ) -> Verdict {
         assert!(
-            (from as usize) < self.attach.len() && (to as usize) < self.attach.len(),
+            (from as usize) < self.endpoint.len() && (to as usize) < self.endpoint.len(),
             "process not attached to the network"
         );
         self.obs.record(Event::BytesOffered {
@@ -320,7 +354,7 @@ impl Medium for Network {
             TcpOutcome::Delivered { extra_delay } => {
                 let mut latency = route.latency + extra_delay;
                 latency = latency + self.profile.per_message_overhead();
-                let first_contact = self.conns.insert(normalize(from, to));
+                let first_contact = self.open_conn(from, to);
                 if first_contact && self.profile.models_connection_setup() {
                     // SYN + SYN-ACK before the data segment.
                     latency = latency + rtt;
@@ -408,6 +442,46 @@ mod tests {
             "cached connection must be faster"
         );
         assert!(second.nanos() >= (info.latency + overhead).nanos());
+    }
+
+    #[test]
+    fn warm_connections_are_symmetric_and_handshake_once() {
+        let (mut net, mut rng) = small_net(NetConfig::cluster());
+        let n = 20;
+        let deliver_at = |net: &mut Network, rng: &mut StdRng, a, b| match net.unicast(
+            SimTime::ZERO,
+            rng,
+            a,
+            b,
+            64,
+            "msg",
+        ) {
+            Verdict::Deliver { at } => at,
+            other => panic!("{other:?}"),
+        };
+        let setup = net.route_info(3, 7).latency.saturating_mul(2);
+        let first = deliver_at(&mut net, &mut rng, 3, 7);
+        assert!(net.connection_warm(3, 7) && net.connection_warm(7, 3));
+        // The reply rides the connection the first send opened: no SYN.
+        let reply = deliver_at(&mut net, &mut rng, 7, 3);
+        let most = CLUSTER_OVERHEAD + net.route_info(7, 3).latency + MAX_JITTER;
+        assert!(first.nanos() >= setup.nanos() && reply.nanos() <= most.nanos());
+        // Pairs of 3, 5 and 7 with everyone.
+        for a in [3, 5, 7] {
+            for b in 0..n {
+                if b != a {
+                    deliver_at(&mut net, &mut rng, a, b);
+                }
+            }
+        }
+        net.node_down(5);
+        for a in 0..n {
+            for b in 0..n {
+                let touches_5 = a == 5 || b == 5;
+                let opened = a != b && [3, 5, 7].iter().any(|&x| x == a || x == b);
+                assert_eq!(net.connection_warm(a, b), opened && !touches_5, "{a} {b}");
+            }
+        }
     }
 
     #[test]
@@ -569,18 +643,20 @@ mod tests {
             chain_len: (2, 4),
             ..TopologyConfig::default()
         };
-        let net = Network::generate(&topo_cfg, 40, NetConfig::simulator(), &mut rng);
+        let topo = Topology::generate(&topo_cfg, &mut rng);
+        let attach = topo.sample_attachments(40, &mut rng);
+        let net = Network::new(topo, attach.clone(), NetConfig::simulator());
         assert_eq!(net.routes.capacity(), 40);
         let cap = 4;
-        let oracle = RouteOracle::new(&net.attach, cap);
+        let oracle = RouteOracle::new(&attach, cap);
         // Disjoint pairs: neither end of the next one is resident.
-        for pair in net.attach.chunks(2) {
+        for pair in attach.chunks(2) {
             oracle.route(&net.topo, pair[0], pair[1]);
         }
         let s = oracle.stats();
         assert!(s.resident_rows <= cap, "LRU cap violated: {s:?}");
         assert!(s.evictions > 0, "cap 4 over 20 cold pairs must evict");
-        let a = net.attach.len();
+        let a = attach.len();
         let rows = cap * a * std::mem::size_of::<u64>();
         assert!(
             s.resident_bytes <= rows + 32 * (a + cap),

@@ -1,13 +1,21 @@
 //! Routes over the router graph.
 //!
 //! Routing in the emulated Internet is static (ModelNet precomputes routes
-//! the same way) and **demand-driven**: [`RouteOracle`] runs one
-//! lexicographic shortest-path sweep per *attachment* router the first
-//! time a route touching it cannot be answered from the other end, and
-//! keeps the result — one bit-packed `(latency, hops)` word per attachment
-//! router — as a row in a bounded LRU. `tests/route_oracle.rs` holds every
-//! answer bit-identical to a test-local heap Dijkstra over random
-//! topologies.
+//! the same way) and **demand-driven**: [`RouteOracle`] computes one row
+//! per *attachment* router the first time a route touching it cannot be
+//! answered from the other end, and keeps it — one bit-packed
+//! `(latency, hops)` word per attachment router — in a bounded LRU.
+//!
+//! A row is one lexicographic shortest-path sweep over the topology's
+//! **2-core** (see [`crate::topology`]) from the source's anchor; every
+//! other router hangs from one core router by a fixed path, so each
+//! column is the two ends' offsets around a core route, or the tree path
+//! between two routers hanging from the same anchor. On the default
+//! topology the sweep visits 960 routers, not ~3,350. `tests/route_oracle.rs`
+//! holds every answer bit-identical to a test-local heap Dijkstra over
+//! random topologies, and this module's tests do the same on arbitrary
+//! graphs: branching and nested trees, tree-only components, isolated
+//! routers.
 //!
 //! Paths minimize **hop count** (ties broken by latency), like the policy
 //! routing of the real Internet — crucially, paths do *not* detour around
@@ -20,7 +28,6 @@ use std::cell::RefCell;
 use std::mem::size_of;
 
 use fuse_sim::SimDuration;
-use fuse_util::DetHashMap;
 
 use crate::topology::{RouterId, Topology, SAME_ROUTER_LATENCY};
 
@@ -47,46 +54,6 @@ impl RouteInfo {
     }
 }
 
-/// Shortest-path row from `src`: `(latency_ns, hops)` for every destination
-/// router, `(u64::MAX, u32::MAX)` when unreachable.
-///
-/// Lexicographic on `(hops, latency)`: minimum hop count, ties broken by
-/// total latency. Minimising hops first makes this a breadth-first
-/// layering, so no priority queue is needed:
-///
-/// * a router first reached from layer `d − 1` is in layer `d`, and its
-///   hop count is `d`;
-/// * its latency is the minimum, over its neighbours in layer `d − 1`, of
-///   their latency plus the link's. Every layer `d − 1` router is dequeued
-///   before any layer `d` one, and its latency was settled while layer
-///   `d − 2` was scanned — a prefix of a minimum-hop path is itself a
-///   minimum-hop path.
-///
-/// One FIFO pass over the compressed adjacency, O(routers + links), gives
-/// exactly the `(hops, latency)` a lexicographic Dijkstra would.
-pub(crate) fn rows_from(topo: &Topology, src: RouterId) -> Vec<(u64, u32)> {
-    let mut best = vec![(u64::MAX, u32::MAX); topo.n_routers()];
-    best[src as usize] = (0, 0);
-    let mut queue = Vec::with_capacity(topo.n_routers());
-    queue.push(src);
-    let mut head = 0;
-    while let Some(&r) = queue.get(head) {
-        head += 1;
-        let (lat, hops) = best[r as usize];
-        for (next, w) in topo.neighbors(r) {
-            let cand = (lat + w.nanos(), hops + 1);
-            let e = &mut best[next as usize];
-            if e.1 == u32::MAX {
-                *e = cand;
-                queue.push(next);
-            } else if e.1 == cand.1 && cand.0 < e.0 {
-                e.0 = cand.0;
-            }
-        }
-    }
-    best
-}
-
 // ---------------------------------------------------------------------------
 // Packed route words.
 
@@ -99,11 +66,17 @@ const HOP_SHIFT: u32 = 64 - HOP_BITS;
 const LAT_MASK: u64 = (1 << HOP_SHIFT) - 1;
 /// Sentinel for an unreachable destination.
 const UNREACHABLE: u64 = u64::MAX;
+/// The packed word of the first hop count a core sweep does not expand:
+/// the routers it would reach are past the hop field's capacity.
+const DEEPEST: u64 = ((1 << HOP_BITS) - 2) << HOP_SHIFT;
+/// Most latency of one core link, in nanoseconds (2^44 ns, about 4.9 h):
+/// 1,022 such links still fit the latency field.
+pub(crate) const MAX_LINK_NS: u64 = LAT_MASK >> HOP_BITS;
 
 /// Packs one row entry into a single word: hops in the top 10 bits,
 /// latency nanoseconds in the low 54. Halves a resident entry relative to
 /// an unpacked `(u64, u32)` (16 bytes with padding).
-fn pack(lat: u64, hops: u32) -> u64 {
+pub(crate) fn pack(lat: u64, hops: u32) -> u64 {
     if lat == u64::MAX {
         return UNREACHABLE;
     }
@@ -115,8 +88,128 @@ fn pack(lat: u64, hops: u32) -> u64 {
 }
 
 /// Inverse of [`pack`] for reachable entries.
-fn unpack(w: u64) -> (u64, u32) {
+pub(crate) fn unpack(w: u64) -> (u64, u32) {
     (w & LAT_MASK, (w >> HOP_SHIFT) as u32)
+}
+
+// ---------------------------------------------------------------------------
+// Rows: one sweep over the core, then the hanging trees.
+
+/// Reused working storage of a row computation.
+#[derive(Default)]
+struct Sweep {
+    /// Packed `(latency, hops)` per core index, `UNREACHABLE` when not
+    /// reached.
+    best: Vec<u64>,
+    /// The FIFO of core indices, with one spare slot at the end.
+    queue: Vec<u32>,
+}
+
+impl Sweep {
+    /// Shortest paths from core index `from` to every core router.
+    ///
+    /// Lexicographic on `(hops, latency)`: minimum hop count, ties broken
+    /// by total latency. Minimising hops first makes this a breadth-first
+    /// layering, so no priority queue is needed:
+    ///
+    /// * a router first reached from layer `d − 1` is in layer `d`, and its
+    ///   hop count is `d`;
+    /// * its latency is the minimum, over its neighbours in layer `d − 1`,
+    ///   of their latency plus the link's. Every layer `d − 1` router is
+    ///   dequeued before any layer `d` one, and its latency was settled
+    ///   while layer `d − 2` was scanned — a prefix of a minimum-hop path
+    ///   is itself a minimum-hop path.
+    ///
+    /// One FIFO pass over the core's compressed adjacency, O(core routers +
+    /// core links), gives exactly the `(hops, latency)` a lexicographic
+    /// Dijkstra would.
+    ///
+    /// The words are packed, hops above latency, so one integer `min` is
+    /// the lexicographic one: a neighbour already reached holds a hop
+    /// count at most one above the router being expanded, so `min` keeps
+    /// an earlier layer's word and takes the lower latency within a layer.
+    /// An unreached neighbour holds `UNREACHABLE`, above every route, and
+    /// is queued by a write that always happens and a tail that moves only
+    /// for it. No branch depends on the graph, which roughly halves the
+    /// sweep. A core link's packed step keeps its latency below 2^44 ns
+    /// ([`Topology::core_neighbors`]), so a route of up to 1,022 hops
+    /// cannot carry into the hop field, and a router that deep is refused.
+    fn core_from(&mut self, topo: &Topology, from: u32) {
+        let n = topo.core_len();
+        self.best.clear();
+        self.best.resize(n, UNREACHABLE);
+        self.best[from as usize] = 0;
+        self.queue.clear();
+        self.queue.resize(n + 1, 0);
+        self.queue[0] = from;
+        let (mut head, mut tail) = (0, 1);
+        while head < tail {
+            let c = self.queue[head];
+            head += 1;
+            let at = self.best[c as usize];
+            assert!(
+                at < DEEPEST,
+                "route exceeds packed capacity: {} hops",
+                at >> HOP_SHIFT
+            );
+            for &(next, step) in topo.core_neighbors(c) {
+                let e = self.best[next as usize];
+                self.best[next as usize] = e.min(at + step);
+                self.queue[tail] = next;
+                tail += usize::from(e == UNREACHABLE);
+            }
+        }
+    }
+
+    /// Fills `row` with the packed route from `src` to each of `dsts`.
+    ///
+    /// One sweep over the core from `src`'s anchor, then per destination:
+    ///
+    /// * anchors differ — `src`'s offset to its anchor, the core route
+    ///   between the anchors, and the destination's offset. A hanging tree
+    ///   meets the core at its anchor alone, so any path out of it leaves
+    ///   through the anchor, and a simple path never comes back in;
+    /// * one anchor — the tree path through the two routers' nearest
+    ///   common ancestor, the one simple path between them;
+    /// * the destination's anchor unreached — `UNREACHABLE`.
+    fn row(&mut self, topo: &Topology, src: RouterId, dsts: &[RouterId], row: &mut Vec<u64>) {
+        let s = topo.hang(src);
+        self.core_from(topo, s.anchor);
+        let (s_lat, s_hops) = unpack(s.off);
+        row.clear();
+        row.extend(dsts.iter().map(|&dst| {
+            let d = topo.hang(dst);
+            if d.anchor == s.anchor {
+                return tree_path(topo, src, dst);
+            }
+            let core = self.best[d.anchor as usize];
+            if core == UNREACHABLE {
+                return UNREACHABLE;
+            }
+            let ((lat, hops), (d_lat, d_hops)) = (unpack(core), unpack(d.off));
+            pack(s_lat + lat + d_lat, s_hops + hops + d_hops)
+        }));
+    }
+}
+
+/// Packed `(latency, hops)` of the one path between `a` and `b`, which hang
+/// from the same anchor: up to their nearest common ancestor and down.
+fn tree_path(topo: &Topology, a: RouterId, b: RouterId) -> u64 {
+    let depth = |r: RouterId| unpack(topo.hang(r).off).1;
+    let parent = |r: RouterId| topo.hang(r).parent;
+    let (mut x, mut y) = (a, b);
+    while depth(x) > depth(y) {
+        x = parent(x);
+    }
+    while depth(y) > depth(x) {
+        y = parent(y);
+    }
+    while x != y {
+        (x, y) = (parent(x), parent(y));
+    }
+    let [(a_lat, a_hops), (b_lat, b_hops), (m_lat, m_hops)] =
+        [a, b, x].map(|r| unpack(topo.hang(r).off));
+    pack(a_lat + b_lat - 2 * m_lat, a_hops + b_hops - 2 * m_hops)
 }
 
 // ---------------------------------------------------------------------------
@@ -149,7 +242,8 @@ pub struct OracleStats {
     pub evictions: u64,
     /// Rows currently resident.
     pub resident_rows: usize,
-    /// Bytes held by the rows, their slots and the endpoint index.
+    /// Bytes held by the rows, their slots and the endpoint set (not the
+    /// one sweep's reused working storage, a few words per core router).
     pub resident_bytes: usize,
 }
 
@@ -163,10 +257,12 @@ pub struct OracleStats {
 /// `(hops, latency)` are integer sums over a path that reads the same both
 /// ways, so `route(a, b) == route(b, a)` exactly: a query is served from
 /// whichever end's row is resident, and only a pair with *neither*
-/// computes a row. A hit is two index lookups, plus an LRU splice when the
-/// capacity is below the endpoint count — no allocation; a miss is one
-/// breadth-first sweep over the router graph (a few milliseconds at 100k
-/// routers, under 0.1 ms at the default topology).
+/// computes a row. A hit by endpoint position
+/// ([`route_by_index`](RouteOracle::route_by_index)) is two array reads,
+/// plus an LRU splice when the capacity is below the endpoint count — no
+/// allocation; [`route`](RouteOracle::route) first finds each router by
+/// binary search. A miss is one breadth-first sweep over the topology's
+/// core (under 2 ms at 100k routers, 20–30 µs at the default topology).
 ///
 /// The oracle does not own the topology: callers pass `&Topology` to
 /// [`route`](RouteOracle::route), so one topology can back the network, the
@@ -187,10 +283,9 @@ pub struct RouteOracle {
 
 struct Inner {
     cap: usize,
-    /// The endpoint routers, sorted and distinct: a row's column order.
+    /// The endpoint routers, sorted and distinct: a row's column order,
+    /// and a router's position by binary search.
     endpoints: Vec<RouterId>,
-    /// Router → its position in `endpoints`; never changed once built.
-    index: DetHashMap<RouterId, u32>,
     /// Endpoint position → slot of its resident row, or `NIL`.
     slot_of: Vec<u32>,
     slots: Vec<Slot>,
@@ -201,6 +296,7 @@ struct Inner {
     hits: u64,
     misses: u64,
     evictions: u64,
+    sweep: Sweep,
     /// `(n_routers, fingerprint)` of the first topology queried; guards
     /// against reusing cached rows across topologies — the structural
     /// fingerprint catches even same-sized graphs from different seeds.
@@ -215,7 +311,6 @@ impl RouteOracle {
         let mut endpoints = endpoints.to_vec();
         endpoints.sort_unstable();
         endpoints.dedup();
-        let index = endpoints.iter().zip(0u32..).map(|(&r, i)| (r, i)).collect();
         let cap = capacity.max(1);
         RouteOracle {
             inner: RefCell::new(Inner {
@@ -224,12 +319,12 @@ impl RouteOracle {
                 // Never more slots than rows that can exist.
                 slots: Vec::with_capacity(cap.min(endpoints.len())),
                 endpoints,
-                index,
                 head: NIL,
                 tail: NIL,
                 hits: 0,
                 misses: 0,
                 evictions: 0,
+                sweep: Sweep::default(),
                 fp: None,
             }),
         }
@@ -240,8 +335,23 @@ impl RouteOracle {
         self.inner.borrow().cap
     }
 
+    /// Position of `router` in the endpoint set, the index
+    /// [`route_by_index`](RouteOracle::route_by_index) takes; `None` if it
+    /// is not an endpoint.
+    pub fn endpoint_index(&self, router: RouterId) -> Option<u32> {
+        let inner = self.inner.borrow();
+        inner
+            .endpoints
+            .binary_search(&router)
+            .ok()
+            .map(|i| i as u32)
+    }
+
     /// Route summary from `src` to `dst`, served from either end's resident
     /// row; with neither resident the source's is computed and cached.
+    /// Each router is found by binary search over the endpoints; a caller
+    /// asking often resolves [`endpoint_index`](RouteOracle::endpoint_index)
+    /// once and asks [`route_by_index`](RouteOracle::route_by_index).
     ///
     /// # Panics
     ///
@@ -254,59 +364,31 @@ impl RouteOracle {
     /// and topology checks apply to same-router queries too, even though
     /// those never touch the LRU. A missing row — never queried or
     /// evicted — is recomputed transparently, at the cost of one sweep
-    /// (whose working vectors allocate; the hit path stays
-    /// allocation-free).
+    /// over the topology's core (its working storage is reused, and the
+    /// hit path is allocation-free).
     pub fn route(&self, topo: &Topology, src: RouterId, dst: RouterId) -> RouteInfo {
         assert!(
             (src as usize) < topo.n_routers() && (dst as usize) < topo.n_routers(),
             "router id out of range"
         );
         let mut inner = self.inner.borrow_mut();
-        let fp = (topo.n_routers(), topo.fingerprint());
-        match inner.fp {
-            None => inner.fp = Some(fp),
-            Some(seen) => assert_eq!(
-                seen, fp,
-                "RouteOracle queried with a different topology than its cached rows"
-            ),
-        }
+        inner.check_topology(topo);
         let (s, d) = (inner.endpoint(src), inner.endpoint(dst));
-        if src == dst {
-            // Same attachment router: a LAN hop, not a wide-area route.
-            return RouteInfo {
-                latency: SAME_ROUTER_LATENCY,
-                hops: 0,
-            };
-        }
-        // Routes are symmetric: the destination's row serves as well.
-        let (row_ep, col) = if inner.slot_of[s] == NIL && inner.slot_of[d] != NIL {
-            (d, s)
-        } else {
-            (s, d)
-        };
-        let slot = match inner.slot_of[row_ep] {
-            NIL => {
-                inner.misses += 1;
-                inner.admit(topo, row_ep)
-            }
-            i => {
-                inner.hits += 1;
-                // With a slot for every endpoint nothing is ever evicted,
-                // so the recency order is never read.
-                if inner.cap < inner.endpoints.len() && inner.head != i {
-                    inner.unlink(i);
-                    inner.push_front(i);
-                }
-                i
-            }
-        };
-        let w = inner.slots[slot as usize].row[col];
-        assert_ne!(w, UNREACHABLE, "destination unreachable");
-        let (lat, hops) = unpack(w);
-        RouteInfo {
-            latency: SimDuration(lat),
-            hops,
-        }
+        inner.route(topo, s, d)
+    }
+
+    /// [`route`](RouteOracle::route) between the endpoints at positions
+    /// `src` and `dst` of the endpoint set: no lookup on the way to the
+    /// row.
+    ///
+    /// # Panics
+    ///
+    /// As [`route`](RouteOracle::route), and if a position is not below
+    /// the number of distinct endpoints.
+    pub fn route_by_index(&self, topo: &Topology, src: u32, dst: u32) -> RouteInfo {
+        let mut inner = self.inner.borrow_mut();
+        inner.check_topology(topo);
+        inner.route(topo, src as usize, dst as usize)
     }
 
     /// Whether the row computed from endpoint `router` is currently resident
@@ -328,17 +410,76 @@ impl RouteOracle {
             resident_bytes: rows * size_of::<u64>()
                 + inner.slots.capacity() * size_of::<Slot>()
                 + inner.endpoints.capacity() * size_of::<RouterId>()
-                + inner.slot_of.capacity() * size_of::<u32>()
-                + inner.index.capacity() * size_of::<(RouterId, u32)>(),
+                + inner.slot_of.capacity() * size_of::<u32>(),
         }
     }
 }
 
 impl Inner {
+    /// Records the first topology queried and refuses any other; the first
+    /// also has every endpoint checked against its router count.
+    fn check_topology(&mut self, topo: &Topology) {
+        let fp = (topo.n_routers(), topo.fingerprint());
+        match self.fp {
+            None => {
+                assert!(
+                    self.endpoints.last().is_none_or(|&r| (r as usize) < fp.0),
+                    "endpoint router id out of range"
+                );
+                self.fp = Some(fp);
+            }
+            Some(seen) => assert_eq!(
+                seen, fp,
+                "RouteOracle queried with a different topology than its cached rows"
+            ),
+        }
+    }
+
     /// Position of `router` in the endpoint set.
     fn endpoint(&self, router: RouterId) -> usize {
-        let ep = self.index.get(&router);
-        *ep.unwrap_or_else(|| panic!("router {router} is not an endpoint of this oracle")) as usize
+        let ep = self.endpoints.binary_search(&router);
+        ep.unwrap_or_else(|_| panic!("router {router} is not an endpoint of this oracle"))
+    }
+
+    /// The route between endpoint positions `s` and `d` of the checked
+    /// topology.
+    fn route(&mut self, topo: &Topology, s: usize, d: usize) -> RouteInfo {
+        if s == d {
+            // Same attachment router: a LAN hop, not a wide-area route.
+            return RouteInfo {
+                latency: SAME_ROUTER_LATENCY,
+                hops: 0,
+            };
+        }
+        // Routes are symmetric: the destination's row serves as well.
+        let (row_ep, col) = if self.slot_of[s] == NIL && self.slot_of[d] != NIL {
+            (d, s)
+        } else {
+            (s, d)
+        };
+        let slot = match self.slot_of[row_ep] {
+            NIL => {
+                self.misses += 1;
+                self.admit(topo, row_ep)
+            }
+            i => {
+                self.hits += 1;
+                // With a slot for every endpoint nothing is ever evicted,
+                // so the recency order is never read.
+                if self.cap < self.endpoints.len() && self.head != i {
+                    self.unlink(i);
+                    self.push_front(i);
+                }
+                i
+            }
+        };
+        let w = self.slots[slot as usize].row[col];
+        assert_ne!(w, UNREACHABLE, "destination unreachable");
+        let (lat, hops) = unpack(w);
+        RouteInfo {
+            latency: SimDuration(lat),
+            hops,
+        }
     }
 
     /// Unlinks slot `i` from the LRU list.
@@ -397,14 +538,9 @@ impl Inner {
             self.evictions += 1;
             victim
         };
-        // One sweep over the whole graph, kept only at the endpoints.
-        let dist = rows_from(topo, self.endpoints[ep]);
         let row = &mut self.slots[i as usize].row;
-        row.clear();
-        row.extend(self.endpoints.iter().map(|&r| {
-            let (lat, hops) = dist[r as usize];
-            pack(lat, hops)
-        }));
+        self.sweep
+            .row(topo, self.endpoints[ep], &self.endpoints, row);
         self.slot_of[ep] = i;
         self.push_front(i);
         i
@@ -415,8 +551,11 @@ impl Inner {
 mod tests {
     use super::*;
     use crate::topology::TopologyConfig;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn small_topo() -> Topology {
         let cfg = TopologyConfig {
@@ -433,6 +572,14 @@ mod tests {
     fn any_to_any(topo: &Topology, capacity: usize) -> RouteOracle {
         let all: Vec<RouterId> = (0..topo.n_routers() as RouterId).collect();
         RouteOracle::new(&all, capacity)
+    }
+
+    /// The packed row from `src` to every router of `topo`.
+    fn row_to_all(topo: &Topology, src: RouterId) -> Vec<u64> {
+        let all: Vec<RouterId> = (0..topo.n_routers() as RouterId).collect();
+        let mut row = Vec::new();
+        Sweep::default().row(topo, src, &all, &mut row);
+        row
     }
 
     #[test]
@@ -496,7 +643,7 @@ mod tests {
         // two ends' rows agree on every pair, to the nanosecond.
         let topo = small_topo();
         let n = topo.n_routers() as RouterId;
-        let rows: Vec<_> = (0..n).map(|r| rows_from(&topo, r)).collect();
+        let rows: Vec<_> = (0..n).map(|r| row_to_all(&topo, r)).collect();
         for a in 0..n as usize {
             for b in 0..n as usize {
                 assert_eq!(rows[a][b], rows[b][a], "{a} <-> {b}");
@@ -521,12 +668,137 @@ mod tests {
                 (5, 3, ms(1)),
             ],
         );
-        let row = rows_from(&topo, 0);
-        assert_eq!(row[3], (ms(10), 2), "fewest hops, then lowest latency");
-        assert_eq!(row[5], (ms(2), 2));
-        assert_eq!(row[0], (0, 0));
-        assert_eq!(row[6], (u64::MAX, u32::MAX), "unreachable");
-        assert_eq!(pack(row[6].0, row[6].1), UNREACHABLE);
+        let row = row_to_all(&topo, 0);
+        assert_eq!(topo.core_len(), 7, "no router of degree 1: all core");
+        assert_eq!(
+            unpack(row[3]),
+            (ms(10), 2),
+            "fewest hops, then lowest latency"
+        );
+        assert_eq!(unpack(row[5]), (ms(2), 2));
+        assert_eq!(unpack(row[0]), (0, 0));
+        assert_eq!(row[6], UNREACHABLE, "unreachable");
+    }
+
+    /// Lexicographic `(hops, latency)` Dijkstra from `src` with a binary
+    /// heap over the whole graph, packed: the reference the core sweep and
+    /// its hanging trees must match on any graph.
+    fn heap_dijkstra(topo: &Topology, src: RouterId) -> Vec<u64> {
+        let mut best = vec![(u32::MAX, u64::MAX); topo.n_routers()];
+        let mut heap = BinaryHeap::new();
+        best[src as usize] = (0, 0);
+        heap.push(Reverse((0u32, 0u64, src)));
+        while let Some(Reverse((hops, lat, r))) = heap.pop() {
+            if (hops, lat) > best[r as usize] {
+                continue;
+            }
+            for (next, w) in topo.neighbors(r) {
+                let cand = (hops + 1, lat + w.nanos());
+                if cand < best[next as usize] {
+                    best[next as usize] = cand;
+                    heap.push(Reverse((cand.0, cand.1, next)));
+                }
+            }
+        }
+        best.into_iter()
+            .map(|(h, l)| {
+                if h == u32::MAX {
+                    UNREACHABLE
+                } else {
+                    pack(l, h)
+                }
+            })
+            .collect()
+    }
+
+    /// Every row of `topo`, router by router, equals the heap Dijkstra's.
+    fn assert_rows_exact(topo: &Topology) {
+        for src in 0..topo.n_routers() as RouterId {
+            let (row, reference) = (row_to_all(topo, src), heap_dijkstra(topo, src));
+            for (dst, (&w, &want)) in row.iter().zip(&reference).enumerate() {
+                assert_eq!(w, want, "{src} -> {dst}");
+            }
+        }
+    }
+
+    #[test]
+    fn hanging_trees_route_through_their_anchor_or_common_ancestor() {
+        // Core triangle 0-1-2. Hanging from 0: 3, which branches to 4 and
+        // 5, and 6 below 5. A tree-only component 7-8 with 9 and 10 on 8,
+        // and 11 isolated.
+        let topo = Topology::from_links(
+            12,
+            &[
+                (0, 1, 10),
+                (1, 2, 20),
+                (2, 0, 40),
+                (0, 3, 1),
+                (3, 4, 2),
+                (3, 5, 3),
+                (5, 6, 4),
+                (7, 8, 5),
+                (8, 9, 6),
+                (8, 10, 7),
+            ],
+        );
+        // The triangle, one root of the tree-only component, and 11.
+        assert_eq!(topo.core_len(), 5);
+        assert_eq!(topo.anchor(6), (0, 3));
+        assert_eq!(topo.anchor(2), (2, 0));
+        assert_eq!(topo.anchor(11), (11, 0));
+        let tree_root = topo.anchor(7).0;
+        assert!([7, 8, 9, 10].iter().all(|&r| topo.anchor(r).0 == tree_root));
+        let row = row_to_all(&topo, 4);
+        assert_eq!(unpack(row[6]), (2 + 3 + 4, 3), "through their ancestor 3");
+        assert_eq!(unpack(row[0]), (2 + 1, 2), "up to the anchor");
+        assert_eq!(unpack(row[2]), (2 + 1 + 40, 3), "anchor, core link, anchor");
+        assert_eq!(row[9], UNREACHABLE);
+        assert_eq!(row[11], UNREACHABLE);
+        assert_eq!(unpack(row_to_all(&topo, 9)[10]), (6 + 7, 2));
+        assert_rows_exact(&topo);
+    }
+
+    /// A graph on `n` routers: each router after the first links to an
+    /// earlier one unless its `parents` draw keeps 0 (one in five: a forest
+    /// of branching trees, with tree-only components and isolated
+    /// routers), then up to `n` of `chords`, parallel links among them,
+    /// close cycles anywhere, so the core can carry trees that hang from
+    /// trees and components stay apart.
+    fn any_graph(n: usize, parents: &[(u32, u32, u64)], chords: &[(u32, u32, u64)]) -> Topology {
+        let mut links = Vec::new();
+        for (child, &(keep, pick, w)) in (1u32..n as u32).zip(parents) {
+            if keep != 0 {
+                links.push((child, pick % child, w));
+            }
+        }
+        for &(a, b, w) in chords.iter().take(chords.len() * n / MAX_ROUTERS) {
+            let (a, b) = (a % n as u32, b % n as u32);
+            if a != b {
+                links.push((a, b, w));
+            }
+        }
+        Topology::from_links(n, &links)
+    }
+
+    /// Routers in the largest [`any_graph`].
+    const MAX_ROUTERS: usize = 40;
+
+    proptest! {
+        /// The core sweep plus the hanging trees is exact on any graph,
+        /// not only on the generator's rings with access chains: every
+        /// pair, unreachable ones included, equals a heap Dijkstra over
+        /// the whole graph.
+        #[test]
+        fn core_rows_equal_heap_dijkstra_on_any_graph(
+            n in 1usize..MAX_ROUTERS,
+            parents in prop::collection::vec((0u32..5, any::<u32>(), 1u64..60), MAX_ROUTERS..MAX_ROUTERS + 1),
+            chords in prop::collection::vec((any::<u32>(), any::<u32>(), 1u64..60), 0..MAX_ROUTERS),
+        ) {
+            let topo = any_graph(n, &parents, &chords);
+            for src in 0..n as RouterId {
+                prop_assert_eq!(row_to_all(&topo, src), heap_dijkstra(&topo, src), "row {}", src);
+            }
+        }
     }
 
     #[test]

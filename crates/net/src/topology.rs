@@ -21,12 +21,22 @@
 //! policy routing in the real Internet — so routes cross T3 links rather
 //! than detouring, producing Figure 6's heavy RTT tail. A test in this
 //! module asserts the whole tuning.
+//!
+//! When generation ends the graph is frozen, and the frozen [`Topology`]
+//! knows its **2-core**: what is left after routers of degree 1 are peeled
+//! off, repeatedly. On a generated graph that is exactly the core rings
+//! (960 of ~3,350 routers at the default), with every access chain peeled.
+//! Each peeled router hangs from one core router, its *anchor*, by the one
+//! path through the tree it was peeled in, so a route sweep need only
+//! visit the core and add the two ends' fixed offsets (DESIGN.md §5.2).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use fuse_sim::SimDuration;
+
+use crate::routes::{pack, unpack, MAX_LINK_NS};
 
 /// One-way latency between two overlay nodes attached to the *same* access
 /// router.
@@ -148,12 +158,25 @@ impl TopologyConfig {
     }
 }
 
+/// Where a router hangs from the 2-core: 16 bytes per router.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hang {
+    /// Core index of the anchor (a core router's own).
+    pub(crate) anchor: u32,
+    /// Next router toward the anchor; a core router's is itself.
+    pub(crate) parent: RouterId,
+    /// Packed `(latency, hops)` to the anchor ([`crate::routes`]'s word);
+    /// zero for a core router.
+    pub(crate) off: u64,
+}
+
 /// The generated router graph.
 ///
 /// The adjacency is frozen into compressed sparse rows when generation
 /// ends: router `r`'s edges are `edges[offsets[r]..offsets[r + 1]]`, each
 /// a `(neighbor, one-way latency)` pair, so a route row walks two flat
-/// arrays instead of one `Vec` per router.
+/// arrays instead of one `Vec` per router. The 2-core gets compressed rows
+/// of its own, over core indices, and every router its [`Hang`].
 pub struct Topology {
     /// All links.
     pub links: Vec<Link>,
@@ -165,6 +188,15 @@ pub struct Topology {
     offsets: Vec<u32>,
     /// Every link once from each end, grouped by router in link order.
     edges: Vec<(RouterId, SimDuration)>,
+    /// Each router's anchor, parent and offset.
+    hang: Vec<Hang>,
+    /// Core index → router, in router order.
+    core: Vec<RouterId>,
+    /// Start of each core router's edges in `core_edges`, plus one end.
+    core_offsets: Vec<u32>,
+    /// Every link between two core routers once from each end, as
+    /// `(core index, packed one-hop word)`.
+    core_edges: Vec<(u32, u64)>,
     /// Structural checksum over every link's endpoints and latency,
     /// computed once at the end of generation (see
     /// [`Topology::fingerprint`]).
@@ -263,6 +295,29 @@ impl Topology {
         self.edges[lo as usize..hi as usize].iter().copied()
     }
 
+    /// Number of routers in the 2-core: the routers left once routers of
+    /// degree 1 are peeled off, repeatedly (one router of every tree-only
+    /// component stays, as does every isolated router).
+    pub fn core_len(&self) -> usize {
+        self.core.len()
+    }
+
+    /// Where router `r` hangs from the core.
+    pub(crate) fn hang(&self, r: RouterId) -> Hang {
+        self.hang[r as usize]
+    }
+
+    /// `(core index, packed one-hop word)` of every core link at core
+    /// index `c`: `pack(latency, 1)`, the latency below
+    /// [`MAX_LINK_NS`](crate::routes::MAX_LINK_NS).
+    pub(crate) fn core_neighbors(&self, c: u32) -> &[(u32, u64)] {
+        let (lo, hi) = (
+            self.core_offsets[c as usize],
+            self.core_offsets[c as usize + 1],
+        );
+        &self.core_edges[lo as usize..hi as usize]
+    }
+
     /// Structural checksum of the generated graph (endpoints and latency
     /// of every link). Two topologies that could give any query a
     /// different answer have different fingerprints with overwhelming
@@ -327,6 +382,13 @@ impl Topology {
 
 #[cfg(test)]
 impl Topology {
+    /// The core router `r` hangs from and the hop count of the one path
+    /// to it; `(r, 0)` for a core router.
+    pub(crate) fn anchor(&self, r: RouterId) -> (RouterId, u32) {
+        let h = self.hang[r as usize];
+        (self.core[h.anchor as usize], unpack(h.off).1)
+    }
+
     /// A hand-built graph: routers `0..n`, one LAN link per
     /// `(a, b, latency_ns)`.
     pub(crate) fn from_links(n: usize, links: &[(RouterId, RouterId, u64)]) -> Topology {
@@ -401,13 +463,99 @@ impl Draft {
             let key = (u64::from(l.a) << 40) ^ (u64::from(l.b) << 20) ^ l.latency.nanos();
             (fp ^ key).wrapping_mul(0x1_0000_0000_01b3)
         });
-        Topology {
+        let mut topo = Topology {
             links: self.links,
             as_of: self.as_of,
             attachable: self.attachable,
             offsets,
             edges,
+            hang: Vec::new(),
+            core: Vec::new(),
+            core_offsets: Vec::new(),
+            core_edges: Vec::new(),
             fingerprint,
+        };
+        topo.peel();
+        topo
+    }
+}
+
+impl Topology {
+    /// Peels routers of degree 1, repeatedly, and builds the [`Hang`] of
+    /// every router and the compressed rows of the core that remains.
+    ///
+    /// A router is peeled while it has exactly one link to an unpeeled
+    /// router, its parent; its other links all lead to routers peeled
+    /// before it, its children. So the peeled routers form trees, each
+    /// joined to the core by a single link. A router whose degree falls to
+    /// 0 stays in the core: it is the root of a tree-only component, or
+    /// isolated.
+    fn peel(&mut self) {
+        let n = self.n_routers();
+        let mut degree: Vec<u32> = self.offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut ready: Vec<RouterId> = (0..n as RouterId)
+            .filter(|&r| degree[r as usize] == 1)
+            .collect();
+        // `(router, parent, latency of the link to it)`, in peel order.
+        let mut peeled: Vec<(RouterId, RouterId, u64)> = Vec::new();
+        let mut in_core = vec![true; n];
+        while let Some(r) = ready.pop() {
+            if degree[r as usize] != 1 {
+                continue;
+            }
+            let (parent, w) = self
+                .neighbors(r)
+                .find(|&(x, _)| in_core[x as usize])
+                .expect("a router of degree 1 has an unpeeled neighbour");
+            in_core[r as usize] = false;
+            degree[r as usize] = 0;
+            degree[parent as usize] -= 1;
+            if degree[parent as usize] == 1 {
+                ready.push(parent);
+            }
+            peeled.push((r, parent, w.nanos()));
+        }
+
+        self.core = (0..n as RouterId)
+            .filter(|&r| in_core[r as usize])
+            .collect();
+        self.hang = (0..n as RouterId)
+            .map(|r| Hang {
+                anchor: 0,
+                parent: r,
+                off: 0,
+            })
+            .collect();
+        for (c, &r) in self.core.iter().enumerate() {
+            self.hang[r as usize].anchor = c as u32;
+        }
+        // A parent is peeled after its children, so in reverse peel order
+        // every parent's offset is final before its children read it.
+        for &(r, parent, w) in peeled.iter().rev() {
+            let up = self.hang[parent as usize];
+            let (lat, hops) = unpack(up.off);
+            self.hang[r as usize] = Hang {
+                anchor: up.anchor,
+                parent,
+                off: pack(lat + w, hops + 1),
+            };
+        }
+
+        self.core_offsets = Vec::with_capacity(self.core.len() + 1);
+        self.core_offsets.push(0);
+        for &r in &self.core {
+            let (lo, hi) = (self.offsets[r as usize], self.offsets[r as usize + 1]);
+            for &(x, w) in &self.edges[lo as usize..hi as usize] {
+                if in_core[x as usize] {
+                    assert!(
+                        w.nanos() <= MAX_LINK_NS,
+                        "core link of {w:?} exceeds the route word"
+                    );
+                    self.core_edges
+                        .push((self.hang[x as usize].anchor, pack(w.nanos(), 1)));
+                }
+            }
+            self.core_offsets.push(self.core_edges.len() as u32);
         }
     }
 }
@@ -438,6 +586,24 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "topology must be connected");
+    }
+
+    #[test]
+    fn core_is_the_rings_and_every_chain_hangs_in_its_own_as() {
+        let cfg = TopologyConfig::default();
+        for seed in [1, 9] {
+            let t = Topology::generate(&cfg, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(t.core_len(), cfg.n_as * cfg.core_per_as, "seed {seed}");
+            for &r in &t.attachable {
+                let (anchor, depth) = t.anchor(r);
+                assert_eq!(t.as_of[anchor as usize], t.as_of[r as usize], "router {r}");
+                assert!((1..=cfg.chain_len.1 as u32).contains(&depth), "router {r}");
+                assert_eq!(t.anchor(anchor), (anchor, 0));
+            }
+            // The core's links are the rings and the inter-AS links.
+            let core_edges = t.core_edges.len();
+            assert_eq!(core_edges, 2 * (t.n_links() - t.attachable.len()));
+        }
     }
 
     #[test]

@@ -265,6 +265,8 @@ fn mercator_scale_smoke() {
         (topo.t3_share_of_inter_as() - 0.03).abs() < 0.01,
         "T3 share off"
     );
+    // A row sweeps the core rings alone; every access chain hangs off them.
+    assert_eq!(topo.core_len(), cfg.n_as * cfg.core_per_as);
 
     let cap = 64usize;
     let attach = topo.sample_attachments(500, &mut rng);

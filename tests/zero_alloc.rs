@@ -289,13 +289,19 @@ fn route_oracle_hit_does_not_allocate() {
     oracle.route(&topo, s0, far);
     oracle.route(&topo, s1, far);
     let misses = oracle.stats().misses;
+    let at = |r| oracle.endpoint_index(r).expect("an endpoint");
     let allocs = allocs_during(|| {
         for i in 0..1000 {
             // Alternate rows so every hit also pays the LRU splice, and
-            // directions so half are served from the destination's row.
+            // directions so half are served from the destination's row;
+            // half, in runs of four, ask by endpoint position as a send does.
             let near = if i & 1 == 0 { s0 } else { s1 };
             let (src, dst) = if i & 2 == 0 { (near, far) } else { (far, near) };
-            std::hint::black_box(oracle.route(&topo, src, dst));
+            std::hint::black_box(if i & 4 == 0 {
+                oracle.route(&topo, src, dst)
+            } else {
+                oracle.route_by_index(&topo, at(src), at(dst))
+            });
         }
     });
     assert_eq!(oracle.stats().misses, misses, "the loop must only hit");
