@@ -1,0 +1,435 @@
+//! The FUSE protocol state machine (paper §6).
+//!
+//! One [`FuseLayer`] lives on every node, above the overlay. It holds every
+//! group the node participates in — as **root** (the creator, coordinator of
+//! repair), **member**, or **delegate** (a non-member node on an overlay
+//! route between a member and the root, holding only liveness-tree state).
+//!
+//! The invariant the layer maintains is the paper's *distributed one-way
+//! agreement*: once any participant decides the group failed, every live
+//! member's application handler is invoked exactly once, within a bounded
+//! time, regardless of crashes, partitions or message loss. Failure burns
+//! along the liveness tree ("the fuse"): any link that stops refreshing
+//! converts into `SoftNotification`s and repair attempts, and any repair
+//! that cannot complete converts into `HardNotification`s.
+//!
+//! Every notification carries the *cause* that burned the fuse
+//! ([`NotifyReason`](crate::NotifyReason)): the local evidence where failure was first declared,
+//! propagated on the wire inside `HardNotification` so members observe the
+//! same classified cause the declaring node saw.
+//!
+//! The layer is sans-io: every entry point takes a `CoreCx` — a borrowed
+//! bundle of `now`, the driver RNG, the stack's timer tables and the
+//! [`Output`] queue — and all side effects leave as queued outputs. The
+//! embedded overlay is driven through a scratch context whose effects are
+//! translated into the same queue, in emission order.
+//!
+//! This module holds the state and the dispatch; the protocol lives in one
+//! module per seam of §6: `create` (blocking creation, §6.2), `tree` (the
+//! checking tree: installs, links, deadlines and digest, §6.1–§6.3),
+//! `repair` (§6.5) and `notify` (soft and hard notification, §3.4 and
+//! §6.4).
+
+mod create;
+mod notify;
+mod repair;
+mod tree;
+
+use std::collections::VecDeque;
+
+use fuse_obs::{Aggregates, Recorder};
+use fuse_overlay::{NodeInfo, OverlayCx, OverlayEffect, OverlayNode, OverlayTimer, OverlayUpcall};
+use fuse_util::backoff::Backoff;
+use fuse_util::idgen::IdGen;
+use fuse_util::{DetHashMap, DetHashSet, Duration, KeyedTimers, PeerAddr, Time, TimerKey};
+use fuse_wire::{Decode, EncodeBuf};
+use rand::rngs::StdRng;
+
+use crate::messages::{FuseMsg, InstallChecking};
+use crate::stack::{AppCall, Output, StackMsg};
+use crate::types::{
+    CreateError, FuseConfig, FuseEvent, FuseId, FuseTimer, GroupHandle, Role, REPAIR_BACKOFF_BASE,
+    REPAIR_BACKOFF_CAP,
+};
+
+use create::CreateAttempt;
+use tree::{Links, Watch};
+
+/// Borrowed per-call context for one FUSE-layer entry point.
+///
+/// Owned state lives in `FuseStack`; the stack constructs a `CoreCx` around
+/// disjoint borrows of it for the duration of one call. Sends, timer
+/// commands and application callbacks all leave through the shared
+/// [`Output`] queue, in emission order — the property drivers rely on to
+/// reproduce the simulator's event order bit-for-bit.
+pub(crate) struct CoreCx<'a> {
+    pub(crate) now: Time,
+    pub(crate) rng: &'a mut StdRng,
+    pub(crate) fuse_timers: &'a mut KeyedTimers<FuseTimer>,
+    pub(crate) ov_timers: &'a mut KeyedTimers<OverlayTimer>,
+    /// Scratch buffer for overlay effects; always drained empty before an
+    /// [`ov`](CoreCx::ov) call returns.
+    pub(crate) ov_effects: &'a mut VecDeque<OverlayEffect>,
+    /// Overlay upcalls produced by re-entrant overlay calls (routing from
+    /// inside the layer); the stack feeds them back after the entry point
+    /// returns.
+    pub(crate) ov_upcalls: &'a mut Vec<OverlayUpcall>,
+    pub(crate) out: &'a mut VecDeque<Output>,
+}
+
+impl CoreCx<'_> {
+    /// Queues a FUSE message to a peer.
+    pub(crate) fn send_fuse(&mut self, to: PeerAddr, msg: FuseMsg) {
+        self.out.push_back(Output::Send {
+            to,
+            msg: StackMsg::Fuse(msg),
+        });
+    }
+
+    /// Arms a FUSE timer, returning its key.
+    pub(crate) fn set_fuse_timer(&mut self, after: Duration, tag: FuseTimer) -> TimerKey {
+        let key = self.fuse_timers.arm(tag);
+        self.out.push_back(Output::SetTimer { key, after });
+        key
+    }
+
+    /// Cancels a previously armed FUSE timer.
+    pub(crate) fn cancel_fuse_timer(&mut self, key: TimerKey) {
+        if self.fuse_timers.cancel(key) {
+            self.out.push_back(Output::CancelTimer { key });
+        }
+    }
+
+    /// Queues an application event callback.
+    pub(crate) fn app(&mut self, ev: FuseEvent) {
+        self.out.push_back(Output::App(AppCall::Event(ev)));
+    }
+
+    /// Runs `f` against the overlay through a scratch [`OverlayCx`], then
+    /// translates the emitted overlay effects into stack outputs, in
+    /// emission order. Upcalls stay buffered for the stack's drain loop.
+    /// This is the one place overlay effects become outputs.
+    pub(crate) fn ov<R>(
+        &mut self,
+        ov: &mut OverlayNode,
+        f: impl FnOnce(&mut OverlayNode, &mut OverlayCx<'_>) -> R,
+    ) -> R {
+        let r = {
+            let mut ocx = OverlayCx::new(
+                self.now,
+                self.rng,
+                self.ov_timers,
+                self.ov_effects,
+                self.ov_upcalls,
+            );
+            f(ov, &mut ocx)
+        };
+        while let Some(eff) = self.ov_effects.pop_front() {
+            match eff {
+                OverlayEffect::Send { to, msg } => self.out.push_back(Output::Send {
+                    to,
+                    msg: StackMsg::Overlay(msg),
+                }),
+                OverlayEffect::SetTimer { key, after } => {
+                    self.out.push_back(Output::SetTimer { key, after });
+                }
+                OverlayEffect::CancelTimer { key } => {
+                    self.out.push_back(Output::CancelTimer { key });
+                }
+            }
+        }
+        r
+    }
+}
+
+#[derive(Clone)]
+struct RootState {
+    members: Vec<NodeInfo>,
+    install_missing: DetHashSet<PeerAddr>,
+    install_timer: Option<TimerKey>,
+    repair: Option<RepairRound>,
+    kick: Option<TimerKey>,
+    dirty: bool,
+    backoff: Backoff,
+}
+
+impl RootState {
+    /// A fresh root: every member's install is awaited and no repair runs.
+    fn new(members: Vec<NodeInfo>, install_timer: Option<TimerKey>) -> Box<RootState> {
+        Box::new(RootState {
+            install_missing: members.iter().map(|m| m.proc).collect(),
+            members,
+            install_timer,
+            repair: None,
+            kick: None,
+            dirty: false,
+            backoff: Backoff::new(REPAIR_BACKOFF_BASE.nanos(), REPAIR_BACKOFF_CAP.nanos()),
+        })
+    }
+}
+
+#[derive(Clone)]
+struct RepairRound {
+    seq: u64,
+    awaiting: DetHashSet<PeerAddr>,
+    timer: TimerKey,
+}
+
+#[derive(Clone)]
+struct MemberState {
+    repair_wait: Option<TimerKey>,
+}
+
+#[derive(Clone)]
+enum RoleState {
+    /// Boxed: a node keeps a record for every group it roots, joins or
+    /// relays, and few of them are roots; the rest should not carry the
+    /// root's state inline.
+    Root(Box<RootState>),
+    Member(MemberState),
+    Delegate,
+}
+
+#[derive(Clone)]
+struct Group {
+    seq: u64,
+    root: NodeInfo,
+    role: RoleState,
+    created_at: Time,
+    links: Links,
+}
+
+impl Group {
+    /// A record with no checking-tree links yet.
+    fn new(seq: u64, root: NodeInfo, role: RoleState, created_at: Time) -> Group {
+        Group {
+            seq,
+            root,
+            role,
+            created_at,
+            links: Links::default(),
+        }
+    }
+}
+
+/// The per-node FUSE layer.
+#[derive(Clone)]
+pub struct FuseLayer {
+    cfg: FuseConfig,
+    me: NodeInfo,
+    idgen: IdGen,
+    groups: DetHashMap<FuseId, Group>,
+    creating: DetHashMap<FuseId, CreateAttempt>,
+    /// Which groups monitor each link, and each monitored peer's deadline
+    /// and digest staleness; only `tree` touches it.
+    watch: Watch,
+    /// Application context registered per group via `register_handler`;
+    /// returned inside the failure [`Notification`](crate::Notification).
+    handlers: DetHashMap<FuseId, u64>,
+    /// Group-scoped fail-on-send bindings (§3.4): peers this node performed
+    /// a `group_send` to, per group. A broken connection to a bound peer
+    /// declares the group failed.
+    send_bound: DetHashMap<FuseId, DetHashSet<PeerAddr>>,
+    /// Reusable single-pass encode scratch for wire payloads this layer
+    /// builds (`InstallChecking` envelopes): encoding reserves the exact
+    /// size hint once and never re-counts or grows per message.
+    ebuf: EncodeBuf,
+    /// The node's observation recorder; [`FuseLayer::obs`] exposes a
+    /// read-only view.
+    obs: Recorder,
+}
+
+impl FuseLayer {
+    /// Creates the layer for node `me`.
+    pub fn new(me: NodeInfo, cfg: FuseConfig) -> Self {
+        FuseLayer {
+            cfg,
+            me,
+            idgen: IdGen::new(u64::from(me.proc)),
+            groups: DetHashMap::default(),
+            creating: DetHashMap::default(),
+            watch: Watch::default(),
+            handlers: DetHashMap::default(),
+            send_bound: DetHashMap::default(),
+            ebuf: EncodeBuf::new(),
+            obs: Recorder::with_origin(me.proc),
+        }
+    }
+
+    /// The node's full observation aggregates (read-only).
+    pub fn obs(&self) -> &Aggregates {
+        self.obs.aggregates()
+    }
+
+    /// Number of live groups this node holds state for (any role).
+    pub fn group_count(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Whether this node holds state for `id`.
+    pub fn knows_group(&self, id: FuseId) -> bool {
+        self.groups.contains_key(&id)
+    }
+
+    /// Whether this node holds *member or root* state for `id`.
+    pub fn is_participant(&self, id: FuseId) -> bool {
+        matches!(
+            self.role(id),
+            Some(RoleState::Root(_) | RoleState::Member(_))
+        )
+    }
+
+    /// This node's handle for a live group it participates in.
+    pub fn handle(&self, id: FuseId) -> Option<GroupHandle> {
+        let g = self.groups.get(&id)?;
+        let role = match g.role {
+            RoleState::Root(_) => Role::Root,
+            RoleState::Member(_) => Role::Member,
+            RoleState::Delegate => return None,
+        };
+        Some(GroupHandle {
+            id,
+            role,
+            created_at: g.created_at,
+        })
+    }
+
+    /// Liveness-tree neighbors currently monitored for `id` (visibility for
+    /// tests and the SV-tree census).
+    pub fn tree_links(&self, id: FuseId) -> Vec<PeerAddr> {
+        let mut v: Vec<PeerAddr> = self
+            .groups
+            .get(&id)
+            .map(|g| g.links.peers().collect())
+            .unwrap_or_default();
+        v.sort_unstable();
+        v
+    }
+
+    fn role(&self, id: FuseId) -> Option<&RoleState> {
+        self.groups.get(&id).map(|g| &g.role)
+    }
+
+    /// Whether `id` is rooted here.
+    fn is_root(&self, id: FuseId) -> bool {
+        matches!(self.role(id), Some(RoleState::Root(_)))
+    }
+
+    // ---- Dispatch -------------------------------------------------------------
+
+    /// Handles a FUSE message from `from`.
+    pub(crate) fn on_message(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        from: PeerAddr,
+        msg: FuseMsg,
+    ) {
+        match msg {
+            FuseMsg::GroupCreateRequest { id, root, .. } => {
+                self.on_create_request(cx, ov, from, id, root)
+            }
+            FuseMsg::GroupCreateReply { id, ok } => self.on_create_reply(cx, ov, from, id, ok),
+            FuseMsg::SoftNotification { id, seq } => self.on_soft(cx, ov, from, id, seq),
+            FuseMsg::HardNotification { id, reason, .. } => self.on_hard(cx, ov, from, id, reason),
+            FuseMsg::NeedRepair { id, .. } => self.on_need_repair(cx, from, id),
+            FuseMsg::GroupRepairRequest { id, seq, root } => {
+                self.on_repair_request(cx, ov, from, id, seq, root)
+            }
+            FuseMsg::GroupRepairReply { id, seq, ok } => {
+                self.on_repair_reply(cx, ov, from, id, seq, ok)
+            }
+            FuseMsg::ReconcileRequest { links } => {
+                let mine = self.links_with(from);
+                cx.send_fuse(from, FuseMsg::ReconcileReply { links: mine });
+                self.reconcile(cx, ov, from, &links);
+            }
+            FuseMsg::ReconcileReply { links } => self.reconcile(cx, ov, from, &links),
+        }
+    }
+
+    /// Handles an upcall from the overlay beneath.
+    pub(crate) fn on_overlay_upcall(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        up: OverlayUpcall,
+    ) {
+        match up {
+            OverlayUpcall::PingHash { peer, hash } => self.on_ping_hash(cx, ov, peer, hash),
+            OverlayUpcall::LinkUp { .. } => {}
+            OverlayUpcall::LinkDown { peer, .. } => {
+                // Dead or rerouted link: every group monitoring it soft-fails
+                // that branch and repairs.
+                self.peer_links_failed(cx, ov, peer);
+            }
+            OverlayUpcall::Delivered { src, prev, payload } => {
+                if let Ok(ic) = InstallChecking::from_bytes(&payload) {
+                    self.install_delivered(cx, ov, ic, src.proc, prev);
+                }
+            }
+            OverlayUpcall::Forwarded {
+                prev,
+                next,
+                payload,
+                ..
+            } => {
+                if let Ok(ic) = InstallChecking::from_bytes(&payload) {
+                    self.install_forwarded(cx, ov, ic, prev, next);
+                }
+            }
+            OverlayUpcall::RouteStuck { payload, .. } => {
+                if let Ok(ic) = InstallChecking::from_bytes(&payload) {
+                    // Our InstallChecking could not reach the root.
+                    if ic.member.proc == self.me.proc {
+                        self.initiate_member_repair(cx, ic.id);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Handles a FUSE timer.
+    pub(crate) fn on_timer(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, tag: FuseTimer) {
+        match tag {
+            FuseTimer::LinkExpired { peer } => self.on_peer_expiry(cx, ov, peer),
+            FuseTimer::CreateTimeout { id } => {
+                self.create_failed(cx, id, CreateError::MemberUnreachable)
+            }
+            FuseTimer::InstallWait { id } => self.on_install_wait(cx, id),
+            FuseTimer::MemberRepairWait { id } => self.on_member_repair_wait(cx, ov, id),
+            FuseTimer::RepairRound { id, seq } => self.on_repair_round_timeout(cx, ov, id, seq),
+            FuseTimer::RepairKick { id } => self.start_repair_round(cx, id),
+        }
+    }
+
+    /// Handles a transport-level broken connection (direct messages).
+    pub(crate) fn on_link_broken(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        peer: PeerAddr,
+    ) {
+        self.fail_creates_awaiting(cx, peer);
+        self.fail_repairs_awaiting(cx, ov, peer);
+        self.fail_bound_sends(cx, ov, peer);
+        // Liveness-tree links to this peer are gone.
+        self.peer_links_failed(cx, ov, peer);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn group_record_keeps_root_state_out_of_line() {
+        // One record per (group, node), and few of them are roots: the
+        // root's state must not widen the member and delegate records.
+        assert!(
+            std::mem::size_of::<Group>() <= 112,
+            "Group is {} bytes",
+            std::mem::size_of::<Group>()
+        );
+    }
+}

@@ -1,0 +1,451 @@
+//! The checking tree (paper §6.1–§6.3): which links each group monitors,
+//! when each monitored peer's links expire, and the piggyback digest of the
+//! groups on each link.
+//!
+//! This module alone writes link state. A group's links are a [`Links`]
+//! whose map other modules can only read; the subscription index and the
+//! per-peer expiry records live in [`Watch`], whose fields only this module
+//! can name. Installs (§6.2) add links as `InstallChecking` envelopes pass;
+//! agreeing ping digests and reconcile replies refresh them (§6.3); a link
+//! leaves through [`remove_link`](FuseLayer::remove_link) or
+//! [`clear_links`](FuseLayer::clear_links). The invariant it owns:
+//! [`hash_cache_consistent`](FuseLayer::hash_cache_consistent) holds after
+//! every entry point — every subscribed peer, and only those, has an expiry
+//! record, and every digest not marked stale equals a fresh recomputation.
+
+use fuse_obs::{Event, ObsSink};
+use fuse_overlay::node::RouteStart;
+use fuse_overlay::{NodeInfo, OverlayNode};
+use fuse_util::{DetHashMap, DetHashSet, PeerAddr, Time, TimerKey};
+use fuse_wire::{Digest, Sha1};
+
+use super::{CoreCx, FuseLayer, Group, RoleState};
+use crate::messages::{FuseMsg, InstallChecking};
+use crate::registry::SubscriptionRegistry;
+use crate::types::{FuseId, FuseTimer, NotifyReason};
+
+#[derive(Clone)]
+struct Link {
+    installed_at: Time,
+    /// When this one link was last installed or agreed by a reconcile.
+    refreshed_at: Time,
+}
+
+/// One group's checking-tree links, by peer. The map's iteration order,
+/// which its deterministic hasher and insertion history fix, is the order
+/// soft notifications fan out in.
+#[derive(Clone, Default)]
+pub(super) struct Links(DetHashMap<PeerAddr, Link>);
+
+impl Links {
+    /// The peers at the far end of the links.
+    pub(super) fn peers(&self) -> impl Iterator<Item = PeerAddr> + '_ {
+        self.0.keys().copied()
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Liveness expiry and digest staleness of one monitored peer. A
+/// (group, link)'s deadline is `max(link.refreshed_at, agreed_at) +
+/// link_failure_timeout`.
+#[derive(Clone)]
+struct PeerExpiry {
+    /// When a piggybacked hash from the peer last agreed with ours — the
+    /// refresh of every link to the peer at once (§6.3).
+    agreed_at: Time,
+    /// The peer's one `LinkExpired` timer, armed at or before the earliest
+    /// deadline among its links.
+    timer: TimerKey,
+    /// The peer's set of monitored groups changed since the overlay's
+    /// piggyback digest for it was last computed.
+    hash_dirty: bool,
+}
+
+/// The per-peer side of the checking trees.
+#[derive(Clone, Default)]
+pub(super) struct Watch {
+    /// Index: which groups monitor each link (drives the piggyback hash and
+    /// the per-peer liveness deadline).
+    subs: SubscriptionRegistry<FuseId>,
+    /// Per-peer liveness deadline and digest staleness, one record per
+    /// subscribed peer.
+    expiry: DetHashMap<PeerAddr, PeerExpiry>,
+}
+
+impl FuseLayer {
+    /// Which groups monitor the link to each peer (visibility for tests and
+    /// the microbench).
+    pub fn subscriptions(&self) -> &SubscriptionRegistry<FuseId> {
+        &self.watch.subs
+    }
+
+    // ---- Installs (§6.2) ------------------------------------------------------
+
+    /// Routes this member's `InstallChecking` toward the root, monitoring
+    /// the first hop.
+    pub(super) fn route_install_checking(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        id: FuseId,
+        seq: u64,
+        root: NodeInfo,
+    ) {
+        if root.proc == self.me.proc {
+            return;
+        }
+        let ic = InstallChecking {
+            id,
+            seq,
+            member: self.me,
+            root,
+        };
+        let payload = self.ebuf.encode_to_bytes(&ic);
+        let start = cx.ov(ov, |ov, ocx| ov.route_client(ocx, &root.name, payload));
+        match start {
+            RouteStart::Sent { next } => {
+                self.add_link(cx, ov, id, next);
+            }
+            RouteStart::SelfIsTarget => {}
+            RouteStart::NoRoute => {
+                // No overlay path right now: fall back on root-driven repair.
+                self.initiate_member_repair(cx, id);
+            }
+        }
+    }
+
+    pub(super) fn install_delivered(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        ic: InstallChecking,
+        src: PeerAddr,
+        prev: PeerAddr,
+    ) {
+        if ic.root.proc != self.me.proc {
+            // Routed to us although we are not the root: stale name tables.
+            return;
+        }
+        if let Some(attempt) = self.creating.get_mut(&ic.id) {
+            attempt.early_ics.push((src, prev));
+            return;
+        }
+        if !self.groups.contains_key(&ic.id) {
+            // Group already failed: burn the fuse back toward the member.
+            self.send_hard(cx, src, ic.id, ic.seq, NotifyReason::UnknownGroup);
+            return;
+        }
+        self.install_arrived_at_root(cx, ov, ic.id, ic.seq, src, prev);
+    }
+
+    pub(super) fn install_arrived_at_root(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        id: FuseId,
+        seq: u64,
+        member: PeerAddr,
+        prev: PeerAddr,
+    ) {
+        let Some(g) = self.groups.get_mut(&id) else {
+            return;
+        };
+        if seq < g.seq {
+            return; // Stale branch from before a repair.
+        }
+        if let RoleState::Root(rs) = &mut g.role {
+            rs.install_missing.remove(&member);
+            if rs.install_missing.is_empty() {
+                if let Some(h) = rs.install_timer.take() {
+                    cx.cancel_fuse_timer(h);
+                }
+            }
+        }
+        if prev != self.me.proc {
+            self.add_link(cx, ov, id, prev);
+        }
+    }
+
+    pub(super) fn install_forwarded(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        ic: InstallChecking,
+        prev: PeerAddr,
+        next: PeerAddr,
+    ) {
+        match self.groups.get_mut(&ic.id) {
+            Some(g) => {
+                if ic.seq < g.seq {
+                    return;
+                }
+                g.seq = g.seq.max(ic.seq);
+            }
+            None => {
+                let g = Group::new(ic.seq, ic.root, RoleState::Delegate, cx.now);
+                self.groups.insert(ic.id, g);
+            }
+        }
+        if prev != self.me.proc {
+            self.add_link(cx, ov, ic.id, prev);
+        }
+        if next != self.me.proc {
+            self.add_link(cx, ov, ic.id, next);
+        }
+    }
+
+    // ---- Refresh and expiry (§6.3) ------------------------------------------
+
+    pub(super) fn on_ping_hash(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        peer: PeerAddr,
+        hash: Digest,
+    ) {
+        self.refresh_link_hash(ov, peer);
+        let mine = ov.link_hash(peer).unwrap_or_else(Digest::of_empty);
+        if mine == hash {
+            // Agreement: one store refreshes every (group, link) deadline
+            // this hash covers.
+            if let Some(rec) = self.watch.expiry.get_mut(&peer) {
+                rec.agreed_at = cx.now;
+            }
+        } else {
+            // Disagreement: exchange lists (§6.3).
+            self.obs.record(Event::Reconciled);
+            let links = self.links_with(peer);
+            cx.send_fuse(peer, FuseMsg::ReconcileRequest { links });
+        }
+    }
+
+    pub(super) fn reconcile(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        peer: PeerAddr,
+        theirs: &[(FuseId, u64)],
+    ) {
+        let their_ids: DetHashSet<FuseId> = theirs.iter().map(|&(id, _)| id).collect();
+        let now = cx.now;
+        for id in self.watch.subs.subscribers(peer).to_vec() {
+            let group = self.groups.get_mut(&id);
+            let Some(link) = group.and_then(|g| g.links.0.get_mut(&peer)) else {
+                continue;
+            };
+            if their_ids.contains(&id) {
+                // Agreed link: treat like a refresh.
+                link.refreshed_at = now;
+            } else if now.since(link.installed_at) >= self.cfg.reconcile_grace {
+                // They do not monitor this tree with us. Outside the grace
+                // period (creation race, §6.3) the disagreeing tree is torn
+                // down and repaired.
+                self.local_link_failed(cx, ov, id, peer);
+            }
+        }
+    }
+
+    pub(super) fn links_with(&self, peer: PeerAddr) -> Vec<(FuseId, u64)> {
+        self.watch
+            .subs
+            .subscribers(peer)
+            .iter()
+            .filter_map(|&id| self.groups.get(&id).map(|g| (id, g.seq)))
+            .collect()
+    }
+
+    /// The groups monitoring the link to `peer`, in `FuseId` order.
+    pub(super) fn watchers(&self, peer: PeerAddr) -> Vec<FuseId> {
+        self.watch.subs.subscribers(peer).to_vec()
+    }
+
+    /// The peer's `LinkExpired` timer fired. No deadline on the peer comes
+    /// before its last agreement's, so while agreements keep coming the
+    /// timer follows them and no link is looked at. Once the peer has been
+    /// silent for a whole timeout, the links whose deadline has come fail,
+    /// in `FuseId` order, and the timer follows the earliest one left (a
+    /// link installed or reconciled since).
+    pub(super) fn on_peer_expiry(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        peer: PeerAddr,
+    ) {
+        let Some(rec) = self.watch.expiry.get_mut(&peer) else {
+            return;
+        };
+        let (now, timeout) = (cx.now, self.cfg.link_failure_timeout);
+        let mut due = Vec::new();
+        let floor = rec.agreed_at + timeout;
+        let mut next = (floor > now).then_some(floor);
+        if next.is_none() {
+            for &id in self.watch.subs.subscribers(peer) {
+                let link = &self.groups[&id].links.0[&peer];
+                let deadline = link.refreshed_at.max(rec.agreed_at) + timeout;
+                if deadline <= now {
+                    due.push(id);
+                } else {
+                    next = Some(next.map_or(deadline, |n| n.min(deadline)));
+                }
+            }
+        }
+        // With nothing ahead every link is due, and the last unsubscribe
+        // below drops the record.
+        if let Some(at) = next {
+            rec.timer = cx.set_fuse_timer(at.since(now), FuseTimer::LinkExpired { peer });
+        }
+        for id in due {
+            self.obs.record(Event::LinkExpired);
+            self.local_link_failed(cx, ov, id, peer);
+        }
+    }
+
+    // ---- Link bookkeeping ---------------------------------------------------
+
+    fn add_link(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, id: FuseId, peer: PeerAddr) {
+        debug_assert_ne!(peer, self.me.proc);
+        let now = cx.now;
+        let Some(g) = self.groups.get_mut(&id) else {
+            return;
+        };
+        match g.links.0.get_mut(&peer) {
+            Some(link) => link.refreshed_at = now,
+            None => {
+                g.links.0.insert(
+                    peer,
+                    Link {
+                        installed_at: now,
+                        refreshed_at: now,
+                    },
+                );
+                if self.watch.subs.subscribe(peer, id) {
+                    // First subscription on the peer: start watching it. A
+                    // later link's deadline can only be later than this one.
+                    let timeout = self.cfg.link_failure_timeout;
+                    let timer = cx.set_fuse_timer(timeout, FuseTimer::LinkExpired { peer });
+                    let rec = PeerExpiry {
+                        agreed_at: now,
+                        timer,
+                        hash_dirty: true,
+                    };
+                    self.watch.expiry.insert(peer, rec);
+                }
+                self.link_set_changed(ov, peer);
+            }
+        }
+    }
+
+    /// Drops `id`'s link to `peer`; `false` when there was none.
+    pub(super) fn remove_link(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        id: FuseId,
+        peer: PeerAddr,
+    ) -> bool {
+        let removed = self
+            .groups
+            .get_mut(&id)
+            .is_some_and(|g| g.links.0.remove(&peer).is_some());
+        if removed {
+            self.unindex_link(cx, ov, id, peer);
+        }
+        removed
+    }
+
+    fn unindex_link(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        id: FuseId,
+        peer: PeerAddr,
+    ) {
+        if self.watch.subs.unsubscribe(peer, id) {
+            // Last subscription gone: stop watching the peer.
+            let rec = self
+                .watch
+                .expiry
+                .remove(&peer)
+                .expect("a watched peer has a record");
+            cx.cancel_fuse_timer(rec.timer);
+        }
+        self.link_set_changed(ov, peer);
+    }
+
+    /// Drops every link of `id`.
+    pub(super) fn clear_links(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, id: FuseId) {
+        let Some(g) = self.groups.get_mut(&id) else {
+            return;
+        };
+        let peers: Vec<PeerAddr> = g.links.0.drain().map(|(peer, _)| peer).collect();
+        for peer in peers {
+            self.unindex_link(cx, ov, id, peer);
+        }
+    }
+
+    // ---- The piggyback digest (§6.1) ----------------------------------------
+
+    /// The monitored set on the link to `peer` changed. A peer still
+    /// watched has its digest recomputed when a ping or ack next reads it
+    /// ([`refresh_link_hash`]); a peer no longer watched piggybacks none.
+    ///
+    /// [`refresh_link_hash`]: FuseLayer::refresh_link_hash
+    fn link_set_changed(&mut self, ov: &mut OverlayNode, peer: PeerAddr) {
+        match self.watch.expiry.get_mut(&peer) {
+            Some(rec) => rec.hash_dirty = true,
+            None => ov.set_link_hash(peer, None),
+        }
+    }
+
+    /// Brings the overlay's piggyback digest for `peer` up to date. The
+    /// digest covers the sorted FUSE IDs jointly monitored on the link
+    /// (paper §6.1: a 20-byte hash encoding "all the FUSE groups that use
+    /// this overlay link"). SHA-1 runs only when the set changed since the
+    /// last read, so an install or teardown costs no hash and an agreeing
+    /// ping costs a lookup and a flag test. Called before the overlay
+    /// sends a ping to, or answers a ping from, `peer`, and before a
+    /// received digest is compared.
+    pub(crate) fn refresh_link_hash(&mut self, ov: &mut OverlayNode, peer: PeerAddr) {
+        let dirty = self
+            .watch
+            .expiry
+            .get_mut(&peer)
+            .is_some_and(|rec| std::mem::take(&mut rec.hash_dirty));
+        if dirty {
+            self.obs.record(Event::HashComputed);
+            ov.set_link_hash(peer, Some(self.recompute_hash(peer)));
+        }
+    }
+
+    /// The digest of the groups monitoring the link to `peer`, computed
+    /// from scratch.
+    fn recompute_hash(&self, peer: PeerAddr) -> Digest {
+        let ids = self.watch.subs.subscribers(peer);
+        if ids.is_empty() {
+            return Digest::of_empty();
+        }
+        let mut h = Sha1::new();
+        for id in ids {
+            h.update(&id.0.to_be_bytes());
+        }
+        h.finalize()
+    }
+
+    /// Whether the overlay's piggyback digests agree with the links (test
+    /// hook): every subscribed peer has its expiry record and, unless its
+    /// digest is marked stale, a digest equal to a fresh recomputation;
+    /// no other peer has a record or a digest.
+    pub fn hash_cache_consistent(&self, ov: &OverlayNode) -> bool {
+        let peers = self.watch.subs.peers();
+        let hashed = peers.iter().filter(|&&p| ov.link_hash(p).is_some());
+        peers.iter().all(|&p| {
+            self.watch.expiry.get(&p).is_some_and(|rec| {
+                rec.hash_dirty || ov.link_hash(p) == Some(self.recompute_hash(p))
+            })
+        }) && self.watch.expiry.len() == peers.len()
+            && ov.link_hash_count() == hashed.count()
+    }
+}

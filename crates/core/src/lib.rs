@@ -40,7 +40,7 @@ mod registry;
 pub mod stack;
 pub mod types;
 
-pub use layer::{FuseLayer, FuseStats};
+pub use layer::FuseLayer;
 pub use messages::{FuseMsg, InstallChecking};
 pub use registry::SubscriptionRegistry;
 pub use stack::{

@@ -219,6 +219,10 @@ pub enum AppCall {
 }
 
 /// The composed sans-io protocol stack: overlay + FUSE, one per node.
+///
+/// `Clone` copies the whole node state, so a copy fed the same inputs
+/// emits the same outputs as the original.
+#[derive(Clone)]
 pub struct FuseStack {
     /// The overlay layer.
     pub overlay: OverlayNode,
@@ -350,31 +354,7 @@ impl FuseStack {
         rng: &mut StdRng,
         f: impl FnOnce(&mut OverlayNode, &mut OverlayCx<'_>) -> R,
     ) -> R {
-        let r = {
-            let mut ocx = OverlayCx::new(
-                now,
-                rng,
-                &mut self.ov_timers,
-                &mut self.ov_effects,
-                &mut self.ov_upcalls,
-            );
-            f(&mut self.overlay, &mut ocx)
-        };
-        while let Some(eff) = self.ov_effects.pop_front() {
-            match eff {
-                OverlayEffect::Send { to, msg } => self.out.push_back(Output::Send {
-                    to,
-                    msg: StackMsg::Overlay(msg),
-                }),
-                OverlayEffect::SetTimer { key, after } => {
-                    self.out.push_back(Output::SetTimer { key, after });
-                }
-                OverlayEffect::CancelTimer { key } => {
-                    self.out.push_back(Output::CancelTimer { key });
-                }
-            }
-        }
-        r
+        self.with_core(now, rng, |_, ov, cx| cx.ov(ov, f))
     }
 
     /// Runs `f` against the FUSE layer through a [`CoreCx`] over this
@@ -685,6 +665,30 @@ mod tests {
         s.api(Time(8), &mut rng).cancel_timer(app);
         drain(&mut s);
         assert_inert(&mut s, &mut rng, Time(13), app);
+    }
+
+    /// A node that holds no record of a group answers a member's
+    /// `NeedRepair` with a hard notification, and counts it as sent.
+    #[test]
+    fn need_repair_for_an_unknown_group_burns_back_and_is_counted() {
+        let mut s = stack(1);
+        let mut rng = StdRng::seed_from_u64(1);
+        s.handle(Time::ZERO, &mut rng, Input::Boot);
+        drain(&mut s);
+        let before = s.fuse.obs().hard_sent;
+        let (id, seq) = (FuseId(42), 3);
+        let msg = StackMsg::Fuse(FuseMsg::NeedRepair { id, seq });
+        s.handle(Time(1), &mut rng, Input::Message { from: 2, msg });
+        let outs = drain(&mut s);
+        let hard = outs.iter().filter(|o| match o {
+            Output::Send { to: 2, msg } => matches!(
+                msg,
+                StackMsg::Fuse(FuseMsg::HardNotification { id: got, .. }) if *got == id
+            ),
+            _ => false,
+        });
+        assert_eq!(hard.count(), 1, "{outs:?}");
+        assert_eq!(s.fuse.obs().hard_sent, before + 1);
     }
 
     #[test]

@@ -58,6 +58,7 @@ struct Fire {
 }
 
 /// A root stack with `GROUPS` created groups and a manual clock.
+#[derive(Clone)]
 struct Rig {
     stack: FuseStack,
     rng: StdRng,
@@ -73,6 +74,8 @@ struct Rig {
     digests_checked: u64,
     /// Nonce of the root's unanswered ping to each peer.
     pings: BTreeMap<PeerAddr, u64>,
+    /// When set, the `Debug` form of every output, in order.
+    log: Option<Vec<String>>,
 }
 
 impl Rig {
@@ -98,6 +101,7 @@ impl Rig {
             ids: Vec::new(),
             digests_checked: 0,
             pings: BTreeMap::new(),
+            log: None,
         };
         rig.feed(Input::Boot);
         for _ in 0..GROUPS {
@@ -154,6 +158,9 @@ impl Rig {
                     }
                 }
                 _ => {}
+            }
+            if let Some(log) = &mut self.log {
+                log.push(format!("{o:?}"));
             }
             outs.push(o);
         }
@@ -246,12 +253,12 @@ impl Rig {
             self.timers.pop();
             self.now = at;
             let before = self.links();
-            let expired_before = self.stack.fuse.stats().links_expired;
+            let expired_before = self.stack.fuse.obs().links_expired;
             let outs = self.feed(Input::Timer(key));
             let after = self.links();
             let expired: Vec<_> = before.difference(&after).copied().collect();
             assert_eq!(
-                self.stack.fuse.stats().links_expired - expired_before,
+                self.stack.fuse.obs().links_expired - expired_before,
                 expired.len() as u64,
                 "a timer removes links only by expiring them"
             );
@@ -374,7 +381,7 @@ fn links_due_at_one_instant_expire_in_fuse_id_order() {
 fn a_digest_is_computed_when_a_ping_reads_a_changed_set_and_only_then() {
     let mut rig = Rig::new();
     let (g1, g2, a) = (rig.ids[0], rig.ids[1], PEERS[0]);
-    let computed = |rig: &Rig| rig.stack.fuse.stats().hashes_computed;
+    let computed = |rig: &Rig| rig.stack.fuse.obs().hashes_computed;
     let before = computed(&rig);
     rig.install(g1, a);
     rig.install(g2, a);
@@ -396,6 +403,59 @@ fn a_digest_is_computed_when_a_ping_reads_a_changed_set_and_only_then() {
     assert_eq!(rig.digests_checked - checked, PEERS.len() as u64);
     assert_eq!(computed(&rig), before + 2);
     assert!(rig.stack.fuse.hash_cache_consistent(&rig.stack.overlay));
+}
+
+#[test]
+fn a_cloned_stack_behaves_like_the_original() {
+    let mut rig = Rig::new();
+    let (g1, g2, g3) = (rig.ids[0], rig.ids[1], rig.ids[2]);
+    let (a, b, c) = (PEERS[0], PEERS[1], PEERS[2]);
+    rig.install(g1, a);
+    rig.install(g2, a);
+    rig.install(g3, b);
+    // A soft notification sends the root into repair, every member answers
+    // the round, and the links left unrefreshed expire.
+    rig.soft(g2, a);
+    rig.run_until(secs(5));
+    for p in PEERS {
+        rig.feed_fuse(
+            p,
+            FuseMsg::GroupRepairReply {
+                id: g2,
+                seq: 1,
+                ok: true,
+            },
+        );
+    }
+    rig.run_until(secs(200));
+    let obs = rig.stack.fuse.obs();
+    assert!(obs.repairs_started > 0 && obs.links_expired > 0, "{obs:?}");
+
+    let mut copy = rig.clone();
+    let script = |r: &mut Rig| {
+        r.log = Some(Vec::new());
+        r.install(g1, c);
+        r.ping(c, digest_of([g1]));
+        r.ping(a, digest_of([FuseId(7)]));
+        r.reconcile_reply(c, &[]);
+        r.ack(c, None);
+        r.install(g3, b);
+        r.soft(g3, b);
+        r.feed(Input::LinkBroken { peer: a });
+        r.stack.api(r.now, &mut r.rng).signal_failure(g1);
+        r.drain();
+        r.run_until(r.now + Duration::from_secs(400));
+        r.log.take().expect("logging")
+    };
+    let (ours, theirs) = (script(&mut rig), script(&mut copy));
+    for kind in ["SoftNotification", "HardNotification", "Notified"] {
+        assert!(
+            ours.iter().any(|o| o.contains(kind)),
+            "no {kind} in {ours:#?}"
+        );
+    }
+    assert_eq!(ours, theirs);
+    assert_eq!(rig.stack.fuse.obs(), copy.stack.fuse.obs());
 }
 
 /// One deadline per (peer, group), kept the way the per-link timers kept it.

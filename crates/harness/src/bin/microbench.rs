@@ -285,7 +285,7 @@ fn agreeing_ping_ns(groups: usize) -> f64 {
             hash = mine;
         }
     });
-    let reconciles = stack.fuse.stats().reconciles;
+    let reconciles = stack.fuse.obs().reconciles;
     let mut fuse_timer_cmds = 0u64;
     let ns = median_ns(1 << 16, || {
         deliver(&mut stack, &mut rng, ping(hash), |out| {
@@ -296,7 +296,7 @@ fn agreeing_ping_ns(groups: usize) -> f64 {
         });
         fuse_timer_cmds
     });
-    let disagreed = stack.fuse.stats().reconciles - reconciles;
+    let disagreed = stack.fuse.obs().reconciles - reconciles;
     assert_eq!(disagreed, 0, "a timed ping did not agree");
     assert_eq!(fuse_timer_cmds, 0, "an agreeing ping touched a FUSE timer");
     ns

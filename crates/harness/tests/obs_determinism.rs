@@ -76,8 +76,8 @@ fn aggregates_are_bit_identical_in_any_fold_order() {
 }
 
 /// Runs two identical worlds step-locked; one has its observation plane
-/// interrogated at every step (per-node stats views, per-node raw
-/// aggregates, the world-level merged fold), the other is left alone.
+/// interrogated at every step (per-node aggregates, the world-level
+/// merged fold), the other is left alone.
 /// Both must land on the identical event count, clock and aggregates —
 /// reading the recorder plane is side-effect-free by construction
 /// (`&self` accessors over monotone state), and this pins it.
@@ -91,12 +91,7 @@ fn reading_the_observation_plane_never_perturbs_the_run() {
         probed.run(SimDuration::from_secs(30));
         let _ = probed.obs_aggregates();
         if let Some(stack) = probed.sim.proc(0) {
-            let stats = stack.fuse.stats();
-            let agg = stack.fuse.obs();
-            // The stats view is computed from the aggregates, never
-            // tracked separately — the two must always agree.
-            assert_eq!(stats.hashes_computed, agg.hashes_computed);
-            assert_eq!(stats.notifications, agg.notifications);
+            let _ = stack.fuse.obs();
         }
     }
     assert_eq!(quiet.sim.events_executed(), probed.sim.events_executed());

@@ -176,7 +176,7 @@ pub(crate) struct Hang {
 /// ends: router `r`'s edges are `edges[offsets[r]..offsets[r + 1]]`, each
 /// a `(neighbor, one-way latency)` pair, so a route row walks two flat
 /// arrays instead of one `Vec` per router. The 2-core gets compressed rows
-/// of its own, over core indices, and every router its [`Hang`].
+/// of its own, over core indices, and every router its `Hang`.
 pub struct Topology {
     /// All links.
     pub links: Vec<Link>,

@@ -44,7 +44,7 @@ pub struct PhaseMark {
 /// events, never of the partitioning.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Aggregates {
-    // --- FUSE protocol counters (the FuseStats view reads these) ---
+    // --- FUSE protocol counters ---
     /// Groups successfully created.
     pub groups_created: u64,
     /// Group creations that failed.

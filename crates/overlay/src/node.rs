@@ -54,6 +54,7 @@ pub enum RouteStart {
 ///
 /// All entry points take an [`OverlayCx`]; the node never touches a
 /// driver (simulation kernel or socket runtime) directly.
+#[derive(Clone)]
 pub struct OverlayNode {
     cfg: OverlayConfig,
     me: NodeInfo,

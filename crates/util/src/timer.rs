@@ -30,6 +30,7 @@ pub struct TimerKey {
     pub gen: u64,
 }
 
+#[derive(Clone)]
 struct Slot<T> {
     gen: u64,
     tag: Option<T>,
@@ -38,6 +39,7 @@ struct Slot<T> {
 /// Timer storage for one namespace of one stack: O(1) arm/cancel/fire with
 /// generation-checked staleness, mirroring the sim kernel's lazy-removal
 /// timer table.
+#[derive(Clone)]
 pub struct KeyedTimers<T> {
     ns: u8,
     slots: Vec<Slot<T>>,

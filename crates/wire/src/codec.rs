@@ -58,7 +58,7 @@ impl Writer for Vec<u8> {
 /// nor allocate: the backing `Vec` is cleared (capacity retained) and
 /// reserved to the message's exact [`size_hint`](Encode::size_hint) before
 /// the one encode pass.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct EncodeBuf {
     buf: Vec<u8>,
 }

@@ -480,7 +480,7 @@ fn agreeing_ping_exchange_does_not_allocate_or_touch_fuse_timers() {
     assert!(probes_sent > 0, "no maintenance probe ran in the window");
     assert!(exchanges >= 2 * 49, "only {exchanges} pings were acked");
     assert!(pair.fuse_timer_inputs > 0, "the peer timers never came due");
-    assert_eq!(pair.stacks[0].fuse.stats().links_expired, 0);
+    assert_eq!(pair.stacks[0].fuse.obs().links_expired, 0);
     assert_eq!(pair.stacks[0].fuse.group_count(), GROUPS);
     assert_eq!(
         pair.fuse_timer_cmds, 0,
