@@ -141,17 +141,15 @@ fn kernel_queue() {
     );
 }
 
-/// Median ns per miss of a one-row oracle over `endpoints` asked about
-/// disjoint pairs (the samples share the `n / 2` there are), so neither end
-/// of a query is ever resident and each computes a row.
-fn cold_miss_ns(topo: &Topology, endpoints: &[u32]) -> f64 {
-    let cold = RouteOracle::new(endpoints, 1);
-    let mut next = 0usize;
+/// Median ns per miss of an oracle over `topo` and `endpoints` (sorted and
+/// distinct) asked about disjoint pairs (the samples share the `n / 2`
+/// there are), so neither end of a query has a row and each computes one.
+fn cold_miss_ns(topo: Topology, endpoints: &[u32]) -> f64 {
+    let mut cold = RouteOracle::new(topo, endpoints);
+    let mut next = 0;
     let ns = median_ns(endpoints.len() / (2 * REPS), || {
         next += 2;
-        cold.route(topo, endpoints[next - 2], endpoints[next - 1])
-            .latency
-            .nanos()
+        cold.route_by_index(next - 2, next - 1).latency.nanos()
     });
     assert_eq!(cold.stats().hits, 0, "a miss query was served from a row");
     ns
@@ -166,66 +164,63 @@ fn endpoints_of(topo: &Topology, n: usize, rng: &mut StdRng) -> Vec<u32> {
 }
 
 /// Hit, reverse-row hit and miss latency for 400 endpoints on the default
-/// topology with every row allowed to stay resident — the configuration
-/// `Network::new` derives for the paper's 400-node worlds — plus the bytes
-/// resident with as many rows computed as queries can cause; then the miss
-/// latency for 500 endpoints at Mercator scale. Each names the size of the
-/// core a miss sweeps.
+/// topology, as in the paper's 400-node worlds, plus the bytes resident
+/// with as many rows computed as queries can cause; then the miss latency
+/// for 500 endpoints at Mercator scale. Each names the size of the core a
+/// miss sweeps.
 fn route_table() {
-    let mut rng = StdRng::seed_from_u64(0xF0D0);
+    const SEED: u64 = 0xF0D0;
+    let mut rng = StdRng::seed_from_u64(SEED);
     let topo = Topology::generate(&TopologyConfig::default(), &mut rng);
     let endpoints = endpoints_of(&topo, 400, &mut rng);
-    let n = endpoints.len();
-    let oracle = RouteOracle::new(&endpoints, n);
+    let (n, routers, core) = (endpoints.len(), topo.n_routers(), topo.core_len());
+    let mut oracle = RouteOracle::new(topo, &endpoints);
 
-    // Hits: two resident rows queried alternately. With a slot for every
-    // endpoint nothing can be evicted, so a hit skips the LRU splice, as
-    // in every simulated world. Forward hits name the resident row's
-    // router as the source; reverse-row hits name it as the destination,
-    // from a source whose own row is not resident. Both take endpoint
-    // positions, as a `Network` send does.
+    // Hits: two computed rows queried alternately. Forward hits name the
+    // computed row's endpoint as the source; reverse-row hits name it as
+    // the destination, from a source whose own row is not computed. Both
+    // take endpoint positions, as a `Network` send does.
     let (s0, s1, far) = (0, 1, 2);
-    oracle.route_by_index(&topo, s0, far);
-    oracle.route_by_index(&topo, s1, far);
+    oracle.route_by_index(s0, far);
+    oracle.route_by_index(s1, far);
     let mut i = 0usize;
     let hit_ns = median_ns(4096, || {
         i += 1;
         let src = if i & 1 == 0 { s0 } else { s1 };
-        oracle.route_by_index(&topo, src, far).latency.nanos()
+        oracle.route_by_index(src, far).latency.nanos()
     });
     let reverse_ns = median_ns(4096, || {
         i += 1;
         let dst = if i & 1 == 0 { s0 } else { s1 };
-        oracle.route_by_index(&topo, far, dst).latency.nanos()
+        oracle.route_by_index(far, dst).latency.nanos()
     });
     assert_eq!(oracle.stats().misses, 2, "the hit loops computed a row");
 
-    let miss_ns = cold_miss_ns(&topo, &endpoints);
+    // The same seed draws the same graph again for the cold oracle.
+    let again = Topology::generate(&TopologyConfig::default(), &mut StdRng::seed_from_u64(SEED));
+    let miss_ns = cold_miss_ns(again, &endpoints);
 
     // Fill the oracle as far as it goes: a row is only computed when
     // neither end has one, so every endpoint asks about the last one,
     // whose own row is then never needed.
-    for &src in &endpoints[..n - 1] {
-        oracle.route(&topo, src, endpoints[n - 1]);
+    let last = n as u32 - 1;
+    for src in 0..last {
+        oracle.route_by_index(src, last);
     }
     let stats = oracle.stats();
     println!(
-        "route oracle ({} routers, core {}, {n} endpoints): hit {hit_ns:.1} ns   reverse-row \
-         hit {reverse_ns:.1} ns   miss {miss_ns:.0} ns   resident {} rows / {} bytes",
-        topo.n_routers(),
-        topo.core_len(),
-        stats.resident_rows,
-        stats.resident_bytes
+        "route oracle ({routers} routers, core {core}, {n} endpoints): hit {hit_ns:.1} ns   \
+         reverse-row hit {reverse_ns:.1} ns   miss {miss_ns:.0} ns   resident {} rows / {} bytes",
+        stats.resident_rows, stats.resident_bytes
     );
 
     let topo = Topology::generate(&TopologyConfig::mercator_scale(), &mut rng);
     let endpoints = endpoints_of(&topo, 500, &mut rng);
+    let (routers, core) = (topo.n_routers(), topo.core_len());
     println!(
-        "route oracle, Mercator scale ({} routers, core {}, {} endpoints): miss {:.0} ns",
-        topo.n_routers(),
-        topo.core_len(),
+        "route oracle, Mercator scale ({routers} routers, core {core}, {} endpoints): miss {:.0} ns",
         endpoints.len(),
-        cold_miss_ns(&topo, &endpoints)
+        cold_miss_ns(topo, &endpoints)
     );
 }
 

@@ -109,11 +109,11 @@ fn exp_sample(rng: &mut rand::rngs::StdRng, mean: SimDuration) -> SimDuration {
 }
 
 /// Precomputes one churner's alternating crash/restart cycle out to
-/// `horizon` and queues it through the kernel's unboxed script events
+/// `horizon` and queues it through the kernel's script events
 /// ([`Sim::schedule_crash`]/[`Sim::schedule_restart`]): the exponential
-/// phase lengths are sampled up front from the kernel RNG and the restart
-/// stacks are parked in the kernel's slab, so churn scripting allocates no
-/// per-cycle closure boxes and captures no per-cycle `infos` clones.
+/// phase lengths are sampled up front from the kernel RNG and each restart
+/// event carries its fresh stack, so churn scripting builds no per-cycle
+/// closures and captures no per-cycle `infos` clones.
 fn schedule_churn(
     sim: &mut ChurnSim,
     proc: ProcId,

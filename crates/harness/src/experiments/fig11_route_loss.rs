@@ -56,7 +56,7 @@ pub struct Fig11Result {
 /// Runs the census.
 pub fn run(p: &Params) -> Fig11Result {
     let mut rng = StdRng::seed_from_u64(p.seed);
-    let net = Network::generate(
+    let mut net = Network::generate(
         &TopologyConfig::default(),
         p.n,
         NetConfig::simulator(),

@@ -35,17 +35,18 @@
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let topo = Topology::generate(&TopologyConfig::default(), &mut rng);
 //!
-//! // 8 resident rows bound route memory to 8 × endpoints × 8 bytes
-//! // whatever the router count; rows appear on first use.
-//! let endpoints = &topo.attachable[..32];
-//! let oracle = RouteOracle::new(endpoints, 8);
-//! let (a, b) = (endpoints[0], endpoints[1]);
-//! let route = oracle.route(&topo, a, b);
+//! // The oracle owns the topology. Rows appear on first use and stay:
+//! // route memory is at most 32 × 32 × 8 bytes, whatever the router count.
+//! let endpoints = topo.attachable[..32].to_vec();
+//! let mut oracle = RouteOracle::new(topo, &endpoints);
+//! let at = |r| oracle.endpoint_index(r).expect("an endpoint");
+//! let (a, b) = (at(endpoints[0]), at(endpoints[1]));
+//! let route = oracle.route_by_index(a, b);
 //! assert!(route.hops >= 1);
 //! assert!(route.delivery_prob(0.0) == 1.0);
 //!
 //! // Links are undirected: the reverse query hits the same row.
-//! assert_eq!(route, oracle.route(&topo, b, a));
+//! assert_eq!(route, oracle.route_by_index(b, a));
 //! assert_eq!((oracle.stats().hits, oracle.stats().misses), (1, 1));
 //! ```
 //!

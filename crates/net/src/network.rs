@@ -79,14 +79,8 @@ impl NetConfig {
     }
 }
 
-/// Bytes of route rows a [`Network`] keeps resident: every row (8 bytes per
-/// distinct attachment router, `A`) up to `A` = 1,024, and past that an LRU
-/// of `ROUTE_ROW_BUDGET_BYTES / (A × 8)` rows.
-pub const ROUTE_ROW_BUDGET_BYTES: usize = 8 << 20;
-
 /// The wide-area messaging layer (a [`Medium`] implementation).
 pub struct Network {
-    topo: Topology,
     routes: RouteOracle,
     /// Each process's attachment router as its position in the oracle's
     /// endpoint set, resolved once so a send looks nothing up.
@@ -114,9 +108,11 @@ pub struct Network {
 
 impl Network {
     /// Builds a network over `topo` with process `i` attached to
-    /// `attach[i]`. Construction runs no shortest-path computation: routes
-    /// are computed on demand by a [`RouteOracle`] over the distinct
-    /// attachment routers, sized to [`ROUTE_ROW_BUDGET_BYTES`].
+    /// `attach[i]`. The network's [`RouteOracle`] takes the topology, with
+    /// the distinct attachment routers as its endpoints, and construction
+    /// runs no shortest-path computation: a row is computed on the first
+    /// send that needs it and kept, so route memory is at most `A × A × 8`
+    /// bytes for `A` distinct attachment routers (1.28 MB at 400).
     ///
     /// # Panics
     ///
@@ -129,12 +125,7 @@ impl Network {
                 topo.n_routers()
             );
         }
-        let mut endpoints = attach.clone();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        let row_bytes = endpoints.len().max(1) * std::mem::size_of::<u64>();
-        let rows = endpoints.len().min(ROUTE_ROW_BUDGET_BYTES / row_bytes);
-        let routes = RouteOracle::new(&endpoints, rows);
+        let routes = RouteOracle::new(topo, &attach);
         let endpoint = attach
             .iter()
             .map(|&r| {
@@ -145,7 +136,6 @@ impl Network {
             .collect();
         let n = attach.len();
         Network {
-            topo,
             routes,
             endpoint,
             profile: cfg.profile,
@@ -180,19 +170,14 @@ impl Network {
         &self.fault
     }
 
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Route summary between two processes (computed on demand and cached
-    /// in the oracle's rows).
-    pub fn route_info(&self, a: ProcId, b: ProcId) -> RouteInfo {
+    /// Route summary between two processes (computed on demand and kept in
+    /// the oracle's rows).
+    pub fn route_info(&mut self, a: ProcId, b: ProcId) -> RouteInfo {
         let (a, b) = (self.endpoint[a as usize], self.endpoint[b as usize]);
-        self.routes.route_by_index(&self.topo, a, b)
+        self.routes.route_by_index(a, b)
     }
 
-    /// Hit/miss/eviction counters and occupancy of the route oracle.
+    /// Hit/miss counters and occupancy of the route oracle.
     pub fn route_oracle_stats(&self) -> OracleStats {
         self.routes.stats()
     }
@@ -391,6 +376,7 @@ mod tests {
     use super::*;
     use crate::topology::TopologyConfig;
     use rand::SeedableRng;
+    use std::mem::size_of;
 
     fn small_net(cfg: NetConfig) -> (Network, StdRng) {
         let mut rng = StdRng::seed_from_u64(123);
@@ -632,43 +618,33 @@ mod tests {
     }
 
     #[test]
-    fn oracle_capacity_bounds_route_memory_under_many_sources() {
-        // The network's own endpoint set under an explicit small capacity
-        // (`Network::new` derives one that keeps all 40 rows resident).
+    fn routing_every_pair_of_400_processes_keeps_at_most_a_row_per_attachment() {
+        // A paper-scale world on the default topology: every row the
+        // oracle computes stays, and the attachment count bounds them.
         let mut rng = StdRng::seed_from_u64(7);
-        let topo_cfg = TopologyConfig {
-            n_as: 16,
-            core_per_as: 4,
-            chains_per_as: 2,
-            chain_len: (2, 4),
-            ..TopologyConfig::default()
-        };
-        let topo = Topology::generate(&topo_cfg, &mut rng);
-        let attach = topo.sample_attachments(40, &mut rng);
-        let net = Network::new(topo, attach.clone(), NetConfig::simulator());
-        assert_eq!(net.routes.capacity(), 40);
-        let cap = 4;
-        let oracle = RouteOracle::new(&attach, cap);
-        // Disjoint pairs: neither end of the next one is resident.
-        for pair in attach.chunks(2) {
-            oracle.route(&net.topo, pair[0], pair[1]);
+        let cfg = TopologyConfig::default();
+        let mut net = Network::generate(&cfg, 400, NetConfig::simulator(), &mut rng);
+        for a in 0..400 {
+            for b in 0..400 {
+                net.route_info(a, b);
+            }
         }
-        let s = oracle.stats();
-        assert!(s.resident_rows <= cap, "LRU cap violated: {s:?}");
-        assert!(s.evictions > 0, "cap 4 over 20 cold pairs must evict");
-        let a = attach.len();
-        let rows = cap * a * std::mem::size_of::<u64>();
+        let a = 1 + *net.endpoint.iter().max().expect("400 processes") as usize;
+        let s = net.route_oracle_stats();
         assert!(
-            s.resident_bytes <= rows + 32 * (a + cap),
-            "rows are endpoint-wide and the index a few words per endpoint: {s:?}"
+            s.resident_rows <= a && s.resident_rows as u64 == s.misses,
+            "{s:?}"
         );
+        let bound = a * a * size_of::<u64>() + a * size_of::<Vec<u64>>() + a * size_of::<u32>();
+        assert!(s.resident_bytes <= bound, "{s:?} over {a} attachments");
     }
 
     #[test]
     #[should_panic(expected = "process 2 is attached to router 4000000")]
     fn attachment_outside_the_topology_fails_at_construction() {
-        let (net, _) = small_net(NetConfig::simulator());
-        Network::new(net.topo, vec![0, 1, 4_000_000], NetConfig::simulator());
+        let mut rng = StdRng::seed_from_u64(123);
+        let topo = Topology::generate(&TopologyConfig::default(), &mut rng);
+        Network::new(topo, vec![0, 1, 4_000_000], NetConfig::simulator());
     }
 
     /// Heal-path regressions: every fault-plane *clear* operation must

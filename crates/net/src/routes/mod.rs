@@ -3,8 +3,8 @@
 //! Routing in the emulated Internet is static (ModelNet precomputes routes
 //! the same way) and **demand-driven**: [`RouteOracle`] computes one row
 //! per *attachment* router the first time a route touching it cannot be
-//! answered from the other end, and keeps it — one bit-packed
-//! `(latency, hops)` word per attachment router — in a bounded LRU.
+//! answered from the other end, and keeps it for good — one bit-packed
+//! `(latency, hops)` word per attachment router.
 //!
 //! A row is one lexicographic shortest-path sweep over the topology's
 //! **2-core** (see [`crate::topology`]) from the source's anchor; every
@@ -24,7 +24,6 @@
 //! under a uniform per-link loss rate `p` is `1 − (1−p)^hops`, exactly the
 //! composition behind Figure 11's per-route loss CDFs.
 
-use std::cell::RefCell;
 use std::mem::size_of;
 
 use fuse_sim::SimDuration;
@@ -161,7 +160,7 @@ impl Sweep {
         }
     }
 
-    /// Fills `row` with the packed route from `src` to each of `dsts`.
+    /// The packed route from `src` to each of `dsts`.
     ///
     /// One sweep over the core from `src`'s anchor, then per destination:
     ///
@@ -172,23 +171,24 @@ impl Sweep {
     /// * one anchor — the tree path through the two routers' nearest
     ///   common ancestor, the one simple path between them;
     /// * the destination's anchor unreached — `UNREACHABLE`.
-    fn row(&mut self, topo: &Topology, src: RouterId, dsts: &[RouterId], row: &mut Vec<u64>) {
+    fn row(&mut self, topo: &Topology, src: RouterId, dsts: &[RouterId]) -> Vec<u64> {
         let s = topo.hang(src);
         self.core_from(topo, s.anchor);
         let (s_lat, s_hops) = unpack(s.off);
-        row.clear();
-        row.extend(dsts.iter().map(|&dst| {
-            let d = topo.hang(dst);
-            if d.anchor == s.anchor {
-                return tree_path(topo, src, dst);
-            }
-            let core = self.best[d.anchor as usize];
-            if core == UNREACHABLE {
-                return UNREACHABLE;
-            }
-            let ((lat, hops), (d_lat, d_hops)) = (unpack(core), unpack(d.off));
-            pack(s_lat + lat + d_lat, s_hops + hops + d_hops)
-        }));
+        dsts.iter()
+            .map(|&dst| {
+                let d = topo.hang(dst);
+                if d.anchor == s.anchor {
+                    return tree_path(topo, src, dst);
+                }
+                let core = self.best[d.anchor as usize];
+                if core == UNREACHABLE {
+                    return UNREACHABLE;
+                }
+                let ((lat, hops), (d_lat, d_hops)) = (unpack(core), unpack(d.off));
+                pack(s_lat + lat + d_lat, s_hops + hops + d_hops)
+            })
+            .collect()
     }
 }
 
@@ -215,235 +215,99 @@ fn tree_path(topo: &Topology, a: RouterId, b: RouterId) -> u64 {
 // ---------------------------------------------------------------------------
 // The demand-driven oracle.
 
-/// Sentinel for "no slot": in the intrusive LRU list and in `slot_of`.
-const NIL: u32 = u32::MAX;
-
-/// One resident row of the oracle.
-struct Slot {
-    /// Endpoint (position in `Inner::endpoints`) this row was computed from.
-    ep: u32,
-    /// Packed `(latency, hops)` word per endpoint, in `endpoints` order.
-    row: Vec<u64>,
-    /// Intrusive LRU list: previous (more recently used) slot.
-    prev: u32,
-    /// Intrusive LRU list: next (less recently used) slot.
-    next: u32,
-}
-
 /// Counters and occupancy of a [`RouteOracle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OracleStats {
-    /// Queries served from a resident row (either end's).
+    /// Queries served from a computed row (either end's).
     pub hits: u64,
-    /// Queries that had to compute a row (neither end's row resident: first
-    /// touch or re-entry after eviction).
+    /// Queries that had to compute a row (neither end's row computed yet).
     pub misses: u64,
-    /// Rows evicted to stay within the capacity.
-    pub evictions: u64,
-    /// Rows currently resident.
+    /// Rows computed so far: every one stays.
     pub resident_rows: usize,
-    /// Bytes held by the rows, their slots and the endpoint set (not the
+    /// Bytes held by the rows, their headers and the endpoint set (not the
     /// one sweep's reused working storage, a few words per core router).
     pub resident_bytes: usize,
 }
 
-/// Demand-driven route oracle over a fixed **endpoint set**: per-endpoint
-/// shortest paths computed lazily, kept as rows of one bit-packed word per
-/// *endpoint* (not per router) in a bounded LRU.
+/// Demand-driven route oracle over one topology and a fixed **endpoint
+/// set**: per-endpoint shortest paths computed lazily and kept as rows of
+/// one bit-packed word per *endpoint* (not per router).
 ///
-/// Resident memory is `capacity × A × 8` bytes for `A` distinct endpoints,
-/// whatever the router count, where all-destinations rows would take
-/// `sources × n_routers × 16` bytes. Links are undirected and a route's
-/// `(hops, latency)` are integer sums over a path that reads the same both
-/// ways, so `route(a, b) == route(b, a)` exactly: a query is served from
-/// whichever end's row is resident, and only a pair with *neither*
-/// computes a row. A hit by endpoint position
-/// ([`route_by_index`](RouteOracle::route_by_index)) is two array reads,
-/// plus an LRU splice when the capacity is below the endpoint count — no
-/// allocation; [`route`](RouteOracle::route) first finds each router by
-/// binary search. A miss is one breadth-first sweep over the topology's
-/// core (under 2 ms at 100k routers, 20–30 µs at the default topology).
+/// Routing is static, so a row never goes stale and is never dropped:
+/// resident memory is `rows computed × A × 8` bytes for `A` distinct
+/// endpoints, whatever the router count, where all-destinations rows would
+/// take `sources × n_routers × 16` bytes. Links are undirected and a
+/// route's `(hops, latency)` are integer sums over a path that reads the
+/// same both ways, so `route(a, b) == route(b, a)` exactly: a query is
+/// served from whichever end's row is computed, and only a pair with
+/// *neither* computes a row. A hit is two array reads and no allocation; a
+/// miss is one breadth-first sweep over the topology's core (under 2 ms at
+/// 100k routers, 20–30 µs at the default topology).
 ///
-/// The oracle does not own the topology: callers pass `&Topology` to
-/// [`route`](RouteOracle::route), so one topology can back the network, the
-/// experiments and ad-hoc queries without reference cycles. Cached rows are
-/// only valid for the topology they were computed from — the oracle
-/// records the first topology's [`Topology::fingerprint`] and panics if a
-/// later query passes a different graph (even one with coincidentally
-/// equal counts), rather than silently serving stale routes. Interior
-/// mutability (a `RefCell`) keeps the query API `&self`; the simulation is
-/// single-threaded by design.
-///
-/// Eviction order depends only on the query order, so for a fixed topology
-/// and query sequence the oracle is fully deterministic — including its
-/// [`stats`](RouteOracle::stats).
+/// The oracle owns the [`Topology`] it answers for, so no other graph can
+/// reach its rows. For a fixed topology and query sequence it is fully
+/// deterministic, [`stats`](RouteOracle::stats) included.
 pub struct RouteOracle {
-    inner: RefCell<Inner>,
-}
-
-struct Inner {
-    cap: usize,
+    topo: Topology,
     /// The endpoint routers, sorted and distinct: a row's column order,
     /// and a router's position by binary search.
     endpoints: Vec<RouterId>,
-    /// Endpoint position → slot of its resident row, or `NIL`.
-    slot_of: Vec<u32>,
-    slots: Vec<Slot>,
-    /// Most recently used slot.
-    head: u32,
-    /// Least recently used slot (the eviction victim).
-    tail: u32,
+    /// Endpoint position → its packed row, in `endpoints` order; empty
+    /// until computed.
+    rows: Vec<Vec<u64>>,
     hits: u64,
     misses: u64,
-    evictions: u64,
     sweep: Sweep,
-    /// `(n_routers, fingerprint)` of the first topology queried; guards
-    /// against reusing cached rows across topologies — the structural
-    /// fingerprint catches even same-sized graphs from different seeds.
-    fp: Option<(usize, u64)>,
 }
 
 impl RouteOracle {
-    /// Creates an oracle for routes among `endpoints` (duplicates collapse)
-    /// holding at most `capacity` rows (clamped to at least 1). Every
-    /// router of a topology as an endpoint makes it any-to-any.
-    pub fn new(endpoints: &[RouterId], capacity: usize) -> Self {
+    /// Creates an oracle for routes over `topo` among `endpoints`
+    /// (duplicates collapse). Every router of a topology as an endpoint
+    /// makes it any-to-any. Computes no row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not a router of `topo`.
+    pub fn new(topo: Topology, endpoints: &[RouterId]) -> Self {
         let mut endpoints = endpoints.to_vec();
         endpoints.sort_unstable();
         endpoints.dedup();
-        let cap = capacity.max(1);
+        endpoints.shrink_to_fit();
+        assert!(
+            endpoints
+                .last()
+                .is_none_or(|&r| (r as usize) < topo.n_routers()),
+            "endpoint router id out of range"
+        );
         RouteOracle {
-            inner: RefCell::new(Inner {
-                cap,
-                slot_of: vec![NIL; endpoints.len()],
-                // Never more slots than rows that can exist.
-                slots: Vec::with_capacity(cap.min(endpoints.len())),
-                endpoints,
-                head: NIL,
-                tail: NIL,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                sweep: Sweep::default(),
-                fp: None,
-            }),
+            topo,
+            rows: vec![Vec::new(); endpoints.len()],
+            endpoints,
+            hits: 0,
+            misses: 0,
+            sweep: Sweep::default(),
         }
-    }
-
-    /// Maximum number of resident rows.
-    pub fn capacity(&self) -> usize {
-        self.inner.borrow().cap
     }
 
     /// Position of `router` in the endpoint set, the index
     /// [`route_by_index`](RouteOracle::route_by_index) takes; `None` if it
     /// is not an endpoint.
     pub fn endpoint_index(&self, router: RouterId) -> Option<u32> {
-        let inner = self.inner.borrow();
-        inner
-            .endpoints
-            .binary_search(&router)
-            .ok()
-            .map(|i| i as u32)
+        self.endpoints.binary_search(&router).ok().map(|i| i as u32)
     }
 
-    /// Route summary from `src` to `dst`, served from either end's resident
-    /// row; with neither resident the source's is computed and cached.
-    /// Each router is found by binary search over the endpoints; a caller
-    /// asking often resolves [`endpoint_index`](RouteOracle::endpoint_index)
-    /// once and asks [`route_by_index`](RouteOracle::route_by_index).
+    /// Route summary between the endpoints at positions `src` and `dst`
+    /// of the endpoint set, served from either end's row; with neither
+    /// computed, the source's is computed (one sweep over the topology's
+    /// core, its working storage reused) and kept.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is unreachable from `src` (the topology generator
-    /// produces connected graphs), if either id is out of range for `topo`
-    /// or not one of this oracle's endpoints, or if `topo` is not the
-    /// topology this oracle's cached rows were computed from (checked via
-    /// [`Topology::fingerprint`], so even a same-sized graph from a
-    /// different seed is refused rather than served stale rows). The id
-    /// and topology checks apply to same-router queries too, even though
-    /// those never touch the LRU. A missing row — never queried or
-    /// evicted — is recomputed transparently, at the cost of one sweep
-    /// over the topology's core (its working storage is reused, and the
-    /// hit path is allocation-free).
-    pub fn route(&self, topo: &Topology, src: RouterId, dst: RouterId) -> RouteInfo {
-        assert!(
-            (src as usize) < topo.n_routers() && (dst as usize) < topo.n_routers(),
-            "router id out of range"
-        );
-        let mut inner = self.inner.borrow_mut();
-        inner.check_topology(topo);
-        let (s, d) = (inner.endpoint(src), inner.endpoint(dst));
-        inner.route(topo, s, d)
-    }
-
-    /// [`route`](RouteOracle::route) between the endpoints at positions
-    /// `src` and `dst` of the endpoint set: no lookup on the way to the
-    /// row.
-    ///
-    /// # Panics
-    ///
-    /// As [`route`](RouteOracle::route), and if a position is not below
-    /// the number of distinct endpoints.
-    pub fn route_by_index(&self, topo: &Topology, src: u32, dst: u32) -> RouteInfo {
-        let mut inner = self.inner.borrow_mut();
-        inner.check_topology(topo);
-        inner.route(topo, src as usize, dst as usize)
-    }
-
-    /// Whether the row computed from endpoint `router` is currently resident
-    /// (test hook; does not count as a hit or disturb the LRU order).
-    pub fn row_resident(&self, router: RouterId) -> bool {
-        let inner = self.inner.borrow();
-        inner.slot_of[inner.endpoint(router)] != NIL
-    }
-
-    /// Current counters and occupancy.
-    pub fn stats(&self) -> OracleStats {
-        let inner = self.inner.borrow();
-        let rows: usize = inner.slots.iter().map(|s| s.row.capacity()).sum();
-        OracleStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            resident_rows: inner.slots.len(),
-            resident_bytes: rows * size_of::<u64>()
-                + inner.slots.capacity() * size_of::<Slot>()
-                + inner.endpoints.capacity() * size_of::<RouterId>()
-                + inner.slot_of.capacity() * size_of::<u32>(),
-        }
-    }
-}
-
-impl Inner {
-    /// Records the first topology queried and refuses any other; the first
-    /// also has every endpoint checked against its router count.
-    fn check_topology(&mut self, topo: &Topology) {
-        let fp = (topo.n_routers(), topo.fingerprint());
-        match self.fp {
-            None => {
-                assert!(
-                    self.endpoints.last().is_none_or(|&r| (r as usize) < fp.0),
-                    "endpoint router id out of range"
-                );
-                self.fp = Some(fp);
-            }
-            Some(seen) => assert_eq!(
-                seen, fp,
-                "RouteOracle queried with a different topology than its cached rows"
-            ),
-        }
-    }
-
-    /// Position of `router` in the endpoint set.
-    fn endpoint(&self, router: RouterId) -> usize {
-        let ep = self.endpoints.binary_search(&router);
-        ep.unwrap_or_else(|_| panic!("router {router} is not an endpoint of this oracle"))
-    }
-
-    /// The route between endpoint positions `s` and `d` of the checked
-    /// topology.
-    fn route(&mut self, topo: &Topology, s: usize, d: usize) -> RouteInfo {
+    /// produces connected graphs), or if a position of two different
+    /// endpoints is not below the number of distinct endpoints.
+    pub fn route_by_index(&mut self, src: u32, dst: u32) -> RouteInfo {
+        let (s, d) = (src as usize, dst as usize);
         if s == d {
             // Same attachment router: a LAN hop, not a wide-area route.
             return RouteInfo {
@@ -452,28 +316,19 @@ impl Inner {
             };
         }
         // Routes are symmetric: the destination's row serves as well.
-        let (row_ep, col) = if self.slot_of[s] == NIL && self.slot_of[d] != NIL {
+        let (row, col) = if self.rows[s].is_empty() && !self.rows[d].is_empty() {
             (d, s)
         } else {
             (s, d)
         };
-        let slot = match self.slot_of[row_ep] {
-            NIL => {
-                self.misses += 1;
-                self.admit(topo, row_ep)
-            }
-            i => {
-                self.hits += 1;
-                // With a slot for every endpoint nothing is ever evicted,
-                // so the recency order is never read.
-                if self.cap < self.endpoints.len() && self.head != i {
-                    self.unlink(i);
-                    self.push_front(i);
-                }
-                i
-            }
-        };
-        let w = self.slots[slot as usize].row[col];
+        if self.rows[row].is_empty() {
+            self.misses += 1;
+            let src = self.endpoints[row];
+            self.rows[row] = self.sweep.row(&self.topo, src, &self.endpoints);
+        } else {
+            self.hits += 1;
+        }
+        let w = self.rows[row][col];
         assert_ne!(w, UNREACHABLE, "destination unreachable");
         let (lat, hops) = unpack(w);
         RouteInfo {
@@ -482,68 +337,30 @@ impl Inner {
         }
     }
 
-    /// Unlinks slot `i` from the LRU list.
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
-            let s = &self.slots[i as usize];
-            (s.prev, s.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slots[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slots[next as usize].prev = prev;
-        }
+    /// Whether the row of endpoint `router` has been computed (test hook;
+    /// does not count as a hit).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `router` is not an endpoint.
+    pub fn row_resident(&self, router: RouterId) -> bool {
+        let ep = self.endpoint_index(router);
+        let ep = ep.unwrap_or_else(|| panic!("router {router} is not an endpoint of this oracle"));
+        !self.rows[ep as usize].is_empty()
     }
 
-    /// Pushes slot `i` to the front (most recently used).
-    fn push_front(&mut self, i: u32) {
-        let old_head = self.head;
-        {
-            let s = &mut self.slots[i as usize];
-            s.prev = NIL;
-            s.next = old_head;
+    /// Current counters and occupancy.
+    pub fn stats(&self) -> OracleStats {
+        let computed = self.rows.iter().filter(|row| !row.is_empty());
+        let (rows, words) = computed.fold((0, 0), |(n, w), row| (n + 1, w + row.capacity()));
+        OracleStats {
+            hits: self.hits,
+            misses: self.misses,
+            resident_rows: rows,
+            resident_bytes: words * size_of::<u64>()
+                + self.rows.capacity() * size_of::<Vec<u64>>()
+                + self.endpoints.capacity() * size_of::<RouterId>(),
         }
-        if old_head != NIL {
-            self.slots[old_head as usize].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    /// Builds the row of endpoint `ep` into a fresh or recycled slot and
-    /// makes it most recently used; returns the slot index.
-    fn admit(&mut self, topo: &Topology, ep: usize) -> u32 {
-        let i = if self.slots.len() < self.cap {
-            let i = self.slots.len() as u32;
-            self.slots.push(Slot {
-                ep: ep as u32,
-                row: Vec::new(),
-                prev: NIL,
-                next: NIL,
-            });
-            i
-        } else {
-            // Evict the least recently used row, recycling its allocation.
-            let victim = self.tail;
-            self.unlink(victim);
-            let old_ep = std::mem::replace(&mut self.slots[victim as usize].ep, ep as u32);
-            self.slot_of[old_ep as usize] = NIL;
-            self.evictions += 1;
-            victim
-        };
-        let row = &mut self.slots[i as usize].row;
-        self.sweep
-            .row(topo, self.endpoints[ep], &self.endpoints, row);
-        self.slot_of[ep] = i;
-        self.push_front(i);
-        i
     }
 }
 
@@ -568,18 +385,17 @@ mod tests {
         Topology::generate(&cfg, &mut StdRng::seed_from_u64(11))
     }
 
-    /// An oracle with every router of `topo` as an endpoint.
-    fn any_to_any(topo: &Topology, capacity: usize) -> RouteOracle {
+    /// An oracle with every router of `topo` as an endpoint, so a
+    /// router's endpoint position is its id.
+    fn any_to_any(topo: Topology) -> RouteOracle {
         let all: Vec<RouterId> = (0..topo.n_routers() as RouterId).collect();
-        RouteOracle::new(&all, capacity)
+        RouteOracle::new(topo, &all)
     }
 
     /// The packed row from `src` to every router of `topo`.
     fn row_to_all(topo: &Topology, src: RouterId) -> Vec<u64> {
         let all: Vec<RouterId> = (0..topo.n_routers() as RouterId).collect();
-        let mut row = Vec::new();
-        Sweep::default().row(topo, src, &all, &mut row);
-        row
+        Sweep::default().row(topo, src, &all)
     }
 
     #[test]
@@ -598,9 +414,8 @@ mod tests {
 
     #[test]
     fn same_router_is_lan_latency() {
-        let topo = small_topo();
-        let oracle = any_to_any(&topo, 4);
-        let r = oracle.route(&topo, 7, 7);
+        let mut oracle = any_to_any(small_topo());
+        let r = oracle.route_by_index(7, 7);
         assert_eq!(r.hops, 0);
         assert_eq!(r.latency, SAME_ROUTER_LATENCY);
         // Served without building any row.
@@ -610,26 +425,28 @@ mod tests {
     #[test]
     fn every_same_router_query_is_lan_latency() {
         let topo = small_topo();
-        let oracle = any_to_any(&topo, 4);
-        for r in 0..topo.n_routers() as RouterId {
-            let info = oracle.route(&topo, r, r);
+        let n = topo.n_routers() as RouterId;
+        let mut oracle = any_to_any(topo);
+        for r in 0..n {
+            let info = oracle.route_by_index(r, r);
             assert_eq!(info.hops, 0, "router {r}");
             assert_eq!(info.latency, SAME_ROUTER_LATENCY, "router {r}");
             assert!(info.latency < SimDuration::from_millis(1));
         }
-        assert_eq!(oracle.stats().resident_rows, 0);
+        let s = oracle.stats();
+        assert_eq!((s.hits, s.misses, s.resident_rows), (0, 0, 0));
     }
 
     #[test]
     fn answers_from_either_end_row_agree() {
         // Each direction asked of its own oracle, so `a → b` is served from
         // a's row and `b → a` from b's: the answers must still match.
-        let topo = small_topo();
         for a in [0u32, 5, 13, 21] {
             for b in [3u32, 9, 30] {
-                let (from_a, from_b) = (any_to_any(&topo, 1), any_to_any(&topo, 1));
-                let f = from_a.route(&topo, a, b);
-                let r = from_b.route(&topo, b, a);
+                let mut from_a = any_to_any(small_topo());
+                let mut from_b = any_to_any(small_topo());
+                let f = from_a.route_by_index(a, b);
+                let r = from_b.route_by_index(b, a);
                 assert!(from_a.row_resident(a) && from_b.row_resident(b));
                 assert_eq!(f.latency, r.latency, "{a} <-> {b}");
                 assert_eq!(f.hops, r.hops, "{a} <-> {b}");
@@ -803,9 +620,8 @@ mod tests {
 
     #[test]
     fn triangle_inequality_holds() {
-        let topo = small_topo();
-        let oracle = any_to_any(&topo, 4);
-        let lat = |a, b| oracle.route(&topo, a, b).latency.nanos();
+        let mut oracle = any_to_any(small_topo());
+        let mut lat = |a, b| oracle.route_by_index(a, b).latency.nanos();
         assert!(lat(0, 20) <= lat(0, 10) + lat(10, 20));
     }
 
@@ -833,133 +649,71 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let topo = small_topo();
-        let oracle = any_to_any(&topo, 4);
-        oracle.route(&topo, 0, 1);
-        oracle.route(&topo, 0, 2);
-        oracle.route(&topo, 3, 2);
+        let mut oracle = any_to_any(small_topo());
+        oracle.route_by_index(0, 1);
+        oracle.route_by_index(0, 2);
+        oracle.route_by_index(3, 2);
         let s = oracle.stats();
-        assert_eq!(s.misses, 2, "two pairs with neither end resident");
+        assert_eq!(s.misses, 2, "two pairs with neither end computed");
         assert_eq!(s.hits, 1, "second query from source 0");
         assert_eq!(s.resident_rows, 2);
-        assert_eq!(s.evictions, 0);
     }
 
     #[test]
     fn reverse_direction_is_served_from_the_destination_row() {
-        let topo = small_topo();
-        let oracle = any_to_any(&topo, 4);
-        let forward = oracle.route(&topo, 0, 9);
-        assert_eq!(oracle.route(&topo, 9, 0), forward);
-        assert_eq!(oracle.route(&topo, 5, 0), oracle.route(&topo, 0, 5));
+        let mut oracle = any_to_any(small_topo());
+        let forward = oracle.route_by_index(0, 9);
+        assert_eq!(oracle.route_by_index(9, 0), forward);
+        assert_eq!(oracle.route_by_index(5, 0), oracle.route_by_index(0, 5));
         let s = oracle.stats();
         assert_eq!((s.misses, s.hits, s.resident_rows), (1, 3, 1));
         assert!(oracle.row_resident(0) && !oracle.row_resident(9));
     }
 
     #[test]
-    fn capacity_bounds_resident_rows() {
-        let topo = small_topo();
-        let endpoints: Vec<RouterId> = (0..12).collect();
-        let oracle = RouteOracle::new(&endpoints, 2);
-        // Disjoint pairs, so no query can be served from the other end.
-        for src in (0..12u32).step_by(2) {
-            oracle.route(&topo, src, src + 1);
-        }
+    fn every_computed_row_stays_resident() {
+        let mut oracle = any_to_any(small_topo());
+        oracle.route_by_index(0, 5);
+        oracle.route_by_index(1, 6);
+        oracle.route_by_index(7, 0); // served from 0's row
+        oracle.route_by_index(2, 8);
+        assert!((0..3).all(|r| oracle.row_resident(r)));
+        assert!(!oracle.row_resident(7));
         let s = oracle.stats();
-        assert_eq!(s.resident_rows, 2);
-        assert_eq!(s.evictions, 4);
-        let row_bytes = endpoints.len() * size_of::<u64>();
-        assert!(
-            s.resident_bytes >= 2 * row_bytes,
-            "rows must be accounted: {} < {}",
-            s.resident_bytes,
-            2 * row_bytes
-        );
-        // Rows are endpoint-wide, not router-wide; the rest is the slots
-        // and the index (a few words per endpoint).
-        assert!(topo.n_routers() > 3 * endpoints.len());
-        assert!(
-            s.resident_bytes <= 2 * row_bytes + 4 * size_of::<Slot>() + 32 * endpoints.len(),
-            "resident bytes unbounded: {}",
-            s.resident_bytes
-        );
+        assert_eq!((s.misses, s.hits, s.resident_rows), (3, 1, 3));
     }
 
     #[test]
-    fn lru_evicts_least_recently_used_source() {
-        let topo = small_topo();
-        let oracle = any_to_any(&topo, 2);
-        oracle.route(&topo, 0, 5); // rows: [0]
-        oracle.route(&topo, 1, 6); // rows: [1, 0]
-        oracle.route(&topo, 7, 0); // reverse hit touches 0 -> rows: [0, 1]
-        oracle.route(&topo, 2, 8); // evicts 1 -> rows: [2, 0]
-        assert!(oracle.row_resident(0));
-        assert!(!oracle.row_resident(1));
-        assert!(oracle.row_resident(2));
+    fn resident_bytes_are_rows_times_endpoints_plus_headers() {
+        // Disjoint pairs, so no query can be served from the other end.
+        let endpoints: Vec<RouterId> = (0..12).collect();
+        let mut oracle = RouteOracle::new(small_topo(), &endpoints);
+        for src in (0..12u32).step_by(2) {
+            oracle.route_by_index(src, src + 1);
+        }
+        let s = oracle.stats();
+        assert_eq!((s.misses, s.hits, s.resident_rows), (6, 0, 6));
+        // Rows are endpoint-wide, not router-wide: each holds one word per
+        // endpoint, and the rest is a row header and a router id per
+        // endpoint.
+        let a = endpoints.len();
+        assert_eq!(
+            s.resident_bytes,
+            6 * a * size_of::<u64>() + a * size_of::<Vec<u64>>() + a * size_of::<RouterId>()
+        );
     }
 
     #[test]
     #[should_panic(expected = "not an endpoint")]
     fn non_endpoint_router_is_refused() {
-        let topo = small_topo();
-        let oracle = RouteOracle::new(&[0, 3, 9], 4);
-        oracle.route(&topo, 0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "different topology")]
-    fn reuse_across_topologies_panics_instead_of_serving_stale_rows() {
-        let topo_a = small_topo();
-        let topo_b = Topology::generate(
-            &TopologyConfig {
-                n_as: 4,
-                core_per_as: 3,
-                chains_per_as: 1,
-                chain_len: (2, 4),
-                ..TopologyConfig::default()
-            },
-            &mut StdRng::seed_from_u64(5),
-        );
-        let oracle = RouteOracle::new(&[0, 9], 4);
-        oracle.route(&topo_a, 0, 9);
-        oracle.route(&topo_b, 0, 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "different topology")]
-    fn same_config_different_seed_is_still_a_different_topology() {
-        // Same TopologyConfig, different seed: counts can coincide, but
-        // the structural fingerprint must still refuse the cached rows.
-        let cfg = TopologyConfig {
-            n_as: 8,
-            core_per_as: 4,
-            chains_per_as: 1,
-            chain_len: (3, 3), // fixed chain length: identical router count
-            ..TopologyConfig::default()
-        };
-        let topo_a = Topology::generate(&cfg, &mut StdRng::seed_from_u64(1));
-        let topo_b = Topology::generate(&cfg, &mut StdRng::seed_from_u64(2));
-        assert_eq!(topo_a.n_routers(), topo_b.n_routers());
-        let oracle = RouteOracle::new(&[0, 9], 4);
-        oracle.route(&topo_a, 0, 9);
-        oracle.route(&topo_b, 0, 9);
+        let oracle = RouteOracle::new(small_topo(), &[0, 3, 9]);
+        oracle.row_resident(4);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn same_router_query_still_checks_id_range() {
-        let topo = small_topo();
-        let oracle = RouteOracle::new(&[50_000], 4);
-        oracle.route(&topo, 50_000, 50_000);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped() {
-        let topo = small_topo();
-        let oracle = RouteOracle::new(&[0, 9], 0);
-        assert_eq!(oracle.capacity(), 1);
-        let r = oracle.route(&topo, 0, 9);
-        assert!(r.hops >= 1);
+        let mut oracle = RouteOracle::new(small_topo(), &[50_000]);
+        oracle.route_by_index(0, 0);
     }
 }

@@ -197,10 +197,6 @@ pub struct Topology {
     /// Every link between two core routers once from each end, as
     /// `(core index, packed one-hop word)`.
     core_edges: Vec<(u32, u64)>,
-    /// Structural checksum over every link's endpoints and latency,
-    /// computed once at the end of generation (see
-    /// [`Topology::fingerprint`]).
-    fingerprint: u64,
 }
 
 /// The graph while it is being generated: links plus the per-router
@@ -316,17 +312,6 @@ impl Topology {
             self.core_offsets[c as usize + 1],
         );
         &self.core_edges[lo as usize..hi as usize]
-    }
-
-    /// Structural checksum of the generated graph (endpoints and latency
-    /// of every link). Two topologies that could give any query a
-    /// different answer have different fingerprints with overwhelming
-    /// probability — even when router and link counts coincide (e.g. the
-    /// same config generated from a different seed). O(1) to read: the
-    /// [`crate::RouteOracle`] compares it on every query to refuse serving
-    /// cached rows for the wrong graph.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Number of routers.
@@ -446,7 +431,7 @@ impl Draft {
     }
 
     /// Freezes the final link latencies (after the T3 reassignment) into
-    /// the compressed adjacency and the fingerprint.
+    /// the compressed adjacency.
     fn freeze(self) -> Topology {
         let mut offsets = Vec::with_capacity(self.adj.len() + 1);
         let mut edges = Vec::with_capacity(2 * self.links.len());
@@ -458,11 +443,6 @@ impl Draft {
             );
             offsets.push(edges.len() as u32);
         }
-        // An FNV-1a-style fold over every link's endpoints and latency.
-        let fingerprint = self.links.iter().fold(0xcbf2_9ce4_8422_2325u64, |fp, l| {
-            let key = (u64::from(l.a) << 40) ^ (u64::from(l.b) << 20) ^ l.latency.nanos();
-            (fp ^ key).wrapping_mul(0x1_0000_0000_01b3)
-        });
         let mut topo = Topology {
             links: self.links,
             as_of: self.as_of,
@@ -473,7 +453,6 @@ impl Draft {
             core: Vec::new(),
             core_offsets: Vec::new(),
             core_edges: Vec::new(),
-            fingerprint,
         };
         topo.peel();
         topo
@@ -622,7 +601,11 @@ mod tests {
         let cfg = TopologyConfig::default();
         let topo = Topology::generate(&cfg, &mut rng);
         let attach = topo.sample_attachments(200, &mut rng);
-        let oracle = RouteOracle::new(&attach, attach.len());
+        let mut oracle = RouteOracle::new(topo, &attach);
+        let at: Vec<u32> = attach
+            .iter()
+            .map(|&r| oracle.endpoint_index(r).expect("an endpoint"))
+            .collect();
         let mut hops = Reservoir::new();
         let mut rtt_ms = Reservoir::new();
         for i in 0..50usize {
@@ -630,7 +613,7 @@ mod tests {
                 if attach[i] == attach[j] {
                     continue;
                 }
-                let r = oracle.route(&topo, attach[i], attach[j]);
+                let r = oracle.route_by_index(at[i], at[j]);
                 hops.add(r.hops as f64);
                 rtt_ms.add(2.0 * r.latency.as_millis_f64());
             }
@@ -679,20 +662,6 @@ mod tests {
         assert!(
             (95_000..=110_000).contains(&expected),
             "preset expects {expected} routers, not Mercator scale"
-        );
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_seeds_and_reproduces() {
-        let cfg = TopologyConfig::default();
-        let a1 = Topology::generate(&cfg, &mut StdRng::seed_from_u64(9));
-        let a2 = Topology::generate(&cfg, &mut StdRng::seed_from_u64(9));
-        let b = Topology::generate(&cfg, &mut StdRng::seed_from_u64(10));
-        assert_eq!(a1.fingerprint(), a2.fingerprint(), "same seed, same graph");
-        assert_ne!(
-            a1.fingerprint(),
-            b.fingerprint(),
-            "different seed must change the fingerprint even if counts collide"
         );
     }
 

@@ -179,7 +179,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> BaselineSim<P, Md, S> {
     }
 
     /// Schedules a crash of `id` at `at` (mirrors [`crate::Sim::schedule_crash`]
-    /// for the differential tests; this kernel boxes per restart).
+    /// for the differential tests).
     pub fn schedule_crash(&mut self, at: SimTime, id: ProcId) {
         assert!(at >= self.clock, "cannot schedule in the past");
         self.push(at, Event::Crash(id));

@@ -23,9 +23,9 @@
 //! * A **link-break notice** carries the incarnation of the process whose
 //!   send broke, under the timer rule: a process restarted before the
 //!   notice fires never hears of its predecessor's broken sends.
-//! * Scheduled **crashes** and **restarts** are tokens too (restart state
-//!   parked in a second slab), so scripting them allocates nothing per
-//!   call.
+//! * Scheduled **crashes** and **restarts** are tokens too. A restart
+//!   carries its fresh state boxed: one allocation beside the many a fresh
+//!   process makes, and the token stays as small as a timer's.
 //!
 //! `baseline::BaselineSim` preserves the original single-heap scheduler;
 //! differential tests in `tests/kernel_equivalence.rs` hold the two to
@@ -40,8 +40,9 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{NullTrace, TraceSink};
 use crate::wheel::{TimingWheel, WheelEntry};
 
-/// What a wheel entry means when it surfaces.
-enum Pending<T> {
+/// What a wheel entry means when it surfaces: `T` is the timer tag, `P`
+/// the process type.
+enum Pending<T, P> {
     Timer {
         proc: ProcId,
         incarnation: u32,
@@ -59,8 +60,7 @@ enum Pending<T> {
     Crash(ProcId),
     Restart {
         id: ProcId,
-        idx: u32,
-        gen: u32,
+        state: Box<P>,
     },
 }
 
@@ -68,8 +68,7 @@ enum Pending<T> {
 /// consumption, queue entries refer to them by index, and slots recycle
 /// through a free list — steady-state insert/take never allocates.
 /// Generations catch (programming) errors where a stale index would
-/// resurrect a consumed slot. Used for in-flight message payloads and for
-/// parked restart states.
+/// resurrect a consumed slot. Holds the in-flight message payloads.
 struct Slab<T> {
     slots: Vec<(u32, Option<T>)>,
     free: Vec<u32>,
@@ -149,10 +148,8 @@ struct ProcSlot<P> {
 pub struct Sim<P: Process, Md, S = NullTrace> {
     clock: SimTime,
     seq: u64,
-    wheel: TimingWheel<Pending<P::Timer>>,
+    wheel: TimingWheel<Pending<P::Timer, P>>,
     msgs: Slab<(ProcId, ProcId, P::Msg)>,
-    /// Parked states of scheduled restarts (consumed when the event fires).
-    restarts: Slab<P>,
     procs: Vec<ProcSlot<P>>,
     rng: StdRng,
     medium: Md,
@@ -177,7 +174,6 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
             seq: 0,
             wheel: TimingWheel::new(),
             msgs: Slab::new(),
-            restarts: Slab::new(),
             procs: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             medium,
@@ -300,14 +296,14 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
     }
 
     /// Schedules a restart of process `id` with `state` at absolute time
-    /// `at`. The state is parked in a recycling slab until the event fires
-    /// — no per-call box. If the process is still up at fire time the
-    /// restart is dropped (the parked state is discarded), so alternating
-    /// crash/restart schedules compose safely with other failure injection.
+    /// `at`. The state rides the event boxed until it fires. If the process
+    /// is still up at fire time the restart is dropped (the state is
+    /// discarded), so alternating crash/restart schedules compose safely
+    /// with other failure injection.
     pub fn schedule_restart(&mut self, at: SimTime, id: ProcId, state: P) {
         assert!(at >= self.clock, "cannot schedule in the past");
-        let (idx, gen) = self.restarts.insert(state);
-        self.push(at, Pending::Restart { id, idx, gen });
+        let state = Box::new(state);
+        self.push(at, Pending::Restart { id, state });
     }
 
     /// Executes the next event if it is due at or before `t`; returns
@@ -351,10 +347,9 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
                 }
             }
             Pending::Crash(id) => self.crash(id),
-            Pending::Restart { id, idx, gen } => {
-                let state = self.restarts.take(idx, gen);
+            Pending::Restart { id, state } => {
                 if !self.is_up(id) {
-                    self.restart(id, state);
+                    self.restart(id, *state);
                 }
             }
         }
@@ -376,7 +371,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
         self.run_until(t);
     }
 
-    fn push(&mut self, at: SimTime, token: Pending<P::Timer>) {
+    fn push(&mut self, at: SimTime, token: Pending<P::Timer, P>) {
         self.seq += 1;
         self.wheel.insert(WheelEntry {
             at,
@@ -706,6 +701,8 @@ mod tests {
 
     #[test]
     fn scheduled_crash_and_restart_fire_unboxed() {
+        // Scripted crash and restart are kernel tokens, not boxed closures
+        // (the restart's state rides in its token).
         let mut sim = two_nodes(11);
         sim.schedule_crash(SimTime::ZERO + SimDuration::from_secs(2), 1);
         sim.schedule_restart(
@@ -730,8 +727,8 @@ mod tests {
             Node::new(1, true),
         );
         sim.run_for(SimDuration::from_secs(5));
-        // Process 0 was never down: the parked state must be discarded, not
-        // rebooted over live state (a reboot would re-ping).
+        // Process 0 was never down: the scheduled state must be discarded,
+        // not rebooted over live state (a reboot would re-ping).
         assert_eq!(sim.proc(1).unwrap().pings_seen, 1);
         // Scheduled crash of an already-dead process is a no-op too.
         sim.crash(0);
@@ -748,6 +745,16 @@ mod tests {
         b.run_for(SimDuration::from_secs(100));
         assert_eq!(a.events_executed(), b.events_executed());
         assert_eq!(a.proc(0).unwrap().ticks, b.proc(0).unwrap().ticks);
+    }
+
+    #[test]
+    fn a_boxed_restart_keeps_the_wheel_token_small() {
+        // No larger than with the state parked in a slab by index (32 and
+        // 16 bytes): a box is no larger than `FuseStack`'s timer key, nor
+        // than the slab's index and generation beside a unit tag.
+        use std::mem::size_of;
+        assert!(size_of::<Pending<fuse_util::timer::TimerKey, Node>>() <= 32);
+        assert!(size_of::<Pending<(), Node>>() <= 16);
     }
 
     #[test]

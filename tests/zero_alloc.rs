@@ -284,29 +284,24 @@ fn route_oracle_hit_does_not_allocate() {
     let mut routers = topo.sample_attachments(16, &mut rng);
     routers.sort_unstable();
     routers.dedup();
-    let (s0, s1, far) = (routers[0], routers[1], routers[2]);
-    let oracle = RouteOracle::new(&routers, 4);
-    oracle.route(&topo, s0, far);
-    oracle.route(&topo, s1, far);
+    // Endpoint positions: `routers` is sorted and distinct.
+    let (s0, s1, far) = (0, 1, 2);
+    let mut oracle = RouteOracle::new(topo, &routers);
+    oracle.route_by_index(s0, far);
+    oracle.route_by_index(s1, far);
     let misses = oracle.stats().misses;
-    let at = |r| oracle.endpoint_index(r).expect("an endpoint");
     let allocs = allocs_during(|| {
         for i in 0..1000 {
-            // Alternate rows so every hit also pays the LRU splice, and
-            // directions so half are served from the destination's row;
-            // half, in runs of four, ask by endpoint position as a send does.
+            // Alternate rows, and directions so half are served from the
+            // destination's row.
             let near = if i & 1 == 0 { s0 } else { s1 };
             let (src, dst) = if i & 2 == 0 { (near, far) } else { (far, near) };
-            std::hint::black_box(if i & 4 == 0 {
-                oracle.route(&topo, src, dst)
-            } else {
-                oracle.route_by_index(&topo, at(src), at(dst))
-            });
+            std::hint::black_box(oracle.route_by_index(src, dst));
         }
     });
     assert_eq!(oracle.stats().misses, misses, "the loop must only hit");
     assert!(
-        !oracle.row_resident(far),
+        !oracle.row_resident(routers[far as usize]),
         "reverse hits must not build a row"
     );
     assert_eq!(allocs, 0, "a route-oracle hit allocated");
