@@ -21,8 +21,8 @@
 //! The layer is sans-io: every entry point takes a `CoreCx` — a borrowed
 //! bundle of `now`, the driver RNG, the stack's timer tables and the
 //! [`Output`] queue — and all side effects leave as queued outputs. The
-//! embedded overlay is driven through a scratch context whose effects are
-//! translated into the same queue, in emission order.
+//! embedded overlay is driven through an `OverlayCx` whose sink is that
+//! same queue, so its effects land in emission order.
 //!
 //! This module holds the state and the dispatch; the protocol lives in one
 //! module per seam of §6: `create` (blocking creation, §6.2), `tree` (the
@@ -38,7 +38,9 @@ mod tree;
 use std::collections::VecDeque;
 
 use fuse_obs::{Aggregates, Recorder};
-use fuse_overlay::{NodeInfo, OverlayCx, OverlayEffect, OverlayNode, OverlayTimer, OverlayUpcall};
+use fuse_overlay::{
+    NodeInfo, OverlayCx, OverlayMsg, OverlayNode, OverlaySink, OverlayTimer, OverlayUpcall,
+};
 use fuse_util::backoff::Backoff;
 use fuse_util::idgen::IdGen;
 use fuse_util::{DetHashMap, DetHashSet, Duration, KeyedTimers, PeerAddr, Time, TimerKey};
@@ -67,9 +69,6 @@ pub(crate) struct CoreCx<'a> {
     pub(crate) rng: &'a mut StdRng,
     pub(crate) fuse_timers: &'a mut KeyedTimers<FuseTimer>,
     pub(crate) ov_timers: &'a mut KeyedTimers<OverlayTimer>,
-    /// Scratch buffer for overlay effects; always drained empty before an
-    /// [`ov`](CoreCx::ov) call returns.
-    pub(crate) ov_effects: &'a mut VecDeque<OverlayEffect>,
     /// Overlay upcalls produced by re-entrant overlay calls (routing from
     /// inside the layer); the stack feeds them back after the entry point
     /// returns.
@@ -105,40 +104,45 @@ impl CoreCx<'_> {
         self.out.push_back(Output::App(AppCall::Event(ev)));
     }
 
-    /// Runs `f` against the overlay through a scratch [`OverlayCx`], then
-    /// translates the emitted overlay effects into stack outputs, in
-    /// emission order. Upcalls stay buffered for the stack's drain loop.
-    /// This is the one place overlay effects become outputs.
+    /// Runs `f` against the overlay through an [`OverlayCx`] whose sink is
+    /// the output queue, so the overlay's sends and timer commands take
+    /// their places in emission order. Upcalls stay buffered for the
+    /// stack's drain loop.
     pub(crate) fn ov<R>(
         &mut self,
         ov: &mut OverlayNode,
         f: impl FnOnce(&mut OverlayNode, &mut OverlayCx<'_>) -> R,
     ) -> R {
-        let r = {
-            let mut ocx = OverlayCx::new(
-                self.now,
-                self.rng,
-                self.ov_timers,
-                self.ov_effects,
-                self.ov_upcalls,
-            );
-            f(ov, &mut ocx)
-        };
-        while let Some(eff) = self.ov_effects.pop_front() {
-            match eff {
-                OverlayEffect::Send { to, msg } => self.out.push_back(Output::Send {
-                    to,
-                    msg: StackMsg::Overlay(msg),
-                }),
-                OverlayEffect::SetTimer { key, after } => {
-                    self.out.push_back(Output::SetTimer { key, after });
-                }
-                OverlayEffect::CancelTimer { key } => {
-                    self.out.push_back(Output::CancelTimer { key });
-                }
-            }
-        }
-        r
+        let mut sink = OverlayOut(self.out);
+        let mut ocx = OverlayCx::new(
+            self.now,
+            self.rng,
+            self.ov_timers,
+            &mut sink,
+            self.ov_upcalls,
+        );
+        f(ov, &mut ocx)
+    }
+}
+
+/// The output queue as the overlay's sink: the one place overlay effects
+/// become outputs.
+struct OverlayOut<'a>(&'a mut VecDeque<Output>);
+
+impl OverlaySink for OverlayOut<'_> {
+    fn send(&mut self, to: PeerAddr, msg: OverlayMsg) {
+        self.0.push_back(Output::Send {
+            to,
+            msg: StackMsg::Overlay(msg),
+        });
+    }
+
+    fn set_timer(&mut self, key: TimerKey, after: Duration) {
+        self.0.push_back(Output::SetTimer { key, after });
+    }
+
+    fn cancel_timer(&mut self, key: TimerKey) {
+        self.0.push_back(Output::CancelTimer { key });
     }
 }
 

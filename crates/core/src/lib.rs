@@ -45,7 +45,7 @@ pub use messages::{FuseMsg, InstallChecking};
 pub use registry::SubscriptionRegistry;
 pub use stack::{
     AppCall, FuseApi, FuseApp, FuseStack, Input, Output, StackMsg, NS_APP, NS_FUSE, NS_LIVENESS,
-    NS_OVERLAY,
+    NS_OVERLAY, WARM_SLOTS,
 };
 pub use types::{
     ConfigError, CreateError, CreateTicket, FuseConfig, FuseConfigBuilder, FuseEvent, FuseId,

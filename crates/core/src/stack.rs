@@ -51,8 +51,7 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 
 use fuse_overlay::{
-    NodeInfo, OverlayConfig, OverlayCx, OverlayEffect, OverlayMsg, OverlayNode, OverlayTimer,
-    OverlayUpcall,
+    NodeInfo, OverlayConfig, OverlayCx, OverlayMsg, OverlayNode, OverlayTimer, OverlayUpcall,
 };
 use fuse_util::{Duration, KeyedTimers, PeerAddr, Time, TimerKey};
 use fuse_wire::{Decode, DecodeError, Encode, Reader, Writer};
@@ -71,6 +70,12 @@ pub const NS_FUSE: u8 = 1;
 pub const NS_LIVENESS: u8 = 2;
 /// Timer-key namespace of application timers.
 pub const NS_APP: u8 = 3;
+
+/// Slots each of a stack's hand-off queues (the output queue and the
+/// overlay-upcall pair) keeps once drained. A burst beyond them — a boot
+/// that arms a ping per neighbour, a root's wide create — is given back,
+/// so a quiet node holds a few hundred bytes of queue, not kilobytes.
+pub const WARM_SLOTS: usize = 8;
 
 /// Union message type carried between node stacks.
 #[derive(Debug, Clone)]
@@ -231,14 +236,13 @@ pub struct FuseStack {
     ov_timers: KeyedTimers<OverlayTimer>,
     fuse_timers: KeyedTimers<FuseTimer>,
     app_timers: KeyedTimers<u64>,
-    /// Scratch buffer for overlay effects; drained empty inside every
-    /// entry point.
-    ov_effects: VecDeque<OverlayEffect>,
     /// Overlay upcalls awaiting the FUSE layer.
     ov_upcalls: Vec<OverlayUpcall>,
     /// The batch `drain_upcalls` is replaying; empty between entry points,
-    /// kept for its capacity.
+    /// kept for up to [`WARM_SLOTS`] of its capacity.
     ov_batch: Vec<OverlayUpcall>,
+    /// The one queue between the layers and the host: FUSE, the overlay
+    /// (through its sink) and the application API all append to it.
     out: VecDeque<Output>,
 }
 
@@ -257,7 +261,6 @@ impl FuseStack {
             ov_timers: KeyedTimers::new(NS_OVERLAY),
             fuse_timers: KeyedTimers::new(NS_FUSE),
             app_timers: KeyedTimers::new(NS_APP),
-            ov_effects: VecDeque::new(),
             ov_upcalls: Vec::new(),
             ov_batch: Vec::new(),
             out: VecDeque::new(),
@@ -330,9 +333,25 @@ impl FuseStack {
 
     /// Pops the oldest queued command. Single-pop (rather than a drain
     /// iterator) so the driver can reborrow the stack between commands —
-    /// which is exactly what [`Output::App`] callbacks need.
+    /// which is exactly what [`Output::App`] callbacks need. Finding the
+    /// queue empty rewinds it and gives back all but [`WARM_SLOTS`] slots.
     pub fn poll_output(&mut self) -> Option<Output> {
-        self.out.pop_front()
+        let out = self.out.pop_front();
+        if out.is_none() {
+            // `pop_front` never moves the head back; rewinding it keeps
+            // the next input's outputs on the same few warm slots instead
+            // of walking the whole ring.
+            self.out.clear();
+            self.out.shrink_to(WARM_SLOTS);
+        }
+        out
+    }
+
+    /// The most slots any hand-off queue holds (test hook: once the host
+    /// has drained the stack, at most [`WARM_SLOTS`]).
+    pub fn retained_slots(&self) -> usize {
+        let upcalls = self.ov_upcalls.capacity().max(self.ov_batch.capacity());
+        self.out.capacity().max(upcalls)
     }
 
     /// Builds the application-facing API over this stack. Drivers call
@@ -346,7 +365,7 @@ impl FuseStack {
         }
     }
 
-    /// Runs `f` against the overlay and drains its effects onto the output
+    /// Runs `f` against the overlay, its effects landing on the output
     /// queue.
     fn with_overlay<R>(
         &mut self,
@@ -370,7 +389,6 @@ impl FuseStack {
             rng,
             fuse_timers: &mut self.fuse_timers,
             ov_timers: &mut self.ov_timers,
-            ov_effects: &mut self.ov_effects,
             ov_upcalls: &mut self.ov_upcalls,
             out: &mut self.out,
         };
@@ -388,6 +406,8 @@ impl FuseStack {
             }
             self.ov_batch = batch;
         }
+        self.ov_upcalls.shrink_to(WARM_SLOTS);
+        self.ov_batch.shrink_to(WARM_SLOTS);
     }
 }
 
@@ -665,6 +685,57 @@ mod tests {
         s.api(Time(8), &mut rng).cancel_timer(app);
         drain(&mut s);
         assert_inert(&mut s, &mut rng, Time(13), app);
+    }
+
+    /// Drains `s` after an input that queued more than [`WARM_SLOTS`]
+    /// outputs matching `kind`, and checks the burst was given back.
+    fn give_back(s: &mut FuseStack, what: &str, kind: fn(&Output) -> bool) {
+        assert!(s.retained_slots() > WARM_SLOTS, "{what} grew no queue");
+        let outs = drain(s);
+        let burst = outs.iter().filter(|o| kind(o)).count();
+        assert!(burst > WARM_SLOTS, "{what}: {burst} of {outs:?}");
+        let kept = s.retained_slots();
+        assert!(kept <= WARM_SLOTS, "{what} left {kept} slots");
+    }
+
+    /// One input whose outputs or upcalls overflow [`WARM_SLOTS`] — a boot
+    /// that arms a ping per neighbour, a join reply that brings a LinkUp
+    /// upcall per neighbour, a root's 32-member create — leaves no more
+    /// than that many slots behind once the host drains it.
+    #[test]
+    fn drained_queues_give_back_bursts() {
+        let infos: Vec<NodeInfo> = (0..32)
+            .map(|i| NodeInfo::new(i as PeerAddr, NodeName::numbered(i)))
+            .collect();
+        let tables = fuse_overlay::build_oracle_tables(&infos, &OverlayConfig::default());
+        let (cw, ccw, rt) = tables.into_iter().next().expect("one per node");
+        let mut rng = StdRng::seed_from_u64(1);
+        let timer = |o: &Output| matches!(o, Output::SetTimer { .. });
+
+        let mut s = stack(0);
+        s.overlay.preload_tables(cw, ccw, rt);
+        s.handle(Time::ZERO, &mut rng, Input::Boot);
+        give_back(&mut s, "boot", timer);
+
+        let (ov, cfg) = (OverlayConfig::default(), FuseConfig::default());
+        let mut joiner = FuseStack::new(infos[0], Some(1), ov, cfg);
+        joiner.handle(Time::ZERO, &mut rng, Input::Boot);
+        drain(&mut joiner);
+        let candidates = infos[1..].to_vec();
+        let msg = StackMsg::Overlay(OverlayMsg::JoinReply { candidates });
+        joiner.handle(Time(1), &mut rng, Input::Message { from: 1, msg });
+        give_back(&mut joiner, "join reply", timer);
+
+        s.api(Time(1), &mut rng).create_group(infos[1..].to_vec());
+        give_back(&mut s, "32-member create", |o| {
+            matches!(
+                o,
+                Output::Send {
+                    msg: StackMsg::Fuse(FuseMsg::GroupCreateRequest { .. }),
+                    ..
+                }
+            )
+        });
     }
 
     /// A node that holds no record of a group answers a member's

@@ -2,10 +2,12 @@
 //! per-layer metric isolates: the sim kernel's event queue under the ping
 //! shape, the route oracle's hit/miss latency (its miss at Mercator scale
 //! too) and one agreeing ping through
-//! a node stack by the number of groups on the link. Prints a table and
+//! a node stack by the number of groups on the link, and the same ping
+//! taken round-robin over 400 booted stacks, where each input finds its
+//! stack's lines cold. Prints a table and
 //! asserts what it measures (the event count, hits hit, misses miss, a
-//! ping's cost does not grow with the groups); regressions are judged
-//! against `benchmark/`, not here.
+//! ping's cost does not grow with the groups, a cold ping queues what a hot
+//! one does); regressions are judged against `benchmark/`, not here.
 //!
 //! ```text
 //! cargo run --release -p fuse_harness --bin microbench
@@ -18,11 +20,11 @@ use fuse_core::{
     FuseConfig, FuseMsg, FuseStack, Input, InstallChecking, Output, StackMsg, NS_FUSE,
 };
 use fuse_net::{RouteOracle, Topology, TopologyConfig};
-use fuse_overlay::{NodeInfo, NodeName, OverlayConfig, OverlayMsg};
+use fuse_overlay::{build_oracle_tables, NodeInfo, NodeName, OverlayConfig, OverlayMsg};
 use fuse_sim::process::Ctx;
 use fuse_sim::{Payload, PerfectMedium, ProcId, Process, Sim, SimDuration};
 use fuse_util::{PeerAddr, Time};
-use fuse_wire::Encode;
+use fuse_wire::{Digest, Encode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -310,10 +312,100 @@ fn ping_table() {
     );
 }
 
+/// Stacks the cold ping row takes its pings round-robin over: the
+/// benchmark's world size.
+const COLD_STACKS: usize = 400;
+
+/// What `out` acks, as `(to, nonce, digest)`; `None` for any other output.
+fn ack_of(out: &Output) -> Option<(PeerAddr, u64, Option<Digest>)> {
+    match out {
+        Output::Send {
+            to,
+            msg: StackMsg::Overlay(OverlayMsg::PingAck { nonce, hash }),
+        } => Some((*to, *nonce, *hash)),
+        _ => None,
+    }
+}
+
+/// Median ns per agreeing ping on a group-free link, taken on one of
+/// [`COLD_STACKS`] booted stacks with converged tables (hot) and on each in
+/// turn (cold, so every input meets lines the other stacks have evicted:
+/// what a node's footprint costs per input). Every timed ping must queue
+/// exactly the ack its stack's first ping queued.
+fn cold_ping_table() {
+    let infos: Vec<NodeInfo> = (0..COLD_STACKS)
+        .map(|i| NodeInfo::new(i as PeerAddr, NodeName::numbered(i)))
+        .collect();
+    let tables = build_oracle_tables(&infos, &OverlayConfig::default());
+    let mut rng = StdRng::seed_from_u64(0xF0D4);
+    let ping = || {
+        StackMsg::Overlay(OverlayMsg::Ping {
+            nonce: 1,
+            hash: None,
+        })
+    };
+    // Each stack, the neighbour that pings it, and the ack it queues.
+    let mut stacks: Vec<(FuseStack, PeerAddr, _)> = infos
+        .iter()
+        .zip(tables)
+        .map(|(me, (cw, ccw, rt))| {
+            let (ov_cfg, cfg) = (OverlayConfig::default(), FuseConfig::default());
+            let mut stack = FuseStack::new(*me, None, ov_cfg, cfg);
+            stack.overlay.preload_tables(cw, ccw, rt);
+            stack.handle(Time::ZERO, &mut rng, Input::Boot);
+            while stack.poll_output().is_some() {}
+            let from = stack.overlay.neighbors()[0];
+            let mut acks = Vec::new();
+            stack.handle(Time::ZERO, &mut rng, Input::Message { from, msg: ping() });
+            while let Some(out) = stack.poll_output() {
+                acks.push(ack_of(&out));
+            }
+            let [Some(ack)] = acks[..] else {
+                panic!("a ping queued {acks:?}, not one ack");
+            };
+            (stack, from, ack)
+        })
+        .collect();
+    let mut timed = |pick: &mut dyn FnMut() -> usize| {
+        let mut unequal = 0u64;
+        let ns = median_ns(1 << 14, || {
+            let (stack, from, ack) = &mut stacks[pick()];
+            let input = Input::Message {
+                from: *from,
+                msg: ping(),
+            };
+            stack.handle(Time::ZERO, &mut rng, input);
+            let mut queued = 0;
+            while let Some(out) = stack.poll_output() {
+                unequal += u64::from(ack_of(&out) != Some(*ack));
+                queued += 1;
+            }
+            unequal += u64::from(queued != 1);
+            unequal
+        });
+        assert_eq!(
+            unequal, 0,
+            "a timed ping queued other outputs than the first"
+        );
+        ns
+    };
+    let hot = timed(&mut || 0);
+    let mut next = 0;
+    let cold = timed(&mut || {
+        next = (next + 1) % COLD_STACKS;
+        next
+    });
+    println!(
+        "agreeing ping input over {COLD_STACKS} booted stacks: {hot:.0} ns on one (hot)   \
+         {cold:.0} ns round-robin (cold)"
+    );
+}
+
 fn main() {
     kernel_queue();
     println!();
     route_table();
     println!();
     ping_table();
+    cold_ping_table();
 }

@@ -2,15 +2,15 @@
 //!
 //! The overlay is a pure state machine. Every entry point takes an
 //! [`OverlayCx`] — a borrowed bundle of `now`, the driver RNG, the
-//! overlay's timer table and two output buffers — and all side effects
-//! leave as plain data: [`OverlayEffect`]s (sends, timer arm/cancel) for
-//! the embedding stack to translate into driver commands, and
-//! [`OverlayUpcall`]s for the client layer (FUSE) to consume. No driver
-//! type (`fuse_sim` or otherwise) appears anywhere in the signatures.
+//! overlay's timer table, an [`OverlaySink`] and an upcall buffer — and all
+//! side effects leave as plain data: sends and timer arm/cancel commands
+//! go straight into the embedding stack's output queue through the sink,
+//! and [`OverlayUpcall`]s wait for the client layer (FUSE) to consume. No
+//! driver type (`fuse_sim` or otherwise) appears anywhere in the
+//! signatures.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use std::collections::VecDeque;
 
 use fuse_util::{Duration, KeyedTimers, PeerAddr, Time, TimerKey};
 use fuse_wire::Digest;
@@ -36,31 +36,19 @@ pub enum OverlayTimer {
     Maintenance,
 }
 
-/// Side effects the overlay asks its driver to perform, in emission order.
-#[derive(Debug, Clone)]
-pub enum OverlayEffect {
-    /// Send an overlay message to a peer.
-    Send {
-        /// Destination peer.
-        to: PeerAddr,
-        /// The message.
-        msg: OverlayMsg,
-    },
-    /// Schedule the timer identified by `key` to fire `after` from now.
-    /// (The key is already armed in the overlay's [`KeyedTimers`]; the
-    /// driver only schedules the wakeup.)
-    SetTimer {
-        /// The timer's identity, to be fed back on expiry.
-        key: TimerKey,
-        /// Relative deadline.
-        after: Duration,
-    },
+/// Where the overlay's sends and timer commands go, in emission order.
+/// The embedding stack implements it over its own output queue, so an
+/// effect lands there the moment the overlay emits it.
+pub trait OverlaySink {
+    /// Transmit an overlay message to a peer.
+    fn send(&mut self, to: PeerAddr, msg: OverlayMsg);
+    /// Schedule `key` to fire `after` from now. (The key is already armed
+    /// in the overlay's [`KeyedTimers`]; the driver only schedules the
+    /// wakeup.)
+    fn set_timer(&mut self, key: TimerKey, after: Duration);
     /// Drop a scheduled wakeup. Drivers may also ignore this and deliver
     /// the expiry anyway — a cancelled key resolves to nothing.
-    CancelTimer {
-        /// The cancelled timer.
-        key: TimerKey,
-    },
+    fn cancel_timer(&mut self, key: TimerKey);
 }
 
 /// Upcalls from the overlay to its client layer.
@@ -127,16 +115,16 @@ pub enum OverlayUpcall {
 
 /// Borrowed per-call context for one overlay entry point.
 ///
-/// The embedding stack owns the RNG, the timer table and the buffers; it
-/// constructs an `OverlayCx` around them for the duration of one call and
-/// drains `effects`/`upcalls` afterwards. Effects are emitted in call
-/// order, which the drivers preserve — that is what keeps sim traces
-/// bit-identical across the sans-io boundary.
+/// The embedding stack owns the RNG, the timer table, the sink and the
+/// upcall buffer; it constructs an `OverlayCx` around them for the
+/// duration of one call and drains `upcalls` afterwards. Effects reach the
+/// sink in call order, which the drivers preserve — that is what keeps sim
+/// traces bit-identical across the sans-io boundary.
 pub struct OverlayCx<'a> {
     now: Time,
     rng: &'a mut StdRng,
     timers: &'a mut KeyedTimers<OverlayTimer>,
-    effects: &'a mut VecDeque<OverlayEffect>,
+    sink: &'a mut dyn OverlaySink,
     upcalls: &'a mut Vec<OverlayUpcall>,
 }
 
@@ -146,14 +134,14 @@ impl<'a> OverlayCx<'a> {
         now: Time,
         rng: &'a mut StdRng,
         timers: &'a mut KeyedTimers<OverlayTimer>,
-        effects: &'a mut VecDeque<OverlayEffect>,
+        sink: &'a mut dyn OverlaySink,
         upcalls: &'a mut Vec<OverlayUpcall>,
     ) -> Self {
         OverlayCx {
             now,
             rng,
             timers,
-            effects,
+            sink,
             upcalls,
         }
     }
@@ -170,21 +158,20 @@ impl<'a> OverlayCx<'a> {
 
     /// Queues an overlay message to a peer.
     pub fn send(&mut self, to: PeerAddr, msg: OverlayMsg) {
-        self.effects.push_back(OverlayEffect::Send { to, msg });
+        self.sink.send(to, msg);
     }
 
     /// Arms a timer with an overlay tag, returning its key.
     pub fn set_timer(&mut self, after: Duration, tag: OverlayTimer) -> TimerKey {
         let key = self.timers.arm(tag);
-        self.effects
-            .push_back(OverlayEffect::SetTimer { key, after });
+        self.sink.set_timer(key, after);
         key
     }
 
     /// Cancels a previously armed timer.
     pub fn cancel_timer(&mut self, key: TimerKey) {
         if self.timers.cancel(key) {
-            self.effects.push_back(OverlayEffect::CancelTimer { key });
+            self.sink.cancel_timer(key);
         }
     }
 

@@ -18,9 +18,11 @@
 //!   visibility through [`OverlayNode::neighbors`]/[`OverlayNode::next_hop`].
 //!
 //! The overlay is sans-io: every entry point takes an [`OverlayCx`] and all
-//! side effects leave as [`OverlayEffect`]s/[`OverlayUpcall`]s for the
-//! embedding stack (`fuse_core::FuseStack`) to translate. This crate has no
-//! dependency on any driver — neither the simulation kernel nor sockets.
+//! side effects leave through it: sends and timer commands into an
+//! [`OverlaySink`] the embedding stack (`fuse_core::FuseStack`) implements
+//! over its output queue, and [`OverlayUpcall`]s for the client layer. This
+//! crate has no dependency on any driver — neither the simulation kernel
+//! nor sockets.
 
 pub mod config;
 pub mod id;
@@ -31,7 +33,7 @@ pub mod oracle;
 
 pub use config::OverlayConfig;
 pub use id::{NodeInfo, NodeName, NumericId};
-pub use io::{OverlayCx, OverlayEffect, OverlayTimer, OverlayUpcall};
+pub use io::{OverlayCx, OverlaySink, OverlayTimer, OverlayUpcall};
 pub use messages::OverlayMsg;
 pub use node::OverlayNode;
 pub use oracle::build_oracle_tables;

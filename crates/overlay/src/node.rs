@@ -821,23 +821,39 @@ impl OverlayNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::OverlayEffect;
+    use crate::io::OverlaySink;
     use fuse_util::{KeyedTimers, Time};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::VecDeque;
 
     /// Scratch driver state that records effects without a kernel: each
-    /// call runs under a fresh [`OverlayCx`] and the emitted effects are
-    /// drained into `sent`/`timers` afterwards.
+    /// call runs under a fresh [`OverlayCx`] whose sink records sends and
+    /// armed timers into `sent`/`timers`.
     struct TestIo {
         now: Time,
         rng: StdRng,
         keyed: KeyedTimers<OverlayTimer>,
-        effects: VecDeque<OverlayEffect>,
         sent: Vec<(PeerAddr, OverlayMsg)>,
         upcalls: Vec<OverlayUpcall>,
         timers: Vec<(Duration, TimerKey)>,
+    }
+
+    /// The test sink: sends and armed timers are recorded, cancels dropped.
+    struct Recorded<'a>(
+        &'a mut Vec<(PeerAddr, OverlayMsg)>,
+        &'a mut Vec<(Duration, TimerKey)>,
+    );
+
+    impl OverlaySink for Recorded<'_> {
+        fn send(&mut self, to: PeerAddr, msg: OverlayMsg) {
+            self.0.push((to, msg));
+        }
+
+        fn set_timer(&mut self, key: TimerKey, after: Duration) {
+            self.1.push((after, key));
+        }
+
+        fn cancel_timer(&mut self, _key: TimerKey) {}
     }
 
     impl TestIo {
@@ -846,31 +862,23 @@ mod tests {
                 now: Time::ZERO,
                 rng: StdRng::seed_from_u64(5),
                 keyed: KeyedTimers::new(0),
-                effects: VecDeque::new(),
                 sent: Vec::new(),
                 upcalls: Vec::new(),
                 timers: Vec::new(),
             }
         }
 
-        /// Runs one node entry point under a context, then drains effects.
+        /// Runs one node entry point under a context.
         fn with<R>(&mut self, f: impl FnOnce(&mut OverlayCx<'_>) -> R) -> R {
+            let mut rec = Recorded(&mut self.sent, &mut self.timers);
             let mut cx = OverlayCx::new(
                 self.now,
                 &mut self.rng,
                 &mut self.keyed,
-                &mut self.effects,
+                &mut rec,
                 &mut self.upcalls,
             );
-            let r = f(&mut cx);
-            while let Some(e) = self.effects.pop_front() {
-                match e {
-                    OverlayEffect::Send { to, msg } => self.sent.push((to, msg)),
-                    OverlayEffect::SetTimer { key, after } => self.timers.push((after, key)),
-                    OverlayEffect::CancelTimer { .. } => {}
-                }
-            }
-            r
+            f(&mut cx)
         }
 
         fn boot(&mut self, n: &mut OverlayNode) {

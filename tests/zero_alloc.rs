@@ -20,8 +20,8 @@ use fuse_core::{
 use fuse_net::{NetConfig, Network, RouteOracle, Topology, TopologyConfig};
 use fuse_overlay::oracle::OracleTables;
 use fuse_overlay::{
-    build_oracle_tables, NodeInfo, NodeName, OverlayConfig, OverlayCx, OverlayEffect, OverlayMsg,
-    OverlayNode, OverlayTimer,
+    build_oracle_tables, NodeInfo, NodeName, OverlayConfig, OverlayCx, OverlayMsg, OverlayNode,
+    OverlaySink, OverlayTimer,
 };
 use fuse_sim::{Medium, ProcId, SimTime, Verdict};
 use fuse_util::{Duration, KeyedTimers, PeerAddr, Time, TimerKey};
@@ -140,6 +140,19 @@ fn ring_tables(at: usize) -> (Vec<NodeInfo>, OracleTables) {
     (infos, tables)
 }
 
+/// An overlay sink that keeps only the keys the overlay arms.
+struct Armed(Vec<TimerKey>);
+
+impl OverlaySink for Armed {
+    fn send(&mut self, _to: PeerAddr, _msg: OverlayMsg) {}
+
+    fn set_timer(&mut self, key: TimerKey, _after: Duration) {
+        self.0.push(key);
+    }
+
+    fn cancel_timer(&mut self, _key: TimerKey) {}
+}
+
 #[test]
 fn warm_maintenance_probe_allocates_only_its_path_and_reply_sets() {
     const PROBES: u64 = 200;
@@ -148,22 +161,14 @@ fn warm_maintenance_probe_allocates_only_its_path_and_reply_sets() {
     node.preload_tables(cw, ccw, rt);
     let mut rng = StdRng::seed_from_u64(0xF0D2);
     let mut timers = KeyedTimers::new(0);
-    let mut effects = VecDeque::new();
+    let mut armed = Armed(Vec::new());
     let mut upcalls = Vec::new();
     let mut run = |node: &mut OverlayNode, f: &mut dyn FnMut(&mut OverlayNode, &mut OverlayCx)| {
-        let mut cx = OverlayCx::new(
-            Time::ZERO,
-            &mut rng,
-            &mut timers,
-            &mut effects,
-            &mut upcalls,
-        );
+        let mut cx = OverlayCx::new(Time::ZERO, &mut rng, &mut timers, &mut armed, &mut upcalls);
         f(node, &mut cx);
-        while let Some(e) = effects.pop_front() {
-            if let OverlayEffect::SetTimer { key, .. } = e {
-                // The re-armed maintenance timer fires, freeing its slot.
-                timers.fire(key);
-            }
+        for key in armed.0.drain(..) {
+            // The re-armed maintenance timer fires, freeing its slot.
+            timers.fire(key);
         }
     };
     let mut probe = |n: &mut OverlayNode, cx: &mut OverlayCx| {
