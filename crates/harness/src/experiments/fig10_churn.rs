@@ -215,9 +215,9 @@ pub fn run(p: &Params) -> Fig10Result {
         }
     }
     world.run(SimDuration::from_secs(120));
-    let fuse_before: u64 = fuse_class_total(&world);
+    let fuse_before = world.sim.trace().fuse_msgs();
     let churn_with_fuse = measure_window(&mut world, p.window);
-    let fuse_after: u64 = fuse_class_total(&world);
+    let fuse_after = world.sim.trace().fuse_msgs();
     let fuse_msgs_per_sec = (fuse_after - fuse_before) as f64 / churn_with_fuse.seconds;
 
     Fig10Result {
@@ -226,17 +226,6 @@ pub fn run(p: &Params) -> Fig10Result {
         churn_with_fuse,
         fuse_msgs_per_sec,
     }
-}
-
-fn fuse_class_total(world: &World) -> u64 {
-    world
-        .sim
-        .trace()
-        .counts
-        .iter()
-        .filter(|(class, _)| class.starts_with("fuse."))
-        .map(|(_, c)| c)
-        .sum()
 }
 
 /// Renders the figure.

@@ -1,12 +1,13 @@
 //! Kernel-level message accounting.
 //!
 //! [`MsgTrace`] observes every send through the [`fuse_sim::TraceSink`]
-//! hook, tallying messages and bytes per class label. Experiments snapshot
-//! the counters at phase boundaries (Figure 10 reports messages/second per
-//! phase; the §7.5 steady-state table compares bytes with and without
-//! groups).
+//! hook, tallying total messages and bytes, and separately the FUSE
+//! layer's messages (Figure 10 reports their rate as group repair traffic).
+//! Experiments snapshot the totals at phase boundaries (Figure 10 reports
+//! messages/second per phase; the §7.5 steady-state table compares bytes
+//! with and without groups). Bytes per message class live in the network's
+//! recorder (`offered_by_class`, `delivered_by_class`).
 
-use fuse_obs::ClassCounter;
 use fuse_sim::{Payload, ProcId, SimTime, TraceSink, Verdict};
 
 /// Snapshot of the counters at one instant.
@@ -31,15 +32,12 @@ pub struct PhaseRates {
     pub bytes_per_sec: f64,
 }
 
-/// Message/byte counters per class.
+/// Running totals: messages, bytes, and FUSE-layer messages.
 #[derive(Debug, Clone, Default)]
 pub struct MsgTrace {
-    /// Message counts per class.
-    pub counts: ClassCounter,
-    /// Byte counts per class.
-    pub bytes: ClassCounter,
     total_msgs: u64,
     total_bytes: u64,
+    fuse_msgs: u64,
 }
 
 impl MsgTrace {
@@ -76,6 +74,11 @@ impl MsgTrace {
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
+
+    /// Messages of the FUSE layer (class `fuse.*`) observed.
+    pub fn fuse_msgs(&self) -> u64 {
+        self.fuse_msgs
+    }
 }
 
 impl<M: Payload> TraceSink<M> for MsgTrace {
@@ -88,11 +91,9 @@ impl<M: Payload> TraceSink<M> for MsgTrace {
         size: usize,
         _verdict: &Verdict,
     ) {
-        let class = msg.class();
-        self.counts.bump(class);
-        self.bytes.bump_by(class, size as u64);
         self.total_msgs += 1;
         self.total_bytes += size as u64;
+        self.fuse_msgs += u64::from(msg.class().starts_with("fuse."));
     }
 }
 
@@ -120,12 +121,19 @@ mod tests {
         for _ in 0..100 {
             TraceSink::<P>::on_send(&mut t, SimTime::ZERO, 0, 1, &P(10, "ping"), 10, &v);
         }
-        TraceSink::<P>::on_send(&mut t, SimTime::ZERO, 0, 1, &P(50, "repair"), 50, &v);
+        TraceSink::<P>::on_send(&mut t, SimTime::ZERO, 0, 1, &P(50, "fuse.repair"), 50, &v);
         let s1 = t.snapshot(SimTime::ZERO + SimDuration::from_secs(10));
         let r = MsgTrace::rates(&s0, &s1);
-        assert_eq!(t.counts.get("ping"), 100);
-        assert_eq!(t.bytes.get("ping"), 1000);
-        assert_eq!(t.counts.get("repair"), 1);
+        assert_eq!(
+            (t.total_msgs(), t.total_bytes(), t.fuse_msgs()),
+            (101, 1050, 1)
+        );
+        assert_eq!((s0.msgs, s0.bytes), (0, 0));
+        assert_eq!(
+            (s1.msgs, s1.bytes, s1.at.since(s0.at)),
+            (101, 1050, SimDuration::from_secs(10))
+        );
+        assert_eq!(r.seconds, 10.0);
         assert!((r.msgs_per_sec - 10.1).abs() < 1e-9);
         assert!((r.bytes_per_sec - 105.0).abs() < 1e-9);
     }

@@ -16,7 +16,8 @@
 //!   bit-identical results for any partition of the recorders.
 //! * [`reservoir`] — [`Reservoir`], the one shared quantile
 //!   implementation (p50/p99/p999 by linear interpolation), plus [`Cdf`]
-//!   and [`ClassCounter`] for the experiment figures.
+//!   for the experiment figures and [`ClassCounter`] for the per-class
+//!   accounting in [`Aggregates`].
 //!
 //! The crate is dependency-free and sans-io: it never reads a clock —
 //! every event that needs a timestamp carries one, stamped by the caller

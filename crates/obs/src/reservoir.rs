@@ -192,14 +192,15 @@ impl Cdf {
     }
 }
 
-/// Counts events per named class; renders rates over a time window.
+/// Counts events per named class.
 ///
-/// Used for the Figure 10 "messages per second" accounting and the
-/// per-class byte accounting in [`crate::Aggregates`]. Classes are a
-/// handful of `&'static str` labels bumped on every simulated send, so an
-/// entry is found by pointer identity first — a scan of a few words, no
-/// string compare — and only a name reached through another pointer falls
-/// back to a search by content. Equal names always share one entry.
+/// Used for the per-class accounting in [`crate::Aggregates`]: bytes
+/// offered and delivered, and content drops, per message class (printed
+/// by `chaos --slo`). Classes are a handful of `&'static str` labels
+/// bumped on every recorded send, so an entry is found by pointer identity
+/// first — a scan of a few words, no string compare — and only a name
+/// reached through another pointer falls back to a search by content.
+/// Equal names always share one entry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassCounter {
     /// `(class, count)`, sorted and distinct by name.

@@ -7,13 +7,10 @@
 //! are dropped: the stack discards a cancelled key when it fires), and
 //! [`fuse_core::AppCall`]s dispatch to the embedded [`fuse_core::FuseApp`].
 //! The drain preserves the stack's emission order, which is what keeps
-//! simulated traces bit-identical to the pre-sans-io stack.
-//!
-//! The [`topologies`] module hosts the paper's §5.1 alternative
-//! liveness-checking topologies — sim-kernel processes in their own right,
-//! compared against the overlay-sharing stack by the ablation experiment.
+//! simulated traces bit-identical to the pre-sans-io stack. The adapter is
+//! the whole crate: the §5.1 alternative notifiers live beside their only
+//! caller, `fuse_harness::experiments::ablation`.
 
 pub mod stack;
-pub mod topologies;
 
 pub use stack::NodeStack;
