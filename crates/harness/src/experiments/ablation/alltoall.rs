@@ -174,8 +174,26 @@ impl Process for AllToAllNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::ablation::tests::{notices, world};
+    use crate::experiments::ablation::tests::*;
     use fuse_sim::SimDuration;
+
+    #[test]
+    fn quiet_group_stays_alive() {
+        quiet_group_survives::<AllToAllNode>();
+    }
+
+    #[test]
+    fn crash_notifies_all_within_two_ping_intervals() {
+        for dt in crash_notifies_each_live_member_once::<AllToAllNode>() {
+            // §3's bound: one period to attempt a ping plus the ack timeout.
+            assert!(dt <= SimDuration::from_secs(2 * 60 + 20), "took {dt}");
+        }
+    }
+
+    #[test]
+    fn explicit_signal_propagates_by_stopped_acks() {
+        signal_notifies_each_member_once::<AllToAllNode>();
+    }
 
     #[test]
     fn notification_is_exactly_once_per_node() {

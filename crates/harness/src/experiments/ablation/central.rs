@@ -219,7 +219,22 @@ impl Process for CentralNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::ablation::tests::{notices, world};
+    use crate::experiments::ablation::tests::*;
+
+    #[test]
+    fn quiet_groups_survive() {
+        quiet_group_survives::<CentralNode>();
+    }
+
+    #[test]
+    fn client_crash_notifies_group() {
+        crash_notifies_each_live_member_once::<CentralNode>();
+    }
+
+    #[test]
+    fn explicit_signal_fans_out_through_server() {
+        signal_notifies_each_member_once::<CentralNode>();
+    }
 
     #[test]
     fn unrelated_groups_survive_a_crash() {

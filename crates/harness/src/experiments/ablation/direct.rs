@@ -206,8 +206,23 @@ impl Process for DirectNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::ablation::tests::{notices, world};
+    use crate::experiments::ablation::tests::*;
     use fuse_sim::SimDuration;
+
+    #[test]
+    fn quiet_group_stays_alive() {
+        quiet_group_survives::<DirectNode>();
+    }
+
+    #[test]
+    fn member_crash_notifies_everyone() {
+        crash_notifies_each_live_member_once::<DirectNode>();
+    }
+
+    #[test]
+    fn member_signal_is_heard_once_everywhere() {
+        signal_notifies_each_member_once::<DirectNode>();
+    }
 
     #[test]
     fn root_crash_notifies_members_independently() {
