@@ -2,29 +2,31 @@
 //!
 //! The root contacts every member directly and in parallel; a member
 //! installs state, replies, and routes its `InstallChecking` toward the
-//! root. The invariant this module owns: a creation reports exactly one
+//! root. Creation is the group's round 0: its [`Round`] counts replies and
+//! installs in either order, and moves into the root's record once every
+//! member has answered, to end when the installs are in too. The invariant
+//! this module owns: a creation reports exactly one
 //! [`FuseEvent::Created`] — success once every member answered, failure on
 //! the first refusal, broken connection or timeout — because either
 //! outcome first takes the attempt out of `creating`.
 
 use fuse_obs::{Event, ObsSink};
 use fuse_overlay::{NodeInfo, OverlayNode};
-use fuse_util::{DetHashSet, PeerAddr, TimerKey};
+use fuse_util::PeerAddr;
 
-use super::{CoreCx, FuseLayer, Group, MemberState, RoleState, RootState};
+use super::{CoreCx, FuseLayer, Group, MemberState, RoleState, RootState, Round};
 use crate::messages::FuseMsg;
 use crate::types::{
-    CreateError, CreateTicket, FuseEvent, FuseId, FuseTimer, GroupHandle, NotifyReason, Role,
-    CREATE_TIMEOUT, INSTALL_WAIT,
+    CreateError, CreateTicket, FuseEvent, FuseId, GroupHandle, NotifyReason, Role, CREATE_TIMEOUT,
 };
 
 #[derive(Clone)]
 pub(super) struct CreateAttempt {
     members: Vec<NodeInfo>,
-    awaiting: DetHashSet<PeerAddr>,
-    timer: TimerKey,
-    /// InstallChecking arrivals that raced ahead of the last create reply.
-    pub(super) early_ics: Vec<(PeerAddr, PeerAddr)>,
+    pub(super) round: Round,
+    /// First hops of `InstallChecking`s that reached the root before its
+    /// group record existed; linked once it does.
+    pub(super) early_ics: Vec<PeerAddr>,
 }
 
 impl FuseLayer {
@@ -47,7 +49,6 @@ impl FuseLayer {
             self.root_created(cx, id, Vec::new(), None);
             return ticket;
         }
-        let awaiting: DetHashSet<PeerAddr> = others.iter().map(|m| m.proc).collect();
         for m in &others {
             cx.send_fuse(
                 m.proc,
@@ -58,13 +59,12 @@ impl FuseLayer {
                 },
             );
         }
-        let timer = cx.set_fuse_timer(CREATE_TIMEOUT, FuseTimer::CreateTimeout { id });
+        let round = Round::new(cx, id, &others, CREATE_TIMEOUT);
         self.creating.insert(
             id,
             CreateAttempt {
                 members: others,
-                awaiting,
-                timer,
+                round,
                 early_ics: Vec::new(),
             },
         );
@@ -77,10 +77,10 @@ impl FuseLayer {
         cx: &mut CoreCx<'_>,
         id: FuseId,
         members: Vec<NodeInfo>,
-        install_timer: Option<TimerKey>,
+        round: Option<Round>,
     ) {
         let now = cx.now;
-        let role = RoleState::Root(RootState::new(members, install_timer));
+        let role = RoleState::Root(RootState::new(members, round));
         self.groups.insert(id, Group::new(0, self.me, role, now));
         self.obs.record(Event::GroupCreated);
         cx.app(FuseEvent::Created {
@@ -121,46 +121,20 @@ impl FuseLayer {
         self.route_install_checking(cx, ov, id, 0, root);
     }
 
-    pub(super) fn on_create_reply(
+    /// Every member answered the creation: the group's record exists from
+    /// here on, with the round still waiting on installs.
+    pub(super) fn creation_answered(
         &mut self,
         cx: &mut CoreCx<'_>,
         ov: &mut OverlayNode,
-        from: PeerAddr,
         id: FuseId,
-        ok: bool,
     ) {
-        let Some(attempt) = self.creating.get_mut(&id) else {
-            return; // Late reply for an already-failed creation.
+        let Some(attempt) = self.creating.remove(&id) else {
+            return;
         };
-        if !ok {
-            self.create_failed(cx, id, CreateError::Refused);
-            return;
-        }
-        attempt.awaiting.remove(&from);
-        if !attempt.awaiting.is_empty() {
-            return;
-        }
-        // Blocking create complete: every member answered.
-        let attempt = self.creating.remove(&id).expect("attempt present");
-        cx.cancel_fuse_timer(attempt.timer);
-        let install_timer = Some(cx.set_fuse_timer(INSTALL_WAIT, FuseTimer::InstallWait { id }));
-        self.root_created(cx, id, attempt.members, install_timer);
-        // Process InstallChecking arrivals that raced ahead.
-        for (member, prev) in attempt.early_ics {
-            self.install_arrived_at_root(cx, ov, id, 0, member, prev);
-        }
-    }
-
-    /// Creation attempts waiting on `peer` fail at once.
-    pub(super) fn fail_creates_awaiting(&mut self, cx: &mut CoreCx<'_>, peer: PeerAddr) {
-        let failed: Vec<FuseId> = self
-            .creating
-            .iter()
-            .filter(|(_, a)| a.awaiting.contains(&peer))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in failed {
-            self.create_failed(cx, id, CreateError::ConnectionBroken);
+        self.root_created(cx, id, attempt.members, Some(attempt.round));
+        for prev in attempt.early_ics {
+            self.add_link(cx, ov, id, prev);
         }
     }
 
@@ -168,7 +142,7 @@ impl FuseLayer {
         let Some(attempt) = self.creating.remove(&id) else {
             return;
         };
-        cx.cancel_fuse_timer(attempt.timer);
+        cx.cancel_fuse_timer(attempt.round.timer);
         self.obs.record(Event::CreateFailed);
         // Best effort: tear down any member state already installed.
         for m in &attempt.members {

@@ -50,7 +50,7 @@ use rand::rngs::StdRng;
 use crate::messages::{FuseMsg, InstallChecking};
 use crate::stack::{AppCall, Output, StackMsg};
 use crate::types::{
-    CreateError, FuseConfig, FuseEvent, FuseId, FuseTimer, GroupHandle, Role, REPAIR_BACKOFF_BASE,
+    FuseConfig, FuseEvent, FuseId, FuseTimer, GroupHandle, Role, INSTALL_WAIT, REPAIR_BACKOFF_BASE,
     REPAIR_BACKOFF_CAP,
 };
 
@@ -149,34 +149,68 @@ impl OverlaySink for OverlayOut<'_> {
 #[derive(Clone)]
 struct RootState {
     members: Vec<NodeInfo>,
-    install_missing: DetHashSet<PeerAddr>,
-    install_timer: Option<TimerKey>,
-    repair: Option<RepairRound>,
+    /// The round at the group's `seq`, until its replies and installs are
+    /// all in or its deadline passes.
+    round: Option<Round>,
     kick: Option<TimerKey>,
-    dirty: bool,
     backoff: Backoff,
 }
 
 impl RootState {
-    /// A fresh root: every member's install is awaited and no repair runs.
-    fn new(members: Vec<NodeInfo>, install_timer: Option<TimerKey>) -> Box<RootState> {
+    /// A fresh root, finishing its creation round.
+    fn new(members: Vec<NodeInfo>, round: Option<Round>) -> Box<RootState> {
         Box::new(RootState {
-            install_missing: members.iter().map(|m| m.proc).collect(),
             members,
-            install_timer,
-            repair: None,
+            round,
             kick: None,
-            dirty: false,
             backoff: Backoff::new(REPAIR_BACKOFF_BASE.nanos(), REPAIR_BACKOFF_CAP.nanos()),
         })
     }
 }
 
+/// One root-side round of creation (§6.2) or repair (§6.5) at the group's
+/// `seq`: the members whose reply, and whose `InstallChecking`, are still
+/// to come. Each leaves its set whenever it arrives, in either order.
 #[derive(Clone)]
-struct RepairRound {
-    seq: u64,
-    awaiting: DetHashSet<PeerAddr>,
+struct Round {
+    replies: DetHashSet<PeerAddr>,
+    installs: DetHashSet<PeerAddr>,
+    /// The reply deadline, then `INSTALL_WAIT` while installs are missing.
     timer: TimerKey,
+    /// A repair was requested while replies were outstanding.
+    dirty: bool,
+}
+
+impl Round {
+    /// A round awaiting every member, its reply deadline `after` from now.
+    fn new(cx: &mut CoreCx<'_>, id: FuseId, members: &[NodeInfo], after: Duration) -> Round {
+        let replies: DetHashSet<PeerAddr> = members.iter().map(|m| m.proc).collect();
+        Round {
+            installs: replies.clone(),
+            replies,
+            timer: cx.set_fuse_timer(after, FuseTimer::Round { id }),
+            dirty: false,
+        }
+    }
+
+    /// Counts awaited `from`'s reply; `true` when it was the last. The
+    /// reply deadline then gives way to `INSTALL_WAIT` if installs are
+    /// missing.
+    fn reply(&mut self, cx: &mut CoreCx<'_>, id: FuseId, from: PeerAddr) -> bool {
+        self.replies.remove(&from);
+        if !self.replies.is_empty() {
+            return false;
+        }
+        cx.cancel_fuse_timer(self.timer);
+        if !self.installs.is_empty() {
+            self.timer = cx.set_fuse_timer(INSTALL_WAIT, FuseTimer::Round { id });
+        }
+        true
+    }
+
+    fn done(&self) -> bool {
+        self.replies.is_empty() && self.installs.is_empty()
+    }
 }
 
 #[derive(Clone)]
@@ -333,7 +367,8 @@ impl FuseLayer {
             FuseMsg::GroupCreateRequest { id, root, .. } => {
                 self.on_create_request(cx, ov, from, id, root)
             }
-            FuseMsg::GroupCreateReply { id, ok } => self.on_create_reply(cx, ov, from, id, ok),
+            // Creation is the group's round 0.
+            FuseMsg::GroupCreateReply { id, ok } => self.on_round_reply(cx, ov, from, id, 0, ok),
             FuseMsg::SoftNotification { id, seq } => self.on_soft(cx, ov, from, id, seq),
             FuseMsg::HardNotification { id, reason, .. } => self.on_hard(cx, ov, from, id, reason),
             FuseMsg::NeedRepair { id, .. } => self.on_need_repair(cx, from, id),
@@ -341,7 +376,7 @@ impl FuseLayer {
                 self.on_repair_request(cx, ov, from, id, seq, root)
             }
             FuseMsg::GroupRepairReply { id, seq, ok } => {
-                self.on_repair_reply(cx, ov, from, id, seq, ok)
+                self.on_round_reply(cx, ov, from, id, seq, ok)
             }
             FuseMsg::ReconcileRequest { links } => {
                 let mine = self.links_with(from);
@@ -397,12 +432,8 @@ impl FuseLayer {
     pub(crate) fn on_timer(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, tag: FuseTimer) {
         match tag {
             FuseTimer::LinkExpired { peer } => self.on_peer_expiry(cx, ov, peer),
-            FuseTimer::CreateTimeout { id } => {
-                self.create_failed(cx, id, CreateError::MemberUnreachable)
-            }
-            FuseTimer::InstallWait { id } => self.on_install_wait(cx, id),
             FuseTimer::MemberRepairWait { id } => self.on_member_repair_wait(cx, ov, id),
-            FuseTimer::RepairRound { id, seq } => self.on_repair_round_timeout(cx, ov, id, seq),
+            FuseTimer::Round { id } => self.on_round_deadline(cx, ov, id),
             FuseTimer::RepairKick { id } => self.start_repair_round(cx, id),
         }
     }
@@ -414,8 +445,7 @@ impl FuseLayer {
         ov: &mut OverlayNode,
         peer: PeerAddr,
     ) {
-        self.fail_creates_awaiting(cx, peer);
-        self.fail_repairs_awaiting(cx, ov, peer);
+        self.fail_rounds_awaiting(cx, ov, peer);
         self.fail_bound_sends(cx, ov, peer);
         // Liveness-tree links to this peer are gone.
         self.peer_links_failed(cx, ov, peer);

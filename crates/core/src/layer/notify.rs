@@ -276,13 +276,10 @@ impl FuseLayer {
         let g = self.groups.remove(&id).expect("group present");
         match g.role {
             RoleState::Root(rs) => {
-                if let Some(h) = rs.install_timer {
-                    cx.cancel_fuse_timer(h);
-                }
                 if let Some(h) = rs.kick {
                     cx.cancel_fuse_timer(h);
                 }
-                if let Some(r) = rs.repair {
+                if let Some(r) = rs.round {
                     cx.cancel_fuse_timer(r.timer);
                 }
             }

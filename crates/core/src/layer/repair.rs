@@ -1,21 +1,26 @@
-//! Root-driven repair (paper §6.5).
+//! Root-driven repair (paper §6.5), and the round record it shares with
+//! creation.
 //!
 //! A member that loses its branch asks the root for repair and waits; the
 //! root, after an exponential backoff, starts a sequence-numbered round
 //! that contacts every member directly, and each member reinstalls its
 //! branch under the new `seq`. A round that cannot complete — a member
 //! that no longer knows the group, a broken connection, a timeout — fails
-//! the group. The invariant this module owns: a root runs at most one round
-//! at a time (a request during a round marks it `dirty` and starts the
-//! next one when it ends), and a member waits on at most one repair timer.
+//! the group. The invariant this module owns: a root runs at most one
+//! [`Round`] at a time, at its group's `seq`, and the round ends when its
+//! replies and installs are all in, whichever order they arrive in. Only
+//! then is the backoff reset, and not at all when a request came while
+//! replies were outstanding: that marks the round `dirty`, and its last
+//! reply asks for the next round. A member waits on at most one repair
+//! timer.
 
 use fuse_obs::{Event, ObsSink};
 use fuse_overlay::{NodeInfo, OverlayNode};
-use fuse_util::{DetHashSet, Duration, PeerAddr};
+use fuse_util::{Duration, PeerAddr};
 
-use super::{CoreCx, FuseLayer, RepairRound, RoleState};
+use super::{CoreCx, FuseLayer, Group, RoleState, Round};
 use crate::messages::FuseMsg;
-use crate::types::{FuseId, FuseTimer, NotifyReason, INSTALL_WAIT};
+use crate::types::{CreateError, FuseId, FuseTimer, NotifyReason};
 
 impl FuseLayer {
     /// A member lost its branch: ask the root for repair, once per wait.
@@ -62,32 +67,20 @@ impl FuseLayer {
         }
     }
 
-    /// Asks for a repair round at the root, after the backoff.
+    /// Asks for a repair round at the root, after the backoff. A request
+    /// while the round's replies are outstanding marks it `dirty`; one
+    /// while it waits on installs schedules the round that replaces it.
     pub(super) fn request_repair(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
-        let Some(g) = self.groups.get_mut(&id) else {
+        let Some(RoleState::Root(rs)) = self.groups.get_mut(&id).map(|g| &mut g.role) else {
             return;
         };
-        let RoleState::Root(rs) = &mut g.role else {
-            return;
-        };
-        if rs.repair.is_some() {
-            rs.dirty = true;
-            return;
-        }
-        if rs.kick.is_some() {
-            return;
-        }
-        let delay = Duration(rs.backoff.next_delay());
-        rs.kick = Some(cx.set_fuse_timer(delay, FuseTimer::RepairKick { id }));
-    }
-
-    /// Some member's install has not reached the root in time.
-    pub(super) fn on_install_wait(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
-        if let Some(RoleState::Root(rs)) = self.groups.get_mut(&id).map(|g| &mut g.role) {
-            rs.install_timer = None;
-            if !rs.install_missing.is_empty() {
-                self.request_repair(cx, id);
+        match &mut rs.round {
+            Some(round) if !round.replies.is_empty() => round.dirty = true,
+            _ if rs.kick.is_none() => {
+                let delay = Duration(rs.backoff.next_delay());
+                rs.kick = Some(cx.set_fuse_timer(delay, FuseTimer::RepairKick { id }));
             }
+            _ => {}
         }
     }
 
@@ -99,15 +92,13 @@ impl FuseLayer {
             return;
         };
         rs.kick = None;
-        if rs.repair.is_some() {
-            rs.dirty = true;
-            return;
-        }
         g.seq += 1;
         let seq = g.seq;
-        let awaiting: DetHashSet<PeerAddr> = rs.members.iter().map(|m| m.proc).collect();
-        if awaiting.is_empty() {
+        if rs.members.is_empty() {
             return;
+        }
+        if let Some(old) = rs.round.take() {
+            cx.cancel_fuse_timer(old.timer);
         }
         self.obs.record(Event::RepairStarted);
         for m in &rs.members {
@@ -120,55 +111,131 @@ impl FuseLayer {
                 },
             );
         }
-        let timer = cx.set_fuse_timer(
-            self.cfg.root_repair_timeout,
-            FuseTimer::RepairRound { id, seq },
-        );
-        rs.repair = Some(RepairRound {
-            seq,
-            awaiting,
-            timer,
-        });
+        let timeout = self.cfg.root_repair_timeout;
+        rs.round = Some(Round::new(cx, id, &rs.members, timeout));
     }
 
-    pub(super) fn on_repair_round_timeout(
+    /// The round `id` runs at `seq`: its creation (round 0) until the
+    /// group's record exists, then its root's round at the group's `seq`.
+    pub(super) fn round_mut(&mut self, id: FuseId, seq: u64) -> Option<&mut Round> {
+        if let Some(attempt) = self.creating.get_mut(&id) {
+            return (seq == 0).then_some(&mut attempt.round);
+        }
+        match self.groups.get_mut(&id) {
+            Some(Group {
+                seq: at,
+                role: RoleState::Root(rs),
+                ..
+            }) if *at == seq => rs.round.as_mut(),
+            _ => None,
+        }
+    }
+
+    /// `from` answered the round at `seq`. The last reply asks for the next
+    /// round if the round is `dirty`, and records a creation's group at its
+    /// root.
+    pub(super) fn on_round_reply(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        from: PeerAddr,
+        id: FuseId,
+        seq: u64,
+        ok: bool,
+    ) {
+        let Some(round) = self.round_mut(id, seq) else {
+            return;
+        };
+        if !round.replies.contains(&from) {
+            return;
+        }
+        if !ok {
+            let reason = NotifyReason::RepairFailed;
+            self.round_failed(cx, ov, id, CreateError::Refused, reason);
+        } else if round.reply(cx, id, from) {
+            if round.dirty {
+                self.request_repair(cx, id);
+            }
+            self.creation_answered(cx, ov, id);
+            self.end_round_if_done(cx, id);
+        }
+    }
+
+    /// Ends `id`'s round once its replies and installs are all in.
+    pub(super) fn end_round_if_done(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
+        let Some(RoleState::Root(rs)) = self.groups.get_mut(&id).map(|g| &mut g.role) else {
+            return;
+        };
+        let Some(round) = rs.round.take_if(|r| r.done()) else {
+            return;
+        };
+        cx.cancel_fuse_timer(round.timer);
+        if !round.dirty {
+            rs.backoff.reset();
+        }
+    }
+
+    /// The round's deadline passed. Missing replies fail the creation or
+    /// the group; missing installs ask for the next round.
+    pub(super) fn on_round_deadline(
         &mut self,
         cx: &mut CoreCx<'_>,
         ov: &mut OverlayNode,
         id: FuseId,
-        seq: u64,
     ) {
-        let failed = matches!(
-            self.role(id),
-            Some(RoleState::Root(rs))
-                if rs.repair.as_ref().is_some_and(|r| r.seq == seq && !r.awaiting.is_empty())
-        );
-        if failed {
+        if self.creating.contains_key(&id) {
+            self.create_failed(cx, id, CreateError::MemberUnreachable);
+            return;
+        }
+        let Some(RoleState::Root(rs)) = self.groups.get_mut(&id).map(|g| &mut g.role) else {
+            return;
+        };
+        let Some(round) = rs.round.take() else {
+            return;
+        };
+        if round.replies.is_empty() {
+            self.request_repair(cx, id);
+        } else {
             self.group_failed_at_root(cx, ov, id, None, NotifyReason::RepairFailed);
         }
     }
 
-    /// Repair rounds waiting on `peer` fail their group.
-    pub(super) fn fail_repairs_awaiting(
+    /// Rounds still waiting on `peer`'s reply fail: its connection broke.
+    pub(super) fn fail_rounds_awaiting(
         &mut self,
         cx: &mut CoreCx<'_>,
         ov: &mut OverlayNode,
         peer: PeerAddr,
     ) {
-        let failed: Vec<FuseId> = self
-            .groups
-            .iter()
-            .filter(|(_, g)| match &g.role {
-                RoleState::Root(rs) => rs
-                    .repair
-                    .as_ref()
-                    .is_some_and(|r| r.awaiting.contains(&peer)),
-                _ => false,
-            })
-            .map(|(&id, _)| id)
+        let creating = self.creating.iter().map(|(&id, a)| (id, &a.round));
+        let rooted = self.groups.iter().filter_map(|(&id, g)| match &g.role {
+            RoleState::Root(rs) => Some((id, rs.round.as_ref()?)),
+            _ => None,
+        });
+        let failed: Vec<FuseId> = creating
+            .chain(rooted)
+            .filter(|(_, r)| r.replies.contains(&peer))
+            .map(|(id, _)| id)
             .collect();
         for id in failed {
-            self.group_failed_at_root(cx, ov, id, None, NotifyReason::ConnectionBroken);
+            let reason = NotifyReason::ConnectionBroken;
+            self.round_failed(cx, ov, id, CreateError::ConnectionBroken, reason);
+        }
+    }
+
+    /// A round failed: a creation reports `err`, a group fails for `reason`.
+    fn round_failed(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        id: FuseId,
+        err: CreateError,
+        reason: NotifyReason,
+    ) {
+        if self.creating.contains_key(&id) {
+            self.create_failed(cx, id, err);
+        } else {
+            self.group_failed_at_root(cx, ov, id, None, reason);
         }
     }
 
@@ -211,51 +278,6 @@ impl FuseLayer {
                 self.clear_links(cx, ov, id);
                 self.route_install_checking(cx, ov, id, seq, root);
             }
-        }
-    }
-
-    pub(super) fn on_repair_reply(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        from: PeerAddr,
-        id: FuseId,
-        seq: u64,
-        ok: bool,
-    ) {
-        let Some(g) = self.groups.get_mut(&id) else {
-            return;
-        };
-        let RoleState::Root(rs) = &mut g.role else {
-            return;
-        };
-        let Some(round) = &mut rs.repair else {
-            return;
-        };
-        if round.seq != seq {
-            return;
-        }
-        if !ok {
-            self.group_failed_at_root(cx, ov, id, None, NotifyReason::RepairFailed);
-            return;
-        }
-        round.awaiting.remove(&from);
-        if !round.awaiting.is_empty() {
-            return;
-        }
-        // Round succeeded.
-        let round = rs.repair.take().expect("round present");
-        cx.cancel_fuse_timer(round.timer);
-        rs.install_missing = rs.members.iter().map(|m| m.proc).collect();
-        if let Some(h) = rs.install_timer.take() {
-            cx.cancel_fuse_timer(h);
-        }
-        rs.install_timer = Some(cx.set_fuse_timer(INSTALL_WAIT, FuseTimer::InstallWait { id }));
-        if rs.dirty {
-            rs.dirty = false;
-            self.request_repair(cx, id);
-        } else {
-            rs.backoff.reset();
         }
     }
 }

@@ -129,43 +129,25 @@ impl FuseLayer {
             // Routed to us although we are not the root: stale name tables.
             return;
         }
+        if let Some(round) = self.round_mut(ic.id, ic.seq) {
+            round.installs.remove(&src);
+        }
+        let hop = (prev != self.me.proc).then_some(prev);
         if let Some(attempt) = self.creating.get_mut(&ic.id) {
-            attempt.early_ics.push((src, prev));
+            attempt.early_ics.extend(hop);
             return;
         }
-        if !self.groups.contains_key(&ic.id) {
+        let Some(g) = self.groups.get(&ic.id) else {
             // Group already failed: burn the fuse back toward the member.
             self.send_hard(cx, src, ic.id, ic.seq, NotifyReason::UnknownGroup);
             return;
-        }
-        self.install_arrived_at_root(cx, ov, ic.id, ic.seq, src, prev);
-    }
-
-    pub(super) fn install_arrived_at_root(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-        seq: u64,
-        member: PeerAddr,
-        prev: PeerAddr,
-    ) {
-        let Some(g) = self.groups.get_mut(&id) else {
-            return;
         };
-        if seq < g.seq {
+        if ic.seq < g.seq {
             return; // Stale branch from before a repair.
         }
-        if let RoleState::Root(rs) = &mut g.role {
-            rs.install_missing.remove(&member);
-            if rs.install_missing.is_empty() {
-                if let Some(h) = rs.install_timer.take() {
-                    cx.cancel_fuse_timer(h);
-                }
-            }
-        }
-        if prev != self.me.proc {
-            self.add_link(cx, ov, id, prev);
+        self.end_round_if_done(cx, ic.id);
+        if let Some(prev) = hop {
+            self.add_link(cx, ov, ic.id, prev);
         }
     }
 
@@ -305,7 +287,13 @@ impl FuseLayer {
 
     // ---- Link bookkeeping ---------------------------------------------------
 
-    fn add_link(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, id: FuseId, peer: PeerAddr) {
+    pub(super) fn add_link(
+        &mut self,
+        cx: &mut CoreCx<'_>,
+        ov: &mut OverlayNode,
+        id: FuseId,
+        peer: PeerAddr,
+    ) {
         debug_assert_ne!(peer, self.me.proc);
         let now = cx.now;
         let Some(g) = self.groups.get_mut(&id) else {

@@ -552,6 +552,7 @@ pub trait FuseApp: Sized {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{INSTALL_WAIT, REPAIR_BACKOFF_BASE, REPAIR_BACKOFF_CAP};
     use fuse_overlay::NodeName;
     use rand::{Rng, SeedableRng};
 
@@ -663,10 +664,7 @@ mod tests {
             .iter()
             .find_map(|o| match o {
                 Output::SetTimer { key, .. }
-                    if matches!(
-                        s.fuse_timers.get(*key),
-                        Some(FuseTimer::CreateTimeout { .. })
-                    ) =>
+                    if matches!(s.fuse_timers.get(*key), Some(FuseTimer::Round { .. })) =>
                 {
                     Some(*key)
                 }
@@ -760,6 +758,172 @@ mod tests {
         });
         assert_eq!(hard.count(), 1, "{outs:?}");
         assert_eq!(s.fuse.obs().hard_sent, before + 1);
+    }
+
+    /// A root driven by hand: its clock, every FUSE timer it armed by due
+    /// time, and every FUSE message it sent. Overlay timers are not fired,
+    /// so no ping times out and the overlay stays still.
+    #[derive(Clone)]
+    struct Root {
+        s: FuseStack,
+        rng: StdRng,
+        now: Time,
+        due: Vec<(Time, TimerKey)>,
+        sent: Vec<(PeerAddr, FuseMsg)>,
+    }
+
+    impl Root {
+        fn input(&mut self, input: Input) {
+            self.s.handle(self.now, &mut self.rng, input);
+            self.collect();
+        }
+
+        fn collect(&mut self) {
+            for o in drain(&mut self.s) {
+                match o {
+                    Output::SetTimer { key, after } if key.ns == NS_FUSE => {
+                        self.due.push((self.now + after, key))
+                    }
+                    Output::Send {
+                        to,
+                        msg: StackMsg::Fuse(m),
+                    } => self.sent.push((to, m)),
+                    _ => {}
+                }
+            }
+        }
+
+        fn fuse(&mut self, from: PeerAddr, msg: FuseMsg) {
+            let msg = StackMsg::Fuse(msg);
+            self.input(Input::Message { from, msg });
+        }
+
+        /// `member`'s `InstallChecking` at `seq`, arriving in one hop.
+        fn install(&mut self, member: NodeInfo, id: FuseId, seq: u64) {
+            let root = *self.s.me();
+            let ic = crate::messages::InstallChecking {
+                id,
+                seq,
+                member,
+                root,
+            };
+            let msg = StackMsg::Overlay(OverlayMsg::Routed {
+                src: member,
+                target: root.name,
+                ttl: 64,
+                class: fuse_overlay::messages::RoutedClass::Client as u8,
+                payload: ic.to_bytes(),
+                path: Vec::new(),
+            });
+            self.input(Input::Message {
+                from: member.proc,
+                msg,
+            });
+        }
+
+        /// Fires, in due order, every FUSE timer armed and due by `until`.
+        fn run_until(&mut self, until: Time) {
+            self.due.sort_by_key(|&(at, _)| std::cmp::Reverse(at));
+            while self.due.last().is_some_and(|&(at, _)| at <= until) {
+                let (at, key) = self.due.pop().expect("checked");
+                self.now = at;
+                self.input(Input::Timer(key));
+                self.due.sort_by_key(|&(at, _)| std::cmp::Reverse(at));
+            }
+            self.now = until;
+        }
+
+        /// The delay of the first repair kick armed after the first
+        /// `armed_before` timers.
+        fn kick_delay(&self, armed_before: usize) -> Option<Duration> {
+            let timers = &self.s.fuse_timers;
+            self.due[armed_before..].iter().find_map(|&(at, key)| {
+                matches!(timers.get(key), Some(FuseTimer::RepairKick { .. }))
+                    .then(|| at.since(self.now))
+            })
+        }
+
+        fn repair_requests(&self, seq: u64) -> usize {
+            let at =
+                |m: &FuseMsg| matches!(m, FuseMsg::GroupRepairRequest { seq: s, .. } if *s == seq);
+            self.sent.iter().filter(|(_, m)| at(m)).count()
+        }
+    }
+
+    /// A member's `InstallChecking` may reach the root before its repair
+    /// reply. The round counts it whenever it comes: once the last reply
+    /// and the last install are in, the round ends, and no install wait
+    /// fires a second round. The backoff resets only then.
+    #[test]
+    fn an_install_ahead_of_its_reply_still_counts() {
+        let (m1, m2) = (
+            NodeInfo::new(2, NodeName::numbered(2)),
+            NodeInfo::new(3, NodeName::numbered(3)),
+        );
+        let mut root = Root {
+            s: stack(1),
+            rng: StdRng::seed_from_u64(1),
+            now: Time::ZERO,
+            due: Vec::new(),
+            sent: Vec::new(),
+        };
+        root.input(Input::Boot);
+        root.now = Time::ZERO + Duration::from_secs(1);
+        let ticket = root
+            .s
+            .api(root.now, &mut root.rng)
+            .create_group(vec![m1, m2]);
+        root.collect();
+        let id = ticket.id();
+        for m in [m1, m2] {
+            root.fuse(m.proc, FuseMsg::GroupCreateReply { id, ok: true });
+            root.install(m, id, 0);
+        }
+        assert!(root.s.fuse.handle(id).is_some(), "the group was created");
+
+        // m1 asks for repair: the kick comes after the base delay.
+        root.fuse(m1.proc, FuseMsg::NeedRepair { id, seq: 0 });
+        root.run_until(Time::ZERO + Duration::from_secs(3));
+        assert_eq!(root.repair_requests(1), 2, "round 1 contacts both");
+
+        // m2's install overtakes its reply; then the replies; then m1's
+        // install.
+        root.install(m2, id, 1);
+        for m in [m1, m2] {
+            root.fuse(
+                m.proc,
+                FuseMsg::GroupRepairReply {
+                    id,
+                    seq: 1,
+                    ok: true,
+                },
+            );
+        }
+        // Replies in, m1's install missing: the round has not ended, so a
+        // request now backs off past the base delay.
+        let mut waiting = root.clone();
+        let armed = waiting.due.len();
+        waiting.fuse(m1.proc, FuseMsg::NeedRepair { id, seq: 1 });
+        assert_eq!(
+            waiting.kick_delay(armed),
+            Some(Duration(2 * REPAIR_BACKOFF_BASE.nanos())),
+            "the backoff reset before m1's install arrived"
+        );
+
+        root.install(m1, id, 1);
+        let quiet = root.now + INSTALL_WAIT + REPAIR_BACKOFF_CAP;
+        root.run_until(quiet);
+        assert_eq!(
+            root.repair_requests(2),
+            0,
+            "an install that came before its reply was forgotten"
+        );
+        assert!(root.s.fuse.handle(id).is_some(), "the group still stands");
+
+        // The round ended with both sets empty: the backoff is back at base.
+        let armed = root.due.len();
+        root.fuse(m1.proc, FuseMsg::NeedRepair { id, seq: 1 });
+        assert_eq!(root.kick_delay(armed), Some(REPAIR_BACKOFF_BASE));
     }
 
     #[test]

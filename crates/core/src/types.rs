@@ -39,7 +39,8 @@ impl std::fmt::Display for FuseId {
 /// Root-side timeout for the blocking group creation attempt.
 pub(crate) const CREATE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Root-side wait for `InstallChecking` arrivals after create/repair.
+/// Root-side wait for the `InstallChecking`s a round still misses once its
+/// replies are all in.
 pub(crate) const INSTALL_WAIT: Duration = Duration::from_secs(30);
 
 /// First-retry delay of the per-group repair backoff.
@@ -410,27 +411,17 @@ pub enum FuseTimer {
         /// The liveness-tree neighbor.
         peer: PeerAddr,
     },
-    /// Root-side creation attempt timeout.
-    CreateTimeout {
-        /// The group being created.
-        id: FuseId,
-    },
-    /// Root-side wait for `InstallChecking` arrivals.
-    InstallWait {
-        /// The group.
-        id: FuseId,
-    },
     /// Member-side wait for the root after `NeedRepair`.
     MemberRepairWait {
         /// The group.
         id: FuseId,
     },
-    /// Root-side repair round timeout.
-    RepairRound {
+    /// Root-side deadline of a creation or repair round: its replies'
+    /// (`CREATE_TIMEOUT` or `root_repair_timeout`), then, while installs
+    /// are missing, `INSTALL_WAIT`.
+    Round {
         /// The group.
         id: FuseId,
-        /// Sequence number of the round.
-        seq: u64,
     },
     /// Root-side delayed (backed-off) repair start.
     RepairKick {

@@ -21,6 +21,13 @@ pub(crate) const JOIN_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 /// Capacity of the passive candidate cache.
 pub(crate) const CANDIDATE_CACHE: usize = 256;
 
+/// Most neighbours declared dead that a node keeps announcing itself to.
+pub(crate) const DEPARTED_CAP: usize = 32;
+
+/// Announces a departed neighbour gets, one maintenance period apart and
+/// then doubling, before it is forgotten (1 + 1 + 2 + 4 + 8 periods).
+pub(crate) const DEPARTED_TRIES: u32 = 5;
+
 /// The overlay's failure-detector timings, defaulting to the paper's
 /// configuration (§7.1): 60 s ping period, 20 s ping timeout. Everything
 /// else about the overlay is a constant in this module.
@@ -57,5 +64,7 @@ mod tests {
         assert_eq!(ROUTE_TTL, 64);
         assert_eq!(JOIN_TIMEOUT, SimDuration::from_secs(10));
         assert_eq!(CANDIDATE_CACHE, 256);
+        assert_eq!(DEPARTED_CAP, 32);
+        assert_eq!(DEPARTED_TRIES, 5);
     }
 }

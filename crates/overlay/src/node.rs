@@ -8,8 +8,8 @@ use fuse_util::{Duration, PeerAddr, TimerKey};
 use fuse_wire::{Decode, Digest, Encode};
 
 use crate::config::{
-    OverlayConfig, CANDIDATE_CACHE, JOIN_TIMEOUT, LEAF_SIDE, MAINTENANCE_PERIOD, MAX_LEVELS,
-    ROUTE_TTL,
+    OverlayConfig, CANDIDATE_CACHE, DEPARTED_CAP, DEPARTED_TRIES, JOIN_TIMEOUT, LEAF_SIDE,
+    MAINTENANCE_PERIOD, MAX_LEVELS, ROUTE_TTL,
 };
 use crate::id::{
     closer_clockwise, closer_counterclockwise, further_clockwise, NodeInfo, NodeName, NumericId,
@@ -70,6 +70,10 @@ pub struct OverlayNode {
     rtable: Vec<[Option<NodeInfo>; 2]>,
     /// Passive candidate cache (recently seen live nodes).
     known: DetHashMap<PeerAddr, NodeInfo>,
+    /// Neighbours declared dead, each with the announces sent to it and
+    /// the maintenance ticks until the next: a peer that comes back (a
+    /// healed partition) is re-admitted when it answers.
+    departed: Vec<(NodeInfo, u32, u32)>,
     /// Per-neighbor periodic ping timers.
     ping_timers: DetHashMap<PeerAddr, TimerKey>,
     /// Outstanding ping (nonce, timeout) per neighbor.
@@ -102,6 +106,7 @@ impl OverlayNode {
             leaves_ccw: Vec::new(),
             rtable: vec![[None, None]; MAX_LEVELS],
             known: DetHashMap::default(),
+            departed: Vec::new(),
             ping_timers: DetHashMap::default(),
             ack_waits: DetHashMap::default(),
             link_hashes: DetHashMap::default(),
@@ -422,6 +427,17 @@ impl OverlayNode {
         }
         self.stats.neighbors_died += 1;
         self.stop_ping(io, peer);
+        let info = self
+            .all_entries()
+            .chain(self.known.values())
+            .find(|e| e.proc == peer);
+        if let Some(info) = info.copied() {
+            self.departed.retain(|d| d.0.proc != peer);
+            if self.departed.len() == DEPARTED_CAP {
+                self.departed.remove(0);
+            }
+            self.departed.push((info, 0, 1));
+        }
         self.known.remove(&peer);
         self.leaves_cw.retain(|l| l.proc != peer);
         self.leaves_ccw.retain(|l| l.proc != peer);
@@ -447,13 +463,7 @@ impl OverlayNode {
             pull.push(l.proc);
         }
         for p in pull {
-            io.send(
-                p,
-                OverlayMsg::Announce {
-                    info: self.me,
-                    want_reply: true,
-                },
-            );
+            announce(io, self.me, p);
         }
         let cached: Vec<NodeInfo> = self.known.values().copied().collect();
         self.integrate_all(io, &cached);
@@ -691,17 +701,12 @@ impl OverlayNode {
                     // Announce ourselves to every neighbor so both sides of
                     // each link monitor it.
                     for p in self.neighbors() {
-                        io.send(
-                            p,
-                            OverlayMsg::Announce {
-                                info: self.me,
-                                want_reply: true,
-                            },
-                        );
+                        announce(io, self.me, p);
                     }
                 }
             }
             OverlayMsg::Announce { info, want_reply } => {
+                self.departed.retain(|d| d.0.proc != info.proc);
                 if want_reply {
                     let mut candidates: Vec<NodeInfo> = vec![self.me];
                     candidates.extend_from_slice(&self.leaves_cw);
@@ -712,6 +717,7 @@ impl OverlayNode {
                 self.integrate_all(io, &[info]);
             }
             OverlayMsg::AnnounceAck { candidates } => {
+                self.departed.retain(|d| d.0.proc != from);
                 self.integrate_all(io, &candidates);
             }
             OverlayMsg::ProbeReply { path } => {
@@ -775,6 +781,7 @@ impl OverlayNode {
                 if self.ready {
                     self.send_probe(io);
                 }
+                self.announce_to_departed(io);
                 io.set_timer(MAINTENANCE_PERIOD, OverlayTimer::Maintenance);
             }
         }
@@ -785,6 +792,22 @@ impl OverlayNode {
         if self.is_neighbor(peer) {
             self.neighbor_dead(io, peer);
         }
+    }
+
+    /// Announces this node to every departed peer that is due, each gap
+    /// twice the last, and forgets a peer after its last unanswered try.
+    fn announce_to_departed(&mut self, io: &mut OverlayCx<'_>) {
+        let me = self.me;
+        self.departed.retain_mut(|(peer, sent, wait)| {
+            *wait -= 1;
+            if *wait > 0 {
+                return true;
+            }
+            announce(io, me, peer.proc);
+            *sent += 1;
+            *wait = 1 << (*sent - 1);
+            *sent < DEPARTED_TRIES
+        });
     }
 
     fn send_probe(&mut self, io: &mut OverlayCx<'_>) {
@@ -816,6 +839,12 @@ impl OverlayNode {
             );
         }
     }
+}
+
+/// Announces `info` (this node) to `peer`, asking for its leaf sets back.
+fn announce(io: &mut OverlayCx<'_>, info: NodeInfo, peer: PeerAddr) {
+    let want_reply = true;
+    io.send(peer, OverlayMsg::Announce { info, want_reply });
 }
 
 #[cfg(test)]
@@ -1021,6 +1050,36 @@ mod tests {
         assert_eq!(n.stats.neighbors_died, 1);
         // 30 survives.
         assert!(n.is_neighbor(30));
+    }
+
+    /// A neighbour declared dead is announced to on maintenance ticks 1,
+    /// 2, 4, 8 and 16 after its death, then forgotten; its answer ends the
+    /// retries at once.
+    #[test]
+    fn departed_neighbours_are_announced_to_with_doubling_gaps() {
+        let (mut n, mut io) = node_with(10, &[20, 30]);
+        io.on_link_broken(&mut n, 20);
+        io.on_link_broken(&mut n, 30);
+        let mut ticks: [Vec<usize>; 2] = Default::default();
+        for tick in 1..=40 {
+            if tick == 3 {
+                let candidates = vec![info(30)];
+                io.on_message(&mut n, 30, OverlayMsg::AnnounceAck { candidates });
+            }
+            io.sent.clear();
+            io.on_timer(&mut n, OverlayTimer::Maintenance);
+            for (to, msg) in &io.sent {
+                if let OverlayMsg::Announce {
+                    want_reply: true, ..
+                } = msg
+                {
+                    ticks[usize::from(*to == 30)].push(tick);
+                }
+            }
+        }
+        assert_eq!(ticks[0], [1, 2, 4, 8, 16], "peer 20 never answers");
+        assert_eq!(ticks[1], [1, 2], "peer 30 answers before tick 3");
+        assert!(n.departed.is_empty());
     }
 
     #[test]

@@ -63,7 +63,9 @@ impl Backoff {
         self.attempts
     }
 
-    /// Resets to the initial delay; used when a repair round succeeds.
+    /// Resets to the initial delay. FUSE resets a group's backoff when a
+    /// round ends with every reply and every install in, and no repair
+    /// was requested while it ran.
     pub fn reset(&mut self) {
         self.attempts = 0;
     }
