@@ -598,7 +598,8 @@ mod tests {
 
     /// Drivers may deliver cancelled and already-fired keys (the simulation
     /// kernel delivers every key it was given): each namespace must
-    /// discard them.
+    /// discard them. An ack cancels no timer, so the overlay's one
+    /// ack-deadline sweep still fires after it, and must find nothing.
     #[test]
     fn stale_timer_keys_are_inert() {
         let peer = NodeInfo::new(2, NodeName::numbered(2));
@@ -616,8 +617,9 @@ mod tests {
         };
         assert_inert(&mut s, &mut rng, Time(1), bogus);
 
-        // Overlay: an ack timeout after its ack arrived. Boot arms the
-        // peer's ping first; firing it sends the ping and arms the wait.
+        // Overlay: the ack-deadline sweep after the one ping it waited for
+        // was acked. Boot arms the peer's ping first; firing it sends the
+        // ping and arms the sweep.
         let ping_due = boot
             .iter()
             .find_map(|o| match o {
@@ -637,7 +639,7 @@ mod tests {
                 _ => None,
             })
             .expect("the ping is sent");
-        let ack_wait = fired
+        let sweep = fired
             .iter()
             .find_map(|o| match o {
                 Output::SetTimer { key, after }
@@ -647,16 +649,17 @@ mod tests {
                 }
                 _ => None,
             })
-            .expect("the ack wait is armed");
+            .expect("the ping arms the sweep");
         let msg = StackMsg::Overlay(OverlayMsg::PingAck { nonce, hash: None });
         s.handle(Time(3), &mut rng, Input::Message { from: 2, msg });
+        let acked = drain(&mut s);
         assert!(
-            drain(&mut s)
+            !acked
                 .iter()
-                .any(|o| matches!(o, Output::CancelTimer { key } if *key == ack_wait)),
-            "the ack cancels its wait"
+                .any(|o| matches!(o, Output::SetTimer { .. } | Output::CancelTimer { .. })),
+            "an acked ping emits no timer command: {acked:?}"
         );
-        assert_inert(&mut s, &mut rng, Time(4), ack_wait);
+        assert_inert(&mut s, &mut rng, Time(4), sweep);
 
         // FUSE: a creation timeout fed a second time after it fired.
         s.api(Time(5), &mut rng).create_group(vec![peer]);

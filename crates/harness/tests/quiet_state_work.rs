@@ -5,6 +5,10 @@
 //! 200 standing groups as for the same world with none, and holds one more
 //! timer per monitored peer — not per group — than it.
 //!
+//! The quiet state's own work per ping is counted too: an acknowledged
+//! ping costs its timer, the ping, the ack and a share of the node's one
+//! ack-deadline timer, at most 3.5 kernel events in all.
+//!
 //! Event counts repeat exactly under the seed, so they are asserted as
 //! counts, not as timings.
 
@@ -18,9 +22,10 @@ use rand::SeedableRng;
 const NODES: usize = 64;
 
 /// Kernel events executed during, and still pending after, 300 quiet
-/// simulated seconds with `groups` five-member groups standing, and the
-/// number of (node, peer) links some group monitors.
-fn quiet_window(groups: usize) -> (u64, usize, usize) {
+/// simulated seconds with `groups` five-member groups standing, the
+/// number of (node, peer) links some group monitors, and the overlay
+/// pings sent in the window.
+fn quiet_window(groups: usize) -> (u64, usize, usize, u64) {
     let mut world = World::build(&WorldParams::new(NODES, 3, NetConfig::cluster()));
     world.run(SimDuration::from_secs(90));
     let mut rng = StdRng::seed_from_u64(0x9E7);
@@ -37,7 +42,11 @@ fn quiet_window(groups: usize) -> (u64, usize, usize) {
         let created = app.created_result(ticket).expect("120 s is enough");
         created.expect("nothing failed");
     }
-    let before = world.events_executed();
+    let pings = |world: &World| -> u64 {
+        let procs = (0..NODES as ProcId).map(|p| world.sim.proc(p).expect("up"));
+        procs.map(|p| p.overlay.stats.pings_sent).sum()
+    };
+    let (before, pings_before) = (world.events_executed(), pings(&world));
     world.run(SimDuration::from_secs(300));
     let obs = world.obs_aggregates();
     assert_eq!(obs.notifications, 0, "a quiet group burned");
@@ -49,15 +58,27 @@ fn quiet_window(groups: usize) -> (u64, usize, usize) {
         world.events_executed() - before,
         world.sim.pending_events(),
         monitored.sum(),
+        pings(&world) - pings_before,
     )
 }
 
 #[test]
 fn standing_groups_add_no_kernel_work_to_the_quiet_state() {
-    let (events_bare, pending_bare, monitored_bare) = quiet_window(0);
-    let (events_groups, pending_groups, monitored) = quiet_window(200);
-    assert!(events_bare > 0 && pending_bare > 0);
+    let (events_bare, pending_bare, monitored_bare, pings) = quiet_window(0);
+    let (events_groups, pending_groups, monitored, _) = quiet_window(200);
+    assert!(events_bare > 0 && pending_bare > 0 && pings > 0);
     assert_eq!(monitored_bare, 0);
+    // The first count of the quiet state's work: a ping is its `PingDue`
+    // timer, the ping and the ack, plus a share of the node's one
+    // ack-deadline timer, table maintenance and its announces — 3.28 events
+    // (18,005 for 5,490 pings). A timer per ack wait, cancelled by the ack
+    // and still executed, would add about one event per acknowledged ping
+    // (4.13).
+    let per_ping = events_bare as f64 / pings as f64;
+    assert!(
+        per_ping <= 3.5,
+        "{events_bare} kernel events for {pings} pings: {per_ping:.3} per ping"
+    );
     assert!(
         events_groups as f64 <= events_bare as f64 * 1.3,
         "200 standing groups: {events_groups} events against {events_bare} with none"

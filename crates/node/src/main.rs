@@ -62,7 +62,8 @@ OPTIONS:
     --seed <N>              RNG seed (default: the node id)
     --run-secs <N>          Exit cleanly after N seconds (default: run forever)
     --ping-secs <N>         Overlay liveness ping period (default: 60)
-    --ping-timeout-secs <N> Overlay ping-ack timeout (default: 20)
+    --ping-timeout-secs <N> Overlay ping-ack timeout (default: 20; must stay below
+                            the ping period)
     --link-timeout-secs <N> FUSE per-(group, link) liveness expiry (default: 90)
     --member-repair-secs <N> Member-side wait for a repair response (default: 60)
     --root-repair-secs <N>  Root-side wait for repair replies (default: 120)
@@ -179,6 +180,12 @@ fn parse_opts() -> Result<Opts, String> {
             }
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
+    }
+    // Each ping replaces the wait of the last one, so a timeout that does
+    // not end before the next ping never comes due: a silent neighbour
+    // would never be declared dead.
+    if overlay.ping_timeout >= overlay.ping_period {
+        return Err("--ping-timeout-secs must be below --ping-secs".into());
     }
     let id = id.ok_or("--id is required")?;
     let listen = listen.ok_or("--listen is required")?;

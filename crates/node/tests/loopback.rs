@@ -372,6 +372,33 @@ fn ping_flag_rejects_zero() {
 }
 
 #[test]
+fn ping_timeout_at_or_above_the_period_is_a_usage_error() {
+    // Each ping replaces the wait of the last one, so a wait that does not
+    // end before the next ping never comes due: a stopped or partitioned
+    // neighbour would never be declared dead by the overlay.
+    let timings: [&[&str]; 2] = [
+        &["--ping-secs", "20", "--ping-timeout-secs", "20"],
+        // Above the default 60 s period.
+        &["--ping-timeout-secs", "90"],
+    ];
+    for timing in timings {
+        let out = Command::new(env!("CARGO_BIN_EXE_fuse-node"))
+            .args(["--id", "0", "--listen", "127.0.0.1:0"])
+            .args(timing)
+            .args(["--run-secs", "2"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run fuse-node");
+        assert_eq!(out.status.code(), Some(2), "{timing:?}: got {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--ping-timeout-secs must be below --ping-secs"),
+            "stderr names the rule: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn one_thread_and_bounded_memory_under_cycles() {
     // Each node is one readiness loop, and cancelled timers leave its store
     // at once: thousands of create → signal cycles neither add threads nor

@@ -36,7 +36,9 @@ pub struct OverlayConfig {
     /// Liveness ping period per neighbor.
     pub ping_period: SimDuration,
     /// Time to wait for a ping acknowledgment before declaring the neighbor
-    /// dead.
+    /// dead. Must be below `ping_period`: each ping replaces the wait of
+    /// the last, so a wait that outlives the period never comes due and a
+    /// silent neighbour is never declared dead.
     pub ping_timeout: SimDuration,
 }
 

@@ -23,13 +23,11 @@ use crate::messages::OverlayMsg;
 pub enum OverlayTimer {
     /// Periodic liveness ping for one neighbor.
     PingDue(PeerAddr),
-    /// A ping to `peer` (nonce-matched) was not acknowledged in time.
-    AckTimeout {
-        /// The pinged neighbor.
-        peer: PeerAddr,
-        /// Nonce of the outstanding ping.
-        nonce: u64,
-    },
+    /// The node's one ack-deadline timer: every neighbour whose ping went
+    /// unacknowledged for the ping timeout is declared dead. An ack cancels
+    /// nothing; the timer is armed at or before the earliest outstanding
+    /// deadline and re-arms itself at the next one.
+    AckTimeout,
     /// The join request went unanswered; retry.
     JoinRetry,
     /// Periodic background table maintenance.
@@ -47,7 +45,10 @@ pub trait OverlaySink {
     /// wakeup.)
     fn set_timer(&mut self, key: TimerKey, after: Duration);
     /// Drop a scheduled wakeup. Drivers may also ignore this and deliver
-    /// the expiry anyway — a cancelled key resolves to nothing.
+    /// the expiry anyway — a cancelled key resolves to nothing. The
+    /// overlay cancels a neighbour's ping timer when it stops monitoring
+    /// the neighbour, and the join retry when the reply comes; an ack
+    /// cancels nothing.
     fn cancel_timer(&mut self, key: TimerKey);
 }
 

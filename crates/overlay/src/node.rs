@@ -1,10 +1,12 @@
 //! The overlay node: ring membership, routing, liveness and repair.
 
+use std::collections::VecDeque;
+
 use bytes::Bytes;
 use rand::Rng;
 
 use fuse_util::DetHashMap;
-use fuse_util::{Duration, PeerAddr, TimerKey};
+use fuse_util::{Duration, PeerAddr, Time, TimerKey};
 use fuse_wire::{Decode, Digest, Encode};
 
 use crate::config::{
@@ -50,6 +52,14 @@ pub enum RouteStart {
     NoRoute,
 }
 
+/// One monitored neighbour: its periodic ping timer and the nonce of its
+/// ping still awaiting an ack.
+#[derive(Clone, Copy)]
+struct Watched {
+    ping: TimerKey,
+    awaiting: Option<u64>,
+}
+
 /// A SkipNet-style overlay node.
 ///
 /// All entry points take an [`OverlayCx`]; the node never touches a
@@ -74,10 +84,16 @@ pub struct OverlayNode {
     /// the maintenance ticks until the next: a peer that comes back (a
     /// healed partition) is re-admitted when it answers.
     departed: Vec<(NodeInfo, u32, u32)>,
-    /// Per-neighbor periodic ping timers.
-    ping_timers: DetHashMap<PeerAddr, TimerKey>,
-    /// Outstanding ping (nonce, timeout) per neighbor.
-    ack_waits: DetHashMap<PeerAddr, (u64, TimerKey)>,
+    /// The monitored neighbours.
+    watched: DetHashMap<PeerAddr, Watched>,
+    /// Ack deadlines `(sent + ping_timeout, peer, nonce)`, oldest first.
+    /// The timeout is constant, so send order is deadline order. A wait
+    /// that ended (acked, replaced, neighbour dropped) stays until it
+    /// reaches the front.
+    ack_deadlines: VecDeque<(Time, PeerAddr, u64)>,
+    /// Whether the one `AckTimeout` timer is armed; it is, at or before
+    /// the earliest deadline of a wait that has not ended.
+    ack_timer: bool,
     /// Piggyback digest per link, pushed down by the client (FUSE).
     link_hashes: DetHashMap<PeerAddr, Digest>,
     next_nonce: u64,
@@ -107,8 +123,9 @@ impl OverlayNode {
             rtable: vec![[None, None]; MAX_LEVELS],
             known: DetHashMap::default(),
             departed: Vec::new(),
-            ping_timers: DetHashMap::default(),
-            ack_waits: DetHashMap::default(),
+            watched: DetHashMap::default(),
+            ack_deadlines: VecDeque::new(),
+            ack_timer: false,
             link_hashes: DetHashMap::default(),
             next_nonce: 0,
             join_timer: None,
@@ -374,21 +391,84 @@ impl OverlayNode {
     }
 
     fn start_ping(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
-        if self.ping_timers.contains_key(&peer) {
+        if self.watched.contains_key(&peer) {
             return;
         }
         // Phase jitter spreads ping load over the period.
         let jitter = Duration(io.rng().gen_range(0..=self.cfg.ping_period.nanos()));
-        let h = io.set_timer(jitter, OverlayTimer::PingDue(peer));
-        self.ping_timers.insert(peer, h);
+        let ping = io.set_timer(jitter, OverlayTimer::PingDue(peer));
+        let w = Watched {
+            ping,
+            awaiting: None,
+        };
+        self.watched.insert(peer, w);
     }
 
+    /// Stops monitoring `peer`. Its ack wait, if any, ends with the record
+    /// and leaves the deadline queue lazily.
     fn stop_ping(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
-        if let Some(h) = self.ping_timers.remove(&peer) {
-            io.cancel_timer(h);
+        if let Some(w) = self.watched.remove(&peer) {
+            io.cancel_timer(w.ping);
         }
-        if let Some((_, h)) = self.ack_waits.remove(&peer) {
-            io.cancel_timer(h);
+    }
+
+    /// Sends `peer` its next ping and queues the ack deadline, which
+    /// replaces any wait still outstanding on the peer.
+    fn ping(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
+        self.next_nonce += 1;
+        let nonce = self.next_nonce;
+        let hash = self.link_hash(peer);
+        io.send(peer, OverlayMsg::Ping { nonce, hash });
+        self.stats.pings_sent += 1;
+        let timeout = self.cfg.ping_timeout;
+        self.ack_deadlines
+            .push_back((io.now() + timeout, peer, nonce));
+        if !self.ack_timer {
+            self.ack_timer = true;
+            io.set_timer(timeout, OverlayTimer::AckTimeout);
+        }
+        let ping = io.set_timer(self.cfg.ping_period, OverlayTimer::PingDue(peer));
+        let w = Watched {
+            ping,
+            awaiting: Some(nonce),
+        };
+        self.watched.insert(peer, w);
+    }
+
+    fn awaits(&self, peer: PeerAddr, nonce: u64) -> bool {
+        self.watched
+            .get(&peer)
+            .is_some_and(|w| w.awaiting == Some(nonce))
+    }
+
+    /// Pops the waits that ended from the front of the deadline queue.
+    fn drop_ended_waits(&mut self) {
+        while let Some(&(_, peer, nonce)) = self.ack_deadlines.front() {
+            if self.awaits(peer, nonce) {
+                break;
+            }
+            self.ack_deadlines.pop_front();
+        }
+    }
+
+    /// The `AckTimeout` timer fired: every neighbour whose wait is still
+    /// outstanding at its deadline dies, in send order, and the timer
+    /// follows the next wait that has not ended.
+    fn sweep_ack_deadlines(&mut self, io: &mut OverlayCx<'_>) {
+        self.ack_timer = false;
+        let now = io.now();
+        loop {
+            self.drop_ended_waits();
+            let Some(&(at, peer, _)) = self.ack_deadlines.front() else {
+                return;
+            };
+            if at > now {
+                self.ack_timer = true;
+                io.set_timer(at.since(now), OverlayTimer::AckTimeout);
+                return;
+            }
+            self.ack_deadlines.pop_front();
+            self.neighbor_dead(io, peer);
         }
     }
 
@@ -418,7 +498,7 @@ impl OverlayNode {
 
     /// Whether `peer` is currently a monitored neighbor.
     pub fn is_neighbor(&self, peer: PeerAddr) -> bool {
-        self.ping_timers.contains_key(&peer)
+        self.watched.contains_key(&peer)
     }
 
     fn neighbor_dead(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
@@ -668,10 +748,10 @@ impl OverlayNode {
                 io.send(from, OverlayMsg::PingAck { nonce, hash: mine });
             }
             OverlayMsg::PingAck { nonce, hash } => {
-                if let Some(&(expect, handle)) = self.ack_waits.get(&from) {
-                    if expect == nonce {
-                        io.cancel_timer(handle);
-                        self.ack_waits.remove(&from);
+                if let Some(w) = self.watched.get_mut(&from) {
+                    if w.awaiting == Some(nonce) {
+                        w.awaiting = None;
+                        self.drop_ended_waits();
                         self.stats.acks_received += 1;
                         io.upcall(OverlayUpcall::PingHash {
                             peer: from,
@@ -744,34 +824,11 @@ impl OverlayNode {
     pub fn on_timer(&mut self, io: &mut OverlayCx<'_>, tag: OverlayTimer) {
         match tag {
             OverlayTimer::PingDue(peer) => {
-                if !self.ping_timers.contains_key(&peer) {
-                    return;
-                }
-                self.next_nonce += 1;
-                let nonce = self.next_nonce;
-                let hash = self.link_hash(peer);
-                io.send(peer, OverlayMsg::Ping { nonce, hash });
-                self.stats.pings_sent += 1;
-                // One outstanding ack wait per peer; re-arm replaces.
-                if let Some((_, old)) = self.ack_waits.remove(&peer) {
-                    io.cancel_timer(old);
-                }
-                let t = io.set_timer(
-                    self.cfg.ping_timeout,
-                    OverlayTimer::AckTimeout { peer, nonce },
-                );
-                self.ack_waits.insert(peer, (nonce, t));
-                let h = io.set_timer(self.cfg.ping_period, OverlayTimer::PingDue(peer));
-                self.ping_timers.insert(peer, h);
-            }
-            OverlayTimer::AckTimeout { peer, nonce } => {
-                if let Some(&(expect, _)) = self.ack_waits.get(&peer) {
-                    if expect == nonce {
-                        self.ack_waits.remove(&peer);
-                        self.neighbor_dead(io, peer);
-                    }
+                if self.is_neighbor(peer) {
+                    self.ping(io, peer);
                 }
             }
+            OverlayTimer::AckTimeout => self.sweep_ack_deadlines(io),
             OverlayTimer::JoinRetry => {
                 if !self.ready && self.join_attempts < 8 {
                     self.send_join(io);
@@ -1036,9 +1093,8 @@ mod tests {
     fn ack_timeout_kills_neighbor_and_upcalls_linkdown() {
         let (mut n, mut io) = node_with(10, &[20, 30]);
         io.on_timer(&mut n, OverlayTimer::PingDue(20));
-        // Find the nonce from the ack wait.
-        let nonce = n.ack_waits.get(&20).unwrap().0;
-        io.on_timer(&mut n, OverlayTimer::AckTimeout { peer: 20, nonce });
+        io.now += OverlayConfig::default().ping_timeout;
+        io.on_timer(&mut n, OverlayTimer::AckTimeout);
         assert!(!n.is_neighbor(20));
         assert!(io.upcalls.iter().any(|u| matches!(
             u,
@@ -1094,9 +1150,78 @@ mod tests {
         };
         io_b.on_message(&mut b, 10, ping);
         let (_, ack) = io_b.sent.pop().unwrap();
+        // An ack with another nonce ends nothing.
+        let stale = OverlayMsg::PingAck {
+            nonce: nonce + 1,
+            hash: None,
+        };
+        io_a.on_message(&mut a, 20, stale);
+        assert_eq!(a.stats.acks_received, 0);
         io_a.on_message(&mut a, 20, ack);
-        io_a.on_timer(&mut a, OverlayTimer::AckTimeout { peer: 20, nonce });
+        assert_eq!(a.stats.acks_received, 1);
+        io_a.now += OverlayConfig::default().ping_timeout;
+        io_a.timers.clear();
+        io_a.on_timer(&mut a, OverlayTimer::AckTimeout);
         assert!(a.is_neighbor(20), "timeout after ack must be a no-op");
+        assert!(io_a.timers.is_empty(), "no wait is left to re-arm for");
+    }
+
+    /// One timer serves every outstanding ping: A is pinged at t and acks,
+    /// B is pinged at t+5 s and stays silent. The sweep at t+20 s finds
+    /// A's wait ended and follows B's deadline, and B dies at exactly
+    /// t+25 s.
+    #[test]
+    fn one_ack_timer_sweeps_every_ping_at_its_own_deadline() {
+        let (mut n, mut io) = node_with(10, &[20, 30]);
+        let timeout = OverlayConfig::default().ping_timeout;
+        let sweeps = |io: &TestIo| -> Vec<Duration> {
+            let armed = io.timers.iter();
+            let sweep = armed.filter(|(_, k)| io.keyed.get(*k) == Some(&OverlayTimer::AckTimeout));
+            sweep.map(|&(after, _)| after).collect()
+        };
+        let t = Time::ZERO + Duration::from_secs(100);
+        io.now = t;
+        io.timers.clear();
+        io.on_timer(&mut n, OverlayTimer::PingDue(20));
+        let nonce = match io.sent.last() {
+            Some((20, OverlayMsg::Ping { nonce, .. })) => *nonce,
+            other => panic!("expected a ping to 20, got {other:?}"),
+        };
+        let ack = OverlayMsg::PingAck { nonce, hash: None };
+        io.on_message(&mut n, 20, ack);
+        assert!(n.ack_deadlines.is_empty(), "A's ended wait leaves at once");
+        io.now = t + Duration::from_secs(5);
+        io.on_timer(&mut n, OverlayTimer::PingDue(30));
+        assert_eq!(sweeps(&io), [timeout], "one timer is armed for both pings");
+
+        io.timers.clear();
+        io.now = t + timeout;
+        io.on_timer(&mut n, OverlayTimer::AckTimeout);
+        assert!(
+            n.is_neighbor(20) && n.is_neighbor(30),
+            "the sweep at t+20 s kills no one"
+        );
+        assert_eq!(
+            sweeps(&io),
+            [Duration::from_secs(5)],
+            "it follows B's deadline"
+        );
+        assert_eq!(n.stats.neighbors_died, 0);
+
+        io.now = t + Duration::from_secs(25);
+        io.on_timer(&mut n, OverlayTimer::AckTimeout);
+        assert!(!n.is_neighbor(30) && n.is_neighbor(20));
+        let died = |u: &OverlayUpcall| {
+            matches!(
+                u,
+                OverlayUpcall::LinkDown {
+                    peer: 30,
+                    died: true
+                }
+            )
+        };
+        assert_eq!(io.upcalls.iter().filter(|u| died(u)).count(), 1);
+        assert_eq!(n.stats.neighbors_died, 1);
     }
 
     #[test]
