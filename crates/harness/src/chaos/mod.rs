@@ -30,7 +30,7 @@ pub mod token;
 pub use explore::{explore, ExploreParams, FailureCase};
 pub use invariant::{standard_invariants, Invariant, RunContext, Violation};
 pub use runner::{
-    desugar, group_members, run_script, run_script_world, ChaosConfig, RtOp, RunReport,
+    apply_fault, desugar, group_members, run_script, run_script_world, ChaosConfig, RtOp, RunReport,
 };
 pub use script::{ChaosOp, ChaosScript, MsgClass, Phase};
 pub use shrink::shrink;

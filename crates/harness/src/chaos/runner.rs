@@ -7,7 +7,7 @@
 //! replay tokens rely on.
 
 use fuse_core::FuseId;
-use fuse_net::NetConfig;
+use fuse_net::{FaultPlane, NetConfig};
 use fuse_obs::{Aggregates, PhaseMark, ReasonKind};
 use fuse_sim::{ProcId, SimDuration, SimTime};
 use fuse_util::DetHashSet;
@@ -185,6 +185,47 @@ pub fn desugar(script: &ChaosScript) -> Vec<(SimDuration, RtOp)> {
     ops
 }
 
+/// Applies `op` to `plane` when it is a network fault (disconnect,
+/// partitions, blackholes, pair loss, the content adversary), resolving
+/// slots through `slot_proc`, and returns whether it was one. Crash,
+/// restart, signal and global loss act on the substrate rather than the
+/// plane and are left to the caller. The sim runner and the live replayer
+/// both reach their fault plane through this one function.
+pub fn apply_fault(
+    plane: &mut FaultPlane,
+    op: ChaosOp,
+    n: usize,
+    slot_proc: impl Fn(u8) -> ProcId,
+) -> bool {
+    match op {
+        ChaosOp::Disconnect { slot } => plane.disconnect(slot_proc(slot)),
+        ChaosOp::Reconnect { slot } => plane.reconnect(slot_proc(slot)),
+        ChaosOp::PartitionOff { slot } => plane.set_partition(slot_proc(slot), 1),
+        ChaosOp::PartitionHalf { pct } => {
+            let pivot = n * usize::from(pct.min(100)) / 100;
+            for p in pivot..n {
+                plane.set_partition(p as ProcId, 1);
+            }
+        }
+        ChaosOp::HealPartitions => plane.heal_partitions(),
+        ChaosOp::Blackhole { from, to } => plane.add_blackhole(slot_proc(from), slot_proc(to)),
+        ChaosOp::ClearBlackhole { from, to } => {
+            plane.clear_blackhole(slot_proc(from), slot_proc(to))
+        }
+        ChaosOp::LinkLoss { from, to, pct } => {
+            plane.set_link_loss(slot_proc(from), slot_proc(to), f64::from(pct) / 100.0)
+        }
+        ChaosOp::AdversaryDrop { class } => plane.drop_class(class.label()),
+        ChaosOp::AdversaryClear => plane.clear_class_drops(),
+        ChaosOp::Crash { .. }
+        | ChaosOp::Restart { .. }
+        | ChaosOp::Signal { .. }
+        | ChaosOp::Churn { .. }
+        | ChaosOp::LossRamp { .. } => return false,
+    }
+    true
+}
+
 /// Runs `script` against a fresh world and checks the standard invariants.
 pub fn run_script(cfg: &ChaosConfig, script: &ChaosScript) -> RunReport {
     run_script_world(cfg, script).0
@@ -298,68 +339,26 @@ pub fn run_script_world(cfg: &ChaosConfig, script: &ChaosScript) -> (RunReport, 
         }
         match op {
             RtOp::GlobalLoss(rate) => world.set_global_loss(rate),
-            RtOp::Op(op) => match op {
-                ChaosOp::Crash { slot } => {
-                    let p = slot_proc(slot);
-                    if world.is_up(p) {
-                        world.crash(p);
-                        ever_crashed.insert(p);
-                    }
+            RtOp::Op(ChaosOp::Crash { slot }) => {
+                let p = slot_proc(slot);
+                if world.is_up(p) {
+                    world.crash(p);
+                    ever_crashed.insert(p);
                 }
-                ChaosOp::Restart { slot } => {
-                    let p = slot_proc(slot);
-                    world.restart_node(p, &params);
-                }
-                ChaosOp::Disconnect { slot } => {
-                    let p = slot_proc(slot);
-                    world.fault_mut().disconnect(p);
-                }
-                ChaosOp::Reconnect { slot } => {
-                    let p = slot_proc(slot);
-                    world.fault_mut().reconnect(p);
-                }
-                ChaosOp::Signal { slot } => {
-                    let p = slot_proc(slot);
-                    signaled |= world.is_up(p);
-                    world.signal(p, id);
-                }
-                ChaosOp::PartitionOff { slot } => {
-                    let p = slot_proc(slot);
-                    world.fault_mut().set_partition(p, 1);
-                }
-                ChaosOp::PartitionHalf { pct } => {
-                    let pivot = cfg.n * usize::from(pct.min(100)) / 100;
-                    for p in pivot..cfg.n {
-                        world.fault_mut().set_partition(p as ProcId, 1);
-                    }
-                }
-                ChaosOp::HealPartitions => {
-                    world.fault_mut().heal_partitions();
-                }
-                ChaosOp::Blackhole { from, to } => {
-                    let (a, b) = (slot_proc(from), slot_proc(to));
-                    world.fault_mut().add_blackhole(a, b);
-                }
-                ChaosOp::ClearBlackhole { from, to } => {
-                    let (a, b) = (slot_proc(from), slot_proc(to));
-                    world.fault_mut().clear_blackhole(a, b);
-                }
-                ChaosOp::LinkLoss { from, to, pct } => {
-                    let (a, b) = (slot_proc(from), slot_proc(to));
-                    world
-                        .fault_mut()
-                        .set_link_loss(a, b, f64::from(pct) / 100.0);
-                }
-                ChaosOp::AdversaryDrop { class } => {
-                    world.fault_mut().drop_class(class.label());
-                }
-                ChaosOp::AdversaryClear => {
-                    world.fault_mut().clear_class_drops();
-                }
-                ChaosOp::Churn { .. } | ChaosOp::LossRamp { .. } => {
-                    unreachable!("desugared before execution")
-                }
-            },
+            }
+            RtOp::Op(ChaosOp::Restart { slot }) => world.restart_node(slot_proc(slot), &params),
+            RtOp::Op(ChaosOp::Signal { slot }) => {
+                let p = slot_proc(slot);
+                signaled |= world.is_up(p);
+                world.signal(p, id);
+            }
+            RtOp::Op(op) => {
+                let applied = apply_fault(world.fault_mut(), op, cfg.n, slot_proc);
+                assert!(
+                    applied,
+                    "churn and loss ramps are desugared before execution"
+                );
+            }
         }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Two modes:
 //!
-//! * **Load** (default): spawn an N-node `fuse-node` fleet behind the
-//!   fault-proxy mesh, run the scripted fault rounds and print the
-//!   per-class latency table.
+//! * **Load** (default): spawn an N-node `fuse-node` fleet, each node
+//!   behind its own fault proxy, run the scripted fault rounds and print
+//!   the per-class latency table.
 //! * **Replay** (`--replay <token>`): replay a `chaos-v1;…` repro token
 //!   against live processes and cross-check the simulated outcome.
 //!
@@ -221,11 +221,7 @@ fn main() {
         simref::by_class(&simref::run_reference(p, &rounds))
     };
 
-    println!(
-        "live: launching {} nodes + {} proxies…",
-        p.nodes,
-        p.nodes * (p.nodes - 1)
-    );
+    println!("live: launching {} nodes + {} proxies…", p.nodes, p.nodes);
     let mut cluster = match Cluster::launch(p.nodes, node_bin, p.seed, &node_args) {
         Ok(c) => c,
         Err(e) => {

@@ -1,16 +1,17 @@
-//! A live fleet of `fuse-node` processes on 127.0.0.1, every directed
-//! inter-node connection routed through its own [`FaultProxy`].
+//! A live fleet of `fuse-node` processes on 127.0.0.1, every node behind
+//! its own [`NodeProxy`].
 //!
-//! Node *i*'s `--peer j=<addr>` points at proxy *(i → j)*; the proxy dials
-//! node *j*'s real listener. N nodes therefore run behind N·(N−1) proxies —
-//! the paper's §7 deployment (10 virtual nodes per machine) fits in a few
-//! hundred threads on loopback. The cluster also owns each node's stdout
-//! (collected line-by-line with receive order preserved) and stdin (the
-//! node's `create`/`signal`/`shutdown` control protocol).
+//! Every node's `--peer j=<addr>` points at proxy *j*, which dials node
+//! *j*'s real listener; the hello on each stream names the sender. N nodes
+//! therefore run behind N proxies, all reading one shared [`Faults`]: the
+//! simulator's `FaultPlane`, mutated through [`Cluster::faults`], plus the
+//! ambient delay and loss of [`Cluster::set_ambient`]. The cluster also
+//! owns each node's stdout (collected line-by-line with receive order
+//! preserved) and stdin (the node's `create`/`signal`/`shutdown` control
+//! protocol).
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -18,7 +19,10 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use crate::proxy::{FaultProxy, LinkPolicy};
+use fuse_net::FaultPlane;
+use fuse_sim::ProcId;
+
+use crate::proxy::{Ambient, Faults, NodeProxy};
 
 /// Wall-clock nanoseconds since the UNIX epoch — the clock the nodes stamp
 /// `t_ns=` with. Same host, same clock: cross-process subtraction is valid.
@@ -101,7 +105,7 @@ impl NodeHandle {
 /// (every failure here is terminal for the run).
 pub type ClusterError = String;
 
-/// A live N-node fleet behind a full proxy mesh.
+/// A live N-node fleet, one fault proxy per node.
 pub struct Cluster {
     /// Fleet size.
     pub n: usize,
@@ -109,15 +113,16 @@ pub struct Cluster {
     seed: u64,
     extra_args: Vec<String>,
     node_ports: Vec<u16>,
-    proxies: HashMap<(usize, usize), FaultProxy>,
+    faults: Arc<Mutex<Faults>>,
+    proxies: Vec<NodeProxy>,
     nodes: Vec<Option<NodeHandle>>,
 }
 
 /// Picks a loopback port for a node to listen on. A node is told its
 /// port before it exists, so the port must stay free until the child binds
 /// it. A `:0` port does not: the kernel hands a released ephemeral port to
-/// the next `:0` listener or outbound connection, and a fleet's proxy mesh
-/// makes hundreds of both. Node ports therefore come from below the
+/// the next `:0` listener or outbound connection, and a fleet's proxies
+/// make dozens of both. Node ports therefore come from below the
 /// ephemeral range (32768 and up on Linux), walked by a process-wide
 /// counter — fleets launched from parallel threads never share one — that
 /// starts at a pid-dependent offset so two processes launching fleets at
@@ -137,7 +142,7 @@ fn free_node_port() -> Result<u16, ClusterError> {
 }
 
 impl Cluster {
-    /// Boots `n` nodes and the N·(N−1) proxy mesh, waiting for every node
+    /// Boots `n` nodes, each behind its own proxy, waiting for every node
     /// to print `READY`.
     pub fn launch(
         n: usize,
@@ -147,26 +152,21 @@ impl Cluster {
     ) -> Result<Cluster, ClusterError> {
         assert!(n >= 2, "a cluster needs at least two nodes");
         let node_ports: Vec<u16> = (0..n).map(|_| free_node_port()).collect::<Result<_, _>>()?;
-        let mut proxies = HashMap::new();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let upstream: SocketAddr = format!("127.0.0.1:{}", node_ports[j])
-                    .parse()
-                    .expect("loopback addr parses");
-                let p = FaultProxy::spawn(upstream, seed ^ ((i as u64) << 32 | j as u64))
-                    .map_err(|e| format!("proxy ({i}->{j}): {e}"))?;
-                proxies.insert((i, j), p);
-            }
-        }
+        let faults = Arc::new(Mutex::new(Faults::default()));
+        let proxies = (0..n)
+            .map(|j| {
+                let upstream = ([127, 0, 0, 1], node_ports[j]).into();
+                NodeProxy::spawn(j as ProcId, n, upstream, Arc::clone(&faults), seed)
+                    .map_err(|e| format!("proxy for node {j}: {e}"))
+            })
+            .collect::<Result<_, _>>()?;
         let mut cluster = Cluster {
             n,
             node_bin,
             seed,
             extra_args: extra_args.to_vec(),
             node_ports,
+            faults,
             proxies,
             nodes: (0..n).map(|_| None).collect(),
         };
@@ -193,7 +193,7 @@ impl Cluster {
                 continue;
             }
             args.push("--peer".into());
-            args.push(format!("{j}={}", self.proxies[&(i, j)].addr()));
+            args.push(format!("{j}={}", self.proxies[j].addr()));
         }
         args.extend(self.extra_args.iter().cloned());
         args
@@ -336,27 +336,17 @@ impl Cluster {
         Ok(parse_notified(&line).expect("predicate matched"))
     }
 
-    /// Applies a policy mutation to one directed link's proxy.
-    pub fn set_link(&self, from: usize, to: usize, f: impl FnOnce(&mut LinkPolicy)) {
-        self.proxies[&(from, to)].update(f);
+    /// Mutates the fleet's fault plane, then kills every stream a
+    /// disconnect now severs; other faults take effect on the next frame.
+    pub fn faults<R>(&self, f: impl FnOnce(&mut FaultPlane) -> R) -> R {
+        let r = f(&mut self.faults.lock().unwrap().plane);
+        self.proxies.iter().for_each(NodeProxy::kill_severed);
+        r
     }
 
-    /// Applies a policy mutation to every directed link touching `node`
-    /// (both directions — the node-level faults `disc`, `partoff`).
-    pub fn set_node_links(&self, node: usize, f: impl Fn(&mut LinkPolicy)) {
-        for (&(i, j), p) in &self.proxies {
-            if i == node || j == node {
-                p.update(&f);
-            }
-        }
-    }
-
-    /// Applies a policy mutation to every directed link in the mesh
-    /// (global conditioning: delay, loss, throttle).
-    pub fn set_all_links(&self, f: impl Fn(&mut LinkPolicy)) {
-        for p in self.proxies.values() {
-            p.update(&f);
-        }
+    /// Sets the delay and loss every link carries on top of the plane.
+    pub fn set_ambient(&self, ambient: Ambient) {
+        self.faults.lock().unwrap().ambient = ambient;
     }
 
     /// Graceful teardown: `shutdown` to every live node, bounded wait,
@@ -382,9 +372,7 @@ impl Cluster {
             }
             self.nodes[i] = None;
         }
-        for p in self.proxies.values() {
-            p.stop();
-        }
+        self.proxies.iter().for_each(NodeProxy::stop);
     }
 }
 
@@ -395,6 +383,13 @@ impl Drop for Cluster {
             let _ = h.child.wait();
         }
     }
+}
+
+/// Whether `notes` hold exactly one notification for `gid`: FUSE's
+/// exactly-once contract for a survivor (§3). None is a miss; two means
+/// the group was delivered twice.
+pub fn notified_once(notes: &[Notified], gid: &str) -> bool {
+    notes.iter().filter(|n| n.gid == gid).count() == 1
 }
 
 /// Parses a `NOTIFIED id=… reason=… t_ns=…` line.
@@ -438,6 +433,26 @@ mod tests {
         assert!(
             parse_notified("NOTIFIED id=x reason=y").is_none(),
             "t_ns required"
+        );
+    }
+
+    #[test]
+    fn exactly_one_notification_per_group() {
+        let note = |gid: &str, t_ns| Notified {
+            gid: gid.to_string(),
+            reason: "connection-broken".to_string(),
+            t_ns,
+        };
+        assert!(!notified_once(&[], "fuse:1"), "zero lines: a miss");
+        assert!(!notified_once(&[note("fuse:2", 5)], "fuse:1"));
+        assert!(notified_once(
+            &[note("fuse:1", 1), note("fuse:2", 5)],
+            "fuse:1"
+        ));
+        let twice = [note("fuse:1", 1), note("fuse:2", 5), note("fuse:1", 2)];
+        assert!(
+            !notified_once(&twice, "fuse:1"),
+            "two lines: delivered twice"
         );
     }
 }

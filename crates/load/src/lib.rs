@@ -5,12 +5,12 @@
 //! where the rest of the workspace drives the same `NodeStack` state
 //! machines inside the simulator. The pieces:
 //!
-//! * [`proxy`] — a userspace fault proxy carried by every directed
-//!   inter-node connection: delay, Bernoulli drop, throttle, blackhole,
-//!   sever, and decoded-class drops (the DESIGN.md §7 chaos vocabulary,
-//!   live edition).
-//! * [`cluster`] — an N-process fleet behind the N·(N−1) proxy mesh, with
-//!   the nodes' stdout `NOTIFIED … t_ns=` protocol parsed into timestamps.
+//! * [`proxy`] — a userspace fault proxy in front of every node, judging
+//!   each frame of each directed link by the simulator's `FaultPlane`
+//!   (sever, blackhole, partition, decoded-class drops, pair loss) plus
+//!   ambient delay and loss: the DESIGN.md §7 chaos vocabulary, live.
+//! * [`cluster`] — an N-process fleet behind N proxies, with the nodes'
+//!   stdout `NOTIFIED … t_ns=` protocol parsed into timestamps.
 //! * [`scenario`] — the deterministic group/victim/fault plan shared by
 //!   the live run and the sim reference.
 //! * [`live`] / [`simref`] — the two back-ends executing that plan.
@@ -28,6 +28,6 @@ pub mod scenario;
 pub mod simref;
 
 pub use cluster::{parse_notified, Cluster, ClusterError, Notified};
-pub use proxy::{FaultProxy, LinkPolicy};
+pub use proxy::{Ambient, Faults, NodeProxy};
 pub use report::{ClassReport, LoadReport};
 pub use scenario::{plan, FaultClass, GroupPlan, RoundPlan, ScenarioParams};

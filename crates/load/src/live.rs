@@ -1,12 +1,15 @@
 //! Drives a planned scenario against a live [`Cluster`]: create the
 //! round's groups, fire the fault class at one wall-clock instant, collect
-//! every surviving participant's `NOTIFIED … t_ns=` stamp, and repair the
-//! fleet before the next round.
+//! every surviving participant's `NOTIFIED … t_ns=` stamp (exactly one
+//! each), and repair the fleet before the next round.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use crate::cluster::{wall_now_ns, Cluster, ClusterError};
+use fuse_sim::ProcId;
+
+use crate::cluster::{notified_once, wall_now_ns, Cluster, ClusterError};
+use crate::proxy::Ambient;
 use crate::scenario::{FaultClass, RoundPlan, ScenarioParams};
 
 /// How long a single group creation may take before we retry it.
@@ -21,11 +24,9 @@ pub type LiveSamples = HashMap<FaultClass, (Vec<f64>, usize)>;
 /// Applies the scenario's ambient network conditioning (delay/loss) to
 /// every proxied link.
 pub fn condition_links(cluster: &Cluster, p: &ScenarioParams) {
-    let delay = Duration::from_millis(p.delay_ms);
-    let drop_pct = f64::from(p.loss_pct) / 100.0;
-    cluster.set_all_links(|pol| {
-        pol.delay = delay;
-        pol.drop_pct = drop_pct;
+    cluster.set_ambient(Ambient {
+        loss: f64::from(p.loss_pct) / 100.0,
+        delay: Duration::from_millis(p.delay_ms),
     });
 }
 
@@ -63,7 +64,7 @@ pub fn run_rounds(
         for (g, gid) in round.groups.iter().zip(&gids) {
             match round.class {
                 FaultClass::Kill => cluster.kill(g.victim)?,
-                FaultClass::Sever => cluster.set_node_links(g.victim, |pol| pol.severed = true),
+                FaultClass::Sever => cluster.faults(|plane| plane.disconnect(g.victim as ProcId)),
                 FaultClass::Signal => {
                     if let Some(gid) = gid {
                         cluster.control(g.victim, &format!("signal {gid}"))?;
@@ -74,34 +75,34 @@ pub fn run_rounds(
 
         // Collect: every survivor of every group must print NOTIFIED for
         // its gid within the budget (shared deadline across the round).
+        // A creation that never succeeded is a miss.
         let deadline = Instant::now() + p.budget;
-        let entry = samples.entry(round.class).or_default();
+        let mut latencies: Vec<Option<f64>> = Vec::new();
         for (g, gid) in round.groups.iter().zip(&gids) {
-            let Some(gid) = gid else {
-                entry.1 += 1; // Creation never succeeded: a miss.
-                continue;
-            };
-            let mut last_ms: f64 = 0.0;
-            let mut missed = false;
-            for s in g.survivors(round.class, &victims) {
-                let left = deadline.saturating_duration_since(Instant::now());
-                match cluster.wait_notified(s, gid, left) {
-                    Ok(n) => {
+            let last_ms = |gid: &String| {
+                g.survivors(round.class, &victims)
+                    .into_iter()
+                    .try_fold(0.0f64, |ms, s| {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        let n = cluster.wait_notified(s, gid, left).ok()?;
                         // Clamp: a survivor may stamp NOTIFIED a hair
                         // before our wall read of the fault instant.
-                        let ms = n.t_ns.saturating_sub(t0_ns) as f64 / 1e6;
-                        last_ms = last_ms.max(ms);
-                    }
-                    Err(_) => {
-                        missed = true;
-                        break;
-                    }
-                }
-            }
-            if missed {
-                entry.1 += 1;
-            } else {
-                entry.0.push(last_ms);
+                        Some(ms.max(n.t_ns.saturating_sub(t0_ns) as f64 / 1e6))
+                    })
+            };
+            latencies.push(gid.as_ref().and_then(last_ms));
+        }
+        // Exactly once: a survivor notified twice for its group misses too.
+        let entry = samples.entry(round.class).or_default();
+        for ((g, gid), ms) in round.groups.iter().zip(&gids).zip(latencies) {
+            let once = |gid: &str| {
+                g.survivors(round.class, &victims)
+                    .into_iter()
+                    .all(|s| notified_once(&cluster.notifications(s, gid), gid))
+            };
+            match (gid, ms) {
+                (Some(gid), Some(ms)) if once(gid) => entry.0.push(ms),
+                _ => entry.1 += 1,
             }
         }
 
@@ -109,7 +110,7 @@ pub fn run_rounds(
         for g in &round.groups {
             match round.class {
                 FaultClass::Kill => cluster.restart(g.victim)?,
-                FaultClass::Sever => cluster.set_node_links(g.victim, |pol| pol.severed = false),
+                FaultClass::Sever => cluster.faults(|plane| plane.reconnect(g.victim as ProcId)),
                 FaultClass::Signal => {}
             }
         }

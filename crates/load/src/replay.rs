@@ -3,15 +3,18 @@
 //! A `chaos-v1;seed=…;n=…;gs=…;script=…` repro token (DESIGN.md §7) names
 //! a deterministic simulated scenario. This module replays the *same*
 //! schedule against a real [`Cluster`]: the same slot→node mapping the sim
-//! runner uses (`root = 0`, members from [`group_members`]), each chaos op
-//! translated to its live equivalent (SIGKILL, proxy sever, proxy
-//! blackhole/loss, stdin `signal`), applied at the offsets of the sim
-//! runner's own expansion ([`desugar`]) on the wall clock (optionally
-//! time-scaled).
+//! runner uses (`root = 0`, members from [`group_members`]), applied at the
+//! offsets of the sim runner's own expansion ([`desugar`]) on the wall
+//! clock (optionally time-scaled). Network faults reach the fleet's
+//! `FaultPlane` through the sim runner's own [`apply_fault`], so the
+//! proxies judge frames by the state the simulator would hold; crash,
+//! restart and signal become SIGKILL, respawn and stdin `signal`, and a
+//! loss-ramp step the proxies' ambient loss.
 //!
 //! The cross-check is one-directional by design: **if the sim run burns
-//! the group, every surviving live participant must report `NOTIFIED`
-//! within the detection budget.** The converse is not asserted — live TCP
+//! the group, every surviving live participant must report `NOTIFIED`,
+//! exactly once, within the detection budget.** The converse is not
+//! asserted — live TCP
 //! surfaces resets in milliseconds where the simulator's silent-stop model
 //! waits out ping timeouts, so a live burn with no sim burn is expected
 //! for some scripts, never the reverse.
@@ -22,10 +25,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use fuse_harness::chaos::{
-    desugar, group_members, parse_token, run_script, ChaosConfig, ChaosOp, RtOp,
+    apply_fault, desugar, group_members, parse_token, run_script, ChaosConfig, ChaosOp, RtOp,
 };
+use fuse_sim::ProcId;
 
-use crate::cluster::{Cluster, ClusterError};
+use crate::cluster::{notified_once, Cluster, ClusterError};
+use crate::proxy::Ambient;
 
 /// A replay's outcome, live next to sim.
 #[derive(Debug, Clone)]
@@ -39,37 +44,9 @@ pub struct ReplayOutcome {
     /// Live participants (cluster node indices) that reported, with their
     /// notification reasons.
     pub live_notified: Vec<(usize, String)>,
-    /// Whether the one-directional cross-check holds.
+    /// Whether the one-directional cross-check holds and no live
+    /// participant was notified twice.
     pub consistent: bool,
-}
-
-/// Replays one wall-clock op against the cluster. `cells`/`holes` carry
-/// partition/blackhole state across ops so the two fault families compose
-/// (a link is black iff partitioned apart *or* explicitly holed).
-struct LiveFaults {
-    cells: Vec<u32>,
-    holes: HashSet<(usize, usize)>,
-}
-
-impl LiveFaults {
-    fn new(n: usize) -> LiveFaults {
-        LiveFaults {
-            cells: vec![0; n],
-            holes: HashSet::new(),
-        }
-    }
-
-    fn reapply(&self, cluster: &Cluster) {
-        for i in 0..cluster.n {
-            for j in 0..cluster.n {
-                if i == j {
-                    continue;
-                }
-                let black = self.cells[i] != self.cells[j] || self.holes.contains(&(i, j));
-                cluster.set_link(i, j, |pol| pol.blackhole = black);
-            }
-        }
-    }
 }
 
 /// Replays `token` against a fresh live cluster, running the sim reference
@@ -116,7 +93,6 @@ pub fn replay_token(
     let gid = cluster.create_group(0, &members, Duration::from_secs(30))?;
     progress(&format!("live: created {gid} over {} nodes", cfg.n));
 
-    let mut faults = LiveFaults::new(cfg.n);
     let mut crashed: HashSet<usize> = HashSet::new();
     let t0 = Instant::now();
     for (at, op) in desugar(&script) {
@@ -126,14 +102,7 @@ pub fn replay_token(
         if due > now {
             thread::sleep(due - now);
         }
-        apply_live_op(
-            &mut cluster,
-            &participants,
-            &gid,
-            &op,
-            &mut faults,
-            &mut crashed,
-        )?;
+        apply_live_op(&mut cluster, &participants, &gid, op, &mut crashed)?;
         if let RtOp::Op(op) = &op {
             progress(&format!("live: applied {}", op.to_text()));
         }
@@ -152,9 +121,14 @@ pub fn replay_token(
             Err(_) => live_all = false,
         }
     }
+    // Exactly once: a survivor notified twice fails the cross-check, burn
+    // or no burn.
+    let once = live_notified
+        .iter()
+        .all(|&(p, _)| notified_once(&cluster.notifications(p, &gid), &gid));
     cluster.shutdown();
 
-    let consistent = !sim.burned || live_all;
+    let consistent = once && (!sim.burned || live_all);
     Ok(ReplayOutcome {
         token: token.to_string(),
         sim_burned: sim.burned,
@@ -178,86 +152,44 @@ fn apply_live_op(
     cluster: &mut Cluster,
     participants: &[usize],
     gid: &str,
-    op: &RtOp,
-    faults: &mut LiveFaults,
+    op: RtOp,
     crashed: &mut HashSet<usize>,
 ) -> Result<(), ClusterError> {
     let node = |slot: u8| participants[slot as usize];
     match op {
-        RtOp::GlobalLoss(rate) => {
-            let rate = *rate;
-            cluster.set_all_links(move |pol| pol.drop_pct = rate);
+        RtOp::GlobalLoss(loss) => cluster.set_ambient(Ambient {
+            loss,
+            ..Ambient::default()
+        }),
+        RtOp::Op(ChaosOp::Crash { slot }) => {
+            let p = node(slot);
+            if cluster.is_up(p) {
+                cluster.kill(p)?;
+                crashed.insert(p);
+            }
         }
-        RtOp::Op(op) => match *op {
-            ChaosOp::Crash { slot } => {
-                let p = node(slot);
-                if cluster.is_up(p) {
-                    cluster.kill(p)?;
-                    crashed.insert(p);
-                }
+        RtOp::Op(ChaosOp::Restart { slot }) => {
+            let p = node(slot);
+            if !cluster.is_up(p) {
+                cluster.restart(p)?;
+                crashed.remove(&p);
             }
-            ChaosOp::Restart { slot } => {
-                let p = node(slot);
-                if !cluster.is_up(p) {
-                    cluster.restart(p)?;
-                    crashed.remove(&p);
-                }
+        }
+        RtOp::Op(ChaosOp::Signal { slot }) => {
+            let p = node(slot);
+            if cluster.is_up(p) {
+                cluster.control(p, &format!("signal {gid}"))?;
             }
-            ChaosOp::Disconnect { slot } => {
-                cluster.set_node_links(node(slot), |pol| pol.severed = true);
-            }
-            ChaosOp::Reconnect { slot } => {
-                cluster.set_node_links(node(slot), |pol| pol.severed = false);
-            }
-            ChaosOp::Signal { slot } => {
-                let p = node(slot);
-                if cluster.is_up(p) {
-                    cluster.control(p, &format!("signal {gid}"))?;
-                }
-            }
-            ChaosOp::PartitionOff { slot } => {
-                faults.cells[node(slot)] = 1;
-                faults.reapply(cluster);
-            }
-            ChaosOp::PartitionHalf { pct } => {
-                let cut = cluster.n * usize::from(pct) / 100;
-                for (i, cell) in faults.cells.iter_mut().enumerate() {
-                    if i >= cut {
-                        *cell = 1;
-                    }
-                }
-                faults.reapply(cluster);
-            }
-            ChaosOp::HealPartitions => {
-                faults.cells.iter_mut().for_each(|c| *c = 0);
-                faults.reapply(cluster);
-            }
-            ChaosOp::Blackhole { from, to } => {
-                faults.holes.insert((node(from), node(to)));
-                faults.reapply(cluster);
-            }
-            ChaosOp::ClearBlackhole { from, to } => {
-                faults.holes.remove(&(node(from), node(to)));
-                faults.reapply(cluster);
-            }
-            ChaosOp::LinkLoss { from, to, pct } => {
-                let rate = f64::from(pct) / 100.0;
-                cluster.set_link(node(from), node(to), |pol| pol.drop_pct = rate);
-            }
-            ChaosOp::AdversaryDrop { class } => {
-                let label = class.label().to_string();
-                cluster.set_all_links(move |pol| {
-                    if !pol.drop_classes.contains(&label) {
-                        pol.drop_classes.push(label.clone());
-                    }
-                });
-            }
-            ChaosOp::AdversaryClear => {
-                cluster.set_all_links(|pol| pol.drop_classes.clear());
-            }
-            // Desugared before this point.
-            ChaosOp::Churn { .. } | ChaosOp::LossRamp { .. } => unreachable!(),
-        },
+        }
+        RtOp::Op(op) => {
+            let n = cluster.n;
+            let applied =
+                cluster.faults(|plane| apply_fault(plane, op, n, |slot| node(slot) as ProcId));
+            assert!(
+                applied,
+                "churn and loss ramps are desugared before this point"
+            );
+        }
     }
     Ok(())
 }
@@ -267,22 +199,6 @@ mod tests {
     use super::*;
     use fuse_harness::chaos::{format_token, ChaosScript, Phase};
     use fuse_sim::SimDuration;
-
-    #[test]
-    fn live_faults_compose_partitions_and_holes() {
-        let mut f = LiveFaults::new(4);
-        f.cells[3] = 1;
-        f.holes.insert((0, 1));
-        assert!(f.cells[0] == f.cells[1]);
-        // (0,1) holed, (0,3) partitioned, (1,2) clean.
-        let black =
-            |i: usize, j: usize| -> bool { f.cells[i] != f.cells[j] || f.holes.contains(&(i, j)) };
-        assert!(black(0, 1));
-        assert!(!black(1, 0), "holes are directed");
-        assert!(black(0, 3));
-        assert!(black(3, 0), "partitions are symmetric");
-        assert!(!black(1, 2));
-    }
 
     #[test]
     fn token_round_trip_matches_harness_grammar() {

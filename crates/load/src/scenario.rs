@@ -23,8 +23,9 @@ pub enum FaultClass {
     /// SIGKILL the victim process (reader EOF propagates through the
     /// proxies — the paper's fail-fast TCP-reset path).
     Kill,
-    /// Sever every proxied link touching the victim (streams killed, new
-    /// connections refused): the process lives but is unreachable.
+    /// Disconnect the victim in the proxies' fault plane (every stream
+    /// touching it killed, new ones refused): the process lives but is
+    /// unreachable.
     Sever,
     /// The victim's application calls `signal <group>` (the explicit
     /// `SignalFailure` path — no process or network fault at all).

@@ -1,5 +1,5 @@
 //! End-to-end exercise of the live load harness at small scale: a real
-//! fleet behind the proxy mesh, one kill round and one signal round, plus
+//! fleet behind its fault proxies, one kill round and one signal round, plus
 //! a chaos-token replay cross-checked against the simulator.
 //!
 //! The paper-scale run is `fuse-load` with its defaults (N=10); these

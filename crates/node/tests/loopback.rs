@@ -21,6 +21,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -31,6 +32,8 @@ struct NodeProc {
     stdin: Option<ChildStdin>,
     /// Every stdout line so far; the condvar wakes waiters on each new one.
     lines: Arc<(Mutex<Vec<String>>, Condvar)>,
+    /// Every stderr line so far, printed when a wait times out.
+    errors: Arc<Mutex<Vec<String>>>,
 }
 
 impl Drop for NodeProc {
@@ -50,10 +53,11 @@ impl NodeProc {
             .args(args)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("spawn fuse-node");
         let stdout = child.stdout.take().expect("piped stdout");
+        let stderr = child.stderr.take().expect("piped stderr");
         let stdin = child.stdin.take();
         let lines = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
         let sink = Arc::clone(&lines);
@@ -63,10 +67,18 @@ impl NodeProc {
                 sink.1.notify_all();
             }
         });
+        let errors = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&errors);
+        thread::spawn(move || {
+            for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+                sink.lock().unwrap().push(line);
+            }
+        });
         NodeProc {
             child,
             stdin,
             lines,
+            errors,
         }
     }
 
@@ -126,7 +138,10 @@ impl NodeProc {
             if left.is_zero() {
                 let so_far = lines.clone();
                 drop(lines);
-                panic!("timed out waiting for {what}; output so far: {so_far:?}");
+                let stderr = self.errors.lock().unwrap().clone();
+                panic!(
+                    "timed out waiting for {what}; output so far: {so_far:?}; stderr: {stderr:?}"
+                );
             }
             lines = cv.wait_timeout(lines, left).unwrap().0;
         }
@@ -145,15 +160,22 @@ impl NodeProc {
     }
 }
 
-/// Reserves a distinct loopback port by binding to :0 and releasing it.
-/// Racy in principle; in practice the kernel will not rebind the port to
-/// another socket this quickly, and the nodes bind within milliseconds.
+/// Picks a loopback port for a node spawned later. A released `:0` port
+/// may go to the next ephemeral connection any parallel test opens, so
+/// ports come from below the ephemeral range (32768 and up on Linux),
+/// walked by a process-wide counter from a pid-dependent offset; each
+/// candidate is probed by binding it.
 fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("bind :0")
-        .local_addr()
-        .unwrap()
-        .port()
+    const BASE: u32 = 10_000;
+    const SPAN: u32 = 10_000;
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    (0..SPAN)
+        .map(|_| {
+            let k = NEXT.fetch_add(1, Ordering::Relaxed);
+            (BASE + (std::process::id() % 100 * 100 + k) % SPAN) as u16
+        })
+        .find(|&port| TcpListener::bind(("127.0.0.1", port)).is_ok())
+        .expect("a free port below the ephemeral range")
 }
 
 fn node_args(id: u32, ports: &[u16], create: Option<&str>, extra: &[&str]) -> Vec<String> {
