@@ -431,7 +431,7 @@ impl FuseLayer {
     /// Handles a FUSE timer.
     pub(crate) fn on_timer(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, tag: FuseTimer) {
         match tag {
-            FuseTimer::LinkExpired { peer } => self.on_peer_expiry(cx, ov, peer),
+            FuseTimer::LinkExpired => self.sweep_link_expiry(cx, ov),
             FuseTimer::MemberRepairWait { id } => self.on_member_repair_wait(cx, ov, id),
             FuseTimer::Round { id } => self.on_round_deadline(cx, ov, id),
             FuseTimer::RepairKick { id } => self.start_repair_round(cx, id),

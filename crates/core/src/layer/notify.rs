@@ -158,7 +158,7 @@ impl FuseLayer {
         // Forward along the tree, away from the originator, then drop the
         // damaged tree locally.
         self.send_softs(cx, id, seq, Some(from));
-        self.clear_links(cx, ov, id);
+        self.clear_links(ov, id);
         self.branch_lost(cx, id);
     }
 
@@ -206,7 +206,7 @@ impl FuseLayer {
         id: FuseId,
         peer: PeerAddr,
     ) {
-        if !self.remove_link(cx, ov, id, peer) {
+        if !self.remove_link(ov, id, peer) {
             return;
         }
         let seq = self.groups[&id].seq;
@@ -272,7 +272,7 @@ impl FuseLayer {
         };
         // Clean the liveness tree below us.
         self.send_softs(cx, id, seq, None);
-        self.clear_links(cx, ov, id);
+        self.clear_links(ov, id);
         let g = self.groups.remove(&id).expect("group present");
         match g.role {
             RoleState::Root(rs) => {

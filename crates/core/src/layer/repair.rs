@@ -275,7 +275,7 @@ impl FuseLayer {
                     }
                 }
                 cx.send_fuse(from, FuseMsg::GroupRepairReply { id, seq, ok: true });
-                self.clear_links(cx, ov, id);
+                self.clear_links(ov, id);
                 self.route_install_checking(cx, ov, id, seq, root);
             }
         }

@@ -3,11 +3,12 @@
 //! groups on each link.
 //!
 //! This module alone writes link state. A group's links are a [`Links`]
-//! whose map other modules can only read; the subscription index and the
-//! per-peer expiry records live in [`Watch`], whose fields only this module
-//! can name. Installs (§6.2) add links as `InstallChecking` envelopes pass;
-//! agreeing ping digests and reconcile replies refresh them (§6.3); a link
-//! leaves through [`remove_link`](FuseLayer::remove_link) or
+//! whose map other modules can only read; the subscription index, the
+//! per-peer expiry records and the node's one expiry timer live in
+//! [`Watch`], whose fields only this module can name. Installs (§6.2) add
+//! links as `InstallChecking` envelopes pass; agreeing ping digests and
+//! reconcile replies refresh them (§6.3); a link leaves through
+//! [`remove_link`](FuseLayer::remove_link) or
 //! [`clear_links`](FuseLayer::clear_links). The invariant it owns:
 //! [`hash_cache_consistent`](FuseLayer::hash_cache_consistent) holds after
 //! every entry point — every subscribed peer, and only those, has an expiry
@@ -16,7 +17,7 @@
 use fuse_obs::{Event, ObsSink};
 use fuse_overlay::node::RouteStart;
 use fuse_overlay::{NodeInfo, OverlayNode};
-use fuse_util::{DetHashMap, DetHashSet, PeerAddr, Time, TimerKey};
+use fuse_util::{DetHashMap, DetHashSet, PeerAddr, Time};
 use fuse_wire::{Digest, Sha1};
 
 use super::{CoreCx, FuseLayer, Group, RoleState};
@@ -56,9 +57,6 @@ struct PeerExpiry {
     /// When a piggybacked hash from the peer last agreed with ours — the
     /// refresh of every link to the peer at once (§6.3).
     agreed_at: Time,
-    /// The peer's one `LinkExpired` timer, armed at or before the earliest
-    /// deadline among its links.
-    timer: TimerKey,
     /// The peer's set of monitored groups changed since the overlay's
     /// piggyback digest for it was last computed.
     hash_dirty: bool,
@@ -73,6 +71,9 @@ pub(super) struct Watch {
     /// Per-peer liveness deadline and digest staleness, one record per
     /// subscribed peer.
     expiry: DetHashMap<PeerAddr, PeerExpiry>,
+    /// Whether the node's one `LinkExpired` timer is armed; it is, at or
+    /// before the earliest deadline of any monitored link.
+    armed: bool,
 }
 
 impl FuseLayer {
@@ -244,42 +245,40 @@ impl FuseLayer {
         self.watch.subs.subscribers(peer).to_vec()
     }
 
-    /// The peer's `LinkExpired` timer fired. No deadline on the peer comes
-    /// before its last agreement's, so while agreements keep coming the
-    /// timer follows them and no link is looked at. Once the peer has been
-    /// silent for a whole timeout, the links whose deadline has come fail,
-    /// in `FuseId` order, and the timer follows the earliest one left (a
-    /// link installed or reconciled since).
-    pub(super) fn on_peer_expiry(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        peer: PeerAddr,
-    ) {
-        let Some(rec) = self.watch.expiry.get_mut(&peer) else {
-            return;
-        };
+    /// The node's `LinkExpired` timer fired. No deadline on a peer comes
+    /// before its last agreement's, so a peer agreed within the last
+    /// timeout is not looked at. On a peer silent for a whole timeout, the
+    /// links whose deadline has come are due. The timer follows the
+    /// earliest deadline left before any due link fails; then they fail,
+    /// peers in ascending address order and each peer's in `FuseId` order.
+    pub(super) fn sweep_link_expiry(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode) {
         let (now, timeout) = (cx.now, self.cfg.link_failure_timeout);
         let mut due = Vec::new();
-        let floor = rec.agreed_at + timeout;
-        let mut next = (floor > now).then_some(floor);
-        if next.is_none() {
+        let mut next: Option<Time> = None;
+        for (&peer, rec) in &self.watch.expiry {
+            let floor = rec.agreed_at + timeout;
+            if floor > now {
+                next = Some(next.map_or(floor, |n| n.min(floor)));
+                continue;
+            }
             for &id in self.watch.subs.subscribers(peer) {
                 let link = &self.groups[&id].links.0[&peer];
                 let deadline = link.refreshed_at.max(rec.agreed_at) + timeout;
                 if deadline <= now {
-                    due.push(id);
+                    due.push((peer, id));
                 } else {
                     next = Some(next.map_or(deadline, |n| n.min(deadline)));
                 }
             }
         }
-        // With nothing ahead every link is due, and the last unsubscribe
-        // below drops the record.
+        // With nothing ahead every link is due, and the next first
+        // subscription arms the timer again.
+        self.watch.armed = next.is_some();
         if let Some(at) = next {
-            rec.timer = cx.set_fuse_timer(at.since(now), FuseTimer::LinkExpired { peer });
+            cx.set_fuse_timer(at.since(now), FuseTimer::LinkExpired);
         }
-        for id in due {
+        due.sort_unstable();
+        for (peer, id) in due {
             self.obs.record(Event::LinkExpired);
             self.local_link_failed(cx, ov, id, peer);
         }
@@ -310,13 +309,15 @@ impl FuseLayer {
                     },
                 );
                 if self.watch.subs.subscribe(peer, id) {
-                    // First subscription on the peer: start watching it. A
-                    // later link's deadline can only be later than this one.
-                    let timeout = self.cfg.link_failure_timeout;
-                    let timer = cx.set_fuse_timer(timeout, FuseTimer::LinkExpired { peer });
+                    // First subscription on the peer: start watching it. An
+                    // armed timer is already at or before `now + timeout`,
+                    // and agreements and new links only move deadlines later.
+                    if !std::mem::replace(&mut self.watch.armed, true) {
+                        let timeout = self.cfg.link_failure_timeout;
+                        cx.set_fuse_timer(timeout, FuseTimer::LinkExpired);
+                    }
                     let rec = PeerExpiry {
                         agreed_at: now,
-                        timer,
                         hash_dirty: true,
                     };
                     self.watch.expiry.insert(peer, rec);
@@ -327,50 +328,35 @@ impl FuseLayer {
     }
 
     /// Drops `id`'s link to `peer`; `false` when there was none.
-    pub(super) fn remove_link(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-        peer: PeerAddr,
-    ) -> bool {
+    pub(super) fn remove_link(&mut self, ov: &mut OverlayNode, id: FuseId, peer: PeerAddr) -> bool {
         let removed = self
             .groups
             .get_mut(&id)
             .is_some_and(|g| g.links.0.remove(&peer).is_some());
         if removed {
-            self.unindex_link(cx, ov, id, peer);
+            self.unindex_link(ov, id, peer);
         }
         removed
     }
 
-    fn unindex_link(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-        peer: PeerAddr,
-    ) {
+    fn unindex_link(&mut self, ov: &mut OverlayNode, id: FuseId, peer: PeerAddr) {
         if self.watch.subs.unsubscribe(peer, id) {
-            // Last subscription gone: stop watching the peer.
-            let rec = self
-                .watch
-                .expiry
-                .remove(&peer)
-                .expect("a watched peer has a record");
-            cx.cancel_fuse_timer(rec.timer);
+            // Last subscription gone: stop watching the peer. The timer is
+            // left to fire; the sweep finds nothing of the peer.
+            let rec = self.watch.expiry.remove(&peer);
+            rec.expect("a watched peer has a record");
         }
         self.link_set_changed(ov, peer);
     }
 
     /// Drops every link of `id`.
-    pub(super) fn clear_links(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, id: FuseId) {
+    pub(super) fn clear_links(&mut self, ov: &mut OverlayNode, id: FuseId) {
         let Some(g) = self.groups.get_mut(&id) else {
             return;
         };
         let peers: Vec<PeerAddr> = g.links.0.drain().map(|(peer, _)| peer).collect();
         for peer in peers {
-            self.unindex_link(cx, ov, id, peer);
+            self.unindex_link(ov, id, peer);
         }
     }
 

@@ -2,7 +2,7 @@
 //! client-facing event model (`CreateTicket` / `GroupHandle` /
 //! [`FuseEvent`]).
 
-use fuse_util::{Duration, PeerAddr, Time};
+use fuse_util::{Duration, Time};
 use fuse_wire::{Decode, DecodeError, Encode, Reader, Writer};
 
 /// A FUSE group identifier.
@@ -405,12 +405,9 @@ impl FuseEvent {
 /// FUSE timer tags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FuseTimer {
-    /// Per-peer liveness expiry: the earliest deadline among the (group,
-    /// link)s monitoring `peer` may have come.
-    LinkExpired {
-        /// The liveness-tree neighbor.
-        peer: PeerAddr,
-    },
+    /// The node's one liveness expiry: the earliest deadline among its
+    /// monitored (group, link)s may have come.
+    LinkExpired,
     /// Member-side wait for the root after `NeedRepair`.
     MemberRepairWait {
         /// The group.

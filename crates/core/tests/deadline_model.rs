@@ -1,5 +1,5 @@
-//! The per-peer liveness deadline against the per-(group, link) timers it
-//! replaced.
+//! The node's one link-expiry timer against the per-(group, link) timers
+//! it replaced.
 //!
 //! One root [`FuseStack`] is driven by hand: links are installed by
 //! delivering `InstallChecking` envelopes, refreshed by agreeing pings and
@@ -8,8 +8,9 @@
 //! of one deadline per (group, link), kept the old way — every install,
 //! agreement and reconcile agreement pushes that link's deadline to `now +
 //! link_failure_timeout`. Every expiry the stack reports must happen at
-//! exactly the reference instant: none early, none missing, in `FuseId`
-//! order within a peer.
+//! exactly the reference instant: none early, none missing, and the links
+//! one fire expires fail peers in ascending address order, each peer's in
+//! `FuseId` order.
 //!
 //! The peers are also the root's overlay neighbours, so it pings them on
 //! its own schedule. Every `Ping` and `PingAck` that leaves the stack must
@@ -51,10 +52,38 @@ fn config() -> FuseConfig {
 #[derive(Debug)]
 struct Fire {
     at: Time,
+    /// (peer, group) links standing before the fire.
+    before: BTreeSet<(PeerAddr, FuseId)>,
     /// (peer, group) links gone after the fire, sorted.
     expired: Vec<(PeerAddr, FuseId)>,
-    /// Group of every `SoftNotification` sent, in emission order.
-    softs: Vec<FuseId>,
+    /// (recipient, group) of every `SoftNotification` sent, in emission
+    /// order.
+    softs: Vec<(PeerAddr, FuseId)>,
+}
+
+impl Fire {
+    /// The soft notifications the fire sends if it fails `expired` in the
+    /// sweep's order, (peer, group) ascending: each failure tells the
+    /// group's links still standing.
+    fn softs_in_sweep_order(&self) -> Vec<(PeerAddr, FuseId)> {
+        let mut standing = self.before.clone();
+        let mut out = Vec::new();
+        for link in &self.expired {
+            standing.remove(link);
+            out.extend(standing.iter().filter(|l| l.1 == link.1));
+        }
+        out
+    }
+}
+
+/// `softs` with each run of one group's notifications sorted by
+/// recipient: one failure tells its group's links in the links map's
+/// order, which the sweep's order does not fix.
+fn runs_sorted(mut softs: Vec<(PeerAddr, FuseId)>) -> Vec<(PeerAddr, FuseId)> {
+    for run in softs.chunk_by_mut(|x, y| x.1 == y.1) {
+        run.sort_unstable();
+    }
+    softs
 }
 
 /// A root stack with `GROUPS` created groups and a manual clock.
@@ -268,19 +297,29 @@ impl Rig {
             }
             let softs = outs.iter().filter_map(|o| match o {
                 Output::Send {
+                    to,
                     msg: StackMsg::Fuse(FuseMsg::SoftNotification { id, .. }),
-                    ..
-                } => Some(*id),
+                } => Some((*to, *id)),
                 _ => None,
             });
             fires.push(Fire {
                 at,
+                before,
                 expired,
                 softs: softs.collect(),
             });
         }
         self.now = until;
         fires
+    }
+
+    /// Armed `NS_FUSE` timers due within one `link_failure_timeout`: the
+    /// expiry timers, once the creation rounds' install wait is over (a
+    /// repair round's reply deadline here is `config`'s, far off).
+    fn expiry_timers(&self) -> usize {
+        let horizon = self.now + self.timeout;
+        let near = |t: &&Reverse<(Time, u64, TimerKey)>| t.0 .2.ns == NS_FUSE && t.0 .0 <= horizon;
+        self.timers.iter().filter(near).count()
     }
 
     /// The expiries by `until` as (instant, peer, group), in fire order.
@@ -329,26 +368,46 @@ fn a_link_installed_after_the_peer_timer_was_armed_has_its_own_deadline() {
     );
 }
 
+/// Past `INSTALL_WAIT` the creation rounds have given way to repair rounds
+/// awaiting replies that never come, so tearing a tree down asks for a
+/// repair without arming a timer: every `NS_FUSE` timer command a step
+/// emits is then the expiry timer's.
+fn after_install_wait(rig: &mut Rig) -> Time {
+    let start = secs(60);
+    rig.run_until(start);
+    start
+}
+
 #[test]
-fn last_unsubscribe_cancels_the_peer_timer_and_a_resubscribe_starts_clean() {
+fn last_unsubscribe_emits_no_timer_command_and_a_resubscribe_under_an_armed_sweep_arms_nothing() {
     let mut rig = Rig::new();
     let (g, a) = (rig.ids[0], PEERS[0]);
     let t = rig.timeout;
-    rig.install(g, a);
-    rig.run_until(secs(10));
+    let start = after_install_wait(&mut rig);
+    let at = |s: u64| start + Duration::from_secs(s);
+    assert_eq!(fuse_timer_sets(&rig.install(g, a)), 1, "first link arms");
+    rig.run_until(at(10));
     assert_eq!(rig.ping(a, digest_of([g])), digest_of([g]));
-    rig.run_until(secs(12));
+    rig.run_until(at(12));
     let outs = rig.soft(g, a);
-    let cancelled = |o: &Output| matches!(o, Output::CancelTimer { key } if key.ns == NS_FUSE);
-    assert!(outs.iter().any(cancelled), "peer timer must be cancelled");
+    let fuse_cmd = |o: &Output| match o {
+        Output::SetTimer { key, .. } | Output::CancelTimer { key } => key.ns == NS_FUSE,
+        _ => false,
+    };
+    assert!(!outs.iter().any(fuse_cmd), "{outs:?}");
     assert!(rig.links().is_empty());
     // No group monitors the link: the empty hashes agree, and nothing may
     // remember that.
-    rig.run_until(secs(15));
+    rig.run_until(at(15));
     assert_eq!(rig.ping(a, None), None);
-    assert_eq!(rig.run_until(secs(20)).len(), 0);
-    assert_eq!(fuse_timer_sets(&rig.install(g, a)), 1, "armed afresh");
-    assert_eq!(rig.expiries_until(secs(1_000)), [(secs(20) + t, a, g)]);
+    assert_eq!(rig.run_until(at(20)).len(), 0);
+    assert_eq!(rig.expiry_timers(), 1, "the sweep is still armed");
+    assert_eq!(
+        fuse_timer_sets(&rig.install(g, a)),
+        0,
+        "the armed sweep serves it"
+    );
+    assert_eq!(rig.expiries_until(at(1_000)), [(at(20) + t, a, g)]);
 }
 
 #[test]
@@ -357,7 +416,8 @@ fn links_due_at_one_instant_expire_in_fuse_id_order() {
     let (a, b) = (PEERS[0], PEERS[1]);
     // Installed in scrambled order at different times; one agreement at
     // 20 s puts every link to `a` on the same deadline. The links to `b`
-    // are younger and carry the soft notifications that show the order.
+    // come due at the same instant; they carry the soft notifications
+    // that show the order.
     for (k, i) in [3, 0, 4, 1, 2].into_iter().enumerate() {
         rig.run_until(secs(k as u64));
         rig.install(rig.ids[i], a);
@@ -371,10 +431,65 @@ fn links_due_at_one_instant_expire_in_fuse_id_order() {
         rig.install(rig.ids[i], b);
     }
     let fires = rig.run_until(secs(20) + rig.timeout);
-    assert_eq!(fires.len(), 2, "{fires:?}");
+    assert_eq!(fires.len(), 1, "one sweep: {fires:?}");
     assert_eq!(fires[0].at, secs(20) + rig.timeout);
-    assert_eq!(fires[0].softs, rig.ids, "expiry order is FuseId order");
-    assert_eq!(fires[1].expired.len(), GROUPS, "b's links, same instant");
+    assert_eq!(fires[0].expired.len(), 2 * GROUPS, "a's and b's links");
+    // Each of `a`'s links fails first and tells `b`; `b`'s then fail with
+    // nothing left to tell.
+    let to_b: Vec<_> = rig.ids.iter().map(|&id| (b, id)).collect();
+    assert_eq!(fires[0].softs, to_b, "a's links in FuseId order, then b's");
+}
+
+#[test]
+fn one_expiry_timer_serves_every_peer() {
+    let mut rig = Rig::new();
+    let (a, b, c) = (PEERS[0], PEERS[1], PEERS[2]);
+    let g = rig.ids.clone();
+    let t = rig.timeout;
+    let start = after_install_wait(&mut rig);
+    let at = |s: u64| start + Duration::from_secs(s);
+    let agree = |rig: &mut Rig, peer, hash| assert_eq!(rig.ping(peer, hash), hash);
+    let mut seen = Vec::new();
+    // Staggered installs and agreements on three peers, then silence.
+    for s in 0..=300 {
+        seen.extend(rig.expiries_until(at(s)));
+        match s {
+            0 => {
+                rig.install(g[0], a);
+                rig.install(g[1], a);
+            }
+            10 => {
+                rig.install(g[2], b);
+                rig.install(g[0], b);
+            }
+            20 => {
+                rig.install(g[3], c);
+            }
+            40 => agree(&mut rig, a, digest_of([g[0], g[1]])),
+            60 => agree(&mut rig, c, digest_of([g[3]])),
+            70 => {
+                rig.install(g[4], a);
+            }
+            80 => agree(&mut rig, b, digest_of([g[0], g[2]])),
+            _ => {}
+        }
+        let n = rig.expiry_timers();
+        assert!(n <= 1, "{n} expiry timers at {s} s");
+    }
+    // The reference: each link at `max(installed, agreed) + T`, by
+    // instant, then peer, then group.
+    let mut reference = vec![
+        (at(40) + t, a, g[0]),
+        (at(40) + t, a, g[1]),
+        (at(70) + t, a, g[4]),
+        (at(80) + t, b, g[0]),
+        (at(80) + t, b, g[2]),
+        (at(60) + t, c, g[3]),
+    ];
+    reference.sort_unstable();
+    assert_eq!(seen, reference);
+    assert!(rig.links().is_empty());
+    assert_eq!(rig.expiry_timers(), 0, "nothing left to watch");
 }
 
 #[test]
@@ -560,9 +675,10 @@ proptest! {
                     let until = now + Duration::from_millis(ms);
                     let fires = rig.run_until(until);
                     for f in &fires {
-                        prop_assert!(
-                            f.softs.windows(2).all(|w| w[0] <= w[1]),
-                            "expiry out of FuseId order: {:?}", f
+                        prop_assert_eq!(
+                            runs_sorted(f.softs.clone()),
+                            runs_sorted(f.softs_in_sweep_order()),
+                            "expiry out of (peer, FuseId) order: {:?}", f
                         );
                     }
                     let mut seen = expiries(fires);

@@ -1,9 +1,10 @@
 //! Standing groups are free in the quiet state — in work, not only in
 //! messages (paper §7.5: 337 vs 338 msg/s with and without groups). One
 //! piggybacked hash refreshes every group on a link, and an agreeing hash
-//! is one store: the kernel executes about as many events for a world with
-//! 200 standing groups as for the same world with none, and holds one more
-//! timer per monitored peer — not per group — than it.
+//! is one store, and one link-expiry timer per node serves every monitored
+//! peer: the kernel executes about as many events for a world with 200
+//! standing groups as for the same world with none, and holds at most one
+//! more timer per node — not per peer or per group — than it.
 //!
 //! The quiet state's own work per ping is counted too: an acknowledged
 //! ping costs its timer, the ping, the ack and a share of the node's one
@@ -79,15 +80,18 @@ fn standing_groups_add_no_kernel_work_to_the_quiet_state() {
         per_ping <= 3.5,
         "{events_bare} kernel events for {pings} pings: {per_ping:.3} per ping"
     );
+    // 18,436 against 18,005: each node's one expiry timer fires about
+    // every 45 s (431 events over 64 nodes and 300 s), not once per
+    // agreement on every monitored link (21,825 with a timer per peer).
     assert!(
-        events_groups as f64 <= events_bare as f64 * 1.3,
+        events_groups as f64 <= events_bare as f64 * 1.05,
         "200 standing groups: {events_groups} events against {events_bare} with none"
     );
-    // 200 groups over 64 nodes put a group on most overlay links, so the
-    // one timer a monitored peer costs is a visible share of this small
-    // world's queue; what must not appear is a term in the groups.
+    // 200 groups over 64 nodes put a group on 804 (node, peer) links; the
+    // queue holds one expiry timer per node for all of them (1,286 against
+    // 1,222; 2,026 with a timer per peer).
     assert!(
-        pending_groups <= pending_bare + monitored,
+        pending_groups <= pending_bare + NODES,
         "200 standing groups on {monitored} links: {pending_groups} pending \
          against {pending_bare} with none"
     );
