@@ -80,8 +80,8 @@ impl FuseLayer {
         round: Option<Round>,
     ) {
         let now = cx.now;
-        let role = RoleState::Root(RootState::new(members, round));
-        self.groups.insert(id, Group::new(0, self.me, role, now));
+        let role = RoleState::Root(RootState::new(members, round, now));
+        self.groups.insert(id, Group::new(0, role));
         self.obs.record(Event::GroupCreated);
         cx.app(FuseEvent::Created {
             ticket: CreateTicket::new(id),
@@ -101,21 +101,18 @@ impl FuseLayer {
         id: FuseId,
         root: NodeInfo,
     ) {
-        let now = cx.now;
-        let member = RoleState::Member(MemberState { repair_wait: None });
-        match self.groups.get_mut(&id) {
-            Some(g) => {
-                // A delegate branch for this group was installed before our
-                // own create request arrived; upgrade to member.
-                if matches!(g.role, RoleState::Delegate) {
-                    g.role = member;
-                    g.root = root;
-                    g.created_at = now;
-                }
-            }
-            None => {
-                self.groups.insert(id, Group::new(0, root, member, now));
-            }
+        // A delegate branch for this group may have been installed before
+        // our own create request arrived; either record becomes a member's.
+        let g = self
+            .groups
+            .entry(id)
+            .or_insert_with(|| Group::new(0, RoleState::Delegate));
+        if matches!(g.role, RoleState::Delegate) {
+            g.role = RoleState::Member(Box::new(MemberState {
+                root,
+                created_at: cx.now,
+                repair_wait: None,
+            }));
         }
         cx.send_fuse(from, FuseMsg::GroupCreateReply { id, ok: true });
         self.route_install_checking(cx, ov, id, 0, root);

@@ -148,6 +148,7 @@ impl OverlaySink for OverlayOut<'_> {
 
 #[derive(Clone)]
 struct RootState {
+    created_at: Time,
     members: Vec<NodeInfo>,
     /// The round at the group's `seq`, until its replies and installs are
     /// all in or its deadline passes.
@@ -158,8 +159,9 @@ struct RootState {
 
 impl RootState {
     /// A fresh root, finishing its creation round.
-    fn new(members: Vec<NodeInfo>, round: Option<Round>) -> Box<RootState> {
+    fn new(members: Vec<NodeInfo>, round: Option<Round>, created_at: Time) -> Box<RootState> {
         Box::new(RootState {
+            created_at,
             members,
             round,
             kick: None,
@@ -215,36 +217,46 @@ impl Round {
 
 #[derive(Clone)]
 struct MemberState {
+    root: NodeInfo,
+    created_at: Time,
     repair_wait: Option<TimerKey>,
 }
 
 #[derive(Clone)]
 enum RoleState {
-    /// Boxed: a node keeps a record for every group it roots, joins or
-    /// relays, and few of them are roots; the rest should not carry the
-    /// root's state inline.
+    /// Root and member state are boxed: a node keeps a record for every
+    /// group it roots, joins or relays, and most of them are delegates,
+    /// which carry nothing but the shared record.
     Root(Box<RootState>),
-    Member(MemberState),
+    Member(Box<MemberState>),
     Delegate,
+}
+
+impl RoleState {
+    /// A participant's role and when it joined the group; `None` on a
+    /// delegate.
+    fn participant(&self) -> Option<(Role, Time)> {
+        match self {
+            RoleState::Root(rs) => Some((Role::Root, rs.created_at)),
+            RoleState::Member(ms) => Some((Role::Member, ms.created_at)),
+            RoleState::Delegate => None,
+        }
+    }
 }
 
 #[derive(Clone)]
 struct Group {
     seq: u64,
-    root: NodeInfo,
     role: RoleState,
-    created_at: Time,
     links: Links,
 }
 
 impl Group {
     /// A record with no checking-tree links yet.
-    fn new(seq: u64, root: NodeInfo, role: RoleState, created_at: Time) -> Group {
+    fn new(seq: u64, role: RoleState) -> Group {
         Group {
             seq,
-            root,
             role,
-            created_at,
             links: Links::default(),
         }
     }
@@ -311,24 +323,16 @@ impl FuseLayer {
 
     /// Whether this node holds *member or root* state for `id`.
     pub fn is_participant(&self, id: FuseId) -> bool {
-        matches!(
-            self.role(id),
-            Some(RoleState::Root(_) | RoleState::Member(_))
-        )
+        self.role(id).and_then(RoleState::participant).is_some()
     }
 
     /// This node's handle for a live group it participates in.
     pub fn handle(&self, id: FuseId) -> Option<GroupHandle> {
-        let g = self.groups.get(&id)?;
-        let role = match g.role {
-            RoleState::Root(_) => Role::Root,
-            RoleState::Member(_) => Role::Member,
-            RoleState::Delegate => return None,
-        };
+        let (role, created_at) = self.role(id)?.participant()?;
         Some(GroupHandle {
             id,
             role,
-            created_at: g.created_at,
+            created_at,
         })
     }
 
@@ -458,10 +462,11 @@ mod tests {
 
     #[test]
     fn group_record_keeps_root_state_out_of_line() {
-        // One record per (group, node), and few of them are roots: the
-        // root's state must not widen the member and delegate records.
+        // One record per (group, node), and most of them are delegates: a
+        // root's or a member's state must not widen the delegate records,
+        // which hold their two links inline.
         assert!(
-            std::mem::size_of::<Group>() <= 112,
+            std::mem::size_of::<Group>() <= 80,
             "Group is {} bytes",
             std::mem::size_of::<Group>()
         );

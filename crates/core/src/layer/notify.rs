@@ -136,8 +136,10 @@ impl FuseLayer {
         reason: NotifyReason,
     ) {
         let g = &self.groups[&id];
-        let (root, seq) = (g.root.proc, g.seq);
-        self.send_hard(cx, root, id, seq, reason);
+        if let RoleState::Member(ms) = &g.role {
+            let (root, seq) = (ms.root.proc, g.seq);
+            self.send_hard(cx, root, id, seq, reason);
+        }
         self.fail_locally(cx, ov, id, reason);
     }
 
@@ -264,12 +266,7 @@ impl FuseLayer {
             return;
         };
         let seq = g.seq;
-        let created_at = g.created_at;
-        let role = match g.role {
-            RoleState::Root(_) => Some(Role::Root),
-            RoleState::Member(_) => Some(Role::Member),
-            RoleState::Delegate => None,
-        };
+        let participant = g.role.participant();
         // Clean the liveness tree below us.
         self.send_softs(cx, id, seq, None);
         self.clear_links(ov, id);
@@ -292,7 +289,7 @@ impl FuseLayer {
         }
         let ctx = self.handlers.remove(&id);
         self.send_bound.remove(&id);
-        if let Some(role) = role {
+        if let Some((role, created_at)) = participant {
             self.obs.record(Event::Notified {
                 reason: reason.kind(),
                 at_nanos: cx.now.nanos(),

@@ -28,7 +28,6 @@ impl FuseLayer {
         let Some(g) = self.groups.get_mut(&id) else {
             return;
         };
-        let root = g.root.proc;
         let seq = g.seq;
         let RoleState::Member(ms) = &mut g.role else {
             return;
@@ -36,7 +35,7 @@ impl FuseLayer {
         if ms.repair_wait.is_some() {
             return;
         }
-        cx.send_fuse(root, FuseMsg::NeedRepair { id, seq });
+        cx.send_fuse(ms.root.proc, FuseMsg::NeedRepair { id, seq });
         ms.repair_wait = Some(cx.set_fuse_timer(
             self.cfg.member_repair_timeout,
             FuseTimer::MemberRepairWait { id },

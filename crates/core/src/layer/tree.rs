@@ -3,7 +3,7 @@
 //! groups on each link.
 //!
 //! This module alone writes link state. A group's links are a [`Links`]
-//! whose map other modules can only read; the subscription index, the
+//! that other modules can only read; the subscription index, the
 //! per-peer expiry records and the node's one expiry timer live in
 //! [`Watch`], whose fields only this module can name. Installs (§6.2) add
 //! links as `InstallChecking` envelopes pass; agreeing ping digests and
@@ -25,27 +25,106 @@ use crate::messages::{FuseMsg, InstallChecking};
 use crate::registry::SubscriptionRegistry;
 use crate::types::{FuseId, FuseTimer, NotifyReason};
 
-#[derive(Clone)]
+#[derive(Clone, Copy, Default)]
 struct Link {
     installed_at: Time,
     /// When this one link was last installed or agreed by a reconcile.
     refreshed_at: Time,
 }
 
-/// One group's checking-tree links, by peer. The map's iteration order,
-/// which its deterministic hasher and insertion history fix, is the order
-/// soft notifications fan out in.
-#[derive(Clone, Default)]
-pub(super) struct Links(DetHashMap<PeerAddr, Link>);
+/// Links a group keeps without a heap block: a delegate's two, one toward
+/// the member and one toward the root.
+const INLINE_LINKS: usize = 2;
+
+/// One group's checking-tree links, in the order they were installed,
+/// which is the order soft notifications fan out in. Up to
+/// [`INLINE_LINKS`] live in the record itself; a group with more (a root,
+/// or a member other branches pass through) moves them all to a `Vec`.
+/// Lookups are linear: a root has at most its group's size of links.
+#[derive(Clone)]
+pub(super) struct Links(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` slots hold links; the rest are placeholders.
+    Inline {
+        len: u8,
+        slots: [(PeerAddr, Link); INLINE_LINKS],
+    },
+    Spilled(Vec<(PeerAddr, Link)>),
+}
+
+impl Default for Links {
+    fn default() -> Links {
+        Links(Repr::Inline {
+            len: 0,
+            slots: Default::default(),
+        })
+    }
+}
 
 impl Links {
+    fn as_slice(&self) -> &[(PeerAddr, Link)] {
+        match &self.0 {
+            Repr::Inline { len, slots } => &slots[..usize::from(*len)],
+            Repr::Spilled(v) => v,
+        }
+    }
+
     /// The peers at the far end of the links.
     pub(super) fn peers(&self) -> impl Iterator<Item = PeerAddr> + '_ {
-        self.0.keys().copied()
+        self.as_slice().iter().map(|&(peer, _)| peer)
     }
 
     pub(super) fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_slice().is_empty()
+    }
+
+    fn get(&self, peer: PeerAddr) -> Option<&Link> {
+        self.as_slice().iter().find(|e| e.0 == peer).map(|e| &e.1)
+    }
+
+    fn get_mut(&mut self, peer: PeerAddr) -> Option<&mut Link> {
+        let links = match &mut self.0 {
+            Repr::Inline { len, slots } => &mut slots[..usize::from(*len)],
+            Repr::Spilled(v) => v,
+        };
+        links.iter_mut().find(|e| e.0 == peer).map(|e| &mut e.1)
+    }
+
+    /// Appends a link to a peer not yet linked.
+    fn push(&mut self, peer: PeerAddr, link: Link) {
+        match &mut self.0 {
+            Repr::Inline { len, slots } if usize::from(*len) < INLINE_LINKS => {
+                slots[usize::from(*len)] = (peer, link);
+                *len += 1;
+            }
+            Repr::Inline { slots, .. } => {
+                let mut v = Vec::with_capacity(INLINE_LINKS * 2);
+                v.extend_from_slice(slots);
+                v.push((peer, link));
+                self.0 = Repr::Spilled(v);
+            }
+            Repr::Spilled(v) => v.push((peer, link)),
+        }
+    }
+
+    /// Drops the link to `peer`, keeping the others in order; `false` when
+    /// there was none.
+    fn remove(&mut self, peer: PeerAddr) -> bool {
+        let Some(at) = self.peers().position(|p| p == peer) else {
+            return false;
+        };
+        match &mut self.0 {
+            Repr::Inline { len, slots } => {
+                slots[at..usize::from(*len)].rotate_left(1);
+                *len -= 1;
+            }
+            Repr::Spilled(v) => {
+                v.remove(at);
+            }
+        }
+        true
     }
 }
 
@@ -168,7 +247,7 @@ impl FuseLayer {
                 g.seq = g.seq.max(ic.seq);
             }
             None => {
-                let g = Group::new(ic.seq, ic.root, RoleState::Delegate, cx.now);
+                let g = Group::new(ic.seq, RoleState::Delegate);
                 self.groups.insert(ic.id, g);
             }
         }
@@ -216,7 +295,7 @@ impl FuseLayer {
         let now = cx.now;
         for id in self.watch.subs.subscribers(peer).to_vec() {
             let group = self.groups.get_mut(&id);
-            let Some(link) = group.and_then(|g| g.links.0.get_mut(&peer)) else {
+            let Some(link) = group.and_then(|g| g.links.get_mut(peer)) else {
                 continue;
             };
             if their_ids.contains(&id) {
@@ -262,7 +341,7 @@ impl FuseLayer {
                 continue;
             }
             for &id in self.watch.subs.subscribers(peer) {
-                let link = &self.groups[&id].links.0[&peer];
+                let link = self.groups[&id].links.get(peer).expect("subscribed");
                 let deadline = link.refreshed_at.max(rec.agreed_at) + timeout;
                 if deadline <= now {
                     due.push((peer, id));
@@ -298,10 +377,10 @@ impl FuseLayer {
         let Some(g) = self.groups.get_mut(&id) else {
             return;
         };
-        match g.links.0.get_mut(&peer) {
+        match g.links.get_mut(peer) {
             Some(link) => link.refreshed_at = now,
             None => {
-                g.links.0.insert(
+                g.links.push(
                     peer,
                     Link {
                         installed_at: now,
@@ -332,7 +411,7 @@ impl FuseLayer {
         let removed = self
             .groups
             .get_mut(&id)
-            .is_some_and(|g| g.links.0.remove(&peer).is_some());
+            .is_some_and(|g| g.links.remove(peer));
         if removed {
             self.unindex_link(ov, id, peer);
         }
@@ -354,8 +433,8 @@ impl FuseLayer {
         let Some(g) = self.groups.get_mut(&id) else {
             return;
         };
-        let peers: Vec<PeerAddr> = g.links.0.drain().map(|(peer, _)| peer).collect();
-        for peer in peers {
+        let links = std::mem::take(&mut g.links);
+        for peer in links.peers() {
             self.unindex_link(ov, id, peer);
         }
     }
@@ -409,17 +488,85 @@ impl FuseLayer {
     }
 
     /// Whether the overlay's piggyback digests agree with the links (test
-    /// hook): every subscribed peer has its expiry record and, unless its
+    /// hook): every group's links are exactly the subscriptions that name
+    /// it; every subscribed peer has its expiry record and, unless its
     /// digest is marked stale, a digest equal to a fresh recomputation;
     /// no other peer has a record or a digest.
     pub fn hash_cache_consistent(&self, ov: &OverlayNode) -> bool {
-        let peers = self.watch.subs.peers();
-        let hashed = peers.iter().filter(|&&p| ov.link_hash(p).is_some());
-        peers.iter().all(|&p| {
-            self.watch.expiry.get(&p).is_some_and(|rec| {
-                rec.hash_dirty || ov.link_hash(p) == Some(self.recompute_hash(p))
+        let subs = &self.watch.subs;
+        let peers = subs.peers();
+        let links: usize = self.groups.values().map(|g| g.links.as_slice().len()).sum();
+        let linked = self
+            .groups
+            .iter()
+            .all(|(&id, g)| g.links.peers().all(|p| subs.is_subscribed(p, id)));
+        let subscribed = peers.iter().all(|&p| {
+            let mut ids = subs.subscribers(p).iter();
+            ids.all(|id| {
+                self.groups
+                    .get(id)
+                    .is_some_and(|g| g.links.get(p).is_some())
             })
-        }) && self.watch.expiry.len() == peers.len()
+        });
+        let hashed = peers.iter().filter(|&&p| ov.link_hash(p).is_some());
+        linked
+            && subscribed
+            && links == subs.len()
+            && peers.iter().all(|&p| {
+                self.watch.expiry.get(&p).is_some_and(|rec| {
+                    rec.hash_dirty || ov.link_hash(p) == Some(self.recompute_hash(p))
+                })
+            })
+            && self.watch.expiry.len() == peers.len()
             && ov.link_hash_count() == hashed.count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn link(at: u64) -> Link {
+        Link {
+            installed_at: Time(at),
+            refreshed_at: Time(at),
+        }
+    }
+
+    fn peers(links: &Links) -> Vec<PeerAddr> {
+        links.peers().collect()
+    }
+
+    #[test]
+    fn links_keep_insertion_order_inline_spilled_and_drained() {
+        let mut links = Links::default();
+        links.push(7, link(1));
+        links.push(3, link(2));
+        // A delegate's two links stay in the record, no wider than the
+        // pair and a tag.
+        assert!(matches!(links.0, Repr::Inline { len: 2, .. }));
+        let pair = std::mem::size_of::<[(PeerAddr, Link); 2]>();
+        assert!(std::mem::size_of::<Links>() <= pair + 8);
+        assert_eq!(peers(&links), [7, 3]);
+        links.push(9, link(3));
+        links.push(1, link(4));
+        assert!(matches!(links.0, Repr::Spilled(_)));
+        assert_eq!(peers(&links), [7, 3, 9, 1]);
+        assert!(links.remove(3));
+        assert!(!links.remove(3), "no second link to remove");
+        assert_eq!(peers(&links), [7, 9, 1]);
+        links.get_mut(9).expect("linked").refreshed_at = Time(5);
+        assert_eq!(links.get(9).map(|l| l.refreshed_at), Some(Time(5)));
+        assert_eq!(peers(&std::mem::take(&mut links)), [7, 9, 1]);
+        assert!(links.is_empty());
+
+        let mut inline = Links::default();
+        inline.push(4, link(1));
+        inline.push(2, link(2));
+        assert!(inline.remove(4));
+        inline.push(6, link(3));
+        assert!(matches!(inline.0, Repr::Inline { len: 2, .. }));
+        assert_eq!(peers(&inline), [2, 6]);
+        assert!(inline.remove(6) && inline.remove(2) && inline.is_empty());
     }
 }

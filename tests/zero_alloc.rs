@@ -211,35 +211,25 @@ fn warm_maintenance_probe_allocates_only_its_path_and_reply_sets() {
     assert_eq!(allocs, 0, "integrating a known probe reply allocated");
 }
 
-#[test]
-fn warm_forwarded_install_checking_hop_does_not_allocate() {
+/// A booted stack on the ring between a member and a root, so that every
+/// `InstallChecking` the member routes to the root passes through it.
+fn install_hop() -> (FuseStack, NodeInfo, NodeInfo) {
     let (infos, (cw, ccw, rt)) = ring_tables(5);
     let (member, hop, root) = (infos[2], infos[5], infos[11]);
     let mut stack = FuseStack::new(hop, None, OverlayConfig::default(), FuseConfig::default());
     stack.overlay.preload_tables(cw, ccw, rt);
-    let mut rng = StdRng::seed_from_u64(0xF0D3);
-    let mut feed = |stack: &mut FuseStack, input| {
-        stack.handle(Time::ZERO, &mut rng, input);
-        let mut forwarded = 0;
-        while let Some(out) = stack.poll_output() {
-            forwarded += u64::from(matches!(
-                out,
-                Output::Send {
-                    msg: StackMsg::Overlay(OverlayMsg::Routed { .. }),
-                    ..
-                }
-            ));
-        }
-        forwarded
-    };
-    feed(&mut stack, Input::Boot);
+    (stack, member, root)
+}
+
+/// `member`'s routed `InstallChecking` for group `id`, arriving at the hop.
+fn routed_install(member: NodeInfo, root: NodeInfo, id: FuseId) -> Input {
     let ic = InstallChecking {
-        id: FuseId(77),
+        id,
         seq: 0,
         member,
         root,
     };
-    let routed = Input::Message {
+    Input::Message {
         from: member.proc,
         msg: StackMsg::Overlay(OverlayMsg::Routed {
             src: member,
@@ -249,25 +239,82 @@ fn warm_forwarded_install_checking_hop_does_not_allocate() {
             payload: ic.to_bytes(),
             path: Vec::new(),
         }),
-    };
+    }
+}
+
+/// Feeds one input and drains the outputs; returns how many routed
+/// envelopes the stack forwarded.
+fn feed_hop(stack: &mut FuseStack, rng: &mut StdRng, input: Input) -> u64 {
+    stack.handle(Time::ZERO, rng, input);
+    let mut forwarded = 0;
+    while let Some(out) = stack.poll_output() {
+        forwarded += u64::from(matches!(
+            out,
+            Output::Send {
+                msg: StackMsg::Overlay(OverlayMsg::Routed { .. }),
+                ..
+            }
+        ));
+    }
+    forwarded
+}
+
+#[test]
+fn warm_forwarded_install_checking_hop_does_not_allocate() {
+    let (mut stack, member, root) = install_hop();
+    let mut rng = StdRng::seed_from_u64(0xF0D3);
+    feed_hop(&mut stack, &mut rng, Input::Boot);
+    let id = FuseId(77);
+    let routed = routed_install(member, root, id);
     // The first hop installs the delegate branch and the second fills the
     // stack's second upcall buffer; the rest refresh the branch.
     for _ in 0..2 {
-        assert_eq!(feed(&mut stack, routed.clone()), 1);
+        assert_eq!(feed_hop(&mut stack, &mut rng, routed.clone()), 1);
     }
-    assert_eq!(stack.fuse.tree_links(ic.id).len(), 2);
+    assert_eq!(stack.fuse.tree_links(id).len(), 2);
     const HOPS: u64 = 100;
     let inputs: Vec<Input> = (0..HOPS).map(|_| routed.clone()).collect();
     let mut forwarded = 0;
     let allocs = allocs_during(|| {
         for input in inputs {
-            forwarded += feed(&mut stack, input);
+            forwarded += feed_hop(&mut stack, &mut rng, input);
         }
     });
     assert_eq!(forwarded, HOPS);
     assert_eq!(
         allocs, 0,
         "{HOPS} warm forwarded InstallChecking hops allocated"
+    );
+}
+
+#[test]
+fn new_delegate_records_allocate_only_table_growth() {
+    // A thousand groups relayed through one hop: each new delegate record
+    // holds its two links inline, so what allocates is the growth of the
+    // layer's tables, amortized over the thousand.
+    let (mut stack, member, root) = install_hop();
+    let mut rng = StdRng::seed_from_u64(0xF0D3);
+    feed_hop(&mut stack, &mut rng, Input::Boot);
+    for _ in 0..2 {
+        let warm = routed_install(member, root, FuseId(u64::MAX));
+        assert_eq!(feed_hop(&mut stack, &mut rng, warm), 1);
+    }
+    const GROUPS: u64 = 1_000;
+    let inputs: Vec<Input> = (0..GROUPS)
+        .map(|i| routed_install(member, root, FuseId(i)))
+        .collect();
+    let mut forwarded = 0;
+    let allocs = allocs_during(|| {
+        for input in inputs {
+            forwarded += feed_hop(&mut stack, &mut rng, input);
+        }
+    });
+    assert_eq!(forwarded, GROUPS);
+    assert_eq!(stack.fuse.group_count(), GROUPS as usize + 1);
+    assert_eq!(stack.fuse.tree_links(FuseId(GROUPS - 1)).len(), 2);
+    assert!(
+        allocs <= 64,
+        "{GROUPS} new delegate records made {allocs} allocations"
     );
 }
 
