@@ -139,7 +139,6 @@ impl FuseLayer {
         let Some(attempt) = self.creating.remove(&id) else {
             return;
         };
-        cx.cancel_fuse_timer(attempt.round.timer);
         self.obs.record(Event::CreateFailed);
         // Best effort: tear down any member state already installed.
         for m in &attempt.members {

@@ -19,10 +19,16 @@
 //! same classified cause the declaring node saw.
 //!
 //! The layer is sans-io: every entry point takes a `CoreCx` — a borrowed
-//! bundle of `now`, the driver RNG, the stack's timer tables and the
-//! [`Output`] queue — and all side effects leave as queued outputs. The
-//! embedded overlay is driven through an `OverlayCx` whose sink is that
-//! same queue, so its effects land in emission order.
+//! bundle of `now`, the driver RNG and the [`Output`] queue — and all side
+//! effects leave as queued outputs. The embedded overlay is driven through
+//! an `OverlayCx` whose sink is that same queue, so its effects land in
+//! emission order.
+//!
+//! No timer is cancelled. Each per-group deadline lives in the state it
+//! guards (a round's `due`, a root's `kick`, a member's `repair_wait`), a
+//! [`FuseTimer`] firing acts only when that deadline has come (`due <=
+//! now`: a socket driver fires late), and an acting handler consumes or
+//! moves the deadline, so a superseded firing finds nothing due.
 //!
 //! This module holds the state and the dispatch; the protocol lives in one
 //! module per seam of §6: `create` (blocking creation, §6.2), `tree` (the
@@ -43,12 +49,12 @@ use fuse_overlay::{
 };
 use fuse_util::backoff::Backoff;
 use fuse_util::idgen::IdGen;
-use fuse_util::{DetHashMap, DetHashSet, Duration, KeyedTimers, PeerAddr, Time, TimerKey};
+use fuse_util::{DetHashMap, DetHashSet, Duration, PeerAddr, Time};
 use fuse_wire::{Decode, EncodeBuf};
 use rand::rngs::StdRng;
 
 use crate::messages::{FuseMsg, InstallChecking};
-use crate::stack::{AppCall, Output, StackMsg};
+use crate::stack::{AppCall, Output, StackMsg, Timer};
 use crate::types::{
     FuseConfig, FuseEvent, FuseId, FuseTimer, GroupHandle, Role, INSTALL_WAIT, REPAIR_BACKOFF_BASE,
     REPAIR_BACKOFF_CAP,
@@ -60,15 +66,13 @@ use tree::{Links, Watch};
 /// Borrowed per-call context for one FUSE-layer entry point.
 ///
 /// Owned state lives in `FuseStack`; the stack constructs a `CoreCx` around
-/// disjoint borrows of it for the duration of one call. Sends, timer
-/// commands and application callbacks all leave through the shared
-/// [`Output`] queue, in emission order — the property drivers rely on to
-/// reproduce the simulator's event order bit-for-bit.
+/// disjoint borrows of it for the duration of one call. Sends, timer arms
+/// and application callbacks all leave through the shared [`Output`]
+/// queue, in emission order — the property drivers rely on to reproduce
+/// the simulator's event order bit-for-bit.
 pub(crate) struct CoreCx<'a> {
     pub(crate) now: Time,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) fuse_timers: &'a mut KeyedTimers<FuseTimer>,
-    pub(crate) ov_timers: &'a mut KeyedTimers<OverlayTimer>,
     /// Overlay upcalls produced by re-entrant overlay calls (routing from
     /// inside the layer); the stack feeds them back after the entry point
     /// returns.
@@ -85,18 +89,11 @@ impl CoreCx<'_> {
         });
     }
 
-    /// Arms a FUSE timer, returning its key.
-    pub(crate) fn set_fuse_timer(&mut self, after: Duration, tag: FuseTimer) -> TimerKey {
-        let key = self.fuse_timers.arm(tag);
+    /// Arms a FUSE timer `after` from now, returning its deadline.
+    pub(crate) fn set_fuse_timer(&mut self, after: Duration, tag: FuseTimer) -> Time {
+        let key = Timer::Fuse(tag).key();
         self.out.push_back(Output::SetTimer { key, after });
-        key
-    }
-
-    /// Cancels a previously armed FUSE timer.
-    pub(crate) fn cancel_fuse_timer(&mut self, key: TimerKey) {
-        if self.fuse_timers.cancel(key) {
-            self.out.push_back(Output::CancelTimer { key });
-        }
+        self.now + after
     }
 
     /// Queues an application event callback.
@@ -105,22 +102,16 @@ impl CoreCx<'_> {
     }
 
     /// Runs `f` against the overlay through an [`OverlayCx`] whose sink is
-    /// the output queue, so the overlay's sends and timer commands take
-    /// their places in emission order. Upcalls stay buffered for the
-    /// stack's drain loop.
+    /// the output queue, so the overlay's sends and timer arms take their
+    /// places in emission order. Upcalls stay buffered for the stack's
+    /// drain loop.
     pub(crate) fn ov<R>(
         &mut self,
         ov: &mut OverlayNode,
         f: impl FnOnce(&mut OverlayNode, &mut OverlayCx<'_>) -> R,
     ) -> R {
         let mut sink = OverlayOut(self.out);
-        let mut ocx = OverlayCx::new(
-            self.now,
-            self.rng,
-            self.ov_timers,
-            &mut sink,
-            self.ov_upcalls,
-        );
+        let mut ocx = OverlayCx::new(self.now, self.rng, &mut sink, self.ov_upcalls);
         f(ov, &mut ocx)
     }
 }
@@ -137,12 +128,9 @@ impl OverlaySink for OverlayOut<'_> {
         });
     }
 
-    fn set_timer(&mut self, key: TimerKey, after: Duration) {
+    fn set_timer(&mut self, tag: OverlayTimer, after: Duration) {
+        let key = Timer::Overlay(tag).key();
         self.0.push_back(Output::SetTimer { key, after });
-    }
-
-    fn cancel_timer(&mut self, key: TimerKey) {
-        self.0.push_back(Output::CancelTimer { key });
     }
 }
 
@@ -153,7 +141,8 @@ struct RootState {
     /// The round at the group's `seq`, until its replies and installs are
     /// all in or its deadline passes.
     round: Option<Round>,
-    kick: Option<TimerKey>,
+    /// When the backed-off repair round starts.
+    kick: Option<Time>,
     backoff: Backoff,
 }
 
@@ -178,7 +167,7 @@ struct Round {
     replies: DetHashSet<PeerAddr>,
     installs: DetHashSet<PeerAddr>,
     /// The reply deadline, then `INSTALL_WAIT` while installs are missing.
-    timer: TimerKey,
+    due: Time,
     /// A repair was requested while replies were outstanding.
     dirty: bool,
 }
@@ -190,7 +179,7 @@ impl Round {
         Round {
             installs: replies.clone(),
             replies,
-            timer: cx.set_fuse_timer(after, FuseTimer::Round { id }),
+            due: cx.set_fuse_timer(after, FuseTimer::Round { id }),
             dirty: false,
         }
     }
@@ -203,9 +192,8 @@ impl Round {
         if !self.replies.is_empty() {
             return false;
         }
-        cx.cancel_fuse_timer(self.timer);
         if !self.installs.is_empty() {
-            self.timer = cx.set_fuse_timer(INSTALL_WAIT, FuseTimer::Round { id });
+            self.due = cx.set_fuse_timer(INSTALL_WAIT, FuseTimer::Round { id });
         }
         true
     }
@@ -219,7 +207,8 @@ impl Round {
 struct MemberState {
     root: NodeInfo,
     created_at: Time,
-    repair_wait: Option<TimerKey>,
+    /// When the wait for the root's repair, after `NeedRepair`, runs out.
+    repair_wait: Option<Time>,
 }
 
 #[derive(Clone)]
@@ -432,7 +421,8 @@ impl FuseLayer {
         }
     }
 
-    /// Handles a FUSE timer.
+    /// Handles a FUSE timer: a hint, acted on only if the deadline it names
+    /// has come.
     pub(crate) fn on_timer(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, tag: FuseTimer) {
         match tag {
             FuseTimer::LinkExpired => self.sweep_link_expiry(cx, ov),

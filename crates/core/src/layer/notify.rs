@@ -270,23 +270,7 @@ impl FuseLayer {
         // Clean the liveness tree below us.
         self.send_softs(cx, id, seq, None);
         self.clear_links(ov, id);
-        let g = self.groups.remove(&id).expect("group present");
-        match g.role {
-            RoleState::Root(rs) => {
-                if let Some(h) = rs.kick {
-                    cx.cancel_fuse_timer(h);
-                }
-                if let Some(r) = rs.round {
-                    cx.cancel_fuse_timer(r.timer);
-                }
-            }
-            RoleState::Member(ms) => {
-                if let Some(h) = ms.repair_wait {
-                    cx.cancel_fuse_timer(h);
-                }
-            }
-            RoleState::Delegate => {}
-        }
+        self.groups.remove(&id);
         let ctx = self.handlers.remove(&id);
         self.send_bound.remove(&id);
         if let Some((role, created_at)) = participant {

@@ -12,7 +12,8 @@
 //! then is the backoff reset, and not at all when a request came while
 //! replies were outstanding: that marks the round `dirty`, and its last
 //! reply asks for the next round. A member waits on at most one repair
-//! timer.
+//! deadline. Each timer here acts only once the deadline it names has
+//! come, and consumes or moves it.
 
 use fuse_obs::{Event, ObsSink};
 use fuse_overlay::{NodeInfo, OverlayNode};
@@ -60,8 +61,10 @@ impl FuseLayer {
         ov: &mut OverlayNode,
         id: FuseId,
     ) {
-        if let Some(RoleState::Member(ms)) = self.groups.get_mut(&id).map(|g| &mut g.role) {
-            ms.repair_wait = None;
+        let Some(RoleState::Member(ms)) = self.groups.get_mut(&id).map(|g| &mut g.role) else {
+            return;
+        };
+        if ms.repair_wait.take_if(|due| *due <= cx.now).is_some() {
             self.fail_member(cx, ov, id, NotifyReason::LivenessExpired);
         }
     }
@@ -83,6 +86,8 @@ impl FuseLayer {
         }
     }
 
+    /// The kick came: a round at the next `seq` replaces any round still
+    /// running.
     pub(super) fn start_repair_round(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
         let Some(g) = self.groups.get_mut(&id) else {
             return;
@@ -90,14 +95,13 @@ impl FuseLayer {
         let RoleState::Root(rs) = &mut g.role else {
             return;
         };
-        rs.kick = None;
+        if rs.kick.take_if(|due| *due <= cx.now).is_none() {
+            return;
+        }
         g.seq += 1;
         let seq = g.seq;
         if rs.members.is_empty() {
             return;
-        }
-        if let Some(old) = rs.round.take() {
-            cx.cancel_fuse_timer(old.timer);
         }
         self.obs.record(Event::RepairStarted);
         for m in &rs.members {
@@ -156,19 +160,18 @@ impl FuseLayer {
                 self.request_repair(cx, id);
             }
             self.creation_answered(cx, ov, id);
-            self.end_round_if_done(cx, id);
+            self.end_round_if_done(id);
         }
     }
 
     /// Ends `id`'s round once its replies and installs are all in.
-    pub(super) fn end_round_if_done(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
+    pub(super) fn end_round_if_done(&mut self, id: FuseId) {
         let Some(RoleState::Root(rs)) = self.groups.get_mut(&id).map(|g| &mut g.role) else {
             return;
         };
         let Some(round) = rs.round.take_if(|r| r.done()) else {
             return;
         };
-        cx.cancel_fuse_timer(round.timer);
         if !round.dirty {
             rs.backoff.reset();
         }
@@ -182,14 +185,17 @@ impl FuseLayer {
         ov: &mut OverlayNode,
         id: FuseId,
     ) {
-        if self.creating.contains_key(&id) {
-            self.create_failed(cx, id, CreateError::MemberUnreachable);
+        let now = cx.now;
+        if let Some(attempt) = self.creating.get(&id) {
+            if attempt.round.due <= now {
+                self.create_failed(cx, id, CreateError::MemberUnreachable);
+            }
             return;
         }
         let Some(RoleState::Root(rs)) = self.groups.get_mut(&id).map(|g| &mut g.role) else {
             return;
         };
-        let Some(round) = rs.round.take() else {
+        let Some(round) = rs.round.take_if(|r| r.due <= now) else {
             return;
         };
         if round.replies.is_empty() {
@@ -269,9 +275,7 @@ impl FuseLayer {
                     return;
                 }
                 if let RoleState::Member(ms) = &mut g.role {
-                    if let Some(h) = ms.repair_wait.take() {
-                        cx.cancel_fuse_timer(h);
-                    }
+                    ms.repair_wait = None;
                 }
                 cx.send_fuse(from, FuseMsg::GroupRepairReply { id, seq, ok: true });
                 self.clear_links(ov, id);

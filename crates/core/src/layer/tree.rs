@@ -225,7 +225,7 @@ impl FuseLayer {
         if ic.seq < g.seq {
             return; // Stale branch from before a repair.
         }
-        self.end_round_if_done(cx, ic.id);
+        self.end_round_if_done(ic.id);
         if let Some(prev) = hop {
             self.add_link(cx, ov, ic.id, prev);
         }

@@ -2,12 +2,18 @@
 //! machine.
 //!
 //! [`FuseStack`] is the driver-facing surface of this crate. It owns the
-//! overlay, the FUSE layer, their timer tables and an output queue — and
-//! nothing else. A driver feeds it `(now, rng, `[`Input`]`)` and drains
-//! [`Output`]s; the stack never touches a socket, a clock or an event
-//! queue. The same stack runs unchanged under the deterministic simulation
-//! kernel (`fuse_simdriver`) and over real TCP sockets (the `fuse-node`
-//! binary): only the driver differs.
+//! overlay, the FUSE layer and an output queue — and nothing else. A
+//! driver feeds it `(now, rng, `[`Input`]`)` and drains [`Output`]s; the
+//! stack never touches a socket, a clock or an event queue. The same stack
+//! runs unchanged under the deterministic simulation kernel
+//! (`fuse_simdriver`) and over real TCP sockets (the `fuse-node` binary):
+//! only the driver differs.
+//!
+//! Timers are hints. A [`TimerKey`] names its own purpose — the layer and
+//! the tag it armed, encoded and decoded only here — so the stack keeps no
+//! table of armed keys and nothing is ever cancelled. Each handler checks
+//! a deadline it already stores against `now` when its key comes back, so
+//! a driver may deliver every key it was given, late or twice.
 //!
 //! Application code hangs off the driver, not the stack: when the driver
 //! pops [`Output::App`], it invokes its application callback with a
@@ -40,7 +46,7 @@
 //!             api.create_group(Vec::new()); // singleton group: root-only
 //!         }
 //!         Output::App(AppCall::Event(ev)) => result = Some(ev),
-//!         _ => {} // Send / SetTimer / CancelTimer go to the transport
+//!         _ => {} // Send / SetTimer go to the transport
 //!     }
 //! }
 //! assert!(matches!(result, Some(FuseEvent::Created { result: Ok(_), .. })));
@@ -53,7 +59,7 @@ use bytes::Bytes;
 use fuse_overlay::{
     NodeInfo, OverlayConfig, OverlayCx, OverlayMsg, OverlayNode, OverlayTimer, OverlayUpcall,
 };
-use fuse_util::{Duration, KeyedTimers, PeerAddr, Time, TimerKey};
+use fuse_util::{Duration, PeerAddr, Time, TimerKey};
 use fuse_wire::{Decode, DecodeError, Encode, Reader, Writer};
 use rand::rngs::StdRng;
 
@@ -61,15 +67,61 @@ use crate::layer::{CoreCx, FuseLayer};
 use crate::messages::FuseMsg;
 use crate::types::{CreateTicket, FuseConfig, FuseEvent, FuseId, FuseTimer};
 
-/// Timer-key namespace of the overlay's table.
+/// Timer-key namespace of the overlay's timers.
 pub const NS_OVERLAY: u8 = 0;
-/// Timer-key namespace of the FUSE layer's table.
+/// Timer-key namespace of the FUSE layer's timers.
 pub const NS_FUSE: u8 = 1;
-/// Reserved timer-key namespace: no table arms keys in it, so a key
-/// carrying it resolves to nothing.
+/// Reserved timer-key namespace: nothing arms keys in it, so a key
+/// carrying it does nothing.
 pub const NS_LIVENESS: u8 = 2;
 /// Timer-key namespace of application timers.
 pub const NS_APP: u8 = 3;
+
+/// What a [`TimerKey`] names: one layer's timer tag. The stack's one
+/// codec between tags and keys.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Timer {
+    Overlay(OverlayTimer),
+    Fuse(FuseTimer),
+    App(u64),
+}
+
+impl Timer {
+    /// The key a driver schedules and feeds back.
+    pub(crate) fn key(&self) -> TimerKey {
+        let (ns, kind, arg) = match *self {
+            Timer::Overlay(OverlayTimer::PingDue(peer)) => (NS_OVERLAY, 0, u64::from(peer)),
+            Timer::Overlay(OverlayTimer::AckTimeout) => (NS_OVERLAY, 1, 0),
+            Timer::Overlay(OverlayTimer::JoinRetry) => (NS_OVERLAY, 2, 0),
+            Timer::Overlay(OverlayTimer::Maintenance) => (NS_OVERLAY, 3, 0),
+            Timer::Fuse(FuseTimer::LinkExpired) => (NS_FUSE, 0, 0),
+            Timer::Fuse(FuseTimer::MemberRepairWait { id }) => (NS_FUSE, 1, id.0),
+            Timer::Fuse(FuseTimer::Round { id }) => (NS_FUSE, 2, id.0),
+            Timer::Fuse(FuseTimer::RepairKick { id }) => (NS_FUSE, 3, id.0),
+            Timer::App(tag) => (NS_APP, 0, tag),
+        };
+        TimerKey { ns, kind, arg }
+    }
+
+    /// The tag `key` names; `None` for a key no layer arms.
+    pub(crate) fn of(key: TimerKey) -> Option<Timer> {
+        let id = FuseId(key.arg);
+        Some(match (key.ns, key.kind) {
+            (NS_OVERLAY, 0) => {
+                Timer::Overlay(OverlayTimer::PingDue(PeerAddr::try_from(key.arg).ok()?))
+            }
+            (NS_OVERLAY, 1) => Timer::Overlay(OverlayTimer::AckTimeout),
+            (NS_OVERLAY, 2) => Timer::Overlay(OverlayTimer::JoinRetry),
+            (NS_OVERLAY, 3) => Timer::Overlay(OverlayTimer::Maintenance),
+            (NS_FUSE, 0) => Timer::Fuse(FuseTimer::LinkExpired),
+            (NS_FUSE, 1) => Timer::Fuse(FuseTimer::MemberRepairWait { id }),
+            (NS_FUSE, 2) => Timer::Fuse(FuseTimer::Round { id }),
+            (NS_FUSE, 3) => Timer::Fuse(FuseTimer::RepairKick { id }),
+            (NS_APP, 0) => Timer::App(key.arg),
+            _ => return None,
+        })
+    }
+}
 
 /// Slots each of a stack's hand-off queues (the output queue and the
 /// overlay-upcall pair) keeps once drained. A burst beyond them — a boot
@@ -163,9 +215,10 @@ pub enum Input {
         /// The message.
         msg: StackMsg,
     },
-    /// A previously requested timer expired. Feeding a stale key
-    /// (cancelled or superseded) is harmless: it resolves to nothing, so
-    /// lazy-cancel drivers need no bookkeeping.
+    /// A previously requested timer expired. The key is a hint: its owner
+    /// acts only if the deadline it names has come, so a superseded key,
+    /// one fed twice or one no layer arms does nothing, and drivers keep
+    /// no bookkeeping.
     Timer(TimerKey),
     /// The transport declared the connection to `peer` broken (e.g. TCP
     /// gave up). Feeds overlay eviction and the §3.4 fail-on-send path.
@@ -192,9 +245,9 @@ pub enum Output {
         /// Relative deadline.
         after: Duration,
     },
-    /// Drop a scheduled wakeup. Optional: drivers that deliver the expiry
-    /// anyway stay correct (stale keys resolve to nothing), this is purely
-    /// a scheduling-load optimization.
+    /// Drop a scheduled wakeup. The stack never emits it: no timer is
+    /// cancelled, and every key is checked when it fires. The variant
+    /// stays because the benchmark's in-process replay matches on it.
     CancelTimer {
         /// The cancelled timer.
         key: TimerKey,
@@ -233,9 +286,6 @@ pub struct FuseStack {
     pub overlay: OverlayNode,
     /// The FUSE layer.
     pub fuse: FuseLayer,
-    ov_timers: KeyedTimers<OverlayTimer>,
-    fuse_timers: KeyedTimers<FuseTimer>,
-    app_timers: KeyedTimers<u64>,
     /// Overlay upcalls awaiting the FUSE layer.
     ov_upcalls: Vec<OverlayUpcall>,
     /// The batch `drain_upcalls` is replaying; empty between entry points,
@@ -258,9 +308,6 @@ impl FuseStack {
         FuseStack {
             overlay: OverlayNode::new(me, bootstrap, ov_cfg),
             fuse: FuseLayer::new(me, fuse_cfg),
-            ov_timers: KeyedTimers::new(NS_OVERLAY),
-            fuse_timers: KeyedTimers::new(NS_FUSE),
-            app_timers: KeyedTimers::new(NS_APP),
             ov_upcalls: Vec::new(),
             ov_batch: Vec::new(),
             out: VecDeque::new(),
@@ -299,29 +346,24 @@ impl FuseStack {
                         .push_back(Output::App(AppCall::Message { from, payload }));
                 }
             },
-            Input::Timer(key) => match key.ns {
-                NS_OVERLAY => {
-                    if let Some(t) = self.ov_timers.fire(key) {
-                        if let OverlayTimer::PingDue(peer) = t {
-                            // The ping carries our digest for the link.
-                            self.fuse.refresh_link_hash(&mut self.overlay, peer);
+            Input::Timer(key) => match Timer::of(key) {
+                Some(Timer::Overlay(t)) => {
+                    if let OverlayTimer::PingDue(peer) = t {
+                        if !self.overlay.ping_due(peer, now) {
+                            return;
                         }
-                        self.with_overlay(now, rng, |ov, ocx| ov.on_timer(ocx, t));
-                        self.drain_upcalls(now, rng);
+                        // The ping carries our digest for the link.
+                        self.fuse.refresh_link_hash(&mut self.overlay, peer);
                     }
+                    self.with_overlay(now, rng, |ov, ocx| ov.on_timer(ocx, t));
+                    self.drain_upcalls(now, rng);
                 }
-                NS_FUSE => {
-                    if let Some(t) = self.fuse_timers.fire(key) {
-                        self.with_core(now, rng, |fuse, ov, cx| fuse.on_timer(cx, ov, t));
-                        self.drain_upcalls(now, rng);
-                    }
+                Some(Timer::Fuse(t)) => {
+                    self.with_core(now, rng, |fuse, ov, cx| fuse.on_timer(cx, ov, t));
+                    self.drain_upcalls(now, rng);
                 }
-                NS_APP => {
-                    if let Some(tag) = self.app_timers.fire(key) {
-                        self.out.push_back(Output::App(AppCall::Timer(tag)));
-                    }
-                }
-                _ => {}
+                Some(Timer::App(tag)) => self.out.push_back(Output::App(AppCall::Timer(tag))),
+                None => {}
             },
             Input::LinkBroken { peer } => {
                 self.with_overlay(now, rng, |ov, ocx| ov.on_link_broken(ocx, peer));
@@ -387,8 +429,6 @@ impl FuseStack {
         let mut cx = CoreCx {
             now,
             rng,
-            fuse_timers: &mut self.fuse_timers,
-            ov_timers: &mut self.ov_timers,
             ov_upcalls: &mut self.ov_upcalls,
             out: &mut self.out,
         };
@@ -490,24 +530,11 @@ impl FuseApi<'_> {
     }
 
     /// Arms an application timer; it comes back as
-    /// [`AppCall::Timer`]`(tag)`.
-    pub fn set_app_timer(&mut self, after: Duration, tag: u64) -> TimerKey {
-        let key = self.stack.app_timers.arm(tag);
+    /// [`AppCall::Timer`]`(tag)`, once per arm. Nothing cancels it: an
+    /// application that no longer wants it ignores the tag.
+    pub fn set_app_timer(&mut self, after: Duration, tag: u64) {
+        let key = Timer::App(tag).key();
         self.stack.out.push_back(Output::SetTimer { key, after });
-        key
-    }
-
-    /// Cancels any timer key (whatever namespace it belongs to).
-    pub fn cancel_timer(&mut self, key: TimerKey) {
-        let live = match key.ns {
-            NS_OVERLAY => self.stack.ov_timers.cancel(key),
-            NS_FUSE => self.stack.fuse_timers.cancel(key),
-            NS_APP => self.stack.app_timers.cancel(key),
-            _ => false,
-        };
-        if live {
-            self.stack.out.push_back(Output::CancelTimer { key });
-        }
     }
 
     /// Deterministic randomness (driver-provided).
@@ -584,50 +611,119 @@ mod tests {
         std::iter::from_fn(|| s.poll_output()).collect()
     }
 
-    /// Feeds `key` and checks it did nothing: no output, no RNG draw.
-    fn assert_inert(s: &mut FuseStack, rng: &mut StdRng, now: Time, key: TimerKey) {
-        let mut untouched = rng.clone();
-        s.handle(now, rng, Input::Timer(key));
-        assert!(s.poll_output().is_none(), "stale {key:?} produced output");
-        assert_eq!(
-            rng.gen::<u64>(),
-            untouched.gen::<u64>(),
-            "stale {key:?} drew from the RNG"
-        );
+    /// Feeds `key` at `due` and again 5 s late, and checks it did nothing
+    /// either time: no output, no RNG draw, no link digest computed.
+    fn assert_stale(s: &mut FuseStack, rng: &mut StdRng, due: Time, key: TimerKey) {
+        for now in [due, due + Duration::from_secs(5)] {
+            let mut untouched = rng.clone();
+            let hashes = s.fuse.obs().hashes_computed;
+            s.handle(now, rng, Input::Timer(key));
+            assert!(s.poll_output().is_none(), "stale {key:?} produced output");
+            assert_eq!(
+                rng.gen::<u64>(),
+                untouched.gen::<u64>(),
+                "stale {key:?} drew from the RNG"
+            );
+            assert_eq!(s.fuse.obs().hashes_computed, hashes, "{key:?} hashed");
+        }
     }
 
-    /// Drivers may deliver cancelled and already-fired keys (the simulation
-    /// kernel delivers every key it was given): each namespace must
-    /// discard them. An ack cancels no timer, so the overlay's one
-    /// ack-deadline sweep still fires after it, and must find nothing.
+    /// The deadline `key` was last armed for in `outs`, fed at `now`.
+    fn armed(outs: &[Output], now: Time, key: TimerKey) -> Option<Time> {
+        outs.iter().rev().find_map(|o| match o {
+            Output::SetTimer { key: k, after } if *k == key => Some(now + *after),
+            _ => None,
+        })
+    }
+
+    fn msg(s: &mut FuseStack, rng: &mut StdRng, now: Time, from: PeerAddr, m: StackMsg) {
+        s.handle(now, rng, Input::Message { from, msg: m });
+    }
+
+    /// Nothing is cancelled, so drivers deliver superseded keys, keys whose
+    /// work is done and keys no layer arms (the simulation kernel delivers
+    /// every key it was given; a socket driver delivers them late). Each
+    /// must find nothing due, at its deadline and 5 s after.
     #[test]
     fn stale_timer_keys_are_inert() {
-        let peer = NodeInfo::new(2, NodeName::numbered(2));
+        let secs = |s: u64| Time::ZERO + Duration::from_secs(s);
+        let (n1, n2) = (
+            NodeInfo::new(1, NodeName::numbered(1)),
+            NodeInfo::new(2, NodeName::numbered(2)),
+        );
+        let fuse = |m: FuseMsg| StackMsg::Fuse(m);
+
+        // Keys no layer arms.
         let mut s = stack(1);
-        s.overlay.preload_tables(vec![peer], Vec::new(), Vec::new());
         let mut rng = StdRng::seed_from_u64(1);
         s.handle(Time::ZERO, &mut rng, Input::Boot);
-        let boot = drain(&mut s);
+        drain(&mut s);
+        for (ns, kind, arg) in [
+            (NS_LIVENESS, 0, 0),
+            (9, 0, 0),
+            (NS_FUSE, 7, 0),
+            (NS_OVERLAY, 0, u64::MAX),
+            (NS_APP, 1, 0),
+        ] {
+            assert_stale(&mut s, &mut rng, Time(1), TimerKey { ns, kind, arg });
+        }
 
-        // A key that was never armed (wrong generation) does nothing.
-        let bogus = TimerKey {
-            ns: NS_FUSE,
-            slot: 0,
-            gen: 99,
+        // PingDue after a stop and restart: the first chain's key comes
+        // due while the re-admitted peer's own chain is later, and the
+        // link carries a group whose digest is stale.
+        let mut s = stack(1);
+        s.overlay.preload_tables(vec![n2], Vec::new(), Vec::new());
+        let mut rng = StdRng::seed_from_u64(3);
+        s.handle(Time::ZERO, &mut rng, Input::Boot);
+        let ping = Timer::Overlay(OverlayTimer::PingDue(2)).key();
+        let first = armed(&drain(&mut s), Time::ZERO, ping).expect("boot arms the ping");
+        s.handle(
+            Time(first.nanos() / 3),
+            &mut rng,
+            Input::LinkBroken { peer: 2 },
+        );
+        drain(&mut s);
+        let back = Time(2 * first.nanos() / 3);
+        let announce = OverlayMsg::Announce {
+            info: n2,
+            want_reply: false,
         };
-        assert_inert(&mut s, &mut rng, Time(1), bogus);
+        msg(&mut s, &mut rng, back, 2, StackMsg::Overlay(announce));
+        let next = armed(&drain(&mut s), back, ping).expect("re-admission arms a ping");
+        assert!(
+            next > first + Duration::from_secs(5),
+            "the seed puts the new chain ({next}) within 5 s of the old ({first})"
+        );
+        let request = FuseMsg::GroupCreateRequest {
+            id: FuseId(7),
+            root: n2,
+            members: vec![n1],
+        };
+        msg(&mut s, &mut rng, back, 2, fuse(request));
+        drain(&mut s);
+        assert_eq!(s.fuse.tree_links(FuseId(7)), [2], "the member links to 2");
+        assert_stale(&mut s, &mut rng, first, ping);
 
-        // Overlay: the ack-deadline sweep after the one ping it waited for
-        // was acked. Boot arms the peer's ping first; firing it sends the
-        // ping and arms the sweep.
-        let ping_due = boot
-            .iter()
-            .find_map(|o| match o {
-                Output::SetTimer { key, .. } => Some(*key),
-                _ => None,
-            })
-            .expect("boot arms the peer's ping");
-        s.handle(Time(2), &mut rng, Input::Timer(ping_due));
+        // JoinRetry after the reply.
+        let mut s = FuseStack::new(n1, Some(2), OverlayConfig::default(), FuseConfig::default());
+        let mut rng = StdRng::seed_from_u64(1);
+        s.handle(Time::ZERO, &mut rng, Input::Boot);
+        let retry = Timer::Overlay(OverlayTimer::JoinRetry).key();
+        let due = armed(&drain(&mut s), Time::ZERO, retry).expect("the join arms a retry");
+        let reply = OverlayMsg::JoinReply {
+            candidates: vec![n2],
+        };
+        msg(&mut s, &mut rng, Time(1), 2, StackMsg::Overlay(reply));
+        drain(&mut s);
+        assert_stale(&mut s, &mut rng, due, retry);
+
+        // Overlay: the one ack-deadline sweep after the ping it waited for
+        // was acked. An ack emits no timer command.
+        let mut s = stack(1);
+        s.overlay.preload_tables(vec![n2], Vec::new(), Vec::new());
+        s.handle(Time::ZERO, &mut rng, Input::Boot);
+        let due = armed(&drain(&mut s), Time::ZERO, ping).expect("boot arms the ping");
+        s.handle(due, &mut rng, Input::Timer(ping));
         let fired = drain(&mut s);
         let nonce = fired
             .iter()
@@ -639,19 +735,10 @@ mod tests {
                 _ => None,
             })
             .expect("the ping is sent");
-        let sweep = fired
-            .iter()
-            .find_map(|o| match o {
-                Output::SetTimer { key, after }
-                    if *after == OverlayConfig::default().ping_timeout =>
-                {
-                    Some(*key)
-                }
-                _ => None,
-            })
-            .expect("the ping arms the sweep");
-        let msg = StackMsg::Overlay(OverlayMsg::PingAck { nonce, hash: None });
-        s.handle(Time(3), &mut rng, Input::Message { from: 2, msg });
+        let sweep = Timer::Overlay(OverlayTimer::AckTimeout).key();
+        let deadline = armed(&fired, due, sweep).expect("the ping arms the sweep");
+        let ack = OverlayMsg::PingAck { nonce, hash: None };
+        msg(&mut s, &mut rng, due, 2, StackMsg::Overlay(ack));
         let acked = drain(&mut s);
         assert!(
             !acked
@@ -659,33 +746,99 @@ mod tests {
                 .any(|o| matches!(o, Output::SetTimer { .. } | Output::CancelTimer { .. })),
             "an acked ping emits no timer command: {acked:?}"
         );
-        assert_inert(&mut s, &mut rng, Time(4), sweep);
+        assert_stale(&mut s, &mut rng, deadline, sweep);
 
-        // FUSE: a creation timeout fed a second time after it fired.
-        s.api(Time(5), &mut rng).create_group(vec![peer]);
-        let create_timeout = drain(&mut s)
-            .iter()
-            .find_map(|o| match o {
-                Output::SetTimer { key, .. }
-                    if matches!(s.fuse_timers.get(*key), Some(FuseTimer::Round { .. })) =>
-                {
-                    Some(*key)
-                }
-                _ => None,
-            })
-            .expect("creation arms its timeout");
-        s.handle(Time(6), &mut rng, Input::Timer(create_timeout));
-        assert!(
-            !drain(&mut s).is_empty(),
-            "the first firing fails the creation"
-        );
-        assert_inert(&mut s, &mut rng, Time(7), create_timeout);
+        // Round: after its round ended (the reply deadline and the install
+        // wait, both left behind), and after it moved to INSTALL_WAIT.
+        for install in [true, false] {
+            let mut root = Root::new();
+            root.now = secs(1);
+            let ticket = root.s.api(root.now, &mut root.rng).create_group(vec![n2]);
+            root.collect();
+            let id = ticket.id();
+            let key = Timer::Fuse(FuseTimer::Round { id }).key();
+            let replies_due = secs(1) + crate::types::CREATE_TIMEOUT;
+            root.now = secs(2);
+            root.fuse(2, FuseMsg::GroupCreateReply { id, ok: true });
+            if install {
+                root.install(n2, id, 0);
+                assert!(root.s.fuse.handle(id).is_some(), "the group was created");
+                assert_stale(&mut root.s, &mut root.rng, replies_due, key);
+                let installs_due = secs(2) + INSTALL_WAIT;
+                assert_stale(&mut root.s, &mut root.rng, installs_due, key);
+            } else {
+                assert_stale(&mut root.s, &mut root.rng, replies_due, key);
+                root.s
+                    .handle(secs(2) + INSTALL_WAIT, &mut root.rng, Input::Timer(key));
+                assert!(root.s.poll_output().is_some(), "the install wait acts");
+            }
+        }
 
-        // Application: a timer after `cancel_timer`.
-        let app = s.api(Time(8), &mut rng).set_app_timer(Duration(5), 42);
-        s.api(Time(8), &mut rng).cancel_timer(app);
+        // MemberRepairWait after the repair.
+        let mut s = stack(1);
+        s.overlay.preload_tables(vec![n2], Vec::new(), Vec::new());
+        let mut rng = StdRng::seed_from_u64(1);
+        s.handle(Time::ZERO, &mut rng, Input::Boot);
         drain(&mut s);
-        assert_inert(&mut s, &mut rng, Time(13), app);
+        let id = FuseId(7);
+        let request = FuseMsg::GroupCreateRequest {
+            id,
+            root: n2,
+            members: vec![n1],
+        };
+        msg(&mut s, &mut rng, secs(1), 2, fuse(request));
+        drain(&mut s);
+        msg(
+            &mut s,
+            &mut rng,
+            secs(2),
+            2,
+            fuse(FuseMsg::SoftNotification { id, seq: 0 }),
+        );
+        let wait = Timer::Fuse(FuseTimer::MemberRepairWait { id }).key();
+        let due = armed(&drain(&mut s), secs(2), wait).expect("the member waits for repair");
+        let repair = FuseMsg::GroupRepairRequest {
+            id,
+            seq: 1,
+            root: n2,
+        };
+        msg(&mut s, &mut rng, secs(3), 2, fuse(repair));
+        drain(&mut s);
+        assert_stale(&mut s, &mut rng, due, wait);
+        assert!(s.fuse.handle(id).is_some(), "the repaired member stands");
+
+        // RepairKick superseded: each kick starts a round whose install is
+        // still out when the next request comes, so the backoff doubles;
+        // after the third, the kick fed at its deadline and 5 s later finds
+        // the fourth, 8 s away, not due.
+        let mut root = Root::new();
+        root.now = secs(1);
+        let id = root
+            .s
+            .api(root.now, &mut root.rng)
+            .create_group(vec![n2])
+            .id();
+        root.collect();
+        root.fuse(2, FuseMsg::GroupCreateReply { id, ok: true });
+        root.install(n2, id, 0);
+        let kick = Timer::Fuse(FuseTimer::RepairKick { id }).key();
+        for seq in 0..3 {
+            let armed_before = root.due.len();
+            root.fuse(2, FuseMsg::NeedRepair { id, seq });
+            let delay = root
+                .kick_delay(armed_before)
+                .expect("the request arms a kick");
+            root.run_until(root.now + delay);
+            let seq = seq + 1;
+            root.fuse(2, FuseMsg::GroupRepairReply { id, seq, ok: true });
+        }
+        assert_eq!(root.repair_requests(3), 1, "the third kick started round 3");
+        let fired = root.now;
+        let armed_before = root.due.len();
+        root.fuse(2, FuseMsg::NeedRepair { id, seq: 3 });
+        let next = root.kick_delay(armed_before).expect("a fourth kick");
+        assert_eq!(next, Duration(8 * REPAIR_BACKOFF_BASE.nanos()));
+        assert_stale(&mut root.s, &mut root.rng, fired, kick);
     }
 
     /// Drains `s` after an input that queued more than [`WARM_SLOTS`]
@@ -776,6 +929,19 @@ mod tests {
     }
 
     impl Root {
+        /// A booted root at time zero.
+        fn new() -> Root {
+            let mut root = Root {
+                s: stack(1),
+                rng: StdRng::seed_from_u64(1),
+                now: Time::ZERO,
+                due: Vec::new(),
+                sent: Vec::new(),
+            };
+            root.input(Input::Boot);
+            root
+        }
+
         fn input(&mut self, input: Input) {
             self.s.handle(self.now, &mut self.rng, input);
             self.collect();
@@ -839,10 +1005,12 @@ mod tests {
         /// The delay of the first repair kick armed after the first
         /// `armed_before` timers.
         fn kick_delay(&self, armed_before: usize) -> Option<Duration> {
-            let timers = &self.s.fuse_timers;
             self.due[armed_before..].iter().find_map(|&(at, key)| {
-                matches!(timers.get(key), Some(FuseTimer::RepairKick { .. }))
-                    .then(|| at.since(self.now))
+                matches!(
+                    Timer::of(key),
+                    Some(Timer::Fuse(FuseTimer::RepairKick { .. }))
+                )
+                .then(|| at.since(self.now))
             })
         }
 
@@ -863,14 +1031,7 @@ mod tests {
             NodeInfo::new(2, NodeName::numbered(2)),
             NodeInfo::new(3, NodeName::numbered(3)),
         );
-        let mut root = Root {
-            s: stack(1),
-            rng: StdRng::seed_from_u64(1),
-            now: Time::ZERO,
-            due: Vec::new(),
-            sent: Vec::new(),
-        };
-        root.input(Input::Boot);
+        let mut root = Root::new();
         root.now = Time::ZERO + Duration::from_secs(1);
         let ticket = root
             .s
@@ -929,24 +1090,48 @@ mod tests {
         assert_eq!(root.kick_delay(armed), Some(REPAIR_BACKOFF_BASE));
     }
 
+    /// Every tag survives its key, and no two tags share one.
+    #[test]
+    fn timer_keys_name_their_tags() {
+        let id = FuseId(u64::MAX);
+        let tags = [
+            Timer::Overlay(OverlayTimer::PingDue(PeerAddr::MAX)),
+            Timer::Overlay(OverlayTimer::AckTimeout),
+            Timer::Overlay(OverlayTimer::JoinRetry),
+            Timer::Overlay(OverlayTimer::Maintenance),
+            Timer::Fuse(FuseTimer::LinkExpired),
+            Timer::Fuse(FuseTimer::MemberRepairWait { id }),
+            Timer::Fuse(FuseTimer::Round { id }),
+            Timer::Fuse(FuseTimer::RepairKick { id }),
+            Timer::App(u64::MAX),
+        ];
+        let keys: std::collections::BTreeSet<TimerKey> = tags.iter().map(Timer::key).collect();
+        assert_eq!(keys.len(), tags.len());
+        for tag in tags {
+            assert_eq!(Timer::of(tag.key()), Some(tag));
+        }
+    }
+
     #[test]
     fn app_timer_roundtrip() {
         let mut s = stack(1);
         let mut rng = StdRng::seed_from_u64(1);
         s.handle(Time::ZERO, &mut rng, Input::Boot);
         while s.poll_output().is_some() {}
-        let key = s.api(Time(1), &mut rng).set_app_timer(Duration(5), 42);
-        assert!(matches!(
-            s.poll_output(),
-            Some(Output::SetTimer { key: k, after: Duration(5) }) if k == key
-        ));
+        s.api(Time(1), &mut rng).set_app_timer(Duration(5), 42);
+        let key = match s.poll_output() {
+            Some(Output::SetTimer {
+                key,
+                after: Duration(5),
+            }) => key,
+            other => panic!("expected the app timer's arm, got {other:?}"),
+        };
+        assert_eq!(key.ns, NS_APP);
         s.handle(Time(6), &mut rng, Input::Timer(key));
         assert!(matches!(
             s.poll_output(),
             Some(Output::App(AppCall::Timer(42)))
         ));
-        // Firing consumed the key; replaying it is inert.
-        s.handle(Time(7), &mut rng, Input::Timer(key));
         assert!(s.poll_output().is_none());
     }
 

@@ -92,8 +92,8 @@ struct Rig {
     stack: FuseStack,
     rng: StdRng,
     now: Time,
-    /// Armed timers by (deadline, arm order). Cancelled keys stay in the
-    /// heap and resolve to nothing when fed back.
+    /// Armed timers by (deadline, arm order). Every key is fed back; one
+    /// whose deadline moved finds nothing due.
     timers: BinaryHeap<Reverse<(Time, u64, TimerKey)>>,
     armed: u64,
     ids: Vec<FuseId>,
@@ -390,10 +390,7 @@ fn last_unsubscribe_emits_no_timer_command_and_a_resubscribe_under_an_armed_swee
     assert_eq!(rig.ping(a, digest_of([g])), digest_of([g]));
     rig.run_until(at(12));
     let outs = rig.soft(g, a);
-    let fuse_cmd = |o: &Output| match o {
-        Output::SetTimer { key, .. } | Output::CancelTimer { key } => key.ns == NS_FUSE,
-        _ => false,
-    };
+    let fuse_cmd = |o: &Output| matches!(o, Output::SetTimer { key, .. } if key.ns == NS_FUSE);
     assert!(!outs.iter().any(fuse_cmd), "{outs:?}");
     assert!(rig.links().is_empty());
     // No group monitors the link: the empty hashes agree, and nothing may

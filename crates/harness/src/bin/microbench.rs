@@ -288,7 +288,7 @@ fn agreeing_ping_ns(groups: usize) -> f64 {
         deliver(&mut stack, &mut rng, ping(hash), |out| {
             fuse_timer_cmds += u64::from(matches!(
                 out,
-                Output::SetTimer { key, .. } | Output::CancelTimer { key } if key.ns == NS_FUSE
+                Output::SetTimer { key, .. } if key.ns == NS_FUSE
             ));
         });
         fuse_timer_cmds

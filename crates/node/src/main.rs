@@ -8,7 +8,8 @@
 //! reconnect attempt or 100 ms housekeeping tick. Inbound frames are parsed
 //! as bytes arrive (`frame.rs`); outbound ones queue per peer, capped, and
 //! each peer's share of a turn goes out in one write before the loop polls
-//! again or exits (`transport.rs`); a cancelled timer leaves its store
+//! again or exits (`transport.rs`); every timer armed fires once, in
+//! deadline order, and the stack ignores a key it finds stale
 //! (`timers.rs`). A closed, failed or corrupt stream, a failed write,
 //! exhausted reconnects and a send past the cap all reach the stack as
 //! [`fuse_core::Input::LinkBroken`]: a crashed peer's closed sockets are
@@ -264,7 +265,8 @@ impl Node {
                     Output::SetTimer { key, after } => {
                         self.timers.arm(key, self.now().nanos() + after.nanos());
                     }
-                    Output::CancelTimer { key } => self.timers.cancel(key),
+                    // The stack never emits it: its timers are hints.
+                    Output::CancelTimer { .. } => {}
                     Output::App(call) => self.app(call),
                 }
             }

@@ -16,7 +16,7 @@
 //!   exit 0 through the flushed `BYE` path, which first writes out the
 //!   frames the last turn queued;
 //! * restart — a SIGKILLed member restarted on the same port joins a brand
-//!   new group (stale timer generations on the survivors stay inert).
+//!   new group (stale timers on the survivors stay inert).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -422,9 +422,9 @@ fn ping_timeout_at_or_above_the_period_is_a_usage_error() {
 
 #[test]
 fn one_thread_and_bounded_memory_under_cycles() {
-    // Each node is one readiness loop, and cancelled timers leave its store
-    // at once: thousands of create → signal cycles neither add threads nor
-    // leave the root holding per-cycle memory.
+    // Each node is one readiness loop, and a finished round's timers leave
+    // its store when they come due: thousands of create → signal cycles
+    // neither add threads nor leave the root holding per-cycle memory.
     const CYCLES: usize = 2_000;
     let ports = [free_port(), free_port(), free_port(), free_port()];
     let mut nodes: Vec<NodeProc> = (0..4)
@@ -552,7 +552,8 @@ fn restarted_member_joins_new_group_on_same_port() {
 
     // Restart a fresh process on the same id and port. The survivors still
     // hold timers and counters from the old incarnation; all of that state
-    // must stay inert (stale TimerKey generations fire into nothing).
+    // must stay inert (a timer whose deadline moved or whose group is gone
+    // finds nothing due when it fires).
     drop(n1);
     let mut n1 = NodeProc::spawn(&node_args(1, &ports, None, &[]));
     n1.wait_for("restarted node 1 READY", Duration::from_secs(10), |l| {

@@ -1,55 +1,51 @@
 //! The overlay's sans-io surface: effects out, upcalls up.
 //!
 //! The overlay is a pure state machine. Every entry point takes an
-//! [`OverlayCx`] — a borrowed bundle of `now`, the driver RNG, the
-//! overlay's timer table, an [`OverlaySink`] and an upcall buffer — and all
-//! side effects leave as plain data: sends and timer arm/cancel commands
-//! go straight into the embedding stack's output queue through the sink,
-//! and [`OverlayUpcall`]s wait for the client layer (FUSE) to consume. No
-//! driver type (`fuse_sim` or otherwise) appears anywhere in the
-//! signatures.
+//! [`OverlayCx`] — a borrowed bundle of `now`, the driver RNG, an
+//! [`OverlaySink`] and an upcall buffer — and all side effects leave as
+//! plain data: sends and timer arms go straight into the embedding stack's
+//! output queue through the sink, and [`OverlayUpcall`]s wait for the
+//! client layer (FUSE) to consume. A timer is armed with its
+//! [`OverlayTimer`] tag and comes back with it; nothing is cancelled, and
+//! each handler checks its own deadline when the tag fires. No driver type
+//! (`fuse_sim` or otherwise) appears anywhere in the signatures.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 
-use fuse_util::{Duration, KeyedTimers, PeerAddr, Time, TimerKey};
+use fuse_util::{Duration, PeerAddr, Time};
 use fuse_wire::Digest;
 
 use crate::id::{NodeInfo, NodeName};
 use crate::messages::OverlayMsg;
 
-/// Timer tags owned by the overlay.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Timer tags owned by the overlay. Each is a hint: a firing acts only if
+/// the state it names is due.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlayTimer {
-    /// Periodic liveness ping for one neighbor.
+    /// Periodic liveness ping for one neighbor; it pings only once the
+    /// neighbour's next ping is due.
     PingDue(PeerAddr),
     /// The node's one ack-deadline timer: every neighbour whose ping went
     /// unacknowledged for the ping timeout is declared dead. An ack cancels
     /// nothing; the timer is armed at or before the earliest outstanding
     /// deadline and re-arms itself at the next one.
     AckTimeout,
-    /// The join request went unanswered; retry.
+    /// The join request went unanswered; retry unless the node joined.
     JoinRetry,
     /// Periodic background table maintenance.
     Maintenance,
 }
 
-/// Where the overlay's sends and timer commands go, in emission order.
-/// The embedding stack implements it over its own output queue, so an
-/// effect lands there the moment the overlay emits it.
+/// Where the overlay's sends and timer arms go, in emission order. The
+/// embedding stack implements it over its own output queue, so an effect
+/// lands there the moment the overlay emits it.
 pub trait OverlaySink {
     /// Transmit an overlay message to a peer.
     fn send(&mut self, to: PeerAddr, msg: OverlayMsg);
-    /// Schedule `key` to fire `after` from now. (The key is already armed
-    /// in the overlay's [`KeyedTimers`]; the driver only schedules the
-    /// wakeup.)
-    fn set_timer(&mut self, key: TimerKey, after: Duration);
-    /// Drop a scheduled wakeup. Drivers may also ignore this and deliver
-    /// the expiry anyway — a cancelled key resolves to nothing. The
-    /// overlay cancels a neighbour's ping timer when it stops monitoring
-    /// the neighbour, and the join retry when the reply comes; an ack
-    /// cancels nothing.
-    fn cancel_timer(&mut self, key: TimerKey);
+    /// Schedule `tag` to come back through `OverlayNode::on_timer` `after`
+    /// from now.
+    fn set_timer(&mut self, tag: OverlayTimer, after: Duration);
 }
 
 /// Upcalls from the overlay to its client layer.
@@ -116,15 +112,13 @@ pub enum OverlayUpcall {
 
 /// Borrowed per-call context for one overlay entry point.
 ///
-/// The embedding stack owns the RNG, the timer table, the sink and the
-/// upcall buffer; it constructs an `OverlayCx` around them for the
+/// The embedding stack owns the RNG, the sink and the upcall buffer; it constructs an `OverlayCx` around them for the
 /// duration of one call and drains `upcalls` afterwards. Effects reach the
 /// sink in call order, which the drivers preserve — that is what keeps sim
 /// traces bit-identical across the sans-io boundary.
 pub struct OverlayCx<'a> {
     now: Time,
     rng: &'a mut StdRng,
-    timers: &'a mut KeyedTimers<OverlayTimer>,
     sink: &'a mut dyn OverlaySink,
     upcalls: &'a mut Vec<OverlayUpcall>,
 }
@@ -134,14 +128,12 @@ impl<'a> OverlayCx<'a> {
     pub fn new(
         now: Time,
         rng: &'a mut StdRng,
-        timers: &'a mut KeyedTimers<OverlayTimer>,
         sink: &'a mut dyn OverlaySink,
         upcalls: &'a mut Vec<OverlayUpcall>,
     ) -> Self {
         OverlayCx {
             now,
             rng,
-            timers,
             sink,
             upcalls,
         }
@@ -162,18 +154,9 @@ impl<'a> OverlayCx<'a> {
         self.sink.send(to, msg);
     }
 
-    /// Arms a timer with an overlay tag, returning its key.
-    pub fn set_timer(&mut self, after: Duration, tag: OverlayTimer) -> TimerKey {
-        let key = self.timers.arm(tag);
-        self.sink.set_timer(key, after);
-        key
-    }
-
-    /// Cancels a previously armed timer.
-    pub fn cancel_timer(&mut self, key: TimerKey) {
-        if self.timers.cancel(key) {
-            self.sink.cancel_timer(key);
-        }
+    /// Arms a timer with an overlay tag.
+    pub fn set_timer(&mut self, after: Duration, tag: OverlayTimer) {
+        self.sink.set_timer(tag, after);
     }
 
     /// Delivers an upcall to the client layer (buffered by the stack).

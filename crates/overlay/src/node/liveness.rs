@@ -11,13 +11,16 @@
 //! deadline order; a wait that ended (acked, replaced by the next ping,
 //! neighbour dropped) stays queued until it reaches the front, and the
 //! timer is armed at or before the earliest deadline of a wait that has
-//! not ended. An ack cancels nothing.
+//! not ended. An ack cancels nothing, and neither does dropping a
+//! neighbour: each record keeps its next ping's deadline, and a `PingDue`
+//! pings only when that deadline has come, so one ping chain runs per
+//! monitored neighbour however often it leaves and comes back.
 
 use std::collections::VecDeque;
 
 use rand::Rng;
 
-use fuse_util::{DetHashMap, Duration, PeerAddr, Time, TimerKey};
+use fuse_util::{DetHashMap, Duration, PeerAddr, Time};
 use fuse_wire::Digest;
 
 use super::OverlayNode;
@@ -25,11 +28,11 @@ use crate::config::OverlayConfig;
 use crate::io::{OverlayCx, OverlayTimer, OverlayUpcall};
 use crate::messages::OverlayMsg;
 
-/// One monitored neighbour: its periodic ping timer and the nonce of its
-/// ping still awaiting an ack.
+/// One monitored neighbour: when its next ping is due and the nonce of
+/// its ping still awaiting an ack.
 #[derive(Clone, Copy)]
 struct Watched {
-    ping: TimerKey,
+    next_ping: Time,
     awaiting: Option<u64>,
 }
 
@@ -64,20 +67,19 @@ impl Liveness {
         }
         // Phase jitter spreads ping load over the period.
         let jitter = Duration(io.rng().gen_range(0..=self.cfg.ping_period.nanos()));
-        let ping = io.set_timer(jitter, OverlayTimer::PingDue(peer));
+        io.set_timer(jitter, OverlayTimer::PingDue(peer));
         let w = Watched {
-            ping,
+            next_ping: io.now() + jitter,
             awaiting: None,
         };
         self.watched.insert(peer, w);
     }
 
     /// Stops monitoring `peer`. Its ack wait, if any, ends with the record
-    /// and leaves the deadline queue lazily.
-    pub(super) fn stop(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
-        if let Some(w) = self.watched.remove(&peer) {
-            io.cancel_timer(w.ping);
-        }
+    /// and leaves the deadline queue lazily; its ping timer finds no
+    /// record, or a later deadline, when it fires.
+    pub(super) fn stop(&mut self, peer: PeerAddr) {
+        self.watched.remove(&peer);
     }
 
     fn awaits(&self, peer: PeerAddr, nonce: u64) -> bool {
@@ -119,6 +121,16 @@ impl OverlayNode {
         }
     }
 
+    /// Whether `peer`'s next ping is due at `now`: a `PingDue` that finds
+    /// it not due (the neighbour was dropped, or re-admitted with a ping
+    /// chain of its own) is stale and does nothing.
+    pub fn ping_due(&self, peer: PeerAddr, now: Time) -> bool {
+        self.live
+            .watched
+            .get(&peer)
+            .is_some_and(|w| w.next_ping <= now)
+    }
+
     /// Number of links with a piggyback digest set.
     pub fn link_hash_count(&self) -> usize {
         self.live.link_hashes.len()
@@ -140,9 +152,9 @@ impl OverlayNode {
             live.ack_timer = true;
             io.set_timer(timeout, OverlayTimer::AckTimeout);
         }
-        let ping = io.set_timer(live.cfg.ping_period, OverlayTimer::PingDue(peer));
+        io.set_timer(live.cfg.ping_period, OverlayTimer::PingDue(peer));
         let w = Watched {
-            ping,
+            next_ping: io.now() + live.cfg.ping_period,
             awaiting: Some(nonce),
         };
         live.watched.insert(peer, w);
@@ -194,7 +206,7 @@ impl OverlayNode {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{node_with, TestIo};
+    use super::super::tests::{info, node_with, TestIo};
     use crate::config::OverlayConfig;
     use crate::io::{OverlayTimer, OverlayUpcall};
     use crate::messages::OverlayMsg;
@@ -210,7 +222,7 @@ mod tests {
         let timeout = OverlayConfig::default().ping_timeout;
         let sweeps = |io: &TestIo| -> Vec<Duration> {
             let armed = io.timers.iter();
-            let sweep = armed.filter(|(_, k)| io.keyed.get(*k) == Some(&OverlayTimer::AckTimeout));
+            let sweep = armed.filter(|(_, t)| *t == OverlayTimer::AckTimeout);
             sweep.map(|&(after, _)| after).collect()
         };
         let t = Time::ZERO + Duration::from_secs(100);
@@ -259,5 +271,72 @@ mod tests {
         };
         assert_eq!(io.upcalls.iter().filter(|u| died(u)).count(), 1);
         assert_eq!(n.stats.neighbors_died, 1);
+    }
+
+    /// Nothing cancels a ping timer. A neighbour dropped and re-admitted
+    /// within one period leaves its first chain's timer queued beside the
+    /// new chain's; the old one must find its deadline moved, so the
+    /// neighbour is pinged exactly once a period, acked every time, over
+    /// three periods.
+    #[test]
+    fn a_readmitted_neighbour_keeps_one_ping_chain() {
+        let (mut n, mut io) = node_with(10, &[20]);
+        let period = OverlayConfig::default().ping_period;
+        // Every armed timer by (deadline, arm order), as a kernel keeps them.
+        let mut queue: Vec<(Time, usize, OverlayTimer)> = Vec::new();
+        let mut armed = 0;
+        let mut take = |io: &mut TestIo, queue: &mut Vec<_>| {
+            for (after, tag) in io.timers.drain(..) {
+                armed += 1;
+                queue.push((io.now + after, armed, tag));
+            }
+            queue.sort_by_key(|e| (e.0, e.1));
+        };
+        take(&mut io, &mut queue);
+        let first = queue
+            .iter()
+            .find(|e| e.2 == OverlayTimer::PingDue(20))
+            .map(|e| e.0)
+            .expect("admission arms a ping");
+
+        // Dropped and back before the first chain's ping comes due.
+        io.now = Time(first.nanos() / 3);
+        io.on_link_broken(&mut n, 20);
+        assert!(!n.is_neighbor(20));
+        io.now = Time(2 * first.nanos() / 3);
+        let back = OverlayMsg::Announce {
+            info: info(20),
+            want_reply: false,
+        };
+        io.on_message(&mut n, 20, back);
+        assert!(n.is_neighbor(20), "the announce re-admits 20");
+        take(&mut io, &mut queue);
+        let chains = queue.iter().filter(|e| e.2 == OverlayTimer::PingDue(20));
+        assert_eq!(chains.count(), 2, "the old chain's timer is still queued");
+
+        let end = io.now + period.saturating_mul(3);
+        let mut pings = Vec::new();
+        while queue.first().is_some_and(|e| e.0 <= end) {
+            let (at, _, tag) = queue.remove(0);
+            if !matches!(tag, OverlayTimer::PingDue(_) | OverlayTimer::AckTimeout) {
+                continue;
+            }
+            io.now = at;
+            io.sent.clear();
+            io.on_timer(&mut n, tag);
+            for (to, msg) in std::mem::take(&mut io.sent) {
+                if let OverlayMsg::Ping { nonce, .. } = msg {
+                    pings.push((to, at));
+                    let ack = OverlayMsg::PingAck { nonce, hash: None };
+                    io.on_message(&mut n, to, ack);
+                }
+            }
+            take(&mut io, &mut queue);
+        }
+        assert!(n.is_neighbor(20), "no ping went unanswered");
+        assert_eq!(pings.len(), 3, "one ping a period: {pings:?}");
+        for w in pings.windows(2) {
+            assert_eq!(w[1].1.since(w[0].1), period, "{pings:?}");
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! periodic probes whose hop paths refresh the tables, and the repair that
 //! follows a neighbour's death.
 //!
-//! This module writes only the join state (`ready`, the join timer and
-//! attempts); it changes the tables, the passive view and the monitored
+//! This module writes only the join state (`ready` and the attempts; a
+//! join retry that fires after the reply finds the node ready); it changes the tables, the passive view and the monitored
 //! set through their own modules. The invariant it keeps: a neighbour
 //! declared dead leaves the tables, the candidates and the monitored set
 //! together, is upcalled once as `LinkDown { died: true }`, and is
@@ -29,8 +29,7 @@ impl OverlayNode {
         let me = *self.info();
         let join = self.originate(me.name, RoutedClass::Join, me.to_bytes(), Vec::new());
         io.send(bs, join);
-        let h = io.set_timer(JOIN_TIMEOUT, OverlayTimer::JoinRetry);
-        self.join_timer = Some(h);
+        io.set_timer(JOIN_TIMEOUT, OverlayTimer::JoinRetry);
     }
 
     pub(super) fn handle_join_request(&mut self, io: &mut OverlayCx<'_>, payload: Bytes) {
@@ -44,9 +43,6 @@ impl OverlayNode {
     }
 
     pub(super) fn on_join_reply(&mut self, io: &mut OverlayCx<'_>, candidates: Vec<NodeInfo>) {
-        if let Some(h) = self.join_timer.take() {
-            io.cancel_timer(h);
-        }
         let was_ready = self.ready;
         self.ready = true;
         self.integrate_all(io, &candidates);
@@ -106,7 +102,7 @@ impl OverlayNode {
             return;
         }
         self.stats.neighbors_died += 1;
-        self.live.stop(io, peer);
+        self.live.stop(peer);
         let entry = self.tables.remove(peer);
         self.view.died(peer, entry);
         io.upcall(OverlayUpcall::LinkDown { peer, died: true });

@@ -23,7 +23,7 @@ mod views;
 
 use rand::Rng;
 
-use fuse_util::{Duration, PeerAddr, TimerKey};
+use fuse_util::{Duration, PeerAddr};
 use fuse_wire::Digest;
 
 use crate::config::{OverlayConfig, MAINTENANCE_PERIOD};
@@ -76,7 +76,6 @@ pub enum RouteStart {
 pub struct OverlayNode {
     bootstrap: Option<PeerAddr>,
     ready: bool,
-    join_timer: Option<TimerKey>,
     join_attempts: u32,
     tables: Tables,
     view: PassiveView,
@@ -92,7 +91,6 @@ impl OverlayNode {
         OverlayNode {
             bootstrap,
             ready: false,
-            join_timer: None,
             join_attempts: 0,
             tables: Tables::new(me),
             view: PassiveView::default(),
@@ -172,7 +170,7 @@ impl OverlayNode {
                 self.live.start(io, peer);
                 io.upcall(OverlayUpcall::LinkUp { peer });
             } else {
-                self.live.stop(io, peer);
+                self.live.stop(peer);
                 self.stats.neighbors_evicted += 1;
                 io.upcall(OverlayUpcall::LinkDown { peer, died: false });
             }
@@ -227,11 +225,12 @@ impl OverlayNode {
         }
     }
 
-    /// Handles an overlay timer.
+    /// Handles an overlay timer. Each tag is a hint: a stale one (its
+    /// deadline moved, its subject gone) does nothing.
     pub fn on_timer(&mut self, io: &mut OverlayCx<'_>, tag: OverlayTimer) {
         match tag {
             OverlayTimer::PingDue(peer) => {
-                if self.is_neighbor(peer) {
+                if self.ping_due(peer, io.now()) {
                     self.ping(io, peer);
                 }
             }
@@ -259,7 +258,7 @@ mod tests {
     use crate::io::OverlaySink;
     use crate::messages::RoutedClass;
     use bytes::Bytes;
-    use fuse_util::{KeyedTimers, Time};
+    use fuse_util::Time;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -269,16 +268,15 @@ mod tests {
     pub(super) struct TestIo {
         pub(super) now: Time,
         rng: StdRng,
-        pub(super) keyed: KeyedTimers<OverlayTimer>,
         pub(super) sent: Vec<(PeerAddr, OverlayMsg)>,
         pub(super) upcalls: Vec<OverlayUpcall>,
-        pub(super) timers: Vec<(Duration, TimerKey)>,
+        pub(super) timers: Vec<(Duration, OverlayTimer)>,
     }
 
-    /// The test sink: sends and armed timers are recorded, cancels dropped.
+    /// The test sink: sends and armed timers are recorded.
     struct Recorded<'a>(
         &'a mut Vec<(PeerAddr, OverlayMsg)>,
-        &'a mut Vec<(Duration, TimerKey)>,
+        &'a mut Vec<(Duration, OverlayTimer)>,
     );
 
     impl OverlaySink for Recorded<'_> {
@@ -286,11 +284,9 @@ mod tests {
             self.0.push((to, msg));
         }
 
-        fn set_timer(&mut self, key: TimerKey, after: Duration) {
-            self.1.push((after, key));
+        fn set_timer(&mut self, tag: OverlayTimer, after: Duration) {
+            self.1.push((after, tag));
         }
-
-        fn cancel_timer(&mut self, _key: TimerKey) {}
     }
 
     impl TestIo {
@@ -298,7 +294,6 @@ mod tests {
             TestIo {
                 now: Time::ZERO,
                 rng: StdRng::seed_from_u64(5),
-                keyed: KeyedTimers::new(0),
                 sent: Vec::new(),
                 upcalls: Vec::new(),
                 timers: Vec::new(),
@@ -308,13 +303,7 @@ mod tests {
         /// Runs one node entry point under a context.
         fn with<R>(&mut self, f: impl FnOnce(&mut OverlayCx<'_>) -> R) -> R {
             let mut rec = Recorded(&mut self.sent, &mut self.timers);
-            let mut cx = OverlayCx::new(
-                self.now,
-                &mut self.rng,
-                &mut self.keyed,
-                &mut rec,
-                &mut self.upcalls,
-            );
+            let mut cx = OverlayCx::new(self.now, &mut self.rng, &mut rec, &mut self.upcalls);
             f(&mut cx)
         }
 
@@ -332,6 +321,13 @@ mod tests {
 
         pub(super) fn on_timer(&mut self, n: &mut OverlayNode, tag: OverlayTimer) {
             self.with(|cx| n.on_timer(cx, tag));
+        }
+
+        /// Moves the clock a ping period on, when every neighbour admitted
+        /// before is due, and fires `peer`'s ping timer.
+        fn fire_ping(&mut self, n: &mut OverlayNode, peer: PeerAddr) {
+            self.now += OverlayConfig::default().ping_period;
+            self.on_timer(n, OverlayTimer::PingDue(peer));
         }
 
         pub(super) fn on_link_broken(&mut self, n: &mut OverlayNode, peer: PeerAddr) {
@@ -408,7 +404,7 @@ mod tests {
         let (mut n, mut io) = node_with(10, &[20]);
         let h = fuse_wire::sha1(b"groups-on-link");
         n.set_link_hash(20, Some(h));
-        io.on_timer(&mut n, OverlayTimer::PingDue(20));
+        io.fire_ping(&mut n, 20);
         let ping = io
             .sent
             .iter()
@@ -424,7 +420,7 @@ mod tests {
     fn ping_ack_roundtrip_upcalls_hash_on_both_sides() {
         let (mut a, mut io_a) = node_with(10, &[20]);
         let (mut b, mut io_b) = node_with(20, &[10]);
-        io_a.on_timer(&mut a, OverlayTimer::PingDue(20));
+        io_a.fire_ping(&mut a, 20);
         let (_, ping) = io_a.sent.pop().expect("ping");
         io_b.on_message(&mut b, 10, ping);
         assert!(matches!(
@@ -443,7 +439,7 @@ mod tests {
     #[test]
     fn ack_timeout_kills_neighbor_and_upcalls_linkdown() {
         let (mut n, mut io) = node_with(10, &[20, 30]);
-        io.on_timer(&mut n, OverlayTimer::PingDue(20));
+        io.fire_ping(&mut n, 20);
         io.now += OverlayConfig::default().ping_timeout;
         io.on_timer(&mut n, OverlayTimer::AckTimeout);
         assert!(!n.is_neighbor(20));
@@ -463,7 +459,7 @@ mod tests {
     fn stale_ack_timeout_is_ignored_after_ack() {
         let (mut a, mut io_a) = node_with(10, &[20]);
         let (mut b, mut io_b) = node_with(20, &[10]);
-        io_a.on_timer(&mut a, OverlayTimer::PingDue(20));
+        io_a.fire_ping(&mut a, 20);
         let (_, ping) = io_a.sent.pop().unwrap();
         let nonce = match &ping {
             OverlayMsg::Ping { nonce, .. } => *nonce,

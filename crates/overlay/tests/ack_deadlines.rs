@@ -2,10 +2,12 @@
 //!
 //! One [`OverlayNode`] is driven by hand: neighbours are admitted by
 //! announces (a closer one evicts the farthest, a dropped one comes back),
-//! pings go out when the node's own ping timers fire or are delivered
-//! early, acks come back with the right or a wrong nonce, links break, and
-//! the clock steps through the node's timer commands. Cancelled keys stay
-//! queued and are fed back, as the simulation kernel feeds them.
+//! pings go out when the node's own ping timers fire, acks come back with
+//! the right or a wrong nonce, links break, and the clock steps through
+//! the node's timer arms. Nothing is cancelled: every timer armed fires,
+//! in (deadline, arm order), as the simulation kernel fires them, and a
+//! ping timer is also delivered early now and then. A neighbour is pinged
+//! only at the deadline of the ping timer last armed for it.
 //!
 //! Beside it runs a reference of one deadline per ping, kept the way one
 //! timer per ping kept it: every ping sent sets its peer's wait to `sent +
@@ -14,14 +16,13 @@
 //! timeout must be the reference's next due wait, at exactly its deadline:
 //! none early, none missing, in send order.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use fuse_overlay::{
     NodeInfo, NodeName, OverlayConfig, OverlayCx, OverlayMsg, OverlayNode, OverlaySink,
     OverlayTimer, OverlayUpcall,
 };
-use fuse_util::{Duration, KeyedTimers, PeerAddr, Time, TimerKey};
+use fuse_util::{Duration, PeerAddr, Time};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,11 +40,10 @@ fn info(p: PeerAddr) -> NodeInfo {
     NodeInfo::new(p, NodeName::numbered(p as usize))
 }
 
-/// The driver's sink: sends and armed timers are collected, cancels are
-/// ignored (the key stays queued and resolves to nothing).
+/// The driver's sink: sends and armed timers are collected.
 struct Out<'a> {
     sent: &'a mut Vec<(PeerAddr, OverlayMsg)>,
-    armed: &'a mut Vec<(TimerKey, Duration)>,
+    armed: &'a mut Vec<(OverlayTimer, Duration)>,
 }
 
 impl OverlaySink for Out<'_> {
@@ -51,11 +51,9 @@ impl OverlaySink for Out<'_> {
         self.sent.push((to, msg));
     }
 
-    fn set_timer(&mut self, key: TimerKey, after: Duration) {
-        self.armed.push((key, after));
+    fn set_timer(&mut self, tag: OverlayTimer, after: Duration) {
+        self.armed.push((tag, after));
     }
-
-    fn cancel_timer(&mut self, _key: TimerKey) {}
 }
 
 /// One wait per peer, kept the way one timer per ping kept it.
@@ -82,6 +80,7 @@ struct Reached {
     timeouts: u64,
     same_instant_timeouts: u64,
     replaced_waits: u64,
+    early_pings: u64,
     evicted_while_waiting: u64,
     wrong_nonce_acks: u64,
     breaks: u64,
@@ -99,12 +98,15 @@ enum Cause {
 struct Rig {
     node: OverlayNode,
     rng: StdRng,
-    keyed: KeyedTimers<OverlayTimer>,
     now: Time,
     timeout: Duration,
     /// Armed timers by (deadline, arm order).
-    timers: BinaryHeap<Reverse<(Time, u64, TimerKey)>>,
+    timers: BTreeMap<(Time, u64), OverlayTimer>,
     armed: u64,
+    /// The deadline of the ping timer last armed for each peer.
+    ping_due: BTreeMap<PeerAddr, Time>,
+    /// Whether timers now fire late, all at the end of a stall.
+    late: bool,
     /// Nonce of the last ping sent to each peer.
     last_ping: BTreeMap<PeerAddr, u64>,
     /// Peers ever dropped from the monitored set.
@@ -121,11 +123,12 @@ impl Rig {
         let mut rig = Rig {
             node: OverlayNode::new(info(ME as PeerAddr), None, cfg),
             rng: StdRng::seed_from_u64(seed),
-            keyed: KeyedTimers::new(0),
             now: Time::ZERO,
             timeout,
-            timers: BinaryHeap::new(),
+            timers: BTreeMap::new(),
             armed: 0,
+            ping_due: BTreeMap::new(),
+            late: false,
             last_ping: BTreeMap::new(),
             dropped: Vec::new(),
             last_timeout: None,
@@ -137,8 +140,8 @@ impl Rig {
         rig
     }
 
-    /// Runs one node entry point at `now`, queues the timers it armed and
-    /// checks its pings, acks and deaths against the reference.
+    /// Runs one node entry point at `now`, checks its pings, acks and
+    /// deaths against the reference and queues the timers it armed.
     fn call(
         &mut self,
         cause: Cause,
@@ -149,21 +152,18 @@ impl Rig {
             sent: &mut sent,
             armed: &mut armed,
         };
-        let mut cx = OverlayCx::new(
-            self.now,
-            &mut self.rng,
-            &mut self.keyed,
-            &mut out,
-            &mut upcalls,
-        );
+        let mut cx = OverlayCx::new(self.now, &mut self.rng, &mut out, &mut upcalls);
         f(&mut self.node, &mut cx);
-        for (key, after) in armed {
-            self.armed += 1;
-            self.timers
-                .push(Reverse((self.now + after, self.armed, key)));
-        }
         for (to, msg) in sent {
             if let OverlayMsg::Ping { nonce, .. } = msg {
+                let due = self.ping_due.get(&to).copied();
+                prop_assert!(
+                    due.is_some_and(|at| self.came(at)),
+                    "{} was pinged at {}; its ping deadline is {:?}",
+                    to,
+                    self.now,
+                    due
+                );
                 let r = &mut self.reference;
                 r.pings += 1;
                 let wait = (self.now + self.timeout, r.pings, nonce);
@@ -171,6 +171,14 @@ impl Rig {
                     self.reached.replaced_waits += 1;
                 }
                 self.last_ping.insert(to, nonce);
+            }
+        }
+        for (tag, after) in armed {
+            self.armed += 1;
+            let at = self.now + after;
+            self.timers.insert((at, self.armed), tag);
+            if let OverlayTimer::PingDue(peer) = tag {
+                self.ping_due.insert(peer, at);
             }
         }
         for up in upcalls {
@@ -182,9 +190,8 @@ impl Rig {
             if timed_out {
                 prop_assert!(cause == Cause::Timer, "{peer} died outside a timer");
                 let due = self.reference.next_due(self.now);
-                prop_assert_eq!(
-                    due,
-                    Some((self.now, peer)),
+                prop_assert!(
+                    due.is_some_and(|(at, p)| p == peer && self.came(at)),
                     "{} died at {}; the reference's next due wait is {:?}",
                     peer,
                     self.now,
@@ -204,34 +211,44 @@ impl Rig {
         Ok(())
     }
 
-    /// Fires every timer due by `until` in (deadline, arm order), then
-    /// checks that no reference wait due by then is still outstanding.
-    fn run_until(&mut self, until: Time) -> Result<(), TestCaseError> {
-        while let Some(&Reverse((at, _, key))) = self.timers.peek() {
-            if at > until {
+    /// Whether a deadline `at` is met by acting now: exactly on it, or
+    /// past it while timers fire late.
+    fn came(&self, at: Time) -> bool {
+        if self.late {
+            at <= self.now
+        } else {
+            at == self.now
+        }
+    }
+
+    /// Fires every timer due by `until` in (deadline, arm order), each at
+    /// its deadline, or all at `until` when `late` (a driver that stalled,
+    /// as a socket runtime may), then checks that no reference wait due by
+    /// then is still outstanding.
+    fn run_until(&mut self, until: Time, late: bool) -> Result<(), TestCaseError> {
+        self.late = late;
+        while let Some(entry) = self.timers.first_entry() {
+            if entry.key().0 > until {
                 break;
             }
-            self.timers.pop();
-            self.now = at;
-            if let Some(tag) = self.keyed.fire(key) {
-                self.call(Cause::Timer, |n, cx| n.on_timer(cx, tag))?;
-            }
+            let ((at, _), tag) = entry.remove_entry();
+            self.now = if late { until } else { at };
+            self.call(Cause::Timer, |n, cx| n.on_timer(cx, tag))?;
         }
+        self.late = false;
         self.now = until;
         let missed = self.reference.next_due(until);
         prop_assert!(missed.is_none(), "no death for {missed:?} by {until}");
         Ok(())
     }
 
-    /// Delivers `peer`'s ping timer now, ahead of its deadline; its queued
-    /// entry resolves to nothing when it comes.
-    fn ping_now(&mut self, peer: PeerAddr) -> Result<(), TestCaseError> {
-        let mine = |k: TimerKey| self.keyed.get(k) == Some(&OverlayTimer::PingDue(peer));
-        let key = self.timers.iter().map(|e| e.0 .2).find(|&k| mine(k));
-        if let Some(tag) = key.and_then(|k| self.keyed.fire(k)) {
-            self.call(Cause::Timer, |n, cx| n.on_timer(cx, tag))?;
-        }
-        Ok(())
+    /// Delivers `peer`'s ping timer now, ahead of its deadline: it must
+    /// send nothing.
+    fn early_ping(&mut self, peer: PeerAddr) -> Result<(), TestCaseError> {
+        let early = self.ping_due.get(&peer).is_some_and(|&at| at > self.now);
+        self.reached.early_pings += u64::from(early && self.node.is_neighbor(peer));
+        let tag = OverlayTimer::PingDue(peer);
+        self.call(Cause::Timer, |n, cx| n.on_timer(cx, tag))
     }
 
     fn ack(&mut self, peer: PeerAddr, right: bool) -> Result<(), TestCaseError> {
@@ -271,10 +288,13 @@ impl Rig {
     }
 }
 
-/// A ping period of 2–60 s and a timeout below it.
+/// A ping period of 2–60 s and a timeout of up to one and a half periods.
+/// A timeout past the period (outside `OverlayConfig`'s contract, but
+/// still defined) is the one way a ping goes out while the last is
+/// unanswered: the new ping must replace the old wait.
 fn config() -> impl Strategy<Value = OverlayConfig> {
     (2_000u64..=60_000).prop_flat_map(|period| {
-        (1_000..period).prop_map(move |timeout| OverlayConfig {
+        (1_000..period * 3 / 2).prop_map(move |timeout| OverlayConfig {
             ping_period: Duration::from_millis(period),
             ping_timeout: Duration::from_millis(timeout),
         })
@@ -305,7 +325,7 @@ fn run(
         let waiting = pick(rig.reference.waits.keys().copied().collect()).unwrap_or(peer);
         match kind {
             0..=3 => rig.admit(peer)?,
-            4 => rig.ping_now(neighbour)?,
+            4 => rig.early_ping(neighbour)?,
             5 => rig.ack(waiting, true)?,
             6 | 7 => {
                 // Every peer with a ping out answers it.
@@ -319,18 +339,21 @@ fn run(
             _ => {
                 // Short steps land between pings, medium ones inside a
                 // timeout, long ones let deadlines and whole periods pass.
+                // A stall fires what came due in it all at its end, so
+                // pings due apart go out together.
                 let bound = match kind {
-                    10..=12 => 2_000,
-                    13 | 14 => timeout_ms,
+                    10 | 11 => 2_000,
+                    12 | 13 => timeout_ms,
+                    14 => period_ms,
                     _ => 2 * period_ms,
                 };
                 let ms = u64::from(z) % bound;
-                rig.run_until(rig.now + Duration::from_millis(ms))?;
+                rig.run_until(rig.now + Duration::from_millis(ms), kind == 14)?;
             }
         }
     }
     // Every wait still outstanding comes due.
-    rig.run_until(rig.now + cfg.ping_period + cfg.ping_timeout)?;
+    rig.run_until(rig.now + cfg.ping_period + cfg.ping_timeout, false)?;
     *reached = rig.reached;
     Ok(())
 }
@@ -345,9 +368,9 @@ proptest! {
 }
 
 /// The generated scripts reach every case the sweep must get right: a
-/// timeout, two at one instant, a wait replaced by the next ping, a
-/// neighbour evicted while its ping is out, a wrong-nonce ack, a link
-/// break and a re-admitted neighbour.
+/// timeout, two at one instant, a wait replaced by the next ping, a ping
+/// timer delivered early, a neighbour evicted while its ping is out, a
+/// wrong-nonce ack, a link break and a re-admitted neighbour.
 #[test]
 fn generated_scripts_reach_every_case() {
     let mut rng = StdRng::seed_from_u64(1);
@@ -361,6 +384,7 @@ fn generated_scripts_reach_every_case() {
         r.timeouts,
         r.same_instant_timeouts,
         r.replaced_waits,
+        r.early_pings,
         r.evicted_while_waiting,
         r.wrong_nonce_acks,
         r.breaks,

@@ -13,9 +13,9 @@ use fuse_util::TimerKey;
 ///
 /// Owns the sans-io [`FuseStack`] and the application, and nothing else:
 /// every `SetTimer` becomes a kernel timer tagged with its [`TimerKey`],
-/// and `CancelTimer` is ignored — a cancelled key still fires, and the
-/// stack discards it as stale. Dereferences to the inner [`FuseStack`]
-/// for state introspection (`stack.fuse`, `stack.overlay`).
+/// and every key fires; a key whose deadline moved finds nothing due. The
+/// stack never emits `CancelTimer`. Dereferences to the inner
+/// [`FuseStack`] for state introspection (`stack.fuse`, `stack.overlay`).
 pub struct NodeStack<A> {
     /// The sans-io protocol stack (overlay + FUSE).
     pub stack: FuseStack,

@@ -35,4 +35,4 @@ pub use backoff::Backoff;
 pub use det::{DetHashMap, DetHashSet};
 pub use payload::Payload;
 pub use time::{Duration, Time};
-pub use timer::{KeyedTimers, TimerKey};
+pub use timer::TimerKey;

@@ -24,7 +24,7 @@ use fuse_overlay::{
     OverlaySink, OverlayTimer,
 };
 use fuse_sim::{Medium, ProcId, SimTime, Verdict};
-use fuse_util::{Duration, KeyedTimers, PeerAddr, Time, TimerKey};
+use fuse_util::{Duration, PeerAddr, Time, TimerKey};
 use fuse_wire::{sha1, Decode, Encode, EncodeBuf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -140,17 +140,15 @@ fn ring_tables(at: usize) -> (Vec<NodeInfo>, OracleTables) {
     (infos, tables)
 }
 
-/// An overlay sink that keeps only the keys the overlay arms.
-struct Armed(Vec<TimerKey>);
+/// An overlay sink that keeps only the timers the overlay arms.
+struct Armed(Vec<OverlayTimer>);
 
 impl OverlaySink for Armed {
     fn send(&mut self, _to: PeerAddr, _msg: OverlayMsg) {}
 
-    fn set_timer(&mut self, key: TimerKey, _after: Duration) {
-        self.0.push(key);
+    fn set_timer(&mut self, tag: OverlayTimer, _after: Duration) {
+        self.0.push(tag);
     }
-
-    fn cancel_timer(&mut self, _key: TimerKey) {}
 }
 
 #[test]
@@ -160,16 +158,13 @@ fn warm_maintenance_probe_allocates_only_its_path_and_reply_sets() {
     let mut node = OverlayNode::new(infos[3], None, OverlayConfig::default());
     node.preload_tables(cw, ccw, rt);
     let mut rng = StdRng::seed_from_u64(0xF0D2);
-    let mut timers = KeyedTimers::new(0);
     let mut armed = Armed(Vec::new());
     let mut upcalls = Vec::new();
     let mut run = |node: &mut OverlayNode, f: &mut dyn FnMut(&mut OverlayNode, &mut OverlayCx)| {
-        let mut cx = OverlayCx::new(Time::ZERO, &mut rng, &mut timers, &mut armed, &mut upcalls);
+        let mut cx = OverlayCx::new(Time::ZERO, &mut rng, &mut armed, &mut upcalls);
         f(node, &mut cx);
-        for key in armed.0.drain(..) {
-            // The re-armed maintenance timer fires, freeing its slot.
-            timers.fire(key);
-        }
+        // The re-armed maintenance timer is the one that fires next.
+        armed.0.clear();
     };
     let mut probe = |n: &mut OverlayNode, cx: &mut OverlayCx| {
         n.on_timer(cx, OverlayTimer::Maintenance);
@@ -394,8 +389,8 @@ fn warm_unicast_does_not_allocate() {
 }
 
 /// Two node stacks wired back to back on a manual clock: messages arrive
-/// at once, timers sit in a heap by deadline (cancelled keys stay and
-/// resolve to nothing when fed back).
+/// at once, timers sit in a heap by deadline and every key is fed back
+/// (one whose deadline moved finds nothing due).
 struct Pair {
     stacks: [FuseStack; 2],
     rngs: [StdRng; 2],
@@ -429,10 +424,7 @@ impl Pair {
                         .push(Reverse((self.now + after, self.armed, i, key)));
                     self.fuse_timer_cmds += u64::from(key.ns == NS_FUSE && !fuse_timer_input);
                 }
-                Output::CancelTimer { key } => {
-                    self.fuse_timer_cmds += u64::from(key.ns == NS_FUSE && !fuse_timer_input);
-                }
-                Output::App(_) => {}
+                Output::CancelTimer { .. } | Output::App(_) => {}
             }
         }
     }
