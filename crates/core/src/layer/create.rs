@@ -2,13 +2,16 @@
 //!
 //! The root contacts every member directly and in parallel; a member
 //! installs state, replies, and routes its `InstallChecking` toward the
-//! root. Creation is the group's round 0: its [`Round`] counts replies and
-//! installs in either order, and moves into the root's record once every
-//! member has answered, to end when the installs are in too. The invariant
-//! this module owns: a creation reports exactly one
-//! [`FuseEvent::Created`] — success once every member answered, failure on
-//! the first refusal, broken connection or timeout — because either
-//! outcome first takes the attempt out of `creating`.
+//! root. Creation is the group's round 0, and the root's record exists
+//! from the requests on: its [`Round`] counts replies and installs in
+//! either order, an install's first hop is linked when it arrives, and a
+//! repair asked for meanwhile marks the round `dirty`, as in any round.
+//! Until the last reply the root is not a participant (`created_at` is
+//! `None`): it has no handle, takes no handler or `group_send`, and
+//! ignores its own `signal_failure`. The invariant this module owns: a
+//! creation reports exactly one [`FuseEvent::Created`] — success at the
+//! last reply, which sets `created_at`, failure on the first refusal,
+//! broken connection or timeout, which removes the record.
 
 use fuse_obs::{Event, ObsSink};
 use fuse_overlay::{NodeInfo, OverlayNode};
@@ -19,15 +22,6 @@ use crate::messages::FuseMsg;
 use crate::types::{
     CreateError, CreateTicket, FuseEvent, FuseId, GroupHandle, NotifyReason, Role, CREATE_TIMEOUT,
 };
-
-#[derive(Clone)]
-pub(super) struct CreateAttempt {
-    members: Vec<NodeInfo>,
-    pub(super) round: Round,
-    /// First hops of `InstallChecking`s that reached the root before its
-    /// group record existed; linked once it does.
-    pub(super) early_ics: Vec<PeerAddr>,
-}
 
 impl FuseLayer {
     /// `CreateGroup`: blocking creation of a group over `others` (the other
@@ -43,12 +37,6 @@ impl FuseLayer {
         others: Vec<NodeInfo>,
     ) -> CreateTicket {
         let id = FuseId(self.idgen.next_id());
-        let ticket = CreateTicket::new(id);
-        if others.is_empty() {
-            // Singleton group: alive until explicitly signalled.
-            self.root_created(cx, id, Vec::new(), None);
-            return ticket;
-        }
         for m in &others {
             cx.send_fuse(
                 m.proc,
@@ -59,38 +47,15 @@ impl FuseLayer {
                 },
             );
         }
-        let round = Round::new(cx, id, &others, CREATE_TIMEOUT);
-        self.creating.insert(
-            id,
-            CreateAttempt {
-                members: others,
-                round,
-                early_ics: Vec::new(),
-            },
-        );
-        ticket
-    }
-
-    /// Records the group at its root and reports the creation.
-    fn root_created(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        id: FuseId,
-        members: Vec<NodeInfo>,
-        round: Option<Round>,
-    ) {
-        let now = cx.now;
-        let role = RoleState::Root(RootState::new(members, round, now));
+        // A singleton group has no round: alive until explicitly signalled.
+        let round = (!others.is_empty()).then(|| Round::new(cx, id, &others, CREATE_TIMEOUT));
+        let singleton = round.is_none();
+        let role = RoleState::Root(RootState::new(others, round));
         self.groups.insert(id, Group::new(0, role));
-        self.obs.record(Event::GroupCreated);
-        cx.app(FuseEvent::Created {
-            ticket: CreateTicket::new(id),
-            result: Ok(GroupHandle {
-                id,
-                role: Role::Root,
-                created_at: now,
-            }),
-        });
+        if singleton {
+            self.creation_answered(cx, id);
+        }
+        CreateTicket::new(id)
     }
 
     pub(super) fn on_create_request(
@@ -112,36 +77,54 @@ impl FuseLayer {
                 root,
                 created_at: cx.now,
                 repair_wait: None,
+                binding: None,
             }));
         }
         cx.send_fuse(from, FuseMsg::GroupCreateReply { id, ok: true });
         self.route_install_checking(cx, ov, id, 0, root);
     }
 
-    /// Every member answered the creation: the group's record exists from
-    /// here on, with the round still waiting on installs.
-    pub(super) fn creation_answered(
+    /// A round's last reply came: if it was round 0, the group is created
+    /// and the root becomes a participant.
+    pub(super) fn creation_answered(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
+        let Some(RoleState::Root(rs)) = self.groups.get_mut(&id).map(|g| &mut g.role) else {
+            return;
+        };
+        if rs.created_at.is_some() {
+            return;
+        }
+        rs.created_at = Some(cx.now);
+        self.obs.record(Event::GroupCreated);
+        cx.app(FuseEvent::Created {
+            ticket: CreateTicket::new(id),
+            result: Ok(GroupHandle {
+                id,
+                role: Role::Root,
+                created_at: cx.now,
+            }),
+        });
+    }
+
+    /// The creation failed: the root's record and its links go, and the
+    /// members are told.
+    pub(super) fn create_failed(
         &mut self,
         cx: &mut CoreCx<'_>,
         ov: &mut OverlayNode,
         id: FuseId,
+        err: CreateError,
     ) {
-        let Some(attempt) = self.creating.remove(&id) else {
-            return;
-        };
-        self.root_created(cx, id, attempt.members, Some(attempt.round));
-        for prev in attempt.early_ics {
-            self.add_link(cx, ov, id, prev);
-        }
-    }
-
-    pub(super) fn create_failed(&mut self, cx: &mut CoreCx<'_>, id: FuseId, err: CreateError) {
-        let Some(attempt) = self.creating.remove(&id) else {
-            return;
+        self.clear_links(ov, id);
+        let Some(Group {
+            role: RoleState::Root(rs),
+            ..
+        }) = self.groups.remove(&id)
+        else {
+            unreachable!("only a creating root fails a creation");
         };
         self.obs.record(Event::CreateFailed);
         // Best effort: tear down any member state already installed.
-        for m in &attempt.members {
+        for m in &rs.members {
             self.send_hard(cx, m.proc, id, 0, NotifyReason::CreateFailed);
         }
         cx.app(FuseEvent::Created {

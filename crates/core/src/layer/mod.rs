@@ -24,11 +24,18 @@
 //! an `OverlayCx` whose sink is that same queue, so its effects land in
 //! emission order.
 //!
-//! No timer is cancelled. Each per-group deadline lives in the state it
-//! guards (a round's `due`, a root's `kick`, a member's `repair_wait`), a
-//! [`FuseTimer`] firing acts only when that deadline has come (`due <=
-//! now`: a socket driver fires late), and an acting handler consumes or
-//! moves the deadline, so a superseded firing finds nothing due.
+//! Each group has one record here, from the root's `create_group` (or the
+//! first message that names the group) until the group fails: its `seq`,
+//! its checking-tree links and this node's role, whose box holds the
+//! rest — a root's creation or repair round, a member's repair wait, and
+//! the handler context and fail-on-send peers the application bound.
+//!
+//! No timer is cancelled. Each per-group deadline lives in the record it
+//! guards (a round's `due`, a root's `kick`, a member's `repair_wait`),
+//! and all of them share one key, [`FuseTimer::Group`]. A firing acts on
+//! whichever deadline has come (`due <= now`: a socket driver fires late),
+//! the round's before the kick, and an acting handler consumes or moves
+//! the deadline, so a superseded firing finds nothing due.
 //!
 //! This module holds the state and the dispatch; the protocol lives in one
 //! module per seam of §6: `create` (blocking creation, §6.2), `tree` (the
@@ -60,7 +67,6 @@ use crate::types::{
     REPAIR_BACKOFF_CAP,
 };
 
-use create::CreateAttempt;
 use tree::{Links, Watch};
 
 /// Borrowed per-call context for one FUSE-layer entry point.
@@ -136,7 +142,9 @@ impl OverlaySink for OverlayOut<'_> {
 
 #[derive(Clone)]
 struct RootState {
-    created_at: Time,
+    /// When round 0's last reply came; `None` while the group is being
+    /// created, when the root is not yet a participant.
+    created_at: Option<Time>,
     members: Vec<NodeInfo>,
     /// The round at the group's `seq`, until its replies and installs are
     /// all in or its deadline passes.
@@ -144,17 +152,20 @@ struct RootState {
     /// When the backed-off repair round starts.
     kick: Option<Time>,
     backoff: Backoff,
+    binding: Option<Box<Binding>>,
 }
 
 impl RootState {
-    /// A fresh root, finishing its creation round.
-    fn new(members: Vec<NodeInfo>, round: Option<Round>, created_at: Time) -> Box<RootState> {
+    /// A root about to create its group: round 0 is `round`, or nothing
+    /// for a group of one.
+    fn new(members: Vec<NodeInfo>, round: Option<Round>) -> Box<RootState> {
         Box::new(RootState {
-            created_at,
+            created_at: None,
             members,
             round,
             kick: None,
             backoff: Backoff::new(REPAIR_BACKOFF_BASE.nanos(), REPAIR_BACKOFF_CAP.nanos()),
+            binding: None,
         })
     }
 }
@@ -179,7 +190,7 @@ impl Round {
         Round {
             installs: replies.clone(),
             replies,
-            due: cx.set_fuse_timer(after, FuseTimer::Round { id }),
+            due: cx.set_fuse_timer(after, FuseTimer::Group { id }),
             dirty: false,
         }
     }
@@ -193,7 +204,7 @@ impl Round {
             return false;
         }
         if !self.installs.is_empty() {
-            self.due = cx.set_fuse_timer(INSTALL_WAIT, FuseTimer::Round { id });
+            self.due = cx.set_fuse_timer(INSTALL_WAIT, FuseTimer::Group { id });
         }
         true
     }
@@ -209,6 +220,19 @@ struct MemberState {
     created_at: Time,
     /// When the wait for the root's repair, after `NeedRepair`, runs out.
     repair_wait: Option<Time>,
+    binding: Option<Box<Binding>>,
+}
+
+/// What the application bound to a group it participates in. Boxed on
+/// first use: most groups never get a handler context or a `group_send`.
+#[derive(Clone, Default)]
+struct Binding {
+    /// Context registered via `register_handler`; returned inside the
+    /// failure [`Notification`](crate::Notification).
+    ctx: Option<u64>,
+    /// Fail-on-send peers (§3.4): those this node made a `group_send` to.
+    /// A broken connection to one declares the group failed.
+    sends: Vec<PeerAddr>,
 }
 
 #[derive(Clone)]
@@ -223,11 +247,31 @@ enum RoleState {
 
 impl RoleState {
     /// A participant's role and when it joined the group; `None` on a
-    /// delegate.
+    /// delegate and on a root whose group is still being created.
     fn participant(&self) -> Option<(Role, Time)> {
         match self {
-            RoleState::Root(rs) => Some((Role::Root, rs.created_at)),
+            RoleState::Root(rs) => Some((Role::Root, rs.created_at?)),
             RoleState::Member(ms) => Some((Role::Member, ms.created_at)),
+            RoleState::Delegate => None,
+        }
+    }
+
+    /// A participant's binding, allocated on first use; `None` where no
+    /// application may bind.
+    fn bind(&mut self) -> Option<&mut Binding> {
+        let slot = match self {
+            RoleState::Root(rs) if rs.created_at.is_some() => &mut rs.binding,
+            RoleState::Member(ms) => &mut ms.binding,
+            _ => return None,
+        };
+        Some(slot.get_or_insert_default())
+    }
+
+    /// What the application bound, if anything.
+    fn binding(&self) -> Option<&Binding> {
+        match self {
+            RoleState::Root(rs) => rs.binding.as_deref(),
+            RoleState::Member(ms) => ms.binding.as_deref(),
             RoleState::Delegate => None,
         }
     }
@@ -257,18 +301,12 @@ pub struct FuseLayer {
     cfg: FuseConfig,
     me: NodeInfo,
     idgen: IdGen,
+    /// Every group this node holds state for, in any role, a root's from
+    /// its `create_group` on.
     groups: DetHashMap<FuseId, Group>,
-    creating: DetHashMap<FuseId, CreateAttempt>,
     /// Which groups monitor each link, and each monitored peer's deadline
     /// and digest staleness; only `tree` touches it.
     watch: Watch,
-    /// Application context registered per group via `register_handler`;
-    /// returned inside the failure [`Notification`](crate::Notification).
-    handlers: DetHashMap<FuseId, u64>,
-    /// Group-scoped fail-on-send bindings (§3.4): peers this node performed
-    /// a `group_send` to, per group. A broken connection to a bound peer
-    /// declares the group failed.
-    send_bound: DetHashMap<FuseId, DetHashSet<PeerAddr>>,
     /// Reusable single-pass encode scratch for wire payloads this layer
     /// builds (`InstallChecking` envelopes): encoding reserves the exact
     /// size hint once and never re-counts or grows per message.
@@ -286,10 +324,7 @@ impl FuseLayer {
             me,
             idgen: IdGen::new(u64::from(me.proc)),
             groups: DetHashMap::default(),
-            creating: DetHashMap::default(),
             watch: Watch::default(),
-            handlers: DetHashMap::default(),
-            send_bound: DetHashMap::default(),
             ebuf: EncodeBuf::new(),
             obs: Recorder::with_origin(me.proc),
         }
@@ -300,12 +335,13 @@ impl FuseLayer {
         self.obs.aggregates()
     }
 
-    /// Number of live groups this node holds state for (any role).
+    /// Number of groups this node holds state for: any role, a root's
+    /// from its `create_group` on, before the creation succeeded.
     pub fn group_count(&self) -> usize {
         self.groups.len()
     }
 
-    /// Whether this node holds state for `id`.
+    /// Whether this node holds state for `id`, a creating root's included.
     pub fn knows_group(&self, id: FuseId) -> bool {
         self.groups.contains_key(&id)
     }
@@ -426,9 +462,7 @@ impl FuseLayer {
     pub(crate) fn on_timer(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, tag: FuseTimer) {
         match tag {
             FuseTimer::LinkExpired => self.sweep_link_expiry(cx, ov),
-            FuseTimer::MemberRepairWait { id } => self.on_member_repair_wait(cx, ov, id),
-            FuseTimer::Round { id } => self.on_round_deadline(cx, ov, id),
-            FuseTimer::RepairKick { id } => self.start_repair_round(cx, id),
+            FuseTimer::Group { id } => self.on_group_timer(cx, ov, id),
         }
     }
 

@@ -9,9 +9,11 @@
 //! [`send_hard`](FuseLayer::send_hard). The invariant this module owns:
 //! the application hears of a group's failure at most once per node,
 //! because only [`fail_locally`](FuseLayer::fail_locally) reports one, and
-//! only while the group's record exists, which it then removes. (A handler
-//! registered for a group with no record here is answered at once with
-//! `UnknownGroup`, §3.1.)
+//! only while the group's record exists, which it then removes with the
+//! handler context and fail-on-send peers its role box holds. (A handler
+//! registered where this node is no participant — no record, a delegate's,
+//! or a root's still creating — is answered at once with `UnknownGroup`,
+//! §3.1.)
 
 use fuse_obs::{Event, ObsSink};
 use fuse_overlay::OverlayNode;
@@ -28,8 +30,8 @@ impl FuseLayer {
     /// callback fires immediately with [`NotifyReason::UnknownGroup`],
     /// exactly as §3.1 specifies.
     pub(crate) fn register_handler(&mut self, cx: &mut CoreCx<'_>, id: FuseId, ctx: u64) {
-        if self.is_participant(id) {
-            self.handlers.insert(id, ctx);
+        if let Some(binding) = self.groups.get_mut(&id).and_then(|g| g.role.bind()) {
+            binding.ctx = Some(ctx);
         } else {
             cx.app(FuseEvent::Notified(Notification {
                 id,
@@ -53,10 +55,12 @@ impl FuseLayer {
     /// hold live participant state for `id` — the caller should drop the
     /// payload, since the group has already failed here.
     pub fn bind_fail_on_send(&mut self, id: FuseId, to: PeerAddr) -> bool {
-        if !self.is_participant(id) {
+        let Some(binding) = self.groups.get_mut(&id).and_then(|g| g.role.bind()) else {
             return false;
+        };
+        if !binding.sends.contains(&to) {
+            binding.sends.push(to);
         }
-        self.send_bound.entry(id).or_default().insert(to);
         true
     }
 
@@ -69,9 +73,9 @@ impl FuseLayer {
         peer: PeerAddr,
     ) {
         let mut bound: Vec<FuseId> = self
-            .send_bound
+            .groups
             .iter()
-            .filter(|(_, peers)| peers.contains(&peer))
+            .filter(|(_, g)| g.role.binding().is_some_and(|b| b.sends.contains(&peer)))
             .map(|(&id, _)| id)
             .collect();
         bound.sort_unstable();
@@ -89,16 +93,13 @@ impl FuseLayer {
         id: FuseId,
         reason: NotifyReason,
     ) {
-        let Some(g) = self.groups.get(&id) else {
-            return; // Already failed; handler already ran.
-        };
-        match &g.role {
-            RoleState::Root(_) => self.group_failed_at_root(cx, ov, id, None, reason),
-            RoleState::Member(_) => self.fail_member(cx, ov, id, reason),
-            RoleState::Delegate => {
-                // Only participants may signal; a delegate-only node has no
-                // registered application handler for the group.
-            }
+        // Only participants may signal: a delegate-only node, and a root
+        // still creating, have no handler for the group; with no record,
+        // the group already failed and the handler already ran.
+        match self.role(id).and_then(RoleState::participant) {
+            Some((Role::Root, _)) => self.group_failed_at_root(cx, ov, id, None, reason),
+            Some(_) => self.fail_member(cx, ov, id, reason),
+            None => {}
         }
     }
 
@@ -172,18 +173,16 @@ impl FuseLayer {
         id: FuseId,
         reason: NotifyReason,
     ) {
-        if self.creating.contains_key(&id) {
-            // A member installed state and failed before creation finished.
-            self.create_failed(cx, id, CreateError::Refused);
-            return;
-        }
-        if !self.groups.contains_key(&id) {
+        let Some(role) = self.role(id) else {
             return; // Already failed here; handler already ran.
-        }
-        if self.is_root(id) {
-            self.group_failed_at_root(cx, ov, id, Some(from), reason);
-        } else {
-            self.fail_locally(cx, ov, id, reason);
+        };
+        match role {
+            // A member installed state and failed before creation finished.
+            RoleState::Root(rs) if rs.created_at.is_none() => {
+                self.create_failed(cx, ov, id, CreateError::Refused)
+            }
+            RoleState::Root(_) => self.group_failed_at_root(cx, ov, id, Some(from), reason),
+            _ => self.fail_locally(cx, ov, id, reason),
         }
     }
 
@@ -270,9 +269,8 @@ impl FuseLayer {
         // Clean the liveness tree below us.
         self.send_softs(cx, id, seq, None);
         self.clear_links(ov, id);
-        self.groups.remove(&id);
-        let ctx = self.handlers.remove(&id);
-        self.send_bound.remove(&id);
+        let g = self.groups.remove(&id).expect("looked up above");
+        let ctx = g.role.binding().and_then(|b| b.ctx);
         if let Some((role, created_at)) = participant {
             self.obs.record(Event::Notified {
                 reason: reason.kind(),

@@ -11,9 +11,12 @@
 //! replies and installs are all in, whichever order they arrive in. Only
 //! then is the backoff reset, and not at all when a request came while
 //! replies were outstanding: that marks the round `dirty`, and its last
-//! reply asks for the next round. A member waits on at most one repair
-//! deadline. Each timer here acts only once the deadline it names has
-//! come, and consumes or moves it.
+//! reply asks for the next round. Creation is round 0 and follows the same
+//! rules: a repair asked for while a creating root awaits replies is
+//! started after the last one. A member waits on at most one repair
+//! deadline. All of a group's deadlines share its one
+//! [`FuseTimer::Group`] key; each handler here acts only once its own
+//! deadline has come, and consumes or moves it.
 
 use fuse_obs::{Event, ObsSink};
 use fuse_overlay::{NodeInfo, OverlayNode};
@@ -24,6 +27,45 @@ use crate::messages::FuseMsg;
 use crate::types::{CreateError, FuseId, FuseTimer, NotifyReason};
 
 impl FuseLayer {
+    /// `id`'s timer fired. It acts on each of the record's deadlines that
+    /// has come, in one fixed order: a root's round, then its kick; or a
+    /// member's repair wait. A stale key costs one lookup.
+    pub(super) fn on_group_timer(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, id: FuseId) {
+        let now = cx.now;
+        let Some(g) = self.groups.get_mut(&id) else {
+            return;
+        };
+        match &mut g.role {
+            RoleState::Root(rs) => {
+                // A round that times out with its replies in arms a kick,
+                // never due at once, and leaves a due kick as it is.
+                let kick_due = rs.kick.is_some_and(|due| due <= now);
+                if let Some(round) = rs.round.take_if(|r| r.due <= now) {
+                    // Missing replies fail the creation or the group;
+                    // missing installs ask for the next round.
+                    if round.replies.is_empty() {
+                        self.request_repair(cx, id);
+                    } else {
+                        let reason = NotifyReason::RepairFailed;
+                        self.round_failed(cx, ov, id, CreateError::MemberUnreachable, reason);
+                    }
+                }
+                if kick_due {
+                    self.start_repair_round(cx, id);
+                }
+            }
+            // "If the timer fires, it signals a failure notification to the
+            // FUSE client application, sends a HardNotification message to
+            // the root, and cleans up" (§6.5).
+            RoleState::Member(ms) => {
+                if ms.repair_wait.take_if(|due| *due <= now).is_some() {
+                    self.fail_member(cx, ov, id, NotifyReason::LivenessExpired);
+                }
+            }
+            RoleState::Delegate => {}
+        }
+    }
+
     /// A member lost its branch: ask the root for repair, once per wait.
     pub(super) fn initiate_member_repair(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
         let Some(g) = self.groups.get_mut(&id) else {
@@ -37,35 +79,16 @@ impl FuseLayer {
             return;
         }
         cx.send_fuse(ms.root.proc, FuseMsg::NeedRepair { id, seq });
-        ms.repair_wait = Some(cx.set_fuse_timer(
-            self.cfg.member_repair_timeout,
-            FuseTimer::MemberRepairWait { id },
-        ));
+        let after = self.cfg.member_repair_timeout;
+        ms.repair_wait = Some(cx.set_fuse_timer(after, FuseTimer::Group { id }));
     }
 
     pub(super) fn on_need_repair(&mut self, cx: &mut CoreCx<'_>, from: PeerAddr, id: FuseId) {
         if self.is_root(id) {
             self.request_repair(cx, id);
-        } else if !self.groups.contains_key(&id) && !self.creating.contains_key(&id) {
+        } else if !self.groups.contains_key(&id) {
             // The group already failed here; burn the fuse back.
             self.send_hard(cx, from, id, u64::MAX, NotifyReason::UnknownGroup);
-        }
-    }
-
-    /// "If the timer fires, it signals a failure notification to the FUSE
-    /// client application, sends a HardNotification message to the root,
-    /// and cleans up" (§6.5).
-    pub(super) fn on_member_repair_wait(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-    ) {
-        let Some(RoleState::Member(ms)) = self.groups.get_mut(&id).map(|g| &mut g.role) else {
-            return;
-        };
-        if ms.repair_wait.take_if(|due| *due <= cx.now).is_some() {
-            self.fail_member(cx, ov, id, NotifyReason::LivenessExpired);
         }
     }
 
@@ -80,7 +103,7 @@ impl FuseLayer {
             Some(round) if !round.replies.is_empty() => round.dirty = true,
             _ if rs.kick.is_none() => {
                 let delay = Duration(rs.backoff.next_delay());
-                rs.kick = Some(cx.set_fuse_timer(delay, FuseTimer::RepairKick { id }));
+                rs.kick = Some(cx.set_fuse_timer(delay, FuseTimer::Group { id }));
             }
             _ => {}
         }
@@ -88,7 +111,7 @@ impl FuseLayer {
 
     /// The kick came: a round at the next `seq` replaces any round still
     /// running.
-    pub(super) fn start_repair_round(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
+    fn start_repair_round(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
         let Some(g) = self.groups.get_mut(&id) else {
             return;
         };
@@ -118,12 +141,8 @@ impl FuseLayer {
         rs.round = Some(Round::new(cx, id, &rs.members, timeout));
     }
 
-    /// The round `id` runs at `seq`: its creation (round 0) until the
-    /// group's record exists, then its root's round at the group's `seq`.
+    /// The round `id`'s root runs at `seq`, creation being round 0.
     pub(super) fn round_mut(&mut self, id: FuseId, seq: u64) -> Option<&mut Round> {
-        if let Some(attempt) = self.creating.get_mut(&id) {
-            return (seq == 0).then_some(&mut attempt.round);
-        }
         match self.groups.get_mut(&id) {
             Some(Group {
                 seq: at,
@@ -135,8 +154,7 @@ impl FuseLayer {
     }
 
     /// `from` answered the round at `seq`. The last reply asks for the next
-    /// round if the round is `dirty`, and records a creation's group at its
-    /// root.
+    /// round if the round is `dirty`, and completes a creation.
     pub(super) fn on_round_reply(
         &mut self,
         cx: &mut CoreCx<'_>,
@@ -159,7 +177,7 @@ impl FuseLayer {
             if round.dirty {
                 self.request_repair(cx, id);
             }
-            self.creation_answered(cx, ov, id);
+            self.creation_answered(cx, id);
             self.end_round_if_done(id);
         }
     }
@@ -177,51 +195,24 @@ impl FuseLayer {
         }
     }
 
-    /// The round's deadline passed. Missing replies fail the creation or
-    /// the group; missing installs ask for the next round.
-    pub(super) fn on_round_deadline(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-    ) {
-        let now = cx.now;
-        if let Some(attempt) = self.creating.get(&id) {
-            if attempt.round.due <= now {
-                self.create_failed(cx, id, CreateError::MemberUnreachable);
-            }
-            return;
-        }
-        let Some(RoleState::Root(rs)) = self.groups.get_mut(&id).map(|g| &mut g.role) else {
-            return;
-        };
-        let Some(round) = rs.round.take_if(|r| r.due <= now) else {
-            return;
-        };
-        if round.replies.is_empty() {
-            self.request_repair(cx, id);
-        } else {
-            self.group_failed_at_root(cx, ov, id, None, NotifyReason::RepairFailed);
-        }
-    }
-
-    /// Rounds still waiting on `peer`'s reply fail: its connection broke.
+    /// Rounds still waiting on `peer`'s reply fail, in `FuseId` order: its
+    /// connection broke.
     pub(super) fn fail_rounds_awaiting(
         &mut self,
         cx: &mut CoreCx<'_>,
         ov: &mut OverlayNode,
         peer: PeerAddr,
     ) {
-        let creating = self.creating.iter().map(|(&id, a)| (id, &a.round));
-        let rooted = self.groups.iter().filter_map(|(&id, g)| match &g.role {
-            RoleState::Root(rs) => Some((id, rs.round.as_ref()?)),
-            _ => None,
-        });
-        let failed: Vec<FuseId> = creating
-            .chain(rooted)
-            .filter(|(_, r)| r.replies.contains(&peer))
-            .map(|(id, _)| id)
+        let mut failed: Vec<FuseId> = self
+            .groups
+            .iter()
+            .filter(|(_, g)| match &g.role {
+                RoleState::Root(rs) => rs.round.as_ref().is_some_and(|r| r.replies.contains(&peer)),
+                _ => false,
+            })
+            .map(|(&id, _)| id)
             .collect();
+        failed.sort_unstable();
         for id in failed {
             let reason = NotifyReason::ConnectionBroken;
             self.round_failed(cx, ov, id, CreateError::ConnectionBroken, reason);
@@ -237,8 +228,8 @@ impl FuseLayer {
         err: CreateError,
         reason: NotifyReason,
     ) {
-        if self.creating.contains_key(&id) {
-            self.create_failed(cx, id, err);
+        if matches!(self.role(id), Some(RoleState::Root(rs)) if rs.created_at.is_none()) {
+            self.create_failed(cx, ov, id, err);
         } else {
             self.group_failed_at_root(cx, ov, id, None, reason);
         }

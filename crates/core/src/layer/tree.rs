@@ -146,7 +146,7 @@ struct PeerExpiry {
 pub(super) struct Watch {
     /// Index: which groups monitor each link (drives the piggyback hash and
     /// the per-peer liveness deadline).
-    subs: SubscriptionRegistry<FuseId>,
+    subs: SubscriptionRegistry,
     /// Per-peer liveness deadline and digest staleness, one record per
     /// subscribed peer.
     expiry: DetHashMap<PeerAddr, PeerExpiry>,
@@ -158,7 +158,7 @@ pub(super) struct Watch {
 impl FuseLayer {
     /// Which groups monitor the link to each peer (visibility for tests and
     /// the microbench).
-    pub fn subscriptions(&self) -> &SubscriptionRegistry<FuseId> {
+    pub fn subscriptions(&self) -> &SubscriptionRegistry {
         &self.watch.subs
     }
 
@@ -212,11 +212,6 @@ impl FuseLayer {
         if let Some(round) = self.round_mut(ic.id, ic.seq) {
             round.installs.remove(&src);
         }
-        let hop = (prev != self.me.proc).then_some(prev);
-        if let Some(attempt) = self.creating.get_mut(&ic.id) {
-            attempt.early_ics.extend(hop);
-            return;
-        }
         let Some(g) = self.groups.get(&ic.id) else {
             // Group already failed: burn the fuse back toward the member.
             self.send_hard(cx, src, ic.id, ic.seq, NotifyReason::UnknownGroup);
@@ -226,7 +221,7 @@ impl FuseLayer {
             return; // Stale branch from before a repair.
         }
         self.end_round_if_done(ic.id);
-        if let Some(prev) = hop {
+        if prev != self.me.proc {
             self.add_link(cx, ov, ic.id, prev);
         }
     }

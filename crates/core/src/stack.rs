@@ -95,9 +95,7 @@ impl Timer {
             Timer::Overlay(OverlayTimer::JoinRetry) => (NS_OVERLAY, 2, 0),
             Timer::Overlay(OverlayTimer::Maintenance) => (NS_OVERLAY, 3, 0),
             Timer::Fuse(FuseTimer::LinkExpired) => (NS_FUSE, 0, 0),
-            Timer::Fuse(FuseTimer::MemberRepairWait { id }) => (NS_FUSE, 1, id.0),
-            Timer::Fuse(FuseTimer::Round { id }) => (NS_FUSE, 2, id.0),
-            Timer::Fuse(FuseTimer::RepairKick { id }) => (NS_FUSE, 3, id.0),
+            Timer::Fuse(FuseTimer::Group { id }) => (NS_FUSE, 1, id.0),
             Timer::App(tag) => (NS_APP, 0, tag),
         };
         TimerKey { ns, kind, arg }
@@ -105,7 +103,6 @@ impl Timer {
 
     /// The tag `key` names; `None` for a key no layer arms.
     pub(crate) fn of(key: TimerKey) -> Option<Timer> {
-        let id = FuseId(key.arg);
         Some(match (key.ns, key.kind) {
             (NS_OVERLAY, 0) => {
                 Timer::Overlay(OverlayTimer::PingDue(PeerAddr::try_from(key.arg).ok()?))
@@ -114,9 +111,9 @@ impl Timer {
             (NS_OVERLAY, 2) => Timer::Overlay(OverlayTimer::JoinRetry),
             (NS_OVERLAY, 3) => Timer::Overlay(OverlayTimer::Maintenance),
             (NS_FUSE, 0) => Timer::Fuse(FuseTimer::LinkExpired),
-            (NS_FUSE, 1) => Timer::Fuse(FuseTimer::MemberRepairWait { id }),
-            (NS_FUSE, 2) => Timer::Fuse(FuseTimer::Round { id }),
-            (NS_FUSE, 3) => Timer::Fuse(FuseTimer::RepairKick { id }),
+            (NS_FUSE, 1) => Timer::Fuse(FuseTimer::Group {
+                id: FuseId(key.arg),
+            }),
             (NS_APP, 0) => Timer::App(key.arg),
             _ => return None,
         })
@@ -579,7 +576,10 @@ pub trait FuseApp: Sized {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{INSTALL_WAIT, REPAIR_BACKOFF_BASE, REPAIR_BACKOFF_CAP};
+    use crate::types::{
+        CreateError, GroupHandle, Notification, NotifyReason, Role, CREATE_TIMEOUT, INSTALL_WAIT,
+        REPAIR_BACKOFF_BASE, REPAIR_BACKOFF_CAP,
+    };
     use fuse_overlay::NodeName;
     use rand::{Rng, SeedableRng};
 
@@ -748,33 +748,40 @@ mod tests {
         );
         assert_stale(&mut s, &mut rng, deadline, sweep);
 
-        // Round: after its round ended (the reply deadline and the install
-        // wait, both left behind), and after it moved to INSTALL_WAIT.
+        // A root's round: while it awaits replies (the group being
+        // created), after it ended (the reply deadline and the install
+        // wait, both left behind), and after it moved to INSTALL_WAIT,
+        // where the retired round and kick kinds still do nothing.
         for install in [true, false] {
             let mut root = Root::new();
             root.now = secs(1);
             let ticket = root.s.api(root.now, &mut root.rng).create_group(vec![n2]);
             root.collect();
             let id = ticket.id();
-            let key = Timer::Fuse(FuseTimer::Round { id }).key();
-            let replies_due = secs(1) + crate::types::CREATE_TIMEOUT;
+            let key = Timer::Fuse(FuseTimer::Group { id }).key();
+            assert_stale(&mut root.s, &mut root.rng, secs(2), key);
+            let replies_due = secs(1) + CREATE_TIMEOUT;
             root.now = secs(2);
             root.fuse(2, FuseMsg::GroupCreateReply { id, ok: true });
+            let installs_due = secs(2) + INSTALL_WAIT;
             if install {
                 root.install(n2, id, 0);
                 assert!(root.s.fuse.handle(id).is_some(), "the group was created");
                 assert_stale(&mut root.s, &mut root.rng, replies_due, key);
-                let installs_due = secs(2) + INSTALL_WAIT;
                 assert_stale(&mut root.s, &mut root.rng, installs_due, key);
             } else {
                 assert_stale(&mut root.s, &mut root.rng, replies_due, key);
+                for kind in [2, 3] {
+                    let retired = TimerKey { kind, ..key };
+                    assert_stale(&mut root.s, &mut root.rng, installs_due, retired);
+                }
                 root.s
-                    .handle(secs(2) + INSTALL_WAIT, &mut root.rng, Input::Timer(key));
+                    .handle(installs_due, &mut root.rng, Input::Timer(key));
                 assert!(root.s.poll_output().is_some(), "the install wait acts");
             }
         }
 
-        // MemberRepairWait after the repair.
+        // A member's key after its repair.
         let mut s = stack(1);
         s.overlay.preload_tables(vec![n2], Vec::new(), Vec::new());
         let mut rng = StdRng::seed_from_u64(1);
@@ -795,7 +802,7 @@ mod tests {
             2,
             fuse(FuseMsg::SoftNotification { id, seq: 0 }),
         );
-        let wait = Timer::Fuse(FuseTimer::MemberRepairWait { id }).key();
+        let wait = Timer::Fuse(FuseTimer::Group { id }).key();
         let due = armed(&drain(&mut s), secs(2), wait).expect("the member waits for repair");
         let repair = FuseMsg::GroupRepairRequest {
             id,
@@ -807,7 +814,7 @@ mod tests {
         assert_stale(&mut s, &mut rng, due, wait);
         assert!(s.fuse.handle(id).is_some(), "the repaired member stands");
 
-        // RepairKick superseded: each kick starts a round whose install is
+        // A root's kick superseded: each kick starts a round whose install is
         // still out when the next request comes, so the backoff doubles;
         // after the third, the kick fed at its deadline and 5 s later finds
         // the fourth, 8 s away, not due.
@@ -821,7 +828,7 @@ mod tests {
         root.collect();
         root.fuse(2, FuseMsg::GroupCreateReply { id, ok: true });
         root.install(n2, id, 0);
-        let kick = Timer::Fuse(FuseTimer::RepairKick { id }).key();
+        let kick = Timer::Fuse(FuseTimer::Group { id }).key();
         for seq in 0..3 {
             let armed_before = root.due.len();
             root.fuse(2, FuseMsg::NeedRepair { id, seq });
@@ -917,8 +924,9 @@ mod tests {
     }
 
     /// A root driven by hand: its clock, every FUSE timer it armed by due
-    /// time, and every FUSE message it sent. Overlay timers are not fired,
-    /// so no ping times out and the overlay stays still.
+    /// time, every FUSE message it sent and every FUSE event it reported.
+    /// Overlay timers are not fired, so no ping times out and the overlay
+    /// stays still.
     #[derive(Clone)]
     struct Root {
         s: FuseStack,
@@ -926,6 +934,7 @@ mod tests {
         now: Time,
         due: Vec<(Time, TimerKey)>,
         sent: Vec<(PeerAddr, FuseMsg)>,
+        events: Vec<FuseEvent>,
     }
 
     impl Root {
@@ -937,6 +946,7 @@ mod tests {
                 now: Time::ZERO,
                 due: Vec::new(),
                 sent: Vec::new(),
+                events: Vec::new(),
             };
             root.input(Input::Boot);
             root
@@ -957,6 +967,7 @@ mod tests {
                         to,
                         msg: StackMsg::Fuse(m),
                     } => self.sent.push((to, m)),
+                    Output::App(AppCall::Event(ev)) => self.events.push(ev),
                     _ => {}
                 }
             }
@@ -1002,16 +1013,29 @@ mod tests {
             self.now = until;
         }
 
-        /// The delay of the first repair kick armed after the first
-        /// `armed_before` timers.
+        /// The delay of the first group key armed after the first
+        /// `armed_before` timers: a repair kick, where no round is armed
+        /// meanwhile.
         fn kick_delay(&self, armed_before: usize) -> Option<Duration> {
             self.due[armed_before..].iter().find_map(|&(at, key)| {
-                matches!(
-                    Timer::of(key),
-                    Some(Timer::Fuse(FuseTimer::RepairKick { .. }))
-                )
-                .then(|| at.since(self.now))
+                matches!(Timer::of(key), Some(Timer::Fuse(FuseTimer::Group { .. })))
+                    .then(|| at.since(self.now))
             })
+        }
+
+        /// Every outcome reported for the creation of `id`.
+        fn created(&self, id: FuseId) -> Vec<Result<GroupHandle, CreateError>> {
+            let of = |ev: &FuseEvent| match *ev {
+                FuseEvent::Created { ticket, result } if ticket.id() == id => Some(result),
+                _ => None,
+            };
+            self.events.iter().filter_map(of).collect()
+        }
+
+        /// Every notification reported for `id`.
+        fn notified(&self, id: FuseId) -> Vec<Notification> {
+            let of = |ev: &FuseEvent| ev.notification().filter(|n| n.id == id).copied();
+            self.events.iter().filter_map(of).collect()
         }
 
         fn repair_requests(&self, seq: u64) -> usize {
@@ -1021,29 +1045,56 @@ mod tests {
         }
     }
 
-    /// A member's `InstallChecking` may reach the root before its repair
-    /// reply. The round counts it whenever it comes: once the last reply
-    /// and the last install are in, the round ends, and no install wait
-    /// fires a second round. The backoff resets only then.
-    #[test]
-    fn an_install_ahead_of_its_reply_still_counts() {
-        let (m1, m2) = (
+    fn members() -> (NodeInfo, NodeInfo) {
+        (
             NodeInfo::new(2, NodeName::numbered(2)),
             NodeInfo::new(3, NodeName::numbered(3)),
-        );
+        )
+    }
+
+    /// A root that asked `members` to create a group at 1 s, and the id.
+    fn creating(members: Vec<NodeInfo>) -> (Root, FuseId) {
         let mut root = Root::new();
         root.now = Time::ZERO + Duration::from_secs(1);
-        let ticket = root
-            .s
-            .api(root.now, &mut root.rng)
-            .create_group(vec![m1, m2]);
+        let ticket = root.s.api(root.now, &mut root.rng).create_group(members);
         root.collect();
-        let id = ticket.id();
+        (root, ticket.id())
+    }
+
+    /// A member's `InstallChecking` may reach the root before its creation
+    /// or repair reply. The round counts it whenever it comes, and the
+    /// root links its hop at once: once the last reply and the last
+    /// install are in, the round ends, and no install wait fires a second
+    /// round. The backoff resets only then. A creation that times out
+    /// after an early install leaves nothing of the group behind.
+    #[test]
+    fn an_install_ahead_of_its_reply_still_counts() {
+        let (m1, m2) = members();
+        let (mut root, id) = creating(vec![m1, m2]);
+        root.install(m1, id, 0);
+        assert_eq!(root.s.fuse.tree_links(id), [m1.proc], "the hop is linked");
+        assert!(
+            root.s.fuse.handle(id).is_none(),
+            "the group is being created"
+        );
+
+        // Were m2 never to answer, the creation would time out, and take
+        // the record, its link and the link's subscription with it.
+        let mut lost = root.clone();
+        lost.fuse(m1.proc, FuseMsg::GroupCreateReply { id, ok: true });
+        lost.run_until(lost.now + CREATE_TIMEOUT);
+        let unreachable = Err(CreateError::MemberUnreachable);
+        assert_eq!(lost.created(id), [unreachable]);
+        assert!(!lost.s.fuse.knows_group(id), "the record is left");
+        assert!(lost.s.fuse.subscriptions().is_empty(), "a link is left");
+        assert!(lost.s.fuse.hash_cache_consistent(&lost.s.overlay));
+
         for m in [m1, m2] {
             root.fuse(m.proc, FuseMsg::GroupCreateReply { id, ok: true });
-            root.install(m, id, 0);
         }
+        root.install(m2, id, 0);
         assert!(root.s.fuse.handle(id).is_some(), "the group was created");
+        assert_eq!(root.s.fuse.tree_links(id), [m1.proc, m2.proc]);
 
         // m1 asks for repair: the kick comes after the base delay.
         root.fuse(m1.proc, FuseMsg::NeedRepair { id, seq: 0 });
@@ -1090,6 +1141,95 @@ mod tests {
         assert_eq!(root.kick_delay(armed), Some(REPAIR_BACKOFF_BASE));
     }
 
+    /// A repair asked for while the group is being created is not dropped:
+    /// round 0 is marked `dirty`, as any round with replies out, and its
+    /// last reply starts the backoff, so the repair round follows within
+    /// the base delay.
+    #[test]
+    fn a_repair_asked_for_during_creation_follows_the_last_reply() {
+        let (m1, m2) = members();
+        let (mut root, id) = creating(vec![m1, m2]);
+        root.fuse(m1.proc, FuseMsg::GroupCreateReply { id, ok: true });
+        root.install(m1, id, 0);
+        let armed = root.due.len();
+        root.fuse(m1.proc, FuseMsg::NeedRepair { id, seq: 0 });
+        assert_eq!(root.due.len(), armed, "a kick while replies are out");
+
+        let last = Time::ZERO + Duration::from_secs(2);
+        root.now = last;
+        root.fuse(m2.proc, FuseMsg::GroupCreateReply { id, ok: true });
+        assert!(matches!(root.created(id)[..], [Ok(_)]), "{:?}", root.events);
+        root.run_until(last + REPAIR_BACKOFF_BASE);
+        assert_eq!(root.repair_requests(1), 2, "round 1 contacts both");
+    }
+
+    /// Until its group is created the root is no participant: a handler
+    /// registered on the ticket's id is answered at once with
+    /// `UnknownGroup`, a `group_send` is refused and sends nothing, and
+    /// `signal_failure` does nothing, so exactly one `Created` follows.
+    /// Once created, the handler and the signal take.
+    #[test]
+    fn a_creating_root_is_not_yet_a_participant() {
+        let (m1, _) = members();
+        let (mut root, id) = creating(vec![m1]);
+        let mut api = root.s.api(root.now, &mut root.rng);
+        api.register_handler(id, 5);
+        assert!(!api.group_send(id, m1.proc, Bytes::from_static(b"data")));
+        api.signal_failure(id);
+        let outs = drain(&mut root.s);
+        let unknown = |n: &Notification| {
+            (n.reason, n.role, n.ctx) == (NotifyReason::UnknownGroup, Role::Observer, Some(5))
+        };
+        assert!(
+            matches!(&outs[..], [Output::App(AppCall::Event(FuseEvent::Notified(n)))] if unknown(n)),
+            "{outs:?}"
+        );
+        assert!(!root.s.fuse.is_participant(id) && root.s.fuse.handle(id).is_none());
+
+        root.fuse(m1.proc, FuseMsg::GroupCreateReply { id, ok: true });
+        root.install(m1, id, 0);
+        let handle = root.s.fuse.handle(id).expect("created");
+        assert_eq!(root.created(id), [Ok(handle)]);
+        let mut api = root.s.api(root.now, &mut root.rng);
+        api.register_handler(id, 6);
+        api.signal_failure(id);
+        root.collect();
+        let notified = root.notified(id);
+        let signalled =
+            |n: &Notification| (n.reason, n.ctx) == (NotifyReason::ExplicitSignal, Some(6));
+        assert!(matches!(&notified[..], [n] if signalled(n)), "{notified:?}");
+        assert_eq!(root.created(id).len(), 1);
+    }
+
+    /// A creation reports exactly one `Created` — on success, on a refusal
+    /// and on a broken connection — whatever answers, breaks and deadlines
+    /// come after.
+    #[test]
+    fn a_creation_reports_exactly_one_created() {
+        let (m1, m2) = members();
+        let outcomes = [
+            Ok(()),
+            Err(CreateError::Refused),
+            Err(CreateError::ConnectionBroken),
+        ];
+        for outcome in outcomes {
+            let (mut root, id) = creating(vec![m1, m2]);
+            let reply = |ok| FuseMsg::GroupCreateReply { id, ok };
+            root.fuse(m1.proc, reply(true));
+            match outcome {
+                Ok(()) => root.fuse(m2.proc, reply(true)),
+                Err(CreateError::Refused) => root.fuse(m2.proc, reply(false)),
+                Err(_) => root.input(Input::LinkBroken { peer: m2.proc }),
+            }
+            root.fuse(m2.proc, reply(true));
+            root.fuse(m1.proc, reply(false));
+            root.input(Input::LinkBroken { peer: m1.proc });
+            root.run_until(root.now + CREATE_TIMEOUT + INSTALL_WAIT);
+            let created: Vec<_> = root.created(id).iter().map(|r| r.map(|_| ())).collect();
+            assert_eq!(created, [outcome]);
+        }
+    }
+
     /// Every tag survives its key, and no two tags share one.
     #[test]
     fn timer_keys_name_their_tags() {
@@ -1100,9 +1240,7 @@ mod tests {
             Timer::Overlay(OverlayTimer::JoinRetry),
             Timer::Overlay(OverlayTimer::Maintenance),
             Timer::Fuse(FuseTimer::LinkExpired),
-            Timer::Fuse(FuseTimer::MemberRepairWait { id }),
-            Timer::Fuse(FuseTimer::Round { id }),
-            Timer::Fuse(FuseTimer::RepairKick { id }),
+            Timer::Fuse(FuseTimer::Group { id }),
             Timer::App(u64::MAX),
         ];
         let keys: std::collections::BTreeSet<TimerKey> = tags.iter().map(Timer::key).collect();

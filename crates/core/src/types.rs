@@ -408,20 +408,11 @@ pub enum FuseTimer {
     /// The node's one liveness expiry: the earliest deadline among its
     /// monitored (group, link)s may have come.
     LinkExpired,
-    /// Member-side wait for the root after `NeedRepair`.
-    MemberRepairWait {
-        /// The group.
-        id: FuseId,
-    },
-    /// Root-side deadline of a creation or repair round: its replies'
-    /// (`CREATE_TIMEOUT` or `root_repair_timeout`), then, while installs
-    /// are missing, `INSTALL_WAIT`.
-    Round {
-        /// The group.
-        id: FuseId,
-    },
-    /// Root-side delayed (backed-off) repair start.
-    RepairKick {
+    /// One of a group's deadlines may have come: its root's round
+    /// (`CREATE_TIMEOUT` or `root_repair_timeout` for the replies, then
+    /// `INSTALL_WAIT` while installs are missing), its root's backed-off
+    /// repair kick, or its member's wait for the root after `NeedRepair`.
+    Group {
         /// The group.
         id: FuseId,
     },

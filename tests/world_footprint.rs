@@ -31,11 +31,14 @@ use rand::{Rng, SeedableRng};
 const STAKE_BYTES: isize = 5_395_261;
 
 /// The world's live heap after `steady_ping`'s set-up, in bytes and in
-/// blocks: 9,932,851 B in 19,135 blocks measured on x86-64 Linux, plus 5 %.
-/// While every delegate kept the root's address, its creation time and a
-/// hash table of links it was 12,087,427 B in 30,157 blocks.
-const STANDING_STAKE_BYTES: isize = 10_429_494;
-const STANDING_STAKE_BLOCKS: isize = 20_092;
+/// blocks: 9,269,207 B in 17,284 blocks measured on x86-64 Linux, plus 5 %.
+/// While a layer kept its creation attempts, handler contexts and
+/// fail-on-send peers in three tables beside its group records it was
+/// 9,424,723 B in 17,535 blocks; while every delegate kept the root's
+/// address, its creation time and a hash table of links, 12,087,427 B in
+/// 30,157 blocks.
+const STANDING_STAKE_BYTES: isize = 9_732_667;
+const STANDING_STAKE_BLOCKS: isize = 18_148;
 
 thread_local! {
     // `const` init: no lazy-init bookkeeping and no destructor, so the
