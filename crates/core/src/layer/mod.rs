@@ -275,6 +275,11 @@ impl RoleState {
             RoleState::Delegate => None,
         }
     }
+
+    /// Whether the application bound a `group_send` to `peer` (§3.4).
+    fn sends_to(&self, peer: PeerAddr) -> bool {
+        self.binding().is_some_and(|b| b.sends.contains(&peer))
+    }
 }
 
 #[derive(Clone)]
@@ -473,8 +478,7 @@ impl FuseLayer {
         ov: &mut OverlayNode,
         peer: PeerAddr,
     ) {
-        self.fail_rounds_awaiting(cx, ov, peer);
-        self.fail_bound_sends(cx, ov, peer);
+        self.fail_awaiting_or_bound(cx, ov, peer);
         // Liveness-tree links to this peer are gone.
         self.peer_links_failed(cx, ov, peer);
     }

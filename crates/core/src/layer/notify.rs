@@ -64,26 +64,6 @@ impl FuseLayer {
         true
     }
 
-    /// §3.4 fail-on-send: groups whose data path to `peer` just broke are
-    /// declared failed, exactly as if the sender had signalled.
-    pub(super) fn fail_bound_sends(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        peer: PeerAddr,
-    ) {
-        let mut bound: Vec<FuseId> = self
-            .groups
-            .iter()
-            .filter(|(_, g)| g.role.binding().is_some_and(|b| b.sends.contains(&peer)))
-            .map(|(&id, _)| id)
-            .collect();
-        bound.sort_unstable();
-        for id in bound {
-            self.declare_failed(cx, ov, id, NotifyReason::ConnectionBroken);
-        }
-    }
-
     /// Declares `id` failed with the given evidence: the member/root halves
     /// of `SignalFailure`, shared by the explicit API and fail-on-send.
     pub(super) fn declare_failed(

@@ -195,27 +195,37 @@ impl FuseLayer {
         }
     }
 
-    /// Rounds still waiting on `peer`'s reply fail, in `FuseId` order: its
-    /// connection broke.
-    pub(super) fn fail_rounds_awaiting(
+    /// `peer`'s connection broke, found in one scan of the records: the
+    /// rounds still waiting on its reply fail, then the groups bound to
+    /// send to it (§3.4) are declared failed, each in `FuseId` order.
+    pub(super) fn fail_awaiting_or_bound(
         &mut self,
         cx: &mut CoreCx<'_>,
         ov: &mut OverlayNode,
         peer: PeerAddr,
     ) {
-        let mut failed: Vec<FuseId> = self
-            .groups
-            .iter()
-            .filter(|(_, g)| match &g.role {
-                RoleState::Root(rs) => rs.round.as_ref().is_some_and(|r| r.replies.contains(&peer)),
-                _ => false,
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        failed.sort_unstable();
-        for id in failed {
+        let (mut rounds, mut bound) = (Vec::new(), Vec::new());
+        for (&id, g) in &self.groups {
+            if let RoleState::Root(rs) = &g.role {
+                if rs.round.as_ref().is_some_and(|r| r.replies.contains(&peer)) {
+                    rounds.push(id);
+                }
+            }
+            if g.role.sends_to(peer) {
+                bound.push(id);
+            }
+        }
+        rounds.sort_unstable();
+        bound.sort_unstable();
+        for id in rounds {
             let reason = NotifyReason::ConnectionBroken;
             self.round_failed(cx, ov, id, CreateError::ConnectionBroken, reason);
+        }
+        for id in bound {
+            // A failed round may have ended the group, binding and all.
+            if self.role(id).is_some_and(|role| role.sends_to(peer)) {
+                self.declare_failed(cx, ov, id, NotifyReason::ConnectionBroken);
+            }
         }
     }
 

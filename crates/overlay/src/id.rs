@@ -99,18 +99,53 @@ impl NodeName {
         std::str::from_utf8(self.as_bytes()).expect("a NodeName holds UTF-8")
     }
 
+    /// The name's ring position: its zero-padded bytes, then its length,
+    /// as one 192-bit big-endian integer. Positions order exactly as names
+    /// do, and distinct names have distinct positions.
+    pub fn ring_pos(&self) -> RingPos {
+        let mut be = [0u8; NAME_CAP + 1];
+        be[..NAME_CAP].copy_from_slice(&self.bytes);
+        be[NAME_CAP] = self.len;
+        let (hi, lo) = be.split_at(8);
+        RingPos {
+            hi: u64::from_be_bytes(hi.try_into().expect("8 bytes")),
+            lo: u128::from_be_bytes(lo.try_into().expect("16 bytes")),
+        }
+    }
+
     /// Cyclic "is `x` strictly inside the arc (self → to], walking
-    /// clockwise (increasing names, wrapping at the top)?"
+    /// clockwise (increasing names, wrapping at the top)?" When
+    /// `self == to` the arc is the full circle: everything but the start.
     pub fn arc_contains(&self, to: &NodeName, x: &NodeName) -> bool {
-        if self == to {
-            // Degenerate full-circle arc: everything but the start is inside.
-            return x != self;
-        }
-        if self < to {
-            x > self && x <= to
-        } else {
-            x > self || x <= to
-        }
+        let from = self.ring_pos();
+        let x = x.ring_pos();
+        x != from && x.cw_rank(from) <= to.ring_pos().cw_rank(from)
+    }
+}
+
+/// A [`NodeName`]'s position on the ring: a 192-bit integer, the high 64
+/// bits in `hi`. Walking clockwise is counting up, modulo 2^192.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RingPos {
+    hi: u64,
+    lo: u128,
+}
+
+impl RingPos {
+    /// How far clockwise this position lies past `from`, less one, modulo
+    /// 2^192: `from` itself ranks last, a full circle away. Nearer
+    /// positions rank lower, so `x` lies inside the arc `(from → to]`
+    /// exactly when `x ≠ from` and its rank is at most `to`'s.
+    pub(crate) fn cw_rank(self, from: RingPos) -> RingPos {
+        const ONE: RingPos = RingPos { hi: 0, lo: 1 };
+        self.wrapping_sub(from).wrapping_sub(ONE)
+    }
+
+    /// `self − rhs`, modulo 2^192.
+    fn wrapping_sub(self, rhs: RingPos) -> RingPos {
+        let (lo, borrow) = self.lo.overflowing_sub(rhs.lo);
+        let hi = self.hi.wrapping_sub(rhs.hi).wrapping_sub(u64::from(borrow));
+        RingPos { hi, lo }
     }
 }
 
@@ -241,19 +276,22 @@ impl Decode for NodeInfo {
 /// further clockwise from `from` than `b` (i.e. `b` lies inside the arc
 /// `(from → a]`).
 pub fn further_clockwise(from: &NodeName, a: &NodeName, b: &NodeName) -> bool {
-    a != b && from.arc_contains(a, b)
+    closer_clockwise(from, b, a)
 }
 
 /// Whether `a` is strictly closer than `b` when walking clockwise from
 /// `from` (i.e. `a` lies inside the arc `(from → b)`).
 pub fn closer_clockwise(from: &NodeName, a: &NodeName, b: &NodeName) -> bool {
-    a != b && from.arc_contains(b, a)
+    let from = from.ring_pos();
+    a.ring_pos().cw_rank(from) < b.ring_pos().cw_rank(from)
 }
 
 /// Whether `a` is strictly closer than `b` when walking counterclockwise
-/// from `from` (i.e. `a` lies inside the cw arc `(b → from)`).
+/// from `from` (i.e. `a` lies inside the cw arc `(b → from)`): `from` is
+/// then nearer clockwise past `a` than past `b`.
 pub fn closer_counterclockwise(from: &NodeName, a: &NodeName, b: &NodeName) -> bool {
-    a != b && a != from && b.arc_contains(from, a)
+    let from = from.ring_pos();
+    from.cw_rank(a.ring_pos()) < from.cw_rank(b.ring_pos())
 }
 
 #[cfg(test)]

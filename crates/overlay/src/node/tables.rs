@@ -15,9 +15,7 @@
 use fuse_util::PeerAddr;
 
 use crate::config::{LEAF_SIDE, MAX_LEVELS};
-use crate::id::{
-    closer_clockwise, closer_counterclockwise, further_clockwise, NodeInfo, NodeName, NumericId,
-};
+use crate::id::{closer_clockwise, closer_counterclockwise, NodeInfo, NodeName, NumericId};
 use crate::oracle::OracleTables;
 
 /// Whether `a` lies nearer `from` than `b` on one side of the ring.
@@ -98,13 +96,17 @@ impl Tables {
         if *target == self.me.name {
             return None;
         }
-        let ahead = |c: &&NodeInfo| self.me.name.arc_contains(target, &c.name);
-        let further =
-            |b: &NodeInfo, c: &NodeInfo| further_clockwise(&self.me.name, &c.name, &b.name);
-        // The first entry ahead, replaced by each later one further along.
+        // Ranked by clockwise distance from this node, an entry ahead of
+        // it and not past the target ranks at most as high as the target;
+        // this node itself ranks last. The first entry ahead is replaced by
+        // each later one further along.
+        let me = self.me.name.ring_pos();
+        let limit = target.ring_pos().cw_rank(me);
         self.entries()
-            .filter(ahead)
-            .reduce(|b, c| if further(b, c) { c } else { b })
+            .map(|e| (e.name.ring_pos().cw_rank(me), e))
+            .filter(|&(rank, _)| rank <= limit)
+            .reduce(|b, c| if c.0 > b.0 { c } else { b })
+            .map(|(_, e)| e)
     }
 
     /// This node, then its leaf sets and, when `levels`, its routing table,

@@ -1,7 +1,8 @@
-//! The inline ring name against the `String` it replaced: ring order, arc
-//! geometry, wire bytes, numeric IDs, `Hash`, `Debug` and `Display` must all
-//! agree for every text of 0–23 bytes, and a hostile length prefix or body
-//! must decode to an error.
+//! The inline ring name against the `String` it replaced: ring order, ring
+//! positions, arc geometry, the next hop over preloaded tables, wire bytes,
+//! numeric IDs, `Hash`, `Debug` and `Display` must all agree for every text
+//! of 0–23 bytes, and a hostile length prefix or body must decode to an
+//! error.
 
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 
@@ -9,7 +10,7 @@ use fuse_overlay::id::{
     closer_clockwise, closer_counterclockwise, further_clockwise, NodeName, NAME_CAP,
     NUMERIC_DIGITS,
 };
-use fuse_overlay::{NodeInfo, NumericId, OverlayMsg};
+use fuse_overlay::{NodeInfo, NumericId, OverlayConfig, OverlayMsg, OverlayNode};
 use fuse_wire::{sha1, Decode, DecodeError, Encode};
 use proptest::prelude::*;
 
@@ -38,6 +39,47 @@ fn text() -> BoxedStrategy<String> {
     .boxed()
 }
 
+/// Ring names for one set of tables: the alphabet's texts, texts that
+/// share their first 16 bytes (`stem`) and differ after it, and 22-byte
+/// `probe-<hex>` targets as maintenance names them, half of them sharing
+/// their first 16 bytes too.
+fn ring_text(stem: &str) -> BoxedStrategy<String> {
+    let stem = stem.to_owned();
+    let probe = prop_oneof![any::<u64>(), 0u64..4096];
+    prop_oneof![
+        text(),
+        prop::collection::vec(0usize..ALPHABET.len(), 0..8)
+            .prop_map(move |ix| fit(stem.chars().chain(ix.into_iter().map(|i| ALPHABET[i])))),
+        probe.prop_map(|v| format!("probe-{v:016x}")),
+    ]
+    .boxed()
+}
+
+/// A node's name, a target, and the names in its clockwise and
+/// counterclockwise leaf sets (up to eight each) and routing levels (up to
+/// eight, two optional slots each).
+type Case = (
+    String,
+    String,
+    Vec<String>,
+    Vec<String>,
+    Vec<(Option<String>, Option<String>)>,
+);
+
+fn tables() -> impl Strategy<Value = Case> {
+    "[a-z0-9]{16}".prop_flat_map(|stem| {
+        let t = || ring_text(&stem);
+        let slot = || prop::option::of(t());
+        (
+            t(),
+            t(),
+            prop::collection::vec(t(), 0..9),
+            prop::collection::vec(t(), 0..9),
+            prop::collection::vec((slot(), slot()), 0..9),
+        )
+    })
+}
+
 fn name(s: &str) -> NodeName {
     NodeName::new(s).expect("generated texts fit")
 }
@@ -53,6 +95,21 @@ fn arc_contains(from: &str, to: &str, x: &str) -> bool {
     } else {
         x > from || x <= to
     }
+}
+
+/// The next hop as it was chosen over `String` names: among the entries in
+/// table order, the first one inside `(me → target]`, replaced by each later
+/// one further clockwise.
+fn next_hop(me: &str, target: &str, entries: &[(u32, String)]) -> Option<u32> {
+    if target == me {
+        return None;
+    }
+    let further = |a: &str, b: &str| a != b && arc_contains(me, a, b);
+    entries
+        .iter()
+        .filter(|(_, c)| arc_contains(me, target, c))
+        .reduce(|b, c| if further(&c.1, &b.1) { c } else { b })
+        .map(|(proc, _)| *proc)
 }
 
 fn numeric_digits(s: &str) -> Vec<u8> {
@@ -71,8 +128,12 @@ proptest! {
     fn order_and_arcs_match_string_names(a in text(), b in text(), x in text()) {
         let (na, nb, nx) = (name(&a), name(&b), name(&x));
         prop_assert_eq!(na.cmp(&nb), a.cmp(&b));
+        prop_assert_eq!(na.ring_pos().cmp(&nb.ring_pos()), a.cmp(&b));
         prop_assert_eq!(na == nb, a == b);
-        prop_assert_eq!(na.arc_contains(&nb, &nx), arc_contains(&a, &b, &x));
+        // Inside the arc, and at either end of it.
+        for (n, s) in [(&nx, &x), (&na, &a), (&nb, &b)] {
+            prop_assert_eq!(na.arc_contains(&nb, n), arc_contains(&a, &b, s));
+        }
         prop_assert_eq!(
             further_clockwise(&nx, &na, &nb),
             na != nb && arc_contains(&x, &a, &b)
@@ -84,6 +145,36 @@ proptest! {
         prop_assert_eq!(
             closer_counterclockwise(&nx, &na, &nb),
             a != b && a != x && arc_contains(&b, &x, &a)
+        );
+    }
+
+    #[test]
+    fn next_hop_matches_string_names(case in tables()) {
+        let (me, target, cw, ccw, levels) = case;
+        // Each entry's address is its place in table order (clockwise
+        // leaves, counterclockwise leaves, then each level's ccw and cw
+        // slots), so a tie between equal names shows which one won.
+        let mut entries: Vec<(u32, String)> = Vec::new();
+        let mut info = |s: &String| {
+            let proc = entries.len() as u32;
+            entries.push((proc, s.clone()));
+            NodeInfo::new(proc, name(s))
+        };
+        let cw: Vec<NodeInfo> = cw.iter().map(&mut info).collect();
+        let ccw: Vec<NodeInfo> = ccw.iter().map(&mut info).collect();
+        let rtable: Vec<[Option<NodeInfo>; 2]> = levels
+            .iter()
+            .map(|(l, r)| [l.as_ref().map(&mut info), r.as_ref().map(&mut info)])
+            .collect();
+        let mut node = OverlayNode::new(
+            NodeInfo::new(u32::MAX, name(&me)),
+            None,
+            OverlayConfig::default(),
+        );
+        node.preload_tables(cw, ccw, rtable);
+        prop_assert_eq!(
+            node.next_hop(&name(&target)),
+            next_hop(&me, &target, &entries)
         );
     }
 
@@ -104,6 +195,14 @@ proptest! {
         prop_assert_eq!(n.to_string(), s.clone());
         prop_assert_eq!(format!("{n:?}"), format!("NodeName({s:?})"));
     }
+}
+
+#[test]
+fn ring_positions_add_no_bytes() {
+    // A position is read from the name when it is needed, never stored:
+    // names and table entries keep their size.
+    assert_eq!(std::mem::size_of::<NodeName>(), 24);
+    assert_eq!(std::mem::size_of::<NodeInfo>(), 28);
 }
 
 #[test]
