@@ -144,16 +144,29 @@ fn kernel_queue() {
 }
 
 /// Median ns per miss of an oracle over `topo` and `endpoints` (sorted and
-/// distinct) asked about disjoint pairs (the samples share the `n / 2`
-/// there are), so neither end of a query has a row and each computes one.
+/// distinct). Each query asks about the last endpoint, whose anchor never
+/// gets a row, from the next endpoint of the lower half whose anchor has
+/// none yet (sorted router ids put the two halves in different ASes, so
+/// on different anchors): each query sweeps once.
 fn cold_miss_ns(topo: Topology, endpoints: &[u32]) -> f64 {
     let mut cold = RouteOracle::new(topo, endpoints);
+    let last = endpoints.len() as u32 - 1;
     let mut next = 0;
-    let ns = median_ns(endpoints.len() / (2 * REPS), || {
-        next += 2;
-        cold.route_by_index(next - 2, next - 1).latency.nanos()
+    let ns = median_ns(cold.stats().anchors / (4 * REPS), || {
+        while cold.row_resident(endpoints[next]) {
+            next += 1;
+        }
+        assert!(
+            next < endpoints.len() / 2,
+            "the lower half ran out of anchors"
+        );
+        cold.route_by_index(next as u32, last).latency.nanos()
     });
-    assert_eq!(cold.stats().hits, 0, "a miss query was served from a row");
+    assert_eq!(
+        cold.stats().hits,
+        0,
+        "a miss query was answered without a sweep"
+    );
     ns
 }
 
@@ -166,10 +179,10 @@ fn endpoints_of(topo: &Topology, n: usize, rng: &mut StdRng) -> Vec<u32> {
 }
 
 /// Hit, reverse-row hit and miss latency for 400 endpoints on the default
-/// topology, as in the paper's 400-node worlds, plus the bytes resident
-/// with as many rows computed as queries can cause; then the miss latency
-/// for 500 endpoints at Mercator scale. Each names the size of the core a
-/// miss sweeps.
+/// topology, as in the paper's 400-node worlds, plus the anchors they hang
+/// from and the rows, sweeps and bytes resident with as many anchor rows
+/// computed as queries can cause; then the miss latency for 500 endpoints
+/// at Mercator scale. Each names the size of the core a miss sweeps.
 fn route_table() {
     const SEED: u64 = 0xF0D0;
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -178,11 +191,13 @@ fn route_table() {
     let (n, routers, core) = (endpoints.len(), topo.n_routers(), topo.core_len());
     let mut oracle = RouteOracle::new(topo, &endpoints);
 
-    // Hits: two computed rows queried alternately. Forward hits name the
-    // computed row's endpoint as the source; reverse-row hits name it as
-    // the destination, from a source whose own row is not computed. Both
-    // take endpoint positions, as a `Network` send does.
-    let (s0, s1, far) = (0, 1, 2);
+    // Hits: two computed anchor rows queried alternately. Forward hits name
+    // an endpoint on the computed row's anchor as the source; reverse-row
+    // hits name it as the destination, from a source whose anchor's row is
+    // not computed (so the row's column answers). Both take endpoint
+    // positions, as a `Network` send does. Positions this far apart in the
+    // sorted endpoints lie in different ASes, so on three anchors.
+    let (s0, s1, far) = (0, n as u32 / 2, n as u32 - 1);
     oracle.route_by_index(s0, far);
     oracle.route_by_index(s1, far);
     let mut i = 0usize;
@@ -202,18 +217,20 @@ fn route_table() {
     let again = Topology::generate(&TopologyConfig::default(), &mut StdRng::seed_from_u64(SEED));
     let miss_ns = cold_miss_ns(again, &endpoints);
 
-    // Fill the oracle as far as it goes: a row is only computed when
-    // neither end has one, so every endpoint asks about the last one,
-    // whose own row is then never needed.
+    // Fill the oracle as far as it goes: an anchor's row is only computed
+    // when neither anchor of a pair has one, so every endpoint asks about
+    // the last one, whose anchor's own row is then never needed. Every
+    // other anchor sweeps once; endpoints sharing an anchor do not.
     let last = n as u32 - 1;
     for src in 0..last {
         oracle.route_by_index(src, last);
     }
     let stats = oracle.stats();
     println!(
-        "route oracle ({routers} routers, core {core}, {n} endpoints): hit {hit_ns:.1} ns   \
-         reverse-row hit {reverse_ns:.1} ns   miss {miss_ns:.0} ns   resident {} rows / {} bytes",
-        stats.resident_rows, stats.resident_bytes
+        "route oracle ({routers} routers, core {core}, {n} endpoints on {} anchors): \
+         hit {hit_ns:.1} ns   reverse-row hit {reverse_ns:.1} ns   miss {miss_ns:.0} ns   \
+         resident {} rows ({} sweeps) / {} bytes",
+        stats.anchors, stats.resident_rows, stats.misses, stats.resident_bytes
     );
 
     let topo = Topology::generate(&TopologyConfig::mercator_scale(), &mut rng);

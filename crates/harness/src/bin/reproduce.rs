@@ -8,7 +8,8 @@
 //! paper order) and prints its `render`: the rows/series the paper reports
 //! next to the paper's published values. `--quick` swaps each module's
 //! `Params::paper()` for `Params::quick()`; CI runs `reproduce --quick all`
-//! as a smoke.
+//! as a smoke. Each experiment's `[wall time: …]` goes to stderr, so the
+//! stdout of one tree is the same bytes on every run.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -201,7 +202,8 @@ fn main() -> ExitCode {
         println!("==== {} (scale: {scale}) ====", e.title);
         let start = Instant::now();
         (e.run)(quick);
-        println!("[wall time: {:.2}s]\n", start.elapsed().as_secs_f64());
+        eprintln!("[wall time: {:.2}s]", start.elapsed().as_secs_f64());
+        println!();
     }
     ExitCode::SUCCESS
 }

@@ -1,6 +1,7 @@
 //! Route work is done once: a paper-scale world computes at most one
-//! shortest-path row per attachment router in its whole life — most of
-//! them while its neighbours first ping each other — and none twice.
+//! shortest-path row per anchor (the core router an attachment router's
+//! access chain hangs from) in its whole life — most of them while its
+//! neighbours first ping each other — and none twice.
 //!
 //! The counts repeat exactly under the seed (the oracle's statistics are a
 //! pure function of the query order, which the kernel fixes), so they are
@@ -45,21 +46,24 @@ fn create_signal_notified(world: &mut World, groups: &[(ProcId, Vec<ProcId>)]) {
 #[test]
 fn a_world_computes_each_route_row_at_most_once() {
     let mut world = World::build(&WorldParams::new(NODES, 1, NetConfig::cluster()));
-    let misses = |w: &World| w.sim.medium().route_oracle_stats().misses;
+    let stats = |w: &World| w.sim.medium().route_oracle_stats();
+    let misses = |w: &World| stats(w).misses;
     assert_eq!(misses(&world), 0, "construction computes no route");
+    // The 400 attachment routers hang from 221 anchors: a sweep is per
+    // anchor, not per router.
+    let anchors = stats(&world).anchors as u64;
+    assert_eq!(anchors, 221);
 
     // One and a half ping periods: every node has pinged its neighbours.
     world.run(SimDuration::from_secs(90));
     let warm = misses(&world);
-    assert!(
-        (1..=NODES as u64).contains(&warm),
-        "at most one row per attachment router, got {warm}"
-    );
+    assert!(warm <= anchors, "at most one row per anchor, got {warm}");
+    assert_eq!(warm, 202, "sweeps after the warm-up");
 
     // 100 concurrent creates of 2..32 members between uniformly drawn
     // nodes, most of which never exchanged a message before. Only a pair
-    // with no row at either end costs a row sweep, and there is at most one
-    // row left to compute per node that has none yet.
+    // whose anchors have no row yet costs a sweep, and by now there is
+    // almost no anchor left without one.
     let mut rng = StdRng::seed_from_u64(0x0063_6875_726e);
     let groups: Vec<_> = (0..100)
         .map(|i| {
@@ -70,11 +74,12 @@ fn a_world_computes_each_route_row_at_most_once() {
         .collect();
     create_signal_notified(&mut world, &groups);
     let first = misses(&world);
-    assert!(first <= NODES as u64, "{first} rows for {NODES} routers");
+    assert!(first <= anchors, "{first} rows for {anchors} anchors");
+    assert_eq!(first, 203, "sweeps after the first create round");
 
     // The same groups again: every route they need has been computed.
     create_signal_notified(&mut world, &groups);
     assert_eq!(misses(&world), first, "a repeated round recomputed a route");
-    let s = world.sim.medium().route_oracle_stats();
+    let s = stats(&world);
     assert_eq!(s.resident_rows as u64, s.misses, "every computed row stays");
 }

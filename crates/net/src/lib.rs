@@ -15,9 +15,10 @@
 //!   including the [`TopologyConfig::mercator_scale`] preset that reaches
 //!   the paper's ~100k routers,
 //! * [`routes`] — lexicographic `(hops, latency)` shortest paths behind the
-//!   demand-driven [`RouteOracle`] (a lazy breadth-first sweep per endpoint
-//!   over the topology's 2-core, with the trees hanging from it added as
-//!   fixed offsets; bit-packed endpoint-wide rows served from either end),
+//!   demand-driven [`RouteOracle`] (a lazy breadth-first sweep per anchor
+//!   over the topology's 2-core, kept in one bit-packed anchor × anchor
+//!   table filled by row and column, with the trees hanging from the core
+//!   added as fixed offsets),
 //! * [`tcp`] — an analytic TCP model (connection cache, retransmission
 //!   backoff, connection breakage under loss),
 //! * [`fault`] — scriptable failures: crashes, disconnects, intransitive
@@ -35,19 +36,26 @@
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let topo = Topology::generate(&TopologyConfig::default(), &mut rng);
 //!
-//! // The oracle owns the topology. Rows appear on first use and stay:
-//! // route memory is at most 32 × 32 × 8 bytes, whatever the router count.
+//! // The oracle owns the topology. Core routes between the endpoints'
+//! // anchors appear on first use and stay: route memory is at most
+//! // 32 × 32 × 8 bytes plus a few words per endpoint, whatever the router
+//! // count.
 //! let endpoints = topo.attachable[..32].to_vec();
 //! let mut oracle = RouteOracle::new(topo, &endpoints);
 //! let at = |r| oracle.endpoint_index(r).expect("an endpoint");
-//! let (a, b) = (at(endpoints[0]), at(endpoints[1]));
+//! let (a, b, c) = (at(endpoints[0]), at(endpoints[31]), at(endpoints[1]));
 //! let route = oracle.route_by_index(a, b);
 //! assert!(route.hops >= 1);
 //! assert!(route.delivery_prob(0.0) == 1.0);
 //!
-//! // Links are undirected: the reverse query hits the same row.
+//! // Links are undirected: the reverse query hits the same anchor row.
 //! assert_eq!(route, oracle.route_by_index(b, a));
 //! assert_eq!((oracle.stats().hits, oracle.stats().misses), (1, 1));
+//!
+//! // Two neighbours on one access chain hang from one anchor: their route
+//! // is the chain link between them, and it costs no sweep.
+//! assert_eq!(oracle.route_by_index(a, c).hops, 1);
+//! assert_eq!((oracle.stats().hits, oracle.stats().misses), (2, 1));
 //! ```
 //!
 //! For full-stack use, [`Network::generate`] wires a topology, random

@@ -1,21 +1,23 @@
 //! Routes over the router graph.
 //!
 //! Routing in the emulated Internet is static (ModelNet precomputes routes
-//! the same way) and **demand-driven**: [`RouteOracle`] computes one row
-//! per *attachment* router the first time a route touching it cannot be
-//! answered from the other end, and keeps it for good — one bit-packed
-//! `(latency, hops)` word per attachment router.
+//! the same way) and **demand-driven**. Every router hangs from one router
+//! of the topology's **2-core** (see [`crate::topology`]), its *anchor*, by
+//! a fixed path. So a route between routers on two anchors is the source's
+//! offset to its anchor, the core route between the anchors and the
+//! destination's offset, and a route between routers on one anchor is the
+//! tree path through their nearest common ancestor.
 //!
-//! A row is one lexicographic shortest-path sweep over the topology's
-//! **2-core** (see [`crate::topology`]) from the source's anchor; every
-//! other router hangs from one core router by a fixed path, so each
-//! column is the two ends' offsets around a core route, or the tree path
-//! between two routers hanging from the same anchor. On the default
-//! topology the sweep visits 960 routers, not ~3,350. `tests/route_oracle.rs`
-//! holds every answer bit-identical to a test-local heap Dijkstra over
-//! random topologies, and this module's tests do the same on arbitrary
-//! graphs: branching and nested trees, tree-only components, isolated
-//! routers.
+//! [`RouteOracle`] therefore keeps one bit-packed `(latency, hops)` word per
+//! *pair of anchors* of its endpoints. The first query that finds its pair
+//! not computed runs one lexicographic shortest-path sweep over the core
+//! from the source's anchor, and writes the result into that anchor's row
+//! and, routes being symmetric, its column; every entry stays. On the
+//! default topology the sweep visits 960 routers, not ~3,350, and 400
+//! endpoints hang from about 220 anchors. `tests/route_oracle.rs` holds
+//! every answer bit-identical to a test-local heap Dijkstra over random
+//! topologies, and this module's tests do the same on arbitrary graphs:
+//! branching and nested trees, tree-only components, isolated routers.
 //!
 //! Paths minimize **hop count** (ties broken by latency), like the policy
 //! routing of the real Internet — crucially, paths do *not* detour around
@@ -92,104 +94,62 @@ pub(crate) fn unpack(w: u64) -> (u64, u32) {
 }
 
 // ---------------------------------------------------------------------------
-// Rows: one sweep over the core, then the hanging trees.
+// The core sweep and the tree path.
 
-/// Reused working storage of a row computation.
-#[derive(Default)]
-struct Sweep {
-    /// Packed `(latency, hops)` per core index, `UNREACHABLE` when not
-    /// reached.
-    best: Vec<u64>,
-    /// The FIFO of core indices, with one spare slot at the end.
-    queue: Vec<u32>,
-}
-
-impl Sweep {
-    /// Shortest paths from core index `from` to every core router.
-    ///
-    /// Lexicographic on `(hops, latency)`: minimum hop count, ties broken
-    /// by total latency. Minimising hops first makes this a breadth-first
-    /// layering, so no priority queue is needed:
-    ///
-    /// * a router first reached from layer `d − 1` is in layer `d`, and its
-    ///   hop count is `d`;
-    /// * its latency is the minimum, over its neighbours in layer `d − 1`,
-    ///   of their latency plus the link's. Every layer `d − 1` router is
-    ///   dequeued before any layer `d` one, and its latency was settled
-    ///   while layer `d − 2` was scanned — a prefix of a minimum-hop path
-    ///   is itself a minimum-hop path.
-    ///
-    /// One FIFO pass over the core's compressed adjacency, O(core routers +
-    /// core links), gives exactly the `(hops, latency)` a lexicographic
-    /// Dijkstra would.
-    ///
-    /// The words are packed, hops above latency, so one integer `min` is
-    /// the lexicographic one: a neighbour already reached holds a hop
-    /// count at most one above the router being expanded, so `min` keeps
-    /// an earlier layer's word and takes the lower latency within a layer.
-    /// An unreached neighbour holds `UNREACHABLE`, above every route, and
-    /// is queued by a write that always happens and a tail that moves only
-    /// for it. No branch depends on the graph, which roughly halves the
-    /// sweep. A core link's packed step keeps its latency below 2^44 ns
-    /// ([`Topology::core_neighbors`]), so a route of up to 1,022 hops
-    /// cannot carry into the hop field, and a router that deep is refused.
-    fn core_from(&mut self, topo: &Topology, from: u32) {
-        let n = topo.core_len();
-        self.best.clear();
-        self.best.resize(n, UNREACHABLE);
-        self.best[from as usize] = 0;
-        self.queue.clear();
-        self.queue.resize(n + 1, 0);
-        self.queue[0] = from;
-        let (mut head, mut tail) = (0, 1);
-        while head < tail {
-            let c = self.queue[head];
-            head += 1;
-            let at = self.best[c as usize];
-            assert!(
-                at < DEEPEST,
-                "route exceeds packed capacity: {} hops",
-                at >> HOP_SHIFT
-            );
-            for &(next, step) in topo.core_neighbors(c) {
-                let e = self.best[next as usize];
-                self.best[next as usize] = e.min(at + step);
-                self.queue[tail] = next;
-                tail += usize::from(e == UNREACHABLE);
-            }
+/// Shortest paths from core index `from` to every core router: packed
+/// `(latency, hops)` per core index, `UNREACHABLE` when not reached.
+///
+/// Lexicographic on `(hops, latency)`: minimum hop count, ties broken
+/// by total latency. Minimising hops first makes this a breadth-first
+/// layering, so no priority queue is needed:
+///
+/// * a router first reached from layer `d − 1` is in layer `d`, and its
+///   hop count is `d`;
+/// * its latency is the minimum, over its neighbours in layer `d − 1`,
+///   of their latency plus the link's. Every layer `d − 1` router is
+///   dequeued before any layer `d` one, and its latency was settled
+///   while layer `d − 2` was scanned — a prefix of a minimum-hop path
+///   is itself a minimum-hop path.
+///
+/// One FIFO pass over the core's compressed adjacency, O(core routers +
+/// core links), gives exactly the `(hops, latency)` a lexicographic
+/// Dijkstra would.
+///
+/// The words are packed, hops above latency, so one integer `min` is
+/// the lexicographic one: a neighbour already reached holds a hop
+/// count at most one above the router being expanded, so `min` keeps
+/// an earlier layer's word and takes the lower latency within a layer.
+/// An unreached neighbour holds `UNREACHABLE`, above every route, and
+/// is queued by a write that always happens and a tail that moves only
+/// for it. No branch depends on the graph, which roughly halves the
+/// sweep. A core link's packed step keeps its latency below 2^44 ns
+/// ([`Topology::core_neighbors`]), so a route of up to 1,022 hops
+/// cannot carry into the hop field, and a router that deep is refused.
+fn core_from(topo: &Topology, from: u32) -> Vec<u64> {
+    let n = topo.core_len();
+    let mut best = vec![UNREACHABLE; n];
+    best[from as usize] = 0;
+    // The FIFO of core indices, with one spare slot at the end.
+    let mut queue = vec![0; n + 1];
+    queue[0] = from;
+    let (mut head, mut tail) = (0, 1);
+    while head < tail {
+        let c = queue[head];
+        head += 1;
+        let at = best[c as usize];
+        assert!(
+            at < DEEPEST,
+            "route exceeds packed capacity: {} hops",
+            at >> HOP_SHIFT
+        );
+        for &(next, step) in topo.core_neighbors(c) {
+            let e = best[next as usize];
+            best[next as usize] = e.min(at + step);
+            queue[tail] = next;
+            tail += usize::from(e == UNREACHABLE);
         }
     }
-
-    /// The packed route from `src` to each of `dsts`.
-    ///
-    /// One sweep over the core from `src`'s anchor, then per destination:
-    ///
-    /// * anchors differ — `src`'s offset to its anchor, the core route
-    ///   between the anchors, and the destination's offset. A hanging tree
-    ///   meets the core at its anchor alone, so any path out of it leaves
-    ///   through the anchor, and a simple path never comes back in;
-    /// * one anchor — the tree path through the two routers' nearest
-    ///   common ancestor, the one simple path between them;
-    /// * the destination's anchor unreached — `UNREACHABLE`.
-    fn row(&mut self, topo: &Topology, src: RouterId, dsts: &[RouterId]) -> Vec<u64> {
-        let s = topo.hang(src);
-        self.core_from(topo, s.anchor);
-        let (s_lat, s_hops) = unpack(s.off);
-        dsts.iter()
-            .map(|&dst| {
-                let d = topo.hang(dst);
-                if d.anchor == s.anchor {
-                    return tree_path(topo, src, dst);
-                }
-                let core = self.best[d.anchor as usize];
-                if core == UNREACHABLE {
-                    return UNREACHABLE;
-                }
-                let ((lat, hops), (d_lat, d_hops)) = (unpack(core), unpack(d.off));
-                pack(s_lat + lat + d_lat, s_hops + hops + d_hops)
-            })
-            .collect()
-    }
+    best
 }
 
 /// Packed `(latency, hops)` of the one path between `a` and `b`, which hang
@@ -215,55 +175,71 @@ fn tree_path(topo: &Topology, a: RouterId, b: RouterId) -> u64 {
 // ---------------------------------------------------------------------------
 // The demand-driven oracle.
 
+/// The diagonal entry of an anchor whose row has been computed. No query
+/// reads the diagonal (two endpoints on one anchor take the tree path), and
+/// no route between two anchors is below one hop, so it is no route.
+const SWEPT: u64 = 1;
+
 /// Counters and occupancy of a [`RouteOracle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OracleStats {
-    /// Queries served from a computed row (either end's).
+    /// Queries answered without a sweep: from an anchor pair's computed
+    /// entry (either anchor's sweep wrote it), or by the tree path between
+    /// two endpoints on one anchor.
     pub hits: u64,
-    /// Queries that had to compute a row (neither end's row computed yet).
+    /// Queries whose anchor pair was not computed yet: each sweeps from the
+    /// source's anchor once.
     pub misses: u64,
-    /// Rows computed so far: every one stays.
+    /// Anchor rows computed so far, one per miss: every one stays.
     pub resident_rows: usize,
-    /// Bytes held by the rows, their headers and the endpoint set (not the
-    /// one sweep's reused working storage, a few words per core router).
+    /// Distinct anchors of the endpoints: the rows a table can have.
+    pub anchors: usize,
+    /// Bytes held by the anchor table and the per-endpoint arrays.
     pub resident_bytes: usize,
 }
 
 /// Demand-driven route oracle over one topology and a fixed **endpoint
-/// set**: per-endpoint shortest paths computed lazily and kept as rows of
-/// one bit-packed word per *endpoint* (not per router).
+/// set**: core routes between the endpoints' anchors computed lazily and
+/// kept in one bit-packed `anchors × anchors` table, and each endpoint's
+/// fixed offset to its anchor added on the way out.
 ///
-/// Routing is static, so a row never goes stale and is never dropped:
-/// resident memory is `rows computed × A × 8` bytes for `A` distinct
-/// endpoints, whatever the router count, where all-destinations rows would
-/// take `sources × n_routers × 16` bytes. Links are undirected and a
-/// route's `(hops, latency)` are integer sums over a path that reads the
-/// same both ways, so `route(a, b) == route(b, a)` exactly: a query is
-/// served from whichever end's row is computed, and only a pair with
-/// *neither* computes a row. A hit is two array reads and no allocation; a
-/// miss is one breadth-first sweep over the topology's core (under 2 ms at
-/// 100k routers, 20–30 µs at the default topology).
+/// Routing is static, so an entry never goes stale and is never dropped:
+/// resident memory is `B × B × 8` bytes for `B` distinct anchors (at most
+/// the `A` distinct endpoints, about 220 for 400 on the default topology),
+/// plus at most 24 bytes per endpoint, whatever the router count. Links are
+/// undirected and a route's `(hops, latency)` are integer sums over a path
+/// that reads the same both ways, so a sweep from one anchor fills its row
+/// and its column, and only a pair whose anchors have *neither* been swept
+/// costs a sweep. A hit is one table load (or, for two endpoints on one
+/// anchor, a walk up their tree) and no allocation; a miss is one
+/// breadth-first sweep over the topology's core (under 2 ms at 100k
+/// routers, about 20 µs at the default topology).
 ///
 /// The oracle owns the [`Topology`] it answers for, so no other graph can
-/// reach its rows. For a fixed topology and query sequence it is fully
+/// reach its table. For a fixed topology and query sequence it is fully
 /// deterministic, [`stats`](RouteOracle::stats) included.
 pub struct RouteOracle {
     topo: Topology,
-    /// The endpoint routers, sorted and distinct: a row's column order,
-    /// and a router's position by binary search.
+    /// The endpoint routers, sorted and distinct: a router's position by
+    /// binary search.
     endpoints: Vec<RouterId>,
-    /// Endpoint position → its packed row, in `endpoints` order; empty
-    /// until computed.
-    rows: Vec<Vec<u64>>,
+    /// Per endpoint, in `endpoints` order: its anchor's position in
+    /// `anchors` and its packed offset to that anchor.
+    ends: Vec<(u32, u64)>,
+    /// Core indices of the endpoints' anchors, sorted and distinct.
+    anchors: Vec<u32>,
+    /// `anchors × anchors` packed core routes, row-major: 0 until computed
+    /// (two distinct anchors are at least one hop apart), `UNREACHABLE`
+    /// between components, [`SWEPT`] on the diagonal of a swept anchor.
+    table: Vec<u64>,
     hits: u64,
     misses: u64,
-    sweep: Sweep,
 }
 
 impl RouteOracle {
     /// Creates an oracle for routes over `topo` among `endpoints`
     /// (duplicates collapse). Every router of a topology as an endpoint
-    /// makes it any-to-any. Computes no row.
+    /// makes it any-to-any. Sweeps nothing.
     ///
     /// # Panics
     ///
@@ -279,13 +255,23 @@ impl RouteOracle {
                 .is_none_or(|&r| (r as usize) < topo.n_routers()),
             "endpoint router id out of range"
         );
+        let mut anchors: Vec<u32> = endpoints.iter().map(|&r| topo.hang(r).anchor).collect();
+        anchors.sort_unstable();
+        anchors.dedup();
+        anchors.shrink_to_fit();
+        let ends = endpoints
+            .iter()
+            .map(|&r| topo.hang(r))
+            .map(|h| (anchors.partition_point(|&c| c < h.anchor) as u32, h.off))
+            .collect();
         RouteOracle {
             topo,
-            rows: vec![Vec::new(); endpoints.len()],
             endpoints,
+            ends,
+            table: vec![0; anchors.len() * anchors.len()],
+            anchors,
             hits: 0,
             misses: 0,
-            sweep: Sweep::default(),
         }
     }
 
@@ -297,9 +283,9 @@ impl RouteOracle {
     }
 
     /// Route summary between the endpoints at positions `src` and `dst`
-    /// of the endpoint set, served from either end's row; with neither
-    /// computed, the source's is computed (one sweep over the topology's
-    /// core, its working storage reused) and kept.
+    /// of the endpoint set: the two ends' offsets around their anchors'
+    /// core route, which either anchor's sweep computed; with neither
+    /// swept, the source's anchor is (one sweep over the topology's core).
     ///
     /// # Panics
     ///
@@ -307,28 +293,14 @@ impl RouteOracle {
     /// produces connected graphs), or if a position of two different
     /// endpoints is not below the number of distinct endpoints.
     pub fn route_by_index(&mut self, src: u32, dst: u32) -> RouteInfo {
-        let (s, d) = (src as usize, dst as usize);
-        if s == d {
+        if src == dst {
             // Same attachment router: a LAN hop, not a wide-area route.
             return RouteInfo {
                 latency: SAME_ROUTER_LATENCY,
                 hops: 0,
             };
         }
-        // Routes are symmetric: the destination's row serves as well.
-        let (row, col) = if self.rows[s].is_empty() && !self.rows[d].is_empty() {
-            (d, s)
-        } else {
-            (s, d)
-        };
-        if self.rows[row].is_empty() {
-            self.misses += 1;
-            let src = self.endpoints[row];
-            self.rows[row] = self.sweep.row(&self.topo, src, &self.endpoints);
-        } else {
-            self.hits += 1;
-        }
-        let w = self.rows[row][col];
+        let w = self.packed(src, dst);
         assert_ne!(w, UNREACHABLE, "destination unreachable");
         let (lat, hops) = unpack(w);
         RouteInfo {
@@ -337,8 +309,52 @@ impl RouteOracle {
         }
     }
 
-    /// Whether the row of endpoint `router` has been computed (test hook;
-    /// does not count as a hit).
+    /// The packed route between the endpoints at positions `src` and `dst`:
+    ///
+    /// * anchors differ — `src`'s offset to its anchor, the core route
+    ///   between the anchors, and `dst`'s offset. A hanging tree meets the
+    ///   core at its anchor alone, so any path out of it leaves through the
+    ///   anchor, and a simple path never comes back in;
+    /// * one anchor — the tree path through the two routers' nearest common
+    ///   ancestor, the one simple path between them;
+    /// * the anchors in two components — `UNREACHABLE`.
+    fn packed(&mut self, src: u32, dst: u32) -> u64 {
+        let ((s, s_off), (d, d_off)) = (self.ends[src as usize], self.ends[dst as usize]);
+        if s == d {
+            self.hits += 1;
+            let (a, b) = (self.endpoints[src as usize], self.endpoints[dst as usize]);
+            return tree_path(&self.topo, a, b);
+        }
+        let at = s as usize * self.anchors.len() + d as usize;
+        if self.table[at] == 0 {
+            self.misses += 1;
+            self.sweep_anchor(s as usize);
+        } else {
+            self.hits += 1;
+        }
+        let core = self.table[at];
+        if core == UNREACHABLE {
+            return UNREACHABLE;
+        }
+        let [(s_lat, s_hops), (lat, hops), (d_lat, d_hops)] = [s_off, core, d_off].map(unpack);
+        pack(s_lat + lat + d_lat, s_hops + hops + d_hops)
+    }
+
+    /// Sweeps the core from the anchor at position `a` and writes its route
+    /// to every anchor into row `a` and, routes being symmetric, column `a`.
+    fn sweep_anchor(&mut self, a: usize) {
+        let n = self.anchors.len();
+        let best = core_from(&self.topo, self.anchors[a]);
+        for (b, &c) in self.anchors.iter().enumerate() {
+            let w = best[c as usize];
+            self.table[a * n + b] = w;
+            self.table[b * n + a] = w;
+        }
+        self.table[a * n + a] = SWEPT;
+    }
+
+    /// Whether the row of endpoint `router`'s anchor has been computed
+    /// (test hook; does not count as a hit).
     ///
     /// # Panics
     ///
@@ -346,20 +362,21 @@ impl RouteOracle {
     pub fn row_resident(&self, router: RouterId) -> bool {
         let ep = self.endpoint_index(router);
         let ep = ep.unwrap_or_else(|| panic!("router {router} is not an endpoint of this oracle"));
-        !self.rows[ep as usize].is_empty()
+        let a = self.ends[ep as usize].0 as usize;
+        self.table[a * self.anchors.len() + a] == SWEPT
     }
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> OracleStats {
-        let computed = self.rows.iter().filter(|row| !row.is_empty());
-        let (rows, words) = computed.fold((0, 0), |(n, w), row| (n + 1, w + row.capacity()));
+        let diagonal = self.table.iter().step_by(self.anchors.len() + 1);
         OracleStats {
             hits: self.hits,
             misses: self.misses,
-            resident_rows: rows,
-            resident_bytes: words * size_of::<u64>()
-                + self.rows.capacity() * size_of::<Vec<u64>>()
-                + self.endpoints.capacity() * size_of::<RouterId>(),
+            resident_rows: diagonal.filter(|&&w| w == SWEPT).count(),
+            anchors: self.anchors.len(),
+            resident_bytes: self.table.capacity() * size_of::<u64>()
+                + self.ends.capacity() * size_of::<(u32, u64)>()
+                + (self.endpoints.capacity() + self.anchors.capacity()) * size_of::<RouterId>(),
         }
     }
 }
@@ -392,10 +409,11 @@ mod tests {
         RouteOracle::new(topo, &all)
     }
 
-    /// The packed row from `src` to every router of `topo`.
-    fn row_to_all(topo: &Topology, src: RouterId) -> Vec<u64> {
-        let all: Vec<RouterId> = (0..topo.n_routers() as RouterId).collect();
-        Sweep::default().row(topo, src, &all)
+    /// The packed route from `src` to every router of `oracle`'s topology,
+    /// `src` itself included (0), as [`any_to_any`] serves them.
+    fn row_to_all(oracle: &mut RouteOracle, src: RouterId) -> Vec<u64> {
+        let n = oracle.topo.n_routers() as RouterId;
+        (0..n).map(|dst| oracle.packed(src, dst)).collect()
     }
 
     #[test]
@@ -440,27 +458,34 @@ mod tests {
     #[test]
     fn answers_from_either_end_row_agree() {
         // Each direction asked of its own oracle, so `a → b` is served from
-        // a's row and `b → a` from b's: the answers must still match.
+        // a's anchor row and `b → a` from b's (or both by one tree path):
+        // the answers must still match.
+        let mut swept = 0;
         for a in [0u32, 5, 13, 21] {
             for b in [3u32, 9, 30] {
                 let mut from_a = any_to_any(small_topo());
                 let mut from_b = any_to_any(small_topo());
                 let f = from_a.route_by_index(a, b);
                 let r = from_b.route_by_index(b, a);
-                assert!(from_a.row_resident(a) && from_b.row_resident(b));
+                let one_anchor = from_a.ends[a as usize].0 == from_a.ends[b as usize].0;
+                assert_eq!(from_a.row_resident(a), !one_anchor, "{a} -> {b}");
+                assert_eq!(from_b.row_resident(b), !one_anchor, "{b} -> {a}");
+                swept += usize::from(!one_anchor);
                 assert_eq!(f.latency, r.latency, "{a} <-> {b}");
                 assert_eq!(f.hops, r.hops, "{a} <-> {b}");
             }
         }
+        assert!(swept > 0, "some pair must span two anchors");
     }
 
     #[test]
     fn routes_are_symmetric_in_latency() {
-        // What serving a query from the destination's row rests on: the
-        // two ends' rows agree on every pair, to the nanosecond.
+        // What writing a sweep's row into its column rests on: the sweeps
+        // from two core routers agree on the route between them, to the
+        // nanosecond.
         let topo = small_topo();
-        let n = topo.n_routers() as RouterId;
-        let rows: Vec<_> = (0..n).map(|r| row_to_all(&topo, r)).collect();
+        let n = topo.core_len() as u32;
+        let rows: Vec<_> = (0..n).map(|c| core_from(&topo, c)).collect();
         for a in 0..n as usize {
             for b in 0..n as usize {
                 assert_eq!(rows[a][b], rows[b][a], "{a} <-> {b}");
@@ -485,8 +510,8 @@ mod tests {
                 (5, 3, ms(1)),
             ],
         );
-        let row = row_to_all(&topo, 0);
         assert_eq!(topo.core_len(), 7, "no router of degree 1: all core");
+        let row = row_to_all(&mut any_to_any(topo), 0);
         assert_eq!(
             unpack(row[3]),
             (ms(10), 2),
@@ -498,9 +523,15 @@ mod tests {
     }
 
     /// Lexicographic `(hops, latency)` Dijkstra from `src` with a binary
-    /// heap over the whole graph, packed: the reference the core sweep and
-    /// its hanging trees must match on any graph.
+    /// heap over the whole graph, adjacency built from `topo.links`,
+    /// packed: the reference the core sweep and its hanging trees must
+    /// match on any graph.
     fn heap_dijkstra(topo: &Topology, src: RouterId) -> Vec<u64> {
+        let mut adj = vec![Vec::new(); topo.n_routers()];
+        for l in &topo.links {
+            adj[l.a as usize].push((l.b, l.latency));
+            adj[l.b as usize].push((l.a, l.latency));
+        }
         let mut best = vec![(u32::MAX, u64::MAX); topo.n_routers()];
         let mut heap = BinaryHeap::new();
         best[src as usize] = (0, 0);
@@ -509,7 +540,7 @@ mod tests {
             if (hops, lat) > best[r as usize] {
                 continue;
             }
-            for (next, w) in topo.neighbors(r) {
+            for &(next, w) in &adj[r as usize] {
                 let cand = (hops + 1, lat + w.nanos());
                 if cand < best[next as usize] {
                     best[next as usize] = cand;
@@ -528,10 +559,12 @@ mod tests {
             .collect()
     }
 
-    /// Every row of `topo`, router by router, equals the heap Dijkstra's.
-    fn assert_rows_exact(topo: &Topology) {
-        for src in 0..topo.n_routers() as RouterId {
-            let (row, reference) = (row_to_all(topo, src), heap_dijkstra(topo, src));
+    /// Every row of `oracle`'s topology, router by router, equals the heap
+    /// Dijkstra's.
+    fn assert_rows_exact(oracle: &mut RouteOracle) {
+        for src in 0..oracle.topo.n_routers() as RouterId {
+            let row = row_to_all(oracle, src);
+            let reference = heap_dijkstra(&oracle.topo, src);
             for (dst, (&w, &want)) in row.iter().zip(&reference).enumerate() {
                 assert_eq!(w, want, "{src} -> {dst}");
             }
@@ -565,14 +598,15 @@ mod tests {
         assert_eq!(topo.anchor(11), (11, 0));
         let tree_root = topo.anchor(7).0;
         assert!([7, 8, 9, 10].iter().all(|&r| topo.anchor(r).0 == tree_root));
-        let row = row_to_all(&topo, 4);
+        let mut oracle = any_to_any(topo);
+        let row = row_to_all(&mut oracle, 4);
         assert_eq!(unpack(row[6]), (2 + 3 + 4, 3), "through their ancestor 3");
         assert_eq!(unpack(row[0]), (2 + 1, 2), "up to the anchor");
         assert_eq!(unpack(row[2]), (2 + 1 + 40, 3), "anchor, core link, anchor");
         assert_eq!(row[9], UNREACHABLE);
         assert_eq!(row[11], UNREACHABLE);
-        assert_eq!(unpack(row_to_all(&topo, 9)[10]), (6 + 7, 2));
-        assert_rows_exact(&topo);
+        assert_eq!(unpack(row_to_all(&mut oracle, 9)[10]), (6 + 7, 2));
+        assert_rows_exact(&mut oracle);
     }
 
     /// A graph on `n` routers: each router after the first links to an
@@ -611,9 +645,10 @@ mod tests {
             parents in prop::collection::vec((0u32..5, any::<u32>(), 1u64..60), MAX_ROUTERS..MAX_ROUTERS + 1),
             chords in prop::collection::vec((any::<u32>(), any::<u32>(), 1u64..60), 0..MAX_ROUTERS),
         ) {
-            let topo = any_graph(n, &parents, &chords);
+            let mut oracle = any_to_any(any_graph(n, &parents, &chords));
             for src in 0..n as RouterId {
-                prop_assert_eq!(row_to_all(&topo, src), heap_dijkstra(&topo, src), "row {}", src);
+                let row = row_to_all(&mut oracle, src);
+                prop_assert_eq!(row, heap_dijkstra(&oracle.topo, src), "row {}", src);
             }
         }
     }
@@ -673,33 +708,39 @@ mod tests {
     #[test]
     fn every_computed_row_stays_resident() {
         let mut oracle = any_to_any(small_topo());
-        oracle.route_by_index(0, 5);
+        oracle.route_by_index(0, 6);
         oracle.route_by_index(1, 6);
-        oracle.route_by_index(7, 0); // served from 0's row
+        oracle.route_by_index(7, 0); // served from 0's column
+        oracle.route_by_index(4, 5); // one anchor, router 0: its tree path
         oracle.route_by_index(2, 8);
         assert!((0..3).all(|r| oracle.row_resident(r)));
-        assert!(!oracle.row_resident(7));
+        // Routers 4 and 5 hang from router 0, so its row is theirs.
+        assert!(oracle.row_resident(4) && oracle.row_resident(5));
+        assert!(!oracle.row_resident(7) && !oracle.row_resident(6));
         let s = oracle.stats();
-        assert_eq!((s.misses, s.hits, s.resident_rows), (3, 1, 3));
+        assert_eq!((s.misses, s.hits, s.resident_rows), (3, 2, 3));
     }
 
     #[test]
-    fn resident_bytes_are_rows_times_endpoints_plus_headers() {
-        // Disjoint pairs, so no query can be served from the other end.
+    fn resident_bytes_are_the_anchor_table_and_endpoint_arrays() {
+        // Disjoint pairs, so no query can be served from the other end's
+        // row; the chain routers among them share anchors.
         let endpoints: Vec<RouterId> = (0..12).collect();
         let mut oracle = RouteOracle::new(small_topo(), &endpoints);
         for src in (0..12u32).step_by(2) {
             oracle.route_by_index(src, src + 1);
         }
         let s = oracle.stats();
-        assert_eq!((s.misses, s.hits, s.resident_rows), (6, 0, 6));
-        // Rows are endpoint-wide, not router-wide: each holds one word per
-        // endpoint, and the rest is a row header and a router id per
-        // endpoint.
-        let a = endpoints.len();
+        assert_eq!((s.misses, s.hits, s.resident_rows), (4, 2, 4));
+        // The table is anchor-wide, not router- or endpoint-wide: one word
+        // per pair of anchors, however many rows are computed; the rest is
+        // an anchor position, an offset and a router id per endpoint and a
+        // core index per anchor.
+        let (a, b) = (endpoints.len(), s.anchors);
+        assert_eq!(b, 8, "routers 4 and 5 hang from 0, 10 and 11 from 8");
         assert_eq!(
             s.resident_bytes,
-            6 * a * size_of::<u64>() + a * size_of::<Vec<u64>>() + a * size_of::<RouterId>()
+            b * b * size_of::<u64>() + a * size_of::<(u32, u64)>() + (a + b) * size_of::<u32>()
         );
     }
 

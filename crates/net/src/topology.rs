@@ -172,11 +172,10 @@ pub(crate) struct Hang {
 
 /// The generated router graph.
 ///
-/// The adjacency is frozen into compressed sparse rows when generation
-/// ends: router `r`'s edges are `edges[offsets[r]..offsets[r + 1]]`, each
-/// a `(neighbor, one-way latency)` pair, so a route row walks two flat
-/// arrays instead of one `Vec` per router. The 2-core gets compressed rows
-/// of its own, over core indices, and every router its `Hang`.
+/// When generation ends, only what routing reads is kept beside the links:
+/// every router's `Hang`, and the 2-core's adjacency in compressed sparse
+/// rows over core indices, so a sweep walks two flat arrays instead of one
+/// `Vec` per router.
 pub struct Topology {
     /// All links.
     pub links: Vec<Link>,
@@ -184,10 +183,6 @@ pub struct Topology {
     pub as_of: Vec<u32>,
     /// Access routers — valid attachment points for overlay nodes.
     pub attachable: Vec<RouterId>,
-    /// Start of each router's edges in `edges`, plus one final end offset.
-    offsets: Vec<u32>,
-    /// Every link once from each end, grouped by router in link order.
-    edges: Vec<(RouterId, SimDuration)>,
     /// Each router's anchor, parent and offset.
     hang: Vec<Hang>,
     /// Core index → router, in router order.
@@ -285,12 +280,6 @@ impl Topology {
         topo.freeze()
     }
 
-    /// `(neighbor, one-way latency)` of every link at router `r`.
-    pub fn neighbors(&self, r: RouterId) -> impl Iterator<Item = (RouterId, SimDuration)> + '_ {
-        let (lo, hi) = (self.offsets[r as usize], self.offsets[r as usize + 1]);
-        self.edges[lo as usize..hi as usize].iter().copied()
-    }
-
     /// Number of routers in the 2-core: the routers left once routers of
     /// degree 1 are peeled off, repeatedly (one router of every tree-only
     /// component stays, as does every isolated router).
@@ -316,7 +305,7 @@ impl Topology {
 
     /// Number of routers.
     pub fn n_routers(&self) -> usize {
-        self.offsets.len() - 1
+        self.hang.len()
     }
 
     /// Number of links.
@@ -430,38 +419,28 @@ impl Draft {
         self.adj[a as usize].iter().any(|&(n, _)| n == b)
     }
 
-    /// Freezes the final link latencies (after the T3 reassignment) into
-    /// the compressed adjacency.
+    /// Keeps the final links (after the T3 reassignment) and peels the
+    /// per-router lists into the core's compressed rows and every router's
+    /// [`Hang`], then drops the lists.
     fn freeze(self) -> Topology {
-        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
-        let mut edges = Vec::with_capacity(2 * self.links.len());
-        offsets.push(0);
-        for nbrs in &self.adj {
-            edges.extend(
-                nbrs.iter()
-                    .map(|&(n, l)| (n, self.links[l as usize].latency)),
-            );
-            offsets.push(edges.len() as u32);
-        }
         let mut topo = Topology {
             links: self.links,
             as_of: self.as_of,
             attachable: self.attachable,
-            offsets,
-            edges,
             hang: Vec::new(),
             core: Vec::new(),
             core_offsets: Vec::new(),
             core_edges: Vec::new(),
         };
-        topo.peel();
+        topo.peel(&self.adj);
         topo
     }
 }
 
 impl Topology {
-    /// Peels routers of degree 1, repeatedly, and builds the [`Hang`] of
-    /// every router and the compressed rows of the core that remains.
+    /// Peels routers of degree 1 from the graph of `adj`, repeatedly, and
+    /// builds the [`Hang`] of every router and the compressed rows of the
+    /// core that remains.
     ///
     /// A router is peeled while it has exactly one link to an unpeeled
     /// router, its parent; its other links all lead to routers peeled
@@ -469,9 +448,10 @@ impl Topology {
     /// joined to the core by a single link. A router whose degree falls to
     /// 0 stays in the core: it is the root of a tree-only component, or
     /// isolated.
-    fn peel(&mut self) {
-        let n = self.n_routers();
-        let mut degree: Vec<u32> = self.offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    fn peel(&mut self, adj: &[Vec<(RouterId, LinkId)>]) {
+        let n = adj.len();
+        let latency = |l: LinkId| self.links[l as usize].latency;
+        let mut degree: Vec<u32> = adj.iter().map(|nbrs| nbrs.len() as u32).collect();
         let mut ready: Vec<RouterId> = (0..n as RouterId)
             .filter(|&r| degree[r as usize] == 1)
             .collect();
@@ -482,9 +462,9 @@ impl Topology {
             if degree[r as usize] != 1 {
                 continue;
             }
-            let (parent, w) = self
-                .neighbors(r)
-                .find(|&(x, _)| in_core[x as usize])
+            let &(parent, l) = adj[r as usize]
+                .iter()
+                .find(|&&(x, _)| in_core[x as usize])
                 .expect("a router of degree 1 has an unpeeled neighbour");
             in_core[r as usize] = false;
             degree[r as usize] = 0;
@@ -492,7 +472,7 @@ impl Topology {
             if degree[parent as usize] == 1 {
                 ready.push(parent);
             }
-            peeled.push((r, parent, w.nanos()));
+            peeled.push((r, parent, latency(l).nanos()));
         }
 
         self.core = (0..n as RouterId)
@@ -523,9 +503,9 @@ impl Topology {
         self.core_offsets = Vec::with_capacity(self.core.len() + 1);
         self.core_offsets.push(0);
         for &r in &self.core {
-            let (lo, hi) = (self.offsets[r as usize], self.offsets[r as usize + 1]);
-            for &(x, w) in &self.edges[lo as usize..hi as usize] {
+            for &(x, l) in &adj[r as usize] {
                 if in_core[x as usize] {
+                    let w = latency(l);
                     assert!(
                         w.nanos() <= MAX_LINK_NS,
                         "core link of {w:?} exceeds the route word"
@@ -552,12 +532,17 @@ mod tests {
         let t1 = Topology::generate(&cfg, &mut StdRng::seed_from_u64(9));
         let t2 = Topology::generate(&cfg, &mut StdRng::seed_from_u64(9));
         assert_eq!(t1.n_links(), t2.n_links());
-        // BFS connectivity.
+        // BFS connectivity, over an adjacency built from the links.
+        let mut adj = vec![Vec::new(); t1.n_routers()];
+        for l in &t1.links {
+            adj[l.a as usize].push(l.b);
+            adj[l.b as usize].push(l.a);
+        }
         let mut seen = vec![false; t1.n_routers()];
         let mut q = vec![0u32];
         seen[0] = true;
         while let Some(r) = q.pop() {
-            for (n, _) in t1.neighbors(r) {
+            for &n in &adj[r as usize] {
                 if !seen[n as usize] {
                     seen[n as usize] = true;
                     q.push(n);

@@ -1,16 +1,17 @@
 //! The routing contract: the demand-driven [`RouteOracle`] must give the
 //! same `RouteInfo` as an independent reference — an eager table of
 //! lexicographic heap-Dijkstra rows, built here — for every query between
-//! its endpoints, in any query order, whichever end's row serves it; and
-//! its memory must stay bounded by rows computed × endpoints, not by the
-//! number of routers.
+//! its endpoints, in any query order, whichever end's anchor row serves it;
+//! it must sweep at most once per anchor, and never for two endpoints on
+//! one anchor; and its memory must stay bounded by anchors × anchors, not
+//! by the number of routers.
 //!
 //! The `#[ignore]`d Mercator smoke test builds the paper-scale ~100k-router
 //! preset; CI's test job runs it explicitly (`-- --ignored`) in release
 //! mode.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use fuse_net::{
     LinkClass, RouteInfo, RouteOracle, RouterId, Topology, TopologyConfig, SAME_ROUTER_LATENCY,
@@ -21,10 +22,21 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Every router's `(neighbour, link latency)` list, built from the links.
+fn adjacency(topo: &Topology) -> Vec<Vec<(RouterId, SimDuration)>> {
+    let mut adj = vec![Vec::new(); topo.n_routers()];
+    for l in &topo.links {
+        adj[l.a as usize].push((l.b, l.latency));
+        adj[l.b as usize].push((l.a, l.latency));
+    }
+    adj
+}
+
 /// Lexicographic `(hops, latency)` Dijkstra from `src` with a binary heap:
 /// `(latency_ns, hops)` per router, `(u64::MAX, u32::MAX)` when
 /// unreachable. The reference the oracle's breadth-first sweep must match.
 fn heap_dijkstra(topo: &Topology, src: RouterId) -> Vec<(u64, u32)> {
+    let adj = adjacency(topo);
     let mut best = vec![(u32::MAX, u64::MAX); topo.n_routers()];
     let mut heap = BinaryHeap::new();
     best[src as usize] = (0, 0);
@@ -33,7 +45,7 @@ fn heap_dijkstra(topo: &Topology, src: RouterId) -> Vec<(u64, u32)> {
         if (hops, lat) > best[r as usize] {
             continue;
         }
-        for (next, w) in topo.neighbors(r) {
+        for &(next, w) in &adj[r as usize] {
             let cand = (hops + 1, lat + w.nanos());
             if cand < best[next as usize] {
                 best[next as usize] = cand;
@@ -42,6 +54,49 @@ fn heap_dijkstra(topo: &Topology, src: RouterId) -> Vec<(u64, u32)> {
         }
     }
     best.into_iter().map(|(h, l)| (l, h)).collect()
+}
+
+/// Each router's anchor as a class label: two routers share a label iff
+/// they hang from one router of the 2-core (or lie in one tree-only
+/// component). Computed here from the links alone: peel routers of degree
+/// at most 1, repeatedly, then join the two ends of every link that has a
+/// peeled end. A peeled tree meets the rest of the graph by one link, so no
+/// label spans two core routers.
+fn anchor_labels(topo: &Topology) -> Vec<usize> {
+    let adj = adjacency(topo);
+    let n = adj.len();
+    let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
+    let mut peeled = vec![false; n];
+    let mut ready: Vec<usize> = (0..n).filter(|&r| degree[r] <= 1).collect();
+    while let Some(r) = ready.pop() {
+        if peeled[r] {
+            continue;
+        }
+        peeled[r] = true;
+        for &(x, _) in &adj[r] {
+            let x = x as usize;
+            degree[x] -= 1;
+            if !peeled[x] && degree[x] == 1 {
+                ready.push(x);
+            }
+        }
+    }
+    let mut label: Vec<usize> = (0..n).collect();
+    fn root(label: &mut [usize], mut r: usize) -> usize {
+        while label[r] != r {
+            label[r] = label[label[r]];
+            r = label[r];
+        }
+        r
+    }
+    for l in &topo.links {
+        let (a, b) = (l.a as usize, l.b as usize);
+        if peeled[a] || peeled[b] {
+            let (ra, rb) = (root(&mut label, a), root(&mut label, b));
+            label[ra] = rb;
+        }
+    }
+    (0..n).map(|r| root(&mut label, r)).collect()
 }
 
 /// Heap-Dijkstra rows from every distinct source, built up front.
@@ -98,10 +153,12 @@ fn route(oracle: &mut RouteOracle, src: RouterId, dst: RouterId) -> RouteInfo {
 
 proptest! {
     /// Eager-vs-lazy equivalence over random topologies, random endpoint
-    /// subsets and random query orders (so which end's row answers a query
-    /// keeps changing). The reference is always read from the query's own
-    /// source, so every answer the oracle takes from the destination's row
-    /// is checked against the forward Dijkstra bit for bit.
+    /// subsets and random query orders (so which end's anchor row answers a
+    /// query keeps changing). The reference is always read from the query's
+    /// own source, so every answer the oracle takes from the destination's
+    /// row is checked against the forward Dijkstra bit for bit. Two
+    /// endpoints on one anchor never cost a sweep, each anchor sweeps at
+    /// most once, and the table is anchor-wide.
     #[test]
     fn oracle_matches_eager_table_for_any_query_order(
         n_as in 2usize..10,
@@ -117,27 +174,35 @@ proptest! {
         // A random subset of the routers, with repeats, in arbitrary order.
         let endpoints: Vec<u32> = picks.iter().map(|p| p % n).collect();
         let eager = Reference::build(&topo, &endpoints);
+        let anchor = anchor_labels(&topo);
         let mut oracle = RouteOracle::new(topo, &endpoints);
         let pick = |i: u32| endpoints[i as usize % endpoints.len()];
         let mut reverse_served = 0;
         for &(a, b) in &queries {
             let (src, dst) = (pick(a), pick(b));
             reverse_served += u64::from(served_in_reverse(&oracle, src, dst));
+            let misses = oracle.stats().misses;
             prop_assert_eq!(
                 route(&mut oracle, src, dst),
                 eager.route(src, dst),
                 "divergence at {} -> {}", src, dst
             );
+            if anchor[src as usize] == anchor[dst as usize] {
+                prop_assert_eq!(oracle.stats().misses, misses, "{} -> {} on one anchor swept", src, dst);
+            }
         }
         let s = oracle.stats();
         prop_assert_eq!(s.resident_rows as u64, s.misses);
         prop_assert_eq!(s.hits + s.misses,
             queries.iter().filter(|&&(a, b)| pick(a) != pick(b)).count() as u64);
         prop_assert!(s.hits >= reverse_served);
-        let distinct = endpoints.iter().collect::<std::collections::BTreeSet<_>>().len();
+        let distinct = endpoints.iter().collect::<BTreeSet<_>>().len();
+        let anchors = endpoints.iter().map(|&r| anchor[r as usize]).collect::<BTreeSet<_>>().len();
+        prop_assert_eq!(s.anchors, anchors);
+        prop_assert!(s.resident_rows <= anchors, "{:?} over {} anchors", s, anchors);
         prop_assert!(
-            s.resident_bytes <= s.resident_rows * distinct * 8 + 32 * distinct,
-            "rows must be endpoint-wide: {:?} over {} endpoints", s, distinct
+            s.resident_bytes <= anchors * anchors * 8 + 24 * distinct,
+            "the table must be anchor-wide: {:?} over {} anchors", s, anchors
         );
     }
 
@@ -246,7 +311,7 @@ fn same_router_queries_compute_no_row() {
 
 /// Paper-scale smoke test: the Mercator preset actually reaches ~100k
 /// routers, the oracle serves routes among 500 attachment routers over it
-/// with memory bounded by rows computed × endpoints (not by the router
+/// with memory of one anchor × anchor table (not bounded by the router
 /// count), and the route shape stays in the published bands.
 /// Under a second in release but far slower in debug (each miss is a
 /// sweep over ~178k links), so `#[ignore]`d here and run explicitly — in
@@ -270,12 +335,17 @@ fn mercator_scale_smoke() {
     assert_eq!(topo.core_len(), cfg.n_as * cfg.core_per_as);
 
     let attach = topo.sample_attachments(500, &mut rng);
+    let anchor = anchor_labels(&topo);
+    let anchors = attach
+        .iter()
+        .map(|&r| anchor[r as usize])
+        .collect::<BTreeSet<_>>();
     let mut oracle = RouteOracle::new(topo, &attach);
     let mut hops = Reservoir::new();
     let mut rtt_ms = Reservoir::new();
     // 48 sources × a spread of destinations, then 40 more pairs among the
-    // endpoints those rows never touched as a source: enough rows to keep
-    // memory honest and enough samples for stable medians.
+    // endpoints those sweeps never touched as a source: enough sweeps to
+    // keep memory honest and enough samples for stable medians.
     for i in 0..48usize {
         for j in (0..attach.len()).step_by(7) {
             if attach[i] == attach[j] {
@@ -287,21 +357,26 @@ fn mercator_scale_smoke() {
         }
     }
     for i in 48..88usize {
-        // Both ends beyond the first 48, so neither row is computed.
+        // Both ends beyond the first 48: on this seed, neither end's anchor
+        // has been swept yet.
         let r = route(&mut oracle, attach[i], attach[i + 400]);
         hops.add(r.hops as f64);
         rtt_ms.add(2.0 * r.latency.as_millis_f64());
     }
 
     let s = oracle.stats();
-    assert_eq!(s.misses, 88, "one row per cold pair: {s:?}");
+    assert_eq!(s.misses, 88, "one sweep per cold pair: {s:?}");
     assert_eq!(s.resident_rows, 88, "every computed row stays: {s:?}");
-    let bound = s.resident_rows * attach.len() * std::mem::size_of::<u64>();
-    assert!(
-        s.resident_bytes <= bound + bound / 4,
-        "resident {} exceeds rows × endpoints × 8 = {bound} (+25% slack)",
-        s.resident_bytes
+    // The table is anchor × anchor, whatever the router count and however
+    // many rows are computed; then an anchor position, an offset and a
+    // router id per endpoint, and a core index per anchor.
+    let (a, b) = (attach.len(), anchors.len());
+    assert_eq!(
+        (b, s.anchors),
+        (480, 480),
+        "distinct anchors of the 500 endpoints"
     );
+    assert_eq!(s.resident_bytes, b * b * 8 + a * (16 + 4) + b * 4, "{s:?}");
 
     // Route shape at scale: same published bands as the default topology
     // (paper: hops 2–43 median 15, median RTT ~130 ms, heavy tail).
