@@ -107,14 +107,8 @@ impl FuseLayer {
 
     /// The creation failed: the root's record and its links go, and the
     /// members are told.
-    pub(super) fn create_failed(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-        err: CreateError,
-    ) {
-        self.clear_links(ov, id);
+    pub(super) fn create_failed(&mut self, cx: &mut CoreCx<'_>, id: FuseId, err: CreateError) {
+        self.clear_links(id);
         let Some(Group {
             role: RoleState::Root(rs),
             ..

@@ -57,7 +57,7 @@ use fuse_overlay::{
 use fuse_util::backoff::Backoff;
 use fuse_util::idgen::IdGen;
 use fuse_util::{DetHashMap, DetHashSet, Duration, PeerAddr, Time};
-use fuse_wire::{Decode, EncodeBuf};
+use fuse_wire::{Decode, Digest, EncodeBuf};
 use rand::rngs::StdRng;
 
 use crate::messages::{FuseMsg, InstallChecking};
@@ -110,25 +110,34 @@ impl CoreCx<'_> {
     /// Runs `f` against the overlay through an [`OverlayCx`] whose sink is
     /// the output queue, so the overlay's sends and timer arms take their
     /// places in emission order. Upcalls stay buffered for the stack's
-    /// drain loop.
+    /// drain loop. `links` answers the overlay's digest reads: the stack's
+    /// overlay entry passes the layer, since pings and acks are built only
+    /// there; the layer's own overlay calls (routing) pass `None`.
     pub(crate) fn ov<R>(
         &mut self,
         ov: &mut OverlayNode,
+        links: Option<&mut FuseLayer>,
         f: impl FnOnce(&mut OverlayNode, &mut OverlayCx<'_>) -> R,
     ) -> R {
-        let mut sink = OverlayOut(self.out);
+        let mut sink = OverlayOut {
+            out: self.out,
+            links,
+        };
         let mut ocx = OverlayCx::new(self.now, self.rng, &mut sink, self.ov_upcalls);
         f(ov, &mut ocx)
     }
 }
 
-/// The output queue as the overlay's sink: the one place overlay effects
-/// become outputs.
-struct OverlayOut<'a>(&'a mut VecDeque<Output>);
+/// The output queue, and the layer's link records, as the overlay's sink:
+/// the one place overlay effects become outputs.
+struct OverlayOut<'a> {
+    out: &'a mut VecDeque<Output>,
+    links: Option<&'a mut FuseLayer>,
+}
 
 impl OverlaySink for OverlayOut<'_> {
     fn send(&mut self, to: PeerAddr, msg: OverlayMsg) {
-        self.0.push_back(Output::Send {
+        self.out.push_back(Output::Send {
             to,
             msg: StackMsg::Overlay(msg),
         });
@@ -136,7 +145,12 @@ impl OverlaySink for OverlayOut<'_> {
 
     fn set_timer(&mut self, tag: OverlayTimer, after: Duration) {
         let key = Timer::Overlay(tag).key();
-        self.0.push_back(Output::SetTimer { key, after });
+        self.out.push_back(Output::SetTimer { key, after });
+    }
+
+    fn link_digest(&mut self, peer: PeerAddr) -> Option<Digest> {
+        debug_assert!(self.links.is_some(), "a ping or ack built while routing");
+        self.links.as_mut()?.link_digest(peer)
     }
 }
 
@@ -309,8 +323,8 @@ pub struct FuseLayer {
     /// Every group this node holds state for, in any role, a root's from
     /// its `create_group` on.
     groups: DetHashMap<FuseId, Group>,
-    /// Which groups monitor each link, and each monitored peer's deadline
-    /// and digest staleness; only `tree` touches it.
+    /// One record per monitored peer: the groups on its link, its
+    /// liveness floor and its cached digest; only `tree` touches it.
     watch: Watch,
     /// Reusable single-pass encode scratch for wire payloads this layer
     /// builds (`InstallChecking` envelopes): encoding reserves the exact
@@ -402,43 +416,36 @@ impl FuseLayer {
                 self.on_create_request(cx, ov, from, id, root)
             }
             // Creation is the group's round 0.
-            FuseMsg::GroupCreateReply { id, ok } => self.on_round_reply(cx, ov, from, id, 0, ok),
-            FuseMsg::SoftNotification { id, seq } => self.on_soft(cx, ov, from, id, seq),
-            FuseMsg::HardNotification { id, reason, .. } => self.on_hard(cx, ov, from, id, reason),
+            FuseMsg::GroupCreateReply { id, ok } => self.on_round_reply(cx, from, id, 0, ok),
+            FuseMsg::SoftNotification { id, seq } => self.on_soft(cx, from, id, seq),
+            FuseMsg::HardNotification { id, reason, .. } => self.on_hard(cx, from, id, reason),
             FuseMsg::NeedRepair { id, .. } => self.on_need_repair(cx, from, id),
             FuseMsg::GroupRepairRequest { id, seq, root } => {
                 self.on_repair_request(cx, ov, from, id, seq, root)
             }
-            FuseMsg::GroupRepairReply { id, seq, ok } => {
-                self.on_round_reply(cx, ov, from, id, seq, ok)
-            }
+            FuseMsg::GroupRepairReply { id, seq, ok } => self.on_round_reply(cx, from, id, seq, ok),
             FuseMsg::ReconcileRequest { links } => {
                 let mine = self.links_with(from);
                 cx.send_fuse(from, FuseMsg::ReconcileReply { links: mine });
-                self.reconcile(cx, ov, from, &links);
+                self.reconcile(cx, from, &links);
             }
-            FuseMsg::ReconcileReply { links } => self.reconcile(cx, ov, from, &links),
+            FuseMsg::ReconcileReply { links } => self.reconcile(cx, from, &links),
         }
     }
 
     /// Handles an upcall from the overlay beneath.
-    pub(crate) fn on_overlay_upcall(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        up: OverlayUpcall,
-    ) {
+    pub(crate) fn on_overlay_upcall(&mut self, cx: &mut CoreCx<'_>, up: OverlayUpcall) {
         match up {
-            OverlayUpcall::PingHash { peer, hash } => self.on_ping_hash(cx, ov, peer, hash),
+            OverlayUpcall::PingHash { peer, hash } => self.on_ping_hash(cx, peer, hash),
             OverlayUpcall::LinkUp { .. } => {}
             OverlayUpcall::LinkDown { peer, .. } => {
                 // Dead or rerouted link: every group monitoring it soft-fails
                 // that branch and repairs.
-                self.peer_links_failed(cx, ov, peer);
+                self.peer_links_failed(cx, peer);
             }
             OverlayUpcall::Delivered { src, prev, payload } => {
                 if let Ok(ic) = InstallChecking::from_bytes(&payload) {
-                    self.install_delivered(cx, ov, ic, src.proc, prev);
+                    self.install_delivered(cx, ic, src.proc, prev);
                 }
             }
             OverlayUpcall::Forwarded {
@@ -448,7 +455,7 @@ impl FuseLayer {
                 ..
             } => {
                 if let Ok(ic) = InstallChecking::from_bytes(&payload) {
-                    self.install_forwarded(cx, ov, ic, prev, next);
+                    self.install_forwarded(cx, ic, prev, next);
                 }
             }
             OverlayUpcall::RouteStuck { payload, .. } => {
@@ -464,23 +471,18 @@ impl FuseLayer {
 
     /// Handles a FUSE timer: a hint, acted on only if the deadline it names
     /// has come.
-    pub(crate) fn on_timer(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, tag: FuseTimer) {
+    pub(crate) fn on_timer(&mut self, cx: &mut CoreCx<'_>, tag: FuseTimer) {
         match tag {
-            FuseTimer::LinkExpired => self.sweep_link_expiry(cx, ov),
-            FuseTimer::Group { id } => self.on_group_timer(cx, ov, id),
+            FuseTimer::LinkExpired => self.sweep_link_expiry(cx),
+            FuseTimer::Group { id } => self.on_group_timer(cx, id),
         }
     }
 
     /// Handles a transport-level broken connection (direct messages).
-    pub(crate) fn on_link_broken(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        peer: PeerAddr,
-    ) {
-        self.fail_awaiting_or_bound(cx, ov, peer);
+    pub(crate) fn on_link_broken(&mut self, cx: &mut CoreCx<'_>, peer: PeerAddr) {
+        self.fail_awaiting_or_bound(cx, peer);
         // Liveness-tree links to this peer are gone.
-        self.peer_links_failed(cx, ov, peer);
+        self.peer_links_failed(cx, peer);
     }
 }
 

@@ -16,7 +16,6 @@
 //! §3.1.)
 
 use fuse_obs::{Event, ObsSink};
-use fuse_overlay::OverlayNode;
 use fuse_util::PeerAddr;
 
 use super::{CoreCx, FuseLayer, RoleState};
@@ -45,8 +44,8 @@ impl FuseLayer {
     }
 
     /// `SignalFailure`: explicit, application-triggered group failure.
-    pub(crate) fn signal_failure(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, id: FuseId) {
-        self.declare_failed(cx, ov, id, NotifyReason::ExplicitSignal);
+    pub(crate) fn signal_failure(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
+        self.declare_failed(cx, id, NotifyReason::ExplicitSignal);
     }
 
     /// Records a §3.4 fail-on-send binding: this node is about to send
@@ -66,19 +65,13 @@ impl FuseLayer {
 
     /// Declares `id` failed with the given evidence: the member/root halves
     /// of `SignalFailure`, shared by the explicit API and fail-on-send.
-    pub(super) fn declare_failed(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-        reason: NotifyReason,
-    ) {
+    pub(super) fn declare_failed(&mut self, cx: &mut CoreCx<'_>, id: FuseId, reason: NotifyReason) {
         // Only participants may signal: a delegate-only node, and a root
         // still creating, have no handler for the group; with no record,
         // the group already failed and the handler already ran.
         match self.role(id).and_then(RoleState::participant) {
-            Some((Role::Root, _)) => self.group_failed_at_root(cx, ov, id, None, reason),
-            Some(_) => self.fail_member(cx, ov, id, reason),
+            Some((Role::Root, _)) => self.group_failed_at_root(cx, id, None, reason),
+            Some(_) => self.fail_member(cx, id, reason),
             None => {}
         }
     }
@@ -109,29 +102,16 @@ impl FuseLayer {
     }
 
     /// A member gives the group up: it tells the root, then fails locally.
-    pub(super) fn fail_member(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-        reason: NotifyReason,
-    ) {
+    pub(super) fn fail_member(&mut self, cx: &mut CoreCx<'_>, id: FuseId, reason: NotifyReason) {
         let g = &self.groups[&id];
         if let RoleState::Member(ms) = &g.role {
             let (root, seq) = (ms.root.proc, g.seq);
             self.send_hard(cx, root, id, seq, reason);
         }
-        self.fail_locally(cx, ov, id, reason);
+        self.fail_locally(cx, id, reason);
     }
 
-    pub(super) fn on_soft(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        from: PeerAddr,
-        id: FuseId,
-        seq: u64,
-    ) {
+    pub(super) fn on_soft(&mut self, cx: &mut CoreCx<'_>, from: PeerAddr, id: FuseId, seq: u64) {
         let Some(g) = self.groups.get(&id) else {
             return;
         };
@@ -141,14 +121,13 @@ impl FuseLayer {
         // Forward along the tree, away from the originator, then drop the
         // damaged tree locally.
         self.send_softs(cx, id, seq, Some(from));
-        self.clear_links(ov, id);
+        self.clear_links(id);
         self.branch_lost(cx, id);
     }
 
     pub(super) fn on_hard(
         &mut self,
         cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
         from: PeerAddr,
         id: FuseId,
         reason: NotifyReason,
@@ -159,35 +138,24 @@ impl FuseLayer {
         match role {
             // A member installed state and failed before creation finished.
             RoleState::Root(rs) if rs.created_at.is_none() => {
-                self.create_failed(cx, ov, id, CreateError::Refused)
+                self.create_failed(cx, id, CreateError::Refused)
             }
-            RoleState::Root(_) => self.group_failed_at_root(cx, ov, id, Some(from), reason),
-            _ => self.fail_locally(cx, ov, id, reason),
+            RoleState::Root(_) => self.group_failed_at_root(cx, id, Some(from), reason),
+            _ => self.fail_locally(cx, id, reason),
         }
     }
 
     /// Fails every (group, link) monitoring `peer`, in `FuseId` order.
-    pub(super) fn peer_links_failed(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        peer: PeerAddr,
-    ) {
+    pub(super) fn peer_links_failed(&mut self, cx: &mut CoreCx<'_>, peer: PeerAddr) {
         for id in self.watchers(peer) {
-            self.local_link_failed(cx, ov, id, peer);
+            self.local_link_failed(cx, id, peer);
         }
     }
 
     /// `id`'s link to `peer` failed: the rest of the tree hears of it and
     /// the group repairs.
-    pub(super) fn local_link_failed(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-        peer: PeerAddr,
-    ) {
-        if !self.remove_link(ov, id, peer) {
+    pub(super) fn local_link_failed(&mut self, cx: &mut CoreCx<'_>, id: FuseId, peer: PeerAddr) {
+        if !self.remove_link(id, peer) {
             return;
         }
         let seq = self.groups[&id].seq;
@@ -213,7 +181,6 @@ impl FuseLayer {
     pub(super) fn group_failed_at_root(
         &mut self,
         cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
         id: FuseId,
         except: Option<PeerAddr>,
         reason: NotifyReason,
@@ -228,19 +195,13 @@ impl FuseLayer {
                 }
             }
         }
-        self.fail_locally(cx, ov, id, reason);
+        self.fail_locally(cx, id, reason);
     }
 
     /// Tears down all local state for `id` and invokes the application
     /// handler when this node is a participant. Exactly-once: state presence
     /// gates the upcall.
-    pub(super) fn fail_locally(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-        reason: NotifyReason,
-    ) {
+    pub(super) fn fail_locally(&mut self, cx: &mut CoreCx<'_>, id: FuseId, reason: NotifyReason) {
         let Some(g) = self.groups.get(&id) else {
             return;
         };
@@ -248,7 +209,7 @@ impl FuseLayer {
         let participant = g.role.participant();
         // Clean the liveness tree below us.
         self.send_softs(cx, id, seq, None);
-        self.clear_links(ov, id);
+        self.clear_links(id);
         let g = self.groups.remove(&id).expect("looked up above");
         let ctx = g.role.binding().and_then(|b| b.ctx);
         if let Some((role, created_at)) = participant {

@@ -30,7 +30,7 @@ impl FuseLayer {
     /// `id`'s timer fired. It acts on each of the record's deadlines that
     /// has come, in one fixed order: a root's round, then its kick; or a
     /// member's repair wait. A stale key costs one lookup.
-    pub(super) fn on_group_timer(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode, id: FuseId) {
+    pub(super) fn on_group_timer(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
         let now = cx.now;
         let Some(g) = self.groups.get_mut(&id) else {
             return;
@@ -47,7 +47,7 @@ impl FuseLayer {
                         self.request_repair(cx, id);
                     } else {
                         let reason = NotifyReason::RepairFailed;
-                        self.round_failed(cx, ov, id, CreateError::MemberUnreachable, reason);
+                        self.round_failed(cx, id, CreateError::MemberUnreachable, reason);
                     }
                 }
                 if kick_due {
@@ -59,7 +59,7 @@ impl FuseLayer {
             // the root, and cleans up" (§6.5).
             RoleState::Member(ms) => {
                 if ms.repair_wait.take_if(|due| *due <= now).is_some() {
-                    self.fail_member(cx, ov, id, NotifyReason::LivenessExpired);
+                    self.fail_member(cx, id, NotifyReason::LivenessExpired);
                 }
             }
             RoleState::Delegate => {}
@@ -158,7 +158,6 @@ impl FuseLayer {
     pub(super) fn on_round_reply(
         &mut self,
         cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
         from: PeerAddr,
         id: FuseId,
         seq: u64,
@@ -172,7 +171,7 @@ impl FuseLayer {
         }
         if !ok {
             let reason = NotifyReason::RepairFailed;
-            self.round_failed(cx, ov, id, CreateError::Refused, reason);
+            self.round_failed(cx, id, CreateError::Refused, reason);
         } else if round.reply(cx, id, from) {
             if round.dirty {
                 self.request_repair(cx, id);
@@ -198,12 +197,7 @@ impl FuseLayer {
     /// `peer`'s connection broke, found in one scan of the records: the
     /// rounds still waiting on its reply fail, then the groups bound to
     /// send to it (§3.4) are declared failed, each in `FuseId` order.
-    pub(super) fn fail_awaiting_or_bound(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        peer: PeerAddr,
-    ) {
+    pub(super) fn fail_awaiting_or_bound(&mut self, cx: &mut CoreCx<'_>, peer: PeerAddr) {
         let (mut rounds, mut bound) = (Vec::new(), Vec::new());
         for (&id, g) in &self.groups {
             if let RoleState::Root(rs) = &g.role {
@@ -219,12 +213,12 @@ impl FuseLayer {
         bound.sort_unstable();
         for id in rounds {
             let reason = NotifyReason::ConnectionBroken;
-            self.round_failed(cx, ov, id, CreateError::ConnectionBroken, reason);
+            self.round_failed(cx, id, CreateError::ConnectionBroken, reason);
         }
         for id in bound {
             // A failed round may have ended the group, binding and all.
             if self.role(id).is_some_and(|role| role.sends_to(peer)) {
-                self.declare_failed(cx, ov, id, NotifyReason::ConnectionBroken);
+                self.declare_failed(cx, id, NotifyReason::ConnectionBroken);
             }
         }
     }
@@ -233,15 +227,14 @@ impl FuseLayer {
     fn round_failed(
         &mut self,
         cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
         id: FuseId,
         err: CreateError,
         reason: NotifyReason,
     ) {
         if matches!(self.role(id), Some(RoleState::Root(rs)) if rs.created_at.is_none()) {
-            self.create_failed(cx, ov, id, err);
+            self.create_failed(cx, id, err);
         } else {
-            self.group_failed_at_root(cx, ov, id, None, reason);
+            self.group_failed_at_root(cx, id, None, reason);
         }
     }
 
@@ -279,7 +272,7 @@ impl FuseLayer {
                     ms.repair_wait = None;
                 }
                 cx.send_fuse(from, FuseMsg::GroupRepairReply { id, seq, ok: true });
-                self.clear_links(ov, id);
+                self.clear_links(id);
                 self.route_install_checking(cx, ov, id, seq, root);
             }
         }

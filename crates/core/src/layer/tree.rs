@@ -3,18 +3,21 @@
 //! groups on each link.
 //!
 //! This module alone writes link state. A group's links are a [`Links`]
-//! that other modules can only read; the subscription index, the
-//! per-peer expiry records and the node's one expiry timer live in
-//! [`Watch`], whose fields only this module can name. Installs (§6.2) add
-//! links as `InstallChecking` envelopes pass; agreeing ping digests and
-//! reconcile replies refresh them (§6.3); a link leaves through
-//! [`remove_link`](FuseLayer::remove_link) or
-//! [`clear_links`](FuseLayer::clear_links). The invariant it owns:
-//! [`hash_cache_consistent`](FuseLayer::hash_cache_consistent) holds after
-//! every entry point — every subscribed peer, and only those, has an expiry
-//! record, and every digest not marked stale equals a fresh recomputation.
+//! that other modules can only read; the per-peer records and the node's
+//! one expiry timer live in [`Watch`], whose fields only this module can
+//! name. Each monitored peer has one record: the sorted groups on its
+//! link, when a piggybacked digest last agreed, and the cached digest.
+//! Installs (§6.2) add links as `InstallChecking` envelopes pass; agreeing
+//! ping digests and reconcile replies refresh them (§6.3); a link leaves
+//! through [`remove_link`](FuseLayer::remove_link) or
+//! [`clear_links`](FuseLayer::clear_links). The overlay keeps no digest:
+//! it asks for one when it builds a ping or an ack
+//! ([`link_digest`](FuseLayer::link_digest)). The invariant this module
+//! owns: [`hash_cache_consistent`](FuseLayer::hash_cache_consistent) holds
+//! after every entry point — the records name exactly the groups' links,
+//! and every cached digest equals a fresh recomputation.
 
-use fuse_obs::{Event, ObsSink};
+use fuse_obs::{Event, ObsSink, Recorder};
 use fuse_overlay::node::RouteStart;
 use fuse_overlay::{NodeInfo, OverlayNode};
 use fuse_util::{DetHashMap, DetHashSet, PeerAddr, Time};
@@ -22,7 +25,6 @@ use fuse_wire::{Digest, Sha1};
 
 use super::{CoreCx, FuseLayer, Group, RoleState};
 use crate::messages::{FuseMsg, InstallChecking};
-use crate::registry::SubscriptionRegistry;
 use crate::types::{FuseId, FuseTimer, NotifyReason};
 
 #[derive(Clone, Copy, Default)]
@@ -128,38 +130,95 @@ impl Links {
     }
 }
 
-/// Liveness expiry and digest staleness of one monitored peer. A
-/// (group, link)'s deadline is `max(link.refreshed_at, agreed_at) +
-/// link_failure_timeout`.
+/// One monitored peer: the groups on its link, its liveness floor and its
+/// piggyback digest. A (group, link)'s deadline is
+/// `max(link.refreshed_at, agreed_at) + link_failure_timeout`.
 #[derive(Clone)]
-struct PeerExpiry {
+struct Peer {
+    /// The groups monitoring the link, sorted: the digest hashes them in
+    /// this order, and links fail in it.
+    groups: Vec<FuseId>,
     /// When a piggybacked hash from the peer last agreed with ours — the
     /// refresh of every link to the peer at once (§6.3).
     agreed_at: Time,
-    /// The peer's set of monitored groups changed since the overlay's
-    /// piggyback digest for it was last computed.
-    hash_dirty: bool,
+    /// The digest of `groups`; `None` when they changed since it was last
+    /// read.
+    digest: Option<Digest>,
+}
+
+impl Peer {
+    /// The digest of the peer's groups, from the cache when they have not
+    /// changed since it was last read; SHA-1 runs, and `obs` counts it,
+    /// only when they have.
+    fn digest(&mut self, obs: &mut Recorder) -> Digest {
+        *self.digest.get_or_insert_with(|| {
+            obs.record(Event::HashComputed);
+            digest_of(&self.groups)
+        })
+    }
 }
 
 /// The per-peer side of the checking trees.
 #[derive(Clone, Default)]
 pub(super) struct Watch {
-    /// Index: which groups monitor each link (drives the piggyback hash and
-    /// the per-peer liveness deadline).
-    subs: SubscriptionRegistry,
-    /// Per-peer liveness deadline and digest staleness, one record per
-    /// subscribed peer.
-    expiry: DetHashMap<PeerAddr, PeerExpiry>,
+    /// One record per peer whose link at least one group monitors.
+    peers: DetHashMap<PeerAddr, Peer>,
     /// Whether the node's one `LinkExpired` timer is armed; it is, at or
     /// before the earliest deadline of any monitored link.
     armed: bool,
 }
 
+impl Watch {
+    /// Adds `id` to the groups on `peer`'s link, marking its digest stale.
+    /// Returns `true` when this is the peer's first group: its record is
+    /// new, agreed at `now`.
+    fn subscribe(&mut self, peer: PeerAddr, id: FuseId, now: Time) -> bool {
+        let rec = self.peers.entry(peer).or_insert_with(|| Peer {
+            groups: Vec::new(),
+            agreed_at: now,
+            digest: None,
+        });
+        let first = rec.groups.is_empty();
+        if let Err(at) = rec.groups.binary_search(&id) {
+            rec.groups.insert(at, id);
+            rec.digest = None;
+        }
+        first
+    }
+
+    /// Drops `id` from the groups on `peer`'s link, marking its digest
+    /// stale. The peer's last group takes its record with it.
+    fn unsubscribe(&mut self, peer: PeerAddr, id: FuseId) {
+        let Some(rec) = self.peers.get_mut(&peer) else {
+            return;
+        };
+        if let Ok(at) = rec.groups.binary_search(&id) {
+            rec.groups.remove(at);
+            rec.digest = None;
+        }
+        if rec.groups.is_empty() {
+            self.peers.remove(&peer);
+        }
+    }
+
+    /// The groups monitoring the link to `peer`, sorted.
+    fn groups(&self, peer: PeerAddr) -> &[FuseId] {
+        self.peers.get(&peer).map_or(&[], |rec| &rec.groups)
+    }
+}
+
 impl FuseLayer {
-    /// Which groups monitor the link to each peer (visibility for tests and
-    /// the microbench).
-    pub fn subscriptions(&self) -> &SubscriptionRegistry {
-        &self.watch.subs
+    /// The groups monitoring the link to `peer`, in `FuseId` order
+    /// (visibility for tests and the microbench).
+    pub fn link_groups(&self, peer: PeerAddr) -> &[FuseId] {
+        self.watch.groups(peer)
+    }
+
+    /// The peers whose link at least one group monitors, sorted.
+    pub fn watched_peers(&self) -> Vec<PeerAddr> {
+        let mut v: Vec<PeerAddr> = self.watch.peers.keys().copied().collect();
+        v.sort_unstable();
+        v
     }
 
     // ---- Installs (§6.2) ------------------------------------------------------
@@ -184,10 +243,12 @@ impl FuseLayer {
             root,
         };
         let payload = self.ebuf.encode_to_bytes(&ic);
-        let start = cx.ov(ov, |ov, ocx| ov.route_client(ocx, &root.name, payload));
+        let start = cx.ov(ov, None, |ov, ocx| {
+            ov.route_client(ocx, &root.name, payload)
+        });
         match start {
             RouteStart::Sent { next } => {
-                self.add_link(cx, ov, id, next);
+                self.add_link(cx, id, next);
             }
             RouteStart::SelfIsTarget => {}
             RouteStart::NoRoute => {
@@ -200,7 +261,6 @@ impl FuseLayer {
     pub(super) fn install_delivered(
         &mut self,
         cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
         ic: InstallChecking,
         src: PeerAddr,
         prev: PeerAddr,
@@ -222,14 +282,13 @@ impl FuseLayer {
         }
         self.end_round_if_done(ic.id);
         if prev != self.me.proc {
-            self.add_link(cx, ov, ic.id, prev);
+            self.add_link(cx, ic.id, prev);
         }
     }
 
     pub(super) fn install_forwarded(
         &mut self,
         cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
         ic: InstallChecking,
         prev: PeerAddr,
         next: PeerAddr,
@@ -247,31 +306,29 @@ impl FuseLayer {
             }
         }
         if prev != self.me.proc {
-            self.add_link(cx, ov, ic.id, prev);
+            self.add_link(cx, ic.id, prev);
         }
         if next != self.me.proc {
-            self.add_link(cx, ov, ic.id, next);
+            self.add_link(cx, ic.id, next);
         }
     }
 
     // ---- Refresh and expiry (§6.3) ------------------------------------------
 
-    pub(super) fn on_ping_hash(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        peer: PeerAddr,
-        hash: Digest,
-    ) {
-        self.refresh_link_hash(ov, peer);
-        let mine = ov.link_hash(peer).unwrap_or_else(Digest::of_empty);
-        if mine == hash {
-            // Agreement: one store refreshes every (group, link) deadline
-            // this hash covers.
-            if let Some(rec) = self.watch.expiry.get_mut(&peer) {
-                rec.agreed_at = cx.now;
+    pub(super) fn on_ping_hash(&mut self, cx: &mut CoreCx<'_>, peer: PeerAddr, hash: Digest) {
+        let agreed = match self.watch.peers.get_mut(&peer) {
+            Some(rec) => {
+                let agreed = rec.digest(&mut self.obs) == hash;
+                if agreed {
+                    // One store refreshes every (group, link) deadline
+                    // this hash covers.
+                    rec.agreed_at = cx.now;
+                }
+                agreed
             }
-        } else {
+            None => hash == Digest::of_empty(),
+        };
+        if !agreed {
             // Disagreement: exchange lists (§6.3).
             self.obs.record(Event::Reconciled);
             let links = self.links_with(peer);
@@ -282,13 +339,12 @@ impl FuseLayer {
     pub(super) fn reconcile(
         &mut self,
         cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
         peer: PeerAddr,
         theirs: &[(FuseId, u64)],
     ) {
         let their_ids: DetHashSet<FuseId> = theirs.iter().map(|&(id, _)| id).collect();
         let now = cx.now;
-        for id in self.watch.subs.subscribers(peer).to_vec() {
+        for id in self.watch.groups(peer).to_vec() {
             let group = self.groups.get_mut(&id);
             let Some(link) = group.and_then(|g| g.links.get_mut(peer)) else {
                 continue;
@@ -300,15 +356,14 @@ impl FuseLayer {
                 // They do not monitor this tree with us. Outside the grace
                 // period (creation race, §6.3) the disagreeing tree is torn
                 // down and repaired.
-                self.local_link_failed(cx, ov, id, peer);
+                self.local_link_failed(cx, id, peer);
             }
         }
     }
 
     pub(super) fn links_with(&self, peer: PeerAddr) -> Vec<(FuseId, u64)> {
         self.watch
-            .subs
-            .subscribers(peer)
+            .groups(peer)
             .iter()
             .filter_map(|&id| self.groups.get(&id).map(|g| (id, g.seq)))
             .collect()
@@ -316,7 +371,7 @@ impl FuseLayer {
 
     /// The groups monitoring the link to `peer`, in `FuseId` order.
     pub(super) fn watchers(&self, peer: PeerAddr) -> Vec<FuseId> {
-        self.watch.subs.subscribers(peer).to_vec()
+        self.watch.groups(peer).to_vec()
     }
 
     /// The node's `LinkExpired` timer fired. No deadline on a peer comes
@@ -325,17 +380,17 @@ impl FuseLayer {
     /// links whose deadline has come are due. The timer follows the
     /// earliest deadline left before any due link fails; then they fail,
     /// peers in ascending address order and each peer's in `FuseId` order.
-    pub(super) fn sweep_link_expiry(&mut self, cx: &mut CoreCx<'_>, ov: &mut OverlayNode) {
+    pub(super) fn sweep_link_expiry(&mut self, cx: &mut CoreCx<'_>) {
         let (now, timeout) = (cx.now, self.cfg.link_failure_timeout);
         let mut due = Vec::new();
         let mut next: Option<Time> = None;
-        for (&peer, rec) in &self.watch.expiry {
+        for (&peer, rec) in &self.watch.peers {
             let floor = rec.agreed_at + timeout;
             if floor > now {
                 next = Some(next.map_or(floor, |n| n.min(floor)));
                 continue;
             }
-            for &id in self.watch.subs.subscribers(peer) {
+            for &id in &rec.groups {
                 let link = self.groups[&id].links.get(peer).expect("subscribed");
                 let deadline = link.refreshed_at.max(rec.agreed_at) + timeout;
                 if deadline <= now {
@@ -354,19 +409,13 @@ impl FuseLayer {
         due.sort_unstable();
         for (peer, id) in due {
             self.obs.record(Event::LinkExpired);
-            self.local_link_failed(cx, ov, id, peer);
+            self.local_link_failed(cx, id, peer);
         }
     }
 
     // ---- Link bookkeeping ---------------------------------------------------
 
-    pub(super) fn add_link(
-        &mut self,
-        cx: &mut CoreCx<'_>,
-        ov: &mut OverlayNode,
-        id: FuseId,
-        peer: PeerAddr,
-    ) {
+    pub(super) fn add_link(&mut self, cx: &mut CoreCx<'_>, id: FuseId, peer: PeerAddr) {
         debug_assert_ne!(peer, self.me.proc);
         let now = cx.now;
         let Some(g) = self.groups.get_mut(&id) else {
@@ -382,144 +431,94 @@ impl FuseLayer {
                         refreshed_at: now,
                     },
                 );
-                if self.watch.subs.subscribe(peer, id) {
-                    // First subscription on the peer: start watching it. An
-                    // armed timer is already at or before `now + timeout`,
-                    // and agreements and new links only move deadlines later.
-                    if !std::mem::replace(&mut self.watch.armed, true) {
-                        let timeout = self.cfg.link_failure_timeout;
-                        cx.set_fuse_timer(timeout, FuseTimer::LinkExpired);
-                    }
-                    let rec = PeerExpiry {
-                        agreed_at: now,
-                        hash_dirty: true,
-                    };
-                    self.watch.expiry.insert(peer, rec);
+                // The first subscription on a peer starts watching it. An
+                // armed timer is already at or before `now + timeout`, and
+                // agreements and new links only move deadlines later.
+                if self.watch.subscribe(peer, id, now) && !self.watch.armed {
+                    self.watch.armed = true;
+                    let timeout = self.cfg.link_failure_timeout;
+                    cx.set_fuse_timer(timeout, FuseTimer::LinkExpired);
                 }
-                self.link_set_changed(ov, peer);
             }
         }
     }
 
     /// Drops `id`'s link to `peer`; `false` when there was none.
-    pub(super) fn remove_link(&mut self, ov: &mut OverlayNode, id: FuseId, peer: PeerAddr) -> bool {
+    pub(super) fn remove_link(&mut self, id: FuseId, peer: PeerAddr) -> bool {
         let removed = self
             .groups
             .get_mut(&id)
             .is_some_and(|g| g.links.remove(peer));
         if removed {
-            self.unindex_link(ov, id, peer);
+            // The last subscription gone stops watching the peer. The timer
+            // is left to fire; the sweep finds nothing of the peer.
+            self.watch.unsubscribe(peer, id);
         }
         removed
     }
 
-    fn unindex_link(&mut self, ov: &mut OverlayNode, id: FuseId, peer: PeerAddr) {
-        if self.watch.subs.unsubscribe(peer, id) {
-            // Last subscription gone: stop watching the peer. The timer is
-            // left to fire; the sweep finds nothing of the peer.
-            let rec = self.watch.expiry.remove(&peer);
-            rec.expect("a watched peer has a record");
-        }
-        self.link_set_changed(ov, peer);
-    }
-
     /// Drops every link of `id`.
-    pub(super) fn clear_links(&mut self, ov: &mut OverlayNode, id: FuseId) {
+    pub(super) fn clear_links(&mut self, id: FuseId) {
         let Some(g) = self.groups.get_mut(&id) else {
             return;
         };
-        let links = std::mem::take(&mut g.links);
-        for peer in links.peers() {
-            self.unindex_link(ov, id, peer);
+        for peer in std::mem::take(&mut g.links).peers() {
+            self.watch.unsubscribe(peer, id);
         }
     }
 
     // ---- The piggyback digest (§6.1) ----------------------------------------
 
-    /// The monitored set on the link to `peer` changed. A peer still
-    /// watched has its digest recomputed when a ping or ack next reads it
-    /// ([`refresh_link_hash`]); a peer no longer watched piggybacks none.
-    ///
-    /// [`refresh_link_hash`]: FuseLayer::refresh_link_hash
-    fn link_set_changed(&mut self, ov: &mut OverlayNode, peer: PeerAddr) {
-        match self.watch.expiry.get_mut(&peer) {
-            Some(rec) => rec.hash_dirty = true,
-            None => ov.set_link_hash(peer, None),
-        }
-    }
-
-    /// Brings the overlay's piggyback digest for `peer` up to date. The
-    /// digest covers the sorted FUSE IDs jointly monitored on the link
-    /// (paper §6.1: a 20-byte hash encoding "all the FUSE groups that use
-    /// this overlay link"). SHA-1 runs only when the set changed since the
+    /// The digest piggybacked on the link to `peer`: it covers the sorted
+    /// FUSE IDs jointly monitored on the link (paper §6.1: a 20-byte hash
+    /// encoding "all the FUSE groups that use this overlay link"), and is
+    /// `None` when no group monitors it. Read when the overlay builds a
+    /// ping to, or an ack for, `peer`, and when a received digest is
+    /// compared. SHA-1 runs only when the link's groups changed since the
     /// last read, so an install or teardown costs no hash and an agreeing
-    /// ping costs a lookup and a flag test. Called before the overlay
-    /// sends a ping to, or answers a ping from, `peer`, and before a
-    /// received digest is compared.
-    pub(crate) fn refresh_link_hash(&mut self, ov: &mut OverlayNode, peer: PeerAddr) {
-        let dirty = self
-            .watch
-            .expiry
-            .get_mut(&peer)
-            .is_some_and(|rec| std::mem::take(&mut rec.hash_dirty));
-        if dirty {
-            self.obs.record(Event::HashComputed);
-            ov.set_link_hash(peer, Some(self.recompute_hash(peer)));
-        }
+    /// ping costs a lookup.
+    pub(crate) fn link_digest(&mut self, peer: PeerAddr) -> Option<Digest> {
+        let rec = self.watch.peers.get_mut(&peer)?;
+        Some(rec.digest(&mut self.obs))
     }
 
-    /// The digest of the groups monitoring the link to `peer`, computed
-    /// from scratch.
-    fn recompute_hash(&self, peer: PeerAddr) -> Digest {
-        let ids = self.watch.subs.subscribers(peer);
-        if ids.is_empty() {
-            return Digest::of_empty();
-        }
-        let mut h = Sha1::new();
-        for id in ids {
-            h.update(&id.0.to_be_bytes());
-        }
-        h.finalize()
-    }
-
-    /// Whether the overlay's piggyback digests agree with the links (test
-    /// hook): every group's links are exactly the subscriptions that name
-    /// it; every subscribed peer has its expiry record and, unless its
-    /// digest is marked stale, a digest equal to a fresh recomputation;
-    /// no other peer has a record or a digest.
-    pub fn hash_cache_consistent(&self, ov: &OverlayNode) -> bool {
-        let subs = &self.watch.subs;
-        let peers = subs.peers();
+    /// Whether the link state agrees with itself (test hook): every
+    /// group's links are exactly the records that name it, each record
+    /// names at least one group, and every cached digest equals a fresh
+    /// recomputation.
+    pub fn hash_cache_consistent(&self) -> bool {
         let links: usize = self.groups.values().map(|g| g.links.as_slice().len()).sum();
-        let linked = self
-            .groups
-            .iter()
-            .all(|(&id, g)| g.links.peers().all(|p| subs.is_subscribed(p, id)));
-        let subscribed = peers.iter().all(|&p| {
-            let mut ids = subs.subscribers(p).iter();
-            ids.all(|id| {
+        let subs: usize = self.watch.peers.values().map(|rec| rec.groups.len()).sum();
+        let linked = self.groups.iter().all(|(&id, g)| {
+            g.links
+                .peers()
+                .all(|p| self.watch.groups(p).binary_search(&id).is_ok())
+        });
+        let watched = self.watch.peers.iter().all(|(&p, rec)| {
+            let named = rec.groups.iter().all(|id| {
                 self.groups
                     .get(id)
                     .is_some_and(|g| g.links.get(p).is_some())
-            })
+            });
+            let fresh = rec.digest.is_none_or(|d| d == digest_of(&rec.groups));
+            named && fresh && !rec.groups.is_empty()
         });
-        let hashed = peers.iter().filter(|&&p| ov.link_hash(p).is_some());
-        linked
-            && subscribed
-            && links == subs.len()
-            && peers.iter().all(|&p| {
-                self.watch.expiry.get(&p).is_some_and(|rec| {
-                    rec.hash_dirty || ov.link_hash(p) == Some(self.recompute_hash(p))
-                })
-            })
-            && self.watch.expiry.len() == peers.len()
-            && ov.link_hash_count() == hashed.count()
+        linked && watched && links == subs
     }
 }
 
+/// The digest of `ids`, hashed in order.
+fn digest_of(ids: &[FuseId]) -> Digest {
+    let mut h = Sha1::new();
+    for id in ids {
+        h.update(&id.0.to_be_bytes());
+    }
+    h.finalize()
+}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn link(at: u64) -> Link {
         Link {
@@ -563,5 +562,80 @@ mod tests {
         assert!(matches!(inline.0, Repr::Inline { len: 2, .. }));
         assert_eq!(peers(&inline), [2, 6]);
         assert!(inline.remove(6) && inline.remove(2) && inline.is_empty());
+    }
+
+    #[test]
+    fn first_and_last_subscription_edges_are_reported() {
+        let mut w = Watch::default();
+        assert!(w.subscribe(7, FuseId(100), Time(1)), "first sub on peer 7");
+        assert!(
+            !w.subscribe(7, FuseId(200), Time(2)),
+            "second sub is not an edge"
+        );
+        assert!(
+            !w.subscribe(7, FuseId(100), Time(3)),
+            "duplicate sub is a no-op"
+        );
+        assert_eq!(
+            w.peers[&7].agreed_at,
+            Time(1),
+            "the first sub dates the record"
+        );
+        assert_eq!(w.groups(7).len(), 2);
+        w.unsubscribe(7, FuseId(100));
+        assert_eq!(w.groups(7), [FuseId(200)], "one sub remains");
+        w.unsubscribe(7, FuseId(200));
+        assert!(w.peers.is_empty(), "the last sub takes the record");
+        w.unsubscribe(7, FuseId(200));
+        assert!(w.peers.is_empty(), "double unsubscribe is a no-op");
+        assert!(w.subscribe(7, FuseId(200), Time(4)), "a new first sub");
+    }
+
+    #[test]
+    fn subscribers_are_sorted_and_per_peer() {
+        let mut w = Watch::default();
+        for k in [300, 100, 200] {
+            w.subscribe(7, FuseId(k), Time(0));
+        }
+        w.subscribe(8, FuseId(400), Time(0));
+        assert_eq!(w.groups(7), [FuseId(100), FuseId(200), FuseId(300)]);
+        assert_eq!(w.groups(8), [FuseId(400)]);
+        assert!(w.groups(9).is_empty());
+        let mut peers: Vec<PeerAddr> = w.peers.keys().copied().collect();
+        peers.sort_unstable();
+        assert_eq!(peers, [7, 8]);
+    }
+
+    proptest! {
+        /// Groups come and go across three peers: the records hold exactly
+        /// the subscriptions, each at least one group, and a change to a
+        /// peer's groups, and only that, marks its cached digest stale.
+        #[test]
+        fn churn_keeps_counts_consistent(
+            ops in prop::collection::vec((any::<bool>(), 0u32..3, 0u64..5), 1..60),
+        ) {
+            let mut w = Watch::default();
+            let mut model = std::collections::BTreeSet::new();
+            for (sub, peer, key) in ops {
+                for rec in w.peers.values_mut() {
+                    rec.digest = Some(digest_of(&rec.groups));
+                }
+                let changed = if sub {
+                    w.subscribe(peer, FuseId(key), Time(0));
+                    model.insert((peer, FuseId(key)))
+                } else {
+                    w.unsubscribe(peer, FuseId(key));
+                    model.remove(&(peer, FuseId(key)))
+                };
+                let mut subs = Vec::new();
+                for (&p, rec) in &w.peers {
+                    prop_assert!(!rec.groups.is_empty());
+                    subs.extend(rec.groups.iter().map(|&id| (p, id)));
+                    prop_assert_eq!(rec.digest.is_none(), changed && p == peer);
+                }
+                subs.sort_unstable();
+                prop_assert_eq!(subs, model.iter().copied().collect::<Vec<_>>());
+            }
+        }
     }
 }

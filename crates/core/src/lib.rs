@@ -36,13 +36,11 @@
 
 pub mod layer;
 pub mod messages;
-mod registry;
 pub mod stack;
 pub mod types;
 
 pub use layer::FuseLayer;
 pub use messages::{FuseMsg, InstallChecking};
-pub use registry::SubscriptionRegistry;
 pub use stack::{
     AppCall, FuseApi, FuseApp, FuseStack, Input, Output, StackMsg, NS_APP, NS_FUSE, NS_LIVENESS,
     NS_OVERLAY, WARM_SLOTS,

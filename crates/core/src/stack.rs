@@ -327,10 +327,6 @@ impl FuseStack {
             }
             Input::Message { from, msg } => match msg {
                 StackMsg::Overlay(m) => {
-                    if let OverlayMsg::Ping { .. } = m {
-                        // The overlay answers with our digest for the link.
-                        self.fuse.refresh_link_hash(&mut self.overlay, from);
-                    }
                     self.with_overlay(now, rng, |ov, ocx| ov.on_message(ocx, from, m));
                     self.drain_upcalls(now, rng);
                 }
@@ -345,18 +341,11 @@ impl FuseStack {
             },
             Input::Timer(key) => match Timer::of(key) {
                 Some(Timer::Overlay(t)) => {
-                    if let OverlayTimer::PingDue(peer) = t {
-                        if !self.overlay.ping_due(peer, now) {
-                            return;
-                        }
-                        // The ping carries our digest for the link.
-                        self.fuse.refresh_link_hash(&mut self.overlay, peer);
-                    }
                     self.with_overlay(now, rng, |ov, ocx| ov.on_timer(ocx, t));
                     self.drain_upcalls(now, rng);
                 }
                 Some(Timer::Fuse(t)) => {
-                    self.with_core(now, rng, |fuse, ov, cx| fuse.on_timer(cx, ov, t));
+                    self.with_core(now, rng, |fuse, _, cx| fuse.on_timer(cx, t));
                     self.drain_upcalls(now, rng);
                 }
                 Some(Timer::App(tag)) => self.out.push_back(Output::App(AppCall::Timer(tag))),
@@ -364,7 +353,7 @@ impl FuseStack {
             },
             Input::LinkBroken { peer } => {
                 self.with_overlay(now, rng, |ov, ocx| ov.on_link_broken(ocx, peer));
-                self.with_core(now, rng, |fuse, ov, cx| fuse.on_link_broken(cx, ov, peer));
+                self.with_core(now, rng, |fuse, _, cx| fuse.on_link_broken(cx, peer));
                 self.drain_upcalls(now, rng);
             }
         }
@@ -405,14 +394,14 @@ impl FuseStack {
     }
 
     /// Runs `f` against the overlay, its effects landing on the output
-    /// queue.
+    /// queue and its digest reads answered by the FUSE layer.
     fn with_overlay<R>(
         &mut self,
         now: Time,
         rng: &mut StdRng,
         f: impl FnOnce(&mut OverlayNode, &mut OverlayCx<'_>) -> R,
     ) -> R {
-        self.with_core(now, rng, |_, ov, cx| cx.ov(ov, f))
+        self.with_core(now, rng, |fuse, ov, cx| cx.ov(ov, Some(fuse), f))
     }
 
     /// Runs `f` against the FUSE layer through a [`CoreCx`] over this
@@ -439,7 +428,7 @@ impl FuseStack {
             let spare = std::mem::take(&mut self.ov_batch);
             let mut batch = std::mem::replace(&mut self.ov_upcalls, spare);
             for up in batch.drain(..) {
-                self.with_core(now, rng, |fuse, ov, cx| fuse.on_overlay_upcall(cx, ov, up));
+                self.with_core(now, rng, |fuse, _, cx| fuse.on_overlay_upcall(cx, up));
             }
             self.ov_batch = batch;
         }
@@ -473,7 +462,7 @@ impl FuseApi<'_> {
     /// returned [`CreateTicket`] is echoed by the completion event,
     /// [`FuseEvent::Created`].
     pub fn create_group(&mut self, others: Vec<NodeInfo>) -> CreateTicket {
-        let t = self.stack.with_core(self.now, self.rng, |fuse, _ov, cx| {
+        let t = self.stack.with_core(self.now, self.rng, |fuse, _, cx| {
             fuse.create_group(cx, others)
         });
         self.stack.drain_upcalls(self.now, self.rng);
@@ -485,7 +474,7 @@ impl FuseApi<'_> {
     /// [`Notification`](crate::types::Notification). Unknown groups fire
     /// immediately (§3.1).
     pub fn register_handler(&mut self, id: FuseId, ctx: u64) {
-        self.stack.with_core(self.now, self.rng, |fuse, _ov, cx| {
+        self.stack.with_core(self.now, self.rng, |fuse, _, cx| {
             fuse.register_handler(cx, id, ctx);
         });
         self.stack.drain_upcalls(self.now, self.rng);
@@ -493,8 +482,8 @@ impl FuseApi<'_> {
 
     /// `SignalFailure` (Figure 1).
     pub fn signal_failure(&mut self, id: FuseId) {
-        self.stack.with_core(self.now, self.rng, |fuse, ov, cx| {
-            fuse.signal_failure(cx, ov, id);
+        self.stack.with_core(self.now, self.rng, |fuse, _, cx| {
+            fuse.signal_failure(cx, id);
         });
         self.stack.drain_upcalls(self.now, self.rng);
     }
@@ -1086,8 +1075,8 @@ mod tests {
         let unreachable = Err(CreateError::MemberUnreachable);
         assert_eq!(lost.created(id), [unreachable]);
         assert!(!lost.s.fuse.knows_group(id), "the record is left");
-        assert!(lost.s.fuse.subscriptions().is_empty(), "a link is left");
-        assert!(lost.s.fuse.hash_cache_consistent(&lost.s.overlay));
+        assert!(lost.s.fuse.watched_peers().is_empty(), "a link is left");
+        assert!(lost.s.fuse.hash_cache_consistent());
 
         for m in [m1, m2] {
             root.fuse(m.proc, FuseMsg::GroupCreateReply { id, ok: true });

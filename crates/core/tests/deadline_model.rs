@@ -181,8 +181,8 @@ impl Rig {
                         _ => None,
                     };
                     if let Some(&hash) = hash {
-                        let subs = self.stack.fuse.subscriptions().subscribers(*to);
-                        assert_eq!(hash, digest_of(subs.iter().copied()), "digest to {to}");
+                        let groups = self.stack.fuse.link_groups(*to);
+                        assert_eq!(hash, digest_of(groups.iter().copied()), "digest to {to}");
                         self.digests_checked += 1;
                     }
                 }
@@ -514,7 +514,7 @@ fn a_digest_is_computed_when_a_ping_reads_a_changed_set_and_only_then() {
     rig.run_until(rig.now + Duration::from_secs(60));
     assert_eq!(rig.digests_checked - checked, PEERS.len() as u64);
     assert_eq!(computed(&rig), before + 2);
-    assert!(rig.stack.fuse.hash_cache_consistent(&rig.stack.overlay));
+    assert!(rig.stack.fuse.hash_cache_consistent());
 }
 
 #[test]
@@ -685,7 +685,7 @@ proptest! {
             }
             let expect: BTreeSet<_> = model.links.keys().copied().collect();
             prop_assert_eq!(rig.links(), expect, "link sets diverged after op {}", kind);
-            prop_assert!(rig.stack.fuse.hash_cache_consistent(&rig.stack.overlay));
+            prop_assert!(rig.stack.fuse.hash_cache_consistent());
         }
         // Nothing left refreshes: every remaining link expires on time.
         let end = rig.now + t;

@@ -286,7 +286,7 @@ fn agreeing_ping_ns(groups: usize) -> f64 {
         };
         deliver(&mut stack, &mut rng, StackMsg::Overlay(routed), |_| {});
     }
-    assert_eq!(stack.fuse.subscriptions().subscribers(PEER).len(), groups);
+    assert_eq!(stack.fuse.link_groups(PEER).len(), groups);
     // The stack's own digest for the link, read off its first ack.
     let ping = |hash| StackMsg::Overlay(OverlayMsg::Ping { nonce: 1, hash });
     let mut hash = None;

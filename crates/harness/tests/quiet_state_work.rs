@@ -52,9 +52,8 @@ fn quiet_window(groups: usize) -> (u64, usize, usize, u64) {
     let obs = world.obs_aggregates();
     assert_eq!(obs.notifications, 0, "a quiet group burned");
     assert_eq!(obs.links_expired, 0);
-    let monitored = (0..NODES as ProcId)
-        .map(|p| world.sim.proc(p).expect("up").fuse.subscriptions())
-        .map(|subs| subs.peer_count());
+    let monitored =
+        (0..NODES as ProcId).map(|p| world.sim.proc(p).expect("up").fuse.watched_peers().len());
     (
         world.events_executed() - before,
         world.sim.pending_events(),

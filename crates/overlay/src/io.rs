@@ -37,23 +37,30 @@ pub enum OverlayTimer {
     Maintenance,
 }
 
-/// Where the overlay's sends and timer arms go, in emission order. The
-/// embedding stack implements it over its own output queue, so an effect
-/// lands there the moment the overlay emits it.
+/// Where the overlay's sends and timer arms go, in emission order, and
+/// where it reads the digest it piggybacks. The embedding stack implements
+/// it over its own output queue, so an effect lands there the moment the
+/// overlay emits it.
 pub trait OverlaySink {
     /// Transmit an overlay message to a peer.
     fn send(&mut self, to: PeerAddr, msg: OverlayMsg);
     /// Schedule `tag` to come back through `OverlayNode::on_timer` `after`
     /// from now.
     fn set_timer(&mut self, tag: OverlayTimer, after: Duration);
+    /// The client's digest for the link to `peer` (paper §6.1: FUSE
+    /// piggybacks a 20-byte hash of the groups on the link), `None` when
+    /// the client monitors nothing there. Read once for each ping and each
+    /// ack the overlay builds, just before it sends it.
+    fn link_digest(&mut self, peer: PeerAddr) -> Option<Digest>;
 }
 
 /// Upcalls from the overlay to its client layer.
 #[derive(Debug, Clone)]
 pub enum OverlayUpcall {
     /// A liveness message (ping or ack) from `peer` carried this piggyback
-    /// digest — the client refreshes whatever state the digest covers
-    /// (paper §6.3).
+    /// digest — the client compares it with its own for the link and
+    /// refreshes whatever state the digest covers (paper §6.3). A ping's
+    /// upcall is queued before its ack reads the client's digest.
     PingHash {
         /// Monitored neighbor.
         peer: PeerAddr,
@@ -157,6 +164,11 @@ impl<'a> OverlayCx<'a> {
     /// Arms a timer with an overlay tag.
     pub fn set_timer(&mut self, after: Duration, tag: OverlayTimer) {
         self.sink.set_timer(tag, after);
+    }
+
+    /// The client's digest to piggyback on the link to `peer`.
+    pub fn link_digest(&mut self, peer: PeerAddr) -> Option<Digest> {
+        self.sink.link_digest(peer)
     }
 
     /// Delivers an upcall to the client layer (buffered by the stack).

@@ -20,7 +20,9 @@
 //! The overlay is sans-io: every entry point takes an [`OverlayCx`] and all
 //! side effects leave through it: sends and timer commands into an
 //! [`OverlaySink`] the embedding stack (`fuse_core::FuseStack`) implements
-//! over its output queue, and [`OverlayUpcall`]s for the client layer. This
+//! over its output queue, and [`OverlayUpcall`]s for the client layer. The
+//! sink also answers the one read the overlay makes of its client: the
+//! digest a ping or ack carries, asked for as it is built. This
 //! crate has no dependency on any driver — neither the simulation kernel
 //! nor sockets.
 

@@ -3,8 +3,9 @@
 //! timeout).
 //!
 //! This module alone writes the monitored-neighbour records, the FIFO of
-//! ack deadlines and its one `AckTimeout` timer flag, the nonce counter
-//! and the piggyback digests; [`Liveness`]' fields are private to it. The
+//! ack deadlines and its one `AckTimeout` timer flag and the nonce
+//! counter; [`Liveness`]' fields are private to it. It keeps no digest: a
+//! ping and an ack each read theirs from the sink as they are built. The
 //! invariant it keeps: every neighbour whose ping goes unacknowledged for
 //! the ping timeout is declared dead at exactly `sent + ping_timeout`, in
 //! send order, and no other is. The timeout is constant, so send order is
@@ -46,8 +47,6 @@ pub(super) struct Liveness {
     ack_deadlines: VecDeque<(Time, PeerAddr, u64)>,
     /// Whether the one `AckTimeout` timer is armed.
     ack_timer: bool,
-    /// Piggyback digest per link, pushed down by the client (FUSE).
-    link_hashes: DetHashMap<PeerAddr, Digest>,
     next_nonce: u64,
 }
 
@@ -105,44 +104,24 @@ impl OverlayNode {
         self.live.watched.contains_key(&peer)
     }
 
-    /// The digest the client asked us to piggyback for `peer` (absent when
-    /// no groups monitor the link).
-    pub fn link_hash(&self, peer: PeerAddr) -> Option<Digest> {
-        self.live.link_hashes.get(&peer).copied()
-    }
-
-    /// Client hook: sets the piggyback digest for one link (paper §6.1:
-    /// FUSE piggybacks a 20-byte hash on overlay ping requests).
-    pub fn set_link_hash(&mut self, peer: PeerAddr, hash: Option<Digest>) {
-        if let Some(h) = hash {
-            self.live.link_hashes.insert(peer, h);
-        } else {
-            self.live.link_hashes.remove(&peer);
-        }
-    }
-
     /// Whether `peer`'s next ping is due at `now`: a `PingDue` that finds
     /// it not due (the neighbour was dropped, or re-admitted with a ping
     /// chain of its own) is stale and does nothing.
-    pub fn ping_due(&self, peer: PeerAddr, now: Time) -> bool {
+    pub(super) fn ping_due(&self, peer: PeerAddr, now: Time) -> bool {
         self.live
             .watched
             .get(&peer)
             .is_some_and(|w| w.next_ping <= now)
     }
 
-    /// Number of links with a piggyback digest set.
-    pub fn link_hash_count(&self) -> usize {
-        self.live.link_hashes.len()
-    }
-
-    /// Sends `peer` its next ping and queues the ack deadline, which
-    /// replaces any wait still outstanding on the peer.
+    /// Sends `peer` its next ping, carrying the client's digest for the
+    /// link, and queues the ack deadline, which replaces any wait still
+    /// outstanding on the peer.
     pub(super) fn ping(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
         let live = &mut self.live;
         live.next_nonce += 1;
         let nonce = live.next_nonce;
-        let hash = live.link_hashes.get(&peer).copied();
+        let hash = io.link_digest(peer);
         io.send(peer, OverlayMsg::Ping { nonce, hash });
         self.stats.pings_sent += 1;
         let timeout = live.cfg.ping_timeout;

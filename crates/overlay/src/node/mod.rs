@@ -6,8 +6,8 @@
 //! * `tables` — the leaf sets and routing table (§6.1), the only writer of
 //!   both and of the neighbour-diff scratch;
 //! * `views` — the passive view: live candidates and departed neighbours;
-//! * `liveness` — pings, acks and the one ack-deadline timer (§6.3), and
-//!   the piggyback digests FUSE pushes down;
+//! * `liveness` — pings, acks and the one ack-deadline timer (§6.3); each
+//!   ping and ack reads FUSE's digest from the sink as it is built;
 //! * `route` — greedy routing, per-hop upcalls and delivery (§6.1);
 //! * `maintain` — join, announce, probes and the repair after a death.
 //!
@@ -187,7 +187,7 @@ impl OverlayNode {
                     peer: from,
                     hash: hash.unwrap_or_else(Digest::of_empty),
                 });
-                let mine = self.link_hash(from);
+                let mine = io.link_digest(from);
                 io.send(from, OverlayMsg::PingAck { nonce, hash: mine });
             }
             OverlayMsg::PingAck { nonce, hash } => self.on_ping_ack(io, from, nonce, hash),
@@ -264,28 +264,38 @@ mod tests {
 
     /// Scratch driver state that records effects without a kernel: each
     /// call runs under a fresh [`OverlayCx`] whose sink records sends and
-    /// armed timers into `sent`/`timers`.
+    /// armed timers into `sent`/`timers`, answers every digest read with
+    /// `digest` and records the peer read in `reads`.
     pub(super) struct TestIo {
         pub(super) now: Time,
         rng: StdRng,
         pub(super) sent: Vec<(PeerAddr, OverlayMsg)>,
         pub(super) upcalls: Vec<OverlayUpcall>,
         pub(super) timers: Vec<(Duration, OverlayTimer)>,
+        digest: Option<Digest>,
+        reads: Vec<PeerAddr>,
     }
 
-    /// The test sink: sends and armed timers are recorded.
-    struct Recorded<'a>(
-        &'a mut Vec<(PeerAddr, OverlayMsg)>,
-        &'a mut Vec<(Duration, OverlayTimer)>,
-    );
+    /// The test sink over a [`TestIo`]'s records.
+    struct Recorded<'a> {
+        sent: &'a mut Vec<(PeerAddr, OverlayMsg)>,
+        timers: &'a mut Vec<(Duration, OverlayTimer)>,
+        digest: Option<Digest>,
+        reads: &'a mut Vec<PeerAddr>,
+    }
 
     impl OverlaySink for Recorded<'_> {
         fn send(&mut self, to: PeerAddr, msg: OverlayMsg) {
-            self.0.push((to, msg));
+            self.sent.push((to, msg));
         }
 
         fn set_timer(&mut self, tag: OverlayTimer, after: Duration) {
-            self.1.push((after, tag));
+            self.timers.push((after, tag));
+        }
+
+        fn link_digest(&mut self, peer: PeerAddr) -> Option<Digest> {
+            self.reads.push(peer);
+            self.digest
         }
     }
 
@@ -297,12 +307,19 @@ mod tests {
                 sent: Vec::new(),
                 upcalls: Vec::new(),
                 timers: Vec::new(),
+                digest: None,
+                reads: Vec::new(),
             }
         }
 
         /// Runs one node entry point under a context.
         fn with<R>(&mut self, f: impl FnOnce(&mut OverlayCx<'_>) -> R) -> R {
-            let mut rec = Recorded(&mut self.sent, &mut self.timers);
+            let mut rec = Recorded {
+                sent: &mut self.sent,
+                timers: &mut self.timers,
+                digest: self.digest,
+                reads: &mut self.reads,
+            };
             let mut cx = OverlayCx::new(self.now, &mut self.rng, &mut rec, &mut self.upcalls);
             f(&mut cx)
         }
@@ -399,21 +416,34 @@ mod tests {
         assert_eq!(n.next_hop(&NodeName::numbered(30)).unwrap(), 30);
     }
 
+    /// A ping and an ack each read the link's digest from the sink once,
+    /// as they are built, and carry what it answers: a digest, or none.
     #[test]
-    fn ping_carries_pushed_link_hash() {
+    fn ping_and_ack_carry_the_sinks_digest() {
         let (mut n, mut io) = node_with(10, &[20]);
         let h = fuse_wire::sha1(b"groups-on-link");
-        n.set_link_hash(20, Some(h));
-        io.fire_ping(&mut n, 20);
-        let ping = io
-            .sent
-            .iter()
-            .find_map(|(to, m)| match m {
-                OverlayMsg::Ping { hash, .. } if *to == 20 => Some(*hash),
-                _ => None,
-            })
-            .expect("ping sent");
-        assert_eq!(ping, Some(h));
+        for answer in [Some(h), None] {
+            io.digest = answer;
+            io.reads.clear();
+            io.sent.clear();
+            io.fire_ping(&mut n, 20);
+            let ping = OverlayMsg::Ping {
+                nonce: 9,
+                hash: h.into(),
+            };
+            io.on_message(&mut n, 20, ping);
+            let carried: Vec<_> = io
+                .sent
+                .iter()
+                .map(|(to, m)| match m {
+                    OverlayMsg::Ping { hash, .. } => ("ping", *to, *hash),
+                    OverlayMsg::PingAck { nonce: 9, hash } => ("ack", *to, *hash),
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert_eq!(carried, [("ping", 20, answer), ("ack", 20, answer)]);
+            assert_eq!(io.reads, [20, 20], "one read for each");
+        }
     }
 
     #[test]

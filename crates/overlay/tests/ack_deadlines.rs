@@ -23,6 +23,7 @@ use fuse_overlay::{
     OverlayTimer, OverlayUpcall,
 };
 use fuse_util::{Duration, PeerAddr, Time};
+use fuse_wire::Digest;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,6 +54,10 @@ impl OverlaySink for Out<'_> {
 
     fn set_timer(&mut self, tag: OverlayTimer, after: Duration) {
         self.armed.push((tag, after));
+    }
+
+    fn link_digest(&mut self, _peer: PeerAddr) -> Option<Digest> {
+        None
     }
 }
 

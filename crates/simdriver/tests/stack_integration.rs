@@ -275,16 +275,22 @@ fn group_churn_registers_and_unregisters_peers() {
     sim.run_for(SimDuration::from_secs(5));
     let id_a = create_group(&mut sim, &infos, 0, &[3, 6]);
     let id_b = create_group(&mut sim, &infos, 0, &[3, 9]);
-    // Every subscribed peer, and only those, has an expiry record.
+    // Every record names exactly the groups linked to its peer.
     let assert_consistent = |sim: &World| {
         for p in 0..16u32 {
             let s = sim.proc(p).unwrap();
-            assert!(s.fuse.hash_cache_consistent(&s.overlay), "node {p}");
+            assert!(s.fuse.hash_cache_consistent(), "node {p}");
         }
     };
     assert_consistent(&sim);
     let total_subs: usize = (0..16u32)
-        .map(|p| sim.proc(p).unwrap().fuse.subscriptions().len())
+        .map(|p| {
+            let fuse = &sim.proc(p).unwrap().fuse;
+            let peers = fuse.watched_peers().into_iter();
+            peers
+                .map(|peer| fuse.link_groups(peer).len())
+                .sum::<usize>()
+        })
         .sum();
     assert!(total_subs > 0, "live groups must hold subscriptions");
 
@@ -294,29 +300,28 @@ fn group_churn_registers_and_unregisters_peers() {
     });
     sim.run_for(SimDuration::from_secs(60));
     for p in 0..16u32 {
-        let subs = sim.proc(p).unwrap().fuse.subscriptions();
-        for peer in subs.peers() {
+        let fuse = &sim.proc(p).unwrap().fuse;
+        for peer in fuse.watched_peers() {
             assert!(
-                !subs.is_subscribed(peer, id_a),
+                !fuse.link_groups(peer).contains(&id_a),
                 "node {p} still subscribed for burned group A"
             );
         }
     }
     assert!(
-        (0..16u32).any(|p| !sim.proc(p).unwrap().fuse.subscriptions().is_empty()),
+        (0..16u32).any(|p| !sim.proc(p).unwrap().fuse.watched_peers().is_empty()),
         "group B must still hold subscriptions"
     );
     assert_consistent(&sim);
 
-    // Burn B too: every registry, and with it every expiry record, must
-    // drain to empty.
+    // Burn B too: every peer record must drain to empty.
     sim.with_proc(9, |stack, ctx| {
         stack.with_api(ctx, |api, _| api.signal_failure(id_b))
     });
     sim.run_for(SimDuration::from_secs(60));
     for p in 0..16u32 {
-        let subs = sim.proc(p).unwrap().fuse.subscriptions();
-        assert_eq!(subs.peer_count(), 0, "node {p} still watches a peer");
+        let peers = sim.proc(p).unwrap().fuse.watched_peers();
+        assert!(peers.is_empty(), "node {p} still watches a peer");
     }
     assert_consistent(&sim);
 }
@@ -463,7 +468,7 @@ fn piggyback_digest_cache_matches_recomputation() {
         for p in 0..sim.process_count() as ProcId {
             if let Some(s) = sim.proc(p) {
                 assert!(
-                    s.fuse.hash_cache_consistent(&s.overlay),
+                    s.fuse.hash_cache_consistent(),
                     "node {p} digest cache diverged {when}"
                 );
             }

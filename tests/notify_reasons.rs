@@ -196,10 +196,7 @@ fn digest_cache_consistent_across_group_lifecycle() {
         sim.run_for(SimDuration::from_secs(45));
         for p in 0..sim.process_count() as ProcId {
             if let Some(s) = sim.proc(p) {
-                assert!(
-                    s.fuse.hash_cache_consistent(&s.overlay),
-                    "node {p} cache diverged"
-                );
+                assert!(s.fuse.hash_cache_consistent(), "node {p} cache diverged");
             }
         }
     }
@@ -209,10 +206,7 @@ fn digest_cache_consistent_across_group_lifecycle() {
     sim.run_for(SimDuration::from_secs(60));
     for p in 0..sim.process_count() as ProcId {
         if let Some(s) = sim.proc(p) {
-            assert!(
-                s.fuse.hash_cache_consistent(&s.overlay),
-                "node {p} after failure"
-            );
+            assert!(s.fuse.hash_cache_consistent(), "node {p} after failure");
         }
     }
 }

@@ -24,25 +24,30 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// The world's live heap after the run, in bytes: 3,770,288 measured on
-/// x86-64 Linux, plus 5 %. It was 4,766,888 while the route oracle kept a
+/// The world's live heap after the run, in bytes: 3,733,424 measured on
+/// x86-64 Linux, plus 5 %. It was 3,770,288 while the overlay kept a copy
+/// of each link's digest beside core's subscription index and expiry
+/// records, 4,766,888 while the route oracle kept a
 /// 400-word row per attachment router and the topology its full-graph
 /// adjacency, 5,138,344 when the stacks' queues were first bounded, and
 /// 7,484,328 while every stack kept its boot burst's 32-slot output and
 /// overlay-effect queues.
-const STAKE_BYTES: isize = 3_958_802;
+const STAKE_BYTES: isize = 3_920_095;
 
 /// The world's live heap after `steady_ping`'s set-up, in bytes and in
-/// blocks: 8,247,007 B in 16,900 blocks measured on x86-64 Linux, plus 5 %.
-/// While the route oracle kept a row per attachment router and the
+/// blocks: 8,068,307 B in 16,100 blocks measured on x86-64 Linux, plus 5 %.
+/// While each monitored peer's groups, liveness floor and digest sat in
+/// three maps (core's subscription index and expiry records, the
+/// overlay's digests) it was 8,247,007 B in 16,900 blocks; while the route
+/// oracle kept a row per attachment router and the
 /// topology its full-graph adjacency it was 9,269,207 B in 17,284 blocks;
 /// while a layer kept its creation attempts, handler contexts and
 /// fail-on-send peers in three tables beside its group records,
 /// 9,424,723 B in 17,535 blocks; while every delegate kept the root's
 /// address, its creation time and a hash table of links, 12,087,427 B in
 /// 30,157 blocks.
-const STANDING_STAKE_BYTES: isize = 8_659_357;
-const STANDING_STAKE_BLOCKS: isize = 17_745;
+const STANDING_STAKE_BYTES: isize = 8_471_722;
+const STANDING_STAKE_BLOCKS: isize = 16_905;
 
 thread_local! {
     // `const` init: no lazy-init bookkeeping and no destructor, so the

@@ -25,7 +25,7 @@ use fuse_overlay::{
 };
 use fuse_sim::{Medium, ProcId, SimTime, Verdict};
 use fuse_util::{Duration, PeerAddr, Time, TimerKey};
-use fuse_wire::{sha1, Decode, Encode, EncodeBuf};
+use fuse_wire::{sha1, Decode, Digest, Encode, EncodeBuf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -148,6 +148,10 @@ impl OverlaySink for Armed {
 
     fn set_timer(&mut self, tag: OverlayTimer, _after: Duration) {
         self.0.push(tag);
+    }
+
+    fn link_digest(&mut self, _peer: PeerAddr) -> Option<Digest> {
+        None
     }
 }
 
@@ -331,12 +335,29 @@ fn route_oracle_hit_does_not_allocate() {
     let mut routers = topo.sample_attachments(16, &mut rng);
     routers.sort_unstable();
     routers.dedup();
-    // Endpoint positions: `routers` is sorted and distinct.
-    let (s0, s1, far) = (0, 1, 2);
+    // Two endpoints hang from one anchor when a fresh oracle over the same
+    // topology routes between them without a sweep (by their tree path).
+    let one_anchor = |a: u32, b: u32| {
+        let same = Topology::generate(&small_topology(), &mut StdRng::seed_from_u64(0xF0D0));
+        let mut probe = RouteOracle::new(same, &routers);
+        probe.route_by_index(a, b);
+        probe.stats().misses == 0
+    };
+    // Endpoint positions (`routers` is sorted and distinct) on three
+    // distinct anchors, so every query below reads the anchor table.
+    let n = routers.len() as u32;
+    let s0 = 0;
+    let s1 = (1..n)
+        .find(|&j| !one_anchor(s0, j))
+        .expect("a second anchor");
+    let far = (1..n)
+        .find(|&j| !one_anchor(s0, j) && !one_anchor(s1, j))
+        .expect("a third anchor");
     let mut oracle = RouteOracle::new(topo, &routers);
     oracle.route_by_index(s0, far);
     oracle.route_by_index(s1, far);
     let misses = oracle.stats().misses;
+    assert_eq!(misses, 2, "each warm-up sweeps its source's anchor");
     let allocs = allocs_during(|| {
         for i in 0..1000 {
             // Alternate rows, and directions so half are served from the
@@ -491,8 +512,8 @@ fn agreeing_ping_exchange_does_not_allocate_or_touch_fuse_timers() {
         pair.deliver();
     }
     for (i, other) in [(0, 1), (1, 0)] {
-        let subs = pair.stacks[i].fuse.subscriptions();
-        assert_eq!(subs.subscribers(Pair::addr(other)).len(), GROUPS);
+        let groups = pair.stacks[i].fuse.link_groups(Pair::addr(other));
+        assert_eq!(groups.len(), GROUPS);
     }
     // Warm-up: queues, timer tables and the heap reach their working size.
     pair.run_until(Time::ZERO + period.saturating_mul(10));
