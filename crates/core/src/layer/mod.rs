@@ -437,7 +437,6 @@ impl FuseLayer {
     pub(crate) fn on_overlay_upcall(&mut self, cx: &mut CoreCx<'_>, up: OverlayUpcall) {
         match up {
             OverlayUpcall::PingHash { peer, hash } => self.on_ping_hash(cx, peer, hash),
-            OverlayUpcall::LinkUp { .. } => {}
             OverlayUpcall::LinkDown { peer, .. } => {
                 // Dead or rerouted link: every group monitoring it soft-fails
                 // that branch and repairs.

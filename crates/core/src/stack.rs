@@ -849,8 +849,8 @@ mod tests {
     }
 
     /// One input whose outputs or upcalls overflow [`WARM_SLOTS`] — a boot
-    /// that arms a ping per neighbour, a join reply that brings a LinkUp
-    /// upcall per neighbour, a root's 32-member create — leaves no more
+    /// that arms a ping per neighbour, a join reply that arms a ping per
+    /// new neighbour, a root's 32-member create — leaves no more
     /// than that many slots behind once the host drains it.
     #[test]
     fn drained_queues_give_back_bursts() {

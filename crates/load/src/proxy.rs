@@ -39,13 +39,9 @@ use fuse_core::StackMsg;
 use fuse_net::FaultPlane;
 use fuse_sim::ProcId;
 use fuse_util::Payload;
-use fuse_wire::Decode;
+use fuse_wire::{Decode, MAX_FRAME};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Mirrors the node's wire limit; oversized frames kill the connection
-/// there anyway, so the proxy fails them early.
-const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Conditioning on every link, on top of the plane: `fuse-load`'s
 /// `--delay-ms`/`--loss-pct` and the chaos `lossramp` steps.
@@ -254,6 +250,7 @@ impl Link {
             client.read_exact(&mut lenbuf).ok()?;
             let len = u32::from_le_bytes(lenbuf);
             if len > MAX_FRAME {
+                // The node would close the stream on it; fail it here.
                 return None;
             }
             let mut payload = vec![0u8; len as usize];

@@ -2,10 +2,7 @@
 
 use fuse_core::StackMsg;
 use fuse_util::PeerAddr;
-use fuse_wire::Decode;
-
-/// Maximum accepted frame payload; anything larger is a protocol error.
-pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+use fuse_wire::{Decode, MAX_FRAME};
 
 /// A frame over [`MAX_FRAME`] or a payload that does not decode: the stream
 /// carrying it is closed.

@@ -67,11 +67,6 @@ pub enum OverlayUpcall {
         /// The digest the neighbor piggybacked for this link.
         hash: Digest,
     },
-    /// A new neighbor entered the monitored set.
-    LinkUp {
-        /// The neighbor.
-        peer: PeerAddr,
-    },
     /// A monitored link stopped being monitored.
     LinkDown {
         /// The neighbor.

@@ -162,13 +162,13 @@ impl OverlayNode {
 
     /// Integrates a batch of candidates into the passive view and the
     /// tables, then starts monitoring each neighbour the batch added (one
-    /// RNG draw and its ping timer, then `LinkUp`) and stops each it
-    /// evicted (`LinkDown { died: false }`), both in ascending order.
+    /// RNG draw and its ping timer; the client hears of a link only when it
+    /// goes) and stops each it evicted (`LinkDown { died: false }`), both
+    /// in ascending order.
     fn integrate_all(&mut self, io: &mut OverlayCx<'_>, cands: &[NodeInfo]) {
         for (peer, added) in self.tables.integrate_all(cands, |c| self.view.seen(c)) {
             if added {
                 self.live.start(io, peer);
-                io.upcall(OverlayUpcall::LinkUp { peer });
             } else {
                 self.live.stop(peer);
                 self.stats.neighbors_evicted += 1;

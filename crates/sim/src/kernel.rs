@@ -4,12 +4,13 @@
 //!
 //! # Scheduler structure (the hot path)
 //!
-//! Every event is a compact token in one hierarchical [`TimingWheel`]:
-//! amortized O(1) insert and expiry, no allocation in steady state, and
-//! storage bounded by the peak number of events pending at once (one arena
-//! of entries, each slot a list through it). The wheel orders by the
-//! global `(time, seq)` pair — earliest first, FIFO among equal
-//! timestamps, bit-for-bit deterministic for a fixed seed.
+//! Every event is a compact token in one hierarchical
+//! [`TimingWheel`](crate::wheel::TimingWheel): amortized O(1) insert and
+//! expiry, no allocation in steady state, and storage bounded by the peak
+//! number of events pending at once (one arena of entries, each slot a
+//! list through it). The wheel orders by the global `(time, seq)` pair —
+//! earliest first, FIFO among equal timestamps, bit-for-bit deterministic
+//! for a fixed seed.
 //!
 //! * A **delivery** token is a slab index: the potentially large `P::Msg`
 //!   payload is parked in a generation-checked slab, so payloads are
@@ -27,9 +28,11 @@
 //!   carries its fresh state boxed: one allocation beside the many a fresh
 //!   process makes, and the token stays as small as a timer's.
 //!
-//! `baseline::BaselineSim` preserves the original single-heap scheduler;
-//! differential tests in `tests/kernel_equivalence.rs` hold the two to
-//! identical traces.
+//! There is one kernel. It is generic over its queue ([`Scheduler`],
+//! defaulting to [`Wheel`]) only so that `tests/kernel_equivalence.rs`
+//! can run the same scripts through it on a test-local binary heap
+//! ordered by `(time, seq)` and require identical traces: the reference
+//! pins the event order, and every kernel rule is written once.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +41,7 @@ use crate::medium::{Medium, Verdict};
 use crate::process::{Ctx, Payload, ProcId, Process};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{NullTrace, TraceSink};
-use crate::wheel::{TimingWheel, WheelEntry};
+use crate::wheel::{EventQueue, Scheduler, Wheel, WheelEntry};
 
 /// What a wheel entry means when it surfaces: `T` is the timer tag, `P`
 /// the process type.
@@ -112,7 +115,8 @@ struct ProcSlot<P> {
     incarnation: u32,
 }
 
-/// The simulation world: processes, medium, clock and event queue.
+/// The simulation world: processes, medium, clock and event queue. `Q`
+/// names the queue; production code leaves it at the timing wheel.
 ///
 /// # Examples
 ///
@@ -145,10 +149,10 @@ struct ProcSlot<P> {
 /// sim.run_for(SimDuration::from_secs(1));
 /// assert_eq!(sim.proc(1).unwrap().got, 1);
 /// ```
-pub struct Sim<P: Process, Md, S = NullTrace> {
+pub struct Sim<P: Process, Md, S = NullTrace, Q: Scheduler = Wheel> {
     clock: SimTime,
     seq: u64,
-    wheel: TimingWheel<Pending<P::Timer, P>>,
+    queue: Q::Queue<Pending<P::Timer, P>>,
     msgs: Slab<(ProcId, ProcId, P::Msg)>,
     procs: Vec<ProcSlot<P>>,
     rng: StdRng,
@@ -169,10 +173,18 @@ impl<P: Process, Md: Medium> Sim<P, Md, NullTrace> {
 impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
     /// Creates a simulation observing events through `trace`.
     pub fn with_trace(seed: u64, medium: Md, trace: S) -> Self {
+        Sim::with_scheduler(seed, medium, trace)
+    }
+}
+
+impl<P: Process, Md: Medium, S: TraceSink<P::Msg>, Q: Scheduler> Sim<P, Md, S, Q> {
+    /// Creates a simulation whose events wait in `Q`'s queue; the
+    /// differential test's way to run the kernel on its reference heap.
+    pub fn with_scheduler(seed: u64, medium: Md, trace: S) -> Self {
         Sim {
             clock: SimTime::ZERO,
             seq: 0,
-            wheel: TimingWheel::new(),
+            queue: Q::Queue::default(),
             msgs: Slab::new(),
             procs: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -202,7 +214,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
     /// Events still queued (including timers whose process has since
     /// crashed or no longer wants them; they surface and are discarded).
     pub fn pending_events(&self) -> usize {
-        self.wheel.len()
+        self.queue.len()
     }
 
     /// Whether process `id` is currently alive.
@@ -312,11 +324,11 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
     /// (evaluate a predicate after every event instead of polling on a
     /// fixed interval).
     pub fn step_until(&mut self, t: SimTime) -> bool {
-        match self.wheel.peek() {
+        match self.queue.peek() {
             Some((at, _)) if at <= t => {}
             _ => return false,
         }
-        let WheelEntry { at, token, .. } = self.wheel.pop().expect("peeked wheel entry exists");
+        let WheelEntry { at, token, .. } = self.queue.pop().expect("peeked entry exists");
         debug_assert!(at >= self.clock, "time went backwards");
         self.clock = at;
         self.events_executed += 1;
@@ -373,7 +385,7 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
 
     fn push(&mut self, at: SimTime, token: Pending<P::Timer, P>) {
         self.seq += 1;
-        self.wheel.insert(WheelEntry {
+        self.queue.insert(WheelEntry {
             at,
             seq: self.seq,
             token,
@@ -403,9 +415,9 @@ impl<P: Process, Md: Medium, S: TraceSink<P::Msg>> Sim<P, Md, S> {
                 new_timers: &mut new_timers,
             },
         );
-        // Timers before sends: sequence numbers must be allocated in the
-        // same order as the single-heap kernel, or same-instant tie-breaks
-        // would diverge from the baseline.
+        // Timers before sends: this order of sequence numbers decides
+        // same-instant tie-breaks, which the pinned fingerprints, the chaos
+        // replay tokens and the seed-exact benchmark metrics all rest on.
         for (at, tag) in new_timers.drain(..) {
             self.push(
                 at,

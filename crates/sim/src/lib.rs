@@ -12,7 +12,6 @@
 //! RNG; the event queue breaks time ties by insertion sequence; protocol
 //! crates use `fuse-util`'s deterministic collections.
 
-pub mod baseline;
 pub mod kernel;
 pub mod medium;
 pub mod process;
@@ -20,7 +19,6 @@ pub mod time;
 pub mod trace;
 pub mod wheel;
 
-pub use baseline::BaselineSim;
 pub use kernel::Sim;
 pub use medium::{Medium, PerfectMedium, ProcBitSet, Verdict};
 pub use process::{Payload, ProcId, Process};

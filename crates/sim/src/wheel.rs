@@ -37,7 +37,7 @@
 //! `prepare` maintains the invariant that makes this sound: whenever
 //! [`peek`] returns an entry, no entry anywhere in the wheel precedes it.
 //!
-//! [`peek`]: TimingWheel::peek
+//! [`peek`]: EventQueue::peek
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -69,6 +69,40 @@ pub struct WheelEntry<T> {
     pub seq: u64,
     /// Kernel token (what the event means).
     pub token: T,
+}
+
+/// What the kernel needs of its event queue: entries come out earliest
+/// `(at, seq)` first, so FIFO among equal deadlines. [`TimingWheel`] is
+/// the one production queue; a test may plug in a reference through
+/// [`Scheduler`].
+pub trait EventQueue<T> {
+    /// Inserts an entry.
+    fn insert(&mut self, entry: WheelEntry<T>);
+    /// Earliest entry's `(at, seq)`, or `None` if empty.
+    fn peek(&mut self) -> Option<(SimTime, u64)>;
+    /// Removes and returns the earliest entry.
+    fn pop(&mut self) -> Option<WheelEntry<T>>;
+    /// Number of entries.
+    fn len(&self) -> usize;
+    /// Whether the queue holds no entries.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Names the queue a [`crate::Sim`] keeps its events in. The queue is
+/// chosen per entry type, so the kernel's private event token never
+/// appears in a public type.
+pub trait Scheduler {
+    /// The queue holding entries with tokens of type `T`.
+    type Queue<T>: EventQueue<T> + Default;
+}
+
+/// The default scheduler: one [`TimingWheel`].
+pub enum Wheel {}
+
+impl Scheduler for Wheel {
+    type Queue<T> = TimingWheel<T>;
 }
 
 /// Min-heap adapter: earliest `(at, seq)` first.
@@ -176,33 +210,9 @@ impl<T> Default for TimingWheel<T> {
     }
 }
 
-impl<T> TimingWheel<T> {
-    /// Empty wheel positioned at time zero.
-    pub fn new() -> Self {
-        TimingWheel {
-            levels: std::array::from_fn(|_| Level::new()),
-            arena: Vec::new(),
-            free: NIL,
-            cursor: 0,
-            due: BinaryHeap::new(),
-            len: 0,
-            next_slot: None,
-            scan_needed: false,
-        }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the wheel holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
+impl<T> EventQueue<T> for TimingWheel<T> {
     /// Inserts an entry. O(1).
-    pub fn insert(&mut self, entry: WheelEntry<T>) {
+    fn insert(&mut self, entry: WheelEntry<T>) {
         self.len += 1;
         let tick = tick_of(entry.at);
         if tick <= self.cursor {
@@ -230,6 +240,42 @@ impl<T> TimingWheel<T> {
         self.link(node, tick);
     }
 
+    /// Earliest entry's `(at, seq)`, or `None` if empty. Amortized O(1):
+    /// cascade work done here is charged to the entries it relocates, each
+    /// of which only ever moves to a lower level.
+    fn peek(&mut self) -> Option<(SimTime, u64)> {
+        self.prepare();
+        self.due.peek().map(|e| (e.0.at, e.0.seq))
+    }
+
+    /// Removes and returns the earliest entry.
+    fn pop(&mut self) -> Option<WheelEntry<T>> {
+        self.prepare();
+        let e = self.due.pop()?;
+        self.len -= 1;
+        Some(e.0)
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
+impl<T> TimingWheel<T> {
+    /// Empty wheel positioned at time zero.
+    pub fn new() -> Self {
+        TimingWheel {
+            levels: std::array::from_fn(|_| Level::new()),
+            arena: Vec::new(),
+            free: NIL,
+            cursor: 0,
+            due: BinaryHeap::new(),
+            len: 0,
+            next_slot: None,
+            scan_needed: false,
+        }
+    }
+
     /// Pushes arena node `node`, due at `tick > cursor`, onto the head of
     /// its slot's list.
     fn link(&mut self, node: u32, tick: u64) {
@@ -249,22 +295,6 @@ impl<T> TimingWheel<T> {
                 self.next_slot = Some((level, idx, deadline));
             }
         }
-    }
-
-    /// Earliest entry's `(at, seq)`, or `None` if empty. Amortized O(1):
-    /// cascade work done here is charged to the entries it relocates, each
-    /// of which only ever moves to a lower level.
-    pub fn peek(&mut self) -> Option<(SimTime, u64)> {
-        self.prepare();
-        self.due.peek().map(|e| (e.0.at, e.0.seq))
-    }
-
-    /// Removes and returns the earliest entry.
-    pub fn pop(&mut self) -> Option<WheelEntry<T>> {
-        self.prepare();
-        let e = self.due.pop()?;
-        self.len -= 1;
-        Some(e.0)
     }
 
     /// Restores the invariant that `due` holds every entry that could

@@ -1,27 +1,100 @@
-//! Differential tests: the timing-wheel kernel ([`Sim`]) against the
-//! preserved single-heap kernel ([`BaselineSim`]).
+//! Differential tests: the kernel ([`Sim`]) on its timing wheel against
+//! the same kernel on a reference queue ([`HeapQueue`]), one binary heap
+//! ordered by `(time, seq)`.
 //!
-//! Random interleavings of sends, timer arms, cancels, crashes and restarts
-//! are driven through both kernels; every observable — the full send/
-//! deliver/lifecycle trace with timestamps, the executed-event count, the
-//! clock, and final per-process state — must be bit-identical. This is the
-//! property that lets the scheduler rewrite claim "same semantics, faster":
-//! earliest-first ordering and FIFO among equal timestamps survive the move
-//! of every event into the wheel. Neither kernel can cancel a timer, so
-//! cancelling is [`TestProc`]'s job, exactly as it is `FuseStack`'s.
+//! A run is one totally ordered sequence of events, and the kernel's rules
+//! (incarnations, crash and restart, payload handling) are shared code, so
+//! what the reference has to pin is that order. Random interleavings of
+//! sends, timer arms, cancels, crashes and restarts are driven through the
+//! kernel on both queues; every observable — the full send/deliver/
+//! lifecycle trace with timestamps, the executed-event count, the clock,
+//! and final per-process state — must be bit-identical: earliest first and
+//! FIFO among equal timestamps, however the wheel buckets and cascades its
+//! entries. The kernel cannot cancel a timer, so cancelling is
+//! [`TestProc`]'s job, exactly as it is `FuseStack`'s.
 //!
 //! Delays reach the horizons FUSE uses (up to 300 s, wheel levels 1–3), and
 //! the run drains long enough for `PerfectMedium`'s 20 s dead-peer notice to
 //! fire. A process answers each link-break notice with a send, so every
 //! notice is in the trace, including the ones a restart must swallow.
 
-use fuse_sim::baseline::BaselineSim;
 use fuse_sim::medium::Verdict;
 use fuse_sim::process::{Ctx, Payload, ProcId, Process};
 use fuse_sim::trace::TraceSink;
+use fuse_sim::wheel::{EventQueue, Scheduler, Wheel, WheelEntry};
 use fuse_sim::{PerfectMedium, Sim, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, BinaryHeap};
+
+/// The reference scheduler: every event in one binary heap, earliest
+/// `(at, seq)` first.
+enum HeapQueue {}
+
+impl Scheduler for HeapQueue {
+    type Queue<T> = RefHeap<T>;
+}
+
+struct RefHeap<T>(BinaryHeap<Timed<T>>);
+
+/// Heap entry ordered by `(at, seq)` alone, reversed for the max-heap.
+struct Timed<T>(WheelEntry<T>);
+
+impl<T> Ord for Timed<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.0.at, other.0.seq).cmp(&(self.0.at, self.0.seq))
+    }
+}
+
+impl<T> PartialOrd for Timed<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Timed<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for Timed<T> {}
+
+impl<T> Default for RefHeap<T> {
+    fn default() -> Self {
+        RefHeap(BinaryHeap::new())
+    }
+}
+
+impl<T> EventQueue<T> for RefHeap<T> {
+    fn insert(&mut self, entry: WheelEntry<T>) {
+        self.0.push(Timed(entry));
+    }
+
+    fn peek(&mut self) -> Option<(SimTime, u64)> {
+        self.0.peek().map(|e| (e.0.at, e.0.seq))
+    }
+
+    fn pop(&mut self) -> Option<WheelEntry<T>> {
+        self.0.pop().map(|e| e.0)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// The kernel under test on queue `Q`.
+type TestSim<Q> = Sim<TestProc, PerfectMedium, Recorder, Q>;
+
+fn test_sim<Q: Scheduler>(seed: u64, latency_ms: u64, n: u32) -> TestSim<Q> {
+    let medium = PerfectMedium::new(SimDuration::from_millis(latency_ms));
+    let mut sim = Sim::with_scheduler(seed, medium, Recorder::default());
+    for _ in 0..n {
+        sim.add_process(TestProc::new(n));
+    }
+    sim
+}
 
 /// Trace recorder: every kernel-visible event, exactly timestamped.
 #[derive(Default, Clone, PartialEq, Eq, Debug)]
@@ -241,115 +314,103 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Applies one op to a kernel through its (identical) scripting surface.
-/// Macro instead of a generic function: `Sim` and `BaselineSim` are
-/// distinct types with structurally identical APIs.
-macro_rules! apply_op {
-    ($sim:expr, $n:expr, $op:expr) => {{
-        let n = $n;
-        match $op.clone() {
-            Op::Send { from, to, hops } => {
-                let from = u32::from(from) % n;
-                let to = u32::from(to) % n;
-                $sim.with_proc(from, |_p, ctx| {
-                    ctx.send(
-                        to,
-                        Packet {
-                            hops_left: hops,
-                            stride: (to % 250 + 1) as u8,
-                        },
-                    )
-                });
-            }
-            Op::Arm {
-                proc,
-                period_ms,
-                repeats,
-            } => {
-                let proc = u32::from(proc) % n;
-                $sim.with_proc(proc, |p, ctx| p.arm(ctx, period_ms, repeats));
-            }
-            Op::ArmCancel { proc, period_ms } => {
-                let proc = u32::from(proc) % n;
-                $sim.with_proc(proc, |p, ctx| {
-                    let id = p.arm(ctx, period_ms, 3);
+/// Applies one op to the kernel through its scripting surface.
+fn apply_op<Q: Scheduler>(sim: &mut TestSim<Q>, n: u32, op: &Op) {
+    match *op {
+        Op::Send { from, to, hops } => {
+            let from = u32::from(from) % n;
+            let to = u32::from(to) % n;
+            sim.with_proc(from, |_p, ctx| {
+                ctx.send(
+                    to,
+                    Packet {
+                        hops_left: hops,
+                        stride: (to % 250 + 1) as u8,
+                    },
+                )
+            });
+        }
+        Op::Arm {
+            proc,
+            period_ms,
+            repeats,
+        } => {
+            let proc = u32::from(proc) % n;
+            sim.with_proc(proc, |p, ctx| p.arm(ctx, period_ms, repeats));
+        }
+        Op::ArmCancel { proc, period_ms } => {
+            let proc = u32::from(proc) % n;
+            sim.with_proc(proc, |p, ctx| {
+                let id = p.arm(ctx, period_ms, 3);
+                p.cancelled.insert(id);
+            });
+        }
+        Op::CancelLast { proc } => {
+            let proc = u32::from(proc) % n;
+            sim.with_proc(proc, |p, _ctx| {
+                if let Some(id) = p.last_timer.take() {
                     p.cancelled.insert(id);
-                });
-            }
-            Op::CancelLast { proc } => {
-                let proc = u32::from(proc) % n;
-                $sim.with_proc(proc, |p, _ctx| {
-                    if let Some(id) = p.last_timer.take() {
-                        p.cancelled.insert(id);
-                    }
-                });
-            }
-            Op::Crash { proc } => {
-                $sim.crash(u32::from(proc) % n);
-            }
-            Op::Restart { proc } => {
-                let proc = u32::from(proc) % n;
-                if !$sim.is_up(proc) {
-                    $sim.restart(proc, TestProc::new(n));
                 }
-            }
-            Op::ScheduleCrash { proc, delay_ms } => {
-                let at = $sim.now() + SimDuration::from_millis(u64::from(delay_ms));
-                $sim.schedule_crash(at, u32::from(proc) % n);
-            }
-            Op::ScheduleRestart { proc, delay_ms } => {
-                let at = $sim.now() + SimDuration::from_millis(u64::from(delay_ms));
-                $sim.schedule_restart(at, u32::from(proc) % n, TestProc::new(n));
-            }
-            Op::SendToDownThenRestart { from, to, after_ms } => {
-                let from = u32::from(from) % n;
-                // Any process but `from`.
-                let to = (from + 1 + u32::from(to) % (n - 1)) % n;
-                $sim.crash(to);
-                $sim.with_proc(from, |_p, ctx| {
-                    ctx.send(
-                        to,
-                        Packet {
-                            hops_left: 0,
-                            stride: 1,
-                        },
-                    )
-                });
-                $sim.run_for(SimDuration::from_millis(u64::from(after_ms)));
-                $sim.crash(from);
-                $sim.restart(from, TestProc::new(n));
-            }
-            Op::Run { millis } => {
-                $sim.run_for(SimDuration::from_millis(u64::from(millis)));
+            });
+        }
+        Op::Crash { proc } => {
+            sim.crash(u32::from(proc) % n);
+        }
+        Op::Restart { proc } => {
+            let proc = u32::from(proc) % n;
+            if !sim.is_up(proc) {
+                sim.restart(proc, TestProc::new(n));
             }
         }
-    }};
+        Op::ScheduleCrash { proc, delay_ms } => {
+            let at = sim.now() + SimDuration::from_millis(u64::from(delay_ms));
+            sim.schedule_crash(at, u32::from(proc) % n);
+        }
+        Op::ScheduleRestart { proc, delay_ms } => {
+            let at = sim.now() + SimDuration::from_millis(u64::from(delay_ms));
+            sim.schedule_restart(at, u32::from(proc) % n, TestProc::new(n));
+        }
+        Op::SendToDownThenRestart { from, to, after_ms } => {
+            let from = u32::from(from) % n;
+            // Any process but `from`.
+            let to = (from + 1 + u32::from(to) % (n - 1)) % n;
+            sim.crash(to);
+            sim.with_proc(from, |_p, ctx| {
+                ctx.send(
+                    to,
+                    Packet {
+                        hops_left: 0,
+                        stride: 1,
+                    },
+                )
+            });
+            sim.run_for(SimDuration::from_millis(u64::from(after_ms)));
+            sim.crash(from);
+            sim.restart(from, TestProc::new(n));
+        }
+        Op::Run { millis } => {
+            sim.run_for(SimDuration::from_millis(u64::from(millis)));
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The core differential property: for arbitrary op scripts, the wheel
-    /// kernel and the single-heap kernel produce identical traces, event
-    /// counts, clocks and final states.
+    /// The core differential property: for arbitrary op scripts, the
+    /// kernel on the wheel and on the reference heap produces identical
+    /// traces, event counts, clocks and final states.
     #[test]
     fn wheel_and_heap_kernels_are_trace_identical(
         seed in any::<u64>(),
         n in 2u32..8,
         ops in prop::collection::vec(op_strategy(), 1..40),
     ) {
-        let medium = || PerfectMedium::new(SimDuration::from_millis(5));
-        let mut wheel: Sim<TestProc, _, Recorder> =
-            Sim::with_trace(seed, medium(), Recorder::default());
-        let mut heap: BaselineSim<TestProc, _, Recorder> =
-            BaselineSim::with_trace(seed, medium(), Recorder::default());
-        for _ in 0..n {
-            wheel.add_process(TestProc::new(n));
-            heap.add_process(TestProc::new(n));
-        }
+        let mut wheel = test_sim::<Wheel>(seed, 5, n);
+        let mut heap = test_sim::<HeapQueue>(seed, 5, n);
         for op in &ops {
-            apply_op!(wheel, n, op);
-            apply_op!(heap, n, op);
+            apply_op(&mut wheel, n, op);
+            apply_op(&mut heap, n, op);
         }
         // Drain the aftermath so late timers, deliveries and link-break
         // notices are compared too: the longest chain is five re-arms of a
@@ -376,46 +437,24 @@ proptest! {
 /// on one instant.
 #[test]
 fn same_instant_fifo_across_structures() {
-    let mut sim: Sim<TestProc, PerfectMedium, Recorder> = Sim::with_trace(
-        7,
-        PerfectMedium::new(SimDuration::from_millis(10)),
-        Recorder::default(),
-    );
-    let mut base: BaselineSim<TestProc, PerfectMedium, Recorder> = BaselineSim::with_trace(
-        7,
-        PerfectMedium::new(SimDuration::from_millis(10)),
-        Recorder::default(),
-    );
-    for _ in 0..4 {
-        sim.add_process(TestProc::new(4));
-        base.add_process(TestProc::new(4));
+    fn run<Q: Scheduler>() -> (Recorder, u64) {
+        let mut sim = test_sim::<Q>(7, 10, 4);
+        // Alternate arms and sends that all mature at t = 10 ms.
+        for k in 0..10u32 {
+            let target = k % 4;
+            sim.with_proc(0, |p, ctx| {
+                p.arm(ctx, 10, 0);
+                ctx.send(
+                    target,
+                    Packet {
+                        hops_left: 0,
+                        stride: 1,
+                    },
+                );
+            });
+        }
+        sim.run_for(SimDuration::from_secs(1));
+        (sim.trace().clone(), sim.events_executed())
     }
-    // Alternate arms and sends that all mature at t = 10 ms.
-    for k in 0..10u32 {
-        let target = k % 4;
-        sim.with_proc(0, |p, ctx| {
-            p.arm(ctx, 10, 0);
-            ctx.send(
-                target,
-                Packet {
-                    hops_left: 0,
-                    stride: 1,
-                },
-            );
-        });
-        base.with_proc(0, |p, ctx| {
-            p.arm(ctx, 10, 0);
-            ctx.send(
-                target,
-                Packet {
-                    hops_left: 0,
-                    stride: 1,
-                },
-            );
-        });
-    }
-    sim.run_for(SimDuration::from_secs(1));
-    base.run_for(SimDuration::from_secs(1));
-    assert_eq!(sim.trace(), base.trace());
-    assert_eq!(sim.events_executed(), base.events_executed());
+    assert_eq!(run::<Wheel>(), run::<HeapQueue>());
 }

@@ -52,6 +52,10 @@ impl Writer for Vec<u8> {
     }
 }
 
+/// Largest payload a stream frame ([`EncodeBuf::encode_frame`]) may
+/// carry; a reader closes a stream whose length prefix is over it.
+pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+
 /// Reusable single-pass encode buffer.
 ///
 /// Owned by long-lived components so steady-state encodes neither size-count

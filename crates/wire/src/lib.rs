@@ -20,5 +20,5 @@
 pub mod codec;
 pub mod sha1;
 
-pub use codec::{varint_len, Decode, DecodeError, Encode, EncodeBuf, Reader, Writer};
+pub use codec::{varint_len, Decode, DecodeError, Encode, EncodeBuf, Reader, Writer, MAX_FRAME};
 pub use sha1::{sha1, Digest, Sha1};
