@@ -30,12 +30,16 @@
 //! rest — a root's creation or repair round, a member's repair wait, and
 //! the handler context and fail-on-send peers the application bound.
 //!
-//! No timer is cancelled. Each per-group deadline lives in the record it
-//! guards (a round's `due`, a root's `kick`, a member's `repair_wait`),
-//! and all of them share one key, [`FuseTimer::Group`]. A firing acts on
-//! whichever deadline has come (`due <= now`: a socket driver fires late),
-//! the round's before the kick, and an acting handler consumes or moves
-//! the deadline, so a superseded firing finds nothing due.
+//! The layer arms one wake-up for all of its deadlines, and cancels
+//! nothing. Each deadline lives in the state it guards: a round's `due`, a
+//! root's `kick`, a member's `repair_wait`, and the earliest link expiry
+//! in `tree`'s record of monitored peers. Setting one notes it
+//! (`CoreCx::deadline`), which asks the host for a wake-up only when it
+//! comes before the one pending. A wake-up acts on whatever has come
+//! (`due <= now`: a socket driver wakes late) — the link expiry first,
+//! then each group's deadlines in deadline order, a round's before its
+//! kick — and asks for a wake-up at the earliest deadline left, so one
+//! that comes early or twice finds nothing due.
 //!
 //! This module holds the state and the dispatch; the protocol lives in one
 //! module per seam of §6: `create` (blocking creation, §6.2), `tree` (the
@@ -51,19 +55,17 @@ mod tree;
 use std::collections::VecDeque;
 
 use fuse_obs::{Aggregates, Recorder};
-use fuse_overlay::{
-    NodeInfo, OverlayCx, OverlayMsg, OverlayNode, OverlaySink, OverlayTimer, OverlayUpcall,
-};
+use fuse_overlay::{NodeInfo, OverlayCx, OverlayMsg, OverlayNode, OverlaySink, OverlayUpcall};
 use fuse_util::backoff::Backoff;
 use fuse_util::idgen::IdGen;
-use fuse_util::{DetHashMap, DetHashSet, Duration, PeerAddr, Time};
+use fuse_util::{DetHashMap, DetHashSet, Duration, PeerAddr, Time, Wake};
 use fuse_wire::{Decode, Digest, EncodeBuf};
 use rand::rngs::StdRng;
 
 use crate::messages::{FuseMsg, InstallChecking};
-use crate::stack::{AppCall, Output, StackMsg, Timer};
+use crate::stack::{timer_key, AppCall, Output, StackMsg, NS_FUSE, NS_OVERLAY};
 use crate::types::{
-    FuseConfig, FuseEvent, FuseId, FuseTimer, GroupHandle, Role, INSTALL_WAIT, REPAIR_BACKOFF_BASE,
+    FuseConfig, FuseEvent, FuseId, GroupHandle, Role, INSTALL_WAIT, REPAIR_BACKOFF_BASE,
     REPAIR_BACKOFF_CAP,
 };
 
@@ -72,10 +74,10 @@ use tree::{Links, Watch};
 /// Borrowed per-call context for one FUSE-layer entry point.
 ///
 /// Owned state lives in `FuseStack`; the stack constructs a `CoreCx` around
-/// disjoint borrows of it for the duration of one call. Sends, timer arms
-/// and application callbacks all leave through the shared [`Output`]
-/// queue, in emission order — the property drivers rely on to reproduce
-/// the simulator's event order bit-for-bit.
+/// disjoint borrows of it for the duration of one call. Sends, wake-up
+/// requests and application callbacks all leave through the shared
+/// [`Output`] queue, in emission order — the property drivers rely on to
+/// reproduce the simulator's event order bit-for-bit.
 pub(crate) struct CoreCx<'a> {
     pub(crate) now: Time,
     pub(crate) rng: &'a mut StdRng,
@@ -84,6 +86,15 @@ pub(crate) struct CoreCx<'a> {
     /// returns.
     pub(crate) ov_upcalls: &'a mut Vec<OverlayUpcall>,
     pub(crate) out: &'a mut VecDeque<Output>,
+    pub(crate) alarm: &'a mut Alarm,
+}
+
+/// The layer's one wake-up, and a floor under its groups' deadlines: none
+/// comes before it, so a wake-up before it looks at no group.
+#[derive(Clone, Default)]
+pub(crate) struct Alarm {
+    wake: Wake,
+    floor: Option<Time>,
 }
 
 impl CoreCx<'_> {
@@ -95,11 +106,23 @@ impl CoreCx<'_> {
         });
     }
 
-    /// Arms a FUSE timer `after` from now, returning its deadline.
-    pub(crate) fn set_fuse_timer(&mut self, after: Duration, tag: FuseTimer) -> Time {
-        let key = Timer::Fuse(tag).key();
-        self.out.push_back(Output::SetTimer { key, after });
-        self.now + after
+    /// A deadline `after` from now: noted for the layer's wake-up, and
+    /// under the floor (the sweep's first deadline lowers it too, which
+    /// costs one look at the groups).
+    pub(crate) fn deadline(&mut self, after: Duration) -> Time {
+        let at = self.now + after;
+        self.alarm.floor = Some(self.alarm.floor.map_or(at, |f| f.min(at)));
+        self.wake_at(at);
+        at
+    }
+
+    /// Notes `at` for the layer's wake-up, asking the host for one when it
+    /// comes before the one pending.
+    fn wake_at(&mut self, at: Time) {
+        if let Some(after) = self.alarm.wake.note(self.now, at) {
+            let key = timer_key(NS_FUSE, 0);
+            self.out.push_back(Output::SetTimer { key, after });
+        }
     }
 
     /// Queues an application event callback.
@@ -108,7 +131,7 @@ impl CoreCx<'_> {
     }
 
     /// Runs `f` against the overlay through an [`OverlayCx`] whose sink is
-    /// the output queue, so the overlay's sends and timer arms take their
+    /// the output queue, so the overlay's sends and wake-ups take their
     /// places in emission order. Upcalls stay buffered for the stack's
     /// drain loop. `links` answers the overlay's digest reads: the stack's
     /// overlay entry passes the layer, since pings and acks are built only
@@ -143,8 +166,8 @@ impl OverlaySink for OverlayOut<'_> {
         });
     }
 
-    fn set_timer(&mut self, tag: OverlayTimer, after: Duration) {
-        let key = Timer::Overlay(tag).key();
+    fn wake(&mut self, after: Duration) {
+        let key = timer_key(NS_OVERLAY, 0);
         self.out.push_back(Output::SetTimer { key, after });
     }
 
@@ -199,12 +222,12 @@ struct Round {
 
 impl Round {
     /// A round awaiting every member, its reply deadline `after` from now.
-    fn new(cx: &mut CoreCx<'_>, id: FuseId, members: &[NodeInfo], after: Duration) -> Round {
+    fn new(cx: &mut CoreCx<'_>, members: &[NodeInfo], after: Duration) -> Round {
         let replies: DetHashSet<PeerAddr> = members.iter().map(|m| m.proc).collect();
         Round {
             installs: replies.clone(),
             replies,
-            due: cx.set_fuse_timer(after, FuseTimer::Group { id }),
+            due: cx.deadline(after),
             dirty: false,
         }
     }
@@ -212,13 +235,13 @@ impl Round {
     /// Counts awaited `from`'s reply; `true` when it was the last. The
     /// reply deadline then gives way to `INSTALL_WAIT` if installs are
     /// missing.
-    fn reply(&mut self, cx: &mut CoreCx<'_>, id: FuseId, from: PeerAddr) -> bool {
+    fn reply(&mut self, cx: &mut CoreCx<'_>, from: PeerAddr) -> bool {
         self.replies.remove(&from);
         if !self.replies.is_empty() {
             return false;
         }
         if !self.installs.is_empty() {
-            self.due = cx.set_fuse_timer(INSTALL_WAIT, FuseTimer::Group { id });
+            self.due = cx.deadline(INSTALL_WAIT);
         }
         true
     }
@@ -310,6 +333,19 @@ impl Group {
             seq,
             role,
             links: Links::default(),
+        }
+    }
+
+    /// The earliest of the record's deadlines: a root's round and kick, a
+    /// member's repair wait.
+    fn deadline(&self) -> Option<Time> {
+        match &self.role {
+            RoleState::Root(rs) => {
+                let round = rs.round.as_ref().map(|r| r.due);
+                round.into_iter().chain(rs.kick).min()
+            }
+            RoleState::Member(ms) => ms.repair_wait,
+            RoleState::Delegate => None,
         }
     }
 }
@@ -468,12 +504,31 @@ impl FuseLayer {
         }
     }
 
-    /// Handles a FUSE timer: a hint, acted on only if the deadline it names
-    /// has come.
-    pub(crate) fn on_timer(&mut self, cx: &mut CoreCx<'_>, tag: FuseTimer) {
-        match tag {
-            FuseTimer::LinkExpired => self.sweep_link_expiry(cx),
-            FuseTimer::Group { id } => self.on_group_timer(cx, id),
+    /// The layer's wake-up: a hint. The link expiry runs if it has come;
+    /// then, once the floor has, each group whose deadline has, in
+    /// (deadline, `FuseId`) order, and the floor rises to the earliest
+    /// group deadline left. The layer asks for a wake-up at the earliest
+    /// of the floor and the expiry.
+    pub(crate) fn on_wake(&mut self, cx: &mut CoreCx<'_>) {
+        let now = cx.now;
+        cx.alarm.wake.fired(now);
+        if self.watch.expiry.is_some_and(|at| at <= now) {
+            self.sweep_link_expiry(cx);
+        }
+        if cx.alarm.floor.is_some_and(|at| at <= now) {
+            let deadlines = self
+                .groups
+                .iter()
+                .filter_map(|(&id, g)| Some((g.deadline()?, id)));
+            let mut due: Vec<_> = deadlines.filter(|d| d.0 <= now).collect();
+            due.sort_unstable();
+            for (_, id) in due {
+                self.on_group_timer(cx, id);
+            }
+            cx.alarm.floor = self.groups.values().filter_map(Group::deadline).min();
+        }
+        if let Some(at) = cx.alarm.floor.into_iter().chain(self.watch.expiry).min() {
+            cx.wake_at(at);
         }
     }
 

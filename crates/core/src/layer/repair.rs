@@ -14,9 +14,10 @@
 //! reply asks for the next round. Creation is round 0 and follows the same
 //! rules: a repair asked for while a creating root awaits replies is
 //! started after the last one. A member waits on at most one repair
-//! deadline. All of a group's deadlines share its one
-//! [`FuseTimer::Group`] key; each handler here acts only once its own
-//! deadline has come, and consumes or moves it.
+//! deadline. Each of a group's deadlines lives in its record, and the
+//! layer's wake-up runs `on_group_timer` for a record once one has come;
+//! each handler here acts only once its own deadline has come, and
+//! consumes or moves it.
 
 use fuse_obs::{Event, ObsSink};
 use fuse_overlay::{NodeInfo, OverlayNode};
@@ -24,12 +25,12 @@ use fuse_util::{Duration, PeerAddr};
 
 use super::{CoreCx, FuseLayer, Group, RoleState, Round};
 use crate::messages::FuseMsg;
-use crate::types::{CreateError, FuseId, FuseTimer, NotifyReason};
+use crate::types::{CreateError, FuseId, NotifyReason};
 
 impl FuseLayer {
-    /// `id`'s timer fired. It acts on each of the record's deadlines that
-    /// has come, in one fixed order: a root's round, then its kick; or a
-    /// member's repair wait. A stale key costs one lookup.
+    /// One of `id`'s deadlines came. It acts on each of the record's
+    /// deadlines that has, in one fixed order: a root's round, then its
+    /// kick; or a member's repair wait.
     pub(super) fn on_group_timer(&mut self, cx: &mut CoreCx<'_>, id: FuseId) {
         let now = cx.now;
         let Some(g) = self.groups.get_mut(&id) else {
@@ -80,7 +81,7 @@ impl FuseLayer {
         }
         cx.send_fuse(ms.root.proc, FuseMsg::NeedRepair { id, seq });
         let after = self.cfg.member_repair_timeout;
-        ms.repair_wait = Some(cx.set_fuse_timer(after, FuseTimer::Group { id }));
+        ms.repair_wait = Some(cx.deadline(after));
     }
 
     pub(super) fn on_need_repair(&mut self, cx: &mut CoreCx<'_>, from: PeerAddr, id: FuseId) {
@@ -103,7 +104,7 @@ impl FuseLayer {
             Some(round) if !round.replies.is_empty() => round.dirty = true,
             _ if rs.kick.is_none() => {
                 let delay = Duration(rs.backoff.next_delay());
-                rs.kick = Some(cx.set_fuse_timer(delay, FuseTimer::Group { id }));
+                rs.kick = Some(cx.deadline(delay));
             }
             _ => {}
         }
@@ -138,7 +139,7 @@ impl FuseLayer {
             );
         }
         let timeout = self.cfg.root_repair_timeout;
-        rs.round = Some(Round::new(cx, id, &rs.members, timeout));
+        rs.round = Some(Round::new(cx, &rs.members, timeout));
     }
 
     /// The round `id`'s root runs at `seq`, creation being round 0.
@@ -172,7 +173,7 @@ impl FuseLayer {
         if !ok {
             let reason = NotifyReason::RepairFailed;
             self.round_failed(cx, id, CreateError::Refused, reason);
-        } else if round.reply(cx, id, from) {
+        } else if round.reply(cx, from) {
             if round.dirty {
                 self.request_repair(cx, id);
             }

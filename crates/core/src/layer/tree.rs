@@ -4,8 +4,8 @@
 //!
 //! This module alone writes link state. A group's links are a [`Links`]
 //! that other modules can only read; the per-peer records and the node's
-//! one expiry timer live in [`Watch`], whose fields only this module can
-//! name. Each monitored peer has one record: the sorted groups on its
+//! one expiry deadline live in [`Watch`], whose fields only this module
+//! can name (the layer's wake-up reads the deadline). Each monitored peer has one record: the sorted groups on its
 //! link, when a piggybacked digest last agreed, and the cached digest.
 //! Installs (§6.2) add links as `InstallChecking` envelopes pass; agreeing
 //! ping digests and reconcile replies refresh them (§6.3); a link leaves
@@ -25,7 +25,7 @@ use fuse_wire::{Digest, Sha1};
 
 use super::{CoreCx, FuseLayer, Group, RoleState};
 use crate::messages::{FuseMsg, InstallChecking};
-use crate::types::{FuseId, FuseTimer, NotifyReason};
+use crate::types::{FuseId, NotifyReason};
 
 #[derive(Clone, Copy, Default)]
 struct Link {
@@ -163,9 +163,9 @@ impl Peer {
 pub(super) struct Watch {
     /// One record per peer whose link at least one group monitors.
     peers: DetHashMap<PeerAddr, Peer>,
-    /// Whether the node's one `LinkExpired` timer is armed; it is, at or
-    /// before the earliest deadline of any monitored link.
-    armed: bool,
+    /// When the links are next swept: at or before the earliest deadline of
+    /// any monitored link; `None` when none is monitored.
+    pub(super) expiry: Option<Time>,
 }
 
 impl Watch {
@@ -374,10 +374,10 @@ impl FuseLayer {
         self.watch.groups(peer).to_vec()
     }
 
-    /// The node's `LinkExpired` timer fired. No deadline on a peer comes
+    /// The sweep came (`Watch::expiry`). No deadline on a peer comes
     /// before its last agreement's, so a peer agreed within the last
     /// timeout is not looked at. On a peer silent for a whole timeout, the
-    /// links whose deadline has come are due. The timer follows the
+    /// links whose deadline has come are due. The next sweep is set at the
     /// earliest deadline left before any due link fails; then they fail,
     /// peers in ascending address order and each peer's in `FuseId` order.
     pub(super) fn sweep_link_expiry(&mut self, cx: &mut CoreCx<'_>) {
@@ -401,11 +401,8 @@ impl FuseLayer {
             }
         }
         // With nothing ahead every link is due, and the next first
-        // subscription arms the timer again.
-        self.watch.armed = next.is_some();
-        if let Some(at) = next {
-            cx.set_fuse_timer(at.since(now), FuseTimer::LinkExpired);
-        }
+        // subscription sets the sweep again.
+        self.watch.expiry = next;
         due.sort_unstable();
         for (peer, id) in due {
             self.obs.record(Event::LinkExpired);
@@ -431,13 +428,12 @@ impl FuseLayer {
                         refreshed_at: now,
                     },
                 );
-                // The first subscription on a peer starts watching it. An
-                // armed timer is already at or before `now + timeout`, and
+                // The first subscription on a peer starts watching it. A
+                // sweep already set is at or before `now + timeout`, and
                 // agreements and new links only move deadlines later.
-                if self.watch.subscribe(peer, id, now) && !self.watch.armed {
-                    self.watch.armed = true;
+                if self.watch.subscribe(peer, id, now) && self.watch.expiry.is_none() {
                     let timeout = self.cfg.link_failure_timeout;
-                    cx.set_fuse_timer(timeout, FuseTimer::LinkExpired);
+                    self.watch.expiry = Some(cx.deadline(timeout));
                 }
             }
         }
@@ -450,8 +446,8 @@ impl FuseLayer {
             .get_mut(&id)
             .is_some_and(|g| g.links.remove(peer));
         if removed {
-            // The last subscription gone stops watching the peer. The timer
-            // is left to fire; the sweep finds nothing of the peer.
+            // The last subscription gone stops watching the peer. The sweep
+            // stays set; it finds nothing of the peer.
             self.watch.unsubscribe(peer, id);
         }
         removed

@@ -47,5 +47,5 @@ pub use stack::{
 };
 pub use types::{
     ConfigError, CreateError, CreateTicket, FuseConfig, FuseConfigBuilder, FuseEvent, FuseId,
-    FuseTimer, GroupHandle, Notification, NotifyReason, Role,
+    GroupHandle, Notification, NotifyReason, Role,
 };

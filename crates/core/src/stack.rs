@@ -9,11 +9,12 @@
 //! (`fuse_simdriver`) and over real TCP sockets (the `fuse-node` binary):
 //! only the driver differs.
 //!
-//! Timers are hints. A [`TimerKey`] names its own purpose — the layer and
-//! the tag it armed, encoded and decoded only here — so the stack keeps no
-//! table of armed keys and nothing is ever cancelled. Each handler checks
-//! a deadline it already stores against `now` when its key comes back, so
-//! a driver may deliver every key it was given, late or twice.
+//! Timers are hints. The overlay and the FUSE layer each arm one wake-up
+//! for the deadlines they store, and the application arms its own tags; a
+//! [`TimerKey`] names which (encoded and decoded only here), so the stack
+//! keeps no table of armed keys and nothing is ever cancelled. A layer
+//! woken acts on whatever of its deadlines has come and asks for its next
+//! wake-up, so a driver may deliver every key it was given, late or twice.
 //!
 //! Application code hangs off the driver, not the stack: when the driver
 //! pops [`Output::App`], it invokes its application callback with a
@@ -56,20 +57,18 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 
-use fuse_overlay::{
-    NodeInfo, OverlayConfig, OverlayCx, OverlayMsg, OverlayNode, OverlayTimer, OverlayUpcall,
-};
+use fuse_overlay::{NodeInfo, OverlayConfig, OverlayCx, OverlayMsg, OverlayNode, OverlayUpcall};
 use fuse_util::{Duration, PeerAddr, Time, TimerKey};
 use fuse_wire::{Decode, DecodeError, Encode, Reader, Writer};
 use rand::rngs::StdRng;
 
-use crate::layer::{CoreCx, FuseLayer};
+use crate::layer::{Alarm, CoreCx, FuseLayer};
 use crate::messages::FuseMsg;
-use crate::types::{CreateTicket, FuseConfig, FuseEvent, FuseId, FuseTimer};
+use crate::types::{CreateTicket, FuseConfig, FuseEvent, FuseId};
 
-/// Timer-key namespace of the overlay's timers.
+/// Timer-key namespace of the overlay's wake-up.
 pub const NS_OVERLAY: u8 = 0;
-/// Timer-key namespace of the FUSE layer's timers.
+/// Timer-key namespace of the FUSE layer's wake-up.
 pub const NS_FUSE: u8 = 1;
 /// Reserved timer-key namespace: nothing arms keys in it, so a key
 /// carrying it does nothing.
@@ -77,53 +76,18 @@ pub const NS_LIVENESS: u8 = 2;
 /// Timer-key namespace of application timers.
 pub const NS_APP: u8 = 3;
 
-/// What a [`TimerKey`] names: one layer's timer tag. The stack's one
-/// codec between tags and keys.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Timer {
-    Overlay(OverlayTimer),
-    Fuse(FuseTimer),
-    App(u64),
-}
-
-impl Timer {
-    /// The key a driver schedules and feeds back.
-    pub(crate) fn key(&self) -> TimerKey {
-        let (ns, kind, arg) = match *self {
-            Timer::Overlay(OverlayTimer::PingDue(peer)) => (NS_OVERLAY, 0, u64::from(peer)),
-            Timer::Overlay(OverlayTimer::AckTimeout) => (NS_OVERLAY, 1, 0),
-            Timer::Overlay(OverlayTimer::JoinRetry) => (NS_OVERLAY, 2, 0),
-            Timer::Overlay(OverlayTimer::Maintenance) => (NS_OVERLAY, 3, 0),
-            Timer::Fuse(FuseTimer::LinkExpired) => (NS_FUSE, 0, 0),
-            Timer::Fuse(FuseTimer::Group { id }) => (NS_FUSE, 1, id.0),
-            Timer::App(tag) => (NS_APP, 0, tag),
-        };
-        TimerKey { ns, kind, arg }
-    }
-
-    /// The tag `key` names; `None` for a key no layer arms.
-    pub(crate) fn of(key: TimerKey) -> Option<Timer> {
-        Some(match (key.ns, key.kind) {
-            (NS_OVERLAY, 0) => {
-                Timer::Overlay(OverlayTimer::PingDue(PeerAddr::try_from(key.arg).ok()?))
-            }
-            (NS_OVERLAY, 1) => Timer::Overlay(OverlayTimer::AckTimeout),
-            (NS_OVERLAY, 2) => Timer::Overlay(OverlayTimer::JoinRetry),
-            (NS_OVERLAY, 3) => Timer::Overlay(OverlayTimer::Maintenance),
-            (NS_FUSE, 0) => Timer::Fuse(FuseTimer::LinkExpired),
-            (NS_FUSE, 1) => Timer::Fuse(FuseTimer::Group {
-                id: FuseId(key.arg),
-            }),
-            (NS_APP, 0) => Timer::App(key.arg),
-            _ => return None,
-        })
-    }
+/// The key of a timer in namespace `ns`: a layer's wake-up carries no
+/// argument, an application timer its tag. [`FuseStack::handle`] decodes
+/// keys; together they are the stack's one codec.
+pub(crate) const fn timer_key(ns: u8, arg: u64) -> TimerKey {
+    TimerKey { ns, kind: 0, arg }
 }
 
 /// Slots each of a stack's hand-off queues (the output queue and the
-/// overlay-upcall pair) keeps once drained. A burst beyond them — a boot
-/// that arms a ping per neighbour, a root's wide create — is given back,
-/// so a quiet node holds a few hundred bytes of queue, not kilobytes.
+/// overlay-upcall pair) keeps once drained. A burst beyond them — a join
+/// reply announcing the node to every new neighbour, a root's wide
+/// create — is given back, so a quiet node holds a few hundred bytes of
+/// queue, not kilobytes.
 pub const WARM_SLOTS: usize = 8;
 
 /// Union message type carried between node stacks.
@@ -212,10 +176,10 @@ pub enum Input {
         /// The message.
         msg: StackMsg,
     },
-    /// A previously requested timer expired. The key is a hint: its owner
-    /// acts only if the deadline it names has come, so a superseded key,
-    /// one fed twice or one no layer arms does nothing, and drivers keep
-    /// no bookkeeping.
+    /// A previously requested timer expired. The key is a hint: a layer's
+    /// wake-up acts only on deadlines that have come, so one fed early or
+    /// twice, or a key no layer arms, does nothing, and drivers keep no
+    /// bookkeeping.
     Timer(TimerKey),
     /// The transport declared the connection to `peer` broken (e.g. TCP
     /// gave up). Feeds overlay eviction and the §3.4 fail-on-send path.
@@ -291,6 +255,9 @@ pub struct FuseStack {
     /// The one queue between the layers and the host: FUSE, the overlay
     /// (through its sink) and the application API all append to it.
     out: VecDeque<Output>,
+    /// The FUSE layer's one wake-up and the floor under its groups'
+    /// deadlines; only its `CoreCx` and `on_wake` touch them.
+    alarm: Alarm,
 }
 
 impl FuseStack {
@@ -308,6 +275,7 @@ impl FuseStack {
             ov_upcalls: Vec::new(),
             ov_batch: Vec::new(),
             out: VecDeque::new(),
+            alarm: Alarm::default(),
         }
     }
 
@@ -339,17 +307,17 @@ impl FuseStack {
                         .push_back(Output::App(AppCall::Message { from, payload }));
                 }
             },
-            Input::Timer(key) => match Timer::of(key) {
-                Some(Timer::Overlay(t)) => {
-                    self.with_overlay(now, rng, |ov, ocx| ov.on_timer(ocx, t));
+            Input::Timer(key) => match (key.ns, key.kind, key.arg) {
+                (NS_OVERLAY, 0, 0) => {
+                    self.with_overlay(now, rng, |ov, ocx| ov.on_wake(ocx));
                     self.drain_upcalls(now, rng);
                 }
-                Some(Timer::Fuse(t)) => {
-                    self.with_core(now, rng, |fuse, _, cx| fuse.on_timer(cx, t));
+                (NS_FUSE, 0, 0) => {
+                    self.with_core(now, rng, |fuse, _, cx| fuse.on_wake(cx));
                     self.drain_upcalls(now, rng);
                 }
-                Some(Timer::App(tag)) => self.out.push_back(Output::App(AppCall::Timer(tag))),
-                None => {}
+                (NS_APP, 0, tag) => self.out.push_back(Output::App(AppCall::Timer(tag))),
+                _ => {}
             },
             Input::LinkBroken { peer } => {
                 self.with_overlay(now, rng, |ov, ocx| ov.on_link_broken(ocx, peer));
@@ -417,6 +385,7 @@ impl FuseStack {
             rng,
             ov_upcalls: &mut self.ov_upcalls,
             out: &mut self.out,
+            alarm: &mut self.alarm,
         };
         f(&mut self.fuse, &mut self.overlay, &mut cx)
     }
@@ -519,7 +488,7 @@ impl FuseApi<'_> {
     /// [`AppCall::Timer`]`(tag)`, once per arm. Nothing cancels it: an
     /// application that no longer wants it ignores the tag.
     pub fn set_app_timer(&mut self, after: Duration, tag: u64) {
-        let key = Timer::App(tag).key();
+        let key = timer_key(NS_APP, tag);
         self.stack.out.push_back(Output::SetTimer { key, after });
     }
 
@@ -600,14 +569,17 @@ mod tests {
         std::iter::from_fn(|| s.poll_output()).collect()
     }
 
-    /// Feeds `key` at `due` and again 5 s late, and checks it did nothing
-    /// either time: no output, no RNG draw, no link digest computed.
-    fn assert_stale(s: &mut FuseStack, rng: &mut StdRng, due: Time, key: TimerKey) {
-        for now in [due, due + Duration::from_secs(5)] {
+    /// Feeds `key` at `at` and again 5 s late, and checks it did nothing
+    /// but, at most, ask for its own layer's next wake-up: no send, no
+    /// event, no RNG draw, no link digest computed.
+    fn assert_stale(s: &mut FuseStack, rng: &mut StdRng, at: Time, key: TimerKey) {
+        for now in [at, at + Duration::from_secs(5)] {
             let mut untouched = rng.clone();
             let hashes = s.fuse.obs().hashes_computed;
             s.handle(now, rng, Input::Timer(key));
-            assert!(s.poll_output().is_none(), "stale {key:?} produced output");
+            let outs = drain(s);
+            let rearm = |o: &Output| matches!(o, Output::SetTimer { key: k, .. } if *k == key);
+            assert!(outs.iter().all(rearm), "stale {key:?} produced {outs:?}");
             assert_eq!(
                 rng.gen::<u64>(),
                 untouched.gen::<u64>(),
@@ -617,22 +589,15 @@ mod tests {
         }
     }
 
-    /// The deadline `key` was last armed for in `outs`, fed at `now`.
-    fn armed(outs: &[Output], now: Time, key: TimerKey) -> Option<Time> {
-        outs.iter().rev().find_map(|o| match o {
-            Output::SetTimer { key: k, after } if *k == key => Some(now + *after),
-            _ => None,
-        })
-    }
-
     fn msg(s: &mut FuseStack, rng: &mut StdRng, now: Time, from: PeerAddr, m: StackMsg) {
         s.handle(now, rng, Input::Message { from, msg: m });
     }
 
-    /// Nothing is cancelled, so drivers deliver superseded keys, keys whose
-    /// work is done and keys no layer arms (the simulation kernel delivers
-    /// every key it was given; a socket driver delivers them late). Each
-    /// must find nothing due, at its deadline and 5 s after.
+    /// Nothing is cancelled, so drivers deliver wake-ups whose deadline
+    /// moved or whose work is done, and keys no layer arms (the simulation
+    /// kernel delivers every key it was given; a socket driver delivers
+    /// them late). Each must find nothing due, at the deadline it was
+    /// asked for and 5 s after.
     #[test]
     fn stale_timer_keys_are_inert() {
         let secs = |s: u64| Time::ZERO + Duration::from_secs(s);
@@ -641,8 +606,10 @@ mod tests {
             NodeInfo::new(2, NodeName::numbered(2)),
         );
         let fuse = |m: FuseMsg| StackMsg::Fuse(m);
+        let (overlay, fuse_wake) = (timer_key(NS_OVERLAY, 0), timer_key(NS_FUSE, 0));
 
-        // Keys no layer arms.
+        // Keys no layer arms, the retired per-peer and per-group ones
+        // among them.
         let mut s = stack(1);
         let mut rng = StdRng::seed_from_u64(1);
         s.handle(Time::ZERO, &mut rng, Input::Boot);
@@ -651,21 +618,23 @@ mod tests {
             (NS_LIVENESS, 0, 0),
             (9, 0, 0),
             (NS_FUSE, 7, 0),
-            (NS_OVERLAY, 0, u64::MAX),
+            (NS_FUSE, 1, 7),
+            (NS_OVERLAY, 0, 2),
+            (NS_OVERLAY, 1, 0),
             (NS_APP, 1, 0),
         ] {
             assert_stale(&mut s, &mut rng, Time(1), TimerKey { ns, kind, arg });
         }
 
-        // PingDue after a stop and restart: the first chain's key comes
-        // due while the re-admitted peer's own chain is later, and the
-        // link carries a group whose digest is stale.
+        // A first ping chain's deadline after a stop and restart: the
+        // re-admitted peer's own chain is later, and the link carries a
+        // group whose digest is stale.
         let mut s = stack(1);
         s.overlay.preload_tables(vec![n2], Vec::new(), Vec::new());
         let mut rng = StdRng::seed_from_u64(3);
         s.handle(Time::ZERO, &mut rng, Input::Boot);
-        let ping = Timer::Overlay(OverlayTimer::PingDue(2)).key();
-        let first = armed(&drain(&mut s), Time::ZERO, ping).expect("boot arms the ping");
+        drain(&mut s);
+        let first = s.overlay.next_ping(2).expect("boot starts the chain");
         s.handle(
             Time(first.nanos() / 3),
             &mut rng,
@@ -678,7 +647,8 @@ mod tests {
             want_reply: false,
         };
         msg(&mut s, &mut rng, back, 2, StackMsg::Overlay(announce));
-        let next = armed(&drain(&mut s), back, ping).expect("re-admission arms a ping");
+        drain(&mut s);
+        let next = s.overlay.next_ping(2).expect("re-admission starts a chain");
         assert!(
             next > first + Duration::from_secs(5),
             "the seed puts the new chain ({next}) within 5 s of the old ({first})"
@@ -691,28 +661,35 @@ mod tests {
         msg(&mut s, &mut rng, back, 2, fuse(request));
         drain(&mut s);
         assert_eq!(s.fuse.tree_links(FuseId(7)), [2], "the member links to 2");
-        assert_stale(&mut s, &mut rng, first, ping);
+        assert_stale(&mut s, &mut rng, first, overlay);
 
-        // JoinRetry after the reply.
+        // The join retry's deadline after the reply.
         let mut s = FuseStack::new(n1, Some(2), OverlayConfig::default(), FuseConfig::default());
         let mut rng = StdRng::seed_from_u64(1);
         s.handle(Time::ZERO, &mut rng, Input::Boot);
-        let retry = Timer::Overlay(OverlayTimer::JoinRetry).key();
-        let due = armed(&drain(&mut s), Time::ZERO, retry).expect("the join arms a retry");
+        drain(&mut s);
+        // The overlay's 10 s join timeout.
+        let due = secs(10);
         let reply = OverlayMsg::JoinReply {
             candidates: vec![n2],
         };
         msg(&mut s, &mut rng, Time(1), 2, StackMsg::Overlay(reply));
         drain(&mut s);
-        assert_stale(&mut s, &mut rng, due, retry);
+        let ping = s.overlay.next_ping(2).expect("the reply admits 2");
+        assert!(
+            ping > due + Duration::from_secs(5),
+            "the seed pings 2 at {ping}, within 5 s of the retry"
+        );
+        assert_stale(&mut s, &mut rng, due, overlay);
 
-        // Overlay: the one ack-deadline sweep after the ping it waited for
-        // was acked. An ack emits no timer command.
+        // The ping's ack deadline after the ack. An ack emits no timer
+        // command.
         let mut s = stack(1);
         s.overlay.preload_tables(vec![n2], Vec::new(), Vec::new());
         s.handle(Time::ZERO, &mut rng, Input::Boot);
-        let due = armed(&drain(&mut s), Time::ZERO, ping).expect("boot arms the ping");
-        s.handle(due, &mut rng, Input::Timer(ping));
+        drain(&mut s);
+        let due = s.overlay.next_ping(2).expect("boot starts the chain");
+        s.handle(due, &mut rng, Input::Timer(overlay));
         let fired = drain(&mut s);
         let nonce = fired
             .iter()
@@ -724,8 +701,6 @@ mod tests {
                 _ => None,
             })
             .expect("the ping is sent");
-        let sweep = Timer::Overlay(OverlayTimer::AckTimeout).key();
-        let deadline = armed(&fired, due, sweep).expect("the ping arms the sweep");
         let ack = OverlayMsg::PingAck { nonce, hash: None };
         msg(&mut s, &mut rng, due, 2, StackMsg::Overlay(ack));
         let acked = drain(&mut s);
@@ -735,20 +710,19 @@ mod tests {
                 .any(|o| matches!(o, Output::SetTimer { .. } | Output::CancelTimer { .. })),
             "an acked ping emits no timer command: {acked:?}"
         );
-        assert_stale(&mut s, &mut rng, deadline, sweep);
+        let deadline = due + OverlayConfig::default().ping_timeout;
+        assert_stale(&mut s, &mut rng, deadline, overlay);
 
         // A root's round: while it awaits replies (the group being
         // created), after it ended (the reply deadline and the install
-        // wait, both left behind), and after it moved to INSTALL_WAIT,
-        // where the retired round and kick kinds still do nothing.
+        // wait, both left behind), and after it moved to INSTALL_WAIT.
         for install in [true, false] {
             let mut root = Root::new();
             root.now = secs(1);
             let ticket = root.s.api(root.now, &mut root.rng).create_group(vec![n2]);
             root.collect();
             let id = ticket.id();
-            let key = Timer::Fuse(FuseTimer::Group { id }).key();
-            assert_stale(&mut root.s, &mut root.rng, secs(2), key);
+            assert_stale(&mut root.s, &mut root.rng, secs(2), fuse_wake);
             let replies_due = secs(1) + CREATE_TIMEOUT;
             root.now = secs(2);
             root.fuse(2, FuseMsg::GroupCreateReply { id, ok: true });
@@ -756,21 +730,20 @@ mod tests {
             if install {
                 root.install(n2, id, 0);
                 assert!(root.s.fuse.handle(id).is_some(), "the group was created");
-                assert_stale(&mut root.s, &mut root.rng, replies_due, key);
-                assert_stale(&mut root.s, &mut root.rng, installs_due, key);
+                assert_stale(&mut root.s, &mut root.rng, replies_due, fuse_wake);
+                assert_stale(&mut root.s, &mut root.rng, installs_due, fuse_wake);
             } else {
-                assert_stale(&mut root.s, &mut root.rng, replies_due, key);
-                for kind in [2, 3] {
-                    let retired = TimerKey { kind, ..key };
-                    assert_stale(&mut root.s, &mut root.rng, installs_due, retired);
-                }
+                assert_stale(&mut root.s, &mut root.rng, replies_due, fuse_wake);
                 root.s
-                    .handle(installs_due, &mut root.rng, Input::Timer(key));
-                assert!(root.s.poll_output().is_some(), "the install wait acts");
+                    .handle(installs_due, &mut root.rng, Input::Timer(fuse_wake));
+                // It asks for a repair round after the base backoff.
+                let outs = drain(&mut root.s);
+                let kick = |o: &Output| matches!(o, Output::SetTimer { after, .. } if *after == REPAIR_BACKOFF_BASE);
+                assert!(matches!(&outs[..], [o] if kick(o)), "{outs:?}");
             }
         }
 
-        // A member's key after its repair.
+        // A member's repair wait after its repair.
         let mut s = stack(1);
         s.overlay.preload_tables(vec![n2], Vec::new(), Vec::new());
         let mut rng = StdRng::seed_from_u64(1);
@@ -791,8 +764,8 @@ mod tests {
             2,
             fuse(FuseMsg::SoftNotification { id, seq: 0 }),
         );
-        let wait = Timer::Fuse(FuseTimer::Group { id }).key();
-        let due = armed(&drain(&mut s), secs(2), wait).expect("the member waits for repair");
+        drain(&mut s);
+        let due = secs(2) + FuseConfig::default().member_repair_timeout;
         let repair = FuseMsg::GroupRepairRequest {
             id,
             seq: 1,
@@ -800,12 +773,12 @@ mod tests {
         };
         msg(&mut s, &mut rng, secs(3), 2, fuse(repair));
         drain(&mut s);
-        assert_stale(&mut s, &mut rng, due, wait);
+        assert_stale(&mut s, &mut rng, due, fuse_wake);
         assert!(s.fuse.handle(id).is_some(), "the repaired member stands");
 
         // A root's kick superseded: each kick starts a round whose install is
         // still out when the next request comes, so the backoff doubles;
-        // after the third, the kick fed at its deadline and 5 s later finds
+        // after the third, a wake-up at its deadline and 5 s later finds
         // the fourth, 8 s away, not due.
         let mut root = Root::new();
         root.now = secs(1);
@@ -817,7 +790,6 @@ mod tests {
         root.collect();
         root.fuse(2, FuseMsg::GroupCreateReply { id, ok: true });
         root.install(n2, id, 0);
-        let kick = Timer::Fuse(FuseTimer::Group { id }).key();
         for seq in 0..3 {
             let armed_before = root.due.len();
             root.fuse(2, FuseMsg::NeedRepair { id, seq });
@@ -834,7 +806,7 @@ mod tests {
         root.fuse(2, FuseMsg::NeedRepair { id, seq: 3 });
         let next = root.kick_delay(armed_before).expect("a fourth kick");
         assert_eq!(next, Duration(8 * REPAIR_BACKOFF_BASE.nanos()));
-        assert_stale(&mut root.s, &mut root.rng, fired, kick);
+        assert_stale(&mut root.s, &mut root.rng, fired, fuse_wake);
     }
 
     /// Drains `s` after an input that queued more than [`WARM_SLOTS`]
@@ -848,10 +820,10 @@ mod tests {
         assert!(kept <= WARM_SLOTS, "{what} left {kept} slots");
     }
 
-    /// One input whose outputs or upcalls overflow [`WARM_SLOTS`] — a boot
-    /// that arms a ping per neighbour, a join reply that arms a ping per
-    /// new neighbour, a root's 32-member create — leaves no more
-    /// than that many slots behind once the host drains it.
+    /// One input whose outputs or upcalls overflow [`WARM_SLOTS`] — a join
+    /// reply that announces the node to every new neighbour, a root's
+    /// 32-member create — leaves no more than that many slots behind once
+    /// the host drains it.
     #[test]
     fn drained_queues_give_back_bursts() {
         let infos: Vec<NodeInfo> = (0..32)
@@ -860,12 +832,20 @@ mod tests {
         let tables = fuse_overlay::build_oracle_tables(&infos, &OverlayConfig::default());
         let (cw, ccw, rt) = tables.into_iter().next().expect("one per node");
         let mut rng = StdRng::seed_from_u64(1);
-        let timer = |o: &Output| matches!(o, Output::SetTimer { .. });
+        let announce = |o: &Output| {
+            matches!(
+                o,
+                Output::Send {
+                    msg: StackMsg::Overlay(OverlayMsg::Announce { .. }),
+                    ..
+                }
+            )
+        };
 
         let mut s = stack(0);
         s.overlay.preload_tables(cw, ccw, rt);
         s.handle(Time::ZERO, &mut rng, Input::Boot);
-        give_back(&mut s, "boot", timer);
+        drain(&mut s);
 
         let (ov, cfg) = (OverlayConfig::default(), FuseConfig::default());
         let mut joiner = FuseStack::new(infos[0], Some(1), ov, cfg);
@@ -874,7 +854,7 @@ mod tests {
         let candidates = infos[1..].to_vec();
         let msg = StackMsg::Overlay(OverlayMsg::JoinReply { candidates });
         joiner.handle(Time(1), &mut rng, Input::Message { from: 1, msg });
-        give_back(&mut joiner, "join reply", timer);
+        give_back(&mut joiner, "join reply", announce);
 
         s.api(Time(1), &mut rng).create_group(infos[1..].to_vec());
         give_back(&mut s, "32-member create", |o| {
@@ -1002,14 +982,12 @@ mod tests {
             self.now = until;
         }
 
-        /// The delay of the first group key armed after the first
-        /// `armed_before` timers: a repair kick, where no round is armed
-        /// meanwhile.
+        /// The delay of the first wake-up asked for after the first
+        /// `armed_before`: a repair kick, where it comes before every other
+        /// deadline the root holds.
         fn kick_delay(&self, armed_before: usize) -> Option<Duration> {
-            self.due[armed_before..].iter().find_map(|&(at, key)| {
-                matches!(Timer::of(key), Some(Timer::Fuse(FuseTimer::Group { .. })))
-                    .then(|| at.since(self.now))
-            })
+            let (at, _) = self.due.get(armed_before)?;
+            Some(at.since(self.now))
         }
 
         /// Every outcome reported for the creation of `id`.
@@ -1219,23 +1197,30 @@ mod tests {
         }
     }
 
-    /// Every tag survives its key, and no two tags share one.
+    /// Each layer's wake-up and each application tag has a key of its own,
+    /// and a key reaches only what it names: an application key comes back
+    /// as its tag, and a layer's wake-up with nothing due does nothing.
     #[test]
     fn timer_keys_name_their_tags() {
-        let id = FuseId(u64::MAX);
         let tags = [
-            Timer::Overlay(OverlayTimer::PingDue(PeerAddr::MAX)),
-            Timer::Overlay(OverlayTimer::AckTimeout),
-            Timer::Overlay(OverlayTimer::JoinRetry),
-            Timer::Overlay(OverlayTimer::Maintenance),
-            Timer::Fuse(FuseTimer::LinkExpired),
-            Timer::Fuse(FuseTimer::Group { id }),
-            Timer::App(u64::MAX),
+            (NS_OVERLAY, 0),
+            (NS_FUSE, 0),
+            (NS_APP, 0),
+            (NS_APP, u64::MAX),
         ];
-        let keys: std::collections::BTreeSet<TimerKey> = tags.iter().map(Timer::key).collect();
+        let keys: std::collections::BTreeSet<TimerKey> =
+            tags.iter().map(|&(ns, arg)| timer_key(ns, arg)).collect();
         assert_eq!(keys.len(), tags.len());
-        for tag in tags {
-            assert_eq!(Timer::of(tag.key()), Some(tag));
+        let mut s = stack(1);
+        let mut rng = StdRng::seed_from_u64(1);
+        s.handle(Time::ZERO, &mut rng, Input::Boot);
+        drain(&mut s);
+        for (ns, arg) in tags {
+            s.handle(Time(1), &mut rng, Input::Timer(timer_key(ns, arg)));
+            let outs = drain(&mut s);
+            let app = |o: &Output| matches!(o, Output::App(AppCall::Timer(t)) if *t == arg);
+            let expect = usize::from(ns == NS_APP);
+            assert!(outs.len() == expect && outs.iter().all(app), "{outs:?}");
         }
     }
 

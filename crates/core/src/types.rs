@@ -228,7 +228,8 @@ pub enum NotifyReason {
 }
 
 impl NotifyReason {
-    /// Every variant, in a fixed order (per-reason tallies index by this).
+    /// Every variant, in a fixed order: per-reason tallies index by it, and
+    /// a reason's wire tag is its place in it, counted from 1.
     pub const ALL: [NotifyReason; 6] = [
         NotifyReason::ExplicitSignal,
         NotifyReason::CreateFailed,
@@ -238,16 +239,9 @@ impl NotifyReason {
         NotifyReason::UnknownGroup,
     ];
 
-    /// Short label for renders and logs.
+    /// Short label for renders and logs: its [`kind`](NotifyReason::kind)'s.
     pub fn label(self) -> &'static str {
-        match self {
-            NotifyReason::ExplicitSignal => "explicit-signal",
-            NotifyReason::CreateFailed => "create-failed",
-            NotifyReason::LivenessExpired => "liveness-expired",
-            NotifyReason::RepairFailed => "repair-failed",
-            NotifyReason::ConnectionBroken => "connection-broken",
-            NotifyReason::UnknownGroup => "unknown-group",
-        }
+        self.kind().label()
     }
 
     /// The payload-free observability-plane mirror of this reason
@@ -271,24 +265,11 @@ impl std::fmt::Display for NotifyReason {
     }
 }
 
-const REASON_SIGNAL: u8 = 1;
-const REASON_CREATE: u8 = 2;
-const REASON_LIVENESS: u8 = 3;
-const REASON_REPAIR: u8 = 4;
-const REASON_CONN: u8 = 5;
-const REASON_UNKNOWN: u8 = 6;
-
 impl Encode for NotifyReason {
     fn encode(&self, w: &mut dyn Writer) {
-        let tag = match self {
-            NotifyReason::ExplicitSignal => REASON_SIGNAL,
-            NotifyReason::CreateFailed => REASON_CREATE,
-            NotifyReason::LivenessExpired => REASON_LIVENESS,
-            NotifyReason::RepairFailed => REASON_REPAIR,
-            NotifyReason::ConnectionBroken => REASON_CONN,
-            NotifyReason::UnknownGroup => REASON_UNKNOWN,
-        };
-        tag.encode(w);
+        // The wire tag is the reason's place in `ALL`, from 1.
+        let at = NotifyReason::ALL.iter().position(|r| r == self);
+        (at.expect("every reason is listed") as u8 + 1).encode(w);
     }
 
     fn size_hint(&self) -> usize {
@@ -298,15 +279,11 @@ impl Encode for NotifyReason {
 
 impl Decode for NotifyReason {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            REASON_SIGNAL => Ok(NotifyReason::ExplicitSignal),
-            REASON_CREATE => Ok(NotifyReason::CreateFailed),
-            REASON_LIVENESS => Ok(NotifyReason::LivenessExpired),
-            REASON_REPAIR => Ok(NotifyReason::RepairFailed),
-            REASON_CONN => Ok(NotifyReason::ConnectionBroken),
-            REASON_UNKNOWN => Ok(NotifyReason::UnknownGroup),
-            _ => Err(DecodeError::Invalid("notify reason tag")),
-        }
+        let tag = usize::from(u8::decode(r)?);
+        let reason = tag.checked_sub(1).and_then(|at| NotifyReason::ALL.get(at));
+        reason
+            .copied()
+            .ok_or(DecodeError::Invalid("notify reason tag"))
     }
 }
 
@@ -400,22 +377,6 @@ impl FuseEvent {
             FuseEvent::Created { .. } => None,
         }
     }
-}
-
-/// FUSE timer tags.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FuseTimer {
-    /// The node's one liveness expiry: the earliest deadline among its
-    /// monitored (group, link)s may have come.
-    LinkExpired,
-    /// One of a group's deadlines may have come: its root's round
-    /// (`CREATE_TIMEOUT` or `root_repair_timeout` for the replies, then
-    /// `INSTALL_WAIT` while installs are missing), its root's backed-off
-    /// repair kick, or its member's wait for the root after `NeedRepair`.
-    Group {
-        /// The group.
-        id: FuseId,
-    },
 }
 
 #[cfg(test)]

@@ -1,16 +1,21 @@
-//! The node's one link-expiry timer against the per-(group, link) timers
-//! it replaced.
+//! The FUSE layer's one wake-up and its link-expiry sweep against the
+//! per-(group, link) timers they replaced.
 //!
 //! One root [`FuseStack`] is driven by hand: links are installed by
 //! delivering `InstallChecking` envelopes, refreshed by agreeing pings and
 //! reconcile replies, removed by soft notifications, and time advances
-//! through the stack's own timer commands. Beside it runs a reference map
-//! of one deadline per (group, link), kept the old way — every install,
-//! agreement and reconcile agreement pushes that link's deadline to `now +
-//! link_failure_timeout`. Every expiry the stack reports must happen at
-//! exactly the reference instant: none early, none missing, and the links
-//! one fire expires fail peers in ascending address order, each peer's in
-//! `FuseId` order.
+//! through the stack's own timer commands, as `fuse-node` runs them: a
+//! heap of (deadline, arm order, key) in which every arm fires once. Now
+//! and then a wake-up fires twice, one nobody asked for comes early, and a
+//! stall fires all that came due in it at its end. Beside it runs a
+//! reference map of one deadline per (group, link), kept the old way —
+//! every install, agreement and reconcile agreement pushes that link's
+//! deadline to `now + link_failure_timeout`. Every expiry the stack reports
+//! must happen at exactly the reference instant (or, in a stall, at its
+//! end): none early, none missing, and the links one fire expires fail
+//! peers in ascending address order, each peer's in `FuseId` order. A
+//! wake-up leaves nothing due behind: it never asks for another at the
+//! instant it ran.
 //!
 //! The peers are also the root's overlay neighbours, so it pings them on
 //! its own schedule. Every `Ping` and `PingAck` that leaves the stack must
@@ -92,9 +97,11 @@ struct Rig {
     stack: FuseStack,
     rng: StdRng,
     now: Time,
-    /// Armed timers by (deadline, arm order). Every key is fed back; one
-    /// whose deadline moved finds nothing due.
+    /// Armed timers by (deadline, arm order). Every key is fed back; a
+    /// wake-up that comes before anything is due finds nothing to do.
     timers: BinaryHeap<Reverse<(Time, u64, TimerKey)>>,
+    /// Whether the input being fed is a timer.
+    waking: bool,
     armed: u64,
     ids: Vec<FuseId>,
     timeout: Duration,
@@ -126,6 +133,7 @@ impl Rig {
             rng: StdRng::seed_from_u64(0xDEAD),
             now: Time::ZERO,
             timers: BinaryHeap::new(),
+            waking: false,
             armed: 0,
             ids: Vec::new(),
             digests_checked: 0,
@@ -164,6 +172,11 @@ impl Rig {
         while let Some(o) = self.stack.poll_output() {
             match &o {
                 Output::SetTimer { key, after } => {
+                    assert!(
+                        !self.waking || *after > Duration::ZERO,
+                        "a wake-up at {} left something due",
+                        self.now
+                    );
                     self.armed += 1;
                     self.timers
                         .push(Reverse((self.now + *after, self.armed, *key)));
@@ -274,16 +287,48 @@ impl Rig {
     /// Fires every timer due by `until`, in deadline order, and reports the
     /// fires that expired a link.
     fn run_until(&mut self, until: Time) -> Vec<Fire> {
+        self.run(until, Firing::OnTime)
+    }
+
+    /// Fires every timer due by `until` as `firing` says: each at its
+    /// deadline, the first of them twice, or all at `until`.
+    fn run(&mut self, until: Time, firing: Firing) -> Vec<Fire> {
         let mut fires = Vec::new();
+        let mut twice = firing == Firing::Twice;
         while let Some(&Reverse((at, _, key))) = self.timers.peek() {
             if at > until {
                 break;
             }
             self.timers.pop();
-            self.now = at;
+            self.now = if firing == Firing::Late { until } else { at };
+            fires.extend(self.fire(key));
+            if std::mem::take(&mut twice) {
+                fires.extend(self.fire(key));
+            }
+        }
+        self.now = until;
+        fires
+    }
+
+    /// Feeds the FUSE layer a wake-up now, whether or not it asked for one.
+    fn early_wake(&mut self) -> Vec<Fire> {
+        let key = TimerKey {
+            ns: NS_FUSE,
+            kind: 0,
+            arg: 0,
+        };
+        self.fire(key).into_iter().collect()
+    }
+
+    /// Feeds `key` now; the fire, if it expired a link.
+    fn fire(&mut self, key: TimerKey) -> Option<Fire> {
+        {
+            let at = self.now;
             let before = self.links();
             let expired_before = self.stack.fuse.obs().links_expired;
+            self.waking = true;
             let outs = self.feed(Input::Timer(key));
+            self.waking = false;
             let after = self.links();
             let expired: Vec<_> = before.difference(&after).copied().collect();
             assert_eq!(
@@ -293,7 +338,7 @@ impl Rig {
             );
             assert!(after.is_subset(&before), "a timer installs no link");
             if expired.is_empty() {
-                continue;
+                return None;
             }
             let softs = outs.iter().filter_map(|o| match o {
                 Output::Send {
@@ -302,15 +347,13 @@ impl Rig {
                 } => Some((*to, *id)),
                 _ => None,
             });
-            fires.push(Fire {
+            Some(Fire {
                 at,
                 before,
                 expired,
                 softs: softs.collect(),
-            });
+            })
         }
-        self.now = until;
-        fires
     }
 
     /// Armed `NS_FUSE` timers due within one `link_failure_timeout`: the
@@ -326,6 +369,17 @@ impl Rig {
     fn expiries_until(&mut self, until: Time) -> Vec<(Time, PeerAddr, FuseId)> {
         expiries(self.run_until(until))
     }
+}
+
+/// How [`Rig::run`] fires what came due.
+#[derive(Clone, Copy, PartialEq)]
+enum Firing {
+    /// Each at its deadline, as the simulation kernel does.
+    OnTime,
+    /// The first twice over.
+    Twice,
+    /// All at the end of the step, as a stalled socket driver does.
+    Late,
 }
 
 /// What `fires` expired as (instant, peer, group), in fire order.
@@ -359,9 +413,9 @@ fn a_link_installed_after_the_peer_timer_was_armed_has_its_own_deadline() {
     let mut rig = Rig::new();
     let (g1, g2, a) = (rig.ids[0], rig.ids[1], PEERS[0]);
     let t = rig.timeout;
-    assert_eq!(fuse_timer_sets(&rig.install(g1, a)), 1, "first link arms");
+    rig.install(g1, a);
     rig.run_until(secs(5));
-    assert_eq!(fuse_timer_sets(&rig.install(g2, a)), 0, "one timer a peer");
+    assert_eq!(fuse_timer_sets(&rig.install(g2, a)), 0, "one sweep a node");
     assert_eq!(
         rig.expiries_until(secs(1_000)),
         [(Time::ZERO + t, a, g1), (secs(5) + t, a, g2)]
@@ -570,6 +624,35 @@ fn a_cloned_stack_behaves_like_the_original() {
     assert_eq!(rig.stack.fuse.obs(), copy.stack.fuse.obs());
 }
 
+/// A root that creates a group and signals it a thousand times over, 10 ms
+/// apart, leaves a bounded number of keys in a driver that fires every arm
+/// once, as `fuse-node`'s store does: each layer keeps at most a few
+/// wake-ups pending, whatever the cycle rate, and no cycle's round
+/// deadlines outlive it there.
+#[test]
+fn create_signal_cycles_leave_a_bounded_store() {
+    let mut rig = Rig::new();
+    let mut most = 0;
+    for _ in 0..1_000 {
+        let members = PEERS.map(info).to_vec();
+        let id = rig
+            .stack
+            .api(rig.now, &mut rig.rng)
+            .create_group(members)
+            .id();
+        rig.drain();
+        for p in PEERS {
+            rig.feed_fuse(p, FuseMsg::GroupCreateReply { id, ok: true });
+        }
+        rig.stack.api(rig.now, &mut rig.rng).signal_failure(id);
+        rig.drain();
+        assert!(!rig.stack.fuse.knows_group(id), "the signal ends the group");
+        most = most.max(rig.timers.len());
+        rig.run_until(rig.now + Duration::from_millis(10));
+    }
+    assert!(most <= 4, "{most} keys pending at once");
+}
+
 /// One deadline per (peer, group), kept the way the per-link timers kept it.
 #[derive(Default)]
 struct Model {
@@ -606,7 +689,7 @@ proptest! {
 
     #[test]
     fn every_link_expires_at_exactly_its_reference_deadline(
-        ops in prop::collection::vec((0u8..10, any::<u8>(), any::<u8>(), any::<u16>()), 1..80),
+        ops in prop::collection::vec((0u8..11, any::<u8>(), any::<u8>(), any::<u16>()), 1..80),
     ) {
         let mut rig = Rig::new();
         let mut model = Model::default();
@@ -665,12 +748,23 @@ proptest! {
                         }
                     }
                 }
+                8 => {
+                    // A wake-up nobody asked for finds nothing due.
+                    let fires = rig.early_wake();
+                    prop_assert!(fires.is_empty(), "an early wake-up expired {:?}", fires);
+                }
                 _ => {
                     // Short steps land inside `reconcile_grace`, long ones
-                    // let deadlines come.
+                    // let deadlines come. A step may fire its first
+                    // wake-up twice, or stall and fire all at its end.
                     let ms = if x & 1 == 0 { u64::from(z) % 6_000 } else { u64::from(z) * 2 };
                     let until = now + Duration::from_millis(ms);
-                    let fires = rig.run_until(until);
+                    let firing = match y % 4 {
+                        0 => Firing::Twice,
+                        1 => Firing::Late,
+                        _ => Firing::OnTime,
+                    };
+                    let fires = rig.run(until, firing);
                     for f in &fires {
                         prop_assert_eq!(
                             runs_sorted(f.softs.clone()),
@@ -680,7 +774,12 @@ proptest! {
                     }
                     let mut seen = expiries(fires);
                     seen.sort_unstable();
-                    prop_assert_eq!(seen, model.expire_until(until));
+                    let mut expect = model.expire_until(until);
+                    if firing == Firing::Late {
+                        expect.iter_mut().for_each(|e| e.0 = until);
+                        expect.sort_unstable();
+                    }
+                    prop_assert_eq!(seen, expect);
                 }
             }
             let expect: BTreeSet<_> = model.links.keys().copied().collect();

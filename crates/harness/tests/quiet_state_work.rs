@@ -68,27 +68,28 @@ fn standing_groups_add_no_kernel_work_to_the_quiet_state() {
     let (events_groups, pending_groups, monitored, _) = quiet_window(200);
     assert!(events_bare > 0 && pending_bare > 0 && pings > 0);
     assert_eq!(monitored_bare, 0);
-    // The first count of the quiet state's work: a ping is its `PingDue`
-    // timer, the ping and the ack, plus a share of the node's one
-    // ack-deadline timer, table maintenance and its announces — 3.28 events
-    // (18,005 for 5,490 pings). A timer per ack wait, cancelled by the ack
-    // and still executed, would add about one event per acknowledged ping
-    // (4.13).
+    // The first count of the quiet state's work: a ping is the overlay's
+    // wake-up that sends it, the ping and the ack, plus a share of table
+    // maintenance and its announces — 3.13 events (17,193 for 5,490 pings;
+    // 3.28 when each ping armed a timer of its own and the ack waits one
+    // more). A timer per ack wait, cancelled by the ack and still executed,
+    // would add about one event per acknowledged ping (4.13).
     let per_ping = events_bare as f64 / pings as f64;
     assert!(
         per_ping <= 3.5,
         "{events_bare} kernel events for {pings} pings: {per_ping:.3} per ping"
     );
-    // 18,436 against 18,005: each node's one expiry timer fires about
-    // every 45 s (431 events over 64 nodes and 300 s), not once per
-    // agreement on every monitored link (21,825 with a timer per peer).
+    // 17,625 against 17,193: each node's FUSE wake-up comes for the expiry
+    // sweep about every 45 s (432 events over 64 nodes and 300 s), not once
+    // per agreement on every monitored link (21,825 with a timer per peer).
     assert!(
         events_groups as f64 <= events_bare as f64 * 1.05,
         "200 standing groups: {events_groups} events against {events_bare} with none"
     );
     // 200 groups over 64 nodes put a group on 804 (node, peer) links; the
-    // queue holds one expiry timer per node for all of them (1,286 against
-    // 1,222; 2,026 with a timer per peer).
+    // queue holds one FUSE wake-up per node for all of them (131 against
+    // 67; 2,026 with a timer per peer, 1,286 against 1,222 when every
+    // neighbour's ping was a timer of its own).
     assert!(
         pending_groups <= pending_bare + NODES,
         "200 standing groups on {monitored} links: {pending_groups} pending \

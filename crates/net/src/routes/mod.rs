@@ -67,12 +67,21 @@ const HOP_SHIFT: u32 = 64 - HOP_BITS;
 const LAT_MASK: u64 = (1 << HOP_SHIFT) - 1;
 /// Sentinel for an unreachable destination.
 const UNREACHABLE: u64 = u64::MAX;
+/// Most hops of a router's offset to its anchor.
+pub(crate) const MAX_OFFSET_HOPS: u32 = 255;
 /// The packed word of the first hop count a core sweep does not expand:
-/// the routers it would reach are past the hop field's capacity.
-const DEEPEST: u64 = ((1 << HOP_BITS) - 2) << HOP_SHIFT;
-/// Most latency of one core link, in nanoseconds (2^44 ns, about 4.9 h):
-/// 1,022 such links still fit the latency field.
+/// a core route of 511 hops or more is refused.
+const DEEPEST: u64 = 511 << HOP_SHIFT;
+/// Most latency of one link, in nanoseconds (2^44 ns, about 4.9 h): 1,023
+/// such links still fit the latency field.
 pub(crate) const MAX_LINK_NS: u64 = LAT_MASK >> HOP_BITS;
+
+// A route between two anchors is an offset, a core route and an offset:
+// at most 255 + 510 + 255 = 1,020 links, each at most `MAX_LINK_NS`. So
+// the three packed words add field by field: the latencies sum below
+// 1,023 · 2^44 < 2^54 and cannot carry into the hops, and the hops sum
+// below 1,023, the hop field of `UNREACHABLE`.
+const _: () = assert!(2 * MAX_OFFSET_HOPS as u64 + (DEEPEST >> HOP_SHIFT) < (1 << HOP_BITS) - 1);
 
 /// Packs one row entry into a single word: hops in the top 10 bits,
 /// latency nanoseconds in the low 54. Halves a resident entry relative to
@@ -123,8 +132,8 @@ pub(crate) fn unpack(w: u64) -> (u64, u32) {
 /// is queued by a write that always happens and a tail that moves only
 /// for it. No branch depends on the graph, which roughly halves the
 /// sweep. A core link's packed step keeps its latency below 2^44 ns
-/// ([`Topology::core_neighbors`]), so a route of up to 1,022 hops
-/// cannot carry into the hop field, and a router that deep is refused.
+/// ([`Topology::core_neighbors`]), so no sum carries into the hop
+/// field, and a route of [`DEEPEST`]'s 511 hops or more is refused.
 fn core_from(topo: &Topology, from: u32) -> Vec<u64> {
     let n = topo.core_len();
     let mut best = vec![UNREACHABLE; n];
@@ -318,6 +327,9 @@ impl RouteOracle {
     /// * one anchor — the tree path through the two routers' nearest common
     ///   ancestor, the one simple path between them;
     /// * the anchors in two components — `UNREACHABLE`.
+    ///
+    /// The three words of a route between anchors add without a carry
+    /// (see [`MAX_OFFSET_HOPS`]).
     fn packed(&mut self, src: u32, dst: u32) -> u64 {
         let ((s, s_off), (d, d_off)) = (self.ends[src as usize], self.ends[dst as usize]);
         if s == d {
@@ -336,8 +348,7 @@ impl RouteOracle {
         if core == UNREACHABLE {
             return UNREACHABLE;
         }
-        let [(s_lat, s_hops), (lat, hops), (d_lat, d_hops)] = [s_off, core, d_off].map(unpack);
-        pack(s_lat + lat + d_lat, s_hops + hops + d_hops)
+        s_off + core + d_off
     }
 
     /// Sweeps the core from the anchor at position `a` and writes its route
@@ -428,6 +439,19 @@ mod tests {
     #[should_panic(expected = "packed capacity")]
     fn pack_rejects_oversized_latency() {
         pack(LAT_MASK + 1, 3);
+    }
+
+    /// Two offsets and a core route at their capacities, every link at
+    /// `MAX_LINK_NS`, add field by field into a reachable word.
+    #[test]
+    fn words_at_capacity_add_without_a_carry() {
+        let off = pack(u64::from(MAX_OFFSET_HOPS) * MAX_LINK_NS, MAX_OFFSET_HOPS);
+        let core_hops = (DEEPEST >> HOP_SHIFT) as u32 - 1;
+        let core = pack(u64::from(core_hops) * MAX_LINK_NS, core_hops);
+        let hops = 2 * MAX_OFFSET_HOPS + core_hops;
+        let sum = off + core + off;
+        assert_ne!(sum, UNREACHABLE);
+        assert_eq!(unpack(sum), (u64::from(hops) * MAX_LINK_NS, hops));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use rand::Rng;
 
 use fuse_sim::SimDuration;
 
-use crate::routes::{pack, unpack, MAX_LINK_NS};
+use crate::routes::{pack, unpack, MAX_LINK_NS, MAX_OFFSET_HOPS};
 
 /// One-way latency between two overlay nodes attached to the *same* access
 /// router.
@@ -493,6 +493,11 @@ impl Topology {
         for &(r, parent, w) in peeled.iter().rev() {
             let up = self.hang[parent as usize];
             let (lat, hops) = unpack(up.off);
+            // Offsets are one of the three words a route adds.
+            assert!(
+                w <= MAX_LINK_NS && hops < MAX_OFFSET_HOPS,
+                "a tree link of {w} ns at depth {hops} exceeds the route word"
+            );
             self.hang[r as usize] = Hang {
                 anchor: up.anchor,
                 parent,

@@ -103,20 +103,6 @@ pub enum Event {
     },
     /// A transport connection broke.
     ConnectionBroken,
-    /// A scripted phase began (chaos runner marker).
-    PhaseStart {
-        /// Phase label (e.g. the fault class it provokes).
-        label: &'static str,
-        /// Driver timestamp (nanoseconds since the driver's epoch).
-        at_nanos: u64,
-    },
-    /// A measured latency sample, in seconds, under a class label.
-    LatencySample {
-        /// Sample class label (e.g. `"kill"`).
-        class: &'static str,
-        /// The measured latency in seconds.
-        seconds: f64,
-    },
 }
 
 /// Where instrumented code sends its events.

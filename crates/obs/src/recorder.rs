@@ -220,10 +220,6 @@ impl ObsSink for Recorder {
                 a.drops_by_class.bump(class);
             }
             Event::ConnectionBroken => a.breaks += 1,
-            Event::PhaseStart { label, at_nanos } => {
-                a.phases.push(PhaseMark { at_nanos, label });
-            }
-            Event::LatencySample { class, seconds } => a.add_latency(class, seconds),
         }
     }
 }
@@ -263,14 +259,6 @@ mod tests {
         });
         r.record(Event::ContentDropped { class: "ack" });
         r.record(Event::ConnectionBroken);
-        r.record(Event::PhaseStart {
-            label: "kill",
-            at_nanos: 2,
-        });
-        r.record(Event::LatencySample {
-            class: "kill",
-            seconds: 1.5,
-        });
         let a = r.aggregates();
         assert_eq!(a.groups_created, 1);
         assert_eq!(a.creates_failed, 1);
@@ -297,8 +285,6 @@ mod tests {
                 reason: ReasonKind::LivenessExpired
             }]
         );
-        assert_eq!(a.phases.len(), 1);
-        assert_eq!(a.latency["kill"].len(), 1);
     }
 
     #[test]
@@ -324,14 +310,6 @@ mod tests {
                 at_nanos: 9,
                 seq: 2,
             },
-            Event::LatencySample {
-                class: "kill",
-                seconds: 2.0,
-            },
-            Event::LatencySample {
-                class: "kill",
-                seconds: 1.0,
-            },
         ];
         for (i, ev) in events.iter().enumerate() {
             whole.record(*ev);
@@ -342,16 +320,23 @@ mod tests {
             }
         }
         let mut whole_agg = whole.into_aggregates();
+        let (mut agg_a, mut agg_b) = (part_a.into_aggregates(), part_b.into_aggregates());
+        // Latency samples, split the same way.
+        for (i, seconds) in [2.0, 1.0, 3.0].into_iter().enumerate() {
+            whole_agg.add_latency("kill", seconds);
+            let part = if i % 2 == 0 { &mut agg_a } else { &mut agg_b };
+            part.add_latency("kill", seconds);
+        }
         // Canonicalize the whole-stream log the same way merges do.
         let empty = Aggregates::new();
         whole_agg.merge_from(&empty);
 
         let mut ab = Aggregates::new();
-        ab.merge_from(part_a.aggregates());
-        ab.merge_from(part_b.aggregates());
+        ab.merge_from(&agg_a);
+        ab.merge_from(&agg_b);
         let mut ba = Aggregates::new();
-        ba.merge_from(part_b.aggregates());
-        ba.merge_from(part_a.aggregates());
+        ba.merge_from(&agg_b);
+        ba.merge_from(&agg_a);
         assert_eq!(ab, ba, "merge order must not matter");
         assert_eq!(ab, whole_agg, "partitioning must not matter");
         assert_eq!(ab.notify_log.len(), 2);

@@ -3,50 +3,32 @@
 //! The overlay is a pure state machine. Every entry point takes an
 //! [`OverlayCx`] — a borrowed bundle of `now`, the driver RNG, an
 //! [`OverlaySink`] and an upcall buffer — and all side effects leave as
-//! plain data: sends and timer arms go straight into the embedding stack's
-//! output queue through the sink, and [`OverlayUpcall`]s wait for the
-//! client layer (FUSE) to consume. A timer is armed with its
-//! [`OverlayTimer`] tag and comes back with it; nothing is cancelled, and
-//! each handler checks its own deadline when the tag fires. No driver type
-//! (`fuse_sim` or otherwise) appears anywhere in the signatures.
+//! plain data: sends and wake-up requests go straight into the embedding
+//! stack's output queue through the sink, and [`OverlayUpcall`]s wait for
+//! the client layer (FUSE) to consume. The overlay asks for one wake-up at
+//! a time, at the earliest deadline it stores ([`Wake`]); when it comes,
+//! `OverlayNode::on_wake` acts on whatever is due and asks for the next.
+//! Nothing is cancelled. No driver type (`fuse_sim` or otherwise) appears
+//! anywhere in the signatures.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 
-use fuse_util::{Duration, PeerAddr, Time};
+use fuse_util::{Duration, PeerAddr, Time, Wake};
 use fuse_wire::Digest;
 
 use crate::id::{NodeInfo, NodeName};
 use crate::messages::OverlayMsg;
 
-/// Timer tags owned by the overlay. Each is a hint: a firing acts only if
-/// the state it names is due.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverlayTimer {
-    /// Periodic liveness ping for one neighbor; it pings only once the
-    /// neighbour's next ping is due.
-    PingDue(PeerAddr),
-    /// The node's one ack-deadline timer: every neighbour whose ping went
-    /// unacknowledged for the ping timeout is declared dead. An ack cancels
-    /// nothing; the timer is armed at or before the earliest outstanding
-    /// deadline and re-arms itself at the next one.
-    AckTimeout,
-    /// The join request went unanswered; retry unless the node joined.
-    JoinRetry,
-    /// Periodic background table maintenance.
-    Maintenance,
-}
-
-/// Where the overlay's sends and timer arms go, in emission order, and
+/// Where the overlay's sends and wake-ups go, in emission order, and
 /// where it reads the digest it piggybacks. The embedding stack implements
 /// it over its own output queue, so an effect lands there the moment the
 /// overlay emits it.
 pub trait OverlaySink {
     /// Transmit an overlay message to a peer.
     fn send(&mut self, to: PeerAddr, msg: OverlayMsg);
-    /// Schedule `tag` to come back through `OverlayNode::on_timer` `after`
-    /// from now.
-    fn set_timer(&mut self, tag: OverlayTimer, after: Duration);
+    /// Schedule a call of `OverlayNode::on_wake` `after` from now.
+    fn wake(&mut self, after: Duration);
     /// The client's digest for the link to `peer` (paper §6.1: FUSE
     /// piggybacks a 20-byte hash of the groups on the link), `None` when
     /// the client monitors nothing there. Read once for each ping and each
@@ -156,9 +138,12 @@ impl<'a> OverlayCx<'a> {
         self.sink.send(to, msg);
     }
 
-    /// Arms a timer with an overlay tag.
-    pub fn set_timer(&mut self, after: Duration, tag: OverlayTimer) {
-        self.sink.set_timer(tag, after);
+    /// Notes the deadline `at` in `wake`, asking the sink for a wake-up
+    /// when it comes before the one pending.
+    pub fn wake_at(&mut self, wake: &mut Wake, at: Time) {
+        if let Some(after) = wake.note(self.now, at) {
+            self.sink.wake(after);
+        }
     }
 
     /// The client's digest to piggyback on the link to `peer`.

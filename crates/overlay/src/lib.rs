@@ -18,7 +18,7 @@
 //!   visibility through [`OverlayNode::neighbors`]/[`OverlayNode::next_hop`].
 //!
 //! The overlay is sans-io: every entry point takes an [`OverlayCx`] and all
-//! side effects leave through it: sends and timer commands into an
+//! side effects leave through it: sends and wake-up requests into an
 //! [`OverlaySink`] the embedding stack (`fuse_core::FuseStack`) implements
 //! over its output queue, and [`OverlayUpcall`]s for the client layer. The
 //! sink also answers the one read the overlay makes of its client: the
@@ -35,7 +35,7 @@ pub mod oracle;
 
 pub use config::OverlayConfig;
 pub use id::{NodeInfo, NodeName, NumericId};
-pub use io::{OverlayCx, OverlaySink, OverlayTimer, OverlayUpcall};
+pub use io::{OverlayCx, OverlaySink, OverlayUpcall};
 pub use messages::OverlayMsg;
 pub use node::OverlayNode;
 pub use oracle::build_oracle_tables;

@@ -2,31 +2,32 @@
 //! the overlay's pings and acks, §7.1: a 60 s ping period and a 20 s
 //! timeout).
 //!
-//! This module alone writes the monitored-neighbour records, the FIFO of
-//! ack deadlines and its one `AckTimeout` timer flag and the nonce
-//! counter; [`Liveness`]' fields are private to it. It keeps no digest: a
-//! ping and an ack each read theirs from the sink as they are built. The
-//! invariant it keeps: every neighbour whose ping goes unacknowledged for
-//! the ping timeout is declared dead at exactly `sent + ping_timeout`, in
-//! send order, and no other is. The timeout is constant, so send order is
+//! This module alone writes the monitored-neighbour records, the queue of
+//! ping deadlines, the FIFO of ack deadlines and the nonce counter;
+//! [`Liveness`]' fields are private to it. It keeps no digest: a ping and
+//! an ack each read theirs from the sink as they are built. The invariant
+//! it keeps: every neighbour whose ping goes unacknowledged for the ping
+//! timeout is declared dead at exactly `sent + ping_timeout`, in send
+//! order, and no other is. The timeout is constant, so send order is
 //! deadline order; a wait that ended (acked, replaced by the next ping,
-//! neighbour dropped) stays queued until it reaches the front, and the
-//! timer is armed at or before the earliest deadline of a wait that has
-//! not ended. An ack cancels nothing, and neither does dropping a
-//! neighbour: each record keeps its next ping's deadline, and a `PingDue`
-//! pings only when that deadline has come, so one ping chain runs per
-//! monitored neighbour however often it leaves and comes back.
+//! neighbour dropped) stays queued until it reaches the front. Each
+//! monitored neighbour is pinged once a period from a random phase; a
+//! queued ping deadline its record no longer holds (the neighbour was
+//! dropped, or re-admitted with a phase of its own) is skipped. Neither
+//! queue is touched by an ack or a drop, and the node's one wake-up
+//! follows the earliest deadline of the two.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rand::Rng;
 
-use fuse_util::{DetHashMap, Duration, PeerAddr, Time};
+use fuse_util::{DetHashMap, Duration, PeerAddr, Time, Wake};
 use fuse_wire::Digest;
 
 use super::OverlayNode;
 use crate::config::OverlayConfig;
-use crate::io::{OverlayCx, OverlayTimer, OverlayUpcall};
+use crate::io::{OverlayCx, OverlayUpcall};
 use crate::messages::OverlayMsg;
 
 /// One monitored neighbour: when its next ping is due and the nonce of
@@ -43,10 +44,13 @@ pub(super) struct Liveness {
     cfg: OverlayConfig,
     /// The monitored neighbours.
     watched: DetHashMap<PeerAddr, Watched>,
+    /// Ping deadlines `(next_ping, peer)`, earliest first; one is live
+    /// while its peer's record holds it.
+    pings: BinaryHeap<Reverse<(Time, PeerAddr)>>,
+    /// How many of them no record holds: a neighbour dropped leaves one.
+    stale: usize,
     /// Ack deadlines `(sent + ping_timeout, peer, nonce)`, oldest first.
     ack_deadlines: VecDeque<(Time, PeerAddr, u64)>,
-    /// Whether the one `AckTimeout` timer is armed.
-    ack_timer: bool,
     next_nonce: u64,
 }
 
@@ -59,42 +63,57 @@ impl Liveness {
     }
 
     /// Starts monitoring `peer`, its first ping at a random phase of the
-    /// period.
-    pub(super) fn start(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
+    /// period, noted in `wake`.
+    pub(super) fn start(&mut self, io: &mut OverlayCx<'_>, wake: &mut Wake, peer: PeerAddr) {
         if self.watched.contains_key(&peer) {
             return;
         }
         // Phase jitter spreads ping load over the period.
         let jitter = Duration(io.rng().gen_range(0..=self.cfg.ping_period.nanos()));
-        io.set_timer(jitter, OverlayTimer::PingDue(peer));
+        let next_ping = io.now() + jitter;
+        self.pings.push(Reverse((next_ping, peer)));
         let w = Watched {
-            next_ping: io.now() + jitter,
+            next_ping,
             awaiting: None,
         };
         self.watched.insert(peer, w);
+        io.wake_at(wake, next_ping);
     }
 
     /// Stops monitoring `peer`. Its ack wait, if any, ends with the record
-    /// and leaves the deadline queue lazily; its ping timer finds no
-    /// record, or a later deadline, when it fires.
+    /// and leaves the deadline queue lazily, as does its ping deadline.
     pub(super) fn stop(&mut self, peer: PeerAddr) {
-        self.watched.remove(&peer);
-    }
-
-    fn awaits(&self, peer: PeerAddr, nonce: u64) -> bool {
-        self.watched
-            .get(&peer)
-            .is_some_and(|w| w.awaiting == Some(nonce))
+        self.stale += usize::from(self.watched.remove(&peer).is_some());
     }
 
     /// Pops the waits that ended from the front of the deadline queue.
     fn drop_ended_waits(&mut self) {
         while let Some(&(_, peer, nonce)) = self.ack_deadlines.front() {
-            if self.awaits(peer, nonce) {
+            if matches!(self.watched.get(&peer), Some(w) if w.awaiting == Some(nonce)) {
                 break;
             }
             self.ack_deadlines.pop_front();
         }
+    }
+
+    /// The earliest ping deadline a record still holds, `(at, peer)`; the
+    /// ones ahead of it that none holds leave the queue.
+    fn first_ping(&mut self) -> Option<(Time, PeerAddr)> {
+        while let Some(&Reverse((at, peer))) = self.pings.peek() {
+            if self.stale == 0 || self.watched.get(&peer).is_some_and(|w| w.next_ping == at) {
+                return Some((at, peer));
+            }
+            self.pings.pop();
+            self.stale -= 1;
+        }
+        None
+    }
+
+    /// The earliest deadline of a wait that has not ended, and of a ping.
+    pub(super) fn next_deadlines(&mut self) -> [Option<Time>; 2] {
+        self.drop_ended_waits();
+        let ack = self.ack_deadlines.front().map(|w| w.0);
+        [ack, self.first_ping().map(|p| p.0)]
     }
 }
 
@@ -104,36 +123,36 @@ impl OverlayNode {
         self.live.watched.contains_key(&peer)
     }
 
-    /// Whether `peer`'s next ping is due at `now`: a `PingDue` that finds
-    /// it not due (the neighbour was dropped, or re-admitted with a ping
-    /// chain of its own) is stale and does nothing.
-    pub(super) fn ping_due(&self, peer: PeerAddr, now: Time) -> bool {
-        self.live
-            .watched
-            .get(&peer)
-            .is_some_and(|w| w.next_ping <= now)
+    /// When `peer`'s next ping is due; `None` when it is not monitored
+    /// (visibility for tests).
+    pub fn next_ping(&self, peer: PeerAddr) -> Option<Time> {
+        self.live.watched.get(&peer).map(|w| w.next_ping)
+    }
+
+    /// Pings every neighbour whose ping is due at `now`, in deadline order.
+    pub(super) fn send_due_pings(&mut self, io: &mut OverlayCx<'_>) {
+        while let Some((_, peer)) = self.live.first_ping().filter(|p| p.0 <= io.now()) {
+            self.live.pings.pop();
+            self.ping(io, peer);
+        }
     }
 
     /// Sends `peer` its next ping, carrying the client's digest for the
     /// link, and queues the ack deadline, which replaces any wait still
-    /// outstanding on the peer.
-    pub(super) fn ping(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
+    /// outstanding on the peer, and the next ping's.
+    fn ping(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
         let live = &mut self.live;
         live.next_nonce += 1;
         let nonce = live.next_nonce;
         let hash = io.link_digest(peer);
         io.send(peer, OverlayMsg::Ping { nonce, hash });
         self.stats.pings_sent += 1;
-        let timeout = live.cfg.ping_timeout;
         live.ack_deadlines
-            .push_back((io.now() + timeout, peer, nonce));
-        if !live.ack_timer {
-            live.ack_timer = true;
-            io.set_timer(timeout, OverlayTimer::AckTimeout);
-        }
-        io.set_timer(live.cfg.ping_period, OverlayTimer::PingDue(peer));
+            .push_back((io.now() + live.cfg.ping_timeout, peer, nonce));
+        let next_ping = io.now() + live.cfg.ping_period;
+        live.pings.push(Reverse((next_ping, peer)));
         let w = Watched {
-            next_ping: io.now() + live.cfg.ping_period,
+            next_ping,
             awaiting: Some(nonce),
         };
         live.watched.insert(peer, w);
@@ -161,11 +180,9 @@ impl OverlayNode {
         }
     }
 
-    /// The `AckTimeout` timer fired: every neighbour whose wait is still
-    /// outstanding at its deadline dies, in send order, and the timer
-    /// follows the next wait that has not ended.
+    /// Every neighbour whose wait is still outstanding at its deadline
+    /// dies, in send order.
     pub(super) fn sweep_ack_deadlines(&mut self, io: &mut OverlayCx<'_>) {
-        self.live.ack_timer = false;
         let now = io.now();
         loop {
             self.live.drop_ended_waits();
@@ -173,8 +190,6 @@ impl OverlayNode {
                 return;
             };
             if at > now {
-                self.live.ack_timer = true;
-                io.set_timer(at.since(now), OverlayTimer::AckTimeout);
                 return;
             }
             self.live.ack_deadlines.pop_front();
@@ -187,96 +202,78 @@ impl OverlayNode {
 mod tests {
     use super::super::tests::{info, node_with, TestIo};
     use crate::config::OverlayConfig;
-    use crate::io::{OverlayTimer, OverlayUpcall};
+    use crate::io::OverlayUpcall;
     use crate::messages::OverlayMsg;
-    use fuse_util::{Duration, Time};
+    use fuse_util::Time;
 
-    /// One timer serves every outstanding ping: A is pinged at t and acks,
-    /// B is pinged at t+5 s and stays silent. The sweep at t+20 s finds
-    /// A's wait ended and follows B's deadline, and B dies at exactly
-    /// t+25 s.
+    /// One wake-up serves every outstanding ping: A is pinged at ta and
+    /// acks, B is pinged at tb, less than a timeout later, and stays
+    /// silent; a third neighbour's first ping comes after. After B's
+    /// ping the node asks for a wake-up at B's deadline, a wake-up at
+    /// ta+20 s finds A's wait ended, and B dies at exactly tb+20 s.
     #[test]
     fn one_ack_timer_sweeps_every_ping_at_its_own_deadline() {
-        let (mut n, mut io) = node_with(10, &[20, 30]);
+        let (mut n, mut io) = node_with(10, &[20, 30, 40]);
         let timeout = OverlayConfig::default().ping_timeout;
-        let sweeps = |io: &TestIo| -> Vec<Duration> {
-            let armed = io.timers.iter();
-            let sweep = armed.filter(|(_, t)| *t == OverlayTimer::AckTimeout);
-            sweep.map(|&(after, _)| after).collect()
-        };
-        let t = Time::ZERO + Duration::from_secs(100);
-        io.now = t;
-        io.timers.clear();
-        io.on_timer(&mut n, OverlayTimer::PingDue(20));
-        let nonce = match io.sent.last() {
-            Some((20, OverlayMsg::Ping { nonce, .. })) => *nonce,
-            other => panic!("expected a ping to 20, got {other:?}"),
-        };
+        let mut first = [20, 30, 40].map(|p| (n.next_ping(p).expect("admitted"), p));
+        first.sort();
+        let [(ta, a), (tb, b), _] = first;
+        assert!(tb < ta + timeout, "the seed pings {a} at {ta}, {b} at {tb}");
+        io.now = ta;
+        io.on_wake(&mut n);
+        let nonce = io.nonce_to(a);
         let ack = OverlayMsg::PingAck { nonce, hash: None };
-        io.on_message(&mut n, 20, ack);
+        io.on_message(&mut n, a, ack);
         assert!(
             n.live.ack_deadlines.is_empty(),
             "A's ended wait leaves at once"
         );
-        io.now = t + Duration::from_secs(5);
-        io.on_timer(&mut n, OverlayTimer::PingDue(30));
-        assert_eq!(sweeps(&io), [timeout], "one timer is armed for both pings");
+        io.wakes.clear();
+        io.now = tb;
+        io.on_wake(&mut n);
+        assert_eq!(io.nonce_to(b), nonce + 1, "B is pinged");
+        assert_eq!(io.wakes, [timeout], "the wake-up follows B's deadline");
 
-        io.timers.clear();
-        io.now = t + timeout;
-        io.on_timer(&mut n, OverlayTimer::AckTimeout);
+        // A wake-up at A's old deadline finds its wait ended.
+        io.wakes.clear();
+        io.now = ta + timeout;
+        io.on_wake(&mut n);
         assert!(
-            n.is_neighbor(20) && n.is_neighbor(30),
-            "the sweep at t+20 s kills no one"
+            n.is_neighbor(a) && n.is_neighbor(b),
+            "the wake-up at ta+20 s kills no one"
         );
-        assert_eq!(
-            sweeps(&io),
-            [Duration::from_secs(5)],
-            "it follows B's deadline"
-        );
+        assert!(io.wakes.is_empty(), "B's wake-up is still pending");
         assert_eq!(n.stats.neighbors_died, 0);
 
-        io.now = t + Duration::from_secs(25);
-        io.on_timer(&mut n, OverlayTimer::AckTimeout);
-        assert!(!n.is_neighbor(30) && n.is_neighbor(20));
-        let died = |u: &OverlayUpcall| {
-            matches!(
-                u,
-                OverlayUpcall::LinkDown {
-                    peer: 30,
-                    died: true
-                }
-            )
-        };
+        io.now = tb + timeout;
+        io.on_wake(&mut n);
+        assert!(!n.is_neighbor(b) && n.is_neighbor(a));
+        let died = |u: &OverlayUpcall| matches!(u, OverlayUpcall::LinkDown { peer, died: true } if *peer == b);
         assert_eq!(io.upcalls.iter().filter(|u| died(u)).count(), 1);
         assert_eq!(n.stats.neighbors_died, 1);
     }
 
-    /// Nothing cancels a ping timer. A neighbour dropped and re-admitted
-    /// within one period leaves its first chain's timer queued beside the
-    /// new chain's; the old one must find its deadline moved, so the
-    /// neighbour is pinged exactly once a period, acked every time, over
-    /// three periods.
+    /// Nothing is cancelled. A neighbour dropped and re-admitted within one
+    /// period starts a chain of its own, and the wake-up its first chain
+    /// asked for finds that chain's deadline gone, so the neighbour is
+    /// pinged exactly once a period, acked every time, over three periods.
     #[test]
     fn a_readmitted_neighbour_keeps_one_ping_chain() {
         let (mut n, mut io) = node_with(10, &[20]);
         let period = OverlayConfig::default().ping_period;
-        // Every armed timer by (deadline, arm order), as a kernel keeps them.
-        let mut queue: Vec<(Time, usize, OverlayTimer)> = Vec::new();
-        let mut armed = 0;
+        // Every wake-up asked for, by (deadline, request order), as a
+        // kernel keeps them.
+        let mut queue: Vec<(Time, usize)> = Vec::new();
+        let mut asked = 0;
         let mut take = |io: &mut TestIo, queue: &mut Vec<_>| {
-            for (after, tag) in io.timers.drain(..) {
-                armed += 1;
-                queue.push((io.now + after, armed, tag));
+            for after in io.wakes.drain(..) {
+                asked += 1;
+                queue.push((io.now + after, asked));
             }
-            queue.sort_by_key(|e| (e.0, e.1));
+            queue.sort();
         };
         take(&mut io, &mut queue);
-        let first = queue
-            .iter()
-            .find(|e| e.2 == OverlayTimer::PingDue(20))
-            .map(|e| e.0)
-            .expect("admission arms a ping");
+        let first = queue.first().expect("admission asks for a wake-up").0;
 
         // Dropped and back before the first chain's ping comes due.
         io.now = Time(first.nanos() / 3);
@@ -290,19 +287,14 @@ mod tests {
         io.on_message(&mut n, 20, back);
         assert!(n.is_neighbor(20), "the announce re-admits 20");
         take(&mut io, &mut queue);
-        let chains = queue.iter().filter(|e| e.2 == OverlayTimer::PingDue(20));
-        assert_eq!(chains.count(), 2, "the old chain's timer is still queued");
 
         let end = io.now + period.saturating_mul(3);
         let mut pings = Vec::new();
         while queue.first().is_some_and(|e| e.0 <= end) {
-            let (at, _, tag) = queue.remove(0);
-            if !matches!(tag, OverlayTimer::PingDue(_) | OverlayTimer::AckTimeout) {
-                continue;
-            }
+            let (at, _) = queue.remove(0);
             io.now = at;
             io.sent.clear();
-            io.on_timer(&mut n, tag);
+            io.on_wake(&mut n);
             for (to, msg) in std::mem::take(&mut io.sent) {
                 if let OverlayMsg::Ping { nonce, .. } = msg {
                     pings.push((to, at));

@@ -3,9 +3,10 @@
 //! periodic probes whose hop paths refresh the tables, and the repair that
 //! follows a neighbour's death.
 //!
-//! This module writes only the join state (`ready` and the attempts; a
-//! join retry that fires after the reply finds the node ready); it changes the tables, the passive view and the monitored
-//! set through their own modules. The invariant it keeps: a neighbour
+//! This module writes only the join state (`ready`, the attempts and the
+//! retry deadline; a retry that comes after the reply finds the node
+//! ready) and the maintenance deadline; it changes the tables, the passive
+//! view and the monitored set through their own modules. The invariant it keeps: a neighbour
 //! declared dead leaves the tables, the candidates and the monitored set
 //! together, is upcalled once as `LinkDown { died: true }`, and is
 //! replaced from the outermost leaves and the live candidates at once.
@@ -19,7 +20,7 @@ use fuse_wire::{Decode, Encode};
 use super::OverlayNode;
 use crate::config::{JOIN_TIMEOUT, MAINTENANCE_PERIOD};
 use crate::id::{NodeInfo, NodeName};
-use crate::io::{OverlayCx, OverlayTimer, OverlayUpcall};
+use crate::io::{OverlayCx, OverlayUpcall};
 use crate::messages::{OverlayMsg, RoutedClass};
 
 impl OverlayNode {
@@ -29,7 +30,9 @@ impl OverlayNode {
         let me = *self.info();
         let join = self.originate(me.name, RoutedClass::Join, me.to_bytes(), Vec::new());
         io.send(bs, join);
-        io.set_timer(JOIN_TIMEOUT, OverlayTimer::JoinRetry);
+        let at = io.now() + JOIN_TIMEOUT;
+        self.join_retry = Some(at);
+        io.wake_at(&mut self.wake, at);
     }
 
     pub(super) fn handle_join_request(&mut self, io: &mut OverlayCx<'_>, payload: Bytes) {
@@ -65,14 +68,14 @@ impl OverlayNode {
     }
 
     /// One maintenance period: a probe, then an announce to every departed
-    /// peer that is due.
+    /// peer that is due. The next period starts one period from now.
     pub(super) fn maintain(&mut self, io: &mut OverlayCx<'_>) {
         if self.ready {
             self.send_probe(io);
         }
         let me = *self.info();
         self.view.tick(|peer| announce(io, me, peer));
-        io.set_timer(MAINTENANCE_PERIOD, OverlayTimer::Maintenance);
+        self.maintenance = Some(io.now() + MAINTENANCE_PERIOD);
     }
 
     fn send_probe(&mut self, io: &mut OverlayCx<'_>) {

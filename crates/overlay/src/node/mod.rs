@@ -6,14 +6,14 @@
 //! * `tables` — the leaf sets and routing table (§6.1), the only writer of
 //!   both and of the neighbour-diff scratch;
 //! * `views` — the passive view: live candidates and departed neighbours;
-//! * `liveness` — pings, acks and the one ack-deadline timer (§6.3); each
-//!   ping and ack reads FUSE's digest from the sink as it is built;
+//! * `liveness` — pings, acks and their deadline queues (§6.3); each ping
+//!   and ack reads FUSE's digest from the sink as it is built;
 //! * `route` — greedy routing, per-hop upcalls and delivery (§6.1);
 //! * `maintain` — join, announce, probes and the repair after a death.
 //!
-//! This module holds the node, its accessors and the dispatch of messages
-//! and timers, and the one place a batch of candidates meets all three
-//! groups: `integrate_all`.
+//! This module holds the node, its accessors, the dispatch of messages and
+//! of the node's one wake-up, and the one place a batch of candidates meets
+//! all three groups: `integrate_all`.
 
 mod liveness;
 mod maintain;
@@ -23,12 +23,12 @@ mod views;
 
 use rand::Rng;
 
-use fuse_util::{Duration, PeerAddr};
+use fuse_util::{Duration, PeerAddr, Time, Wake};
 use fuse_wire::Digest;
 
 use crate::config::{OverlayConfig, MAINTENANCE_PERIOD};
 use crate::id::{NodeInfo, NodeName};
-use crate::io::{OverlayCx, OverlayTimer, OverlayUpcall};
+use crate::io::{OverlayCx, OverlayUpcall};
 use crate::messages::{OverlayMsg, RoutedClass};
 
 use liveness::Liveness;
@@ -77,9 +77,15 @@ pub struct OverlayNode {
     bootstrap: Option<PeerAddr>,
     ready: bool,
     join_attempts: u32,
+    /// When an unanswered join is retried.
+    join_retry: Option<Time>,
+    /// When the next maintenance period starts; `None` before boot.
+    maintenance: Option<Time>,
     tables: Tables,
     view: PassiveView,
     live: Liveness,
+    /// The node's one wake-up, at the earliest of its deadlines.
+    wake: Wake,
     /// Exposed counters.
     pub stats: OverlayStats,
 }
@@ -92,9 +98,12 @@ impl OverlayNode {
             bootstrap,
             ready: false,
             join_attempts: 0,
+            join_retry: None,
+            maintenance: None,
             tables: Tables::new(me),
             view: PassiveView::default(),
             live: Liveness::new(cfg),
+            wake: Wake::default(),
             stats: OverlayStats::default(),
         }
     }
@@ -133,13 +142,15 @@ impl OverlayNode {
         if self.ready || self.bootstrap.is_none() {
             self.ready = true;
             for p in self.neighbors() {
-                self.live.start(io, p);
+                self.live.start(io, &mut self.wake, p);
             }
         } else {
             self.send_join(io);
         }
         let jitter = Duration(io.rng().gen_range(0..=MAINTENANCE_PERIOD.nanos()));
-        io.set_timer(MAINTENANCE_PERIOD + jitter, OverlayTimer::Maintenance);
+        let at = io.now() + MAINTENANCE_PERIOD + jitter;
+        self.maintenance = Some(at);
+        io.wake_at(&mut self.wake, at);
     }
 
     /// All distinct monitored neighbors (leaf set union routing table),
@@ -162,13 +173,13 @@ impl OverlayNode {
 
     /// Integrates a batch of candidates into the passive view and the
     /// tables, then starts monitoring each neighbour the batch added (one
-    /// RNG draw and its ping timer; the client hears of a link only when it
+    /// RNG draw for its first ping; the client hears of a link only when it
     /// goes) and stops each it evicted (`LinkDown { died: false }`), both
     /// in ascending order.
     fn integrate_all(&mut self, io: &mut OverlayCx<'_>, cands: &[NodeInfo]) {
         for (peer, added) in self.tables.integrate_all(cands, |c| self.view.seen(c)) {
             if added {
-                self.live.start(io, peer);
+                self.live.start(io, &mut self.wake, peer);
             } else {
                 self.live.stop(peer);
                 self.stats.neighbors_evicted += 1;
@@ -225,22 +236,27 @@ impl OverlayNode {
         }
     }
 
-    /// Handles an overlay timer. Each tag is a hint: a stale one (its
-    /// deadline moved, its subject gone) does nothing.
-    pub fn on_timer(&mut self, io: &mut OverlayCx<'_>, tag: OverlayTimer) {
-        match tag {
-            OverlayTimer::PingDue(peer) => {
-                if self.ping_due(peer, io.now()) {
-                    self.ping(io, peer);
-                }
-            }
-            OverlayTimer::AckTimeout => self.sweep_ack_deadlines(io),
-            OverlayTimer::JoinRetry => {
-                if !self.ready && self.join_attempts < 8 {
-                    self.send_join(io);
-                }
-            }
-            OverlayTimer::Maintenance => self.maintain(io),
+    /// The node's wake-up: a hint. It acts on every deadline that has
+    /// come, in one fixed order — the deaths of unanswered pings in send
+    /// order, the due pings in deadline order, a join retry, maintenance —
+    /// and asks for a wake-up at the earliest deadline left. One that finds
+    /// nothing due does nothing but that.
+    pub fn on_wake(&mut self, io: &mut OverlayCx<'_>) {
+        let now = io.now();
+        self.wake.fired(now);
+        self.sweep_ack_deadlines(io);
+        self.send_due_pings(io);
+        let retry = self.join_retry.take_if(|at| *at <= now).is_some();
+        if retry && !self.ready && self.join_attempts < 8 {
+            self.send_join(io);
+        }
+        if self.maintenance.is_some_and(|at| at <= now) {
+            self.maintain(io);
+        }
+        let [ack, ping] = self.live.next_deadlines();
+        let next = [ack, ping, self.join_retry, self.maintenance];
+        if let Some(at) = next.into_iter().flatten().min() {
+            io.wake_at(&mut self.wake, at);
         }
     }
 
@@ -264,14 +280,14 @@ mod tests {
 
     /// Scratch driver state that records effects without a kernel: each
     /// call runs under a fresh [`OverlayCx`] whose sink records sends and
-    /// armed timers into `sent`/`timers`, answers every digest read with
+    /// wake-up requests into `sent`/`wakes`, answers every digest read with
     /// `digest` and records the peer read in `reads`.
     pub(super) struct TestIo {
         pub(super) now: Time,
         rng: StdRng,
         pub(super) sent: Vec<(PeerAddr, OverlayMsg)>,
         pub(super) upcalls: Vec<OverlayUpcall>,
-        pub(super) timers: Vec<(Duration, OverlayTimer)>,
+        pub(super) wakes: Vec<Duration>,
         digest: Option<Digest>,
         reads: Vec<PeerAddr>,
     }
@@ -279,7 +295,7 @@ mod tests {
     /// The test sink over a [`TestIo`]'s records.
     struct Recorded<'a> {
         sent: &'a mut Vec<(PeerAddr, OverlayMsg)>,
-        timers: &'a mut Vec<(Duration, OverlayTimer)>,
+        wakes: &'a mut Vec<Duration>,
         digest: Option<Digest>,
         reads: &'a mut Vec<PeerAddr>,
     }
@@ -289,8 +305,8 @@ mod tests {
             self.sent.push((to, msg));
         }
 
-        fn set_timer(&mut self, tag: OverlayTimer, after: Duration) {
-            self.timers.push((after, tag));
+        fn wake(&mut self, after: Duration) {
+            self.wakes.push(after);
         }
 
         fn link_digest(&mut self, peer: PeerAddr) -> Option<Digest> {
@@ -306,17 +322,17 @@ mod tests {
                 rng: StdRng::seed_from_u64(5),
                 sent: Vec::new(),
                 upcalls: Vec::new(),
-                timers: Vec::new(),
+                wakes: Vec::new(),
                 digest: None,
                 reads: Vec::new(),
             }
         }
 
         /// Runs one node entry point under a context.
-        fn with<R>(&mut self, f: impl FnOnce(&mut OverlayCx<'_>) -> R) -> R {
+        pub(super) fn with<R>(&mut self, f: impl FnOnce(&mut OverlayCx<'_>) -> R) -> R {
             let mut rec = Recorded {
                 sent: &mut self.sent,
-                timers: &mut self.timers,
+                wakes: &mut self.wakes,
                 digest: self.digest,
                 reads: &mut self.reads,
             };
@@ -336,15 +352,29 @@ mod tests {
             self.with(|cx| n.on_message(cx, from, msg));
         }
 
-        pub(super) fn on_timer(&mut self, n: &mut OverlayNode, tag: OverlayTimer) {
-            self.with(|cx| n.on_timer(cx, tag));
+        pub(super) fn on_wake(&mut self, n: &mut OverlayNode) {
+            self.with(|cx| n.on_wake(cx));
+        }
+
+        /// One maintenance period, whether or not it is due.
+        pub(super) fn maintain(&mut self, n: &mut OverlayNode) {
+            self.with(|cx| n.maintain(cx));
         }
 
         /// Moves the clock a ping period on, when every neighbour admitted
-        /// before is due, and fires `peer`'s ping timer.
-        fn fire_ping(&mut self, n: &mut OverlayNode, peer: PeerAddr) {
+        /// before is due, and wakes the node, which pings them all.
+        fn fire_pings(&mut self, n: &mut OverlayNode) {
             self.now += OverlayConfig::default().ping_period;
-            self.on_timer(n, OverlayTimer::PingDue(peer));
+            self.on_wake(n);
+        }
+
+        /// The nonce of the last ping sent to `peer`.
+        pub(super) fn nonce_to(&self, peer: PeerAddr) -> u64 {
+            let ping = self.sent.iter().rev().find_map(|(to, m)| match m {
+                OverlayMsg::Ping { nonce, .. } if *to == peer => Some(*nonce),
+                _ => None,
+            });
+            ping.expect("a ping was sent")
         }
 
         pub(super) fn on_link_broken(&mut self, n: &mut OverlayNode, peer: PeerAddr) {
@@ -426,7 +456,7 @@ mod tests {
             io.digest = answer;
             io.reads.clear();
             io.sent.clear();
-            io.fire_ping(&mut n, 20);
+            io.fire_pings(&mut n);
             let ping = OverlayMsg::Ping {
                 nonce: 9,
                 hash: h.into(),
@@ -443,6 +473,8 @@ mod tests {
                 .collect();
             assert_eq!(carried, [("ping", 20, answer), ("ack", 20, answer)]);
             assert_eq!(io.reads, [20, 20], "one read for each");
+            let nonce = io.nonce_to(20);
+            io.on_message(&mut n, 20, OverlayMsg::PingAck { nonce, hash: None });
         }
     }
 
@@ -450,7 +482,7 @@ mod tests {
     fn ping_ack_roundtrip_upcalls_hash_on_both_sides() {
         let (mut a, mut io_a) = node_with(10, &[20]);
         let (mut b, mut io_b) = node_with(20, &[10]);
-        io_a.fire_ping(&mut a, 20);
+        io_a.fire_pings(&mut a);
         let (_, ping) = io_a.sent.pop().expect("ping");
         io_b.on_message(&mut b, 10, ping);
         assert!(matches!(
@@ -469,9 +501,11 @@ mod tests {
     #[test]
     fn ack_timeout_kills_neighbor_and_upcalls_linkdown() {
         let (mut n, mut io) = node_with(10, &[20, 30]);
-        io.fire_ping(&mut n, 20);
+        io.fire_pings(&mut n);
+        let nonce = io.nonce_to(30);
+        io.on_message(&mut n, 30, OverlayMsg::PingAck { nonce, hash: None });
         io.now += OverlayConfig::default().ping_timeout;
-        io.on_timer(&mut n, OverlayTimer::AckTimeout);
+        io.on_wake(&mut n);
         assert!(!n.is_neighbor(20));
         assert!(io.upcalls.iter().any(|u| matches!(
             u,
@@ -489,7 +523,7 @@ mod tests {
     fn stale_ack_timeout_is_ignored_after_ack() {
         let (mut a, mut io_a) = node_with(10, &[20]);
         let (mut b, mut io_b) = node_with(20, &[10]);
-        io_a.fire_ping(&mut a, 20);
+        io_a.fire_pings(&mut a);
         let (_, ping) = io_a.sent.pop().unwrap();
         let nonce = match &ping {
             OverlayMsg::Ping { nonce, .. } => *nonce,
@@ -507,10 +541,10 @@ mod tests {
         io_a.on_message(&mut a, 20, ack);
         assert_eq!(a.stats.acks_received, 1);
         io_a.now += OverlayConfig::default().ping_timeout;
-        io_a.timers.clear();
-        io_a.on_timer(&mut a, OverlayTimer::AckTimeout);
+        io_a.wakes.clear();
+        io_a.on_wake(&mut a);
         assert!(a.is_neighbor(20), "timeout after ack must be a no-op");
-        assert!(io_a.timers.is_empty(), "no wait is left to re-arm for");
+        assert_eq!(io_a.wakes.len(), 1, "one wake-up, for what comes next");
     }
 
     #[test]
@@ -659,7 +693,7 @@ mod tests {
         let mut owners = Vec::new();
         for start in (0..n).step_by(n / 20) {
             io.sent.clear();
-            io.on_timer(&mut nodes[start], OverlayTimer::Maintenance);
+            io.maintain(&mut nodes[start]);
             let mut at = start as PeerAddr;
             while let Some((to, msg)) = io.sent.pop() {
                 match msg {

@@ -92,7 +92,7 @@ impl PassiveView {
 mod tests {
     use super::super::tests::{info, node_with};
     use crate::id::NodeInfo;
-    use crate::io::{OverlayTimer, OverlayUpcall};
+    use crate::io::OverlayUpcall;
     use crate::messages::OverlayMsg;
     use fuse_util::PeerAddr;
 
@@ -111,7 +111,7 @@ mod tests {
                 io.on_message(&mut n, 30, OverlayMsg::AnnounceAck { candidates });
             }
             io.sent.clear();
-            io.on_timer(&mut n, OverlayTimer::Maintenance);
+            io.maintain(&mut n);
             for (to, msg) in &io.sent {
                 if let OverlayMsg::Announce {
                     want_reply: true, ..

@@ -1,26 +1,36 @@
-//! The overlay's one ack-deadline timer against one deadline per ping.
+//! The overlay's one wake-up against one deadline per ping and one ping
+//! chain per neighbour.
 //!
 //! One [`OverlayNode`] is driven by hand: neighbours are admitted by
 //! announces (a closer one evicts the farthest, a dropped one comes back),
-//! pings go out when the node's own ping timers fire, acks come back with
-//! the right or a wrong nonce, links break, and the clock steps through
-//! the node's timer arms. Nothing is cancelled: every timer armed fires,
-//! in (deadline, arm order), as the simulation kernel fires them, and a
-//! ping timer is also delivered early now and then. A neighbour is pinged
-//! only at the deadline of the ping timer last armed for it.
+//! acks come back with the right or a wrong nonce, links break, and the
+//! clock steps through the wake-ups the node asks for. Nothing is
+//! cancelled: every wake-up asked for fires, in (deadline, request order),
+//! as the simulation kernel fires them. Now and then one fires twice, a
+//! wake-up nobody asked for comes early, and a stall fires all that came
+//! due in it at its end, as a socket runtime may.
 //!
-//! Beside it runs a reference of one deadline per ping, kept the way one
-//! timer per ping kept it: every ping sent sets its peer's wait to `sent +
-//! ping_timeout`, replacing the last; a matching ack or the peer leaving
-//! the monitored set ends it. Every neighbour the node declares dead by
-//! timeout must be the reference's next due wait, at exactly its deadline:
-//! none early, none missing, in send order.
+//! Beside it runs a reference kept the way one timer per deadline kept it:
+//!
+//! * one ping chain per monitored neighbour: its first ping at the phase
+//!   the node drew on admission, within one period, then one a period
+//!   after each ping; a neighbour dropped and re-admitted starts afresh.
+//!   Every ping must be its chain's next, at exactly its deadline (or past
+//!   it, in a stall), and none may be missing;
+//! * one wait per ping: every ping sent sets its peer's wait to `sent +
+//!   ping_timeout`, replacing the last; a matching ack or the peer leaving
+//!   the monitored set ends it. Every neighbour the node declares dead by
+//!   timeout must be the reference's next due wait, at exactly its
+//!   deadline: none early, none missing, in send order.
+//!
+//! A wake-up leaves nothing due behind: it never asks for another at the
+//! instant it ran.
 
 use std::collections::BTreeMap;
 
 use fuse_overlay::{
     NodeInfo, NodeName, OverlayConfig, OverlayCx, OverlayMsg, OverlayNode, OverlaySink,
-    OverlayTimer, OverlayUpcall,
+    OverlayUpcall,
 };
 use fuse_util::{Duration, PeerAddr, Time};
 use fuse_wire::Digest;
@@ -41,10 +51,10 @@ fn info(p: PeerAddr) -> NodeInfo {
     NodeInfo::new(p, NodeName::numbered(p as usize))
 }
 
-/// The driver's sink: sends and armed timers are collected.
+/// The driver's sink: sends and wake-up requests are collected.
 struct Out<'a> {
     sent: &'a mut Vec<(PeerAddr, OverlayMsg)>,
-    armed: &'a mut Vec<(OverlayTimer, Duration)>,
+    wakes: &'a mut Vec<Duration>,
 }
 
 impl OverlaySink for Out<'_> {
@@ -52,8 +62,8 @@ impl OverlaySink for Out<'_> {
         self.sent.push((to, msg));
     }
 
-    fn set_timer(&mut self, tag: OverlayTimer, after: Duration) {
-        self.armed.push((tag, after));
+    fn wake(&mut self, after: Duration) {
+        self.wakes.push(after);
     }
 
     fn link_digest(&mut self, _peer: PeerAddr) -> Option<Digest> {
@@ -61,11 +71,14 @@ impl OverlaySink for Out<'_> {
     }
 }
 
-/// One wait per peer, kept the way one timer per ping kept it.
+/// One wait per peer and one ping chain per neighbour, kept the way one
+/// timer per deadline kept them.
 #[derive(Default)]
 struct Reference {
     /// Per peer: (deadline, send order, nonce) of its outstanding ping.
     waits: BTreeMap<PeerAddr, (Time, u64, u64)>,
+    /// Per monitored neighbour: when its next ping is due.
+    chains: BTreeMap<PeerAddr, Time>,
     pings: u64,
 }
 
@@ -79,13 +92,16 @@ impl Reference {
 }
 
 /// What the scripts reached, so the generator can be shown to cover the
-/// cases the sweep must get right.
+/// cases the node must get right.
 #[derive(Debug, Default)]
 struct Reached {
     timeouts: u64,
     same_instant_timeouts: u64,
     replaced_waits: u64,
-    early_pings: u64,
+    chained_pings: u64,
+    late_pings: u64,
+    early_wakes: u64,
+    double_wakes: u64,
     evicted_while_waiting: u64,
     wrong_nonce_acks: u64,
     breaks: u64,
@@ -95,7 +111,7 @@ struct Reached {
 /// Why an input reached the node.
 #[derive(Clone, Copy, PartialEq)]
 enum Cause {
-    Timer,
+    Wake,
     Break(PeerAddr),
     Other,
 }
@@ -104,13 +120,12 @@ struct Rig {
     node: OverlayNode,
     rng: StdRng,
     now: Time,
+    period: Duration,
     timeout: Duration,
-    /// Armed timers by (deadline, arm order).
-    timers: BTreeMap<(Time, u64), OverlayTimer>,
-    armed: u64,
-    /// The deadline of the ping timer last armed for each peer.
-    ping_due: BTreeMap<PeerAddr, Time>,
-    /// Whether timers now fire late, all at the end of a stall.
+    /// Wake-ups asked for, by (deadline, request order).
+    wakes: BTreeMap<(Time, u64), ()>,
+    asked: u64,
+    /// Whether wake-ups now fire late, all at the end of a stall.
     late: bool,
     /// Nonce of the last ping sent to each peer.
     last_ping: BTreeMap<PeerAddr, u64>,
@@ -124,15 +139,15 @@ struct Rig {
 
 impl Rig {
     fn new(cfg: OverlayConfig, seed: u64, reached: Reached) -> Self {
-        let timeout = cfg.ping_timeout;
+        let (period, timeout) = (cfg.ping_period, cfg.ping_timeout);
         let mut rig = Rig {
             node: OverlayNode::new(info(ME as PeerAddr), None, cfg),
             rng: StdRng::seed_from_u64(seed),
             now: Time::ZERO,
+            period,
             timeout,
-            timers: BTreeMap::new(),
-            armed: 0,
-            ping_due: BTreeMap::new(),
+            wakes: BTreeMap::new(),
+            asked: 0,
             late: false,
             last_ping: BTreeMap::new(),
             dropped: Vec::new(),
@@ -146,46 +161,20 @@ impl Rig {
     }
 
     /// Runs one node entry point at `now`, checks its pings, acks and
-    /// deaths against the reference and queues the timers it armed.
+    /// deaths against the reference, follows the monitored set's changes
+    /// and queues the wake-ups it asked for.
     fn call(
         &mut self,
         cause: Cause,
         f: impl FnOnce(&mut OverlayNode, &mut OverlayCx<'_>),
     ) -> Result<(), TestCaseError> {
-        let (mut sent, mut armed, mut upcalls) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut sent, mut wakes, mut upcalls) = (Vec::new(), Vec::new(), Vec::new());
         let mut out = Out {
             sent: &mut sent,
-            armed: &mut armed,
+            wakes: &mut wakes,
         };
         let mut cx = OverlayCx::new(self.now, &mut self.rng, &mut out, &mut upcalls);
         f(&mut self.node, &mut cx);
-        for (to, msg) in sent {
-            if let OverlayMsg::Ping { nonce, .. } = msg {
-                let due = self.ping_due.get(&to).copied();
-                prop_assert!(
-                    due.is_some_and(|at| self.came(at)),
-                    "{} was pinged at {}; its ping deadline is {:?}",
-                    to,
-                    self.now,
-                    due
-                );
-                let r = &mut self.reference;
-                r.pings += 1;
-                let wait = (self.now + self.timeout, r.pings, nonce);
-                if r.waits.insert(to, wait).is_some() {
-                    self.reached.replaced_waits += 1;
-                }
-                self.last_ping.insert(to, nonce);
-            }
-        }
-        for (tag, after) in armed {
-            self.armed += 1;
-            let at = self.now + after;
-            self.timers.insert((at, self.armed), tag);
-            if let OverlayTimer::PingDue(peer) = tag {
-                self.ping_due.insert(peer, at);
-            }
-        }
         for up in upcalls {
             let OverlayUpcall::LinkDown { peer, died } = up else {
                 continue;
@@ -193,7 +182,7 @@ impl Rig {
             self.dropped.push(peer);
             let timed_out = died && cause != Cause::Break(peer);
             if timed_out {
-                prop_assert!(cause == Cause::Timer, "{peer} died outside a timer");
+                prop_assert!(cause == Cause::Wake, "{peer} died outside a wake-up");
                 let due = self.reference.next_due(self.now);
                 prop_assert!(
                     due.is_some_and(|(at, p)| p == peer && self.came(at)),
@@ -213,11 +202,70 @@ impl Rig {
                 self.reached.breaks += 1;
             }
         }
+        for (to, msg) in sent {
+            if let OverlayMsg::Ping { nonce, .. } = msg {
+                let due = self.reference.chains.get(&to).copied();
+                prop_assert!(
+                    due.is_some_and(|at| self.came(at)),
+                    "{} was pinged at {}; its chain's next ping is due at {:?}",
+                    to,
+                    self.now,
+                    due
+                );
+                self.reached.late_pings += u64::from(due < Some(self.now));
+                self.reached.chained_pings += u64::from(self.last_ping.contains_key(&to));
+                self.reference.chains.insert(to, self.now + self.period);
+                let r = &mut self.reference;
+                r.pings += 1;
+                let wait = (self.now + self.timeout, r.pings, nonce);
+                if r.waits.insert(to, wait).is_some() {
+                    self.reached.replaced_waits += 1;
+                }
+                self.last_ping.insert(to, nonce);
+            }
+        }
+        self.follow_chains()?;
+        for after in wakes {
+            prop_assert!(
+                cause != Cause::Wake || after > Duration::ZERO,
+                "a wake-up at {} left something due",
+                self.now
+            );
+            self.asked += 1;
+            self.wakes.insert((self.now + after, self.asked), ());
+        }
+        Ok(())
+    }
+
+    /// Starts a chain for every neighbour admitted, at the phase the node
+    /// drew for it, and ends the chain of every neighbour dropped.
+    fn follow_chains(&mut self) -> Result<(), TestCaseError> {
+        for x in 0..48 {
+            let peer = candidate(x);
+            let chain = self.reference.chains.contains_key(&peer);
+            match self.node.next_ping(peer) {
+                Some(at) if !chain => {
+                    prop_assert!(
+                        self.now <= at && at <= self.now + self.period,
+                        "{} admitted at {} first pinged at {}",
+                        peer,
+                        self.now,
+                        at
+                    );
+                    self.reference.chains.insert(peer, at);
+                    self.reached.readmitted += u64::from(self.dropped.contains(&peer));
+                }
+                None if chain => {
+                    self.reference.chains.remove(&peer);
+                }
+                _ => {}
+            }
+        }
         Ok(())
     }
 
     /// Whether a deadline `at` is met by acting now: exactly on it, or
-    /// past it while timers fire late.
+    /// past it while wake-ups fire late.
     fn came(&self, at: Time) -> bool {
         if self.late {
             at <= self.now
@@ -226,34 +274,39 @@ impl Rig {
         }
     }
 
-    /// Fires every timer due by `until` in (deadline, arm order), each at
-    /// its deadline, or all at `until` when `late` (a driver that stalled,
-    /// as a socket runtime may), then checks that no reference wait due by
-    /// then is still outstanding.
-    fn run_until(&mut self, until: Time, late: bool) -> Result<(), TestCaseError> {
+    /// Fires every wake-up due by `until` in (deadline, request order),
+    /// each at its deadline (and the first one `twice` over), or all at
+    /// `until` when `late` (a driver that stalled), then checks that no
+    /// reference wait or ping due by then is still outstanding.
+    fn run_until(&mut self, until: Time, late: bool, twice: bool) -> Result<(), TestCaseError> {
         self.late = late;
-        while let Some(entry) = self.timers.first_entry() {
+        let mut again = twice;
+        while let Some(entry) = self.wakes.first_entry() {
             if entry.key().0 > until {
                 break;
             }
-            let ((at, _), tag) = entry.remove_entry();
+            let (at, _) = entry.remove_entry().0;
             self.now = if late { until } else { at };
-            self.call(Cause::Timer, |n, cx| n.on_timer(cx, tag))?;
+            self.call(Cause::Wake, |n, cx| n.on_wake(cx))?;
+            if std::mem::take(&mut again) {
+                self.reached.double_wakes += 1;
+                self.call(Cause::Wake, |n, cx| n.on_wake(cx))?;
+            }
         }
         self.late = false;
         self.now = until;
         let missed = self.reference.next_due(until);
         prop_assert!(missed.is_none(), "no death for {missed:?} by {until}");
+        let unpinged = self.reference.chains.iter().find(|(_, &at)| at <= until);
+        prop_assert!(unpinged.is_none(), "no ping for {unpinged:?} by {until}");
         Ok(())
     }
 
-    /// Delivers `peer`'s ping timer now, ahead of its deadline: it must
-    /// send nothing.
-    fn early_ping(&mut self, peer: PeerAddr) -> Result<(), TestCaseError> {
-        let early = self.ping_due.get(&peer).is_some_and(|&at| at > self.now);
-        self.reached.early_pings += u64::from(early && self.node.is_neighbor(peer));
-        let tag = OverlayTimer::PingDue(peer);
-        self.call(Cause::Timer, |n, cx| n.on_timer(cx, tag))
+    /// Wakes the node now, though it asked for no wake-up by now.
+    fn early_wake(&mut self) -> Result<(), TestCaseError> {
+        let asked = self.wakes.keys().next().is_some_and(|k| k.0 <= self.now);
+        self.reached.early_wakes += u64::from(!asked);
+        self.call(Cause::Wake, |n, cx| n.on_wake(cx))
     }
 
     fn ack(&mut self, peer: PeerAddr, right: bool) -> Result<(), TestCaseError> {
@@ -278,14 +331,11 @@ impl Rig {
     }
 
     fn admit(&mut self, peer: PeerAddr) -> Result<(), TestCaseError> {
-        let back = self.dropped.contains(&peer) && !self.node.is_neighbor(peer);
         let msg = OverlayMsg::Announce {
             info: info(peer),
             want_reply: false,
         };
-        self.call(Cause::Other, |n, cx| n.on_message(cx, peer, msg))?;
-        self.reached.readmitted += u64::from(back && self.node.is_neighbor(peer));
-        Ok(())
+        self.call(Cause::Other, |n, cx| n.on_message(cx, peer, msg))
     }
 
     fn break_link(&mut self, peer: PeerAddr) -> Result<(), TestCaseError> {
@@ -322,15 +372,14 @@ fn run(
     let period_ms = cfg.ping_period.nanos() / 1_000_000;
     let timeout_ms = cfg.ping_timeout.nanos() / 1_000_000;
     for &(kind, x, z) in ops {
-        // Admits and breaks name any candidate; early pings go to a
-        // neighbour and acks to a peer with a ping out, when there is one.
+        // Admits and breaks name any candidate; acks go to a peer with a
+        // ping out, when there is one.
         let peer = candidate(x);
         let pick = |set: Vec<PeerAddr>| set.get(usize::from(x) % set.len().max(1)).copied();
-        let neighbour = pick(rig.node.neighbors()).unwrap_or(peer);
         let waiting = pick(rig.reference.waits.keys().copied().collect()).unwrap_or(peer);
         match kind {
             0..=3 => rig.admit(peer)?,
-            4 => rig.early_ping(neighbour)?,
+            4 => rig.early_wake()?,
             5 => rig.ack(waiting, true)?,
             6 | 7 => {
                 // Every peer with a ping out answers it.
@@ -345,7 +394,8 @@ fn run(
                 // Short steps land between pings, medium ones inside a
                 // timeout, long ones let deadlines and whole periods pass.
                 // A stall fires what came due in it all at its end, so
-                // pings due apart go out together.
+                // pings due apart go out together; a short step may fire
+                // its first wake-up twice.
                 let bound = match kind {
                     10 | 11 => 2_000,
                     12 | 13 => timeout_ms,
@@ -353,12 +403,13 @@ fn run(
                     _ => 2 * period_ms,
                 };
                 let ms = u64::from(z) % bound;
-                rig.run_until(rig.now + Duration::from_millis(ms), kind == 14)?;
+                let twice = kind == 11 && z & 1 == 1;
+                rig.run_until(rig.now + Duration::from_millis(ms), kind == 14, twice)?;
             }
         }
     }
     // Every wait still outstanding comes due.
-    rig.run_until(rig.now + cfg.ping_period + cfg.ping_timeout, false)?;
+    rig.run_until(rig.now + cfg.ping_period + cfg.ping_timeout, false, false)?;
     *reached = rig.reached;
     Ok(())
 }
@@ -372,10 +423,11 @@ proptest! {
     }
 }
 
-/// The generated scripts reach every case the sweep must get right: a
+/// The generated scripts reach every case the node must get right: a
 /// timeout, two at one instant, a wait replaced by the next ping, a ping
-/// timer delivered early, a neighbour evicted while its ping is out, a
-/// wrong-nonce ack, a link break and a re-admitted neighbour.
+/// on a running chain, one past its deadline in a stall, a wake-up that
+/// came early and one that fired twice, a neighbour evicted while its ping
+/// is out, a wrong-nonce ack, a link break and a re-admitted neighbour.
 #[test]
 fn generated_scripts_reach_every_case() {
     let mut rng = StdRng::seed_from_u64(1);
@@ -389,7 +441,10 @@ fn generated_scripts_reach_every_case() {
         r.timeouts,
         r.same_instant_timeouts,
         r.replaced_waits,
-        r.early_pings,
+        r.chained_pings,
+        r.late_pings,
+        r.early_wakes,
+        r.double_wakes,
         r.evicted_while_waiting,
         r.wrong_nonce_acks,
         r.breaks,

@@ -41,16 +41,15 @@ pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
 /// `HashSet` with a deterministic hasher.
 pub type DetHashSet<K> = HashSet<K, BuildHasherDefault<Fnv1a>>;
 
-/// Hashes one byte slice with FNV-1a; handy for cheap content fingerprints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::default();
-    h.write(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::default();
+        h.write(bytes);
+        h.finish()
+    }
 
     #[test]
     fn fnv_matches_reference_vectors() {

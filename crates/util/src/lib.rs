@@ -10,7 +10,7 @@
 //! * [`backoff`] — the capped exponential backoff used by FUSE group repair,
 //! * [`idgen`] — deterministic unique-identifier generation,
 //! * [`time`] — transport-neutral instants and durations,
-//! * [`timer`] — driver-neutral timer keys for sans-io state machines,
+//! * [`timer`] — driver-neutral timer keys and the one-wake-up rule,
 //! * [`payload`] — the message size/class contract shared by every driver.
 //!
 //! The [`time`], [`timer`] and [`payload`] modules plus [`PeerAddr`] form
@@ -35,4 +35,4 @@ pub use backoff::Backoff;
 pub use det::{DetHashMap, DetHashSet};
 pub use payload::Payload;
 pub use time::{Duration, Time};
-pub use timer::TimerKey;
+pub use timer::{TimerKey, Wake};

@@ -21,7 +21,7 @@ use fuse_net::{NetConfig, Network, RouteOracle, Topology, TopologyConfig};
 use fuse_overlay::oracle::OracleTables;
 use fuse_overlay::{
     build_oracle_tables, NodeInfo, NodeName, OverlayConfig, OverlayCx, OverlayMsg, OverlayNode,
-    OverlaySink, OverlayTimer,
+    OverlaySink,
 };
 use fuse_sim::{Medium, ProcId, SimTime, Verdict};
 use fuse_util::{Duration, PeerAddr, Time, TimerKey};
@@ -140,14 +140,14 @@ fn ring_tables(at: usize) -> (Vec<NodeInfo>, OracleTables) {
     (infos, tables)
 }
 
-/// An overlay sink that keeps only the timers the overlay arms.
-struct Armed(Vec<OverlayTimer>);
+/// An overlay sink that keeps only the last wake-up the overlay asks for.
+struct Armed(Duration);
 
 impl OverlaySink for Armed {
     fn send(&mut self, _to: PeerAddr, _msg: OverlayMsg) {}
 
-    fn set_timer(&mut self, tag: OverlayTimer, _after: Duration) {
-        self.0.push(tag);
+    fn wake(&mut self, after: Duration) {
+        self.0 = after;
     }
 
     fn link_digest(&mut self, _peer: PeerAddr) -> Option<Digest> {
@@ -159,20 +159,25 @@ impl OverlaySink for Armed {
 fn warm_maintenance_probe_allocates_only_its_path_and_reply_sets() {
     const PROBES: u64 = 200;
     let (infos, (cw, ccw, rt)) = ring_tables(3);
-    let mut node = OverlayNode::new(infos[3], None, OverlayConfig::default());
+    // Pings come due years from now, so every wake-up below is maintenance.
+    let cfg = OverlayConfig {
+        ping_period: Duration::from_secs(1 << 30),
+        ..OverlayConfig::default()
+    };
+    let mut node = OverlayNode::new(infos[3], None, cfg);
     node.preload_tables(cw, ccw, rt);
     let mut rng = StdRng::seed_from_u64(0xF0D2);
-    let mut armed = Armed(Vec::new());
+    let mut armed = Armed(Duration::ZERO);
     let mut upcalls = Vec::new();
+    // Each call runs at the wake-up the last one asked for.
+    let mut now = Time::ZERO;
     let mut run = |node: &mut OverlayNode, f: &mut dyn FnMut(&mut OverlayNode, &mut OverlayCx)| {
-        let mut cx = OverlayCx::new(Time::ZERO, &mut rng, &mut armed, &mut upcalls);
+        now += std::mem::replace(&mut armed.0, Duration::ZERO);
+        let mut cx = OverlayCx::new(now, &mut rng, &mut armed, &mut upcalls);
         f(node, &mut cx);
-        // The re-armed maintenance timer is the one that fires next.
-        armed.0.clear();
     };
-    let mut probe = |n: &mut OverlayNode, cx: &mut OverlayCx| {
-        n.on_timer(cx, OverlayTimer::Maintenance);
-    };
+    run(&mut node, &mut |n, cx| n.boot(cx));
+    let mut probe = |n: &mut OverlayNode, cx: &mut OverlayCx| n.on_wake(cx);
     for _ in 0..8 {
         run(&mut node, &mut probe);
     }
@@ -183,6 +188,7 @@ fn warm_maintenance_probe_allocates_only_its_path_and_reply_sets() {
         }
     });
     assert_eq!(node.stats.probes_sent - sent, PROBES);
+    assert_eq!(node.stats.pings_sent, 0, "a ping came due");
     // The one allocation per probe is its hop path, reserved once; the
     // target name and every identity in the message are inline.
     assert_eq!(allocs, PROBES, "a warm maintenance probe allocated a name");
