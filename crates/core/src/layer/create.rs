@@ -48,13 +48,14 @@ impl FuseLayer {
             );
         }
         // A singleton group has no round: alive until explicitly signalled.
-        let round = (!others.is_empty()).then(|| Round::new(cx, &others, CREATE_TIMEOUT));
+        let round = (!others.is_empty()).then(|| Round::new(cx, id, &others, CREATE_TIMEOUT));
         let singleton = round.is_none();
         let role = RoleState::Root(RootState::new(others, round));
         self.groups.insert(id, Group::new(0, role));
         if singleton {
             self.creation_answered(cx, id);
         }
+        self.trim_deadlines(cx);
         CreateTicket::new(id)
     }
 

@@ -33,13 +33,22 @@
 //! The layer arms one wake-up for all of its deadlines, and cancels
 //! nothing. Each deadline lives in the state it guards: a round's `due`, a
 //! root's `kick`, a member's `repair_wait`, and the earliest link expiry
-//! in `tree`'s record of monitored peers. Setting one notes it
-//! (`CoreCx::deadline`), which asks the host for a wake-up only when it
-//! comes before the one pending. A wake-up acts on whatever has come
-//! (`due <= now`: a socket driver wakes late) — the link expiry first,
-//! then each group's deadlines in deadline order, a round's before its
-//! kick — and asks for a wake-up at the earliest deadline left, so one
-//! that comes early or twice finds nothing due.
+//! in `tree`'s record of monitored peers. Setting a group's deadline
+//! (`CoreCx::deadline`) pushes `(deadline, FuseId)` on a lazy min-queue
+//! and asks the host for a wake-up only when it comes before the one
+//! pending. Nothing leaves the queue but at its front: an entry is live
+//! while its group's record holds it as `Group::deadline`, and one the
+//! group consumed, moved or took away with it is dropped when it gets
+//! there. A wake-up acts on whatever has come (`due <= now`: a socket
+//! driver wakes late) — the link expiry first, then each group whose live
+//! entry has come, in (deadline, `FuseId`) order, a round's before its
+//! kick — drops the stale entries off the queue's front and asks for a
+//! wake-up at the earliest of the front and the link expiry, so one that
+//! comes early or twice finds nothing due. Once stale entries could
+//! outnumber the records' deadlines, the entry points that set deadlines
+//! (a FUSE message, a wake-up, a creation) drop every one no record holds
+//! (`trim_deadlines`), so group churn faster than the deadlines come
+//! keeps the queue within a few entries a record.
 //!
 //! This module holds the state and the dispatch; the protocol lives in one
 //! module per seam of §6: `create` (blocking creation, §6.2), `tree` (the
@@ -52,7 +61,8 @@ mod notify;
 mod repair;
 mod tree;
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use fuse_obs::{Aggregates, Recorder};
 use fuse_overlay::{NodeInfo, OverlayCx, OverlayMsg, OverlayNode, OverlaySink, OverlayUpcall};
@@ -89,16 +99,18 @@ pub(crate) struct CoreCx<'a> {
     pub(crate) alarm: &'a mut Alarm,
 }
 
-/// The layer's one wake-up, and a floor under its groups' deadlines: none
-/// comes before it, so a wake-up before it looks at no group.
+/// The layer's one wake-up, and the lazy min-queue of its groups'
+/// deadlines: every deadline a group record holds has an entry, and an
+/// entry whose record no longer holds it leaves when it reaches the front.
 #[derive(Clone, Default)]
 pub(crate) struct Alarm {
     wake: Wake,
-    floor: Option<Time>,
+    groups: BinaryHeap<Reverse<(Time, FuseId)>>,
 }
 
 impl CoreCx<'_> {
     /// Queues a FUSE message to a peer.
+    #[inline]
     pub(crate) fn send_fuse(&mut self, to: PeerAddr, msg: FuseMsg) {
         self.out.push_back(Output::Send {
             to,
@@ -106,18 +118,19 @@ impl CoreCx<'_> {
         });
     }
 
-    /// A deadline `after` from now: noted for the layer's wake-up, and
-    /// under the floor (the sweep's first deadline lowers it too, which
-    /// costs one look at the groups).
-    pub(crate) fn deadline(&mut self, after: Duration) -> Time {
+    /// A deadline of group `id`, `after` from now: queued for the layer's
+    /// wake-up, and noted for it.
+    #[inline]
+    pub(crate) fn deadline(&mut self, id: FuseId, after: Duration) -> Time {
         let at = self.now + after;
-        self.alarm.floor = Some(self.alarm.floor.map_or(at, |f| f.min(at)));
+        self.alarm.groups.push(Reverse((at, id)));
         self.wake_at(at);
         at
     }
 
     /// Notes `at` for the layer's wake-up, asking the host for one when it
     /// comes before the one pending.
+    #[inline]
     fn wake_at(&mut self, at: Time) {
         if let Some(after) = self.alarm.wake.note(self.now, at) {
             let key = timer_key(NS_FUSE, 0);
@@ -136,10 +149,11 @@ impl CoreCx<'_> {
     /// drain loop. `links` answers the overlay's digest reads: the stack's
     /// overlay entry passes the layer, since pings and acks are built only
     /// there; the layer's own overlay calls (routing) pass `None`.
+    #[inline]
     pub(crate) fn ov<R>(
         &mut self,
         ov: &mut OverlayNode,
-        links: Option<&mut FuseLayer>,
+        links: Option<&FuseLayer>,
         f: impl FnOnce(&mut OverlayNode, &mut OverlayCx<'_>) -> R,
     ) -> R {
         let mut sink = OverlayOut {
@@ -155,10 +169,11 @@ impl CoreCx<'_> {
 /// the one place overlay effects become outputs.
 struct OverlayOut<'a> {
     out: &'a mut VecDeque<Output>,
-    links: Option<&'a mut FuseLayer>,
+    links: Option<&'a FuseLayer>,
 }
 
 impl OverlaySink for OverlayOut<'_> {
+    #[inline]
     fn send(&mut self, to: PeerAddr, msg: OverlayMsg) {
         self.out.push_back(Output::Send {
             to,
@@ -166,14 +181,16 @@ impl OverlaySink for OverlayOut<'_> {
         });
     }
 
+    #[inline]
     fn wake(&mut self, after: Duration) {
         let key = timer_key(NS_OVERLAY, 0);
         self.out.push_back(Output::SetTimer { key, after });
     }
 
+    #[inline]
     fn link_digest(&mut self, peer: PeerAddr) -> Option<Digest> {
         debug_assert!(self.links.is_some(), "a ping or ack built while routing");
-        self.links.as_mut()?.link_digest(peer)
+        self.links?.link_digest(peer)
     }
 }
 
@@ -221,27 +238,28 @@ struct Round {
 }
 
 impl Round {
-    /// A round awaiting every member, its reply deadline `after` from now.
-    fn new(cx: &mut CoreCx<'_>, members: &[NodeInfo], after: Duration) -> Round {
+    /// Group `id`'s round awaiting every member, its reply deadline
+    /// `after` from now.
+    fn new(cx: &mut CoreCx<'_>, id: FuseId, members: &[NodeInfo], after: Duration) -> Round {
         let replies: DetHashSet<PeerAddr> = members.iter().map(|m| m.proc).collect();
         Round {
             installs: replies.clone(),
             replies,
-            due: cx.deadline(after),
+            due: cx.deadline(id, after),
             dirty: false,
         }
     }
 
-    /// Counts awaited `from`'s reply; `true` when it was the last. The
-    /// reply deadline then gives way to `INSTALL_WAIT` if installs are
-    /// missing.
-    fn reply(&mut self, cx: &mut CoreCx<'_>, from: PeerAddr) -> bool {
+    /// Counts awaited `from`'s reply to group `id`'s round; `true` when it
+    /// was the last. The reply deadline then gives way to `INSTALL_WAIT` if
+    /// installs are missing.
+    fn reply(&mut self, cx: &mut CoreCx<'_>, id: FuseId, from: PeerAddr) -> bool {
         self.replies.remove(&from);
         if !self.replies.is_empty() {
             return false;
         }
         if !self.installs.is_empty() {
-            self.due = cx.deadline(INSTALL_WAIT);
+            self.due = cx.deadline(id, INSTALL_WAIT);
         }
         true
     }
@@ -348,6 +366,17 @@ impl Group {
             RoleState::Delegate => None,
         }
     }
+
+    /// Whether `at` is one of the record's deadlines, the earliest or not.
+    fn has_deadline(&self, at: Time) -> bool {
+        match &self.role {
+            RoleState::Root(rs) => {
+                rs.round.as_ref().map(|r| r.due) == Some(at) || rs.kick == Some(at)
+            }
+            RoleState::Member(ms) => ms.repair_wait == Some(at),
+            RoleState::Delegate => false,
+        }
+    }
 }
 
 /// The per-node FUSE layer.
@@ -360,7 +389,7 @@ pub struct FuseLayer {
     /// its `create_group` on.
     groups: DetHashMap<FuseId, Group>,
     /// One record per monitored peer: the groups on its link, its
-    /// liveness floor and its cached digest; only `tree` touches it.
+    /// liveness floor and its digest; only `tree` touches it.
     watch: Watch,
     /// Reusable single-pass encode scratch for wire payloads this layer
     /// builds (`InstallChecking` envelopes): encoding reserves the exact
@@ -467,9 +496,11 @@ impl FuseLayer {
             }
             FuseMsg::ReconcileReply { links } => self.reconcile(cx, from, &links),
         }
+        self.trim_deadlines(cx);
     }
 
     /// Handles an upcall from the overlay beneath.
+    #[inline]
     pub(crate) fn on_overlay_upcall(&mut self, cx: &mut CoreCx<'_>, up: OverlayUpcall) {
         match up {
             OverlayUpcall::PingHash { peer, hash } => self.on_ping_hash(cx, peer, hash),
@@ -504,32 +535,62 @@ impl FuseLayer {
         }
     }
 
-    /// The layer's wake-up: a hint. The link expiry runs if it has come;
-    /// then, once the floor has, each group whose deadline has, in
-    /// (deadline, `FuseId`) order, and the floor rises to the earliest
-    /// group deadline left. The layer asks for a wake-up at the earliest
-    /// of the floor and the expiry.
+    /// The layer's wake-up: a hint. The link expiry runs if it has come.
+    /// Then the queue's entries that have come leave it, and each group
+    /// whose entry among them is live runs, in (deadline, `FuseId`) order;
+    /// all leave before any runs, so a deadline one of them sets waits for
+    /// a wake-up of its own. Last, the stale entries at the front go, and
+    /// the layer asks for a wake-up at the earlier of the front and the
+    /// expiry.
     pub(crate) fn on_wake(&mut self, cx: &mut CoreCx<'_>) {
         let now = cx.now;
         cx.alarm.wake.fired(now);
         if self.watch.expiry.is_some_and(|at| at <= now) {
             self.sweep_link_expiry(cx);
         }
-        if cx.alarm.floor.is_some_and(|at| at <= now) {
-            let deadlines = self
-                .groups
-                .iter()
-                .filter_map(|(&id, g)| Some((g.deadline()?, id)));
-            let mut due: Vec<_> = deadlines.filter(|d| d.0 <= now).collect();
-            due.sort_unstable();
-            for (_, id) in due {
-                self.on_group_timer(cx, id);
+        let mut due = Vec::new();
+        while let Some(&Reverse((at, id))) = cx.alarm.groups.peek() {
+            if at > now {
+                break;
             }
-            cx.alarm.floor = self.groups.values().filter_map(Group::deadline).min();
+            cx.alarm.groups.pop();
+            if self.holds(at, id) && due.last() != Some(&id) {
+                due.push(id);
+            }
         }
-        if let Some(at) = cx.alarm.floor.into_iter().chain(self.watch.expiry).min() {
+        for id in due {
+            self.on_group_timer(cx, id);
+        }
+        self.trim_deadlines(cx);
+        while let Some(&Reverse((at, id))) = cx.alarm.groups.peek() {
+            if self.holds(at, id) {
+                break;
+            }
+            cx.alarm.groups.pop();
+        }
+        let front = cx.alarm.groups.peek().map(|e| e.0 .0);
+        if let Some(at) = front.into_iter().chain(self.watch.expiry).min() {
             cx.wake_at(at);
         }
+    }
+
+    /// Whether `at` is group `id`'s deadline: its queue entry is live.
+    fn holds(&self, at: Time, id: FuseId) -> bool {
+        self.groups.get(&id).and_then(Group::deadline) == Some(at)
+    }
+
+    /// Drops the queue's entries that no record holds among its deadlines
+    /// once they could outnumber the records' own: a root that creates and
+    /// signals groups faster than their deadlines come would otherwise
+    /// queue an entry for every deadline set within the last
+    /// `INSTALL_WAIT`. A record holds at most two, so the queue stays
+    /// within about four entries a record, at O(1) per entry pushed.
+    fn trim_deadlines(&self, cx: &mut CoreCx<'_>) {
+        if cx.alarm.groups.len() <= 4 * self.groups.len() + 64 {
+            return;
+        }
+        let held = |id, at| self.groups.get(&id).is_some_and(|g| g.has_deadline(at));
+        cx.alarm.groups.retain(|&Reverse((at, id))| held(id, at));
     }
 
     /// Handles a transport-level broken connection (direct messages).
@@ -543,6 +604,13 @@ impl FuseLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Alarm {
+        /// Entries queued, stale ones included.
+        pub(crate) fn queued(&self) -> usize {
+            self.groups.len()
+        }
+    }
 
     #[test]
     fn group_record_keeps_root_state_out_of_line() {

@@ -81,7 +81,7 @@ impl FuseLayer {
         }
         cx.send_fuse(ms.root.proc, FuseMsg::NeedRepair { id, seq });
         let after = self.cfg.member_repair_timeout;
-        ms.repair_wait = Some(cx.deadline(after));
+        ms.repair_wait = Some(cx.deadline(id, after));
     }
 
     pub(super) fn on_need_repair(&mut self, cx: &mut CoreCx<'_>, from: PeerAddr, id: FuseId) {
@@ -104,7 +104,7 @@ impl FuseLayer {
             Some(round) if !round.replies.is_empty() => round.dirty = true,
             _ if rs.kick.is_none() => {
                 let delay = Duration(rs.backoff.next_delay());
-                rs.kick = Some(cx.deadline(delay));
+                rs.kick = Some(cx.deadline(id, delay));
             }
             _ => {}
         }
@@ -139,7 +139,7 @@ impl FuseLayer {
             );
         }
         let timeout = self.cfg.root_repair_timeout;
-        rs.round = Some(Round::new(cx, &rs.members, timeout));
+        rs.round = Some(Round::new(cx, id, &rs.members, timeout));
     }
 
     /// The round `id`'s root runs at `seq`, creation being round 0.
@@ -173,7 +173,7 @@ impl FuseLayer {
         if !ok {
             let reason = NotifyReason::RepairFailed;
             self.round_failed(cx, id, CreateError::Refused, reason);
-        } else if round.reply(cx, from) {
+        } else if round.reply(cx, id, from) {
             if round.dirty {
                 self.request_repair(cx, id);
             }

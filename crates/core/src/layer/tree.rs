@@ -5,23 +5,32 @@
 //! This module alone writes link state. A group's links are a [`Links`]
 //! that other modules can only read; the per-peer records and the node's
 //! one expiry deadline live in [`Watch`], whose fields only this module
-//! can name (the layer's wake-up reads the deadline). Each monitored peer has one record: the sorted groups on its
-//! link, when a piggybacked digest last agreed, and the cached digest.
+//! can name (the layer's wake-up reads the deadline). Each monitored peer
+//! has one record: the sorted groups on its link, when a piggybacked
+//! digest last agreed, and the link's digest.
 //! Installs (§6.2) add links as `InstallChecking` envelopes pass; agreeing
 //! ping digests and reconcile replies refresh them (§6.3); a link leaves
 //! through [`remove_link`](FuseLayer::remove_link) or
-//! [`clear_links`](FuseLayer::clear_links). The overlay keeps no digest:
-//! it asks for one when it builds a ping or an ack
+//! [`clear_links`](FuseLayer::clear_links).
+//!
+//! A link's digest is the XOR, over its groups, of a fixed 160-bit
+//! expansion of each `FuseId` (`expand`). A group joining or leaving the
+//! link folds its expansion in or out in place, so the digest is always
+//! current: no ping, ack or comparison hashes, and the digest of no groups
+//! is the XOR identity, [`Digest::ZERO`]. Two different group sets share a
+//! digest with probability about 2⁻¹⁶⁰, so equal digests stand for equal
+//! sets as the paper's SHA-1 did. The overlay keeps no digest: it asks for
+//! one when it builds a ping or an ack
 //! ([`link_digest`](FuseLayer::link_digest)). The invariant this module
 //! owns: [`hash_cache_consistent`](FuseLayer::hash_cache_consistent) holds
 //! after every entry point — the records name exactly the groups' links,
-//! and every cached digest equals a fresh recomputation.
+//! and every digest equals the fold over its link's groups.
 
-use fuse_obs::{Event, ObsSink, Recorder};
+use fuse_obs::{Event, ObsSink};
 use fuse_overlay::node::RouteStart;
 use fuse_overlay::{NodeInfo, OverlayNode};
 use fuse_util::{DetHashMap, DetHashSet, PeerAddr, Time};
-use fuse_wire::{Digest, Sha1};
+use fuse_wire::Digest;
 
 use super::{CoreCx, FuseLayer, Group, RoleState};
 use crate::messages::{FuseMsg, InstallChecking};
@@ -135,26 +144,42 @@ impl Links {
 /// `max(link.refreshed_at, agreed_at) + link_failure_timeout`.
 #[derive(Clone)]
 struct Peer {
-    /// The groups monitoring the link, sorted: the digest hashes them in
-    /// this order, and links fail in it.
+    /// The groups monitoring the link, sorted: links fail in this order.
     groups: Vec<FuseId>,
     /// When a piggybacked hash from the peer last agreed with ours — the
     /// refresh of every link to the peer at once (§6.3).
     agreed_at: Time,
-    /// The digest of `groups`; `None` when they changed since it was last
-    /// read.
-    digest: Option<Digest>,
+    /// The XOR of `groups`' expansions, folded as they come and go.
+    digest: Digest,
 }
 
-impl Peer {
-    /// The digest of the peer's groups, from the cache when they have not
-    /// changed since it was last read; SHA-1 runs, and `obs` counts it,
-    /// only when they have.
-    fn digest(&mut self, obs: &mut Recorder) -> Digest {
-        *self.digest.get_or_insert_with(|| {
-            obs.record(Event::HashComputed);
-            digest_of(&self.groups)
-        })
+/// The 160 bits `id` contributes to a link's digest: the first three
+/// outputs of SplitMix64 seeded with the id (add the golden-ratio
+/// increment `0x9e3779b97f4a7c15`, then the 64-bit finalizer
+/// `z ^= z >> 30; z *= 0xbf58476d1ce4e5b9; z ^= z >> 27;
+/// z *= 0x94d049bb133111eb; z ^= z >> 31`), written out big-endian, the
+/// third cut to its high four bytes.
+fn expand(id: FuseId) -> [u8; 20] {
+    let mut state = id.0;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)).to_be_bytes()
+    };
+    let mut out = [0; 20];
+    out[..8].copy_from_slice(&next());
+    out[8..16].copy_from_slice(&next());
+    out[16..].copy_from_slice(&next()[..4]);
+    out
+}
+
+/// Folds `id` into `digest`, or out of it if it is in: XOR is its own
+/// inverse.
+fn toggle(digest: &mut Digest, id: FuseId) {
+    for (d, e) in digest.0.iter_mut().zip(expand(id)) {
+        *d ^= e;
     }
 }
 
@@ -169,32 +194,32 @@ pub(super) struct Watch {
 }
 
 impl Watch {
-    /// Adds `id` to the groups on `peer`'s link, marking its digest stale.
-    /// Returns `true` when this is the peer's first group: its record is
-    /// new, agreed at `now`.
+    /// Adds `id` to the groups on `peer`'s link, folding it into the
+    /// link's digest. Returns `true` when this is the peer's first group:
+    /// its record is new, agreed at `now`.
     fn subscribe(&mut self, peer: PeerAddr, id: FuseId, now: Time) -> bool {
         let rec = self.peers.entry(peer).or_insert_with(|| Peer {
             groups: Vec::new(),
             agreed_at: now,
-            digest: None,
+            digest: Digest::ZERO,
         });
         let first = rec.groups.is_empty();
         if let Err(at) = rec.groups.binary_search(&id) {
             rec.groups.insert(at, id);
-            rec.digest = None;
+            toggle(&mut rec.digest, id);
         }
         first
     }
 
-    /// Drops `id` from the groups on `peer`'s link, marking its digest
-    /// stale. The peer's last group takes its record with it.
+    /// Drops `id` from the groups on `peer`'s link, folding it out of the
+    /// link's digest. The peer's last group takes its record with it.
     fn unsubscribe(&mut self, peer: PeerAddr, id: FuseId) {
         let Some(rec) = self.peers.get_mut(&peer) else {
             return;
         };
         if let Ok(at) = rec.groups.binary_search(&id) {
             rec.groups.remove(at);
-            rec.digest = None;
+            toggle(&mut rec.digest, id);
         }
         if rec.groups.is_empty() {
             self.peers.remove(&peer);
@@ -315,10 +340,11 @@ impl FuseLayer {
 
     // ---- Refresh and expiry (§6.3) ------------------------------------------
 
+    #[inline]
     pub(super) fn on_ping_hash(&mut self, cx: &mut CoreCx<'_>, peer: PeerAddr, hash: Digest) {
         let agreed = match self.watch.peers.get_mut(&peer) {
             Some(rec) => {
-                let agreed = rec.digest(&mut self.obs) == hash;
+                let agreed = rec.digest == hash;
                 if agreed {
                     // One store refreshes every (group, link) deadline
                     // this hash covers.
@@ -326,7 +352,7 @@ impl FuseLayer {
                 }
                 agreed
             }
-            None => hash == Digest::of_empty(),
+            None => hash == Digest::ZERO,
         };
         if !agreed {
             // Disagreement: exchange lists (§6.3).
@@ -432,8 +458,9 @@ impl FuseLayer {
                 // sweep already set is at or before `now + timeout`, and
                 // agreements and new links only move deadlines later.
                 if self.watch.subscribe(peer, id, now) && self.watch.expiry.is_none() {
-                    let timeout = self.cfg.link_failure_timeout;
-                    self.watch.expiry = Some(cx.deadline(timeout));
+                    let at = now + self.cfg.link_failure_timeout;
+                    self.watch.expiry = Some(at);
+                    cx.wake_at(at);
                 }
             }
         }
@@ -469,19 +496,17 @@ impl FuseLayer {
     /// FUSE IDs jointly monitored on the link (paper §6.1: a 20-byte hash
     /// encoding "all the FUSE groups that use this overlay link"), and is
     /// `None` when no group monitors it. Read when the overlay builds a
-    /// ping to, or an ack for, `peer`, and when a received digest is
-    /// compared. SHA-1 runs only when the link's groups changed since the
-    /// last read, so an install or teardown costs no hash and an agreeing
-    /// ping costs a lookup.
-    pub(crate) fn link_digest(&mut self, peer: PeerAddr) -> Option<Digest> {
-        let rec = self.watch.peers.get_mut(&peer)?;
-        Some(rec.digest(&mut self.obs))
+    /// ping to, or an ack for, `peer`. The record keeps it current, so a
+    /// read is a lookup.
+    #[inline]
+    pub(crate) fn link_digest(&self, peer: PeerAddr) -> Option<Digest> {
+        self.watch.peers.get(&peer).map(|rec| rec.digest)
     }
 
     /// Whether the link state agrees with itself (test hook): every
     /// group's links are exactly the records that name it, each record
-    /// names at least one group, and every cached digest equals a fresh
-    /// recomputation.
+    /// names at least one group, and every digest equals the fold over its
+    /// link's groups.
     pub fn hash_cache_consistent(&self) -> bool {
         let links: usize = self.groups.values().map(|g| g.links.as_slice().len()).sum();
         let subs: usize = self.watch.peers.values().map(|rec| rec.groups.len()).sum();
@@ -496,21 +521,15 @@ impl FuseLayer {
                     .get(id)
                     .is_some_and(|g| g.links.get(p).is_some())
             });
-            let fresh = rec.digest.is_none_or(|d| d == digest_of(&rec.groups));
+            let mut fold = Digest::ZERO;
+            rec.groups.iter().for_each(|&id| toggle(&mut fold, id));
+            let fresh = rec.digest == fold;
             named && fresh && !rec.groups.is_empty()
         });
         linked && watched && links == subs
     }
 }
 
-/// The digest of `ids`, hashed in order.
-fn digest_of(ids: &[FuseId]) -> Digest {
-    let mut h = Sha1::new();
-    for id in ids {
-        h.update(&id.0.to_be_bytes());
-    }
-    h.finalize()
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,10 +621,35 @@ mod tests {
         assert_eq!(peers, [7, 8]);
     }
 
+    /// A test-local fold over `ids`: the XOR of their expansions.
+    fn fold(ids: impl IntoIterator<Item = FuseId>) -> Digest {
+        let mut d = [0u8; 20];
+        for id in ids {
+            for (b, e) in d.iter_mut().zip(expand(id)) {
+                *b ^= e;
+            }
+        }
+        Digest(d)
+    }
+
+    /// The expansion is SplitMix64's stream, pinned by its known first
+    /// outputs for seed 0 (`e220a8397b1dcdaf`, `6e789e6aa1b965f4`,
+    /// `06c45d188009454f`), written out big-endian.
+    #[test]
+    fn the_expansion_is_splitmix64_big_endian() {
+        let hex: String = expand(FuseId(0))
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, "e220a8397b1dcdaf6e789e6aa1b965f406c45d18");
+        assert_eq!(fold([]), Digest::ZERO, "no groups fold to the identity");
+    }
+
     proptest! {
         /// Groups come and go across three peers: the records hold exactly
-        /// the subscriptions, each at least one group, and a change to a
-        /// peer's groups, and only that, marks its cached digest stale.
+        /// the subscriptions, each at least one group, every digest is the
+        /// fold over its record's groups, and a change to a peer's groups,
+        /// and only that, changes its digest.
         #[test]
         fn churn_keeps_counts_consistent(
             ops in prop::collection::vec((any::<bool>(), 0u32..3, 0u64..5), 1..60),
@@ -613,9 +657,8 @@ mod tests {
             let mut w = Watch::default();
             let mut model = std::collections::BTreeSet::new();
             for (sub, peer, key) in ops {
-                for rec in w.peers.values_mut() {
-                    rec.digest = Some(digest_of(&rec.groups));
-                }
+                let digest = |w: &Watch, p| w.peers.get(&p).map_or(Digest::ZERO, |r| r.digest);
+                let before: Vec<Digest> = (0..3).map(|p| digest(&w, p)).collect();
                 let changed = if sub {
                     w.subscribe(peer, FuseId(key), Time(0));
                     model.insert((peer, FuseId(key)))
@@ -627,11 +670,39 @@ mod tests {
                 for (&p, rec) in &w.peers {
                     prop_assert!(!rec.groups.is_empty());
                     subs.extend(rec.groups.iter().map(|&id| (p, id)));
-                    prop_assert_eq!(rec.digest.is_none(), changed && p == peer);
+                    prop_assert_eq!(rec.digest, fold(rec.groups.iter().copied()));
+                }
+                for p in 0..3 {
+                    let moved = digest(&w, p) != before[p as usize];
+                    prop_assert_eq!(moved, changed && p == peer, "peer {}", p);
                 }
                 subs.sort_unstable();
                 prop_assert_eq!(subs, model.iter().copied().collect::<Vec<_>>());
             }
+        }
+
+        /// A link's digest depends on its set of groups, not on the order
+        /// they came in.
+        #[test]
+        fn the_digest_ignores_subscription_order(
+            raw in prop::collection::vec(any::<u64>(), 0..24),
+            picks in prop::collection::vec(any::<prop::sample::Index>(), 24..25),
+        ) {
+            let set: std::collections::BTreeSet<u64> = raw.into_iter().collect();
+            let ids: Vec<FuseId> = set.into_iter().map(FuseId).collect();
+            // Fisher–Yates, one drawn index a slot.
+            let mut shuffled = ids.clone();
+            for (k, pick) in (1..shuffled.len()).rev().zip(&picks) {
+                shuffled.swap(k, pick.index(k + 1));
+            }
+            let (mut a, mut b) = (Watch::default(), Watch::default());
+            for (&x, &y) in ids.iter().zip(&shuffled) {
+                a.subscribe(1, x, Time(0));
+                b.subscribe(1, y, Time(0));
+            }
+            let digest = |w: &Watch| w.peers.get(&1).map_or(Digest::ZERO, |r| r.digest);
+            prop_assert_eq!(digest(&a), digest(&b));
+            prop_assert_eq!(digest(&a), fold(ids.iter().copied()));
         }
     }
 }

@@ -20,7 +20,8 @@
 //! The peers are also the root's overlay neighbours, so it pings them on
 //! its own schedule. Every `Ping` and `PingAck` that leaves the stack must
 //! carry the digest of the groups monitoring that link at that moment,
-//! although the stack only recomputes a digest when a ping reads it.
+//! which the stack keeps by folding each group in and out as the link's
+//! groups change; the reference here folds the whole set afresh.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -31,7 +32,7 @@ use fuse_core::{
 };
 use fuse_overlay::{NodeInfo, NodeName, OverlayConfig, OverlayMsg};
 use fuse_util::{Duration, PeerAddr, Time, TimerKey};
-use fuse_wire::{Digest, Encode, Sha1};
+use fuse_wire::{Digest, Encode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -397,15 +398,28 @@ fn fuse_timer_sets(outs: &[Output]) -> usize {
     outs.iter().filter(is_set).count()
 }
 
-/// The §6.1 piggyback digest over the groups monitored on one link.
+/// The §6.1 piggyback digest over the groups monitored on one link: the
+/// XOR of each group's 160-bit expansion, the first 20 bytes, big-endian,
+/// of the SplitMix64 stream seeded with its id; `None` for no groups.
 fn digest_of(ids: impl IntoIterator<Item = FuseId>) -> Option<Digest> {
-    let mut h = Sha1::new();
+    let mut d = [0u8; 20];
     let mut any = false;
     for id in ids {
-        h.update(&id.0.to_be_bytes());
+        let mut state = id.0;
+        let mut bytes = Vec::with_capacity(24);
+        for _ in 0..3 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            bytes.extend_from_slice(&(z ^ (z >> 31)).to_be_bytes());
+        }
+        for (b, e) in d.iter_mut().zip(bytes) {
+            *b ^= e;
+        }
         any = true;
     }
-    any.then(|| h.finalize())
+    any.then_some(Digest(d))
 }
 
 #[test]
@@ -543,32 +557,55 @@ fn one_expiry_timer_serves_every_peer() {
     assert_eq!(rig.expiry_timers(), 0, "nothing left to watch");
 }
 
+/// The digest an ack carries moves with each group that joins or leaves
+/// the link and with nothing else: not a refresh, not an agreement, not a
+/// wake-up, not another link's change.
 #[test]
-fn a_digest_is_computed_when_a_ping_reads_a_changed_set_and_only_then() {
+fn a_links_digest_changes_on_each_subscribe_and_unsubscribe_and_only_then() {
     let mut rig = Rig::new();
-    let (g1, g2, a) = (rig.ids[0], rig.ids[1], PEERS[0]);
-    let computed = |rig: &Rig| rig.stack.fuse.obs().hashes_computed;
-    let before = computed(&rig);
+    let (g1, g2, a, b) = (rig.ids[0], rig.ids[1], PEERS[0], PEERS[1]);
+    let mut groups = BTreeSet::new();
+    let mut last = rig.ping(a, None);
+    assert_eq!(last, None, "no group, no digest");
+    let mut step = |rig: &mut Rig, what: &str, change: Option<(bool, FuseId)>| {
+        match change {
+            Some((true, id)) => assert!(groups.insert(id)),
+            Some((false, id)) => assert!(groups.remove(&id)),
+            None => {}
+        }
+        let now = rig.ping(a, digest_of(groups.iter().copied()));
+        assert_eq!(now, digest_of(groups.iter().copied()), "{what}");
+        assert_eq!(
+            now != last,
+            change.is_some(),
+            "{what}: moved {last:?} -> {now:?}"
+        );
+        last = now;
+    };
     rig.install(g1, a);
+    step(&mut rig, "g1 joins", Some((true, g1)));
+    rig.install(g1, a);
+    step(&mut rig, "g1 refreshed", None);
     rig.install(g2, a);
+    step(&mut rig, "g2 joins", Some((true, g2)));
+    rig.install(g1, b);
+    step(&mut rig, "g1 joins another link", None);
+    rig.reconcile_reply(a, &[g1, g2]);
+    step(&mut rig, "a reconcile agrees", None);
+    rig.early_wake();
+    step(&mut rig, "a wake-up", None);
     rig.soft(g2, a);
-    assert_eq!(computed(&rig), before, "a link change computes no digest");
-    assert_eq!(rig.ping(a, digest_of([g1])), digest_of([g1]));
-    assert_eq!(computed(&rig), before + 1, "the ack reads the changed set");
-    assert_eq!(rig.ping(a, digest_of([g1])), digest_of([g1]));
-    assert_eq!(
-        computed(&rig),
-        before + 1,
-        "an unchanged set is not rehashed"
-    );
-    // The root's own pings read it too; every peer comes due within one
-    // period, and only `a`'s set changed.
+    step(&mut rig, "g2 leaves", Some((false, g2)));
     rig.install(g2, a);
+    step(&mut rig, "g2 joins again", Some((true, g2)));
+    rig.soft(g1, a);
+    step(&mut rig, "g1 leaves", Some((false, g1)));
+    assert!(rig.stack.fuse.hash_cache_consistent());
+    // The root's own pings carry it too: every peer comes due within one
+    // period.
     let checked = rig.digests_checked;
     rig.run_until(rig.now + Duration::from_secs(60));
     assert_eq!(rig.digests_checked - checked, PEERS.len() as u64);
-    assert_eq!(computed(&rig), before + 2);
-    assert!(rig.stack.fuse.hash_cache_consistent());
 }
 
 #[test]

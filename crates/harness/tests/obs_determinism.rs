@@ -63,9 +63,12 @@ fn aggregates_are_bit_identical_in_any_fold_order() {
         let folded = fold_every_order(&parts, &format!("script {i}"));
         assert_eq!(folded, world.obs_aggregates(), "script {i}: world fold");
         // Counter spot-checks so a trivially-empty Aggregates can't make
-        // the equality vacuous: every run computes hashes and moves bytes.
+        // the equality vacuous: every run creates groups and moves bytes.
         assert!(folded.bytes_offered > 0, "script {i}: no bytes recorded");
-        assert!(folded.hashes_computed > 0, "script {i}: no hashes recorded");
+        assert!(
+            folded.groups_created > 0,
+            "script {i}: no creation recorded"
+        );
         reports.push(report.obs);
     }
     let all = fold_every_order(&reports.iter().collect::<Vec<_>>(), "run reports");

@@ -80,8 +80,6 @@ pub enum Event {
     LinkExpired,
     /// A state reconciliation ran after a hash disagreement.
     Reconciled,
-    /// A group-state hash was computed.
-    HashComputed,
     /// `bytes` were offered to the transport for a message of `class`.
     BytesOffered {
         /// Message class label.

@@ -63,8 +63,6 @@ pub struct Aggregates {
     pub links_expired: u64,
     /// Reconciliations after hash disagreement.
     pub reconciles: u64,
-    /// Group-state hashes computed.
-    pub hashes_computed: u64,
     // --- transport counters (the Network accessors read these) ---
     /// Connections broken.
     pub breaks: u64,
@@ -121,7 +119,6 @@ impl Aggregates {
         self.repairs_failed += other.repairs_failed;
         self.links_expired += other.links_expired;
         self.reconciles += other.reconciles;
-        self.hashes_computed += other.hashes_computed;
         self.breaks += other.breaks;
         self.content_drops += other.content_drops;
         self.bytes_offered += other.bytes_offered;
@@ -206,7 +203,6 @@ impl ObsSink for Recorder {
             Event::RepairFailed => a.repairs_failed += 1,
             Event::LinkExpired => a.links_expired += 1,
             Event::Reconciled => a.reconciles += 1,
-            Event::HashComputed => a.hashes_computed += 1,
             Event::BytesOffered { class, bytes } => {
                 a.bytes_offered += bytes;
                 a.offered_by_class.bump_by(class, bytes);
@@ -248,7 +244,6 @@ mod tests {
         r.record(Event::RepairFailed);
         r.record(Event::LinkExpired);
         r.record(Event::Reconciled);
-        r.record(Event::HashComputed);
         r.record(Event::BytesOffered {
             class: "ping",
             bytes: 40,
@@ -269,7 +264,6 @@ mod tests {
         assert_eq!(a.repairs_failed, 1);
         assert_eq!(a.links_expired, 1);
         assert_eq!(a.reconciles, 1);
-        assert_eq!(a.hashes_computed, 1);
         assert_eq!(a.breaks, 1);
         assert_eq!(a.content_drops, 1);
         assert_eq!(a.bytes_offered, 40);

@@ -31,8 +31,10 @@ pub trait OverlaySink {
     fn wake(&mut self, after: Duration);
     /// The client's digest for the link to `peer` (paper §6.1: FUSE
     /// piggybacks a 20-byte hash of the groups on the link), `None` when
-    /// the client monitors nothing there. Read once for each ping and each
-    /// ack the overlay builds, just before it sends it.
+    /// the client monitors nothing there; a receiver hands a missing
+    /// digest up as [`Digest::ZERO`]. Read once for each ping and each ack
+    /// the overlay builds, just before it sends it. FUSE keeps the digest
+    /// current as the link's groups change, so a read is a lookup.
     fn link_digest(&mut self, peer: PeerAddr) -> Option<Digest>;
 }
 
@@ -109,6 +111,7 @@ pub struct OverlayCx<'a> {
 
 impl<'a> OverlayCx<'a> {
     /// Builds a context over the stack-owned state.
+    #[inline]
     pub fn new(
         now: Time,
         rng: &'a mut StdRng,
@@ -124,22 +127,26 @@ impl<'a> OverlayCx<'a> {
     }
 
     /// Current time (driver-provided).
+    #[inline]
     pub fn now(&self) -> Time {
         self.now
     }
 
     /// Deterministic randomness (driver-provided).
+    #[inline]
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
 
     /// Queues an overlay message to a peer.
+    #[inline]
     pub fn send(&mut self, to: PeerAddr, msg: OverlayMsg) {
         self.sink.send(to, msg);
     }
 
     /// Notes the deadline `at` in `wake`, asking the sink for a wake-up
     /// when it comes before the one pending.
+    #[inline]
     pub fn wake_at(&mut self, wake: &mut Wake, at: Time) {
         if let Some(after) = wake.note(self.now, at) {
             self.sink.wake(after);
@@ -147,11 +154,13 @@ impl<'a> OverlayCx<'a> {
     }
 
     /// The client's digest to piggyback on the link to `peer`.
+    #[inline]
     pub fn link_digest(&mut self, peer: PeerAddr) -> Option<Digest> {
         self.sink.link_digest(peer)
     }
 
     /// Delivers an upcall to the client layer (buffered by the stack).
+    #[inline]
     pub fn upcall(&mut self, ev: OverlayUpcall) {
         self.upcalls.push(ev);
     }

@@ -173,6 +173,7 @@ impl Encode for OverlayMsg {
         }
     }
 
+    #[inline]
     fn size_hint(&self) -> usize {
         1 + match self {
             OverlayMsg::Ping { nonce, hash } | OverlayMsg::PingAck { nonce, hash } => {

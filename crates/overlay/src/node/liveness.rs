@@ -87,6 +87,7 @@ impl Liveness {
     }
 
     /// Pops the waits that ended from the front of the deadline queue.
+    #[inline]
     fn drop_ended_waits(&mut self) {
         while let Some(&(_, peer, nonce)) = self.ack_deadlines.front() {
             if matches!(self.watched.get(&peer), Some(w) if w.awaiting == Some(nonce)) {
@@ -98,6 +99,7 @@ impl Liveness {
 
     /// The earliest ping deadline a record still holds, `(at, peer)`; the
     /// ones ahead of it that none holds leave the queue.
+    #[inline]
     fn first_ping(&mut self) -> Option<(Time, PeerAddr)> {
         while let Some(&Reverse((at, peer))) = self.pings.peek() {
             if self.stale == 0 || self.watched.get(&peer).is_some_and(|w| w.next_ping == at) {
@@ -110,6 +112,7 @@ impl Liveness {
     }
 
     /// The earliest deadline of a wait that has not ended, and of a ping.
+    #[inline]
     pub(super) fn next_deadlines(&mut self) -> [Option<Time>; 2] {
         self.drop_ended_waits();
         let ack = self.ack_deadlines.front().map(|w| w.0);
@@ -130,6 +133,7 @@ impl OverlayNode {
     }
 
     /// Pings every neighbour whose ping is due at `now`, in deadline order.
+    #[inline]
     pub(super) fn send_due_pings(&mut self, io: &mut OverlayCx<'_>) {
         while let Some((_, peer)) = self.live.first_ping().filter(|p| p.0 <= io.now()) {
             self.live.pings.pop();
@@ -140,6 +144,7 @@ impl OverlayNode {
     /// Sends `peer` its next ping, carrying the client's digest for the
     /// link, and queues the ack deadline, which replaces any wait still
     /// outstanding on the peer, and the next ping's.
+    #[inline]
     fn ping(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
         let live = &mut self.live;
         live.next_nonce += 1;
@@ -160,6 +165,7 @@ impl OverlayNode {
 
     /// An ack from `peer`: the one carrying the nonce it awaits ends its
     /// wait and hands the client its digest.
+    #[inline]
     pub(super) fn on_ping_ack(
         &mut self,
         io: &mut OverlayCx<'_>,
@@ -174,7 +180,7 @@ impl OverlayNode {
                 self.stats.acks_received += 1;
                 io.upcall(OverlayUpcall::PingHash {
                     peer: from,
-                    hash: hash.unwrap_or_else(Digest::of_empty),
+                    hash: hash.unwrap_or(Digest::ZERO),
                 });
             }
         }
@@ -182,6 +188,7 @@ impl OverlayNode {
 
     /// Every neighbour whose wait is still outstanding at its deadline
     /// dies, in send order.
+    #[inline]
     pub(super) fn sweep_ack_deadlines(&mut self, io: &mut OverlayCx<'_>) {
         let now = io.now();
         loop {

@@ -191,12 +191,13 @@ impl OverlayNode {
     // ---- Event handlers (called by the node stack) -------------------------
 
     /// Handles an incoming overlay message.
+    #[inline]
     pub fn on_message(&mut self, io: &mut OverlayCx<'_>, from: PeerAddr, msg: OverlayMsg) {
         match msg {
             OverlayMsg::Ping { nonce, hash } => {
                 io.upcall(OverlayUpcall::PingHash {
                     peer: from,
-                    hash: hash.unwrap_or_else(Digest::of_empty),
+                    hash: hash.unwrap_or(Digest::ZERO),
                 });
                 let mine = io.link_digest(from);
                 io.send(from, OverlayMsg::PingAck { nonce, hash: mine });
@@ -241,6 +242,7 @@ impl OverlayNode {
     /// order, the due pings in deadline order, a join retry, maintenance —
     /// and asks for a wake-up at the earliest deadline left. One that finds
     /// nothing due does nothing but that.
+    #[inline]
     pub fn on_wake(&mut self, io: &mut OverlayCx<'_>) {
         let now = io.now();
         self.wake.fired(now);

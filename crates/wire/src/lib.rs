@@ -13,9 +13,11 @@
 //!   two-pass path as the differential reference.
 //! * [`sha1`](mod@sha1) — SHA-1, implemented from scratch as one portable
 //!   rolled-loop block function and validated against the FIPS 180-1 test
-//!   vectors and known answers from an independent implementation. The paper
-//!   piggybacks "a SHA1 hash (20 bytes)" of the jointly-monitored FUSE ID
-//!   list on overlay ping requests (§6.1).
+//!   vectors and known answers from an independent implementation; it
+//!   names overlay nodes. The paper piggybacks "a SHA1 hash (20 bytes)" of
+//!   the jointly-monitored FUSE ID list on overlay ping requests (§6.1);
+//!   the same 20 bytes travel here as a [`Digest`] that FUSE keeps as an
+//!   XOR fold, with [`Digest::ZERO`] for a link no group monitors.
 
 pub mod codec;
 pub mod sha1;

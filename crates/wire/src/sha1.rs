@@ -1,32 +1,32 @@
 //! SHA-1 (FIPS 180-1), implemented from scratch.
 //!
-//! The allowed dependency set contains no cryptographic hash, and the paper's
-//! FUSE implementation piggybacks a 20-byte SHA-1 digest on overlay pings, so
-//! we implement the function here. SHA-1 is cryptographically broken for
-//! collision resistance, but the protocol only needs what the paper needed in
-//! 2004: a compact fingerprint whose accidental collision probability is
-//! negligible.
+//! The allowed dependency set contains no cryptographic hash, and overlay
+//! node names are placed on the ring by the SHA-1 of the name, so we
+//! implement the function here. SHA-1 is cryptographically broken for
+//! collision resistance, but the overlay only needs what the paper needed
+//! in 2004: a compact fingerprint whose accidental collision probability
+//! is negligible.
 //!
 //! One portable block function, the textbook rolled loop, does all the
-//! work. The digests FUSE computes are tiny: a link's group list is fed
-//! eight bytes per `update` and a node name is at most 23 bytes, so a
-//! digest compresses about 1.1 blocks, padding included (DESIGN.md §4.1).
-//! Faster block functions pay off only on long inputs, which never occur.
+//! work. A node name is at most 23 bytes, so a digest compresses one
+//! block, padding included (DESIGN.md §4.1). Faster block functions pay
+//! off only on long inputs, which never occur.
+//!
+//! The paper piggybacks a SHA-1 of a link's FUSE IDs on every ping. FUSE
+//! here sends the same 20 bytes, a [`Digest`], but keeps it as an XOR
+//! fold that an install or teardown updates in place (`fuse_core`'s
+//! `layer/tree.rs`), so no ping runs this function.
 
-/// A 20-byte SHA-1 digest.
+/// A 20-byte digest: a SHA-1 output, or a link's piggybacked fold.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 20]);
 
 impl Digest {
-    /// Digest of the empty message; used as the "no groups on this link"
-    /// sentinel by the piggyback layer, on every ping of such a link — so a
-    /// constant, not a hash run.
-    pub const fn of_empty() -> Self {
-        Digest([
-            0xda, 0x39, 0xa3, 0xee, 0x5e, 0x6b, 0x4b, 0x0d, 0x32, 0x55, 0xbf, 0xef, 0x95, 0x60,
-            0x18, 0x90, 0xaf, 0xd8, 0x07, 0x09,
-        ])
-    }
+    /// All zero bytes: the identity of the XOR fold FUSE keeps as a link's
+    /// digest, so the digest of a link no group monitors. The overlay
+    /// hands it up for a ping or ack that carries no digest, and FUSE
+    /// compares it with a link it keeps no record of.
+    pub const ZERO: Digest = Digest([0; 20]);
 
     /// Hex rendering, mostly for debugging and test assertions.
     pub fn to_hex(&self) -> String {
@@ -41,7 +41,7 @@ impl Digest {
 
 impl std::fmt::Debug for Digest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sha1:{}", &self.to_hex()[..12])
+        write!(f, "digest:{}", &self.to_hex()[..12])
     }
 }
 
@@ -177,7 +177,6 @@ mod tests {
             sha1(b"").to_hex(),
             "da39a3ee5e6b4b0d3255bfef95601890afd80709"
         );
-        assert_eq!(Digest::of_empty(), sha1(b""));
     }
 
     #[test]
