@@ -13,6 +13,8 @@
 //!
 //! * [`script`] — the serializable script model and generator,
 //! * [`runner`] — one script → one world → one [`RunReport`],
+//! * [`fleet`] — the substrate interface ([`Fleet`]) and the one op
+//!   applier ([`apply`]) every executor shares,
 //! * [`invariant`] — one-way agreement, exactly-once, bounded detection,
 //!   no orphaned state,
 //! * [`mod@shrink`] — greedy minimization of failing scripts,
@@ -21,6 +23,7 @@
 //!   binary.
 
 pub mod explore;
+pub mod fleet;
 pub mod invariant;
 pub mod runner;
 pub mod script;
@@ -28,9 +31,10 @@ pub mod shrink;
 pub mod token;
 
 pub use explore::{explore, ExploreParams, FailureCase};
+pub use fleet::{apply, Fleet, SimFleet};
 pub use invariant::{standard_invariants, Invariant, RunContext, Violation};
 pub use runner::{
-    apply_fault, desugar, group_members, run_script, run_script_world, ChaosConfig, RtOp, RunReport,
+    desugar, group_members, run_script, run_script_world, ChaosConfig, RtOp, RunReport,
 };
 pub use script::{ChaosOp, ChaosScript, MsgClass, Phase};
 pub use shrink::shrink;

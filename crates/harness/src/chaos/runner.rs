@@ -1,5 +1,9 @@
 //! Executes one chaos script in a fresh deterministic world and checks the
-//! paper's invariants.
+//! paper's invariants. Every op of the [`desugar`]ed script reaches the
+//! world through [`apply`] on its [`SimFleet`], the applier the live
+//! replay runs the same list with; the runner keeps only its own
+//! bookkeeping (crashed participants, signals, the benign claim and the
+//! provoking marks), fed from what `apply` reports.
 //!
 //! A run is a pure function of `(ChaosConfig, ChaosScript)`: the world, the
 //! group, every fault and every wait are derived from the config seed, so
@@ -7,11 +11,12 @@
 //! replay tokens rely on.
 
 use fuse_core::FuseId;
-use fuse_net::{FaultPlane, NetConfig};
+use fuse_net::NetConfig;
 use fuse_obs::{Aggregates, PhaseMark, ReasonKind};
 use fuse_sim::{ProcId, SimDuration, SimTime};
 use fuse_util::DetHashSet;
 
+use crate::chaos::fleet::{apply, SimFleet};
 use crate::chaos::invariant::{standard_invariants, RunContext, Violation};
 use crate::chaos::script::{ChaosOp, ChaosScript};
 use crate::world::{World, WorldParams};
@@ -185,47 +190,6 @@ pub fn desugar(script: &ChaosScript) -> Vec<(SimDuration, RtOp)> {
     ops
 }
 
-/// Applies `op` to `plane` when it is a network fault (disconnect,
-/// partitions, blackholes, pair loss, the content adversary), resolving
-/// slots through `slot_proc`, and returns whether it was one. Crash,
-/// restart, signal and global loss act on the substrate rather than the
-/// plane and are left to the caller. The sim runner and the live replayer
-/// both reach their fault plane through this one function.
-pub fn apply_fault(
-    plane: &mut FaultPlane,
-    op: ChaosOp,
-    n: usize,
-    slot_proc: impl Fn(u8) -> ProcId,
-) -> bool {
-    match op {
-        ChaosOp::Disconnect { slot } => plane.disconnect(slot_proc(slot)),
-        ChaosOp::Reconnect { slot } => plane.reconnect(slot_proc(slot)),
-        ChaosOp::PartitionOff { slot } => plane.set_partition(slot_proc(slot), 1),
-        ChaosOp::PartitionHalf { pct } => {
-            let pivot = n * usize::from(pct.min(100)) / 100;
-            for p in pivot..n {
-                plane.set_partition(p as ProcId, 1);
-            }
-        }
-        ChaosOp::HealPartitions => plane.heal_partitions(),
-        ChaosOp::Blackhole { from, to } => plane.add_blackhole(slot_proc(from), slot_proc(to)),
-        ChaosOp::ClearBlackhole { from, to } => {
-            plane.clear_blackhole(slot_proc(from), slot_proc(to))
-        }
-        ChaosOp::LinkLoss { from, to, pct } => {
-            plane.set_link_loss(slot_proc(from), slot_proc(to), f64::from(pct) / 100.0)
-        }
-        ChaosOp::AdversaryDrop { class } => plane.drop_class(class.label()),
-        ChaosOp::AdversaryClear => plane.clear_class_drops(),
-        ChaosOp::Crash { .. }
-        | ChaosOp::Restart { .. }
-        | ChaosOp::Signal { .. }
-        | ChaosOp::Churn { .. }
-        | ChaosOp::LossRamp { .. } => return false,
-    }
-    true
-}
-
 /// Runs `script` against a fresh world and checks the standard invariants.
 pub fn run_script(cfg: &ChaosConfig, script: &ChaosScript) -> RunReport {
     run_script_world(cfg, script).0
@@ -312,9 +276,10 @@ pub fn run_script_world(cfg: &ChaosConfig, script: &ChaosScript) -> (RunReport, 
     // label, and a notification's latency is measured from the latest
     // mark at or before it (`"spontaneous"` if none precedes it).
     let mut provoking: Vec<(SimTime, &'static str)> = Vec::new();
+    let mut fleet = SimFleet { world, params };
     for &(at, op) in &ops {
         let when = t0 + at;
-        world.sim.run_until(when);
+        fleet.world.sim.run_until(when);
         t_last = t_last.max(when);
         benign &= match op {
             RtOp::GlobalLoss(rate) => rate <= 0.0,
@@ -337,30 +302,16 @@ pub fn run_script_world(cfg: &ChaosConfig, script: &ChaosScript) -> (RunReport, 
         if let Some(c) = slo_class {
             provoking.push((when, c));
         }
+        let Ok(acted) = apply(&mut fleet, op, slot_proc, Some(&id));
         match op {
-            RtOp::GlobalLoss(rate) => world.set_global_loss(rate),
-            RtOp::Op(ChaosOp::Crash { slot }) => {
-                let p = slot_proc(slot);
-                if world.is_up(p) {
-                    world.crash(p);
-                    ever_crashed.insert(p);
-                }
+            RtOp::Op(ChaosOp::Crash { slot }) if acted => {
+                ever_crashed.insert(slot_proc(slot));
             }
-            RtOp::Op(ChaosOp::Restart { slot }) => world.restart_node(slot_proc(slot), &params),
-            RtOp::Op(ChaosOp::Signal { slot }) => {
-                let p = slot_proc(slot);
-                signaled |= world.is_up(p);
-                world.signal(p, id);
-            }
-            RtOp::Op(op) => {
-                let applied = apply_fault(world.fault_mut(), op, cfg.n, slot_proc);
-                assert!(
-                    applied,
-                    "churn and loss ramps are desugared before execution"
-                );
-            }
+            RtOp::Op(ChaosOp::Signal { .. }) => signaled |= acted,
+            _ => {}
         }
     }
+    let mut world = fleet.world;
 
     // Terminal fault state decides whether the script *must* burn the
     // group: a participant left dead, unplugged or partitioned away from

@@ -15,9 +15,9 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
 
-use fuse_load::cluster::fast_timing_args;
+use fuse_load::cluster::{fast_timing_args, fast_timings};
 use fuse_load::scenario::{plan, FaultClass, ScenarioParams};
-use fuse_load::{live, replay, simref, Cluster, LoadReport};
+use fuse_load::{live, replay, Cluster, LoadReport};
 
 const USAGE: &str = "\
 fuse-load: drive a live fuse-node fleet over TCP through fault rounds
@@ -36,25 +36,25 @@ OPTIONS:
     --budget-secs <S>    fault->last-notified SLO (default 480)
     --delay-ms <MS>      ambient one-way delay on every link (default 0)
     --loss-pct <P>       ambient per-frame loss percent (default 0; < 100)
-    --skip-sim           skip the simulator reference run
     --replay <TOKEN>     replay a chaos-v1 token instead of the load run
     --time-scale <F>     compress replay op offsets by this factor (default 1)
     --max-wait-secs <S>  cap the replay notification wait (default 120)
-    --fast               run nodes with compressed detection timers (ping
-                         2s, link timeout 8s, repairs 5s/10s) so faults
-                         resolve in seconds instead of paper-default minutes
+    --fast               run nodes and the simulator reference with
+                         compressed detection timers (ping 2s, link timeout
+                         8s, repairs 5s/10s) so faults resolve in seconds
+                         instead of paper-default minutes
     --help               print this text
 
 OUTPUT:
-    A per-class table (p50/p99/p999/max ms, sim p50, budget verdict) on
-    stdout.
+    A per-class table (samples, misses, p50/p99/p999/max ms, sim p50,
+    sim misses, budget verdict) on stdout; the simulator reference runs
+    the identical plan.
 ";
 
 struct Opts {
     node_bin: Option<PathBuf>,
     params: ScenarioParams,
     classes: Vec<FaultClass>,
-    skip_sim: bool,
     replay: Option<String>,
     time_scale: f64,
     max_wait: Duration,
@@ -71,7 +71,6 @@ fn parse_opts() -> Opts {
         node_bin: None,
         params: ScenarioParams::paper_scale(1),
         classes: FaultClass::all().to_vec(),
-        skip_sim: false,
         replay: None,
         time_scale: 1.0,
         max_wait: Duration::from_secs(120),
@@ -112,7 +111,6 @@ fn parse_opts() -> Opts {
                     .map(|s| FaultClass::parse(s.trim()).unwrap_or_else(|e| usage_err(&e)))
                     .collect();
             }
-            "--skip-sim" => opts.skip_sim = true,
             "--fast" => opts.fast = true,
             "--replay" => opts.replay = Some(next("--replay", &mut args)),
             "--time-scale" => {
@@ -214,12 +212,14 @@ fn main() {
         p.seed
     );
 
-    let sim_samples = if opts.skip_sim {
-        Default::default()
+    println!("sim reference: running the identical plan in the simulator…");
+    let timings = if opts.fast {
+        fast_timings()
     } else {
-        println!("sim reference: running the identical plan in the simulator…");
-        simref::by_class(&simref::run_reference(p, &rounds))
+        Default::default()
     };
+    let mut sim = live::sim_fleet(p, timings);
+    let Ok(sim_samples) = live::run_rounds(&mut sim, p, &rounds, |_| {});
 
     println!("live: launching {} nodes + {} proxies…", p.nodes, p.nodes);
     let mut cluster = match Cluster::launch(p.nodes, node_bin, p.seed, &node_args) {

@@ -19,8 +19,11 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use fuse_core::FuseConfig;
+use fuse_harness::chaos::Fleet;
 use fuse_net::FaultPlane;
-use fuse_sim::ProcId;
+use fuse_overlay::OverlayConfig;
+use fuse_sim::{ProcId, SimDuration};
 
 use crate::proxy::{Ambient, Faults, NodeProxy};
 
@@ -33,28 +36,41 @@ pub fn wall_now_ns() -> u64 {
         .unwrap_or(0)
 }
 
-/// Compressed `fuse-node` timing flags for bounded-wall-clock runs: ping
-/// every 2 s (timeout 1 s), 8 s link-failure timeout, 5 s/10 s repair
-/// windows, 1 s reconcile grace. Detection chains that take minutes at
-/// the paper defaults resolve in ~20 s; the protocol structure (and the
-/// burn guarantee) is unchanged.
+/// Compressed detection timings for bounded-wall-clock runs: ping every
+/// 2 s (timeout 1 s), 8 s link-failure timeout, 5 s/10 s repair windows,
+/// 1 s reconcile grace. Detection chains that take minutes at the paper
+/// defaults resolve in ~20 s; the protocol structure (and the burn
+/// guarantee) is unchanged. `--fast` runs the live nodes
+/// ([`fast_timing_args`]) and the sim reference on these.
+pub fn fast_timings() -> (OverlayConfig, FuseConfig) {
+    let s = SimDuration::from_secs;
+    let ov = OverlayConfig {
+        ping_period: s(2),
+        ping_timeout: s(1),
+    };
+    let fuse = FuseConfig::builder()
+        .link_failure_timeout(s(8))
+        .member_repair_timeout(s(5))
+        .root_repair_timeout(s(10))
+        .reconcile_grace(s(1))
+        .build()
+        .expect("the fast timings are a valid configuration");
+    (ov, fuse)
+}
+
+/// [`fast_timings`] as `fuse-node` flags.
 pub fn fast_timing_args() -> Vec<String> {
+    let (ov, fuse) = fast_timings();
     [
-        "--ping-secs",
-        "2",
-        "--ping-timeout-secs",
-        "1",
-        "--link-timeout-secs",
-        "8",
-        "--member-repair-secs",
-        "5",
-        "--root-repair-secs",
-        "10",
-        "--grace-secs",
-        "1",
+        ("--ping-secs", ov.ping_period),
+        ("--ping-timeout-secs", ov.ping_timeout),
+        ("--link-timeout-secs", fuse.link_failure_timeout),
+        ("--member-repair-secs", fuse.member_repair_timeout),
+        ("--root-repair-secs", fuse.root_repair_timeout),
+        ("--grace-secs", fuse.reconcile_grace),
     ]
-    .iter()
-    .map(|s| s.to_string())
+    .into_iter()
+    .flat_map(|(flag, d)| [flag.to_string(), (d.nanos() / 1_000_000_000).to_string()])
     .collect()
 }
 
@@ -216,24 +232,6 @@ impl Cluster {
         }
     }
 
-    /// SIGKILLs node `i` (the crash fault).
-    pub fn kill(&mut self, i: usize) -> Result<(), ClusterError> {
-        let h = self.nodes[i].as_mut().ok_or(format!("node {i} not up"))?;
-        h.child.kill().map_err(|e| format!("kill node {i}: {e}"))?;
-        let _ = h.child.wait();
-        self.nodes[i] = None;
-        Ok(())
-    }
-
-    /// Restarts a killed node on its original port and waits for `READY`.
-    pub fn restart(&mut self, i: usize) -> Result<(), ClusterError> {
-        self.spawn_node(i)?;
-        // The fresh process's READY is the first one past the previous
-        // incarnation's lines (the lines buffer was replaced on spawn).
-        self.wait_line(i, Duration::from_secs(20), |l| l == "READY")?;
-        Ok(())
-    }
-
     /// Sends one control line to node `i`'s stdin.
     pub fn control(&mut self, i: usize, line: &str) -> Result<(), ClusterError> {
         let h = self.nodes[i].as_mut().ok_or(format!("node {i} not up"))?;
@@ -322,28 +320,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Waits for node `i` to print a `NOTIFIED` for `gid`, returning the
-    /// parsed line.
-    pub fn wait_notified(
-        &self,
-        i: usize,
-        gid: &str,
-        timeout: Duration,
-    ) -> Result<Notified, ClusterError> {
-        let (_, line) = self.wait_line_from(i, 0, timeout, |l| {
-            parse_notified(l).map(|n| n.gid == gid).unwrap_or(false)
-        })?;
-        Ok(parse_notified(&line).expect("predicate matched"))
-    }
-
-    /// Mutates the fleet's fault plane, then kills every stream a
-    /// disconnect now severs; other faults take effect on the next frame.
-    pub fn faults<R>(&self, f: impl FnOnce(&mut FaultPlane) -> R) -> R {
-        let r = f(&mut self.faults.lock().unwrap().plane);
-        self.proxies.iter().for_each(NodeProxy::kill_severed);
-        r
-    }
-
     /// Sets the delay and loss every link carries on top of the plane.
     pub fn set_ambient(&self, ambient: Ambient) {
         self.faults.lock().unwrap().ambient = ambient;
@@ -385,11 +361,93 @@ impl Drop for Cluster {
     }
 }
 
-/// Whether `notes` hold exactly one notification for `gid`: FUSE's
-/// exactly-once contract for a survivor (§3). None is a miss; two means
-/// the group was delivered twice.
-pub fn notified_once(notes: &[Notified], gid: &str) -> bool {
-    notes.iter().filter(|n| n.gid == gid).count() == 1
+/// How long one live group creation may take before it counts as failed.
+pub(crate) const CREATE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Why taking the shared faults lock cannot fail: a proxy panicking while
+/// it judges a frame is a bug that ends the run.
+const POISONED: &str = "a proxy panicked holding the fleet's faults";
+
+/// The live fleet: SIGKILL, respawn and stdin `signal` act on the
+/// processes, the plane and the ambient loss on the proxies, and the clock
+/// is the wall clock the nodes stamp `t_ns=` with.
+impl Fleet for Cluster {
+    type Gid = String;
+    type Error = ClusterError;
+
+    fn nodes(&self) -> usize {
+        self.n
+    }
+
+    fn crash(&mut self, p: ProcId) -> Result<bool, ClusterError> {
+        let i = p as usize;
+        if !self.is_up(i) {
+            return Ok(false);
+        }
+        let h = self.nodes[i].as_mut().expect("an up node has a process");
+        h.child.kill().map_err(|e| format!("kill node {i}: {e}"))?;
+        let _ = h.child.wait();
+        self.nodes[i] = None;
+        Ok(true)
+    }
+
+    fn restart(&mut self, p: ProcId) -> Result<bool, ClusterError> {
+        let i = p as usize;
+        if self.is_up(i) {
+            return Ok(false);
+        }
+        // Same port and arguments; the fresh process's READY is the first
+        // one past the previous incarnation's lines (the lines buffer is
+        // replaced on spawn).
+        self.spawn_node(i)?;
+        self.wait_line(i, Duration::from_secs(20), |l| l == "READY")?;
+        Ok(true)
+    }
+
+    fn signal(&mut self, p: ProcId, group: &String) -> Result<bool, ClusterError> {
+        let i = p as usize;
+        if !self.is_up(i) {
+            return Ok(false);
+        }
+        self.control(i, &format!("signal {group}"))?;
+        Ok(true)
+    }
+
+    /// Also kills every stream a disconnect now severs; other faults take
+    /// effect on the next frame.
+    fn faults(&mut self, f: impl FnOnce(&mut FaultPlane)) {
+        f(&mut self.faults.lock().expect(POISONED).plane);
+        self.proxies.iter().for_each(NodeProxy::kill_severed);
+    }
+
+    fn set_global_loss(&mut self, rate: f64) {
+        self.faults.lock().expect(POISONED).ambient.loss = rate;
+    }
+
+    fn create(&mut self, root: ProcId, members: &[ProcId]) -> Option<String> {
+        let members: Vec<usize> = members.iter().map(|&m| m as usize).collect();
+        self.create_group(root as usize, &members, CREATE_TIMEOUT)
+            .ok()
+    }
+
+    fn now_ns(&self) -> u64 {
+        wall_now_ns()
+    }
+
+    fn notified_ns(&self, p: ProcId, group: &String) -> Vec<u64> {
+        let notes = self.notifications(p as usize, group);
+        notes.iter().map(|n| n.t_ns).collect()
+    }
+
+    fn wait_notified(&mut self, p: ProcId, group: &String, deadline_ns: u64) -> Option<u64> {
+        let left = Duration::from_nanos(deadline_ns.saturating_sub(wall_now_ns()));
+        let (_, line) = self
+            .wait_line_from(p as usize, 0, left, |l| {
+                parse_notified(l).is_some_and(|n| n.gid == *group)
+            })
+            .ok()?;
+        parse_notified(&line).map(|n| n.t_ns)
+    }
 }
 
 /// Parses a `NOTIFIED id=… reason=… t_ns=…` line.
@@ -437,22 +495,19 @@ mod tests {
     }
 
     #[test]
-    fn exactly_one_notification_per_group() {
-        let note = |gid: &str, t_ns| Notified {
-            gid: gid.to_string(),
-            reason: "connection-broken".to_string(),
-            t_ns,
+    fn fast_timing_flags_carry_every_field() {
+        let (ov, fuse) = fast_timings();
+        let args = fast_timing_args();
+        let flag = |name: &str| {
+            let at = args.iter().position(|a| a == name).expect(name);
+            SimDuration::from_secs(args[at + 1].parse().unwrap())
         };
-        assert!(!notified_once(&[], "fuse:1"), "zero lines: a miss");
-        assert!(!notified_once(&[note("fuse:2", 5)], "fuse:1"));
-        assert!(notified_once(
-            &[note("fuse:1", 1), note("fuse:2", 5)],
-            "fuse:1"
-        ));
-        let twice = [note("fuse:1", 1), note("fuse:2", 5), note("fuse:1", 2)];
-        assert!(
-            !notified_once(&twice, "fuse:1"),
-            "two lines: delivered twice"
-        );
+        assert_eq!(args.len(), 12, "six flags, each with a value: {args:?}");
+        assert_eq!(flag("--ping-secs"), ov.ping_period);
+        assert_eq!(flag("--ping-timeout-secs"), ov.ping_timeout);
+        assert_eq!(flag("--link-timeout-secs"), fuse.link_failure_timeout);
+        assert_eq!(flag("--member-repair-secs"), fuse.member_repair_timeout);
+        assert_eq!(flag("--root-repair-secs"), fuse.root_repair_timeout);
+        assert_eq!(flag("--grace-secs"), fuse.reconcile_grace);
     }
 }

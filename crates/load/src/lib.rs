@@ -13,9 +13,12 @@
 //!   stdout `NOTIFIED … t_ns=` protocol parsed into timestamps.
 //! * [`scenario`] — the deterministic group/victim/fault plan shared by
 //!   the live run and the sim reference.
-//! * [`live`] / [`simref`] — the two back-ends executing that plan.
+//! * [`live`] — the one plan loop, run on the live [`Cluster`] and on the
+//!   simulated fleet alike: both implement `fuse_harness::chaos::Fleet`,
+//!   and every fault goes through the chaos op applier the sim runner uses.
 //! * [`replay`] — chaos repro tokens (`chaos-v1;…`) replayed against live
-//!   processes, cross-checked against the simulated outcome.
+//!   processes through that same applier, cross-checked against the
+//!   simulated outcome.
 //! * [`report`] — kill→last-member-notified p50/p99/p999 per fault class
 //!   and the within-budget verdict `fuse-load` exits by.
 
@@ -25,9 +28,8 @@ pub mod proxy;
 pub mod replay;
 pub mod report;
 pub mod scenario;
-pub mod simref;
 
 pub use cluster::{parse_notified, Cluster, ClusterError, Notified};
 pub use proxy::{Ambient, Faults, NodeProxy};
-pub use report::{ClassReport, LoadReport};
+pub use report::{ClassReport, LoadReport, Samples};
 pub use scenario::{plan, FaultClass, GroupPlan, RoundPlan, ScenarioParams};

@@ -276,7 +276,6 @@ impl Link {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use fuse_harness::chaos::{apply_fault, ChaosOp};
     use fuse_wire::codec::twopass::to_bytes;
     use fuse_wire::EncodeBuf;
     use std::sync::mpsc::Receiver;
@@ -423,12 +422,7 @@ mod tests {
             f.ambient.loss = 0.2;
         }
         fn link_loss(f: &mut Faults) {
-            let op = ChaosOp::LinkLoss {
-                from: 0,
-                to: 2,
-                pct: 50,
-            };
-            assert!(apply_fault(&mut f.plane, op, 12, ProcId::from));
+            f.plane.set_link_loss(0, 2, 0.5);
         }
         let orders: [[fn(&mut Faults); 2]; 2] = [[ramp_step, link_loss], [link_loss, ramp_step]];
         for order in orders {

@@ -5,11 +5,11 @@
 //! schedule against a real [`Cluster`]: the same slot→node mapping the sim
 //! runner uses (`root = 0`, members from [`group_members`]), applied at the
 //! offsets of the sim runner's own expansion ([`desugar`]) on the wall
-//! clock (optionally time-scaled). Network faults reach the fleet's
-//! `FaultPlane` through the sim runner's own [`apply_fault`], so the
-//! proxies judge frames by the state the simulator would hold; crash,
-//! restart and signal become SIGKILL, respawn and stdin `signal`, and a
-//! loss-ramp step the proxies' ambient loss.
+//! clock (optionally time-scaled). Every op goes through the sim runner's
+//! own [`apply`] on the cluster's [`Fleet`] implementation: network faults
+//! reach the `FaultPlane` the proxies judge frames by, crash, restart and
+//! signal become SIGKILL, respawn and stdin `signal`, and a loss-ramp step
+//! the proxies' ambient loss.
 //!
 //! The cross-check is one-directional by design: **if the sim run burns
 //! the group, every surviving live participant must report `NOTIFIED`,
@@ -25,12 +25,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use fuse_harness::chaos::{
-    apply_fault, desugar, group_members, parse_token, run_script, ChaosConfig, ChaosOp, RtOp,
+    apply, desugar, group_members, parse_token, run_script, ChaosConfig, ChaosOp, Fleet, RtOp,
 };
 use fuse_sim::ProcId;
 
-use crate::cluster::{notified_once, Cluster, ClusterError};
-use crate::proxy::Ambient;
+use crate::cluster::{Cluster, ClusterError, CREATE_TIMEOUT};
 
 /// A replay's outcome, live next to sim.
 #[derive(Debug, Clone)]
@@ -80,20 +79,18 @@ pub fn replay_token(
 
     // Same slot mapping as the sim runner: root is node 0, members come
     // from the deterministic stride walk.
-    let members: Vec<usize> = group_members(cfg.n, cfg.group_size)
-        .iter()
-        .map(|&p| p as usize)
-        .collect();
-    let mut participants = vec![0usize];
+    let members = group_members(cfg.n, cfg.group_size);
+    let mut participants: Vec<ProcId> = vec![0];
     participants.extend(members.iter().copied());
+    let members: Vec<usize> = members.iter().map(|&p| p as usize).collect();
 
     let mut args = timing_args(&cfg);
     args.extend(extra_args.iter().cloned());
     let mut cluster = Cluster::launch(cfg.n, node_bin, cfg.seed, &args)?;
-    let gid = cluster.create_group(0, &members, Duration::from_secs(30))?;
+    let gid = cluster.create_group(0, &members, CREATE_TIMEOUT)?;
     progress(&format!("live: created {gid} over {} nodes", cfg.n));
 
-    let mut crashed: HashSet<usize> = HashSet::new();
+    let mut crashed: HashSet<ProcId> = HashSet::new();
     let t0 = Instant::now();
     for (at, op) in desugar(&script) {
         let at = Duration::from_nanos(at.nanos());
@@ -102,7 +99,13 @@ pub fn replay_token(
         if due > now {
             thread::sleep(due - now);
         }
-        apply_live_op(&mut cluster, &participants, &gid, op, &mut crashed)?;
+        let node = |slot: u8| participants[slot as usize];
+        let acted = apply(&mut cluster, op, node, Some(&gid))?;
+        match op {
+            RtOp::Op(ChaosOp::Crash { slot }) if acted => crashed.insert(node(slot)),
+            RtOp::Op(ChaosOp::Restart { slot }) if acted => crashed.remove(&node(slot)),
+            _ => false,
+        };
         if let RtOp::Op(op) = &op {
             progress(&format!("live: applied {}", op.to_text()));
         }
@@ -110,22 +113,29 @@ pub fn replay_token(
 
     // If the sim burned, every live survivor must hear within the budget.
     let budget = Duration::from_nanos(cfg.detection_budget.nanos()).min(max_wait);
-    let mut live_notified = Vec::new();
+    let mut heard = Vec::new();
     let mut live_all = true;
     for &pnode in &participants {
         if crashed.contains(&pnode) {
             continue;
         }
-        match cluster.wait_notified(pnode, &gid, budget) {
-            Ok(n) => live_notified.push((pnode, n.reason)),
-            Err(_) => live_all = false,
+        let deadline = cluster.now_ns() + budget.as_nanos() as u64;
+        match cluster.wait_notified(pnode, &gid, deadline) {
+            Some(_) => heard.push(pnode),
+            None => live_all = false,
         }
     }
     // Exactly once: a survivor notified twice fails the cross-check, burn
     // or no burn.
-    let once = live_notified
-        .iter()
-        .all(|&(p, _)| notified_once(&cluster.notifications(p, &gid), &gid));
+    let notes: Vec<_> = heard
+        .into_iter()
+        .map(|p| (p as usize, cluster.notifications(p as usize, &gid)))
+        .collect();
+    let once = notes.iter().all(|(_, n)| n.len() == 1);
+    let live_notified = notes
+        .into_iter()
+        .map(|(p, n)| (p, n[0].reason.clone()))
+        .collect();
     cluster.shutdown();
 
     let consistent = once && (!sim.burned || live_all);
@@ -146,52 +156,6 @@ fn timing_args(cfg: &ChaosConfig) -> Vec<String> {
         args.push(mrt.to_string());
     }
     args
-}
-
-fn apply_live_op(
-    cluster: &mut Cluster,
-    participants: &[usize],
-    gid: &str,
-    op: RtOp,
-    crashed: &mut HashSet<usize>,
-) -> Result<(), ClusterError> {
-    let node = |slot: u8| participants[slot as usize];
-    match op {
-        RtOp::GlobalLoss(loss) => cluster.set_ambient(Ambient {
-            loss,
-            ..Ambient::default()
-        }),
-        RtOp::Op(ChaosOp::Crash { slot }) => {
-            let p = node(slot);
-            if cluster.is_up(p) {
-                cluster.kill(p)?;
-                crashed.insert(p);
-            }
-        }
-        RtOp::Op(ChaosOp::Restart { slot }) => {
-            let p = node(slot);
-            if !cluster.is_up(p) {
-                cluster.restart(p)?;
-                crashed.remove(&p);
-            }
-        }
-        RtOp::Op(ChaosOp::Signal { slot }) => {
-            let p = node(slot);
-            if cluster.is_up(p) {
-                cluster.control(p, &format!("signal {gid}"))?;
-            }
-        }
-        RtOp::Op(op) => {
-            let n = cluster.n;
-            let applied =
-                cluster.faults(|plane| apply_fault(plane, op, n, |slot| node(slot) as ProcId));
-            assert!(
-                applied,
-                "churn and loss ramps are desugared before this point"
-            );
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,11 +1,17 @@
 //! The `node_load` report: per-fault-class latency quantiles from the live
-//! run, sim reference numbers alongside, rendered as a table.
+//! run, sim reference numbers alongside, rendered as a table. Both columns
+//! come from one [`Samples`] each, as the plan loop returns them.
 
 use std::collections::HashMap;
 
 use fuse_obs::Reservoir;
 
 use crate::scenario::{FaultClass, ScenarioParams};
+
+/// Per-class samples from one run of the plan: fault→last-survivor-notified
+/// milliseconds for every group whose survivors each heard exactly once
+/// within the budget, and the count of groups that did not.
+pub type Samples = HashMap<FaultClass, (Vec<f64>, usize)>;
 
 /// Per-class latency distribution plus the budget verdict.
 #[derive(Debug, Clone)]
@@ -54,12 +60,8 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Assembles a report from per-class live/sim sample maps.
-    pub fn assemble(
-        params: ScenarioParams,
-        live: &HashMap<FaultClass, (Vec<f64>, usize)>,
-        sim: &HashMap<FaultClass, (Vec<f64>, usize)>,
-    ) -> LoadReport {
+    /// Assembles a report from the live and the sim run's samples.
+    pub fn assemble(params: ScenarioParams, live: &Samples, sim: &Samples) -> LoadReport {
         let classes = FaultClass::all()
             .iter()
             .filter(|c| live.contains_key(c))
@@ -96,21 +98,32 @@ impl LoadReport {
             self.params.loss_pct,
         ));
         out.push_str(&format!(
-            "{:<8} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7}\n",
-            "class", "samples", "p50_ms", "p99_ms", "p999_ms", "max_ms", "sim_p50", "budget"
+            "{:<8} {:>7} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>7}\n",
+            "class",
+            "samples",
+            "misses",
+            "p50_ms",
+            "p99_ms",
+            "p999_ms",
+            "max_ms",
+            "sim_p50",
+            "sim_miss",
+            "budget"
         ));
         for c in &self.classes {
             let (p50, p99, p999, max) = ClassReport::quantiles(&c.live_ms);
             let (sp50, _, _, _) = ClassReport::quantiles(&c.sim_ms);
             out.push_str(&format!(
-                "{:<8} {:>7} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>7}\n",
+                "{:<8} {:>7} {:>6} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>8} {:>7}\n",
                 c.class.label(),
                 c.live_ms.len(),
+                c.live_misses,
                 p50,
                 p99,
                 p999,
                 max,
                 sp50,
+                c.sim_misses,
                 if c.within_budget() { "OK" } else { "MISS" },
             ));
         }
@@ -133,15 +146,15 @@ mod tests {
             delay_ms: 0,
             loss_pct: 0,
         };
-        let mut live = HashMap::new();
+        let mut live = Samples::new();
         live.insert(
             FaultClass::Kill,
             ((1..=20).map(|i| i as f64 * 10.0).collect(), 0),
         );
         live.insert(FaultClass::Signal, (vec![5.0, 6.0, 7.0], 0));
-        let mut sim = HashMap::new();
+        let mut sim = Samples::new();
         sim.insert(FaultClass::Kill, (vec![30_000.0, 31_000.0], 0));
-        sim.insert(FaultClass::Signal, (vec![4.0, 5.0], 0));
+        sim.insert(FaultClass::Signal, (vec![4.0, 5.0], 2));
         LoadReport::assemble(params, &live, &sim)
     }
 
@@ -152,5 +165,20 @@ mod tests {
         assert!(!r.within_budget());
         let text = r.render();
         assert!(text.contains("MISS"), "{text}");
+    }
+
+    #[test]
+    fn render_shows_misses_in_both_columns() {
+        let text = sample_report().render();
+        let row = |class: &str| -> Vec<String> {
+            let line = text.lines().find(|l| l.starts_with(class)).unwrap();
+            line.split_whitespace().map(str::to_string).collect()
+        };
+        let header = row("class");
+        let col = |name: &str| header.iter().position(|h| h == name).unwrap();
+        let signal = row("signal");
+        assert_eq!(signal[col("misses")], "0", "{text}");
+        assert_eq!(signal[col("sim_miss")], "2", "{text}");
+        assert_eq!(row("kill")[col("sim_miss")], "0", "{text}");
     }
 }

@@ -14,6 +14,7 @@
 
 use std::time::Duration;
 
+use fuse_harness::chaos::ChaosOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,6 +52,24 @@ impl FaultClass {
             other => Err(format!(
                 "unknown fault class `{other}` (expected kill|sever|signal)"
             )),
+        }
+    }
+
+    /// The chaos op that fires this class at a group's victim (slot 0).
+    pub fn op(self) -> ChaosOp {
+        match self {
+            FaultClass::Kill => ChaosOp::Crash { slot: 0 },
+            FaultClass::Sever => ChaosOp::Disconnect { slot: 0 },
+            FaultClass::Signal => ChaosOp::Signal { slot: 0 },
+        }
+    }
+
+    /// The op that undoes [`op`](Self::op) before the next round, if any.
+    pub fn repair(self) -> Option<ChaosOp> {
+        match self {
+            FaultClass::Kill => Some(ChaosOp::Restart { slot: 0 }),
+            FaultClass::Sever => Some(ChaosOp::Reconnect { slot: 0 }),
+            FaultClass::Signal => None,
         }
     }
 
