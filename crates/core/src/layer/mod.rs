@@ -414,6 +414,12 @@ impl FuseLayer {
         }
     }
 
+    /// The node booted at `now`: the groups it creates take ids of this
+    /// life, none an earlier life of the node issued.
+    pub(crate) fn boot(&mut self, now: Time) {
+        self.idgen = IdGen::booted(u64::from(self.me.proc), now.nanos());
+    }
+
     /// The node's full observation aggregates (read-only).
     pub fn obs(&self) -> &Aggregates {
         self.obs.aggregates()

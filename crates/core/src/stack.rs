@@ -295,6 +295,7 @@ impl FuseStack {
         let mut app = None;
         match input {
             Input::Boot => {
+                self.fuse.boot(now);
                 self.with_overlay(now, rng, |ov, ocx| ov.boot(ocx));
                 app = Some(AppCall::Boot);
             }
@@ -625,33 +626,38 @@ mod tests {
             assert_stale(&mut s, &mut rng, Time(1), TimerKey { ns, kind, arg });
         }
 
-        // A first ping chain's deadline after a stop and restart: the
-        // re-admitted peer's own chain is later, and the link carries a
-        // group.
+        // The sweep of a round whose one ping went to a neighbour since
+        // dropped and re-admitted: the re-admitted neighbour owes nothing,
+        // and the link carries a group.
+        let timeout = OverlayConfig::default().ping_timeout;
         let mut s = stack(1);
         s.overlay.preload_tables(vec![n2], Vec::new(), Vec::new());
         let mut rng = StdRng::seed_from_u64(3);
         s.handle(Time::ZERO, &mut rng, Input::Boot);
         drain(&mut s);
-        let first = s.overlay.next_ping(2).expect("boot starts the chain");
-        s.handle(
-            Time(first.nanos() / 3),
-            &mut rng,
-            Input::LinkBroken { peer: 2 },
-        );
+        let round = s.overlay.next_round().expect("boot draws the round");
+        s.handle(round, &mut rng, Input::Timer(overlay));
+        let pinged = drain(&mut s).iter().any(|o| {
+            matches!(
+                o,
+                Output::Send {
+                    to: 2,
+                    msg: StackMsg::Overlay(OverlayMsg::Ping { .. })
+                }
+            )
+        });
+        assert!(pinged, "the round pings 2");
+        let broken = round + Duration::from_secs(1);
+        s.handle(broken, &mut rng, Input::LinkBroken { peer: 2 });
         drain(&mut s);
-        let back = Time(2 * first.nanos() / 3);
+        let back = round + Duration::from_secs(2);
         let announce = OverlayMsg::Announce {
             info: n2,
             want_reply: false,
         };
         msg(&mut s, &mut rng, back, 2, StackMsg::Overlay(announce));
         drain(&mut s);
-        let next = s.overlay.next_ping(2).expect("re-admission starts a chain");
-        assert!(
-            next > first + Duration::from_secs(5),
-            "the seed puts the new chain ({next}) within 5 s of the old ({first})"
-        );
+        assert!(s.overlay.is_neighbor(2), "the announce re-admits 2");
         let request = FuseMsg::GroupCreateRequest {
             id: FuseId(7),
             root: n2,
@@ -660,7 +666,7 @@ mod tests {
         msg(&mut s, &mut rng, back, 2, fuse(request));
         drain(&mut s);
         assert_eq!(s.fuse.tree_links(FuseId(7)), [2], "the member links to 2");
-        assert_stale(&mut s, &mut rng, first, overlay);
+        assert_stale(&mut s, &mut rng, round + timeout, overlay);
 
         // The join retry's deadline after the reply.
         let mut s = FuseStack::new(n1, Some(2), OverlayConfig::default(), FuseConfig::default());
@@ -674,7 +680,7 @@ mod tests {
         };
         msg(&mut s, &mut rng, Time(1), 2, StackMsg::Overlay(reply));
         drain(&mut s);
-        let ping = s.overlay.next_ping(2).expect("the reply admits 2");
+        let ping = s.overlay.next_round().expect("the reply admits 2");
         assert!(
             ping > due + Duration::from_secs(5),
             "the seed pings 2 at {ping}, within 5 s of the retry"
@@ -687,7 +693,7 @@ mod tests {
         s.overlay.preload_tables(vec![n2], Vec::new(), Vec::new());
         s.handle(Time::ZERO, &mut rng, Input::Boot);
         drain(&mut s);
-        let due = s.overlay.next_ping(2).expect("boot starts the chain");
+        let due = s.overlay.next_round().expect("boot draws the round");
         s.handle(due, &mut rng, Input::Timer(overlay));
         let fired = drain(&mut s);
         let nonce = fired
@@ -709,8 +715,7 @@ mod tests {
                 .any(|o| matches!(o, Output::SetTimer { .. } | Output::CancelTimer { .. })),
             "an acked ping emits no timer command: {acked:?}"
         );
-        let deadline = due + OverlayConfig::default().ping_timeout;
-        assert_stale(&mut s, &mut rng, deadline, overlay);
+        assert_stale(&mut s, &mut rng, due + timeout, overlay);
 
         // A root's round: while it awaits replies (the group being
         // created), after it ended (the reply deadline and the install

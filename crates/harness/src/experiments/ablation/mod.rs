@@ -420,9 +420,9 @@ mod tests {
         let per_s = |msgs: f64| msgs / 300.0;
         #[rustfmt::skip]
         let rows = [
-            (1, per_s(8528.0), per_s(100.0), per_s(300.0), per_s(235.0)),
-            (10, per_s(8535.0), per_s(980.0), per_s(3000.0), per_s(235.0)),
-            (40, per_s(8533.0), per_s(3660.0), per_s(12000.0), per_s(235.0)),
+            (1, per_s(8521.0), per_s(100.0), per_s(300.0), per_s(235.0)),
+            (10, per_s(8522.0), per_s(980.0), per_s(3000.0), per_s(235.0)),
+            (40, per_s(8524.0), per_s(3660.0), per_s(12000.0), per_s(235.0)),
         ];
         assert_eq!(r.rows, rows);
         #[rustfmt::skip]

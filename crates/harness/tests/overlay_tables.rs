@@ -127,21 +127,20 @@ fn second_hand_returns(seed: u64) -> (u64, u64, usize, usize) {
 /// second-hand: a live node drops a dead peer, then takes it back from a
 /// neighbour's `AnnounceAck` candidates or a probe path, pings it and
 /// declares it dead again. None of those deaths make progress on the
-/// fault, they never stop, and some live nodes list a dead peer after
-/// 2,280 s. A node that skipped second-hand candidates it holds as
+/// fault; on seeds 1 and 2 they never stop, and some live nodes list a
+/// dead peer after 2,280 s. A node that skipped second-hand candidates it holds as
 /// departed would declare about a hundred deaths, then none.
 #[test]
 fn dead_peers_keep_coming_back_second_hand() {
-    assert_eq!(second_hand_returns(1), (213, 442, 5, 3));
+    assert_eq!(second_hand_returns(1), (147, 225, 3, 3));
 }
 
 #[test]
 #[ignore]
 fn dead_peers_keep_coming_back_second_hand_over_three_seeds() {
-    let pins = [(213, 442, 5, 3), (325, 801, 5, 4), (248, 720, 8, 8)];
-    for (seed, pin) in (1..=3).zip(pins) {
-        assert_eq!(second_hand_returns(seed), pin, "seed {seed}");
-    }
+    let got: Vec<_> = (1..=3).map(second_hand_returns).collect();
+    // Seed 3 happens to take no dead peer back after its first 480 s.
+    assert_eq!(got, [(147, 225, 3, 3), (156, 240, 3, 3), (90, 0, 0, 0)]);
 }
 
 /// A 40-node ring grown by protocol joins through node 0, one a second:

@@ -235,6 +235,10 @@ struct Node {
     stack: FuseStack,
     rng: StdRng,
     t0: Instant,
+    /// The stack clock's reading at `t0`: the wall clock's, so a node
+    /// respawned under the same id boots at an instant of its own and
+    /// creates groups under ids its earlier life never issued.
+    origin: u64,
     timers: Timers,
     transport: Transport,
     peers: Vec<NodeInfo>,
@@ -246,7 +250,7 @@ struct Node {
 
 impl Node {
     fn now(&self) -> Time {
-        Time(self.t0.elapsed().as_nanos() as u64)
+        Time(self.origin + self.t0.elapsed().as_nanos() as u64)
     }
 
     fn handle(&mut self, input: Input) {
@@ -526,15 +530,18 @@ fn main() {
     });
 
     let t0 = Instant::now();
+    let mut wall = 0;
+    let origin = wall_ns(&mut wall);
     let mut node = Node {
         stack,
         rng: StdRng::seed_from_u64(opts.seed),
         t0,
+        origin,
         timers: Timers::default(),
         transport: Transport::new(opts.id, &opts.peers),
         peers: infos,
         boot_group,
-        wall: 0,
+        wall,
     };
     node.handle(Input::Boot);
     println!("READY");

@@ -33,12 +33,13 @@ pub(crate) const DEPARTED_TRIES: u32 = 5;
 /// else about the overlay is a constant in this module.
 #[derive(Debug, Clone)]
 pub struct OverlayConfig {
-    /// Liveness ping period per neighbor.
+    /// Liveness ping period per round: each round pings every monitored
+    /// neighbor once.
     pub ping_period: SimDuration,
     /// Time to wait for a ping acknowledgment before declaring the neighbor
-    /// dead. Must be below `ping_period`: each ping replaces the wait of
-    /// the last, so a wait that outlives the period never comes due and a
-    /// silent neighbour is never declared dead.
+    /// dead. Must be below `ping_period`: each round replaces the last
+    /// round's nonces and sweep, so a wait that outlives the period never
+    /// comes due and a silent neighbour is never declared dead.
     pub ping_timeout: SimDuration,
 }
 

@@ -2,27 +2,24 @@
 //! the overlay's pings and acks, §7.1: a 60 s ping period and a 20 s
 //! timeout).
 //!
-//! This module alone writes the monitored-neighbour records, the queue of
-//! ping deadlines, the FIFO of ack deadlines and the nonce counter;
-//! [`Liveness`]' fields are private to it. It keeps no digest: a ping and
-//! an ack each read theirs from the sink as they are built. The invariant
-//! it keeps: every neighbour whose ping goes unacknowledged for the ping
-//! timeout is declared dead at exactly `sent + ping_timeout`, in send
-//! order, and no other is. The timeout is constant, so send order is
-//! deadline order; a wait that ended (acked, replaced by the next ping,
-//! neighbour dropped) stays queued until it reaches the front. Each
-//! monitored neighbour is pinged once a period from a random phase; a
-//! queued ping deadline its record no longer holds (the neighbour was
-//! dropped, or re-admitted with a phase of its own) is skipped. Neither
-//! queue is touched by an ack or a drop, and the node's one wake-up
-//! follows the earliest deadline of the two.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+//! This module alone writes the monitored-neighbour list, the node's two
+//! liveness instants and the nonce counter; [`Liveness`]' fields are
+//! private to it. It keeps no digest: a ping and an ack each read theirs
+//! from the sink as they are built. The node pings all its monitored
+//! neighbours in one round a period, from the one random phase its first
+//! neighbour drew: at a round every neighbour gets a fresh nonce, peers
+//! ascending. The invariant it keeps: every neighbour still owing its
+//! round's nonce at the round's sweep, `ping_timeout` after it, is
+//! declared dead then, peers ascending, and no other is. A neighbour
+//! admitted between rounds is first pinged at the next; one dropped takes
+//! its nonce with it, so re-admitted it owes nothing. The sweep comes
+//! before a round due at the same instant, and `ping_timeout <
+//! ping_period` puts each sweep before the next round. An ack or a drop
+//! touches neither instant, and the node's one wake-up follows the earlier.
 
 use rand::Rng;
 
-use fuse_util::{DetHashMap, Duration, PeerAddr, Time, Wake};
+use fuse_util::{Duration, PeerAddr, Time, Wake};
 use fuse_wire::Digest;
 
 use super::OverlayNode;
@@ -30,27 +27,17 @@ use crate::config::OverlayConfig;
 use crate::io::{OverlayCx, OverlayUpcall};
 use crate::messages::OverlayMsg;
 
-/// One monitored neighbour: when its next ping is due and the nonce of
-/// its ping still awaiting an ack.
-#[derive(Clone, Copy)]
-struct Watched {
-    next_ping: Time,
-    awaiting: Option<u64>,
-}
-
 /// The failure detector over the monitored neighbours.
 #[derive(Clone, Default)]
 pub(super) struct Liveness {
     cfg: OverlayConfig,
-    /// The monitored neighbours.
-    watched: DetHashMap<PeerAddr, Watched>,
-    /// Ping deadlines `(next_ping, peer)`, earliest first; one is live
-    /// while its peer's record holds it.
-    pings: BinaryHeap<Reverse<(Time, PeerAddr)>>,
-    /// How many of them no record holds: a neighbour dropped leaves one.
-    stale: usize,
-    /// Ack deadlines `(sent + ping_timeout, peer, nonce)`, oldest first.
-    ack_deadlines: VecDeque<(Time, PeerAddr, u64)>,
+    /// The monitored neighbours, peers ascending, each with the nonce of
+    /// its round's ping while that ping is unacknowledged.
+    watched: Vec<(PeerAddr, Option<u64>)>,
+    /// When the next round is due; `None` until the first neighbour.
+    round: Option<Time>,
+    /// When the last round's unanswered pings time out; `None` once swept.
+    sweep: Option<Time>,
     next_nonce: u64,
 }
 
@@ -62,109 +49,78 @@ impl Liveness {
         }
     }
 
-    /// Starts monitoring `peer`, its first ping at a random phase of the
-    /// period, noted in `wake`.
+    /// Starts monitoring `peer`, first pinged at the next round. The first
+    /// neighbour draws the node's round phase, noted in `wake`.
     pub(super) fn start(&mut self, io: &mut OverlayCx<'_>, wake: &mut Wake, peer: PeerAddr) {
-        if self.watched.contains_key(&peer) {
+        let Err(i) = self.find(peer) else {
             return;
-        }
-        // Phase jitter spreads ping load over the period.
-        let jitter = Duration(io.rng().gen_range(0..=self.cfg.ping_period.nanos()));
-        let next_ping = io.now() + jitter;
-        self.pings.push(Reverse((next_ping, peer)));
-        let w = Watched {
-            next_ping,
-            awaiting: None,
         };
-        self.watched.insert(peer, w);
-        io.wake_at(wake, next_ping);
+        self.watched.insert(i, (peer, None));
+        if self.round.is_none() {
+            // Phase jitter spreads ping load over the period.
+            let jitter = Duration(io.rng().gen_range(0..=self.cfg.ping_period.nanos()));
+            let round = io.now() + jitter;
+            self.round = Some(round);
+            io.wake_at(wake, round);
+        }
     }
 
-    /// Stops monitoring `peer`. Its ack wait, if any, ends with the record
-    /// and leaves the deadline queue lazily, as does its ping deadline.
+    /// Stops monitoring `peer`; the nonce it owes, if any, goes with it.
     pub(super) fn stop(&mut self, peer: PeerAddr) {
-        self.stale += usize::from(self.watched.remove(&peer).is_some());
-    }
-
-    /// Pops the waits that ended from the front of the deadline queue.
-    #[inline]
-    fn drop_ended_waits(&mut self) {
-        while let Some(&(_, peer, nonce)) = self.ack_deadlines.front() {
-            if matches!(self.watched.get(&peer), Some(w) if w.awaiting == Some(nonce)) {
-                break;
-            }
-            self.ack_deadlines.pop_front();
+        if let Ok(i) = self.find(peer) {
+            self.watched.remove(i);
         }
     }
 
-    /// The earliest ping deadline a record still holds, `(at, peer)`; the
-    /// ones ahead of it that none holds leave the queue.
-    #[inline]
-    fn first_ping(&mut self) -> Option<(Time, PeerAddr)> {
-        while let Some(&Reverse((at, peer))) = self.pings.peek() {
-            if self.stale == 0 || self.watched.get(&peer).is_some_and(|w| w.next_ping == at) {
-                return Some((at, peer));
-            }
-            self.pings.pop();
-            self.stale -= 1;
-        }
-        None
+    /// Where `peer` is in the list, or where it would go.
+    fn find(&self, peer: PeerAddr) -> Result<usize, usize> {
+        self.watched.binary_search_by_key(&peer, |w| w.0)
     }
 
-    /// The earliest deadline of a wait that has not ended, and of a ping.
+    /// The sweep's and the next round's instants.
     #[inline]
-    pub(super) fn next_deadlines(&mut self) -> [Option<Time>; 2] {
-        self.drop_ended_waits();
-        let ack = self.ack_deadlines.front().map(|w| w.0);
-        [ack, self.first_ping().map(|p| p.0)]
+    pub(super) fn next_deadlines(&self) -> [Option<Time>; 2] {
+        [self.sweep, self.round]
     }
 }
 
 impl OverlayNode {
     /// Whether `peer` is currently a monitored neighbor.
     pub fn is_neighbor(&self, peer: PeerAddr) -> bool {
-        self.live.watched.contains_key(&peer)
+        self.live.find(peer).is_ok()
     }
 
-    /// When `peer`'s next ping is due; `None` when it is not monitored
-    /// (visibility for tests).
-    pub fn next_ping(&self, peer: PeerAddr) -> Option<Time> {
-        self.live.watched.get(&peer).map(|w| w.next_ping)
+    /// When the node's next ping round is due; `None` before its first
+    /// neighbour (visibility for tests).
+    pub fn next_round(&self) -> Option<Time> {
+        self.live.round
     }
 
-    /// Pings every neighbour whose ping is due at `now`, in deadline order.
+    /// The round, if it has come: every monitored neighbour is pinged,
+    /// peers ascending, each ping carrying the client's digest for the
+    /// link and a fresh nonce the neighbour then owes. The sweep follows
+    /// `ping_timeout` later, the next round a period later.
     #[inline]
-    pub(super) fn send_due_pings(&mut self, io: &mut OverlayCx<'_>) {
-        while let Some((_, peer)) = self.live.first_ping().filter(|p| p.0 <= io.now()) {
-            self.live.pings.pop();
-            self.ping(io, peer);
-        }
-    }
-
-    /// Sends `peer` its next ping, carrying the client's digest for the
-    /// link, and queues the ack deadline, which replaces any wait still
-    /// outstanding on the peer, and the next ping's.
-    #[inline]
-    fn ping(&mut self, io: &mut OverlayCx<'_>, peer: PeerAddr) {
+    pub(super) fn ping_round(&mut self, io: &mut OverlayCx<'_>) {
+        let now = io.now();
         let live = &mut self.live;
-        live.next_nonce += 1;
-        let nonce = live.next_nonce;
-        let hash = io.link_digest(peer);
-        io.send(peer, OverlayMsg::Ping { nonce, hash });
-        self.stats.pings_sent += 1;
-        live.ack_deadlines
-            .push_back((io.now() + live.cfg.ping_timeout, peer, nonce));
-        let next_ping = io.now() + live.cfg.ping_period;
-        live.pings.push(Reverse((next_ping, peer)));
-        let w = Watched {
-            next_ping,
-            awaiting: Some(nonce),
-        };
-        live.watched.insert(peer, w);
+        if live.round.is_none_or(|at| at > now) {
+            return;
+        }
+        for (peer, owed) in &mut live.watched {
+            live.next_nonce += 1;
+            let nonce = live.next_nonce;
+            *owed = Some(nonce);
+            let hash = io.link_digest(*peer);
+            io.send(*peer, OverlayMsg::Ping { nonce, hash });
+        }
+        self.stats.pings_sent += live.watched.len() as u64;
+        live.sweep = (!live.watched.is_empty()).then(|| now + live.cfg.ping_timeout);
+        live.round = Some(now + live.cfg.ping_period);
     }
 
-    /// An ack from `peer`: the one carrying the nonce it awaits ends its
-    /// wait and hands the client its digest.
+    /// An ack from `peer`: the one carrying the nonce it owes clears it and
+    /// hands the client its digest.
     #[inline]
     pub(super) fn on_ping_ack(
         &mut self,
@@ -173,33 +129,30 @@ impl OverlayNode {
         nonce: u64,
         hash: Option<Digest>,
     ) {
-        if let Some(w) = self.live.watched.get_mut(&from) {
-            if w.awaiting == Some(nonce) {
-                w.awaiting = None;
-                self.live.drop_ended_waits();
-                self.stats.acks_received += 1;
-                io.upcall(OverlayUpcall::PingHash {
-                    peer: from,
-                    hash: hash.unwrap_or(Digest::ZERO),
-                });
-            }
+        let Ok(i) = self.live.find(from) else {
+            return;
+        };
+        let owed = &mut self.live.watched[i].1;
+        if *owed == Some(nonce) {
+            *owed = None;
+            self.stats.acks_received += 1;
+            io.upcall(OverlayUpcall::PingHash {
+                peer: from,
+                hash: hash.unwrap_or(Digest::ZERO),
+            });
         }
     }
 
-    /// Every neighbour whose wait is still outstanding at its deadline
-    /// dies, in send order.
+    /// The sweep, if it has come: every neighbour still owing its round's
+    /// nonce dies, peers ascending. A death's repair may admit neighbours,
+    /// who owe nothing, and evict others, whose nonces go with them.
     #[inline]
-    pub(super) fn sweep_ack_deadlines(&mut self, io: &mut OverlayCx<'_>) {
-        let now = io.now();
-        loop {
-            self.live.drop_ended_waits();
-            let Some(&(at, peer, _)) = self.live.ack_deadlines.front() else {
-                return;
-            };
-            if at > now {
-                return;
-            }
-            self.live.ack_deadlines.pop_front();
+    pub(super) fn sweep_unanswered(&mut self, io: &mut OverlayCx<'_>) {
+        if self.live.sweep.is_none_or(|at| at > io.now()) {
+            return;
+        }
+        self.live.sweep = None;
+        while let Some(&(peer, _)) = self.live.watched.iter().find(|w| w.1.is_some()) {
             self.neighbor_dead(io, peer);
         }
     }
@@ -208,113 +161,169 @@ impl OverlayNode {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{info, node_with, TestIo};
+    use super::super::OverlayNode;
     use crate::config::OverlayConfig;
     use crate::io::OverlayUpcall;
     use crate::messages::OverlayMsg;
-    use fuse_util::Time;
+    use fuse_util::{Duration, PeerAddr, Time};
 
-    /// One wake-up serves every outstanding ping: A is pinged at ta and
-    /// acks, B is pinged at tb, less than a timeout later, and stays
-    /// silent; a third neighbour's first ping comes after. After B's
-    /// ping the node asks for a wake-up at B's deadline, a wake-up at
-    /// ta+20 s finds A's wait ended, and B dies at exactly tb+20 s.
-    #[test]
-    fn one_ack_timer_sweeps_every_ping_at_its_own_deadline() {
-        let (mut n, mut io) = node_with(10, &[20, 30, 40]);
-        let timeout = OverlayConfig::default().ping_timeout;
-        let mut first = [20, 30, 40].map(|p| (n.next_ping(p).expect("admitted"), p));
-        first.sort();
-        let [(ta, a), (tb, b), _] = first;
-        assert!(tb < ta + timeout, "the seed pings {a} at {ta}, {b} at {tb}");
-        io.now = ta;
-        io.on_wake(&mut n);
-        let nonce = io.nonce_to(a);
-        let ack = OverlayMsg::PingAck { nonce, hash: None };
-        io.on_message(&mut n, a, ack);
-        assert!(
-            n.live.ack_deadlines.is_empty(),
-            "A's ended wait leaves at once"
-        );
-        io.wakes.clear();
-        io.now = tb;
-        io.on_wake(&mut n);
-        assert_eq!(io.nonce_to(b), nonce + 1, "B is pinged");
-        assert_eq!(io.wakes, [timeout], "the wake-up follows B's deadline");
-
-        // A wake-up at A's old deadline finds its wait ended.
-        io.wakes.clear();
-        io.now = ta + timeout;
-        io.on_wake(&mut n);
-        assert!(
-            n.is_neighbor(a) && n.is_neighbor(b),
-            "the wake-up at ta+20 s kills no one"
-        );
-        assert!(io.wakes.is_empty(), "B's wake-up is still pending");
-        assert_eq!(n.stats.neighbors_died, 0);
-
-        io.now = tb + timeout;
-        io.on_wake(&mut n);
-        assert!(!n.is_neighbor(b) && n.is_neighbor(a));
-        let died = |u: &OverlayUpcall| matches!(u, OverlayUpcall::LinkDown { peer, died: true } if *peer == b);
-        assert_eq!(io.upcalls.iter().filter(|u| died(u)).count(), 1);
-        assert_eq!(n.stats.neighbors_died, 1);
+    /// The peers that died by timeout or break, in upcall order.
+    fn deaths(io: &TestIo) -> Vec<PeerAddr> {
+        let died = |u: &OverlayUpcall| match u {
+            OverlayUpcall::LinkDown { peer, died: true } => Some(*peer),
+            _ => None,
+        };
+        io.upcalls.iter().filter_map(died).collect()
     }
 
-    /// Nothing is cancelled. A neighbour dropped and re-admitted within one
-    /// period starts a chain of its own, and the wake-up its first chain
-    /// asked for finds that chain's deadline gone, so the neighbour is
-    /// pinged exactly once a period, acked every time, over three periods.
+    /// One round pings every neighbour, peers ascending, and one sweep
+    /// kills every neighbour still owing its nonce at exactly the round
+    /// plus the timeout, peers ascending: A acks, B and C stay silent, a
+    /// wake-up 1 ns before the sweep kills no one, and the sweep kills B
+    /// then C.
     #[test]
-    fn a_readmitted_neighbour_keeps_one_ping_chain() {
-        let (mut n, mut io) = node_with(10, &[20]);
-        let period = OverlayConfig::default().ping_period;
-        // Every wake-up asked for, by (deadline, request order), as a
-        // kernel keeps them.
+    fn one_sweep_kills_every_silent_neighbour_at_the_round_deadline() {
+        let (mut n, mut io) = node_with(10, &[40, 20, 30]);
+        let timeout = OverlayConfig::default().ping_timeout;
+        let round = n.next_round().expect("the first neighbour draws the phase");
+        io.now = round;
+        io.wakes.clear();
+        io.on_wake(&mut n);
+        let pinged: Vec<PeerAddr> = io.sent.iter().map(|s| s.0).collect();
+        assert_eq!(pinged, [20, 30, 40], "one ping each, peers ascending");
+        assert_eq!(io.wakes, [timeout], "the wake-up follows the sweep");
+        let nonce = io.nonce_to(30);
+        io.on_message(&mut n, 30, OverlayMsg::PingAck { nonce, hash: None });
+
+        io.wakes.clear();
+        io.now = Time(round.nanos() + timeout.nanos() - 1);
+        io.on_wake(&mut n);
+        assert!(deaths(&io).is_empty(), "no one dies before the sweep");
+        assert!(io.wakes.is_empty(), "the sweep's wake-up is still pending");
+
+        io.now = round + timeout;
+        io.on_wake(&mut n);
+        assert_eq!(deaths(&io), [20, 40]);
+        assert!(n.is_neighbor(30));
+        assert_eq!(n.stats.neighbors_died, 2);
+        assert_eq!(
+            n.next_round(),
+            Some(round + OverlayConfig::default().ping_period)
+        );
+    }
+
+    /// The wake-ups the node asked for since the last call, as instants;
+    /// call it before the clock moves.
+    fn asked(io: &mut TestIo) -> Vec<Time> {
+        let now = io.now;
+        io.wakes.drain(..).map(|after| now + after).collect()
+    }
+
+    /// Runs the node through the wake-ups `asked` before and every one it
+    /// asks for until `end`, in (deadline, request order), as a kernel
+    /// fires them. `answer` says what each ping meets, given its round's
+    /// index: `true` acks it. Returns each ping as (peer, instant) and how
+    /// many wake-ups the node asked for that are not maintenance's.
+    fn run_rounds(
+        n: &mut OverlayNode,
+        io: &mut TestIo,
+        before: Vec<Time>,
+        end: Time,
+        mut answer: impl FnMut(&mut OverlayNode, &mut TestIo, PeerAddr, usize) -> bool,
+    ) -> (Vec<(PeerAddr, Time)>, usize) {
         let mut queue: Vec<(Time, usize)> = Vec::new();
-        let mut asked = 0;
-        let mut take = |io: &mut TestIo, queue: &mut Vec<_>| {
-            for after in io.wakes.drain(..) {
-                asked += 1;
-                queue.push((io.now + after, asked));
+        let (mut order, mut liveness_wakes) = (0, 0);
+        let mut enqueue = |n: &OverlayNode, queue: &mut Vec<_>, ats: Vec<Time>| {
+            for at in ats {
+                order += 1;
+                liveness_wakes += usize::from(n.maintenance != Some(at));
+                queue.push((at, order));
             }
             queue.sort();
         };
-        take(&mut io, &mut queue);
-        let first = queue.first().expect("admission asks for a wake-up").0;
-
-        // Dropped and back before the first chain's ping comes due.
-        io.now = Time(first.nanos() / 3);
-        io.on_link_broken(&mut n, 20);
-        assert!(!n.is_neighbor(20));
-        io.now = Time(2 * first.nanos() / 3);
-        let back = OverlayMsg::Announce {
-            info: info(20),
-            want_reply: false,
-        };
-        io.on_message(&mut n, 20, back);
-        assert!(n.is_neighbor(20), "the announce re-admits 20");
-        take(&mut io, &mut queue);
-
-        let end = io.now + period.saturating_mul(3);
-        let mut pings = Vec::new();
+        enqueue(n, &mut queue, before);
+        let (mut pings, mut rounds) = (Vec::new(), 0);
         while queue.first().is_some_and(|e| e.0 <= end) {
             let (at, _) = queue.remove(0);
             io.now = at;
             io.sent.clear();
-            io.on_wake(&mut n);
+            io.on_wake(n);
+            enqueue(n, &mut queue, asked(io));
+            let round = rounds;
             for (to, msg) in std::mem::take(&mut io.sent) {
                 if let OverlayMsg::Ping { nonce, .. } = msg {
+                    rounds = round + 1;
                     pings.push((to, at));
-                    let ack = OverlayMsg::PingAck { nonce, hash: None };
-                    io.on_message(&mut n, to, ack);
+                    if answer(n, io, to, round) {
+                        let ack = OverlayMsg::PingAck { nonce, hash: None };
+                        io.on_message(n, to, ack);
+                    }
+                    enqueue(n, &mut queue, asked(io));
                 }
             }
-            take(&mut io, &mut queue);
         }
-        assert!(n.is_neighbor(20), "no ping went unanswered");
-        assert_eq!(pings.len(), 3, "one ping a period: {pings:?}");
-        for w in pings.windows(2) {
-            assert_eq!(w[1].1.since(w[0].1), period, "{pings:?}");
-        }
+        (pings, liveness_wakes)
+    }
+
+    /// Nothing is cancelled and a neighbour has no ping chain of its own.
+    /// Dropped and re-admitted before the first round, it is pinged at
+    /// that round; dropped after its second round's ping and re-admitted
+    /// before the sweep, it owes nothing and survives the sweep. It is
+    /// pinged exactly once a round, a period apart, over three periods.
+    #[test]
+    fn a_readmitted_neighbour_is_pinged_once_a_round() {
+        let (mut n, mut io) = node_with(10, &[20, 30]);
+        let period = OverlayConfig::default().ping_period;
+        let round = n.next_round().expect("the first neighbour draws the phase");
+        let back = |n: &mut OverlayNode, io: &mut TestIo| {
+            io.on_link_broken(n, 20);
+            assert!(!n.is_neighbor(20));
+            let msg = OverlayMsg::Announce {
+                info: info(20),
+                want_reply: false,
+            };
+            io.on_message(n, 20, msg);
+            assert!(n.is_neighbor(20), "the announce re-admits 20");
+        };
+        let mut before = asked(&mut io);
+        io.now = Time(round.nanos() / 2);
+        back(&mut n, &mut io);
+        assert_eq!(n.next_round(), Some(round), "re-admission moves no round");
+        before.extend(asked(&mut io));
+
+        let end = round + period.saturating_mul(2) + Duration(1);
+        let (pings, _) = run_rounds(&mut n, &mut io, before, end, |n, io, to, round| {
+            let readmit = to == 20 && round == 1;
+            if readmit {
+                io.now += Duration::from_secs(1);
+                back(n, io);
+            }
+            !readmit
+        });
+        assert_eq!(deaths(&io), [20, 20], "20 died by its two breaks only");
+        assert!(n.is_neighbor(20) && n.is_neighbor(30));
+        let to_20: Vec<Time> = pings.iter().filter(|p| p.0 == 20).map(|p| p.1).collect();
+        let rounds: Vec<Time> = (0..3).map(|i| round + period.saturating_mul(i)).collect();
+        assert_eq!(to_20, rounds, "one ping a round: {pings:?}");
+    }
+
+    /// However many neighbours it monitors, a node asks for two liveness
+    /// wake-ups a period: its round and the round's sweep.
+    #[test]
+    fn k_neighbours_cost_two_wake_ups_a_period() {
+        let others: Vec<usize> = (11..=22).chain(40..=45).collect();
+        let (mut n, mut io) = node_with(10, &others);
+        let k = n.neighbors().len();
+        assert!(k >= 12, "{k} neighbours");
+        let period = OverlayConfig::default().ping_period;
+        let round = n.next_round().expect("the first neighbour draws the phase");
+        // Admission asked for the first round; five rounds and their
+        // sweeps follow.
+        let end = round + period.saturating_mul(4) + OverlayConfig::default().ping_timeout;
+        let before = asked(&mut io);
+        let (pings, wakes) = run_rounds(&mut n, &mut io, before, end, |_, _, _, _| true);
+        assert_eq!(pings.len(), 5 * k, "every neighbour pinged at every round");
+        assert_eq!(wakes, 1 + 2 * 5, "two wake-ups a period for {k} neighbours");
+        assert_eq!(n.stats.neighbors_died, 0);
     }
 }

@@ -6,8 +6,8 @@
 //! * `tables` — the leaf sets and routing table (§6.1), the only writer of
 //!   both and of the neighbour-diff scratch;
 //! * `views` — the passive view: live candidates and departed neighbours;
-//! * `liveness` — pings, acks and their deadline queues (§6.3); each ping
-//!   and ack reads FUSE's digest from the sink as it is built;
+//! * `liveness` — one ping round a period, its acks and its sweep (§6.3);
+//!   each ping and ack reads FUSE's digest from the sink as it is built;
 //! * `route` — greedy routing, per-hop upcalls and delivery (§6.1);
 //! * `maintain` — join, announce, probes and the repair after a death.
 //!
@@ -172,10 +172,10 @@ impl OverlayNode {
     }
 
     /// Integrates a batch of candidates into the passive view and the
-    /// tables, then starts monitoring each neighbour the batch added (one
-    /// RNG draw for its first ping; the client hears of a link only when it
-    /// goes) and stops each it evicted (`LinkDown { died: false }`), both
-    /// in ascending order.
+    /// tables, then starts monitoring each neighbour the batch added (the
+    /// node's first draws its round phase; the client hears of a link only
+    /// when it goes) and stops each it evicted (`LinkDown { died: false }`),
+    /// both in ascending order.
     fn integrate_all(&mut self, io: &mut OverlayCx<'_>, cands: &[NodeInfo]) {
         for (peer, added) in self.tables.integrate_all(cands, |c| self.view.seen(c)) {
             if added {
@@ -238,16 +238,16 @@ impl OverlayNode {
     }
 
     /// The node's wake-up: a hint. It acts on every deadline that has
-    /// come, in one fixed order — the deaths of unanswered pings in send
-    /// order, the due pings in deadline order, a join retry, maintenance —
-    /// and asks for a wake-up at the earliest deadline left. One that finds
-    /// nothing due does nothing but that.
+    /// come, in one fixed order — the sweep of the last round's unanswered
+    /// pings, the next round, a join retry, maintenance — and asks for a
+    /// wake-up at the earliest deadline left. One that finds nothing due
+    /// does nothing but that.
     #[inline]
     pub fn on_wake(&mut self, io: &mut OverlayCx<'_>) {
         let now = io.now();
         self.wake.fired(now);
-        self.sweep_ack_deadlines(io);
-        self.send_due_pings(io);
+        self.sweep_unanswered(io);
+        self.ping_round(io);
         let retry = self.join_retry.take_if(|at| *at <= now).is_some();
         if retry && !self.ready && self.join_attempts < 8 {
             self.send_join(io);
@@ -255,8 +255,8 @@ impl OverlayNode {
         if self.maintenance.is_some_and(|at| at <= now) {
             self.maintain(io);
         }
-        let [ack, ping] = self.live.next_deadlines();
-        let next = [ack, ping, self.join_retry, self.maintenance];
+        let [sweep, round] = self.live.next_deadlines();
+        let next = [sweep, round, self.join_retry, self.maintenance];
         if let Some(at) = next.into_iter().flatten().min() {
             io.wake_at(&mut self.wake, at);
         }
@@ -363,8 +363,8 @@ mod tests {
             self.with(|cx| n.maintain(cx));
         }
 
-        /// Moves the clock a ping period on, when every neighbour admitted
-        /// before is due, and wakes the node, which pings them all.
+        /// Moves the clock a ping period on, past the round, and wakes the
+        /// node, which pings every neighbour admitted before.
         fn fire_pings(&mut self, n: &mut OverlayNode) {
             self.now += OverlayConfig::default().ping_period;
             self.on_wake(n);

@@ -1,5 +1,5 @@
-//! The overlay's one wake-up against one deadline per ping and one ping
-//! chain per neighbour.
+//! The overlay's one ping round a period against a test-local round
+//! reference.
 //!
 //! One [`OverlayNode`] is driven by hand: neighbours are admitted by
 //! announces (a closer one evicts the farthest, a dropped one comes back),
@@ -10,23 +10,24 @@
 //! wake-up nobody asked for comes early, and a stall fires all that came
 //! due in it at its end, as a socket runtime may.
 //!
-//! Beside it runs a reference kept the way one timer per deadline kept it:
+//! Beside it runs a reference kept by the round rule:
 //!
-//! * one ping chain per monitored neighbour: its first ping at the phase
-//!   the node drew on admission, within one period, then one a period
-//!   after each ping; a neighbour dropped and re-admitted starts afresh.
-//!   Every ping must be its chain's next, at exactly its deadline (or past
-//!   it, in a stall), and none may be missing;
-//! * one wait per ping: every ping sent sets its peer's wait to `sent +
-//!   ping_timeout`, replacing the last; a matching ack or the peer leaving
-//!   the monitored set ends it. Every neighbour the node declares dead by
-//!   timeout must be the reference's next due wait, at exactly its
-//!   deadline: none early, none missing, in send order.
+//! * one round a period for the whole node: the first neighbour admitted
+//!   draws its phase, within one period; each round comes one period after
+//!   the last ran. Every neighbour monitored at a round is pinged once at
+//!   it, peers ascending, and no ping goes out at any other time; a
+//!   neighbour admitted between rounds waits for the next;
+//! * one wait per ping: a round sets each pinged neighbour's wait to
+//!   `round + ping_timeout`, replacing a wait still outstanding (which
+//!   only a timeout past the period leaves); a matching ack or the peer
+//!   leaving the monitored set ends it. Every neighbour the node declares
+//!   dead by timeout must be the reference's next due wait, at exactly its
+//!   deadline: none early, none missing, peers ascending.
 //!
-//! A wake-up leaves nothing due behind: it never asks for another at the
-//! instant it ran.
+//! A wake-up leaves nothing due behind: no wait and no round at or before
+//! its instant, and it never asks for another at the instant it ran.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use fuse_overlay::{
     NodeInfo, NodeName, OverlayConfig, OverlayCx, OverlayMsg, OverlayNode, OverlaySink,
@@ -71,23 +72,25 @@ impl OverlaySink for Out<'_> {
     }
 }
 
-/// One wait per peer and one ping chain per neighbour, kept the way one
-/// timer per deadline kept them.
+/// The round rule, kept apart from the node.
 #[derive(Default)]
 struct Reference {
-    /// Per peer: (deadline, send order, nonce) of its outstanding ping.
-    waits: BTreeMap<PeerAddr, (Time, u64, u64)>,
-    /// Per monitored neighbour: when its next ping is due.
-    chains: BTreeMap<PeerAddr, Time>,
-    pings: u64,
+    /// When the next round is due, once the first neighbour drew it.
+    round: Option<Time>,
+    /// Per peer owing its round's nonce: (deadline, nonce).
+    waits: BTreeMap<PeerAddr, (Time, u64)>,
+    /// The monitored neighbours after the last input.
+    monitored: BTreeSet<PeerAddr>,
+    /// Peers dropped while owing since the last round.
+    dropped_owing: BTreeSet<PeerAddr>,
 }
 
 impl Reference {
-    /// The wait that comes due first by `until`: (deadline, peer).
+    /// The wait that comes due first by `until`: (deadline, peer), peers
+    /// ascending among equal deadlines.
     fn next_due(&self, until: Time) -> Option<(Time, PeerAddr)> {
         let due = self.waits.iter().filter(|(_, w)| w.0 <= until);
-        let first = due.min_by_key(|(_, w)| (w.0, w.1));
-        first.map(|(&p, w)| (w.0, p))
+        due.map(|(&p, w)| (w.0, p)).min()
     }
 }
 
@@ -98,14 +101,15 @@ struct Reached {
     timeouts: u64,
     same_instant_timeouts: u64,
     replaced_waits: u64,
-    chained_pings: u64,
-    late_pings: u64,
+    repeat_pings: u64,
+    late_rounds: u64,
     early_wakes: u64,
     double_wakes: u64,
     evicted_while_waiting: u64,
     wrong_nonce_acks: u64,
     breaks: u64,
     readmitted: u64,
+    readmitted_while_owing: u64,
 }
 
 /// Why an input reached the node.
@@ -160,9 +164,9 @@ impl Rig {
         rig
     }
 
-    /// Runs one node entry point at `now`, checks its pings, acks and
-    /// deaths against the reference, follows the monitored set's changes
-    /// and queues the wake-ups it asked for.
+    /// Runs one node entry point at `now`, checks its deaths, pings and
+    /// acks against the reference, follows the monitored set's changes and
+    /// queues the wake-ups it asked for.
     fn call(
         &mut self,
         cause: Cause,
@@ -175,6 +179,7 @@ impl Rig {
         };
         let mut cx = OverlayCx::new(self.now, &mut self.rng, &mut out, &mut upcalls);
         f(&mut self.node, &mut cx);
+        // Deaths first: a wake-up sweeps before it runs a round.
         for up in upcalls {
             let OverlayUpcall::LinkDown { peer, died } = up else {
                 continue;
@@ -196,35 +201,44 @@ impl Rig {
                 self.reached.same_instant_timeouts += u64::from(again);
             }
             let ended = self.reference.waits.remove(&peer);
+            if ended.is_some() {
+                self.reference.dropped_owing.insert(peer);
+            }
             if !died {
                 self.reached.evicted_while_waiting += u64::from(ended.is_some());
             } else if !timed_out {
                 self.reached.breaks += 1;
             }
         }
-        for (to, msg) in sent {
-            if let OverlayMsg::Ping { nonce, .. } = msg {
-                let due = self.reference.chains.get(&to).copied();
-                prop_assert!(
-                    due.is_some_and(|at| self.came(at)),
-                    "{} was pinged at {}; its chain's next ping is due at {:?}",
-                    to,
-                    self.now,
-                    due
-                );
-                self.reached.late_pings += u64::from(due < Some(self.now));
-                self.reached.chained_pings += u64::from(self.last_ping.contains_key(&to));
-                self.reference.chains.insert(to, self.now + self.period);
-                let r = &mut self.reference;
-                r.pings += 1;
-                let wait = (self.now + self.timeout, r.pings, nonce);
-                if r.waits.insert(to, wait).is_some() {
-                    self.reached.replaced_waits += 1;
-                }
-                self.last_ping.insert(to, nonce);
-            }
+        self.follow_monitored()?;
+        let pinged: Vec<(PeerAddr, u64)> = sent
+            .iter()
+            .filter_map(|(to, msg)| match msg {
+                OverlayMsg::Ping { nonce, .. } => Some((*to, *nonce)),
+                _ => None,
+            })
+            .collect();
+        let due = self.reference.round.filter(|&at| at <= self.now);
+        if cause == Cause::Wake && due.is_some() {
+            self.round(due, pinged)?;
+        } else {
+            prop_assert!(
+                pinged.is_empty(),
+                "{:?} pinged at {}; the next round is due at {:?}",
+                pinged,
+                self.now,
+                self.reference.round
+            );
         }
-        self.follow_chains()?;
+        if cause == Cause::Wake {
+            let missed = self.reference.next_due(self.now);
+            prop_assert!(
+                missed.is_none(),
+                "a wake-up at {} left {missed:?}",
+                self.now
+            );
+        }
+        prop_assert_eq!(self.node.next_round(), self.reference.round);
         for after in wakes {
             prop_assert!(
                 cause != Cause::Wake || after > Duration::ZERO,
@@ -237,29 +251,64 @@ impl Rig {
         Ok(())
     }
 
-    /// Starts a chain for every neighbour admitted, at the phase the node
-    /// drew for it, and ends the chain of every neighbour dropped.
-    fn follow_chains(&mut self) -> Result<(), TestCaseError> {
+    /// The round due at `due` ran now: every monitored neighbour, peers
+    /// ascending, got one ping, and the wait of each replaces the last.
+    fn round(
+        &mut self,
+        due: Option<Time>,
+        pinged: Vec<(PeerAddr, u64)>,
+    ) -> Result<(), TestCaseError> {
+        prop_assert!(
+            due.is_some_and(|at| self.came(at)),
+            "the round due at {:?} ran at {}",
+            due,
+            self.now
+        );
+        let to: Vec<PeerAddr> = pinged.iter().map(|p| p.0).collect();
+        let monitored: Vec<PeerAddr> = self.reference.monitored.iter().copied().collect();
+        prop_assert_eq!(to, monitored, "the round at {} pinged", self.now);
+        self.reached.late_rounds += u64::from(due < Some(self.now));
+        for (peer, nonce) in pinged {
+            self.reached.repeat_pings += u64::from(self.last_ping.contains_key(&peer));
+            let wait = (self.now + self.timeout, nonce);
+            if self.reference.waits.insert(peer, wait).is_some() {
+                self.reached.replaced_waits += 1;
+            }
+            self.last_ping.insert(peer, nonce);
+        }
+        self.reference.dropped_owing.clear();
+        self.reference.round = Some(self.now + self.period);
+        Ok(())
+    }
+
+    /// Follows the monitored set: a neighbour admitted owes nothing, and
+    /// the first one admitted draws the round's phase, within one period.
+    fn follow_monitored(&mut self) -> Result<(), TestCaseError> {
         for x in 0..48 {
             let peer = candidate(x);
-            let chain = self.reference.chains.contains_key(&peer);
-            match self.node.next_ping(peer) {
-                Some(at) if !chain => {
-                    prop_assert!(
-                        self.now <= at && at <= self.now + self.period,
-                        "{} admitted at {} first pinged at {}",
-                        peer,
-                        self.now,
-                        at
-                    );
-                    self.reference.chains.insert(peer, at);
-                    self.reached.readmitted += u64::from(self.dropped.contains(&peer));
-                }
-                None if chain => {
-                    self.reference.chains.remove(&peer);
-                }
-                _ => {}
+            let now_in = self.node.is_neighbor(peer);
+            if now_in == self.reference.monitored.contains(&peer) {
+                continue;
             }
+            if !now_in {
+                self.reference.monitored.remove(&peer);
+                continue;
+            }
+            self.reference.monitored.insert(peer);
+            prop_assert!(!self.reference.waits.contains_key(&peer));
+            self.reached.readmitted += u64::from(self.dropped.contains(&peer));
+            let owed = self.reference.dropped_owing.contains(&peer);
+            self.reached.readmitted_while_owing += u64::from(owed);
+        }
+        if self.reference.round.is_none() && !self.reference.monitored.is_empty() {
+            let at = self.node.next_round();
+            prop_assert!(
+                at.is_some_and(|at| self.now <= at && at <= self.now + self.period),
+                "the first neighbour, admitted at {}, drew a round at {:?}",
+                self.now,
+                at
+            );
+            self.reference.round = at;
         }
         Ok(())
     }
@@ -277,7 +326,7 @@ impl Rig {
     /// Fires every wake-up due by `until` in (deadline, request order),
     /// each at its deadline (and the first one `twice` over), or all at
     /// `until` when `late` (a driver that stalled), then checks that no
-    /// reference wait or ping due by then is still outstanding.
+    /// reference wait or round due by then is still outstanding.
     fn run_until(&mut self, until: Time, late: bool, twice: bool) -> Result<(), TestCaseError> {
         self.late = late;
         let mut again = twice;
@@ -297,8 +346,8 @@ impl Rig {
         self.now = until;
         let missed = self.reference.next_due(until);
         prop_assert!(missed.is_none(), "no death for {missed:?} by {until}");
-        let unpinged = self.reference.chains.iter().find(|(_, &at)| at <= until);
-        prop_assert!(unpinged.is_none(), "no ping for {unpinged:?} by {until}");
+        let round = self.reference.round.filter(|&at| at <= until);
+        prop_assert!(round.is_none(), "no round for {round:?} by {until}");
         Ok(())
     }
 
@@ -316,7 +365,7 @@ impl Rig {
         // A wrong nonce is one off the last: an earlier ping's or a later
         // one's.
         let nonce = if right { last } else { last ^ 1 };
-        let expected = self.reference.waits.get(&peer).map(|w| w.2) == Some(nonce);
+        let expected = self.reference.waits.get(&peer).map(|w| w.1) == Some(nonce);
         if expected {
             self.reference.waits.remove(&peer);
         } else {
@@ -345,8 +394,8 @@ impl Rig {
 
 /// A ping period of 2–60 s and a timeout of up to one and a half periods.
 /// A timeout past the period (outside `OverlayConfig`'s contract, but
-/// still defined) is the one way a ping goes out while the last is
-/// unanswered: the new ping must replace the old wait.
+/// still defined) is the one way a round comes while the last round's
+/// pings are unanswered: the new round must replace their waits.
 fn config() -> impl Strategy<Value = OverlayConfig> {
     (2_000u64..=60_000).prop_flat_map(|period| {
         (1_000..period * 3 / 2).prop_map(move |timeout| OverlayConfig {
@@ -391,11 +440,11 @@ fn run(
             8 => rig.ack(waiting, false)?,
             9 => rig.break_link(peer)?,
             _ => {
-                // Short steps land between pings, medium ones inside a
+                // Short steps land between rounds, medium ones inside a
                 // timeout, long ones let deadlines and whole periods pass.
-                // A stall fires what came due in it all at its end, so
-                // pings due apart go out together; a short step may fire
-                // its first wake-up twice.
+                // A stall fires what came due in it all at its end, so a
+                // sweep and the round after it may run together; a short
+                // step may fire its first wake-up twice.
                 let bound = match kind {
                     10 | 11 => 2_000,
                     12 | 13 => timeout_ms,
@@ -424,10 +473,11 @@ proptest! {
 }
 
 /// The generated scripts reach every case the node must get right: a
-/// timeout, two at one instant, a wait replaced by the next ping, a ping
-/// on a running chain, one past its deadline in a stall, a wake-up that
-/// came early and one that fired twice, a neighbour evicted while its ping
-/// is out, a wrong-nonce ack, a link break and a re-admitted neighbour.
+/// timeout, two at one instant, a wait replaced by the next round, a
+/// neighbour pinged at a second round, a round run late in a stall, a
+/// wake-up that came early and one that fired twice, a neighbour evicted
+/// while its ping is out, a wrong-nonce ack, a link break, a re-admitted
+/// neighbour and one re-admitted while its dropped self still owed.
 #[test]
 fn generated_scripts_reach_every_case() {
     let mut rng = StdRng::seed_from_u64(1);
@@ -441,14 +491,15 @@ fn generated_scripts_reach_every_case() {
         r.timeouts,
         r.same_instant_timeouts,
         r.replaced_waits,
-        r.chained_pings,
-        r.late_pings,
+        r.repeat_pings,
+        r.late_rounds,
         r.early_wakes,
         r.double_wakes,
         r.evicted_while_waiting,
         r.wrong_nonce_acks,
         r.breaks,
         r.readmitted,
+        r.readmitted_while_owing,
     ];
     assert!(counts.iter().all(|&c| c > 0), "{reached:?}");
 }

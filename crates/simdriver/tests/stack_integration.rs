@@ -384,6 +384,39 @@ fn create_with_dead_member_fails() {
     }
 }
 
+/// Crashes `p` and restarts it at once with fresh state and converged
+/// tables.
+fn crash_and_restart(sim: &mut World, infos: &[NodeInfo], p: ProcId) {
+    sim.crash(p);
+    let ov_cfg = OverlayConfig::default();
+    let tables = build_oracle_tables(infos, &ov_cfg);
+    let mut stack = NodeStack::new(
+        infos[p as usize],
+        None,
+        ov_cfg.clone(),
+        FuseConfig::default(),
+        Recorder::default(),
+    );
+    let (cw, ccw, rt) = tables[p as usize].clone();
+    stack.overlay.preload_tables(cw, ccw, rt);
+    sim.restart(p, stack);
+}
+
+/// A restarted node keeps no state, its id counter included, yet the
+/// group it creates first in its new life does not take the id of the one
+/// it created first in its last: a member still holding the old group
+/// would take one for the other.
+#[test]
+fn a_restarted_root_creates_under_an_id_its_last_life_did_not_issue() {
+    let (mut sim, infos) = world(24, 14);
+    sim.run_for(SimDuration::from_secs(5));
+    let old = create_group(&mut sim, &infos, 4, &[0, 8]);
+    crash_and_restart(&mut sim, &infos, 4);
+    sim.run_for(SimDuration::from_secs(1));
+    let new = create_group(&mut sim, &infos, 4, &[0, 8]);
+    assert_ne!(new, old, "the new life re-issued its last life's first id");
+}
+
 #[test]
 fn crashed_and_restarted_member_groups_fail_via_reconciliation() {
     let (mut sim, infos) = world(24, 14);
@@ -391,20 +424,7 @@ fn crashed_and_restarted_member_groups_fail_via_reconciliation() {
     let id = create_group(&mut sim, &infos, 0, &[4, 8]);
     // Crash and immediately restart node 4 with fresh state (no stable
     // storage, §3.6): it forgets the group; reconciliation must burn it.
-    sim.crash(4);
-    let ov_cfg = OverlayConfig::default();
-    let all: Vec<NodeInfo> = infos.clone();
-    let tables = build_oracle_tables(&all, &ov_cfg);
-    let mut stack = NodeStack::new(
-        infos[4],
-        None,
-        ov_cfg.clone(),
-        FuseConfig::default(),
-        Recorder::default(),
-    );
-    let (cw, ccw, rt) = tables[4].clone();
-    stack.overlay.preload_tables(cw, ccw, rt);
-    sim.restart(4, stack);
+    crash_and_restart(&mut sim, &infos, 4);
     sim.run_for(SimDuration::from_secs(400));
     for node in [0u32, 8] {
         assert_eq!(

@@ -2,8 +2,10 @@
 //!
 //! FUSE IDs must be "globally unique" (paper §6.2). In a real deployment they
 //! combine the creator's address with local entropy; in the simulator we
-//! derive them from the creating node's index and a per-node counter, mixed
-//! through a 64-bit finalizer so IDs are scattered rather than sequential.
+//! derive them from the creating node's index, its boot instant and a
+//! per-life counter, mixed through a 64-bit finalizer so IDs are scattered
+//! rather than sequential. A node restarted later draws from another
+//! sequence than its earlier life did.
 
 /// Per-node monotonic counter producing scattered-but-deterministic IDs.
 #[derive(Debug, Clone, Default)]
@@ -19,6 +21,14 @@ impl IdGen {
             node_tag,
             counter: 0,
         }
+    }
+
+    /// Creates the generator of node `node_tag` booted at `boot_ns`: the
+    /// boot instant goes through a bijection that keeps 0 at 0, so a node
+    /// booted at 0 draws [`IdGen::new`]'s sequence and one booted at any
+    /// other instant another.
+    pub fn booted(node_tag: u64, boot_ns: u64) -> Self {
+        IdGen::new(node_tag ^ mix64(boot_ns) ^ mix64(0))
     }
 
     /// Returns the next unique 64-bit identifier.
@@ -57,6 +67,21 @@ mod tests {
             for _ in 0..256 {
                 assert!(seen.insert(g.next_id()), "collision across nodes");
             }
+        }
+    }
+
+    #[test]
+    fn a_later_boot_draws_another_sequence() {
+        let first: Vec<u64> = {
+            let mut g = IdGen::booted(3, 0);
+            (0..256).map(|_| g.next_id()).collect()
+        };
+        let mut same = IdGen::new(3);
+        assert!(first.iter().all(|&id| id == same.next_id()), "boot at 0");
+        let seen: HashSet<u64> = first.into_iter().collect();
+        for boot_ns in [1, 2, 1_000, 5_000_000_000] {
+            let mut g = IdGen::booted(3, boot_ns);
+            assert!((0..256).all(|_| !seen.contains(&g.next_id())), "{boot_ns}");
         }
     }
 
